@@ -22,6 +22,7 @@ from .bounds import (
 from .characters import (
     DirichletCharacter,
     GaussSumValue,
+    character,
     conductor,
     enumerate_characters,
     euler_phi,
@@ -91,6 +92,7 @@ __all__ = [
     "certify_T2_Ib",
     "certify_T3",
     "certify_polya_vinogradov",
+    "character",
     "coefficient_table",
     "complex_gamma",
     "conductor",

@@ -7,9 +7,16 @@ as <-1> x <5>.  Values are kept both as complex doubles and as exact
 exponents k with chi(n) = e^{2 pi i k / E}, E the unit-group exponent,
 so that conductor and parity tests are exact integer arithmetic.
 
-Labels index the dual group lexicographically over generator exponents;
-the principal character is always label 0 and enumeration order is
-deterministic.
+One walk of the group per modulus fills a discrete-log table (the
+exponent vector over the generators of every unit n, kept in a bounded
+cache), so a character costs one vectorized product over that table,
+O(q).  The conductor is read off the generator exponents, one
+prime-power component at a time.
+
+Labels index the dual group lexicographically over generator exponents
+(mixed radix over the generator orders); the principal character is
+always label 0 and enumeration order is deterministic.
+character(q, label) decodes a label and builds only that character.
 """
 
 from __future__ import annotations
@@ -19,12 +26,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DirichletCharacter",
     "GaussSumValue",
+    "character",
     "enumerate_characters",
     "conductor",
     "gauss_sum",
@@ -93,29 +102,48 @@ def _crt_lift(residue: int, modulus: int, q: int) -> int:
     return (residue + modulus * ((1 - residue) * inv % m2)) % q
 
 
-@lru_cache(maxsize=None)
-def _unit_group(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Generators and their orders for (Z/qZ)* as a product of cyclic groups."""
-    gens: list[int] = []
-    orders: list[int] = []
+class _UnitGroup(NamedTuple):
+    """(Z/qZ)* as a product of cyclic groups, with its discrete-log table."""
+
+    orders: tuple[int, ...]
+    # per generator (c, p^e): a character of order o there has conductor
+    # c * gcd(o, p^e) on that component (c = p odd; 2 for <-1>, 4 for <5>)
+    components: tuple[tuple[int, int], ...]
+    exponent: int
+    logs: np.ndarray  # (q, len(orders)): exponent vector of each unit n
+    units: np.ndarray  # units[n] is gcd(n, q) == 1
+    roots: np.ndarray  # e^{2 pi i k / exponent} for k < exponent, then 0
+
+
+@lru_cache(maxsize=64)
+def _unit_group(q: int) -> _UnitGroup:
+    parts: list[tuple[int, int, int, int]] = []  # (generator, order, c, p^e)
     for p, e in factorize(q):
         pk = p**e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                gens.append(_crt_lift(3, 4, q))
-                orders.append(2)
-            else:
-                gens.append(_crt_lift(pk - 1, pk, q))
-                orders.append(2)
-                gens.append(_crt_lift(5, pk, q))
-                orders.append(pk // 4)
-        else:
-            g = _primitive_root_mod_pk(p, e)
-            gens.append(_crt_lift(g, pk, q))
-            orders.append((p - 1) * p ** (e - 1))
-    return tuple(gens), tuple(orders)
+        if p != 2:
+            g = _crt_lift(_primitive_root_mod_pk(p, e), pk, q)
+            parts.append((g, (p - 1) * p ** (e - 1), p, pk))
+        elif e == 2:
+            parts.append((_crt_lift(3, 4, q), 2, 2, pk))
+        elif e > 2:
+            parts.append((_crt_lift(pk - 1, pk, q), 2, 2, pk))
+            parts.append((_crt_lift(5, pk, q), pk // 4, 4, pk))
+    orders = tuple(d for _, d, _, _ in parts)
+    # walk the whole group once: element = prod g_i^{e_i} over the generators
+    elems = np.array([1 % q], dtype=np.int64)
+    evecs = np.zeros((1, 0), dtype=np.int64)
+    for g, d, _, _ in parts:
+        powers = np.array([pow(g, j, q) for j in range(d)], dtype=np.int64)
+        elems = (elems[:, None] * powers[None, :] % q).ravel()
+        evecs = np.hstack([np.repeat(evecs, d, axis=0), np.tile(np.arange(d), len(evecs))[:, None]])
+    logs = np.zeros((q, len(orders)), dtype=np.int64)
+    logs[elems] = evecs
+    units = np.zeros(q, dtype=bool)
+    units[elems] = True
+    exponent = math.lcm(*orders)
+    roots = [cmath.exp(2j * math.pi * k / exponent) for k in range(exponent)]
+    components = tuple((c, pk) for _, _, c, pk in parts)
+    return _UnitGroup(orders, components, exponent, logs, units, np.array(roots + [0j]))
 
 
 @dataclass(frozen=True)
@@ -146,9 +174,8 @@ class DirichletCharacter:
 
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (inverse in the dual group)."""
-        gens, orders = _unit_group(self.modulus)
-        neg = tuple((-k) % d for k, d in zip(self.gen_exponents, orders))
-        return _build_character(self.modulus, gens, orders, neg)
+        orders = _unit_group(self.modulus).orders
+        return _build_character(self.modulus, tuple((-k) % d for k, d in zip(self.gen_exponents, orders)))
 
     def __repr__(self) -> str:  # keep tables out of test failure output
         return (
@@ -170,79 +197,55 @@ class GaussSumValue:
         return cls(chi=chi, shift=shift, value=gauss_sum(chi, shift))
 
 
-def _conductor_from_logs(q: int, value_logs: tuple[int, ...]) -> int:
-    # smallest f | q with chi(n) = 1 for every n = 1 (mod f) coprime to q
-    for f in divisors(q):
-        ok = True
-        for n in range(1, q + 1):
-            if n % f == 1 % f and math.gcd(n, q) == 1:
-                if value_logs[n % q] != 0:
-                    ok = False
-                    break
-        if ok:
-            return f
-    return q  # unreachable: f = q always passes
+def _conductor(q: int, kexp: tuple[int, ...]) -> int:
+    group = _unit_group(q)
+    return math.lcm(
+        *(c * math.gcd(d // math.gcd(k, d), pk) for k, d, (c, pk) in zip(kexp, group.orders, group.components) if k)
+    )
 
 
-def _build_character(
-    q: int,
-    gens: tuple[int, ...],
-    orders: tuple[int, ...],
-    kexp: tuple[int, ...],
-) -> DirichletCharacter:
-    exponent = 1
-    for d in orders:
-        exponent = exponent * d // math.gcd(exponent, d)
-    logs = [-1] * q
-    if q == 1:
-        logs[0] = 0
-    else:
-        # walk the whole group once: element = prod gens[i]^{e_i}
-        for evec in product(*(range(d) for d in orders)):
-            n = 1
-            for g, e in zip(gens, evec):
-                n = n * pow(g, e, q) % q
-            logs[n] = (
-                sum(e * k * (exponent // d) for e, k, d in zip(evec, kexp, orders))
-                % exponent
-            )
-        if not orders:  # q = 2: trivial unit group
-            logs[1 % q] = 0
-    roots = [cmath.exp(2j * math.pi * k / exponent) for k in range(exponent)]
-    values = tuple(roots[k] if k >= 0 else 0.0 + 0.0j for k in logs)
-    logs_t = tuple(logs)
+def _build_character(q: int, kexp: tuple[int, ...]) -> DirichletCharacter:
+    group = _unit_group(q)
+    weights = np.array([k * (group.exponent // d) for k, d in zip(kexp, group.orders)], dtype=np.int64)
+    logs = np.where(group.units, (group.logs @ weights) % group.exponent, -1)
+    logs_t = tuple(logs.tolist())
     label = 0
-    for k, d in zip(kexp, orders):
+    for k, d in zip(kexp, group.orders):
         label = label * d + k
-    parity_log = logs_t[(q - 1) % q]
-    parity = 1 if parity_log == 0 else -1
     return DirichletCharacter(
         modulus=q,
-        values=values,
+        values=tuple(group.roots[logs].tolist()),
         value_logs=logs_t,
-        group_exponent=exponent,
-        gen_exponents=tuple(kexp),
-        is_principal=all(k == 0 for k in kexp),
-        conductor=_conductor_from_logs(q, logs_t),
-        parity=parity,
+        group_exponent=group.exponent,
+        gen_exponents=kexp,
+        is_principal=not any(kexp),
+        conductor=_conductor(q, kexp),
+        parity=1 if logs_t[(q - 1) % q] == 0 else -1,
         label=label,
     )
+
+
+def character(q: int, label: int) -> DirichletCharacter:
+    """The character mod q with the given label, built alone."""
+    if q < 1 or not 0 <= label < euler_phi(q):
+        raise ValueError(f"no character mod {q} has label {label}")
+    kexp = []
+    for d in reversed(_unit_group(q).orders):
+        label, k = divmod(label, d)
+        kexp.append(k)
+    return _build_character(q, tuple(reversed(kexp)))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in a fixed, reproducible order."""
     if q < 1:
         raise ValueError("modulus must be a positive integer")
-    gens, orders = _unit_group(q)
-    out = []
-    for kexp in product(*(range(d) for d in orders)):
-        out.append(_build_character(q, gens, orders, tuple(kexp)))
-    return out
+    return [_build_character(q, kexp) for kexp in product(*(range(d) for d in _unit_group(q).orders))]
 
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi is induced by a character mod f."""
-    return _conductor_from_logs(chi.modulus, chi.value_logs)
+    return _conductor(chi.modulus, chi.gen_exponents)
 
 
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:

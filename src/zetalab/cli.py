@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
-from .characters import enumerate_characters
+from .characters import character, enumerate_characters
 from .coefficients import coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
 from .sawtooth import TailIntegralSpec, oscillatory_tail, sawtooth_tail
@@ -74,14 +74,6 @@ def _parse_complex(text: str) -> complex:
     if len(parts) == 2:
         return complex(float(parts[0]), float(parts[1]))
     raise argparse.ArgumentTypeError("complex values are written re or re,im")
-
-
-def _pick_character(q: int, label: int):
-    chars = enumerate_characters(q)
-    for chi in chars:
-        if chi.label == label:
-            return chi
-    raise SystemExit(f"error: no character mod {q} has label {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ def _cmd_eval(args) -> tuple[int, str]:
         res = z_deriv(s, args.a, args.q, args.r, X=args.x)
         params = {"a": args.a, "q": args.q}
     elif args.kind == "l":
-        chi = _pick_character(args.q, args.label)
+        chi = character(args.q, args.label)
         res = l_deriv(s, chi, args.r, X=args.x)
         params = {"q": args.q, "label": args.label}
     else:
@@ -184,7 +176,7 @@ def _cmd_coeff(args) -> tuple[int, str]:
     elif kind == "gamma_aq":
         kwargs["a"], kwargs["q"] = args.a, args.q
     elif kind in ("gamma_chi", "l_deriv_at_zero"):
-        kwargs["chi"] = _pick_character(args.q, args.label)
+        kwargs["chi"] = character(args.q, args.label)
     else:
         kwargs["lam"], kwargs["alpha"] = args.lam, args.alpha
     table = coefficient_table(kind, args.r_max, **kwargs)
@@ -284,7 +276,7 @@ def _cmd_afe(args) -> tuple[int, str]:
         res = afe_hurwitz(args.s, args.alpha, args.r, args.x)
         params = {"alpha": args.alpha}
     else:
-        chi = _pick_character(args.q, args.label)
+        chi = character(args.q, args.label)
         res = afe_l(args.s, chi, args.r, args.x)
         params = {"q": args.q, "label": args.label}
     payload = {

@@ -551,7 +551,7 @@ def _osc_remainder_const(K: int, nu: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # float keys: bounded, about 16 entries per Lerch call
 def _psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
     """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k).
 

@@ -1,21 +1,150 @@
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import characters as characters_mod
+from zetalab import cli
 from zetalab.characters import (
+    DirichletCharacter,
     GaussSumValue,
+    character,
     conductor,
+    divisors,
     enumerate_characters,
     euler_phi,
+    factorize,
     gauss_sum,
     partial_character_sum,
 )
 
 TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference construction: walk the unit group once per character and scan
+# every divisor of q for the conductor, O(phi(q)) work per character
+# ---------------------------------------------------------------------------
+
+
+def _reference_unit_group(q):
+    gens, orders = [], []
+    for p, e in factorize(q):
+        pk = p**e
+        if p == 2:
+            if e == 1:
+                continue
+            if e == 2:
+                gens.append(characters_mod._crt_lift(3, 4, q))
+                orders.append(2)
+            else:
+                gens.append(characters_mod._crt_lift(pk - 1, pk, q))
+                orders.append(2)
+                gens.append(characters_mod._crt_lift(5, pk, q))
+                orders.append(pk // 4)
+        else:
+            g = characters_mod._primitive_root_mod_pk(p, e)
+            gens.append(characters_mod._crt_lift(g, pk, q))
+            orders.append((p - 1) * p ** (e - 1))
+    return gens, orders
+
+
+def _reference_conductor(q, value_logs):
+    # smallest f | q with chi(n) = 1 for every n = 1 (mod f) coprime to q
+    for f in divisors(q):
+        if all(
+            value_logs[n % q] == 0 for n in range(1, q + 1) if n % f == 1 % f and math.gcd(n, q) == 1
+        ):
+            return f
+    return q  # unreachable: f = q always passes
+
+
+def _reference_character(q, orders, walk, kexp):
+    exponent = 1
+    for d in orders:
+        exponent = exponent * d // math.gcd(exponent, d)
+    logs = [-1] * q
+    if q == 1:
+        logs[0] = 0
+    else:
+        for evec, n in walk:
+            logs[n] = sum(e * k * (exponent // d) for e, k, d in zip(evec, kexp, orders)) % exponent
+        if not orders:  # q = 2: trivial unit group
+            logs[1 % q] = 0
+    roots = [cmath.exp(2j * math.pi * k / exponent) for k in range(exponent)]
+    label = 0
+    for k, d in zip(kexp, orders):
+        label = label * d + k
+    return DirichletCharacter(
+        modulus=q,
+        values=tuple(roots[k] if k >= 0 else 0.0 + 0.0j for k in logs),
+        value_logs=tuple(logs),
+        group_exponent=exponent,
+        gen_exponents=tuple(kexp),
+        is_principal=all(k == 0 for k in kexp),
+        conductor=_reference_conductor(q, logs),
+        parity=1 if logs[(q - 1) % q] == 0 else -1,
+        label=label,
+    )
+
+
+def _reference_characters(q):
+    gens, orders = _reference_unit_group(q)
+    walk = []  # (e, prod gens[i]^{e_i} mod q) over the whole group
+    for evec in product(*(range(d) for d in orders)):
+        n = 1
+        for g, e in zip(gens, evec):
+            n = n * pow(g, e, q) % q
+        walk.append((evec, n))
+    return [_reference_character(q, orders, walk, kexp) for kexp in product(*(range(d) for d in orders))]
+
+
+_EQUIVALENCE_MODULI = (
+    list(range(1, 301))
+    + [q for q in range(307, 338) if len(factorize(q)) == 1 and factorize(q)[0][1] == 1]
+    + [q for q in range(967, 998) if len(factorize(q)) == 1 and factorize(q)[0][1] == 1]
+    + [2**k for k in range(9, 11)]
+)
+
+
+@pytest.mark.parametrize("q", _EQUIVALENCE_MODULI)
+def test_table_construction_matches_group_walk_reference(q):
+    chars = enumerate_characters(q)
+    ref = _reference_characters(q)
+    assert len(chars) == len(ref) == euler_phi(q)
+    for c, r in zip(chars, ref):
+        assert c == r  # dataclass equality: every field, complex values exactly
+        assert conductor(c) == r.conductor
+        assert character(q, c.label) == c
+
+
+@pytest.mark.parametrize("q, label", [(7, 6), (7, -1), (0, 0), (-3, 0), (12, 4)])
+def test_character_refuses_labels_outside_the_dual_group(q, label):
+    with pytest.raises(ValueError, match=f"no character mod {q} has label {label}"):
+        character(q, label)
+
+
+def test_label_lookup_builds_one_character_and_one_table_per_modulus(monkeypatch):
+    built = []
+    real = characters_mod._build_character
+
+    def counting(q, kexp):
+        built.append(q)
+        return real(q, kexp)
+
+    monkeypatch.setattr(characters_mod, "_build_character", counting)
+    characters_mod._unit_group.cache_clear()
+    argv = ["eval", "--kind", "l", "--s", "1,0", "--q", "977", "--label", "528", "--json"]
+    assert cli.run(argv) == 0
+    assert built == [977]
+    assert cli.run(argv) == 0
+    assert built == [977, 977]
+    info = characters_mod._unit_group.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_q1_single_trivial_character():

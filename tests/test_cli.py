@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -142,3 +143,42 @@ def test_output_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["entries"][0]["value"][0] == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--kind", "l", "--s", "1,0", "--q", "7", "--label", "6"], "no character mod 7 has label 6"),
+        (["eval", "--kind", "l", "--s", "1,0", "--q", "7", "--label", "-1"], "no character mod 7 has label -1"),
+        (["coeff", "--kind", "gamma-chi", "--q", "0", "--r-max", "2"], "no character mod 0 has label 1"),
+    ],
+)
+def test_bad_character_label_is_refused_with_one_line(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# SHA-256 of the --json stdout, recorded before the characters were built
+# from a discrete-log table; the output must stay byte-identical
+GOLDEN_DIGESTS = [
+    (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
+    (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
+    (
+        ["coeff", "--kind", "gamma-chi", "--q", "311", "--label", "211", "--r-max", "2"],
+        "7a296977a779df1768ee99d8cd1a28d98037eb2f73a1292847f555cecee4bbbc",
+    ),
+    (
+        ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
+        "055c7759b4976a465874efffed77f5fb7217d990de7122424357627143d2839a",
+    ),
+    (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS, ids=[" ".join(a) for a, _ in GOLDEN_DIGESTS])
+def test_json_output_matches_golden_digest(capsys, argv, digest):
+    status, out = run_capture(capsys, argv + ["--json"])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

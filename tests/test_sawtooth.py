@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab.evaluate import LerchArgs, lerch_deriv
 from zetalab.sawtooth import (
     EvalResult,
     TailIntegralSpec,
+    _psi_fourier_shift_sum,
     oscillatory_tail,
     periodic_bernoulli,
     psi,
@@ -215,3 +217,12 @@ def test_tail_integral_spec_validation():
         TailIntegralSpec(lower=1.0, shift=1.5, exponent=-2.0, log_power=0)
     with pytest.raises(ValueError):
         TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=0, oscillation=1.0)
+
+
+def test_psi_fourier_shift_cache_stays_bounded():
+    # every alpha adds fresh float keys: 300 calls ask for more entries than the bound
+    for i in range(300):
+        lerch_deriv(LerchArgs(lam=0.3, alpha=0.1 + i / 400, s=complex(1.5, 0.0), order=1))
+    info = _psi_fourier_shift_sum.cache_info()
+    assert info.maxsize == 4096
+    assert info.misses > info.maxsize and info.currsize <= info.maxsize
