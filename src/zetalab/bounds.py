@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from .characters import enumerate_characters, partial_character_sum
 from .coefficients import (
     beta_coefficient_all,
-    l_deriv_at_0,
+    l_deriv_at_0_all,
     l_deriv_at_0_truncated,
     l_deriv_at_1_exact,
+    l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     lerch_taylor_at_1,
     stieltjes_gamma_all,
@@ -198,10 +199,14 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8, guard: float = 10.0) -> Boun
         prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
         if not prim:
             raise ValueError(f"q = {q} has no primitive characters")
-        for chi in prim:
-            lq = math.log(q)
-            for r in range(1, r_max + 1):
-                exact1 = l_deriv_at_1_exact(r, chi, X=4.0 * q)
+        lq = math.log(q)
+        # one residue pass per (q, r) serves every character
+        rs = range(1, r_max + 1)
+        exact1_all = [l_deriv_at_1_exact_all(r, prim, X=4.0 * q) for r in rs]
+        exact0_all = [l_deriv_at_0_all(r, prim, X=4.0 * q) for r in rs]
+        for i, chi in enumerate(prim):
+            for r in rs:
+                exact1 = exact1_all[r - 1][i]
                 trunc1 = l_deriv_at_1_truncated(r, chi)
                 meas1 = abs(trunc1.value - exact1.value)
                 shape1 = q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r
@@ -212,7 +217,7 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8, guard: float = 10.0) -> Boun
                         guard * shape1,
                     )
                 )
-                exact0 = l_deriv_at_0(r, chi, X=4.0 * q)
+                exact0 = exact0_all[r - 1][i]
                 trunc0 = l_deriv_at_0_truncated(r, chi)
                 meas0 = abs(trunc0.value - exact0.value)
                 shape0 = math.sqrt(q) * lq * (lq + r) ** r

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
@@ -200,14 +198,7 @@ def _cmd_coeff(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _merge_reports(bound_id, parts):
-    cases = tuple(c for rep in parts for c in rep.cases)
-    info = tuple(c for rep in parts for c in rep.informational)
-    return bounds_mod.BoundReport(bound_id, cases, info)
-
-
 def _certify_report(args):
-    workers = args.threads if args.threads and args.threads > 0 else (os.cpu_count() or 1)
     if args.bound == "t2-ib":
         return bounds_mod.certify_T2_Ib(r_max=args.r_max or 20)
     if args.bound == "t2-iib":
@@ -216,13 +207,7 @@ def _certify_report(args):
         return bounds_mod.certify_T2_IIIb(r_max=args.r_max or 10)
     if args.bound == "t3":
         q_set = tuple(args.q) if args.q else bounds_mod.DEFAULT_Q_SET
-        r_max = args.r_max or 8
-        if workers > 1 and len(q_set) > 1:
-            # independent per-q sweeps, merged in q order for determinism
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda q: bounds_mod.certify_T3((q,), r_max), q_set))
-            return _merge_reports("T3", parts)
-        return bounds_mod.certify_T3(q_set=q_set, r_max=r_max)
+        return bounds_mod.certify_T3(q_set=q_set, r_max=args.r_max or 8)
     if args.bound == "ishikawa":
         return bounds_mod.ishikawa_compare(args.q[0] if args.q else 5)
     return bounds_mod.certify_polya_vinogradov()
@@ -305,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate Hurwitz/Lerch zeta and Dirichlet L-functions, extract "
         "expansion coefficients, and certify their explicit bounds.",
     )
-    p.add_argument("--threads", type=int, default=0, help="worker threads for sweeps (0 = all cores)")
     p.add_argument("--output", type=str, default=None, help="write the report to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 

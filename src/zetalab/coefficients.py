@@ -59,8 +59,10 @@ __all__ = [
     "limit_oracle_gamma_aq",
     "limit_gamma_aq_extrapolated",
     "l_deriv_at_1_exact",
+    "l_deriv_at_1_exact_all",
     "l_deriv_at_1_truncated",
     "l_deriv_at_0",
+    "l_deriv_at_0_all",
     "l_deriv_at_0_truncated",
     "lerch_taylor_at_1",
     "coefficient_table",
@@ -237,13 +239,8 @@ def convolution_coefficient(n: int, q: int, alpha: float) -> ConvolutionCoeffici
 
 
 def gamma_aq(r: int, a: int, q: int) -> EvalResult:
-    """gamma_r(a, q) by the convolution over gamma_{r-l}(a/q).
-
-    Computed twice -- once from the binomial form over classical
-    constants, once through the Laurent-coefficient convolution
-    c_r(q, a/q) -- and cross-checked to 1e-12 relative as a refactoring
-    guard before returning.
-    """
+    """gamma_r(a, q) by the binomial convolution over the classical
+    constants gamma_{r-l}(a/q) (module docstring)."""
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
@@ -256,16 +253,6 @@ def gamma_aq(r: int, a: int, q: int) -> EvalResult:
         acc += c * gam[r - l].value.real
         err += c * gam[r - l].error_bound
     val = (acc - lq ** (r + 1) / (r + 1)) / q
-    # second route: (-1)^r gamma_r(a,q) = (r!/q) c_r(q, a/q) + pole-mismatch term
-    cr = convolution_coefficient(r, q, a / q).value
-    val2 = (-1.0) ** r * (
-        math.factorial(r) / q * cr + (-1.0) ** (r + 1) * lq ** (r + 1) / (q * (r + 1))
-    )
-    scale = max(abs(val), abs(val2), 1e-6)
-    if abs(val - val2) > 1e-12 * scale + err:
-        raise AssertionError(
-            f"convolution routes disagree for gamma_{r}({a},{q}): {val} vs {val2}"
-        )
     return EvalResult(complex(val), err / q)
 
 
@@ -319,42 +306,96 @@ def _log_binomial_tail_combo(tails, terrs, r: int, s_at: float, lq: float):
     return acc, err
 
 
-def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
-    """L^{(r)}(1, chi) for non-principal chi via the split representation
+def _common_modulus(chars) -> int:
+    """The one modulus of a batch of non-principal characters."""
+    if not chars:
+        raise ValueError("needs at least one character")
+    q = chars[0].modulus
+    for chi in chars:
+        if chi.is_principal:
+            raise ValueError("needs a non-principal character")
+        if chi.modulus != q:
+            raise ValueError("characters of one batch must share one modulus")
+    return q
+
+
+def _residue_pass(q: int, X: float, r: int, s_at: int, tail):
+    """The chi-independent pieces of the split representation at s = s_at.
+
+    One row per unit a mod q, in increasing a: (a, the finite sum of
+    log^r n / n^{s_at} over n = a (mod q), n <= X (None when empty), the
+    boundary sawtooth psi((X-a)/q), the tail piece).  tail(a) returns
+    (piece, error) or None; the errors are summed in the same order.
+    """
+    rows = []
+    err = 0.0
+    for a in range(1, q + 1):
+        if math.gcd(a, q) != 1:
+            continue
+        main = None
+        kmax = _split_floor((X - a) / q)
+        if kmax >= 0:
+            n = a + q * np.arange(0, kmax + 1, dtype=float)
+            if s_at:
+                main = complex(np.sum((np.log(n) ** r if r else 1.0) / n))
+            else:
+                main = complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
+        piece = tail(a)
+        if piece is not None:
+            err += piece[1]
+        rows.append((a, main, _psi_at_split((X - a) / q), None if piece is None else piece[0]))
+    return rows, err
+
+
+def _weigh(chi: DirichletCharacter, rows, tail_scale: int | None = None):
+    """(sum_a chi(a) main_a, sum_a chi(a) psi_a, sum_a chi(a) [tail_scale] tail_a),
+    accumulated over the rows of _residue_pass in their order."""
+    main = bnd = tail = 0.0 + 0.0j
+    for a, m, b, t in rows:
+        ca = chi(a)
+        if m is not None:
+            main += ca * m
+        bnd += ca * b
+        if t is not None:
+            tail += (ca if tail_scale is None else ca * tail_scale) * t
+    return main, bnd, tail
+
+
+def l_deriv_at_1_exact_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
+    """L^{(r)}(1, chi) for every chi of a batch of non-principal characters
+    sharing one modulus q, via the split representation
 
     (-1)^r L^{(r)}(1,chi) = sum_{n<=X} chi(n) log^r n / n
         + (log^r X / X) sum_a chi(a) psi((X-a)/q)
         + (1/q) sum_a chi(a) int_{X/q}^inf psi(u-a/q) u^{-2}
                                  log^{r-1}(qu) (r - log(qu)) du.
+
+    The finite sums, boundary terms and tail integrals of the residue
+    classes do not depend on chi: one pass computes them for the batch.
     """
-    if chi.is_principal:
-        raise ValueError("needs a non-principal character")
+    chars = list(chars)
+    q = _common_modulus(chars)
     _check_order(r)
-    q = chi.modulus
     if X is None:
         X = 4.0 * q
     lX = math.log(X)
     lq = math.log(q)
-    main = 0.0 + 0.0j
-    bnd = 0.0 + 0.0j
-    tail = 0.0 + 0.0j
-    err = 0.0
-    for a in range(1, q + 1):
-        ca = chi(a)
-        if ca == 0:
-            continue
-        kmax = _split_floor((X - a) / q)
-        if kmax >= 0:
-            n = a + q * np.arange(0, kmax + 1, dtype=float)
-            logs = np.log(n)
-            main += ca * complex(np.sum((logs**r if r else 1.0) / n))
-        bnd += ca * _psi_at_split((X - a) / q)
+
+    def tail(a):
         tails, terrs = psi_tail_powers(X / q, a / q, -2.0, r)
-        combo, cerr = _log_binomial_tail_combo(tails, terrs, r, 1.0, lq)
-        tail += ca * combo
-        err += cerr
-    value = (-1.0) ** r * (main + (lX**r / X) * bnd + tail / q)
-    return EvalResult(value, err / q)
+        return _log_binomial_tail_combo(tails, terrs, r, 1.0, lq)
+
+    rows, err = _residue_pass(q, X, r, 1, tail)
+    out = []
+    for chi in chars:
+        main, bnd, tail_sum = _weigh(chi, rows)
+        out.append(EvalResult((-1.0) ** r * (main + (lX**r / X) * bnd + tail_sum / q), err / q))
+    return out
+
+
+def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
+    """L^{(r)}(1, chi) for non-principal chi (see l_deriv_at_1_exact_all)."""
+    return l_deriv_at_1_exact_all(r, [chi], X)[0]
 
 
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
@@ -379,45 +420,44 @@ def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     return EvalResult((-1.0) ** r * main, bound)
 
 
-def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
-    """L^{(r)}(0, chi) for non-principal chi via
+def l_deriv_at_0_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
+    """L^{(r)}(0, chi) for every chi of a batch of non-principal characters
+    sharing one modulus q, via
 
     (-1)^r L^{(r)}(0,chi) = sum_{n<=X} chi(n) log^r n
         + log^r X sum_a chi(a) psi((X-a)/q)
-        + r sum_a chi(a) int_{X/q}^inf psi(u-a/q) u^{-1} log^{r-1}(qu) du.
+        + r sum_a chi(a) int_{X/q}^inf psi(u-a/q) u^{-1} log^{r-1}(qu) du,
+
+    from one residue pass shared by the batch.
     """
-    if chi.is_principal:
-        raise ValueError("needs a non-principal character")
+    chars = list(chars)
+    q = _common_modulus(chars)
     _check_order(r)
-    q = chi.modulus
     if X is None:
         X = 4.0 * q
     lX = math.log(X)
     lq = math.log(q)
-    main = 0.0 + 0.0j
-    bnd = 0.0 + 0.0j
-    val = 0.0 + 0.0j
-    err = 0.0
-    for a in range(1, q + 1):
-        ca = chi(a)
-        if ca == 0:
-            continue
-        kmax = _split_floor((X - a) / q)
-        if kmax >= 0:
-            n = a + q * np.arange(0, kmax + 1, dtype=float)
-            main += ca * complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
-        bnd += ca * _psi_at_split((X - a) / q)
-        if r:
-            tails, terrs = psi_tail_powers(X / q, a / q, -1.0, r - 1)
-            combo = sum(
-                math.comb(r - 1, mm) * lq ** (r - 1 - mm) * tails[mm] for mm in range(r)
-            )
-            val += ca * r * combo
-            err += r * sum(
-                math.comb(r - 1, mm) * lq ** (r - 1 - mm) * terrs[mm] for mm in range(r)
-            )
-    val += main + (lX**r if r else 1.0) * bnd
-    return EvalResult((-1.0) ** r * val, err)
+
+    def tail(a):
+        if not r:
+            return None
+        tails, terrs = psi_tail_powers(X / q, a / q, -1.0, r - 1)
+        combo = sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * tails[mm] for mm in range(r))
+        cerr = r * sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * terrs[mm] for mm in range(r))
+        return combo, cerr
+
+    rows, err = _residue_pass(q, X, r, 0, tail)
+    out = []
+    for chi in chars:
+        main, bnd, val = _weigh(chi, rows, tail_scale=r)
+        val += main + (lX**r if r else 1.0) * bnd
+        out.append(EvalResult((-1.0) ** r * val, err))
+    return out
+
+
+def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
+    """L^{(r)}(0, chi) for non-principal chi (see l_deriv_at_0_all)."""
+    return l_deriv_at_0_all(r, [chi], X)[0]
 
 
 def l_deriv_at_0_truncated(r: int, chi: DirichletCharacter) -> EvalResult:

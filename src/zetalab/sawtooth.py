@@ -533,7 +533,7 @@ def pure_osc_tail_powers(
     return out_v, out_e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
 def _osc_remainder_const(K: int, nu: float) -> float:
     """S_K(nu) = sum_{|n|>=1} 1/((2 pi |n|)(2 pi |n+nu|)^K), plus a tail bound."""
     acc = 0.0

@@ -78,6 +78,25 @@ def test_t3_small_sweep():
     )
 
 
+def test_t3_computes_each_tail_integral_once(monkeypatch):
+    # the tails depend on (q, a, r, point) but not on chi: one per unit a mod q,
+    # order r and point, 28 units x 8 orders x 2 points (2304 when run per character)
+    import zetalab.coefficients as coefficients
+
+    calls = []
+    real = coefficients.psi_tail_powers
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "psi_tail_powers", counting)
+    rep = certify_T3()
+    assert len(calls) == 448
+    assert len(set(calls)) == 448
+    assert rep.all_pass
+
+
 def test_t3_rejects_modulus_without_primitive_characters():
     with pytest.raises(ValueError):
         certify_T3(q_set=(6,), r_max=2)

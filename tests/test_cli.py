@@ -127,13 +127,17 @@ def test_render_json_escapes_and_formats():
     assert parsed["n"] is None and parsed["b"] is True
 
 
-def test_threads_flag_accepted(capsys):
+def test_threads_flag_is_refused(capsys):
+    # the certify thread pool is gone (it only added cost under the GIL):
+    # the flag is refused like any unknown option, and the sweep runs serially
     status, out = run_capture(
         capsys, ["--threads", "2", "certify", "--bound", "t3", "--r-max", "2", "--q", "3", "4", "--json"]
     )
+    assert status == 1
+    assert out == ""
+    status, out = run_capture(capsys, ["certify", "--bound", "t3", "--r-max", "2", "--q", "3", "4", "--json"])
     assert status == 0
-    doc = json.loads(out)
-    assert doc["all_pass"] is True
+    assert json.loads(out)["all_pass"] is True
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -174,6 +178,12 @@ GOLDEN_DIGESTS = [
         "055c7759b4976a465874efffed77f5fb7217d990de7122424357627143d2839a",
     ),
     (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
+    # recorded before the exact L routes shared one residue pass across characters
+    (["certify", "--bound", "t3"], "b55512152346ff8697a1bd1b2c0d7fd96d4e806e30f867e6506f9de90a796bc6"),
+    (
+        ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
+        "6372bdc89338d7248a25444b86e7b3d3f4d1ecb7ebc12f0b92db319cce8c295b",
+    ),
 ]
 
 

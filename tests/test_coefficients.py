@@ -11,8 +11,10 @@ from zetalab.coefficients import (
     convolution_coefficient,
     gamma_aq,
     l_deriv_at_0,
+    l_deriv_at_0_all,
     l_deriv_at_0_truncated,
     l_deriv_at_1_exact,
+    l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     lerch_taylor_at_1,
     limit_gamma_aq_extrapolated,
@@ -23,7 +25,8 @@ from zetalab.coefficients import (
     richardson_fit,
     stieltjes_gamma,
 )
-from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
+from zetalab.evaluate import HurwitzArgs, LerchArgs, _psi_at_split, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
+from zetalab.sawtooth import EvalResult, psi_tail_powers
 
 from .oracles import leibniz_pi_4, log2_series, zeta_eta
 
@@ -171,6 +174,22 @@ def test_convolution_coefficient_at_q1():
     assert abs(c0.value - stieltjes_gamma(0, 0.37).value.real) < 1e-13
 
 
+def test_gamma_aq_matches_the_laurent_convolution_route():
+    # second route: (-1)^r gamma_r(a,q) = (r!/q) c_r(q, a/q) + pole-mismatch term
+    for q in range(1, 13):
+        lq = math.log(q)
+        for a in range(1, q + 1):
+            for r in range(0, 9):
+                res = gamma_aq(r, a, q)
+                val = res.value.real
+                cr = convolution_coefficient(r, q, a / q).value
+                val2 = (-1.0) ** r * (
+                    math.factorial(r) / q * cr + (-1.0) ** (r + 1) * lq ** (r + 1) / (q * (r + 1))
+                )
+                scale = max(abs(val), abs(val2), 1e-6)
+                assert abs(val - val2) <= 1e-12 * scale + q * res.error_bound, (q, a, r)
+
+
 def test_gamma_aq_validation():
     with pytest.raises(ValueError):
         gamma_aq(0, 5, 3)
@@ -270,6 +289,92 @@ def test_l_values_reject_principal(principal4):
     ):
         with pytest.raises(ValueError):
             fn()
+
+
+def _l_at_1_per_character(r, chi, X):
+    """The per-character residue loop the batched route replaced (reference)."""
+    q = chi.modulus
+    lX = math.log(X)
+    lq = math.log(q)
+    main = bnd = tail = 0.0 + 0.0j
+    err = 0.0
+    for a in range(1, q + 1):
+        ca = chi(a)
+        if ca == 0:
+            continue
+        kmax = _split_floor((X - a) / q)
+        if kmax >= 0:
+            n = a + q * np.arange(0, kmax + 1, dtype=float)
+            logs = np.log(n)
+            main += ca * complex(np.sum((logs**r if r else 1.0) / n))
+        bnd += ca * _psi_at_split((X - a) / q)
+        tails, terrs = psi_tail_powers(X / q, a / q, -2.0, r)
+        combo, cerr = 0.0 + 0.0j, 0.0
+        for m in range(r + 1):
+            cm = 0.0
+            if r and m <= r - 1:
+                cm += r * math.comb(r - 1, m) * lq ** (r - 1 - m)
+            cm -= 1.0 * math.comb(r, m) * lq ** (r - m)
+            combo += cm * tails[m]
+            cerr += abs(cm) * terrs[m]
+        tail += ca * combo
+        err += cerr
+    return EvalResult((-1.0) ** r * (main + (lX**r / X) * bnd + tail / q), err / q)
+
+
+def _l_at_0_per_character(r, chi, X):
+    """The per-character residue loop the batched route replaced (reference)."""
+    q = chi.modulus
+    lX = math.log(X)
+    lq = math.log(q)
+    main = bnd = val = 0.0 + 0.0j
+    err = 0.0
+    for a in range(1, q + 1):
+        ca = chi(a)
+        if ca == 0:
+            continue
+        kmax = _split_floor((X - a) / q)
+        if kmax >= 0:
+            n = a + q * np.arange(0, kmax + 1, dtype=float)
+            main += ca * complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
+        bnd += ca * _psi_at_split((X - a) / q)
+        if r:
+            tails, terrs = psi_tail_powers(X / q, a / q, -1.0, r - 1)
+            combo = sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * tails[mm] for mm in range(r))
+            val += ca * r * combo
+            err += r * sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * terrs[mm] for mm in range(r))
+    val += main + (lX**r if r else 1.0) * bnd
+    return EvalResult((-1.0) ** r * val, err)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_batched_l_routes_equal_the_single_character_routes(q):
+    chars = [c for c in enumerate_characters(q) if not c.is_principal]
+    for X in (None, 2.5):
+        for r in range(0, 5):
+            batch1 = l_deriv_at_1_exact_all(r, chars, X=X)
+            batch0 = l_deriv_at_0_all(r, chars, X=X)
+            assert len(batch1) == len(batch0) == len(chars)
+            for chi, got1, got0 in zip(chars, batch1, batch0):
+                # exact equality, value and error_bound alike
+                single1 = l_deriv_at_1_exact(r, chi, X=X)
+                single0 = l_deriv_at_0(r, chi, X=X)
+                assert got1.value == single1.value and got1.error_bound == single1.error_bound
+                assert got0.value == single0.value and got0.error_bound == single0.error_bound
+                ref1 = _l_at_1_per_character(r, chi, 4.0 * q if X is None else X)
+                ref0 = _l_at_0_per_character(r, chi, 4.0 * q if X is None else X)
+                assert got1 == ref1 and got0 == ref0, (chi.label, r, X)
+
+
+def test_batched_l_routes_refuse_mixed_batches(principal4):
+    chars5 = [c for c in enumerate_characters(5) if not c.is_principal]
+    chars7 = [c for c in enumerate_characters(7) if not c.is_principal]
+    for fn in (l_deriv_at_1_exact_all, l_deriv_at_0_all):
+        for batch in ([], chars5 + chars7, chars5 + [principal4], [principal4]):
+            with pytest.raises(ValueError):
+                fn(1, batch)
+        with pytest.raises(ValueError):
+            fn(-1, chars5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from zetalab.evaluate import LerchArgs, lerch_deriv
 from zetalab.sawtooth import (
     EvalResult,
     TailIntegralSpec,
+    _osc_remainder_const,
     _psi_fourier_shift_sum,
     oscillatory_tail,
     periodic_bernoulli,
@@ -226,3 +227,16 @@ def test_psi_fourier_shift_cache_stays_bounded():
     info = _psi_fourier_shift_sum.cache_info()
     assert info.maxsize == 4096
     assert info.misses > info.maxsize and info.currsize <= info.maxsize
+
+
+def test_osc_remainder_cache_stays_bounded():
+    # every lambda adds a fresh float key: 200 calls ask for more entries than the bound
+    first = lerch_deriv(LerchArgs(lam=0.05, alpha=0.7, s=complex(1.5, 0.0), order=1))
+    for i in range(200):
+        lerch_deriv(LerchArgs(lam=0.05 + (i + 1) / 250, alpha=0.7, s=complex(1.5, 0.0), order=1))
+    info = _osc_remainder_const.cache_info()
+    assert info.maxsize == 128
+    assert info.misses > info.maxsize and info.currsize <= info.maxsize
+    # the evicted entry is recomputed to the same value
+    again = lerch_deriv(LerchArgs(lam=0.05, alpha=0.7, s=complex(1.5, 0.0), order=1))
+    assert again == first
