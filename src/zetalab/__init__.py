@@ -8,7 +8,7 @@ routes (split-sum representations, limit definitions, direct series),
 which the test suite plays against each other.
 """
 
-from .afe import AfeConfig, GammaFactor, afe_hurwitz, afe_l, gamma_factor_derivs
+from .afe import afe_hurwitz, afe_l, gamma_factor_derivs
 from .bounds import (
     BoundCase,
     BoundReport,
@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .characters import (
     DirichletCharacter,
-    GaussSumValue,
     character,
     conductor,
     enumerate_characters,
@@ -32,7 +31,6 @@ from .characters import (
 from .coefficients import (
     CoefficientEntry,
     CoefficientTable,
-    ConvolutionCoefficient,
     beta_coefficient,
     coefficient_table,
     convolution_coefficient,
@@ -73,16 +71,12 @@ from .sawtooth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfeConfig",
     "BoundCase",
     "BoundReport",
     "CoefficientEntry",
     "CoefficientTable",
-    "ConvolutionCoefficient",
     "DirichletCharacter",
     "EvalResult",
-    "GammaFactor",
-    "GaussSumValue",
     "HurwitzArgs",
     "LerchArgs",
     "TailIntegralSpec",

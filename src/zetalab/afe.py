@@ -30,34 +30,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .evaluate import _psi_at_split, _split_floor, pole_term_derivs
+from .evaluate import _psi_at_split, _s_tail, _split_floor, pole_term_derivs
 from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
     EvalResult,
+    _check_alpha,
     psi_tail_powers,
     pure_osc_tail_powers,
     segment_osc_power_log,
 )
 
-__all__ = ["AfeConfig", "GammaFactor", "afe_hurwitz", "afe_l", "gamma_factor_derivs"]
+__all__ = ["afe_hurwitz", "afe_l", "gamma_factor_derivs"]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class AfeConfig:
-    """Split parameter, derivative order and the derived cutoff y."""
-
-    split: float
-    derivative_order: int
-    cutoff: float
-
-    @classmethod
-    def for_point(cls, s: complex, split: float, order: int, q: int = 1) -> "AfeConfig":
-        return cls(split=split, derivative_order=order, cutoff=q * complex(s).imag / (_TWO_PI * split))
 
 
 def gamma_factor_derivs(s: complex, n: int, rmax: int, scale: float = 1.0) -> list[complex]:
@@ -82,19 +69,15 @@ def gamma_factor_derivs(s: complex, n: int, rmax: int, scale: float = 1.0) -> li
     return out
 
 
-@dataclass(frozen=True)
-class GammaFactor:
-    """Gamma(1-s)(2 pi i n)^{s-1} with its s-derivatives up to order 2."""
-
-    s: complex
-    n: int
-    value: complex
-    derivatives: tuple[complex, ...]
-
-    @classmethod
-    def compute(cls, s: complex, n: int, order: int = 2) -> "GammaFactor":
-        d = gamma_factor_derivs(complex(s), n, order)
-        return cls(s=complex(s), n=n, value=d[0], derivatives=tuple(d))
+def _check_strip(s: complex, r: int, x: float) -> None:
+    if not 0.0 <= s.real <= 1.0:
+        raise ValueError("the hybrid representation is stated for 0 <= Re(s) <= 1")
+    if s.imag < 0.0:
+        raise ValueError("needs Im(s) >= 0; conjugate the result for Im(s) < 0")
+    if not 0 <= r <= 2:
+        raise ValueError("derivative order is capped at 2 (analytic gamma-factor derivatives)")
+    if not x > 0.0:
+        raise ValueError("split must be positive")
 
 
 def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
@@ -105,7 +88,6 @@ def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, floa
     if nmid >= 1 and s.real >= 1.0:
         raise ValueError("a nonempty dual sum needs Re(s) < 1 (singular segment integrals at Re(s) = 1)")
     val = 0.0 + 0.0j
-    err = 0.0
     # finite (n + alpha)-sum
     nmax = _split_floor(x - alpha)
     for n in range(0, nmax + 1):
@@ -118,10 +100,9 @@ def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, floa
     four = sum(math.sin(_TWO_PI * n * (x - alpha)) / (math.pi * n) for n in range(1, nmid + 1))
     val += xs * (_psi_at_split(x - alpha) + four)
     # plain sawtooth tail
-    tails, terrs = psi_tail_powers(x, alpha, -s - 1.0, r)
+    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
+    val += tail
     sign = (-1.0) ** r
-    val += sign * (r * tails[r - 1] - s * tails[r]) if r else -s * tails[0]
-    err += (r * terrs[r - 1] if r else 0.0) + abs(s) * terrs[r]
     # dual gamma-factor sum, segment integrals, and oscillatory tails
     for n in range(1, nmid + 1):
         for nn in (n, -n):
@@ -129,30 +110,20 @@ def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, floa
             val += cmath.exp(2j * math.pi * nn * alpha) * g
             seg = segment_osc_power_log(nn, -s, r, x)
             val -= cmath.exp(-2j * math.pi * nn * alpha) * sign * seg[r]
-            pv, pe = pure_osc_tail_powers(nn, -s - 1.0, r, x)
-            combo = -sign * (r * pv[r - 1] - s * pv[r]) if r else s * pv[0]
-            cerr = (r * pe[r - 1] if r else 0.0) + abs(s) * pe[r]
+            tail, terr = _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x), s, r)
             w = cmath.exp(-2j * math.pi * nn * alpha) / (2j * math.pi * nn)
-            val -= w * combo
-            err += abs(w) * cerr + 1e-15 * abs(seg[r])
+            val += w * tail
+            err += abs(w) * terr + 1e-15 * abs(seg[r])
     return val, err
 
 
 def afe_hurwitz(s: complex, alpha: float, r: int, x: float) -> EvalResult:
     """zeta^{(r)}(s, alpha) in the strip 0 <= Re(s) <= 1 via the hybrid form."""
     s = complex(s)
-    if not 0.0 <= s.real <= 1.0:
-        raise ValueError("the hybrid representation is stated for 0 <= Re(s) <= 1")
-    if s.imag < 0.0:
-        raise ValueError("needs Im(s) >= 0; conjugate the result for Im(s) < 0")
+    _check_strip(s, r, x)
     if s == 1:
         raise ValueError("s = 1 is the pole; use the coefficient operations instead")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 <= r <= 2:
-        raise ValueError("derivative order is capped at 2 (analytic gamma-factor derivatives)")
-    if not x > 0.0:
-        raise ValueError("split must be positive")
+    _check_alpha(alpha)
     core, err = _afe_core(s, alpha, r, x)
     pole = pole_term_derivs(s, x, r)[r]
     return EvalResult(core + pole, err)
@@ -167,14 +138,7 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
     if chi.is_principal:
         raise ValueError("needs a non-principal character")
     s = complex(s)
-    if not 0.0 <= s.real <= 1.0:
-        raise ValueError("the hybrid representation is stated for 0 <= Re(s) <= 1")
-    if s.imag < 0.0:
-        raise ValueError("needs Im(s) >= 0; conjugate the result for Im(s) < 0")
-    if not 0 <= r <= 2:
-        raise ValueError("derivative order is capped at 2 (analytic gamma-factor derivatives)")
-    if not X > 0.0:
-        raise ValueError("split must be positive")
+    _check_strip(s, r, X)
     q = chi.modulus
     lq = math.log(q)
     qs = cmath.exp(-s * lq)

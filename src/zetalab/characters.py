@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "DirichletCharacter",
-    "GaussSumValue",
     "character",
     "enumerate_characters",
     "conductor",
@@ -182,19 +181,6 @@ class DirichletCharacter:
             f"DirichletCharacter(q={self.modulus}, label={self.label}, "
             f"conductor={self.conductor}, parity={self.parity:+d})"
         )
-
-
-@dataclass(frozen=True)
-class GaussSumValue:
-    """tau(chi, n) = sum_{a=1}^{q} chi(a) e^{2 pi i n a / q}."""
-
-    chi: DirichletCharacter
-    shift: int
-    value: complex
-
-    @classmethod
-    def compute(cls, chi: DirichletCharacter, shift: int) -> "GaussSumValue":
-        return cls(chi=chi, shift=shift, value=gauss_sum(chi, shift))
 
 
 def _conductor(q: int, kexp: tuple[int, ...]) -> int:

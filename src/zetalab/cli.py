@@ -6,7 +6,8 @@ human-readable by default; --json emits a versioned document (schema
 numbers as [re, im] pairs, so identical requests produce byte-identical
 output.  --csv is available for the tabular subcommands.
 
-Exit codes: 0 success, 1 validation error, 2 failed bound assertion.
+Exit codes: 0 success, 1 validation error (non-finite numbers are refused
+while parsing) or binary64 overflow, 2 failed bound assertion.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
 from .characters import character, enumerate_characters
-from .coefficients import coefficient_table
+from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
 from .sawtooth import TailIntegralSpec, oscillatory_tail, sawtooth_tail
 
@@ -65,12 +66,19 @@ def render_json(payload: dict) -> str:
     return _render(doc)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_finite_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_finite_float(parts[0]), _finite_float(parts[1]))
     raise argparse.ArgumentTypeError("complex values are written re or re,im")
 
 
@@ -168,15 +176,10 @@ def _cmd_coeff(args) -> tuple[int, str]:
         "l-zero": "l_deriv_at_zero",
     }
     kind = kind_map[args.kind]
-    kwargs = {}
-    if kind in ("stieltjes_gamma", "beta_at_zero"):
-        kwargs["alpha"] = args.alpha
-    elif kind == "gamma_aq":
-        kwargs["a"], kwargs["q"] = args.a, args.q
-    elif kind in ("gamma_chi", "l_deriv_at_zero"):
-        kwargs["chi"] = character(args.q, args.label)
-    else:
-        kwargs["lam"], kwargs["alpha"] = args.lam, args.alpha
+    kwargs = {
+        name: character(args.q, args.label) if name == "chi" else getattr(args, name)
+        for name in COEFFICIENT_KINDS[kind].params
+    }
     table = coefficient_table(kind, args.r_max, **kwargs)
     rows = [
         {"r": e.order, "value": e.value, "error": e.error, "route": e.route}
@@ -298,24 +301,24 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--json", action="store_true")
 
     pt = sub.add_parser("tail", help="sawtooth/oscillatory tail integral (debugging)")
-    pt.add_argument("--x", type=float, required=True)
-    pt.add_argument("--alpha", type=float, required=True)
-    pt.add_argument("--re-a", dest="re_a", type=float, required=True)
-    pt.add_argument("--im-a", dest="im_a", type=float, default=0.0)
+    pt.add_argument("--x", type=_finite_float, required=True)
+    pt.add_argument("--alpha", type=_finite_float, required=True)
+    pt.add_argument("--re-a", dest="re_a", type=_finite_float, required=True)
+    pt.add_argument("--im-a", dest="im_a", type=_finite_float, default=0.0)
     pt.add_argument("--r", type=int, default=0)
-    pt.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    pt.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
     pt.add_argument("--json", action="store_true")
 
     pe = sub.add_parser("eval", help="evaluate a zeta-family derivative")
     pe.add_argument("--kind", choices=("hurwitz", "z", "l", "lerch"), required=True)
     pe.add_argument("--s", type=_parse_complex, required=True, metavar="RE,IM")
-    pe.add_argument("--alpha", type=float, default=1.0)
+    pe.add_argument("--alpha", type=_finite_float, default=1.0)
     pe.add_argument("--q", type=int, default=1)
     pe.add_argument("--a", type=int, default=1)
     pe.add_argument("--label", type=int, default=1)
-    pe.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    pe.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5)
     pe.add_argument("--r", type=int, default=0)
-    pe.add_argument("--x", type=float, default=None)
+    pe.add_argument("--x", type=_finite_float, default=None)
     pe.add_argument("--json", action="store_true")
 
     pco = sub.add_parser("coeff", help="expansion coefficient tables")
@@ -323,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("gamma", "beta", "gamma-aq", "gamma-chi", "lerch", "l-zero"), required=True
     )
     pco.add_argument("--r-max", dest="r_max", type=int, required=True)
-    pco.add_argument("--alpha", type=float, default=1.0)
+    pco.add_argument("--alpha", type=_finite_float, default=1.0)
     pco.add_argument("--q", type=int, default=4)
     pco.add_argument("--a", type=int, default=1)
     pco.add_argument("--label", type=int, default=1)
-    pco.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    pco.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5)
     pco.add_argument("--json", action="store_true")
     pco.add_argument("--csv", action="store_true")
 
@@ -343,11 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("afe", help="hybrid strip evaluation")
     pa.add_argument("--kind", choices=("hurwitz", "l"), required=True)
     pa.add_argument("--s", type=_parse_complex, required=True, metavar="RE,IM")
-    pa.add_argument("--alpha", type=float, default=1.0)
+    pa.add_argument("--alpha", type=_finite_float, default=1.0)
     pa.add_argument("--q", type=int, default=4)
     pa.add_argument("--label", type=int, default=1)
     pa.add_argument("--r", type=int, default=0)
-    pa.add_argument("--x", type=float, required=True)
+    pa.add_argument("--x", type=_finite_float, required=True)
     pa.add_argument("--json", action="store_true")
     return p
 
@@ -371,7 +374,7 @@ def run(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         status, text = _HANDLERS[args.command](args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:

@@ -30,13 +30,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .characters import DirichletCharacter
-from .evaluate import MAX_ORDER, _psi_at_split, _split_floor
+from .evaluate import _log_binomial_tail_combo, _psi_at_split, _split_floor
 from .sawtooth import (
     EvalResult,
+    _check_alpha,
+    _check_order,
     psi,
     psi_osc_tail_powers,
     psi_tail_powers,
@@ -44,9 +47,10 @@ from .sawtooth import (
 )
 
 __all__ = [
+    "COEFFICIENT_KINDS",
     "CoefficientEntry",
     "CoefficientTable",
-    "ConvolutionCoefficient",
+    "CoefficientKind",
     "stieltjes_gamma",
     "stieltjes_gamma_all",
     "limit_oracle_gamma",
@@ -68,16 +72,6 @@ __all__ = [
     "coefficient_table",
     "reconstruct_series",
 ]
-
-
-def _check_order(r: int) -> None:
-    if not 0 <= r <= MAX_ORDER:
-        raise ValueError(f"order must lie in 0..{MAX_ORDER}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +212,9 @@ def beta_coefficient(r: int, alpha: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvolutionCoefficient:
+def convolution_coefficient(n: int, q: int, alpha: float) -> float:
     """c_n(q, alpha) = sum_{j=0}^{n} gammaL_{n-j}(alpha) (-1)^j log^j q / j!,
     with gammaL the Laurent coefficients (-1)^m gamma_m(alpha)/m!."""
-
-    n: int
-    value: float
-
-
-def convolution_coefficient(n: int, q: int, alpha: float) -> ConvolutionCoefficient:
     gam = stieltjes_gamma_all(n, alpha)
     lq = math.log(q)
     acc = 0.0
@@ -235,7 +222,7 @@ def convolution_coefficient(n: int, q: int, alpha: float) -> ConvolutionCoeffici
         m = n - j
         laurent = (-1.0) ** m * gam[m].value.real / math.factorial(m)
         acc += laurent * (-1.0) ** j * lq**j / math.factorial(j)
-    return ConvolutionCoefficient(n=n, value=acc)
+    return acc
 
 
 def gamma_aq(r: int, a: int, q: int) -> EvalResult:
@@ -289,21 +276,6 @@ def limit_gamma_aq_extrapolated(r: int, a: int, q: int, N: int = 400_000) -> flo
 # ---------------------------------------------------------------------------
 # L-function values at s = 1 and s = 0
 # ---------------------------------------------------------------------------
-
-
-def _log_binomial_tail_combo(tails, terrs, r: int, s_at: float, lq: float):
-    """sum over m of [r C(r-1,m) log^{r-1-m} q - s C(r,m) log^{r-m} q] tails[m],
-    the expansion of int psi * u^{-s-1} log^{r-1}(qu) (r - s log(qu)) du."""
-    acc = 0.0 + 0.0j
-    err = 0.0
-    for m in range(r + 1):
-        cm = 0.0
-        if r and m <= r - 1:
-            cm += r * math.comb(r - 1, m) * lq ** (r - 1 - m)
-        cm -= s_at * math.comb(r, m) * lq ** (r - m)
-        acc += cm * tails[m]
-        err += abs(cm) * terrs[m]
-    return acc, err
 
 
 def _common_modulus(chars) -> int:
@@ -398,6 +370,18 @@ def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) 
     return l_deriv_at_1_exact_all(r, [chi], X)[0]
 
 
+def _truncated_terms(r: int, chi: DirichletCharacter, log_x_over_q: float):
+    """n = 1..X with chi(n) and log n, X = q e^{log_x_over_q}: the terms of the
+    truncated main sums, stated for r >= 1 and primitive chi mod q >= 3."""
+    if r < 1:
+        raise ValueError("the truncated form is stated for r >= 1")
+    if not chi.is_primitive or chi.modulus < 3:
+        raise ValueError("truncation bound requires a primitive character mod q >= 3")
+    _check_order(r)
+    n = np.arange(1, math.floor(chi.modulus * math.exp(log_x_over_q) + 1e-12) + 1)
+    return n, np.asarray(chi.values, dtype=complex)[n % chi.modulus], np.log(n.astype(float))
+
+
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     """Truncated main term (-1)^r sum_{n <= q e^{r/2}} chi(n) log^r n / n.
 
@@ -405,16 +389,8 @@ def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     O(q^{-1/2} e^{-r/2} log q (log q + r/2)^r); the reported bound carries
     the empirical guard constant 10.
     """
-    if r < 1:
-        raise ValueError("the truncated form is stated for r >= 1")
-    if not chi.is_primitive or chi.modulus < 3:
-        raise ValueError("truncation bound requires a primitive character mod q >= 3")
-    _check_order(r)
+    n, vals, logs = _truncated_terms(r, chi, r / 2.0)
     q = chi.modulus
-    X = q * math.exp(r / 2.0)
-    n = np.arange(1, math.floor(X + 1e-12) + 1)
-    vals = np.asarray(chi.values, dtype=complex)[n % q]
-    logs = np.log(n.astype(float))
     main = complex(np.sum(vals * logs**r / n))
     bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * math.log(q) * (math.log(q) + r / 2.0) ** r
     return EvalResult((-1.0) ** r * main, bound)
@@ -463,16 +439,8 @@ def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> Eva
 def l_deriv_at_0_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     """Truncated main term (-1)^r sum_{n <= q e^{r-1}} chi(n) log^r n with
     the O(q^{1/2} log q (log q + r)^r) bound (guard constant 10)."""
-    if r < 1:
-        raise ValueError("the truncated form is stated for r >= 1")
-    if not chi.is_primitive or chi.modulus < 3:
-        raise ValueError("truncation bound requires a primitive character mod q >= 3")
-    _check_order(r)
+    n, vals, logs = _truncated_terms(r, chi, r - 1.0)
     q = chi.modulus
-    X = q * math.exp(r - 1.0)
-    n = np.arange(1, math.floor(X + 1e-12) + 1)
-    vals = np.asarray(chi.values, dtype=complex)[n % q]
-    logs = np.log(n.astype(float))
     main = complex(np.sum(vals * logs**r))
     bound = 10.0 * math.sqrt(q) * math.log(q) * (math.log(q) + r) ** r
     return EvalResult((-1.0) ** r * main, bound)
@@ -520,8 +488,6 @@ def lerch_taylor_at_1(r: int, lam: float, alpha: float) -> EvalResult:
 # coefficient tables and series round trips
 # ---------------------------------------------------------------------------
 
-_KINDS = ("stieltjes_gamma", "beta_at_zero", "gamma_aq", "gamma_chi", "lerch_at_one", "l_deriv_at_zero")
-
 
 @dataclass(frozen=True)
 class CoefficientEntry:
@@ -541,6 +507,55 @@ class CoefficientTable:
         return [e.value for e in self.entries]
 
 
+class CoefficientKind(NamedTuple):
+    """A table kind: the keywords coefficient_table reads, the route giving
+    orders 0..r_max as orders(r_max, **params), the centre of the series,
+    the map (entry, r) -> series coefficient, the pole term pole(parameters,
+    s) if any, and the route label."""
+
+    params: tuple[str, ...]
+    orders: Callable[..., list[EvalResult]]
+    center: float
+    series: Callable[[complex, int], complex] = lambda v, r: v
+    pole: Callable[[dict, complex], complex] | None = None
+    route: str = "closed_form"
+
+
+def _gamma_chi_all(r_max: int, chi: DirichletCharacter) -> list[EvalResult]:
+    """Taylor coefficients L^{(r)}(1, chi)/r! for r = 0..r_max."""
+    res = [l_deriv_at_1_exact(r, chi) for r in range(r_max + 1)]
+    return [EvalResult(e.value / math.factorial(r), e.error_bound / math.factorial(r)) for r, e in enumerate(res)]
+
+
+def _laurent(v: complex, r: int) -> complex:
+    """Classical constant gamma_r -> Laurent coefficient (-1)^r gamma_r / r!."""
+    return (-1.0) ** r * v / math.factorial(r)
+
+
+# the routes look their functions up at call time, so a wrapped one is seen
+COEFFICIENT_KINDS = {
+    "stieltjes_gamma": CoefficientKind(
+        ("alpha",), lambda n, alpha: stieltjes_gamma_all(n, alpha), 1.0, _laurent, lambda p, s: 1.0 / (s - 1.0)
+    ),
+    "beta_at_zero": CoefficientKind(("alpha",), lambda n, alpha: beta_coefficient_all(n, alpha), 0.0),
+    "gamma_aq": CoefficientKind(
+        ("a", "q"),
+        lambda n, a, q: [gamma_aq(r, a, q) for r in range(n + 1)],
+        1.0,
+        _laurent,
+        lambda p, s: 1.0 / (p["q"] * (s - 1.0)),
+        "proposition",
+    ),
+    "gamma_chi": CoefficientKind(("chi",), lambda n, chi: _gamma_chi_all(n, chi), 1.0),
+    "lerch_at_one": CoefficientKind(
+        ("lam", "alpha"), lambda n, lam, alpha: [lerch_taylor_at_1(r, lam, alpha) for r in range(n + 1)], 1.0
+    ),
+    "l_deriv_at_zero": CoefficientKind(
+        ("chi",), lambda n, chi: [l_deriv_at_0(r, chi) for r in range(n + 1)], 0.0, lambda v, r: v / math.factorial(r)
+    ),
+}
+
+
 def coefficient_table(
     kind: str,
     r_max: int,
@@ -551,89 +566,38 @@ def coefficient_table(
     chi: DirichletCharacter | None = None,
     lam: float | None = None,
 ) -> CoefficientTable:
-    """Build a contiguous table of expansion coefficients for r = 0..r_max."""
-    if kind not in _KINDS:
+    """Build a contiguous table of expansion coefficients for r = 0..r_max;
+    COEFFICIENT_KINDS[kind].params names the keywords the kind reads."""
+    if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    entries = []
-    if kind == "stieltjes_gamma":
-        res = stieltjes_gamma_all(r_max, alpha)
-        entries = [
-            CoefficientEntry(r, res[r].value, res[r].error_bound, "closed_form")
-            for r in range(r_max + 1)
-        ]
-        params = {"alpha": alpha}
-    elif kind == "beta_at_zero":
-        res = beta_coefficient_all(r_max, alpha)
-        entries = [
-            CoefficientEntry(r, res[r].value, res[r].error_bound, "closed_form")
-            for r in range(r_max + 1)
-        ]
-        params = {"alpha": alpha}
-    elif kind == "gamma_aq":
-        res = [gamma_aq(r, a, q) for r in range(r_max + 1)]
-        entries = [
-            CoefficientEntry(r, res[r].value, res[r].error_bound, "proposition")
-            for r in range(r_max + 1)
-        ]
-        params = {"a": a, "q": q}
-    elif kind == "gamma_chi":
-        res = [l_deriv_at_1_exact(r, chi) for r in range(r_max + 1)]
-        entries = [
-            CoefficientEntry(
-                r, res[r].value / math.factorial(r), res[r].error_bound / math.factorial(r), "closed_form"
-            )
-            for r in range(r_max + 1)
-        ]
+    spec = COEFFICIENT_KINDS[kind]
+    given = {"alpha": alpha, "a": a, "q": q, "chi": chi, "lam": lam}
+    params = {name: given[name] for name in spec.params}
+    res = spec.orders(r_max, **params)
+    entries = tuple(CoefficientEntry(r, res[r].value, res[r].error_bound, spec.route) for r in range(r_max + 1))
+    if "chi" in params:
         params = {"q": chi.modulus, "label": chi.label}
-    elif kind == "lerch_at_one":
-        res = [lerch_taylor_at_1(r, lam, alpha) for r in range(r_max + 1)]
-        entries = [
-            CoefficientEntry(r, res[r].value, res[r].error_bound, "closed_form")
-            for r in range(r_max + 1)
-        ]
-        params = {"lam": lam, "alpha": alpha}
-    else:  # l_deriv_at_zero
-        res = [l_deriv_at_0(r, chi) for r in range(r_max + 1)]
-        entries = [
-            CoefficientEntry(r, res[r].value, res[r].error_bound, "closed_form")
-            for r in range(r_max + 1)
-        ]
-        params = {"q": chi.modulus, "label": chi.label}
-    return CoefficientTable(kind=kind, parameters=params, entries=tuple(entries))
+    return CoefficientTable(kind=kind, parameters=params, entries=entries)
 
 
 def reconstruct_series(table: CoefficientTable, s: complex) -> complex:
     """Partial sum of the expansion the table encodes, at the point s.
 
-    Hurwitz tables add the pole 1/(s-1) and convert the stored classical
-    constants to Laurent coefficients (-1)^r gamma_r/r!; beta tables
-    expand around 0; the chi/lerch tables are Taylor series around 1.
+    Hurwitz and progression tables add their pole and convert the stored
+    classical constants to Laurent coefficients (-1)^r gamma_r/r!; beta
+    and L-at-zero tables expand around 0; the chi/lerch tables are Taylor
+    series around 1.
     """
     s = complex(s)
-    kind = table.kind
-    if kind in ("stieltjes_gamma", "gamma_chi", "lerch_at_one", "gamma_aq"):
-        center = 1.0
-    elif kind in ("beta_at_zero", "l_deriv_at_zero"):
-        center = 0.0
-    else:
+    spec = COEFFICIENT_KINDS.get(table.kind)
+    if spec is None:
         raise ValueError(f"cannot reconstruct kind {table.kind!r}")
-    if abs(s - center) > 0.5:
+    if abs(s - spec.center) > 0.5:
         raise ValueError("reconstruction is supported within |s - center| <= 1/2")
-    h = s - center
+    h = s - spec.center
     acc = 0.0 + 0.0j
     for e in table.entries:
-        r = e.order
-        if kind == "stieltjes_gamma":
-            coeff = (-1.0) ** r * e.value / math.factorial(r)
-        elif kind == "gamma_aq":
-            coeff = (-1.0) ** r * e.value / math.factorial(r)
-        elif kind == "l_deriv_at_zero":
-            coeff = e.value / math.factorial(r)
-        else:
-            coeff = e.value
-        acc += coeff * h**r
-    if kind == "stieltjes_gamma":
-        acc += 1.0 / (s - 1.0)
-    if kind == "gamma_aq":
-        acc += 1.0 / (table.parameters["q"] * (s - 1.0))
+        acc += spec.series(e.value, e.order) * h**e.order
+    if spec.pole is not None:
+        acc += spec.pole(table.parameters, s)
     return acc

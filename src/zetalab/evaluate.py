@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter
-from .sawtooth import EvalResult, psi_osc_tail_powers, psi_tail_powers, pure_osc_tail_powers
+from .sawtooth import EvalResult, _check_alpha, _check_order, psi_osc_tail_powers, psi_tail_powers, pure_osc_tail_powers
 
 __all__ = [
     "HurwitzArgs",
     "LerchArgs",
-    "MAX_ORDER",
     "hurwitz_deriv",
     "z_deriv",
     "l_deriv",
@@ -37,19 +36,6 @@ __all__ = [
     "pole_term_derivs",
     "default_split",
 ]
-
-MAX_ORDER = 24  # binary64 cancellation in (-log u)^{r-1}(r - s log u) grows beyond
-
-
-def _check_order(r: int) -> None:
-    if not 0 <= r <= MAX_ORDER:
-        raise ValueError(f"derivative order must lie in 0..{MAX_ORDER}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-
 
 @dataclass(frozen=True)
 class HurwitzArgs:
@@ -146,6 +132,29 @@ def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarra
     return complex(terms.sum())
 
 
+def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
+    """(-1)^r (r T_{r-1} - s T_r) with its error: the tail term of
+    d^r/ds^r (s u^{-s}) over T_m = int (weight) u^{-s-1} log^m u du."""
+    if not r:
+        return -s * tails[0], abs(s) * terrs[0]
+    return (-1.0) ** r * (r * tails[r - 1] - s * tails[r]), r * terrs[r - 1] + abs(s) * terrs[r]
+
+
+def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
+    """sum over m of [r C(r-1,m) log^{r-1-m} q - s C(r,m) log^{r-m} q] tails[m],
+    the expansion of int psi * u^{-s-1} log^{r-1}(qu) (r - s log(qu)) du."""
+    acc = 0.0 + 0.0j
+    err = 0.0
+    for m in range(r + 1):
+        cm = 0.0
+        if r and m <= r - 1:
+            cm += r * math.comb(r - 1, m) * lq ** (r - 1 - m)
+        cm -= s_at * math.comb(r, m) * lq ** (r - m)
+        acc += cm * tails[m]
+        err += abs(cm) * terrs[m]
+    return acc, err
+
+
 def _hurwitz_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
     """Representation without the pole term: finite sum + boundary + tail."""
     nmax = _split_floor(x - alpha)
@@ -153,10 +162,7 @@ def _hurwitz_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, 
     val = _finite_power_sum(pts, s, r)
     lx = math.log(x)
     val += _psi_at_split(x - alpha) * cmath.exp(-s * lx) * (-lx) ** r
-    tails, terrs = psi_tail_powers(x, alpha, -s - 1.0, r)
-    sign = (-1.0) ** r
-    tail = sign * (r * tails[r - 1] - s * tails[r]) if r else -s * tails[0]
-    err = r * terrs[r - 1] + abs(s) * terrs[r] if r else abs(s) * terrs[0]
+    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
     return val + tail, err
 
 
@@ -179,17 +185,8 @@ def _z_core(s: complex, a: int, q: int, r: int, X: float) -> tuple[complex, floa
     tails, terrs = psi_tail_powers(X / q, a / q, -s - 1.0, r)
     lq = math.log(q)
     qs = cmath.exp(-s * lq)
-    sign = (-1.0) ** r
-    acc = 0.0 + 0.0j
-    err = 0.0
-    for m in range(r + 1):
-        cm = 0.0 + 0.0j
-        if r and m <= r - 1:
-            cm += r * math.comb(r - 1, m) * lq ** (r - 1 - m)
-        cm -= s * math.comb(r, m) * lq ** (r - m)
-        acc += cm * tails[m]
-        err += abs(cm) * terrs[m]
-    return val + sign * qs * acc, abs(qs) * err
+    acc, err = _log_binomial_tail_combo(tails, terrs, r, s, lq)
+    return val + (-1.0) ** r * qs * acc, abs(qs) * err
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -258,11 +255,8 @@ def lerch_deriv(args: LerchArgs) -> EvalResult:
     w1, w1err = psi_osc_tail_powers(lam, alpha, -s, r, x)
     val += 2j * math.pi * lam * sign * w1[r]
     err += 2.0 * math.pi * lam * w1err[r]
-    w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x)
-    tail2 = sign * (r * w2[r - 1] - s * w2[r]) if r else -s * w2[0]
-    val += tail2
-    err += (r * w2err[r - 1] if r else 0.0) + abs(s) * w2err[r]
-    return EvalResult(val, err)
+    tail2, err2 = _s_tail(*psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x), s, r)
+    return EvalResult(val + tail2, err + err2)
 
 
 def direct_series_oracle(s: complex, alpha: float, lam: float, r: int, N: int) -> complex:

@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MAX_ORDER",
     "EvalResult",
     "TailIntegralSpec",
     "psi",
@@ -51,6 +52,18 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+MAX_ORDER = 24  # binary64 cancellation in (-log u)^{r-1}(r - s log u) grows beyond
+
+
+def _check_order(r: int) -> None:
+    if not 0 <= r <= MAX_ORDER:
+        raise ValueError(f"order must lie in 0..{MAX_ORDER}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,7 @@ class TailIntegralSpec:
             raise ValueError("lower limit must be positive")
         if not 0.0 < self.shift <= 1.0:
             raise ValueError("shift must lie in (0, 1]")
-        if self.log_power < 0:
-            raise ValueError("log_power must be a nonnegative integer")
+        _check_order(self.log_power)
         if not 0.0 <= self.oscillation < 1.0:
             raise ValueError("oscillation must lie in [0, 1)")
 
@@ -290,6 +302,24 @@ def _row_abs_tail(row: list[complex], re_b_minus_k: float, u: float) -> float:
     return acc
 
 
+def _far_tail(rows_all: list[list[list[complex]]], b: complex, u0: float, coeffs) -> list[complex]:
+    """sum_k coeffs[k] g_r^{(k)}(u0) for every g_r = u^b log^r u (rows_all[r]
+    from _deriv_rows): the boundary terms of the far-tail expansions."""
+    out = []
+    for rows in rows_all:
+        acc = 0.0 + 0.0j
+        for k, c in enumerate(coeffs):
+            acc += c * _row_eval(rows[k], b - k, u0)
+        out.append(acc)
+    return out
+
+
+def _far_remainders(rows_all: list[list[list[complex]]], b: complex, u0: float, scale: float) -> list[float]:
+    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of rows_all[r]."""
+    K = len(rows_all[0]) - 1
+    return [scale * _row_abs_tail(rows[K], b.real - K, u0) for rows in rows_all]
+
+
 # ---------------------------------------------------------------------------
 # plain sawtooth tails, piecewise exact + periodic-Bernoulli far tail
 # ---------------------------------------------------------------------------
@@ -381,19 +411,10 @@ def psi_tail_powers(
     while True:
         _march_exact(vals, cur, u0, alpha, b, rmax, mags)
         cur = u0
-        tails = []
-        rems = []
         v = u0 - alpha
-        psit = [periodic_bernoulli(m + 1, v) for m in range(1, kt)]
-        for r in range(rmax + 1):
-            rows = rows_all[r]
-            acc = 0.0 + 0.0j
-            sign = -1.0
-            for m in range(1, kt):
-                acc += sign * psit[m - 1] * _row_eval(rows[m - 1], b - (m - 1), u0)
-                sign = -sign
-            tails.append(acc)
-            rems.append(_PSI_TILDE_ABS[kt] * _row_abs_tail(rows[kt - 1], b.real - (kt - 1), u0))
+        coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
+        tails = _far_tail(rows_all, b, u0, coeffs)
+        rems = _far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
         ok = all(
             rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r]))
             for r, rem in enumerate(rems)
@@ -425,44 +446,27 @@ def sawtooth_tail(spec: TailIntegralSpec) -> EvalResult:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _gl_panel(f, u1: float, u2: float) -> tuple[complex, float]:
-    """32-node Gauss-Legendre on [u1, u2]; returns (integral, sum |w f|)."""
-    half = 0.5 * (u2 - u1)
-    mid = 0.5 * (u1 + u2)
-    u = mid + half * _GL_NODES
-    fv = f(u)
-    val = half * np.dot(_GL_WEIGHTS, fv)
-    mag = half * np.dot(_GL_WEIGHTS, np.abs(fv))
-    return complex(val), float(mag)
-
-
-def _gl_march_osc(
+def _gl_panels(
     vals: list[complex],
-    mags: list[float],
-    lo: float,
-    hi: float,
+    mags: list[float] | None,
+    pts: list[float],
     nu: float,
     b: complex,
     rmax: int,
-    alpha: float | None,
+    alpha: float | None = None,
 ) -> None:
-    """Accumulate panels of e^{2 pi i nu u} u^b log^m u (psi(u-alpha)-weighted
-    when alpha is given, with panels split at the sawtooth kinks)."""
-    if alpha is not None:
-        pts = _psi_breaks(lo, hi, alpha)
-    else:
-        pts = [lo]
-        u = lo
-        step_cap = 0.45 / max(abs(nu), 1e-12)
-        while u < hi - 1e-12:
-            step = min(max(0.5, 0.6 * u), step_cap)
-            u = min(u + step, hi)
-            pts.append(u)
+    """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
+    e^{2 pi i nu u} u^b log^m u into vals, m = 0..rmax.
+
+    With alpha given the integrand carries psi(u-alpha) e^{-2 pi i nu alpha},
+    so the panels must not straddle a sawtooth kink.  mags, when given,
+    collects sum |w f| per power.
+    """
     for u1, u2 in zip(pts, pts[1:]):
         half = 0.5 * (u2 - u1)
         mid = 0.5 * (u1 + u2)
         u = mid + half * _GL_NODES
-        base = np.exp(2j * math.pi * nu * u) * np.exp(complex(b) * np.log(u))
+        base = np.exp(2j * math.pi * nu * u) * np.exp(b * np.log(u))
         if alpha is not None:
             # psi(u - alpha) is linear inside the panel; phase shifted by alpha
             mseg = math.floor(mid - alpha)
@@ -472,7 +476,8 @@ def _gl_march_osc(
         for m in range(rmax + 1):
             fv = base * lp
             vals[m] += complex(half * np.dot(_GL_WEIGHTS, fv))
-            mags[m] += float(half * np.dot(_GL_WEIGHTS, np.abs(fv)))
+            if mags is not None:
+                mags[m] += float(half * np.dot(_GL_WEIGHTS, np.abs(fv)))
             lp = lp * logs
 
 
@@ -501,36 +506,32 @@ def pure_osc_tail_powers(
     K = _K_OSC
     anu = abs(nu)
     rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
-
-    def rem_at(u0: float) -> list[float]:
-        return [
-            (TWO_PI * anu) ** (-K) * _row_abs_tail(rows_all[r][K], b.real - K, u0)
-            for r in range(rmax + 1)
-        ]
+    scale = (TWO_PI * anu) ** (-K)
 
     # grow the cutoff on the closed-form remainder alone, under a panel cap;
     # the deep by-parts expansion keeps x0 (hence panel rounding) small
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * anu), 8.0)
     panel_cap = 4000.0 * max(0.45 / anu, 0.5)
-    while max(rem_at(x0)) > tol_abs and 2.0 * x0 - x < panel_cap and x0 < 5e7:
+    while max(_far_remainders(rows_all, b, x0, scale)) > tol_abs and 2.0 * x0 - x < panel_cap and x0 < 5e7:
         x0 *= 2.0
+    pts = [x]
+    u = x
+    step_cap = 0.45 / max(anu, 1e-12)
+    while u < x0 - 1e-12:
+        step = min(max(0.5, 0.6 * u), step_cap)
+        u = min(u + step, x0)
+        pts.append(u)
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
-    _gl_march_osc(vals, mags, x, x0, nu, b, rmax, None)
+    _gl_panels(vals, mags, pts, nu, b, rmax)
     iw = 1.0 / (2j * math.pi * nu)
-    rems = rem_at(x0)
-    out_v = []
-    out_e = []
-    for r in range(rmax + 1):
-        rows = rows_all[r]
-        acc = 0.0 + 0.0j
-        w = iw
-        for k in range(1, K + 1):
-            acc += _row_eval(rows[k - 1], b - (k - 1), x0) * w
-            w *= -iw
-        out_v.append(vals[r] - cmath.exp(2j * math.pi * nu * x0) * acc)
-        out_e.append(rems[r] + 1e-15 * mags[r])
-    return out_v, out_e
+    coeffs = [iw]
+    for _ in range(K - 1):
+        coeffs.append(coeffs[-1] * -iw)
+    tails = _far_tail(rows_all, b, x0, coeffs)
+    rems = _far_remainders(rows_all, b, x0, scale)
+    phase = cmath.exp(2j * math.pi * nu * x0)
+    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
@@ -601,32 +602,16 @@ def psi_osc_tail_powers(
     K = _K_OSC
     rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
     sk = _osc_remainder_const(K, nu)
-
-    def rem_at(u0: float) -> list[float]:
-        return [
-            sk * _row_abs_tail(rows_all[r][K], b.real - K, u0) for r in range(rmax + 1)
-        ]
-
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
-    while max(rem_at(x0)) > tol_abs and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
+    while max(_far_remainders(rows_all, b, x0, sk)) > tol_abs and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
-    _gl_march_osc(vals, mags, x, x0, nu, b, rmax, alpha)
-    psik = [_psi_fourier_shift_sum(k, x0 - alpha, nu) for k in range(1, K + 1)]
-    rems = rem_at(x0)
-    out_v = []
-    out_e = []
-    for r in range(rmax + 1):
-        rows = rows_all[r]
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for k in range(1, K + 1):
-            acc += sign * _row_eval(rows[k - 1], b - (k - 1), x0) * psik[k - 1]
-            sign = -sign
-        out_v.append(vals[r] + acc)
-        out_e.append(rems[r] + 1e-15 * mags[r])
-    return out_v, out_e
+    _gl_panels(vals, mags, _psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
+    coeffs = [(-1.0) ** k * _psi_fourier_shift_sum(k + 1, x0 - alpha, nu) for k in range(K)]
+    tails = _far_tail(rows_all, b, x0, coeffs)
+    rems = _far_remainders(rows_all, b, x0, sk)
+    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
 
 
 def oscillatory_tail(spec: TailIntegralSpec, weighted: bool = True) -> EvalResult:
@@ -691,7 +676,6 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
                 break
     if delta >= x:
         return vals
-    mags = [0.0] * (rmax + 1)
     # geometric panels from delta to x, capped at ~half an oscillation each
     pts = [delta]
     u = delta
@@ -700,15 +684,5 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
         step = min(u, step_cap)
         u = min(u + step, x)
         pts.append(u)
-    for u1, u2 in zip(pts, pts[1:]):
-        half = 0.5 * (u2 - u1)
-        mid = 0.5 * (u1 + u2)
-        un = mid + half * _GL_NODES
-        base = np.exp(2j * math.pi * nu * un) * np.exp(b * np.log(un))
-        logs = np.log(un)
-        lp = np.ones_like(un)
-        for m in range(rmax + 1):
-            fv = base * lp
-            vals[m] += complex(half * np.dot(_GL_WEIGHTS, fv))
-            lp = lp * logs
+    _gl_panels(vals, None, pts, nu, b, rmax)
     return vals

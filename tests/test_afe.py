@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetalab.afe import GammaFactor, afe_hurwitz, afe_l, gamma_factor_derivs
+from zetalab.afe import afe_hurwitz, afe_l, gamma_factor_derivs
 from zetalab.characters import enumerate_characters
 from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
 
@@ -94,12 +94,6 @@ def test_gamma_factor_derivatives_by_finite_difference():
         scale = max(1.0, abs(d[0]), abs(d[1]), abs(d[2]))
         assert abs(fd1 - d[1]) <= 1e-5 * scale
         assert abs(fd2 - d[2]) <= 1e-4 * scale
-
-
-def test_gamma_factor_dataclass():
-    gf = GammaFactor.compute(0.5 + 3j, 2)
-    assert gf.value == gf.derivatives[0]
-    assert len(gf.derivatives) == 3
 
 
 def test_afe_l_reduction(chi4):

@@ -11,7 +11,6 @@ from zetalab import characters as characters_mod
 from zetalab import cli
 from zetalab.characters import (
     DirichletCharacter,
-    GaussSumValue,
     character,
     conductor,
     divisors,
@@ -269,11 +268,6 @@ def test_gauss_sum_factorization_small_moduli():
             tau = gauss_sum(c, 1)
             for n in range(q + 1):
                 assert abs(gauss_sum(c, n) - np.conj(c(n)) * tau) < 1e-10
-
-
-def test_gauss_sum_value_dataclass(chi4):
-    gs = GaussSumValue.compute(chi4, 3)
-    assert gs.shift == 3 and abs(gs.value - gauss_sum(chi4, 3)) == 0.0
 
 
 def test_partial_sum_examples(chi4):

@@ -164,6 +164,45 @@ def test_bad_character_label_is_refused_with_one_line(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "hurwitz", "--s", "inf,0"],
+        ["eval", "--kind", "l", "--s", "inf,0", "--q", "5", "--label", "1"],
+        ["eval", "--kind", "hurwitz", "--s", "2,inf"],
+        ["eval", "--kind", "hurwitz", "--s", "nan,0"],
+        ["eval", "--kind", "hurwitz", "--s", "0.5,0", "--x", "inf"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,10", "--x=-inf"],
+        ["tail", "--x", "inf", "--alpha", "1", "--re-a", "-2"],
+        ["tail", "--x", "1", "--alpha", "nan", "--re-a", "-2"],
+        ["coeff", "--kind", "gamma", "--alpha", "nan", "--r-max", "2"],
+    ],
+)
+def test_non_finite_numbers_are_refused_at_parse_time(capsys, argv):
+    # these used to hang (inf real part), overflow or fail in an int conversion
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "not a finite number" in captured.err
+
+
+def test_overflow_exits_one_with_one_line(capsys):
+    # Gamma(1-s) and (2 pi i n)^{s-1} overflow as separate factors at t = 342
+    argv = ["afe", "--kind", "hurwitz", "--s", "0.841005,342.234378", "--r", "0", "--alpha", "0.61979"]
+    assert run(argv + ["--x", "7.380264"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_tail_log_power_is_capped(capsys):
+    # beyond MAX_ORDER the tail printed -1886112 with a bound of 2.65e7
+    assert run(["tail", "--x", "1", "--alpha", "1", "--re-a", "-2", "--r", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must lie in 0..24\n"
+
+
 # SHA-256 of the --json stdout, recorded before the characters were built
 # from a discrete-log table; the output must stay byte-identical
 GOLDEN_DIGESTS = [
@@ -183,6 +222,49 @@ GOLDEN_DIGESTS = [
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
         "6372bdc89338d7248a25444b86e7b3d3f4d1ecb7ebc12f0b92db319cce8c295b",
+    ),
+    # recorded before the panel, far-tail, s-tail and coefficient-table code
+    # was merged into one kernel per term; both afe requests have a nonempty
+    # dual sum (y = 2.18 and 5.79)
+    (
+        ["coeff", "--kind", "gamma", "--alpha", "0.37", "--r-max", "6"],
+        "c948e76850656dfc94d4c33f563aae69eb4a048981299e083f181aa0e326c586",
+    ),
+    (
+        ["coeff", "--kind", "beta", "--alpha", "0.3", "--r-max", "6"],
+        "25f387e7a67e94c056b4dc82700f40e680328170038491dfb7a429978ce57ed5",
+    ),
+    (
+        ["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "6"],
+        "71c5a43b8821c096ff68274b97c73a7e093ec7bd1411a477edba0f8ebfed4d9b",
+    ),
+    (
+        ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
+        "4231a1403aee651acb356d57935024f362e439597bf9b19b1000ac0786bcb7a3",
+    ),
+    (
+        ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
+        "ae3642d95400b0f5798edcba8b2544d80a8ff6b4635e5bbdb0440e71bb6b0b6c",
+    ),
+    (
+        ["eval", "--kind", "z", "--s", "0.7,5", "--a", "2", "--q", "5", "--r", "2"],
+        "c1282b48bd981bf0e69fc3ab97c8838057996b80b22b1191759ded3df1079222",
+    ),
+    (
+        ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
+        "235c9dc9bbe66f4f8662abf9867f1e7dc0e333ebe461c588a9fcac7414d96c22",
+    ),
+    (
+        ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
+        "b2f0b489b31bb378d25ad9c695d4c33f0b794a52c38cfc0d11a41dde64bc6778",
+    ),
+    (
+        ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
+        "c425ee2479e96885cbd183b6f634fd7a5a00d2a45afa53868fe9c5715749179c",
+    ),
+    (
+        ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
+        "7729601a08c92e91a18a06314a07f5fc9615dcce7792905ecb49c8ef340ea67c",
     ),
 ]
 

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetalab.characters import enumerate_characters
+from zetalab.characters import character, enumerate_characters
 from zetalab.coefficients import (
     beta_coefficient,
     coefficient_table,
@@ -171,7 +171,7 @@ def test_limit_oracle_aq_residues_partition_exactly():
 
 def test_convolution_coefficient_at_q1():
     c0 = convolution_coefficient(0, 1, 0.37)
-    assert abs(c0.value - stieltjes_gamma(0, 0.37).value.real) < 1e-13
+    assert abs(c0 - stieltjes_gamma(0, 0.37).value.real) < 1e-13
 
 
 def test_gamma_aq_matches_the_laurent_convolution_route():
@@ -182,7 +182,7 @@ def test_gamma_aq_matches_the_laurent_convolution_route():
             for r in range(0, 9):
                 res = gamma_aq(r, a, q)
                 val = res.value.real
-                cr = convolution_coefficient(r, q, a / q).value
+                cr = convolution_coefficient(r, q, a / q)
                 val2 = (-1.0) ** r * (
                     math.factorial(r) / q * cr + (-1.0) ** (r + 1) * lq ** (r + 1) / (q * (r + 1))
                 )
@@ -441,6 +441,22 @@ def test_reconstruct_z_series():
     got = reconstruct_series(table, 1.2)
     want = z_deriv(1.2, 2, 3, 0)
     assert abs(got - want.value) < 1e-6
+
+
+def test_reconstruct_lerch_series():
+    table = coefficient_table("lerch_at_one", 12, lam=0.3, alpha=0.7)
+    got = reconstruct_series(table, 1.2)
+    want = lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=1.2))
+    assert abs(got - want.value) < 1e-7
+
+
+def test_reconstruct_l_at_zero_series():
+    for q, label in ((4, 1), (5, 2), (7, 3)):
+        chi = character(q, label)
+        table = coefficient_table("l_deriv_at_zero", 12, chi=chi)
+        got = reconstruct_series(table, 0.3)
+        want = l_deriv(0.3, chi, 0)
+        assert abs(got - want.value) < 1e-7, (q, label)
 
 
 def test_reconstruct_radius_guard():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zetalab.evaluate import LerchArgs, lerch_deriv
 from zetalab.sawtooth import (
+    MAX_ORDER,
     EvalResult,
     TailIntegralSpec,
     _osc_remainder_const,
@@ -218,6 +219,12 @@ def test_tail_integral_spec_validation():
         TailIntegralSpec(lower=1.0, shift=1.5, exponent=-2.0, log_power=0)
     with pytest.raises(ValueError):
         TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=0, oscillation=1.0)
+    # log powers share the derivative-order cap of every other route
+    TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=MAX_ORDER)
+    with pytest.raises(ValueError):
+        TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=MAX_ORDER + 1)
+    with pytest.raises(ValueError):
+        TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=-1)
 
 
 def test_psi_fourier_shift_cache_stays_bounded():
