@@ -7,7 +7,8 @@ numbers as [re, im] pairs, so identical requests produce byte-identical
 output.  --csv is available for the tabular subcommands.
 
 Exit codes: 0 success, 1 validation error (non-finite numbers are refused
-while parsing) or binary64 overflow, 2 failed bound assertion.
+while parsing, runaway tails before any work) or binary64 overflow, 2
+failed bound assertion.
 """
 
 from __future__ import annotations

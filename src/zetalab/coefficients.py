@@ -43,6 +43,7 @@ from .sawtooth import (
     psi,
     psi_osc_tail_powers,
     psi_tail_powers,
+    psi_tail_powers_batch,
     pure_osc_tail_powers,
 )
 
@@ -291,19 +292,20 @@ def _common_modulus(chars) -> int:
     return q
 
 
-def _residue_pass(q: int, X: float, r: int, s_at: int, tail):
+def _residue_pass(q: int, X: float, r: int, s_at: int, tails):
     """The chi-independent pieces of the split representation at s = s_at.
 
     One row per unit a mod q, in increasing a: (a, the finite sum of
     log^r n / n^{s_at} over n = a (mod q), n <= X (None when empty), the
-    boundary sawtooth psi((X-a)/q), the tail piece).  tail(a) returns
-    (piece, error) or None; the errors are summed in the same order.
+    boundary sawtooth psi((X-a)/q), the tail piece).  tails(units) returns
+    one (piece, error) per unit, from one batched tail call, or None; the
+    errors are summed in the order of the units.
     """
+    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    pieces = tails(units) or [None] * len(units)
     rows = []
     err = 0.0
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
+    for a, piece in zip(units, pieces):
         main = None
         kmax = _split_floor((X - a) / q)
         if kmax >= 0:
@@ -312,7 +314,6 @@ def _residue_pass(q: int, X: float, r: int, s_at: int, tail):
                 main = complex(np.sum((np.log(n) ** r if r else 1.0) / n))
             else:
                 main = complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
-        piece = tail(a)
         if piece is not None:
             err += piece[1]
         rows.append((a, main, _psi_at_split((X - a) / q), None if piece is None else piece[0]))
@@ -353,11 +354,11 @@ def l_deriv_at_1_exact_all(r: int, chars, X: float | None = None) -> list[EvalRe
     lX = math.log(X)
     lq = math.log(q)
 
-    def tail(a):
-        tails, terrs = psi_tail_powers(X / q, a / q, -2.0, r)
-        return _log_binomial_tail_combo(tails, terrs, r, 1.0, lq)
+    def tails(units):
+        batch = psi_tail_powers_batch(X / q, [a / q for a in units], -2.0, r)
+        return [_log_binomial_tail_combo(t, terrs, r, 1.0, lq) for t, terrs in batch]
 
-    rows, err = _residue_pass(q, X, r, 1, tail)
+    rows, err = _residue_pass(q, X, r, 1, tails)
     out = []
     for chi in chars:
         main, bnd, tail_sum = _weigh(chi, rows)
@@ -414,15 +415,17 @@ def l_deriv_at_0_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
     lX = math.log(X)
     lq = math.log(q)
 
-    def tail(a):
+    def tails(units):
         if not r:
             return None
-        tails, terrs = psi_tail_powers(X / q, a / q, -1.0, r - 1)
-        combo = sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * tails[mm] for mm in range(r))
-        cerr = r * sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * terrs[mm] for mm in range(r))
-        return combo, cerr
+        weights = [math.comb(r - 1, mm) * lq ** (r - 1 - mm) for mm in range(r)]
+        batch = psi_tail_powers_batch(X / q, [a / q for a in units], -1.0, r - 1)
+        return [
+            (sum(w * t[mm] for mm, w in enumerate(weights)), r * sum(w * e[mm] for mm, w in enumerate(weights)))
+            for t, e in batch
+        ]
 
-    rows, err = _residue_pass(q, X, r, 0, tail)
+    rows, err = _residue_pass(q, X, r, 0, tails)
     out = []
     for chi in chars:
         main, bnd, val = _weigh(chi, rows, tail_scale=r)
@@ -567,13 +570,18 @@ def coefficient_table(
     lam: float | None = None,
 ) -> CoefficientTable:
     """Build a contiguous table of expansion coefficients for r = 0..r_max;
-    COEFFICIENT_KINDS[kind].params names the keywords the kind reads."""
+    COEFFICIENT_KINDS[kind].params names the keywords the kind reads.  A
+    value that leaves binary64 (such as log^r(alpha)/alpha at tiny alpha)
+    raises OverflowError."""
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
     spec = COEFFICIENT_KINDS[kind]
     given = {"alpha": alpha, "a": a, "q": q, "chi": chi, "lam": lam}
     params = {name: given[name] for name in spec.params}
     res = spec.orders(r_max, **params)
+    for r, e in enumerate(res):
+        if not (math.isfinite(e.value.real) and math.isfinite(e.value.imag)):
+            raise OverflowError(f"the coefficient of order {r} is not finite in binary64")
     entries = tuple(CoefficientEntry(r, res[r].value, res[r].error_bound, spec.route) for r in range(r_max + 1))
     if "chi" in params:
         params = {"q": chi.modulus, "label": chi.label}

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter
-from .sawtooth import EvalResult, _check_alpha, _check_order, psi_osc_tail_powers, psi_tail_powers, pure_osc_tail_powers
+from .sawtooth import (
+    EvalResult,
+    _check_alpha,
+    _check_order,
+    psi_osc_tail_powers,
+    psi_tail_powers,
+    psi_tail_powers_batch,
+    pure_osc_tail_powers,
+)
 
 __all__ = [
     "HurwitzArgs",
@@ -156,13 +164,15 @@ def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
 
 
 def _hurwitz_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
-    """Representation without the pole term: finite sum + boundary + tail."""
+    """Representation without the pole term: finite sum + boundary + tail.
+
+    The tail runs first: it refuses work beyond its budget before the sum."""
+    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
     nmax = _split_floor(x - alpha)
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = _finite_power_sum(pts, s, r)
     lx = math.log(x)
     val += _psi_at_split(x - alpha) * cmath.exp(-s * lx) * (-lx) ** r
-    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
     return val + tail, err
 
 
@@ -175,14 +185,15 @@ def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
     return EvalResult(core + pole, err)
 
 
-def _z_core(s: complex, a: int, q: int, r: int, X: float) -> tuple[complex, float]:
-    """Z-representation without its pole term (1/q) d^r (X^{1-s}/(s-1))."""
+def _z_core(s: complex, a: int, q: int, r: int, X: float, tail) -> tuple[complex, float]:
+    """Z-representation without its pole term (1/q) d^r (X^{1-s}/(s-1));
+    tail = psi_tail_powers(X/q, a/q, -s-1, r)."""
     kmax = _split_floor((X - a) / q)
     pts = a + q * np.arange(0, kmax + 1, dtype=float) if kmax >= 0 else np.empty(0)
     val = _finite_power_sum(pts, s, r)
     lX = math.log(X)
     val += _psi_at_split((X - a) / q) * cmath.exp(-s * lX) * (-lX) ** r
-    tails, terrs = psi_tail_powers(X / q, a / q, -s - 1.0, r)
+    tails, terrs = tail
     lq = math.log(q)
     qs = cmath.exp(-s * lq)
     acc, err = _log_binomial_tail_combo(tails, terrs, r, s, lq)
@@ -201,7 +212,7 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     _check_order(r)
     if X is None:
         X = q * default_split(s, a / q)
-    core, err = _z_core(s, a, q, r, X)
+    core, err = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
     pole = pole_term_derivs(s, X, r)[r] / q
     return EvalResult(core + pole, err)
 
@@ -217,14 +228,13 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     q = chi.modulus
     if X is None:
         X = q * default_split(s, 1.0)
+    units = [a for a in range(1, q + 1) if chi(a) != 0]
+    tails = psi_tail_powers_batch(X / q, [a / q for a in units], -s - 1.0, r)
     val = 0.0 + 0.0j
     err = 0.0
-    for a in range(1, q + 1):
-        ca = chi(a)
-        if ca == 0:
-            continue
-        core, cerr = _z_core(s, a, q, r, X)
-        val += ca * core
+    for a, tail in zip(units, tails):
+        core, cerr = _z_core(s, a, q, r, X, tail)
+        val += chi(a) * core
         err += cerr
     return EvalResult(val, err)
 
@@ -234,6 +244,10 @@ def lerch_deriv(args: LerchArgs) -> EvalResult:
     lam, alpha, r = args.lam, args.alpha, args.order
     s = complex(args.s)
     x = args.split if args.split is not None else default_split(s, alpha)
+    # the tails first: they refuse work beyond their budget before the sum
+    pure, perr = pure_osc_tail_powers(lam, -s, r, x)
+    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, r, x)
+    tail2, err2 = _s_tail(*psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x), s, r)
     nmax = _split_floor(x - alpha)
     val = 0.0 + 0.0j
     if nmax >= 0:
@@ -248,14 +262,11 @@ def lerch_deriv(args: LerchArgs) -> EvalResult:
         * (-lx) ** r
     )
     sign = (-1.0) ** r
-    pure, perr = pure_osc_tail_powers(lam, -s, r, x)
     phase = cmath.exp(-2j * math.pi * lam * alpha)
     val += sign * phase * pure[r]
     err = perr[r]
-    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, r, x)
     val += 2j * math.pi * lam * sign * w1[r]
     err += 2.0 * math.pi * lam * w1err[r]
-    tail2, err2 = _s_tail(*psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x), s, r)
     return EvalResult(val + tail2, err + err2)
 
 

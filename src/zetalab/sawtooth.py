@@ -14,7 +14,18 @@ on every interval where psi is linear (the integrand reduces to
 antiderivatives of u^c log^m u), and the far tail is expanded through
 higher periodic-Bernoulli antiderivatives of psi, whose remainder is
 bounded by |B_K({u})/K!| <= 2.5 (2 pi)^{-K} times an explicit absolutely
-convergent integral.  Oscillatory tails combine per-piece Gauss-Legendre
+convergent integral.
+
+The plain tail has one kernel for many shifts alpha at once (the residue
+classes a/q of an L-function): the march walks a rows x segments grid,
+one row per alpha and one segment per linear piece of psi, in blocks of
+about 2048 segments whose break points are generated block by block, so
+memory does not grow with the length of the march.  Each row is bit for
+bit the scalar march: complex products and quotients replay CPython's
+formulas on separate real and imaginary float64 arrays, math.log and
+cmath.exp stay scalar (numpy's versions round differently), and sums
+run left to right.  A tail whose march or panel walk would exceed about
+2e6 pieces is refused before any work.  Oscillatory tails combine per-piece Gauss-Legendre
 panels (at most ~half a cycle per panel) with repeated integration by
 parts against the exponential beyond an adaptive cutoff; the sawtooth-
 weighted variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined
@@ -44,6 +55,7 @@ __all__ = [
     "sawtooth_tail",
     "oscillatory_tail",
     "psi_tail_powers",
+    "psi_tail_powers_batch",
     "pure_osc_tail_powers",
     "psi_osc_tail_powers",
     "segment_osc_power_log",
@@ -172,9 +184,87 @@ def _phi_bernoulli(m: int, v: float) -> float:
     return acc
 
 
+def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
+    """_phi_bernoulli(m, v) for every entry of v, bit for bit (math.cos stays scalar)."""
+    if m <= 12:
+        f = v - np.floor(v)
+        acc = np.zeros_like(f)
+        for c in _bernoulli_poly_coeffs(m):
+            acc = acc * f + c
+        return acc * TWO_PI**m
+    acc = np.zeros_like(v)
+    n = 1
+    phase = -0.5 * math.pi * m
+    while True:
+        arg = TWO_PI * n * v + phase
+        acc = acc - 2.0 * np.fromiter(map(math.cos, arg.tolist()), dtype=float, count=arg.size) / float(n**m)
+        n += 1
+        if n ** (-m) < 1e-20 or n > 64:
+            break
+    return acc
+
+
 _PSI_TILDE_ABS = tuple(
     2.5 / TWO_PI**m if m >= 2 else 0.5 for m in range(0, 40)
 )  # |B_m({v})/m!| <= 2 zeta(m)/(2 pi)^m <= 2.5/(2 pi)^m for m >= 2
+
+
+# ---------------------------------------------------------------------------
+# CPython's complex arithmetic on (real, imaginary) float64 arrays
+# ---------------------------------------------------------------------------
+#
+# The plain-tail kernel evaluates the scalar formulas on arrays and gives
+# the same bits.  numpy's complex multiply and divide round differently from
+# CPython's, and np.log / np.exp from math.log / math.exp, so products and
+# quotients replay CPython 3.11's formulas on separate real and imaginary
+# arrays (a float operand enters as (x, 0.0), as Python promotes it), the
+# logarithms and exponentials stay scalar, and sums run left to right
+# (in-place adds, or np.add.accumulate along the segments; np.sum adds
+# pairwise).
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) by CPython's product formula."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) by CPython's quotient (Smith's method)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_re = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai)
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar)
+    return re / denom, im / denom
+
+
+def _cdiv_real(ar, ai, d):
+    """(ar + i ai)/d for real d > 0, as CPython divides by complex(d, 0.0)."""
+    return (ar + ai * 0.0) / d, (ai - ar * 0.0) / d
+
+
+def _cexp(re, im):
+    """cmath.exp elementwise, as (real, imaginary) arrays."""
+    z = _complex(re, im)
+    w = np.fromiter(map(cmath.exp, z.ravel().tolist()), dtype=complex, count=z.size)
+    return w.real.reshape(z.shape), w.imag.reshape(z.shape)
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with exactly these real and imaginary parts."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _running_sum(start, terms):
+    """start + terms[0] + terms[1] + ..., added left to right."""
+    acc = np.array(start, dtype=float)
+    for t in terms:
+        acc += t
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -182,75 +272,114 @@ _PSI_TILDE_ABS = tuple(
 # ---------------------------------------------------------------------------
 
 
-def _moments_exp(z: complex, imax: int) -> list[complex]:
-    """m_i(z) = int_0^1 e^{z w} w^i dw for i = 0..imax."""
-    az = abs(z)
-    if az <= 2.0:
-        out = []
-        for i in range(imax + 1):
-            c = 1.0 + 0.0j
-            s = c / (i + 1)
-            k = 1
-            while True:
-                c *= z / k
-                s += c / (i + k + 1)
-                if abs(c) < 1e-19 * (i + k + 1):
-                    break
-                k += 1
-                if k > 80:  # unreachable for |z| <= 2
-                    break
-            out.append(s)
-        return out
-    ez = cmath.exp(z)
-    if az >= imax:
-        out = [(ez - 1.0) / z]
-        for i in range(1, imax + 1):
-            out.append((ez - i * out[i - 1]) / z)
-        return out
-    # |z| in (2, imax): downward recurrence, seeded far above imax
-    start = imax + int(az) + 60
-    m = 0.0 + 0.0j
-    out = [0.0 + 0.0j] * (imax + 1)
-    for i in range(start, 0, -1):
-        m = (ez - z * m) / i
+def _moments_exp(zr, zi, imax: int):
+    """m_i(z) = int_0^1 e^{z w} w^i dw for i = 0..imax and an array of z,
+    as (real, imaginary) arrays of shape (imax + 1, len(z)).
+
+    |z| <= 2: power series; |z| >= imax: upward recurrence; between them a
+    downward recurrence seeded far above imax.
+    """
+    az = np.hypot(zr, zi)
+    out_r = np.empty((imax + 1, az.size))
+    out_i = np.empty_like(out_r)
+    series = az <= 2.0
+    upward = ~series & (az >= imax)
+    for part, moments in ((series, _moments_series), (upward, _moments_up), (~series & ~upward, _moments_down)):
+        if part.any():
+            idx = np.flatnonzero(part)
+            out_r[:, idx], out_i[:, idx] = moments(zr[idx], zi[idx], az[idx], imax)
+    return out_r, out_i
+
+
+def _moments_series(zr, zi, az, imax: int):
+    """sum_k z^k / (k! (i + k + 1)), each i stopping at its first term below
+    1e-19 (i + k + 1) or at k = 80; the terms c_k = z^k/k! serve every i."""
+    d0 = np.arange(1.0, imax + 2.0)[:, None]  # i + 1
+    sr, si = (np.repeat(v, az.size, axis=1) for v in _cdiv_real(1.0, 0.0, d0))
+    cr, ci = np.ones_like(zr), np.zeros_like(zr)
+    zkr, zki = zr + zi * 0.0, zi - zr * 0.0  # numerators of z / k
+    live = np.ones(sr.shape, dtype=bool)
+    for k in range(1, 81):
+        cr, ci = _cmul(cr, ci, zkr / k, zki / k)
+        d = d0 + k
+        tr, ti = _cdiv_real(cr, ci, d)
+        np.add(sr, tr, out=sr, where=live)
+        np.add(si, ti, out=si, where=live)
+        live &= ~(np.hypot(cr, ci) < 1e-19 * d)
+        if not live.any():
+            break
+    return sr, si
+
+
+def _moments_up(zr, zi, az, imax: int):
+    """m_0 = (e^z - 1)/z, m_i = (e^z - i m_{i-1})/z."""
+    er, ei = _cexp(zr, zi)
+    out_r = np.empty((imax + 1, az.size))
+    out_i = np.empty_like(out_r)
+    out_r[0], out_i[0] = _cdiv(er - 1.0, ei - 0.0, zr, zi)
+    for i in range(1, imax + 1):
+        pr, pi_ = _cmul(float(i), 0.0, out_r[i - 1], out_i[i - 1])
+        out_r[i], out_i[i] = _cdiv(er - pr, ei - pi_, zr, zi)
+    return out_r, out_i
+
+
+def _moments_down(zr, zi, az, imax: int):
+    """m_{i-1} = (e^z - z m_i)/i from m = 0 at i = imax + int|z| + 60."""
+    er, ei = _cexp(zr, zi)
+    start = imax + az.astype(np.int64) + 60
+    mr, mi = np.zeros_like(zr), np.zeros_like(zr)
+    out_r = np.empty((imax + 1, az.size))
+    out_i = np.empty_like(out_r)
+    for i in range(int(start.max()), 0, -1):
+        pr, pi_ = _cmul(zr, zi, mr, mi)
+        nr, ni = _cdiv_real(er - pr, ei - pi_, float(i))
+        begun = start >= i
+        mr, mi = np.where(begun, nr, mr), np.where(begun, ni, mi)
         if i - 1 <= imax:
-            out[i - 1] = m
-    return out
+            out_r[i - 1], out_i[i - 1] = mr, mi
+    return out_r, out_i
 
 
-def _power_log_segments(beta: complex, rmax: int, t1: float, t2: float) -> list[complex]:
-    """int_{t1}^{t2} e^{beta t} t^r dt for r = 0..rmax (t = log u substitution)."""
+def _power_log_segments(beta: complex, rmax: int, t1, t2):
+    """int_{t1}^{t2} e^{beta t} t^r dt for r = 0..rmax (t = log u) on arrays
+    of segments, as (real, imaginary) arrays of shape (rmax + 1, len(t1))."""
     delta = t2 - t1
+    t1p = np.empty((rmax + 1, delta.size))
+    t1p[0] = 1.0
+    for i in range(1, rmax + 1):
+        t1p[i] = t1p[i - 1] * t1
+    zero = np.zeros_like(delta)
+    out_r = np.empty_like(t1p)
     if beta == 0:
         # factored (t2^{r+1}-t1^{r+1})/(r+1) = delta * sum_k t2^k t1^{r-k}/(r+1):
         # same-sign terms, so the value carries relative (not power-sized) error
-        t1p = [1.0]
-        t2p = [1.0]
-        for _ in range(rmax):
-            t1p.append(t1p[-1] * t1)
-            t2p.append(t2p[-1] * t2)
-        out = []
+        t2p = np.empty_like(t1p)
+        t2p[0] = 1.0
+        for i in range(1, rmax + 1):
+            t2p[i] = t2p[i - 1] * t2
         for r in range(rmax + 1):
-            acc = 0.0
-            for k in range(r + 1):
-                acc += t2p[k] * t1p[r - k]
-            out.append(complex(delta * acc / (r + 1)))
-        return out
-    mom = _moments_exp(beta * delta, rmax)
-    pref = cmath.exp(beta * t1)
-    t1p = [1.0]
-    dp = [delta]
-    for _ in range(rmax):
-        t1p.append(t1p[-1] * t1)
-        dp.append(dp[-1] * delta)
-    dm = [dp[i] * mom[i] for i in range(rmax + 1)]
-    out = []
+            out_r[r] = delta * _running_sum(zero, t2p[: r + 1] * t1p[r::-1]) / (r + 1)
+        return out_r, np.zeros_like(out_r)
+    br, bi = beta.real, beta.imag
+    mr, mi = _moments_exp(*_cmul(br, bi, delta, 0.0), rmax)
+    pr, pi_ = _cexp(*_cmul(br, bi, t1, 0.0))
+    dp = np.empty_like(t1p)  # delta^{i+1}
+    dp[0] = delta
+    for i in range(1, rmax + 1):
+        dp[i] = dp[i - 1] * delta
+    dmr, dmi = _cmul(dp, 0.0, mr, mi)
+    out_i = np.empty_like(t1p)
     for r in range(rmax + 1):
-        acc = 0.0 + 0.0j
-        for i in range(r + 1):
-            acc += math.comb(r, i) * t1p[r - i] * dm[i]
-        out.append(pref * acc)
-    return out
+        # sum_i C(r, i) t1^{r-i} delta^{i+1} m_i, then times e^{beta t1}
+        f = _binomials(r)[:, None] * t1p[r::-1]
+        tr, ti = _cmul(f, 0.0, dmr[: r + 1], dmi[: r + 1])
+        out_r[r], out_i[r] = _cmul(pr, pi_, _running_sum(zero, tr), _running_sum(zero, ti))
+    return out_r, out_i
+
+
+@lru_cache(maxsize=None)  # one entry per order r <= MAX_ORDER
+def _binomials(r: int) -> np.ndarray:
+    return np.array([math.comb(r, i) for i in range(r + 1)], dtype=float)
 
 
 def power_log_tail_abs(c: float, j: int, u: float) -> float:
@@ -302,16 +431,17 @@ def _row_abs_tail(row: list[complex], re_b_minus_k: float, u: float) -> float:
     return acc
 
 
-def _far_tail(rows_all: list[list[list[complex]]], b: complex, u0: float, coeffs) -> list[complex]:
-    """sum_k coeffs[k] g_r^{(k)}(u0) for every g_r = u^b log^r u (rows_all[r]
-    from _deriv_rows): the boundary terms of the far-tail expansions."""
-    out = []
-    for rows in rows_all:
-        acc = 0.0 + 0.0j
-        for k, c in enumerate(coeffs):
-            acc += c * _row_eval(rows[k], b - k, u0)
-        out.append(acc)
-    return out
+def _far_tail(rows_all: list[list[list[complex]]], b: complex, u0: float, coeffs) -> np.ndarray:
+    """sum_k coeffs[j][k] g_r^{(k)}(u0) for every row j of coefficients and every
+    g_r = u^b log^r u (rows_all[r] from _deriv_rows), added in k order: the
+    boundary terms of the far-tail expansions, shape (rows, rmax + 1).
+
+    g_r^{(k)}(u0) does not depend on the row: it is evaluated once."""
+    c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
+    g = np.array([[_row_eval(rows[k], b - k, u0) for rows in rows_all] for k in range(c.shape[0])])[:, None, :]
+    tr, ti = _cmul(c.real, c.imag, g.real, g.imag)
+    zero = np.zeros(tr.shape[1:])
+    return _complex(_running_sum(zero, tr), _running_sum(zero, ti))
 
 
 def _far_remainders(rows_all: list[list[list[complex]]], b: complex, u0: float, scale: float) -> list[float]:
@@ -343,31 +473,66 @@ def _psi_breaks(lo: float, hi: float, alpha: float) -> list[float]:
     return pts
 
 
-def _march_exact(
-    vals: list[complex],
-    lo: float,
-    hi: float,
-    alpha: float,
-    b: complex,
-    rmax: int,
-    mags: list[float] | None = None,
-) -> None:
-    """Accumulate int_lo^hi psi(u-alpha) u^b log^m u du into vals (piecewise exact).
+_BLOCK = 2048  # segments per block of the march: memory stays flat in its length
+_WORK_BUDGET = 2e6  # unit intervals (plain) or panels (oscillatory) one tail may walk
 
-    mags, when given, collects sum |J| of the raw segment magnitudes as a
-    proxy for accumulated double-precision cancellation.
+
+def _check_work(pieces: float) -> None:
+    """Refuse, before any work, a walk beyond the budget (about 10 s)."""
+    if not pieces <= _WORK_BUDGET:
+        raise ValueError(
+            f"the tail would walk about {pieces:.3g} segments or panels, beyond the work budget of {_WORK_BUDGET:.0e}"
+        )
+
+
+def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first kink index m1 (kinks m + alpha strictly inside
+    (lo, hi) by the 1e-12 margins of _psi_breaks) and the segment count."""
+    first = np.floor(lo - alphas + 1e-12) + 1.0
+    while (low := first + alphas <= lo + 1e-12).any():
+        first += low
+    last = np.floor(hi - alphas)
+    while (up := (last + 1.0) + alphas < hi - 1e-12).any():
+        last += up
+    while (down := last + alphas >= hi - 1e-12).any():
+        last -= down
+    return first, np.maximum(last - first + 1.0, 0.0).astype(np.int64) + 1
+
+
+def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int) -> None:
+    """Add int_lo^hi psi(u - alpha) u^b log^m u du, m = 0..rmax, piecewise
+    exact, to each row's sums = (real parts, imaginary parts, sum of the raw
+    segment magnitudes |J| as a proxy for accumulated double-precision
+    cancellation), three arrays of shape (rmax + 1, rows) updated in place.
+
+    One segment per interval where psi(u - alpha) is linear; the rows x
+    segments grid is walked in blocks of about _BLOCK segments whose break
+    points are made block by block, so memory does not grow with the march.
     """
-    pts = _psi_breaks(lo, hi, alpha)
-    for u1, u2 in zip(pts, pts[1:]):
-        mseg = math.floor(0.5 * (u1 + u2) - alpha)
-        c = alpha + mseg + 0.5
-        t1, t2 = math.log(u1), math.log(u2)
-        j_hi = _power_log_segments(b + 2.0, rmax, t1, t2)
-        j_lo = _power_log_segments(b + 1.0, rmax, t1, t2)
-        for m in range(rmax + 1):
-            vals[m] += j_hi[m] - c * j_lo[m]
-            if mags is not None:
-                mags[m] += abs(j_hi[m]) + abs(c) * abs(j_lo[m])
+    if not lo < hi:
+        return
+    first, count = _kinks(lo, hi, alphas)
+    for r0 in range(0, alphas.size, _BLOCK):
+        rows = np.arange(r0, min(r0 + _BLOCK, alphas.size))
+        width = _BLOCK // rows.size
+        for j0 in range(0, int(count[rows].max()), width):
+            rows = rows[count[rows] > j0]
+            j = np.arange(j0, j0 + width + 1)  # break point indices: lo, the kinks, hi
+            al, n = alphas[rows, None], count[rows, None]
+            pts = np.where(j == 0, lo, np.where(j >= n, hi, (first[rows, None] + (j - 1)) + al))
+            logs = np.fromiter(map(math.log, pts.ravel().tolist()), dtype=float, count=pts.size).reshape(pts.shape)
+            u1, u2 = pts[:, :-1], pts[:, 1:]
+            c = (al + np.floor(0.5 * (u1 + u2) - al) + 0.5).ravel()
+            t1, t2 = logs[:, :-1].ravel(), logs[:, 1:].ravel()
+            hr, hi_ = _power_log_segments(b + 2.0, rmax, t1, t2)
+            lr, li = _power_log_segments(b + 1.0, rmax, t1, t2)
+            pr, pi_ = _cmul(c, 0.0, lr, li)
+            parts = (hr - pr, hi_ - pi_, np.hypot(hr, hi_) + np.abs(c) * np.hypot(lr, li))
+            valid = (j[:-1] < n).ravel()
+            shape = (rmax + 1, rows.size, width)
+            for acc, d in zip(sums, parts):
+                both = np.concatenate([acc[:, rows, None], np.where(valid, d, 0.0).reshape(shape)], axis=2)
+                acc[:, rows] = np.add.accumulate(both, axis=2)[:, :, -1]
 
 
 def psi_piecewise_integral(
@@ -376,9 +541,63 @@ def psi_piecewise_integral(
     """Finite int_lo^hi psi(u-alpha) u^exponent log^log_power u du, piecewise exact."""
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    vals = [0.0 + 0.0j] * (log_power + 1)
-    _march_exact(vals, lo, hi, alpha, complex(exponent), log_power)
-    return vals[log_power]
+    _check_work(hi - lo)
+    sums = [np.zeros((log_power + 1, 1)) for _ in range(3)]
+    _march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
+    return complex(sums[0][log_power, 0], sums[1][log_power, 0])
+
+
+def psi_tail_powers_batch(
+    x: float,
+    alphas,
+    b: complex,
+    rmax: int,
+    *,
+    tol_abs: float = _TOL_ABS,
+    tol_rel: float = _TOL_REL,
+    u_start: float | None = None,
+) -> list[tuple[list[complex], list[float]]]:
+    """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
+    from one march of all rows; each row is bit for bit its one-row result.
+
+    Rows that meet the tolerance at the cutoff u0 stop there; the others
+    march on to 2 u0.  The far-tail derivatives and remainders do not depend
+    on alpha and are evaluated once per cutoff.
+    """
+    b = complex(b)
+    if b.real >= 0.0:
+        raise ValueError("tail requires Re(exponent) < 0 for convergence")
+    kt = _K_TAIL
+    u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
+    if u_start is not None:
+        u0 = max(u0, float(u_start))
+    alphas = np.array(alphas, dtype=float)
+    _check_work(alphas.size * (u0 - x))
+    sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
+    out: list = [None] * alphas.size
+    rows = np.arange(alphas.size)
+    rows_all = [_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
+    cur = x
+    while True:
+        _march(sums, cur, u0, alphas, b, rmax)
+        cur = u0
+        # (-1)^{k+1} periodic_bernoulli(k + 2, u0 - alpha), one row per alpha
+        v = u0 - alphas
+        coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(kt - 1)]
+        tails = _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
+        rems = np.array(_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt]))[:, None]
+        vr, vi = sums[0] + tails.real, sums[1] + tails.imag
+        done = np.all(rems <= np.fmax(tol_abs, tol_rel * np.hypot(vr, vi)), axis=0) | (u0 > 5e6)
+        # widen by the accumulated-magnitude proxy so that downstream
+        # two-route comparisons stay inside the reported bounds
+        errs = rems + 5e-16 * sums[2]
+        for i, vals, bounds in zip(rows[done].tolist(), _complex(vr, vi)[:, done].T.tolist(), errs[:, done].T.tolist()):
+            out[i] = (vals, bounds)
+        if done.all():
+            return out
+        rows, alphas = rows[~done], alphas[~done]
+        sums = [a[:, ~done] for a in sums]
+        u0 *= 2.0
 
 
 def psi_tail_powers(
@@ -397,36 +616,7 @@ def psi_tail_powers(
     the expansion sum_k (-1)^k psi~_{k+1}(U-alpha) g^{(k-1)}(U) with the
     remainder bounded through int_U^inf |g^{(K-1)}|.
     """
-    b = complex(b)
-    if b.real >= 0.0:
-        raise ValueError("tail requires Re(exponent) < 0 for convergence")
-    kt = _K_TAIL
-    u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
-    if u_start is not None:
-        u0 = max(u0, float(u_start))
-    vals = [0.0 + 0.0j] * (rmax + 1)
-    mags = [0.0] * (rmax + 1)
-    cur = x
-    rows_all = [_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
-    while True:
-        _march_exact(vals, cur, u0, alpha, b, rmax, mags)
-        cur = u0
-        v = u0 - alpha
-        coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
-        tails = _far_tail(rows_all, b, u0, coeffs)
-        rems = _far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
-        ok = all(
-            rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r]))
-            for r, rem in enumerate(rems)
-        )
-        if ok or u0 > 5e6:
-            # widen by the accumulated-magnitude proxy so that downstream
-            # two-route comparisons stay inside the reported bounds
-            return (
-                [vals[r] + tails[r] for r in range(rmax + 1)],
-                [rems[r] + 5e-16 * mags[r] for r in range(rmax + 1)],
-            )
-        u0 *= 2.0
+    return psi_tail_powers_batch(x, [alpha], b, rmax, tol_abs=tol_abs, tol_rel=tol_rel, u_start=u_start)[0]
 
 
 def sawtooth_tail(spec: TailIntegralSpec) -> EvalResult:
@@ -505,18 +695,19 @@ def pure_osc_tail_powers(
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
     anu = abs(nu)
+    # grow the cutoff on the closed-form remainder alone, under a panel cap
+    # (which keeps the growth inside the work budget); the deep by-parts
+    # expansion keeps x0 (hence panel rounding) small
+    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * anu), 8.0)
+    step_cap = 0.45 / max(anu, 1e-12)
+    _check_work((x0 - x) / step_cap)
     rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
     scale = (TWO_PI * anu) ** (-K)
-
-    # grow the cutoff on the closed-form remainder alone, under a panel cap;
-    # the deep by-parts expansion keeps x0 (hence panel rounding) small
-    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * anu), 8.0)
     panel_cap = 4000.0 * max(0.45 / anu, 0.5)
     while max(_far_remainders(rows_all, b, x0, scale)) > tol_abs and 2.0 * x0 - x < panel_cap and x0 < 5e7:
         x0 *= 2.0
     pts = [x]
     u = x
-    step_cap = 0.45 / max(anu, 1e-12)
     while u < x0 - 1e-12:
         step = min(max(0.5, 0.6 * u), step_cap)
         u = min(u + step, x0)
@@ -528,7 +719,7 @@ def pure_osc_tail_powers(
     coeffs = [iw]
     for _ in range(K - 1):
         coeffs.append(coeffs[-1] * -iw)
-    tails = _far_tail(rows_all, b, x0, coeffs)
+    tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     rems = _far_remainders(rows_all, b, x0, scale)
     phase = cmath.exp(2j * math.pi * nu * x0)
     return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
@@ -600,16 +791,18 @@ def psi_osc_tail_powers(
     if b.real >= 0.0:
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
+    # one panel per unit interval; the panel cap keeps the growth inside the budget
+    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
+    _check_work(x0 - x)
     rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
     sk = _osc_remainder_const(K, nu)
-    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
     while max(_far_remainders(rows_all, b, x0, sk)) > tol_abs and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     _gl_panels(vals, mags, _psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * _psi_fourier_shift_sum(k + 1, x0 - alpha, nu) for k in range(K)]
-    tails = _far_tail(rows_all, b, x0, coeffs)
+    tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     rems = _far_remainders(rows_all, b, x0, sk)
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
 

@@ -79,21 +79,22 @@ def test_t3_small_sweep():
 
 
 def test_t3_computes_each_tail_integral_once(monkeypatch):
-    # the tails depend on (q, a, r, point) but not on chi: one per unit a mod q,
-    # order r and point, 28 units x 8 orders x 2 points (2304 when run per character)
+    # the tails depend on (q, a, r, point) but not on chi: one row per unit a mod q,
+    # order r and point reaches the batched kernel, 28 units x 8 orders x 2 points
+    # (2304 when run per character)
     import zetalab.coefficients as coefficients
 
-    calls = []
-    real = coefficients.psi_tail_powers
+    rows = []
+    real = coefficients.psi_tail_powers_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(x, alphas, b, rmax, **kwargs):
+        rows.extend((x, alpha, b, rmax) for alpha in alphas)
+        return real(x, alphas, b, rmax, **kwargs)
 
-    monkeypatch.setattr(coefficients, "psi_tail_powers", counting)
+    monkeypatch.setattr(coefficients, "psi_tail_powers_batch", counting)
     rep = certify_T3()
-    assert len(calls) == 448
-    assert len(set(calls)) == 448
+    assert len(rows) == 448
+    assert len(set(rows)) == 448
     assert rep.all_pass
 
 

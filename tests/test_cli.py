@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -195,6 +196,27 @@ def test_overflow_exits_one_with_one_line(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "hurwitz", "--s", "1e300,0"],
+        ["eval", "--kind", "lerch", "--s", "1e200,0"],
+        ["eval", "--kind", "hurwitz", "--s", "0.5,1e7"],
+        ["coeff", "--kind", "gamma", "--alpha", "1e-300", "--r-max", "3"],
+    ],
+)
+def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
+    # the first three would march or walk panels for minutes (a huge cutoff);
+    # the last printed log^3(alpha)/alpha as -inf with a tiny bound
+    start = time.perf_counter()
+    assert run(argv) == 1
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 5.0
+
+
 def test_tail_log_power_is_capped(capsys):
     # beyond MAX_ORDER the tail printed -1886112 with a bound of 2.65e7
     assert run(["tail", "--x", "1", "--alpha", "1", "--re-a", "-2", "--r", "30"]) == 1
@@ -265,6 +287,31 @@ GOLDEN_DIGESTS = [
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
         "7729601a08c92e91a18a06314a07f5fc9615dcce7792905ecb49c8ef340ea67c",
+    ),
+    # recorded before the plain-tail march ran as one numpy kernel over rows x
+    # segments: a march longer than one block, a batched complex exponent, the
+    # certify sweeps to r = 20, and plain complex tails
+    (
+        ["eval", "--kind", "hurwitz", "--s", "0.5,1000", "--alpha", "0.3", "--r", "1"],
+        "a5e0d8f9697db443dd047ee28bab2b8e1dad46f910c190d784405c4fd9d0170b",
+    ),
+    (
+        ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
+        "7cd5b43b657d65e9f516c29b4d9064564cf3670e09791c0230fbe3ef9c9f75c4",
+    ),
+    (["certify", "--bound", "t2-ib"], "6b1c731b42f08810bf3c0df4a10c9a9324cc2338c6789b4d5d2a91005749b751"),
+    (["certify", "--bound", "t2-iib"], "54ed97725722525b903814c0ed23e946bb6cb7f43e8fd9a9552100b382d11286"),
+    (
+        ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
+        "64bdf990e2a507a038a919c764b3f884f3a8f8e7726abebeba76de67d9fe7873",
+    ),
+    (
+        ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
+        "5692217c0f67ccac5455cf90d4d80a88ecce4f136d5e5b2cb1983bd42c05b200",
+    ),
+    (
+        ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
+        "0ee6afc222d8bfb9d900a77e3c4f5dc37a32c1ee7885e80c8eb8d4bd47cc24f6",
     ),
 ]
 

@@ -1,18 +1,26 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.evaluate import LerchArgs, lerch_deriv
+import zetalab.sawtooth as sawtooth
+from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, lerch_deriv
 from zetalab.sawtooth import (
+    _K_TAIL,
+    _PSI_TILDE_ABS,
     MAX_ORDER,
     EvalResult,
     TailIntegralSpec,
+    _deriv_rows,
+    _far_remainders,
     _osc_remainder_const,
+    _psi_breaks,
     _psi_fourier_shift_sum,
+    _row_eval,
     oscillatory_tail,
     periodic_bernoulli,
     psi,
@@ -20,6 +28,7 @@ from zetalab.sawtooth import (
     psi_osc_tail_powers,
     psi_piecewise_integral,
     psi_tail_powers,
+    psi_tail_powers_batch,
     pure_osc_tail_powers,
     sawtooth_tail,
 )
@@ -247,3 +256,239 @@ def test_osc_remainder_cache_stays_bounded():
     # the evicted entry is recomputed to the same value
     again = lerch_deriv(LerchArgs(lam=0.05, alpha=0.7, s=complex(1.5, 0.0), order=1))
     assert again == first
+
+
+# ---------------------------------------------------------------------------
+# the vectorised plain-tail kernel against the scalar march it replaced
+# ---------------------------------------------------------------------------
+#
+# The scalar functions below are the march as it ran before the kernel
+# worked on rows x segments arrays; the kernel must give the same bits.
+
+
+def ref_moments_exp(z: complex, imax: int) -> list[complex]:
+    az = abs(z)
+    if az <= 2.0:
+        out = []
+        for i in range(imax + 1):
+            c = 1.0 + 0.0j
+            s = c / (i + 1)
+            k = 1
+            while True:
+                c *= z / k
+                s += c / (i + k + 1)
+                if abs(c) < 1e-19 * (i + k + 1):
+                    break
+                k += 1
+                if k > 80:
+                    break
+            out.append(s)
+        return out
+    ez = cmath.exp(z)
+    if az >= imax:
+        out = [(ez - 1.0) / z]
+        for i in range(1, imax + 1):
+            out.append((ez - i * out[i - 1]) / z)
+        return out
+    start = imax + int(az) + 60
+    m = 0.0 + 0.0j
+    out = [0.0 + 0.0j] * (imax + 1)
+    for i in range(start, 0, -1):
+        m = (ez - z * m) / i
+        if i - 1 <= imax:
+            out[i - 1] = m
+    return out
+
+
+def ref_power_log_segments(beta: complex, rmax: int, t1: float, t2: float) -> list[complex]:
+    delta = t2 - t1
+    if beta == 0:
+        t1p = [1.0]
+        t2p = [1.0]
+        for _ in range(rmax):
+            t1p.append(t1p[-1] * t1)
+            t2p.append(t2p[-1] * t2)
+        out = []
+        for r in range(rmax + 1):
+            acc = 0.0
+            for k in range(r + 1):
+                acc += t2p[k] * t1p[r - k]
+            out.append(complex(delta * acc / (r + 1)))
+        return out
+    mom = ref_moments_exp(beta * delta, rmax)
+    pref = cmath.exp(beta * t1)
+    t1p = [1.0]
+    dp = [delta]
+    for _ in range(rmax):
+        t1p.append(t1p[-1] * t1)
+        dp.append(dp[-1] * delta)
+    dm = [dp[i] * mom[i] for i in range(rmax + 1)]
+    out = []
+    for r in range(rmax + 1):
+        acc = 0.0 + 0.0j
+        for i in range(r + 1):
+            acc += math.comb(r, i) * t1p[r - i] * dm[i]
+        out.append(pref * acc)
+    return out
+
+
+def ref_march_exact(vals, lo, hi, alpha, b, rmax, mags=None) -> None:
+    pts = _psi_breaks(lo, hi, alpha)
+    for u1, u2 in zip(pts, pts[1:]):
+        mseg = math.floor(0.5 * (u1 + u2) - alpha)
+        c = alpha + mseg + 0.5
+        t1, t2 = math.log(u1), math.log(u2)
+        j_hi = ref_power_log_segments(b + 2.0, rmax, t1, t2)
+        j_lo = ref_power_log_segments(b + 1.0, rmax, t1, t2)
+        for m in range(rmax + 1):
+            vals[m] += j_hi[m] - c * j_lo[m]
+            if mags is not None:
+                mags[m] += abs(j_hi[m]) + abs(c) * abs(j_lo[m])
+
+
+def ref_psi_tail_powers(x, alpha, b, rmax, *, tol_abs=1e-15, tol_rel=1e-12, u_start=None):
+    b = complex(b)
+    kt = _K_TAIL
+    u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
+    if u_start is not None:
+        u0 = max(u0, float(u_start))
+    vals = [0.0 + 0.0j] * (rmax + 1)
+    mags = [0.0] * (rmax + 1)
+    cur = x
+    rows_all = [_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
+    while True:
+        ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
+        cur = u0
+        v = u0 - alpha
+        coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
+        tails = []
+        for rows in rows_all:
+            acc = 0.0 + 0.0j
+            for k, c in enumerate(coeffs):
+                acc += c * _row_eval(rows[k], b - k, u0)
+            tails.append(acc)
+        rems = _far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
+        ok = all(rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r])) for r, rem in enumerate(rems))
+        if ok or u0 > 5e6:
+            return (
+                [vals[r] + tails[r] for r in range(rmax + 1)],
+                [rems[r] + 5e-16 * mags[r] for r in range(rmax + 1)],
+            )
+        u0 *= 2.0
+
+
+def test_moments_match_the_scalar_recurrences_in_every_branch():
+    # |z| <= 2 (series), 2 < |z| < imax (downward), |z| >= imax (upward)
+    rng = np.random.default_rng(5)
+    for imax in (0, 1, 3, 8, 24):
+        radii = np.concatenate(
+            [rng.uniform(0.0, 2.0, 40), rng.uniform(2.0, max(imax, 2.5), 40), rng.uniform(imax, imax + 40.0, 40)]
+        )
+        angles = rng.uniform(-math.pi, math.pi, radii.size)
+        zs = [complex(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)] + [0j, 2.0 + 0j, complex(imax)]
+        zr = np.array([z.real for z in zs])
+        zi = np.array([z.imag for z in zs])
+        mr, mi = sawtooth._moments_exp(zr, zi, imax)
+        got = sawtooth._complex(mr, mi).T.tolist()
+        assert repr(got) == repr([ref_moments_exp(z, imax) for z in zs])
+
+
+@pytest.mark.parametrize("beta", [0j, complex(-1.0), complex(1.0), complex(-0.7, 3.0), complex(0.4, -250.0)])
+def test_power_log_segments_match_the_scalar_antiderivatives(beta):
+    # t = log u from below 0 to 8, with t1 = 0 (u = 1) and zero-width segments
+    rng = np.random.default_rng(11)
+    t1 = np.concatenate([[0.0, 0.0], rng.uniform(-0.7, 8.0, 60)])
+    t2 = t1 + np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 60)])
+    for rmax in (0, 2, 8):
+        re, im = sawtooth._power_log_segments(beta, rmax, t1, t2)
+        got = sawtooth._complex(re, im).T.tolist()
+        assert repr(got) == repr([ref_power_log_segments(beta, rmax, a, b) for a, b in zip(t1.tolist(), t2.tolist())])
+
+
+@pytest.mark.parametrize(
+    "x, b, rmax, q, kw",
+    [
+        (1.0, -2.0, 8, 1, {}),  # Stieltjes: u^0 segments take the closed power branch
+        (1.0, -1.0, 5, 1, {}),
+        (4.0, -2.0, 3, 7, {}),  # one residue pass at s = 1
+        (4.0, -1.0, 2, 12, {}),  # at s = 0: unit and non-unit classes alike
+        (0.5, complex(-1.3, 7.0), 4, 7, {}),
+        (2.5, complex(-1.6, 40.0), 8, 5, {}),  # all three moment branches
+        (1.0, complex(-1.5, 1500.0), 1, 1, {}),  # one row longer than a block
+        (3.0, complex(-1.2, -60.0), 2, 101, {}),  # rows x segments over many blocks
+        (1.3, -1.7, 0, 3, {"u_start": 260.0}),
+        (0.5, -1.0, 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-17}),  # one row doubles its cutoff
+        (0.5, complex(-1.3, 7.0), 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-18}),  # three rows double
+        (0.5, -2.0, 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-20}),  # six of seven double
+    ],
+)
+def test_batched_tail_matches_the_scalar_march_bit_for_bit(x, b, rmax, q, kw):
+    alphas = [a / q for a in range(1, q + 1)]
+    got = psi_tail_powers_batch(x, alphas, b, rmax, **kw)
+    want = [ref_psi_tail_powers(x, alpha, b, rmax, **kw) for alpha in alphas]
+    assert repr(got) == repr(want)
+    assert repr(psi_tail_powers(x, alphas[-1], b, rmax, **kw)) == repr(want[-1])
+
+
+def test_batch_rows_have_unequal_segment_counts():
+    # alpha shifts the kinks: within one batch the rows march over different counts
+    first, count = sawtooth._kinks(0.5, 36.0, np.array([a / 7 for a in range(1, 8)]))
+    assert len(set(count.tolist())) > 1
+    assert count.tolist() == [len(_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
+
+
+def test_random_marches_match_the_scalar_march():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        lo = float(rng.uniform(0.05, 30.0))
+        hi = lo + float(rng.uniform(0.0, 60.0))
+        alpha = float(rng.uniform(1e-6, 1.0))
+        b = complex(rng.uniform(-3.0, -0.5), rng.choice([0.0, rng.uniform(-300.0, 300.0)]))
+        rmax = int(rng.integers(0, 9))
+        vals = [0.0 + 0.0j] * (rmax + 1)
+        mags = [0.0] * (rmax + 1)
+        ref_march_exact(vals, lo, hi, alpha, b, rmax, mags)
+        sums = [np.zeros((rmax + 1, 1)) for _ in range(3)]
+        sawtooth._march(sums, lo, hi, np.array([alpha]), b, rmax)
+        assert repr(sawtooth._complex(sums[0], sums[1])[:, 0].tolist()) == repr(vals)
+        assert repr(sums[2][:, 0].tolist()) == repr(mags)
+
+
+def test_piecewise_integral_matches_the_scalar_march():
+    cases = [(1e-8, 1.0, 1.0, 0.0, 0), (1.7, 9.2, 1.0, -1.5, 2), (0.3, 2500.0, 0.25, complex(-0.5, 3.0), 1)]
+    for lo, hi, alpha, b, m in cases:
+        vals = [0.0 + 0.0j] * (m + 1)
+        ref_march_exact(vals, lo, hi, alpha, complex(b), m)
+        assert repr(psi_piecewise_integral(lo, hi, alpha=alpha, exponent=b, log_power=m)) == repr(vals[m])
+
+
+def test_march_memory_does_not_grow_with_its_length():
+    # s = 0.5 + 2e5 i marches about 3.7e5 segments of one row
+    args = HurwitzArgs(s=complex(0.5, 2e5), alpha=0.3)
+    tracemalloc.start()
+    try:
+        hurwitz_deriv(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_work_budget_refuses_before_any_work(monkeypatch):
+    marched = []
+    monkeypatch.setattr(sawtooth, "_march", lambda *args: marched.append(args))
+    # 1000 rows x (u0 - x) = 1000 x 2300 segments
+    with pytest.raises(ValueError, match="work budget"):
+        psi_tail_powers_batch(1.0, [a / 1000 for a in range(1, 1001)], complex(-1.5, 1130.0), 2)
+    with pytest.raises(ValueError, match="work budget"):
+        psi_tail_powers(1.0, 0.5, complex(-1.5, 1e7), 0)
+    with pytest.raises(ValueError, match="work budget"):
+        psi_piecewise_integral(1.0, 3e6)
+    assert not marched
+    # oscillatory walks: panels of at most half a cycle, one per unit interval when weighted
+    with pytest.raises(ValueError, match="work budget"):
+        pure_osc_tail_powers(0.5, complex(-0.5, 5e6), 0, 1.0)
+    with pytest.raises(ValueError, match="work budget"):
+        psi_osc_tail_powers(0.5, 0.3, complex(-1.5, 4e6), 0, 1.0)
+    # the budget sits far above what the default routes walk
+    assert psi_tail_powers(1.0, 0.5, complex(-1.5, 1e4), 0)[1][0] < 1e-9
