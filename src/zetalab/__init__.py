@@ -52,7 +52,6 @@ from .coefficients import (
 from .evaluate import (
     HurwitzArgs,
     LerchArgs,
-    direct_series_oracle,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
@@ -94,7 +93,6 @@ __all__ = [
     "conductor",
     "convolution_coefficient",
     "digamma",
-    "direct_series_oracle",
     "enumerate_characters",
     "euler_phi",
     "gamma_aq",

@@ -37,6 +37,7 @@ from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
     EvalResult,
     _check_alpha,
+    _check_work,
     psi_tail_powers,
     pure_osc_tail_powers,
     segment_osc_power_log,
@@ -90,6 +91,7 @@ def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, floa
     val = 0.0 + 0.0j
     # finite (n + alpha)-sum
     nmax = _split_floor(x - alpha)
+    _check_work(nmax + 1)
     for n in range(0, nmax + 1):
         w = n + alpha
         lw = math.log(w)

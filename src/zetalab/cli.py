@@ -14,6 +14,7 @@ failed bound assertion.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -40,25 +41,29 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# one renderer per type, in the order of the isinstance ladder that serves subclasses
+_RENDER = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: str,
+    float: _fmt_float,
+    complex: lambda z: (
+        f"[{z.real:.17g}, {z.imag:.17g}]" if cmath.isfinite(z) else f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]"
+    ),
+    str: lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"',
+    dict: lambda d: "{" + ", ".join(f"{_render(str(k))}: {_render(v)}" for k, v in d.items()) + "}",
+    list: lambda v: "[" + ", ".join(map(_render, v)) + "]",
+}
+_RENDER[tuple] = _RENDER[list]
+
+
 def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{_render(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    render = _RENDER.get(type(obj))
+    if render is None:  # a subclass such as np.float64: the first isinstance match
+        render = next((f for t, f in _RENDER.items() if isinstance(obj, t)), None)
+        if render is None:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+    return render(obj)
 
 
 def render_json(payload: dict) -> str:

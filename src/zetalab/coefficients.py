@@ -40,6 +40,7 @@ from .sawtooth import (
     EvalResult,
     _check_alpha,
     _check_order,
+    _check_work,
     psi,
     psi_osc_tail_powers,
     psi_tail_powers,
@@ -301,6 +302,7 @@ def _residue_pass(q: int, X: float, r: int, s_at: int, tails):
     one (piece, error) per unit, from one batched tail call, or None; the
     errors are summed in the order of the units.
     """
+    _check_work(X)  # the n <= X of the finite sums of all residue classes
     units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     pieces = tails(units) or [None] * len(units)
     rows = []

@@ -27,6 +27,7 @@ from .sawtooth import (
     EvalResult,
     _check_alpha,
     _check_order,
+    _check_work,
     psi_osc_tail_powers,
     psi_tail_powers,
     psi_tail_powers_batch,
@@ -40,7 +41,6 @@ __all__ = [
     "z_deriv",
     "l_deriv",
     "lerch_deriv",
-    "direct_series_oracle",
     "pole_term_derivs",
     "default_split",
 ]
@@ -166,9 +166,10 @@ def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
 def _hurwitz_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
     """Representation without the pole term: finite sum + boundary + tail.
 
-    The tail runs first: it refuses work beyond its budget before the sum."""
-    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
+    The sum and the tail are charged to the work budget before either runs."""
     nmax = _split_floor(x - alpha)
+    _check_work(nmax + 1)
+    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = _finite_power_sum(pts, s, r)
     lx = math.log(x)
@@ -212,6 +213,7 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     _check_order(r)
     if X is None:
         X = q * default_split(s, a / q)
+    _check_work(_split_floor((X - a) / q) + 1)
     core, err = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
     pole = pole_term_derivs(s, X, r)[r] / q
     return EvalResult(core + pole, err)
@@ -228,6 +230,7 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     q = chi.modulus
     if X is None:
         X = q * default_split(s, 1.0)
+    _check_work(X)  # the n <= X of the finite sums of all residue classes
     units = [a for a in range(1, q + 1) if chi(a) != 0]
     tails = psi_tail_powers_batch(X / q, [a / q for a in units], -s - 1.0, r)
     val = 0.0 + 0.0j
@@ -244,11 +247,12 @@ def lerch_deriv(args: LerchArgs) -> EvalResult:
     lam, alpha, r = args.lam, args.alpha, args.order
     s = complex(args.s)
     x = args.split if args.split is not None else default_split(s, alpha)
-    # the tails first: they refuse work beyond their budget before the sum
+    # the sum and the tails are charged to the work budget before any runs
+    nmax = _split_floor(x - alpha)
+    _check_work(nmax + 1)
     pure, perr = pure_osc_tail_powers(lam, -s, r, x)
     w1, w1err = psi_osc_tail_powers(lam, alpha, -s, r, x)
     tail2, err2 = _s_tail(*psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x), s, r)
-    nmax = _split_floor(x - alpha)
     val = 0.0 + 0.0j
     if nmax >= 0:
         n = np.arange(0, nmax + 1, dtype=float)
@@ -268,30 +272,3 @@ def lerch_deriv(args: LerchArgs) -> EvalResult:
     val += 2j * math.pi * lam * sign * w1[r]
     err += 2.0 * math.pi * lam * w1err[r]
     return EvalResult(val + tail2, err + err2)
-
-
-def direct_series_oracle(s: complex, alpha: float, lam: float, r: int, N: int) -> complex:
-    """(-1)^r sum_{n=0}^{N} e^{2 pi i lam n} (n+alpha)^{-s} log^r(n+alpha).
-
-    Plain partial sum for Re(s) > 1; the caller chooses N for the target
-    accuracy.  lam = 0 gives the Hurwitz case.
-    """
-    s = complex(s)
-    if s.real <= 1.0:
-        raise ValueError("the direct series needs Re(s) > 1")
-    _check_alpha(alpha)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    total = 0.0 + 0.0j
-    chunk = 1_000_000
-    for lo in range(0, N + 1, chunk):
-        hi = min(lo + chunk, N + 1)
-        n = np.arange(lo, hi, dtype=float)
-        logs = np.log(n + alpha)
-        terms = np.exp(-s * logs)
-        if r:
-            terms = terms * logs**r
-        if lam:
-            terms = terms * np.exp(2j * np.pi * lam * n)
-        total += complex(terms.sum())
-    return (-1.0) ** r * total

@@ -25,12 +25,17 @@ bit the scalar march: complex products and quotients replay CPython's
 formulas on separate real and imaginary float64 arrays, math.log and
 cmath.exp stay scalar (numpy's versions round differently), and sums
 run left to right.  A tail whose march or panel walk would exceed about
-2e6 pieces is refused before any work.  Oscillatory tails combine per-piece Gauss-Legendre
-panels (at most ~half a cycle per panel) with repeated integration by
-parts against the exponential beyond an adaptive cutoff; the sawtooth-
-weighted variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined
-frequencies n + nu and sums the boundary terms of all parts in closed
-form.
+2e6 pieces is refused before any work.
+
+Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
+cycle each) with repeated integration by parts against the exponential
+beyond an adaptive cutoff; the sawtooth-weighted variant expands
+psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies n + nu and
+sums the boundary terms of all parts in closed form, from one row of
+periodic Bernoulli values shared by all K parts.  One panel kernel serves
+every walk, as (block x 32) arrays of at most 512 panels; it is bit for
+bit the one-panel-at-a-time loop (np.vecdot per panel, which is np.dot's
+BLAS dot, and panel sums added left to right).
 
 Error bounds cover truncation and quadrature, not binary64 rounding.
 """
@@ -474,14 +479,14 @@ def _psi_breaks(lo: float, hi: float, alpha: float) -> list[float]:
 
 
 _BLOCK = 2048  # segments per block of the march: memory stays flat in its length
-_WORK_BUDGET = 2e6  # unit intervals (plain) or panels (oscillatory) one tail may walk
+_WORK_BUDGET = 2e6  # terms of one finite sum, or unit intervals (plain) or panels (oscillatory) of one tail
 
 
 def _check_work(pieces: float) -> None:
-    """Refuse, before any work, a walk beyond the budget (about 10 s)."""
+    """Refuse, before any work, a finite sum or a walk beyond the budget (about 10 s)."""
     if not pieces <= _WORK_BUDGET:
         raise ValueError(
-            f"the tail would walk about {pieces:.3g} segments or panels, beyond the work budget of {_WORK_BUDGET:.0e}"
+            f"the request would take about {pieces:.3g} terms, segments or panels, beyond the work budget of {_WORK_BUDGET:.0e}"
         )
 
 
@@ -634,6 +639,7 @@ def sawtooth_tail(spec: TailIntegralSpec) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_PANEL_BLOCK = 512  # panels per (block x 32) array: memory stays flat in the walk's length
 
 
 def _gl_panels(
@@ -651,23 +657,29 @@ def _gl_panels(
     With alpha given the integrand carries psi(u-alpha) e^{-2 pi i nu alpha},
     so the panels must not straddle a sawtooth kink.  mags, when given,
     collects sum |w f| per power.
+
+    Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
+    each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
+    in another order), and the panels are added left to right.
     """
-    for u1, u2 in zip(pts, pts[1:]):
-        half = 0.5 * (u2 - u1)
-        mid = 0.5 * (u1 + u2)
-        u = mid + half * _GL_NODES
+    pts = np.asarray(pts, dtype=float)
+    shift = cmath.exp(-2j * math.pi * nu * alpha) if alpha is not None else None
+    for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
+        ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
+        half = 0.5 * (ends[1:] - ends[:-1])
+        mid = 0.5 * (ends[:-1] + ends[1:])
+        u = mid[:, None] + half[:, None] * _GL_NODES
         base = np.exp(2j * math.pi * nu * u) * np.exp(b * np.log(u))
         if alpha is not None:
-            # psi(u - alpha) is linear inside the panel; phase shifted by alpha
-            mseg = math.floor(mid - alpha)
-            base = base * (u - alpha - mseg - 0.5) * cmath.exp(-2j * math.pi * nu * alpha)
+            # psi(u - alpha) is linear inside each panel; phase shifted by alpha
+            base = base * (u - alpha - np.floor(mid - alpha)[:, None] - 0.5) * shift
         logs = np.log(u)
         lp = np.ones_like(u)
         for m in range(rmax + 1):
             fv = base * lp
-            vals[m] += complex(half * np.dot(_GL_WEIGHTS, fv))
+            vals[m] = complex(np.add.accumulate(np.append(vals[m], half * np.vecdot(_GL_WEIGHTS, fv)))[-1])
             if mags is not None:
-                mags[m] += float(half * np.dot(_GL_WEIGHTS, np.abs(fv)))
+                mags[m] = float(np.add.accumulate(np.append(mags[m], half * np.vecdot(_GL_WEIGHTS, np.abs(fv))))[-1])
             lp = lp * logs
 
 
@@ -743,30 +755,38 @@ def _osc_remainder_const(K: int, nu: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=4096)  # float keys: bounded, about 16 entries per Lerch call
-def _psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
-    """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k).
+@lru_cache(maxsize=256)  # float keys: bounded, one entry of K sums per oscillatory cutoff
+def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
+    """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k)
+    for k = 1..K.
 
-    Binomial expansion in nu/n reduces the sum to periodic Bernoulli
+    Binomial expansion in nu/n reduces each sum to periodic Bernoulli
     values at combined order k+1+j; converges geometrically at rate nu.
+    The k share one row of those values, each order evaluated once.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
-    acc = 0.0 + 0.0j
-    binom = 1.0  # C(k+j-1, j) at j = 0
-    zj = 1.0 + 0.0j  # (-i nu)^j
-    j = 0
-    while True:
-        term = binom * zj * _phi_bernoulli(k + 1 + j, v)
-        acc += term
-        if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
-            break
-        j += 1
-        if j > 4000:
-            break
-        binom *= (k + j - 1) / j
-        zj *= -1j * nu
-    return -cmath.exp(2j * math.pi * nu * v) * TWO_PI ** (-(k + 1)) * acc
+    phi = [0.0, 0.0]  # phi[m] = _phi_bernoulli(m, v) for m >= 2, grown as the orders rise
+    phase = cmath.exp(2j * math.pi * nu * v)
+    out = []
+    for k in range(1, K + 1):
+        acc = 0.0 + 0.0j
+        binom = 1.0  # C(k+j-1, j) at j = 0
+        zj = 1.0 + 0.0j  # (-i nu)^j
+        j = 0
+        while True:
+            if k + 1 + j == len(phi):
+                phi.append(_phi_bernoulli(k + 1 + j, v))
+            acc += binom * zj * phi[k + 1 + j]
+            if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
+                break
+            j += 1
+            if j > 4000:
+                break
+            binom *= (k + j - 1) / j
+            zj *= -1j * nu
+        out.append(-phase * TWO_PI ** (-(k + 1)) * acc)
+    return tuple(out)
 
 
 def psi_osc_tail_powers(
@@ -801,7 +821,7 @@ def psi_osc_tail_powers(
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     _gl_panels(vals, mags, _psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
-    coeffs = [(-1.0) ** k * _psi_fourier_shift_sum(k + 1, x0 - alpha, nu) for k in range(K)]
+    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     rems = _far_remainders(rows_all, b, x0, sk)
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]

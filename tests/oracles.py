@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from zetalab.sawtooth import power_log_tail_abs
+from zetalab.sawtooth import _check_alpha, power_log_tail_abs
 
 GL64_NODES, GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -137,3 +137,30 @@ def oscillating_series_cutoff(sigma: float, r: int, lam: float, tol: float) -> i
     while n < 8_000_000 and 2.0 * math.log(n) ** r * n**-sigma / gap > tol:
         n *= 2
     return min(n, 8_000_000)
+
+
+def direct_series_oracle(s: complex, alpha: float, lam: float, r: int, N: int) -> complex:
+    """(-1)^r sum_{n=0}^{N} e^{2 pi i lam n} (n+alpha)^{-s} log^r(n+alpha).
+
+    Plain partial sum for Re(s) > 1; the caller chooses N for the target
+    accuracy.  lam = 0 gives the Hurwitz case.
+    """
+    s = complex(s)
+    if s.real <= 1.0:
+        raise ValueError("the direct series needs Re(s) > 1")
+    _check_alpha(alpha)
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    total = 0.0 + 0.0j
+    chunk = 1_000_000
+    for lo in range(0, N + 1, chunk):
+        hi = min(lo + chunk, N + 1)
+        n = np.arange(lo, hi, dtype=float)
+        logs = np.log(n + alpha)
+        terms = np.exp(-s * logs)
+        if r:
+            terms = terms * logs**r
+        if lam:
+            terms = terms * np.exp(2j * np.pi * lam * n)
+        total += complex(terms.sum())
+    return (-1.0) ** r * total

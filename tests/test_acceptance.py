@@ -28,14 +28,13 @@ from zetalab.coefficients import (
 from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
-    direct_series_oracle,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
     z_deriv,
 )
 
-from .oracles import hurwitz_series_cutoff, oscillating_series_cutoff
+from .oracles import direct_series_oracle, hurwitz_series_cutoff, oscillating_series_cutoff
 
 
 def _report(k, text):

@@ -128,6 +128,19 @@ def test_render_json_escapes_and_formats():
     assert parsed["n"] is None and parsed["b"] is True
 
 
+def test_render_json_serves_subclasses_and_non_finite_numbers_by_the_ladder():
+    import numpy as np
+
+    nan, inf = float("nan"), float("inf")
+    plain = {"f": 0.1, "c": complex(1.0, -0.0), "w": complex(inf, nan), "i": 3, "t": (1, [None])}
+    subclassed = {"f": np.float64(0.1), "c": np.complex128(complex(1.0, -0.0)), "w": complex(inf, nan), "i": 3, "t": (1, [None])}
+    doc = render_json(plain)
+    assert doc == render_json(subclassed)
+    assert doc == ('{"schema": "1", "f": 0.10000000000000001, "c": [1, -0], "w": ["inf", "nan"], "i": 3, "t": [1, [null]]}')
+    with pytest.raises(TypeError):
+        render_json({"x": np.int64(3)})
+
+
 def test_threads_flag_is_refused(capsys):
     # the certify thread pool is gone (it only added cost under the GIL):
     # the flag is refused like any unknown option, and the sweep runs serially
@@ -203,11 +216,18 @@ def test_overflow_exits_one_with_one_line(capsys):
         ["eval", "--kind", "lerch", "--s", "1e200,0"],
         ["eval", "--kind", "hurwitz", "--s", "0.5,1e7"],
         ["coeff", "--kind", "gamma", "--alpha", "1e-300", "--r-max", "3"],
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--x", "1e10"],
+        ["eval", "--kind", "z", "--s", "2,0", "--a", "1", "--q", "3", "--x", "1e10"],
+        ["eval", "--kind", "l", "--s", "2,0", "--q", "5", "--label", "2", "--x", "1e10"],
+        ["eval", "--kind", "lerch", "--s", "2,0", "--lambda", "0.3", "--alpha", "0.5", "--x", "1e10"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,0", "--alpha", "0.5", "--x", "1e10"],
+        ["afe", "--kind", "l", "--s", "0.5,0", "--q", "5", "--label", "2", "--x", "1e10"],
     ],
 )
 def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     # the first three would march or walk panels for minutes (a huge cutoff);
-    # the last printed log^3(alpha)/alpha as -inf with a tiny bound
+    # the fourth printed log^3(alpha)/alpha as -inf with a tiny bound; an
+    # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB)
     start = time.perf_counter()
     assert run(argv) == 1
     elapsed = time.perf_counter() - start
@@ -312,6 +332,21 @@ GOLDEN_DIGESTS = [
     (
         ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
         "0ee6afc222d8bfb9d900a77e3c4f5dc37a32c1ee7885e80c8eb8d4bd47cc24f6",
+    ),
+    # recorded before the Gauss-Legendre panels ran as (block x 32) arrays: a
+    # panel walk longer than one block, an explicit Lerch split at t = 300,
+    # and an L-function AFE with two dual-sum terms
+    (
+        ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
+        "08f7eda514d72905dfc506c63bedec49b985c84f9a5ac5a63fc657bc96cc3b0b",
+    ),
+    (
+        ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
+        "e712dcb7bb543ce0f040a42f0c0111383808f0526fe03ba76299bef8e63ee16a",
+    ),
+    (
+        ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
+        "95b0b44cef274d04942a1a125ab03aeed3239eff49f2228c36156afb3c51a962",
     ),
 ]
 

@@ -268,6 +268,13 @@ def test_l0_value_half(chi4):
     assert abs(res.value - (-(1.0 - 3.0) / 4.0)) < 1e-10
 
 
+@pytest.mark.parametrize("route", [l_deriv_at_1_exact, l_deriv_at_0])
+def test_residue_pass_refuses_a_huge_split_before_any_work(chi4, route):
+    # the finite sums over n <= X would take 1e10 points (80 GB per array)
+    with pytest.raises(ValueError, match="work budget"):
+        route(1, chi4, X=1e10)
+
+
 def test_l0_split_independence(chi3):
     for r in (0, 1, 2):
         a = l_deriv_at_0(r, chi3, X=2.0)

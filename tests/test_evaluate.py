@@ -9,7 +9,6 @@ from zetalab.characters import enumerate_characters
 from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
-    direct_series_oracle,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
@@ -18,6 +17,7 @@ from zetalab.evaluate import (
 
 from .oracles import (
     catalan_constant,
+    direct_series_oracle,
     hurwitz_series_cutoff,
     leibniz_pi_4,
     log2_series,

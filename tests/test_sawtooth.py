@@ -19,7 +19,7 @@ from zetalab.sawtooth import (
     _far_remainders,
     _osc_remainder_const,
     _psi_breaks,
-    _psi_fourier_shift_sum,
+    _psi_fourier_shift_sums,
     _row_eval,
     oscillatory_tail,
     periodic_bernoulli,
@@ -31,6 +31,7 @@ from zetalab.sawtooth import (
     psi_tail_powers_batch,
     pure_osc_tail_powers,
     sawtooth_tail,
+    segment_osc_power_log,
 )
 
 from .oracles import euler_gamma_limit, quad_psi_osc_tail, quad_psi_tail
@@ -237,11 +238,12 @@ def test_tail_integral_spec_validation():
 
 
 def test_psi_fourier_shift_cache_stays_bounded():
-    # every alpha adds fresh float keys: 300 calls ask for more entries than the bound
+    # every alpha adds a fresh float key: 300 calls ask for more entries than the bound;
+    # an entry holds the K = 16 sums of one cutoff, so 256 entries hold 4096 sums
     for i in range(300):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.1 + i / 400, s=complex(1.5, 0.0), order=1))
-    info = _psi_fourier_shift_sum.cache_info()
-    assert info.maxsize == 4096
+    info = _psi_fourier_shift_sums.cache_info()
+    assert info.maxsize == 256
     assert info.misses > info.maxsize and info.currsize <= info.maxsize
 
 
@@ -492,3 +494,117 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
         psi_osc_tail_powers(0.5, 0.3, complex(-1.5, 4e6), 0, 1.0)
     # the budget sits far above what the default routes walk
     assert psi_tail_powers(1.0, 0.5, complex(-1.5, 1e4), 0)[1][0] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched Gauss-Legendre panels against the one-panel-at-a-time loop
+# ---------------------------------------------------------------------------
+#
+# ref_gl_panels and ref_psi_fourier_shift_sum are the panel integrator and
+# the shifted Fourier sums as they ran before the panels were evaluated as
+# (block x 32) arrays and the K sums shared one row of Bernoulli values;
+# the kernel must give the same bits.
+
+
+def ref_gl_panels(vals, mags, pts, nu, b, rmax, alpha=None) -> None:
+    for u1, u2 in zip(pts, pts[1:]):
+        half = 0.5 * (u2 - u1)
+        mid = 0.5 * (u1 + u2)
+        u = mid + half * sawtooth._GL_NODES
+        base = np.exp(2j * math.pi * nu * u) * np.exp(b * np.log(u))
+        if alpha is not None:
+            mseg = math.floor(mid - alpha)
+            base = base * (u - alpha - mseg - 0.5) * cmath.exp(-2j * math.pi * nu * alpha)
+        logs = np.log(u)
+        lp = np.ones_like(u)
+        for m in range(rmax + 1):
+            fv = base * lp
+            vals[m] += complex(half * np.dot(sawtooth._GL_WEIGHTS, fv))
+            if mags is not None:
+                mags[m] += float(half * np.dot(sawtooth._GL_WEIGHTS, np.abs(fv)))
+            lp = lp * logs
+
+
+def ref_psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
+    acc = 0.0 + 0.0j
+    binom = 1.0
+    zj = 1.0 + 0.0j
+    j = 0
+    while True:
+        term = binom * zj * sawtooth._phi_bernoulli(k + 1 + j, v)
+        acc += term
+        if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
+            break
+        j += 1
+        if j > 4000:
+            break
+        binom *= (k + j - 1) / j
+        zj *= -1j * nu
+    return -cmath.exp(2j * math.pi * nu * v) * sawtooth.TWO_PI ** (-(k + 1)) * acc
+
+
+def _panel_walk(x: float, panels: int, nu: float, alpha: float | None, rng) -> list[float]:
+    """Break points of a walk of the given length; with alpha, inside the kinks."""
+    if alpha is not None:
+        return _psi_breaks(x, math.floor(x) + panels + 0.5, alpha)[: panels + 1]
+    steps = rng.uniform(0.05, 0.45 / nu, panels)
+    return [x] + (x + np.cumsum(steps)).tolist()
+
+
+@pytest.mark.parametrize("panels", [1, 7, sawtooth._PANEL_BLOCK, sawtooth._PANEL_BLOCK + 1, 3 * sawtooth._PANEL_BLOCK + 40])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
+    rng = np.random.default_rng(panels + 7 * weighted)
+    for rmax in range(9):
+        nu = float(rng.uniform(0.05, 0.95))
+        alpha = float(rng.uniform(1e-6, 1.0)) if weighted else None
+        b = complex(rng.uniform(-2.5, -0.2), rng.uniform(-1200.0, 1200.0))
+        pts = _panel_walk(float(rng.uniform(0.3, 40.0)), panels, nu, alpha, rng)
+        assert len(pts) == panels + 1
+        start = [complex(rng.normal(), rng.normal()) for _ in range(rmax + 1)]
+        for with_mags in (True, False):
+            got, want = list(start), list(start)
+            got_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)] if with_mags else None
+            want_m = list(got_m) if with_mags else None
+            sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
+            ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
+            assert repr(got) == repr(want)
+            assert repr(got_m) == repr(want_m)
+
+
+def test_shift_sums_match_the_per_k_sums_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for nu in (0.05, 0.3, 0.5, 0.9, 0.999):
+        for v in [0.0, 0.5, 12.25] + rng.uniform(-3.0, 5000.0, 3).tolist():
+            got = sawtooth._psi_fourier_shift_sums(sawtooth._K_OSC, v, nu)
+            want = tuple(ref_psi_fourier_shift_sum(k, v, nu) for k in range(1, sawtooth._K_OSC + 1))
+            assert repr(got) == repr(want)
+
+
+def _per_k_shift_sums(K, v, nu):
+    return tuple(ref_psi_fourier_shift_sum(k, v, nu) for k in range(1, K + 1))
+
+
+@pytest.mark.parametrize(
+    "route, args",
+    [
+        (pure_osc_tail_powers, (0.3, complex(-0.5, -1000.0), 1, 160.0)),  # 2788 panels: many blocks
+        (pure_osc_tail_powers, (0.3, complex(-1.5, -300.0), 8, 3.0)),
+        (pure_osc_tail_powers, (-2.0, complex(-1.5, 40.0), 2, 1.2)),  # a dual-sum frequency of the AFE
+        (pure_osc_tail_powers, (0.7, complex(-1.2, 0.0), 0, 1.0)),  # 32 panels: one short block
+        (psi_osc_tail_powers, (0.3, 0.7, complex(-1.5, -1000.0), 1, 160.0)),
+        (psi_osc_tail_powers, (0.3, 0.7, complex(-0.5, -300.0), 2, 3.0)),
+        (psi_osc_tail_powers, (0.95, 0.25, complex(-1.5, 20.0), 5, 1.0)),  # nu near 1: long shift sums
+        (psi_osc_tail_powers, (0.125, 1.0, complex(-2.0, 0.0), 8, 0.5)),
+        (segment_osc_power_log, (1.0, complex(-0.5, -60.0), 1, 10.0 / 3.0)),
+        (segment_osc_power_log, (-2.0, complex(-0.3, -200.0), 2, 9.0)),
+        (segment_osc_power_log, (5.0, complex(-0.5, -400.0), 0, 300.0)),  # 3339 panels
+        (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 2.0)),
+        (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 0.03)),  # the series alone, no panel
+    ],
+)
+def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, route, args):
+    got = route(*args)
+    monkeypatch.setattr(sawtooth, "_gl_panels", ref_gl_panels)
+    monkeypatch.setattr(sawtooth, "_psi_fourier_shift_sums", _per_k_shift_sums)
+    assert repr(got) == repr(route(*args))
