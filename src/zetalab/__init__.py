@@ -3,9 +3,10 @@ their s-derivatives in the half-plane Re(s) > 0, expansion coefficients
 at s = 1 and s = 0, and certification of their explicit error bounds.
 
 Every evaluation carries a rigorous truncation bound alongside its
-value, and each quantity is reachable by at least two independent
-routes (split-sum representations, limit definitions, direct series),
-which the test suite plays against each other.
+value.  The library computes each quantity through its split-sum
+representations; the second, independent routes (limit definitions,
+direct series, plain quadrature) live in the test suite's
+tests/oracles.py, which plays them against the library.
 """
 
 from .afe import afe_hurwitz, afe_l, gamma_factor_derivs
@@ -33,7 +34,6 @@ from .coefficients import (
     CoefficientTable,
     beta_coefficient,
     coefficient_table,
-    convolution_coefficient,
     gamma_aq,
     l_deriv_at_0,
     l_deriv_at_0_all,
@@ -42,10 +42,6 @@ from .coefficients import (
     l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     lerch_taylor_at_1,
-    limit_gamma_aq_extrapolated,
-    limit_gamma_extrapolated,
-    limit_oracle_gamma,
-    limit_oracle_gamma_aq,
     reconstruct_series,
     stieltjes_gamma,
 )
@@ -58,14 +54,7 @@ from .evaluate import (
     z_deriv,
 )
 from .gammafn import complex_gamma, digamma, trigamma
-from .sawtooth import (
-    EvalResult,
-    TailIntegralSpec,
-    oscillatory_tail,
-    psi,
-    psi2,
-    sawtooth_tail,
-)
+from .sawtooth import EvalResult, psi, psi2
 
 __version__ = "0.1.0"
 
@@ -78,7 +67,6 @@ __all__ = [
     "EvalResult",
     "HurwitzArgs",
     "LerchArgs",
-    "TailIntegralSpec",
     "afe_hurwitz",
     "afe_l",
     "beta_coefficient",
@@ -91,7 +79,6 @@ __all__ = [
     "coefficient_table",
     "complex_gamma",
     "conductor",
-    "convolution_coefficient",
     "digamma",
     "enumerate_characters",
     "euler_phi",
@@ -109,16 +96,10 @@ __all__ = [
     "l_deriv_at_1_truncated",
     "lerch_deriv",
     "lerch_taylor_at_1",
-    "limit_gamma_aq_extrapolated",
-    "limit_gamma_extrapolated",
-    "limit_oracle_gamma",
-    "limit_oracle_gamma_aq",
-    "oscillatory_tail",
     "partial_character_sum",
     "psi",
     "psi2",
     "reconstruct_series",
-    "sawtooth_tail",
     "stieltjes_gamma",
     "trigamma",
     "z_deriv",

@@ -35,6 +35,7 @@ from .characters import DirichletCharacter
 from .evaluate import _psi_at_split, _s_tail, _split_floor, pole_term_derivs
 from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
+    _K_OSC,
     EvalResult,
     _check_alpha,
     _check_work,
@@ -48,18 +49,18 @@ __all__ = ["afe_hurwitz", "afe_l", "gamma_factor_derivs"]
 _TWO_PI = 2.0 * math.pi
 
 
-def gamma_factor_derivs(s: complex, n: int, rmax: int, scale: float = 1.0) -> list[complex]:
-    """d^r/ds^r of Gamma(1-s)(2 pi i n / scale)^{s-1} for r = 0..rmax (rmax <= 2).
+def gamma_factor_derivs(s: complex, n: int, rmax: int) -> list[complex]:
+    """d^r/ds^r of Gamma(1-s)(2 pi i n)^{s-1} for r = 0..rmax (rmax <= 2).
 
-    log(2 pi i n) takes the principal branch log(2 pi |n|/scale) +
-    i (pi/2) sign(n); derivatives multiply by powers of the log-derivative
-    -psi0(1-s) + log(2 pi i n / scale) plus the trigamma correction.
+    log(2 pi i n) takes the principal branch log(2 pi |n|) + i (pi/2) sign(n);
+    derivatives multiply by powers of the log-derivative -psi0(1-s) +
+    log(2 pi i n) plus the trigamma correction.
     """
     if n == 0:
         raise ValueError("gamma factors are indexed by nonzero n")
     if rmax > 2:
         raise ValueError("analytic gamma-factor derivatives are provided for r <= 2")
-    ln = math.log(_TWO_PI * abs(n) / scale) + 1j * math.copysign(math.pi / 2.0, n)
+    ln = math.log(_TWO_PI * abs(n)) + 1j * math.copysign(math.pi / 2.0, n)
     base = complex_gamma(1.0 - s) * cmath.exp((s - 1.0) * ln)
     out = [base]
     if rmax >= 1:
@@ -81,17 +82,36 @@ def _check_strip(s: complex, r: int, x: float) -> None:
         raise ValueError("split must be positive")
 
 
+def _dual_sum_panels(s: complex, r: int, x: float, nmid: int) -> float:
+    """About how many panels the 2 nmid walks of the dual sum take.
+
+    The walk of frequency n has about n x / 0.45 panels in its segment
+    integral and n (x0_n - x) / 0.45 in its oscillatory tail, where
+    x0_n = max(x, c/n, 8) with c = (|s + 1| + r + K + 6)/pi is the first
+    cutoff of pure_osc_tail_powers at b = -s - 1; summed in closed form
+    over n = 1..nmid, split where c/n falls below max(x, 8).
+    """
+    c = (abs(s + 1.0) + r + _K_OSC + 6.0) / math.pi
+    floor = max(x, 8.0)
+    k = min(nmid, math.floor(c / floor))
+    return 2.0 * (k * c + floor * (nmid * (nmid + 1) - k * (k + 1)) / 2.0) / 0.45
+
+
 def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
-    """The strip representation without its pole term."""
+    """The strip representation without its pole term.
+
+    The finite sum and the walks of the dual sum are charged to the work
+    budget before any term."""
     t = s.imag
     y = t / (_TWO_PI * x)
     nmid = math.floor(y + 1e-12)
     if nmid >= 1 and s.real >= 1.0:
         raise ValueError("a nonempty dual sum needs Re(s) < 1 (singular segment integrals at Re(s) = 1)")
-    val = 0.0 + 0.0j
-    # finite (n + alpha)-sum
     nmax = _split_floor(x - alpha)
     _check_work(nmax + 1)
+    _check_work(_dual_sum_panels(s, r, x, nmid))
+    val = 0.0 + 0.0j
+    # finite (n + alpha)-sum
     for n in range(0, nmax + 1):
         w = n + alpha
         lw = math.log(w)

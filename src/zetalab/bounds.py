@@ -37,6 +37,7 @@ from .coefficients import (
     lerch_taylor_at_1,
     stieltjes_gamma_all,
 )
+from .sawtooth import _check_order, _check_work
 
 __all__ = [
     "BoundCase",
@@ -53,6 +54,7 @@ __all__ = [
 
 DEFAULT_ALPHA_GRID = tuple(k / 10.0 for k in range(1, 11)) + (1.0 / 3.0, 1.0 / 7.0)
 DEFAULT_Q_SET = (3, 4, 5, 7, 8, 11)
+_GUARD = 10.0  # the guard constant of the T2-IIIb and T3 bounds
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,6 @@ def certify_T2_IIIb(
     r_max: int = 10,
     lam_grid=(0.1, 0.5, 0.9),
     alpha_grid=(0.25, 1.0),
-    guard: float = 10.0,
 ) -> BoundReport:
     """Lerch Taylor-coefficient deviation with the guard-constant bound."""
     cases = []
@@ -178,22 +179,26 @@ def certify_T2_IIIb(
                 main = (-1.0) ** r * la**r / (math.factorial(r) * alpha)
                 measured = abs(coef - main)
                 shape = math.exp(r * (math.log(r) - 1.0) - _log_factorial(r))
-                bound = guard * shape * (1.0 / lam + 1.0 / (1.0 - lam))
+                bound = _GUARD * shape * (1.0 / lam + 1.0 / (1.0 - lam))
                 cases.append(BoundCase({"r": r, "lam": lam, "alpha": alpha}, measured, bound))
     return BoundReport("T2_IIIb", tuple(cases))
 
 
-def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8, guard: float = 10.0) -> BoundReport:
+def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
     """Truncated character sums at s = 1 and s = 0 against the exact routes.
 
     For every primitive character mod q in q_set and 1 <= r <= r_max:
 
-      s=1: |trunc(X = q e^{r/2}) - exact| <= guard q^{-1/2} e^{-r/2} log q (log q + r/2)^r
-      s=0: |trunc(X = q e^{r-1}) - exact| <= guard q^{1/2} log q (log q + r)^r
-      size: |L^{(r)}(1, chi)| <= guard (log q + r/2)^{r+1}
+      s=1: |trunc(X = q e^{r/2}) - exact| <= 10 q^{-1/2} e^{-r/2} log q (log q + r/2)^r
+      s=0: |trunc(X = q e^{r-1}) - exact| <= 10 q^{1/2} log q (log q + r)^r
+      size: |L^{(r)}(1, chi)| <= 10 (log q + r/2)^{r+1}
 
     Case parameters carry the observed implied constant measured/shape.
+    The order cap and the largest truncated sum, q e^{r_max - 1} terms at
+    s = 0, are checked before any work.
     """
+    _check_order(r_max)
+    _check_work(max(q_set, default=1) * math.exp(r_max - 1))
     cases = []
     for q in q_set:
         prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
@@ -214,7 +219,7 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8, guard: float = 10.0) -> Boun
                     BoundCase(
                         {"q": q, "label": chi.label, "r": r, "point": 1, "observed": meas1 / shape1},
                         meas1,
-                        guard * shape1,
+                        _GUARD * shape1,
                     )
                 )
                 exact0 = exact0_all[r - 1][i]
@@ -225,14 +230,14 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8, guard: float = 10.0) -> Boun
                     BoundCase(
                         {"q": q, "label": chi.label, "r": r, "point": 0, "observed": meas0 / shape0},
                         meas0,
-                        guard * shape0,
+                        _GUARD * shape0,
                     )
                 )
                 cases.append(
                     BoundCase(
                         {"q": q, "label": chi.label, "r": r, "point": "size"},
                         abs(exact1.value),
-                        guard * (lq + r / 2.0) ** (r + 1),
+                        _GUARD * (lq + r / 2.0) ** (r + 1),
                     )
                 )
     return BoundReport("T3", tuple(cases))

@@ -39,7 +39,6 @@ __all__ = [
     "partial_character_sum",
     "euler_phi",
     "factorize",
-    "divisors",
 ]
 
 
@@ -67,13 +66,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _primitive_root_mod_pk(p: int, e: int) -> int:

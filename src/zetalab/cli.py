@@ -7,8 +7,8 @@ numbers as [re, im] pairs, so identical requests produce byte-identical
 output.  --csv is available for the tabular subcommands.
 
 Exit codes: 0 success, 1 validation error (non-finite numbers are refused
-while parsing, runaway tails before any work) or binary64 overflow, 2
-failed bound assertion.
+while parsing, runaway work before any is done), binary64 overflow or an
+unwritable --output file, 2 failed bound assertion.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .afe import afe_hurwitz, afe_l
 from .characters import character, enumerate_characters
 from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
-from .sawtooth import TailIntegralSpec, oscillatory_tail, sawtooth_tail
+from .sawtooth import EvalResult, _check_order, psi_osc_tail_powers, psi_tail_powers
 
 __all__ = ["main", "run", "render_json"]
 
@@ -118,28 +118,30 @@ def _cmd_characters(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_tail(args) -> tuple[int, str]:
-    spec = TailIntegralSpec(
-        lower=args.x,
-        shift=args.alpha,
-        exponent=complex(args.re_a, args.im_a),
-        log_power=args.r,
-        oscillation=args.lam,
-    )
-    res = oscillatory_tail(spec) if args.lam else sawtooth_tail(spec)
-    payload = {
-        "command": "tail",
-        "x": args.x,
-        "alpha": args.alpha,
-        "exponent": complex(args.re_a, args.im_a),
-        "r": args.r,
-        "lambda": args.lam,
-        "value": res.value,
-        "error_bound": res.error_bound,
-    }
+def _value_report(args, fields: dict, res: EvalResult) -> tuple[int, str]:
+    """The report of one value: the request's fields, the value and its bound."""
     if args.json:
-        return 0, render_json(payload)
+        return 0, render_json({"command": args.command, **fields, "value": res.value, "error_bound": res.error_bound})
     return 0, f"value = {res.value}  error_bound = {res.error_bound:.3e}"
+
+
+def _cmd_tail(args) -> tuple[int, str]:
+    b = complex(args.re_a, args.im_a)
+    if not args.x > 0.0:
+        raise ValueError("lower limit must be positive")
+    if not 0.0 < args.alpha <= 1.0:
+        raise ValueError("shift must lie in (0, 1]")
+    _check_order(args.r)
+    if not 0.0 <= args.lam < 1.0:
+        raise ValueError("oscillation must lie in [0, 1)")
+    if args.lam:
+        vals, errs = psi_osc_tail_powers(args.lam, args.alpha, b, args.r, args.x)
+    elif b.real > -1.0:
+        raise ValueError("non-oscillatory tail requires Re(exponent) <= -1")
+    else:
+        vals, errs = psi_tail_powers(args.x, args.alpha, b, args.r)
+    fields = {"x": args.x, "alpha": args.alpha, "exponent": b, "r": args.r, "lambda": args.lam}
+    return _value_report(args, fields, EvalResult(vals[args.r], errs[args.r]))
 
 
 def _cmd_eval(args) -> tuple[int, str]:
@@ -157,19 +159,7 @@ def _cmd_eval(args) -> tuple[int, str]:
     else:
         res = lerch_deriv(LerchArgs(lam=args.lam, alpha=args.alpha, s=s, order=args.r, split=args.x))
         params = {"lambda": args.lam, "alpha": args.alpha}
-    payload = {
-        "command": "eval",
-        "kind": args.kind,
-        "s": s,
-        "r": args.r,
-        "x": args.x,
-        **params,
-        "value": res.value,
-        "error_bound": res.error_bound,
-    }
-    if args.json:
-        return 0, render_json(payload)
-    return 0, f"value = {res.value}  error_bound = {res.error_bound:.3e}"
+    return _value_report(args, {"kind": args.kind, "s": s, "r": args.r, "x": args.x, **params}, res)
 
 
 def _cmd_coeff(args) -> tuple[int, str]:
@@ -208,15 +198,19 @@ def _cmd_coeff(args) -> tuple[int, str]:
 
 
 def _certify_report(args):
+    # an absent --r-max leaves each sweep at its own default
+    if args.r_max is not None and args.r_max < 1:
+        raise ValueError("--r-max must be at least 1")
+    orders = {} if args.r_max is None else {"r_max": args.r_max}
     if args.bound == "t2-ib":
-        return bounds_mod.certify_T2_Ib(r_max=args.r_max or 20)
+        return bounds_mod.certify_T2_Ib(**orders)
     if args.bound == "t2-iib":
-        return bounds_mod.certify_T2_IIb(r_max=args.r_max or 20)
+        return bounds_mod.certify_T2_IIb(**orders)
     if args.bound == "t2-iiib":
-        return bounds_mod.certify_T2_IIIb(r_max=args.r_max or 10)
+        return bounds_mod.certify_T2_IIIb(**orders)
     if args.bound == "t3":
         q_set = tuple(args.q) if args.q else bounds_mod.DEFAULT_Q_SET
-        return bounds_mod.certify_T3(q_set=q_set, r_max=args.r_max or 8)
+        return bounds_mod.certify_T3(q_set=q_set, **orders)
     if args.bound == "ishikawa":
         return bounds_mod.ishikawa_compare(args.q[0] if args.q else 5)
     return bounds_mod.certify_polya_vinogradov()
@@ -226,14 +220,10 @@ def _cmd_certify(args) -> tuple[int, str]:
     report = _certify_report(args)
     asserted = report.bound_id not in ("Ishikawa_compare",)
     status = 0 if (report.all_pass or not asserted) else 2
-    rows = [
-        {"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin}
-        for c in report.cases
-    ]
-    info = [
-        {"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin}
-        for c in report.informational
-    ]
+    rows, info = (
+        [{"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin} for c in cases]
+        for cases in (report.cases, report.informational)
+    )
     if args.json:
         payload = {
             "command": "certify",
@@ -273,19 +263,7 @@ def _cmd_afe(args) -> tuple[int, str]:
         chi = character(args.q, args.label)
         res = afe_l(args.s, chi, args.r, args.x)
         params = {"q": args.q, "label": args.label}
-    payload = {
-        "command": "afe",
-        "kind": args.kind,
-        "s": args.s,
-        "r": args.r,
-        "x": args.x,
-        **params,
-        "value": res.value,
-        "error_bound": res.error_bound,
-    }
-    if args.json:
-        return 0, render_json(payload)
-    return 0, f"value = {res.value}  error_bound = {res.error_bound:.3e}"
+    return _value_report(args, {"kind": args.kind, "s": args.s, "r": args.r, "x": args.x, **params}, res)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +362,12 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return status

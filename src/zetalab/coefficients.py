@@ -55,15 +55,9 @@ __all__ = [
     "CoefficientKind",
     "stieltjes_gamma",
     "stieltjes_gamma_all",
-    "limit_oracle_gamma",
-    "limit_gamma_extrapolated",
-    "richardson_fit",
     "beta_coefficient",
     "beta_coefficient_all",
     "gamma_aq",
-    "convolution_coefficient",
-    "limit_oracle_gamma_aq",
-    "limit_gamma_aq_extrapolated",
     "l_deriv_at_1_exact",
     "l_deriv_at_1_exact_all",
     "l_deriv_at_1_truncated",
@@ -109,75 +103,6 @@ def stieltjes_gamma(r: int, alpha: float) -> EvalResult:
     return stieltjes_gamma_all(r, alpha)[r]
 
 
-def limit_oracle_gamma(r: int, alpha: float, N: int) -> float:
-    """Partial value of the defining limit at cutoff N (no corrections).
-
-    Returns sum_{n=0}^{N} log^r(n+alpha)/(n+alpha) - log^{r+1}(N+alpha)/(r+1);
-    convergence is O(log^r N / N), so callers extrapolate.
-    """
-    _check_alpha(alpha)
-    if N < 10:
-        raise ValueError("need N >= 10")
-    total = 0.0
-    chunk = 2_000_000
-    for lo in range(0, N + 1, chunk):
-        hi = min(lo + chunk, N + 1)
-        w = np.arange(lo, hi, dtype=float) + alpha
-        if r:
-            total += float(np.sum(np.log(w) ** r / w))
-        else:
-            total += float(np.sum(1.0 / w))
-    return total - math.log(N + alpha) ** (r + 1) / (r + 1)
-
-
-def richardson_fit(values, shapes):
-    """Solve value_j = L + sum_i c_i * shapes[j][i] for the limit L.
-
-    values: sequence of partial values; shapes: per-value sequence of the
-    assumed error shapes (one fewer than the number of values).
-    """
-    values = list(values)
-    n = len(values)
-    a = np.ones((n, n))
-    for j, sh in enumerate(shapes):
-        if len(sh) != n - 1:
-            raise ValueError("need one shape fewer than values")
-        a[j, 1:] = sh
-    sol = np.linalg.solve(a, np.asarray(values, dtype=float))
-    return float(sol[0])
-
-
-def _endpoint_corrections(r: int, w: float, step: float) -> float:
-    """Euler-Maclaurin boundary terms g(w)/2 + step g'(w)/12 - step^3 g'''(w)/720
-    for g(w) = log^r w / w (the O(1/N) part of the defining limits)."""
-    lw = math.log(w)
-
-    def gk(k: int) -> float:
-        # k-th derivative of u^{-1} log^r u, evaluated at w
-        coeffs = [0.0] * (r + 1)
-        coeffs[r] = 1.0
-        for j in range(k):
-            nxt = [0.0] * (r + 1)
-            for i in range(r + 1):
-                nxt[i] = (-1.0 - j) * coeffs[i]
-                if i + 1 <= r:
-                    nxt[i] += (i + 1) * coeffs[i + 1]
-            coeffs = nxt
-        return sum(c * lw**i for i, c in enumerate(coeffs)) * w ** (-1.0 - k)
-
-    return gk(0) / 2.0 + step * gk(1) / 12.0 - step**3 * gk(3) / 720.0
-
-
-def limit_gamma_extrapolated(r: int, alpha: float, N: int = 400_000) -> float:
-    """Limit-definition value with Euler-Maclaurin endpoint corrections.
-
-    Residual error is O(log^r N / N^5), far below the double-precision
-    scale of the constants themselves for N >= 1e5.
-    """
-    raw = limit_oracle_gamma(r, alpha, N)
-    return raw - _endpoint_corrections(r, N + alpha, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Taylor coefficients at s = 0
 # ---------------------------------------------------------------------------
@@ -214,19 +139,6 @@ def beta_coefficient(r: int, alpha: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def convolution_coefficient(n: int, q: int, alpha: float) -> float:
-    """c_n(q, alpha) = sum_{j=0}^{n} gammaL_{n-j}(alpha) (-1)^j log^j q / j!,
-    with gammaL the Laurent coefficients (-1)^m gamma_m(alpha)/m!."""
-    gam = stieltjes_gamma_all(n, alpha)
-    lq = math.log(q)
-    acc = 0.0
-    for j in range(n + 1):
-        m = n - j
-        laurent = (-1.0) ** m * gam[m].value.real / math.factorial(m)
-        acc += laurent * (-1.0) ** j * lq**j / math.factorial(j)
-    return acc
-
-
 def gamma_aq(r: int, a: int, q: int) -> EvalResult:
     """gamma_r(a, q) by the binomial convolution over the classical
     constants gamma_{r-l}(a/q) (module docstring)."""
@@ -243,36 +155,6 @@ def gamma_aq(r: int, a: int, q: int) -> EvalResult:
         err += c * gam[r - l].error_bound
     val = (acc - lq ** (r + 1) / (r + 1)) / q
     return EvalResult(complex(val), err / q)
-
-
-def limit_oracle_gamma_aq(r: int, a: int, q: int, N: int) -> float:
-    """Partial value of the progression limit at cutoff N (no corrections):
-    sum_{n = a (mod q), n <= N} log^r n / n - log^{r+1} N / (q (r+1))."""
-    if q < 1 or not 1 <= a <= q:
-        raise ValueError("need 1 <= a <= q")
-    if N < q:
-        raise ValueError("need N >= q")
-    total = 0.0
-    pts = np.arange(a if a >= 1 else q, N + 1, q, dtype=float)
-    pts = pts[pts >= 1.0]
-    logs = np.log(pts)
-    if r:
-        total = float(np.sum(logs**r / pts))
-    else:
-        total = float(np.sum(1.0 / pts))
-    return total - math.log(N) ** (r + 1) / (q * (r + 1))
-
-
-def limit_gamma_aq_extrapolated(r: int, a: int, q: int, N: int = 400_000) -> float:
-    """Progression limit with the cutoff snapped to n = a (mod q) and
-    Euler-Maclaurin endpoint corrections (residual O(log^r N / N^5)).
-
-    Snapping pins the sawtooth boundary term psi((N-a)/q) at its integer
-    value, which plain shape-based extrapolation cannot follow.
-    """
-    ns = N - ((N - a) % q)
-    raw = limit_oracle_gamma_aq(r, a, q, ns)
-    return raw - _endpoint_corrections(r, float(ns), float(q))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +263,9 @@ def _truncated_terms(r: int, chi: DirichletCharacter, log_x_over_q: float):
     if not chi.is_primitive or chi.modulus < 3:
         raise ValueError("truncation bound requires a primitive character mod q >= 3")
     _check_order(r)
-    n = np.arange(1, math.floor(chi.modulus * math.exp(log_x_over_q) + 1e-12) + 1)
+    count = math.floor(chi.modulus * math.exp(log_x_over_q) + 1e-12)
+    _check_work(count)
+    n = np.arange(1, count + 1)
     return n, np.asarray(chi.values, dtype=complex)[n % chi.modulus], np.log(n.astype(float))
 
 
@@ -507,9 +391,6 @@ class CoefficientTable:
     kind: str
     parameters: dict
     entries: tuple[CoefficientEntry, ...]
-
-    def values(self) -> list[complex]:
-        return [e.value for e in self.entries]
 
 
 class CoefficientKind(NamedTuple):

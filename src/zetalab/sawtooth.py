@@ -53,12 +53,9 @@ import numpy as np
 __all__ = [
     "MAX_ORDER",
     "EvalResult",
-    "TailIntegralSpec",
     "psi",
     "psi2",
     "periodic_bernoulli",
-    "sawtooth_tail",
-    "oscillatory_tail",
     "psi_tail_powers",
     "psi_tail_powers_batch",
     "pure_osc_tail_powers",
@@ -93,27 +90,6 @@ class EvalResult:
     def __post_init__(self):
         if not math.isfinite(self.error_bound) or self.error_bound < 0.0:
             raise ValueError(f"error bound must be finite and nonnegative, got {self.error_bound}")
-
-
-@dataclass(frozen=True)
-class TailIntegralSpec:
-    """Parameters of int_lower^inf psi(u-shift) u^exponent log^log_power u
-    (times e^{2 pi i oscillation (u-shift)} when oscillation > 0)."""
-
-    lower: float
-    shift: float
-    exponent: complex
-    log_power: int
-    oscillation: float = 0.0
-
-    def __post_init__(self):
-        if not self.lower > 0.0:
-            raise ValueError("lower limit must be positive")
-        if not 0.0 < self.shift <= 1.0:
-            raise ValueError("shift must lie in (0, 1]")
-        _check_order(self.log_power)
-        if not 0.0 <= self.oscillation < 1.0:
-            raise ValueError("oscillation must lie in [0, 1)")
 
 
 def psi(u: float) -> float:
@@ -464,20 +440,6 @@ _TOL_REL = 1e-12
 _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
 
 
-def _psi_breaks(lo: float, hi: float, alpha: float) -> list[float]:
-    """Breakpoints lo < m + alpha < hi where psi(u - alpha) has kinks."""
-    pts = [lo]
-    m = math.floor(lo - alpha + 1e-12) + 1
-    v = m + alpha
-    while v < hi - 1e-12:
-        if v > lo + 1e-12:
-            pts.append(v)
-        m += 1
-        v = m + alpha
-    pts.append(hi)
-    return pts
-
-
 _BLOCK = 2048  # segments per block of the march: memory stays flat in its length
 _WORK_BUDGET = 2e6  # terms of one finite sum, or unit intervals (plain) or panels (oscillatory) of one tail
 
@@ -491,15 +453,19 @@ def _check_work(pieces: float) -> None:
 
 
 def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first kink index m1 (kinks m + alpha strictly inside
-    (lo, hi) by the 1e-12 margins of _psi_breaks) and the segment count."""
+    """Per row, the first kink index m1 and the segment count: the kinks
+    m + alpha of psi(u - alpha) with lo + 1e-12 < m + alpha < hi - 1e-12
+    cut (lo, hi) into count segments on which psi is linear.
+
+    Each adjustment stops where a unit step no longer changes the float
+    (beyond 2^53, where the kinks are not distinct), so the walk ends."""
     first = np.floor(lo - alphas + 1e-12) + 1.0
-    while (low := first + alphas <= lo + 1e-12).any():
+    while (low := (first + alphas <= lo + 1e-12) & (first + 1.0 > first)).any():
         first += low
     last = np.floor(hi - alphas)
-    while (up := (last + 1.0) + alphas < hi - 1e-12).any():
+    while (up := ((last + 1.0) + alphas < hi - 1e-12) & (last + 1.0 > last)).any():
         last += up
-    while (down := last + alphas >= hi - 1e-12).any():
+    while (down := (last + alphas >= hi - 1e-12) & (last - 1.0 < last)).any():
         last -= down
     return first, np.maximum(last - first + 1.0, 0.0).astype(np.int64) + 1
 
@@ -624,16 +590,6 @@ def psi_tail_powers(
     return psi_tail_powers_batch(x, [alpha], b, rmax, tol_abs=tol_abs, tol_rel=tol_rel, u_start=u_start)[0]
 
 
-def sawtooth_tail(spec: TailIntegralSpec) -> EvalResult:
-    """Plain sawtooth-weighted tail for the given parameter set (no oscillation)."""
-    if spec.oscillation != 0.0:
-        raise ValueError("sawtooth_tail handles the non-oscillatory kernel; use oscillatory_tail")
-    if complex(spec.exponent).real > -1.0:
-        raise ValueError("non-oscillatory tail requires Re(exponent) <= -1")
-    vals, errs = psi_tail_powers(spec.lower, spec.shift, spec.exponent, spec.log_power)
-    return EvalResult(vals[spec.log_power], errs[spec.log_power])
-
-
 # ---------------------------------------------------------------------------
 # oscillatory tails
 # ---------------------------------------------------------------------------
@@ -686,14 +642,23 @@ def _gl_panels(
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
 
 
-def pure_osc_tail_powers(
-    nu: float,
-    b: complex,
-    rmax: int,
-    x: float,
-    *,
-    tol_abs: float = _TOL_ABS,
-) -> tuple[list[complex], list[float]]:
+def _osc_cutoff(b: complex, rmax: int, x: float, x0: float, scale: float, panel_cap: float):
+    """The far-tail rows of g_m = u^b log^m u (m = 0..rmax), the cutoff and
+    its remainders scale * int_x0^inf |g_m^{(K)}|.
+
+    x0 doubles on the closed-form remainder alone, while the walk from x to
+    2 x0 stays under the caller's panel cap (which keeps the growth inside
+    the work budget) and x0 under 5e7.
+    """
+    rows_all = [_deriv_rows(b, r, _K_OSC) for r in range(rmax + 1)]
+    while True:
+        rems = _far_remainders(rows_all, b, x0, scale)
+        if not (max(rems) > _TOL_ABS and 2.0 * x0 - x < panel_cap and x0 < 5e7):
+            return rows_all, x0, rems
+        x0 *= 2.0
+
+
+def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
     """int_x^inf e^{2 pi i nu u} u^b log^m u du for m = 0..rmax.
 
     Requires nu != 0 and Re(b) < 0.  Gauss-Legendre panels to an adaptive
@@ -707,17 +672,11 @@ def pure_osc_tail_powers(
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
     anu = abs(nu)
-    # grow the cutoff on the closed-form remainder alone, under a panel cap
-    # (which keeps the growth inside the work budget); the deep by-parts
-    # expansion keeps x0 (hence panel rounding) small
+    # the deep by-parts expansion keeps x0 (hence panel rounding) small
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * anu), 8.0)
     step_cap = 0.45 / max(anu, 1e-12)
     _check_work((x0 - x) / step_cap)
-    rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
-    scale = (TWO_PI * anu) ** (-K)
-    panel_cap = 4000.0 * max(0.45 / anu, 0.5)
-    while max(_far_remainders(rows_all, b, x0, scale)) > tol_abs and 2.0 * x0 - x < panel_cap and x0 < 5e7:
-        x0 *= 2.0
+    rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, (TWO_PI * anu) ** (-K), 4000.0 * max(0.45 / anu, 0.5))
     pts = [x]
     u = x
     while u < x0 - 1e-12:
@@ -732,7 +691,6 @@ def pure_osc_tail_powers(
     for _ in range(K - 1):
         coeffs.append(coeffs[-1] * -iw)
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
-    rems = _far_remainders(rows_all, b, x0, scale)
     phase = cmath.exp(2j * math.pi * nu * x0)
     return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
 
@@ -789,15 +747,7 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def psi_osc_tail_powers(
-    nu: float,
-    alpha: float,
-    b: complex,
-    rmax: int,
-    x: float,
-    *,
-    tol_abs: float = _TOL_ABS,
-) -> tuple[list[complex], list[float]]:
+def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
     """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m = 0..rmax.
 
     Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff;
@@ -811,40 +761,18 @@ def psi_osc_tail_powers(
     if b.real >= 0.0:
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
-    # one panel per unit interval; the panel cap keeps the growth inside the budget
+    # one panel per unit interval, between the kinks of psi(u - alpha) that the march uses
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
     _check_work(x0 - x)
-    rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
-    sk = _osc_remainder_const(K, nu)
-    while max(_far_remainders(rows_all, b, x0, sk)) > tol_abs and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
-        x0 *= 2.0
+    rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, _osc_remainder_const(K, nu), 4000.0)
+    first, count = _kinks(x, x0, np.array([alpha]))
+    pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
-    _gl_panels(vals, mags, _psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
+    _gl_panels(vals, mags, pts, nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
-    rems = _far_remainders(rows_all, b, x0, sk)
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
-
-
-def oscillatory_tail(spec: TailIntegralSpec, weighted: bool = True) -> EvalResult:
-    """Oscillatory tail for the given parameter set.
-
-    weighted=True includes the psi(u-shift) factor; weighted=False is the
-    plain Fresnel-type tail int e^{2 pi i osc (u-shift)} u^b log^r u du.
-    """
-    lam = spec.oscillation
-    b = complex(spec.exponent)
-    if lam == 0.0:
-        if not weighted and b.real >= -1.0:
-            raise ValueError("plain power tail with Re(exponent) >= -1 diverges without oscillation")
-        return sawtooth_tail(spec)
-    if weighted:
-        vals, errs = psi_osc_tail_powers(lam, spec.shift, b, spec.log_power, spec.lower)
-        return EvalResult(vals[spec.log_power], errs[spec.log_power])
-    vals, errs = pure_osc_tail_powers(lam, b, spec.log_power, spec.lower)
-    phase = cmath.exp(-2j * math.pi * lam * spec.shift)
-    return EvalResult(phase * vals[spec.log_power], errs[spec.log_power])
 
 
 # ---------------------------------------------------------------------------

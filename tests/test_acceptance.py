@@ -20,9 +20,6 @@ from zetalab.coefficients import (
     gamma_aq,
     l_deriv_at_0,
     l_deriv_at_1_exact,
-    limit_gamma_aq_extrapolated,
-    limit_oracle_gamma,
-    richardson_fit,
     stieltjes_gamma,
 )
 from zetalab.evaluate import (
@@ -34,7 +31,14 @@ from zetalab.evaluate import (
     z_deriv,
 )
 
-from .oracles import direct_series_oracle, hurwitz_series_cutoff, oscillating_series_cutoff
+from .oracles import (
+    direct_series_oracle,
+    hurwitz_series_cutoff,
+    limit_gamma_aq_extrapolated,
+    limit_oracle_gamma,
+    oscillating_series_cutoff,
+    richardson_fit,
+)
 
 
 def _report(k, text):

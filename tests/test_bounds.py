@@ -11,6 +11,8 @@ from zetalab.bounds import (
     certify_T3,
     ishikawa_compare,
 )
+from zetalab.characters import enumerate_characters
+from zetalab.coefficients import l_deriv_at_0_truncated
 
 
 def test_t2_ib_all_pass_and_example_case():
@@ -96,6 +98,26 @@ def test_t3_computes_each_tail_integral_once(monkeypatch):
     assert len(rows) == 448
     assert len(set(rows)) == 448
     assert rep.all_pass
+
+
+def test_t3_refuses_runaway_truncated_sums_before_any_work(monkeypatch):
+    # the s = 0 truncated sum has q e^{r-1} terms: at q = 11 that is 1.8e6 at
+    # r = 13, inside the work budget, and 4.9e6 at r = 14, beyond it
+    import zetalab.bounds as bounds_mod
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a residue pass ran")
+
+    monkeypatch.setattr(bounds_mod, "enumerate_characters", no_pass)
+    with pytest.raises(ValueError, match="work budget"):
+        certify_T3(r_max=14)
+    with pytest.raises(ValueError, match="work budget"):
+        certify_T3(q_set=(3,), r_max=20)
+    monkeypatch.undo()
+    chi = next(c for c in enumerate_characters(11) if c.is_primitive and not c.is_principal)
+    with pytest.raises(ValueError, match="work budget"):
+        l_deriv_at_0_truncated(14, chi)
+    assert math.isfinite(abs(l_deriv_at_0_truncated(13, chi).value))
 
 
 def test_t3_rejects_modulus_without_primitive_characters():

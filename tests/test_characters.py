@@ -13,13 +13,14 @@ from zetalab.characters import (
     DirichletCharacter,
     character,
     conductor,
-    divisors,
     enumerate_characters,
     euler_phi,
     factorize,
     gauss_sum,
     partial_character_sum,
 )
+
+from .oracles import divisors
 
 TOL = 1e-12
 

@@ -163,6 +163,26 @@ def test_output_to_file(tmp_path, capsys):
     assert doc["entries"][0]["value"][0] == pytest.approx(0.2, abs=1e-12)
 
 
+def test_unwritable_output_is_refused_with_one_line(tmp_path, capsys):
+    # the report used to end in a FileNotFoundError traceback
+    target = tmp_path / "missing" / "out.txt"
+    assert run(["--output", str(target), "eval", "--kind", "hurwitz", "--s", "2,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+
+
+@pytest.mark.parametrize("r_max", ["0", "-2"])
+@pytest.mark.parametrize("bound", ["t2-ib", "t3", "polya"])
+def test_certify_r_max_below_one_is_refused(capsys, bound, r_max):
+    # --r-max 0 used to run the default 240 cases, --r-max -2 none with exit 0
+    assert run(["certify", "--bound", bound, "--r-max", r_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --r-max must be at least 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -222,12 +242,19 @@ def test_overflow_exits_one_with_one_line(capsys):
         ["eval", "--kind", "lerch", "--s", "2,0", "--lambda", "0.3", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "hurwitz", "--s", "0.5,0", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "l", "--s", "0.5,0", "--q", "5", "--label", "2", "--x", "1e10"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.1"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.03"],
+        ["certify", "--bound", "t3", "--r-max", "14"],
+        ["certify", "--bound", "t3", "--r-max", "20"],
     ],
 )
 def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     # the first three would march or walk panels for minutes (a huge cutoff);
     # the fourth printed log^3(alpha)/alpha as -inf with a tiny bound; an
-    # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB)
+    # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB);
+    # a small AFE split walks 2 t/(2 pi x) dual-sum frequencies (4.1e6 and
+    # 4.5e7 panels, 18.6 s and over 100 s); t3 at r_max = 20 would build a
+    # truncated sum of q e^{r-1} = 2e9 terms (r_max = 13 still runs)
     start = time.perf_counter()
     assert run(argv) == 1
     elapsed = time.perf_counter() - start
@@ -235,6 +262,40 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 5.0
+
+
+TAIL_REFUSALS = [
+    (["--x", "-1"], "lower limit must be positive"),
+    (["--alpha", "1.5"], "shift must lie in (0, 1]"),
+    (["--lambda", "1"], "oscillation must lie in [0, 1)"),
+    (["--r", "25"], "order must lie in 0..24"),
+    (["--r", "-1"], "order must lie in 0..24"),
+    (["--re-a", "-0.5"], "non-oscillatory tail requires Re(exponent) <= -1"),
+    (["--re-a", "0.5", "--lambda", "0.3"], "oscillatory tail requires Re(exponent) < 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    TAIL_REFUSALS,
+    ids=[",".join(f"{k.lstrip('-')}={v}" for k, v in zip(f[::2], f[1::2])) for f, _ in TAIL_REFUSALS],
+)
+def test_tail_refuses_parameters_outside_its_domain(capsys, flags, message):
+    # the last flag given wins, so each case overrides one valid default
+    argv = ["tail", "--x", "1", "--alpha", "0.5", "--re-a", "-2"] + flags
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_tail_accepts_the_edges_of_its_domain(capsys):
+    # Re(exponent) = -1 without oscillation, alpha = 1, the order cap and
+    # Re(exponent) > -1 with oscillation
+    for flags in (["--re-a", "-1"], ["--alpha", "1"], ["--r", "24"], ["--re-a", "-0.5", "--lambda", "0.3"]):
+        status, out = run_capture(capsys, ["tail", "--x", "1", "--alpha", "0.5", "--re-a", "-2", "--json"] + flags)
+        assert status == 0
+        assert json.loads(out)["error_bound"] >= 0.0
 
 
 def test_tail_log_power_is_capped(capsys):
@@ -354,5 +415,34 @@ GOLDEN_DIGESTS = [
 @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS, ids=[" ".join(a) for a, _ in GOLDEN_DIGESTS])
 def test_json_output_matches_golden_digest(capsys, argv, digest):
     status, out = run_capture(capsys, argv + ["--json"])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the text (no --json) stdout, recorded before eval, afe and tail
+# shared one value report
+TEXT_DIGESTS = [
+    (
+        ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
+        "d5547ffc8702d3311aa8ffdb82391a1c16cde1a58a0a4d60a82a522772daebd7",
+    ),
+    (
+        ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
+        "8b86ab7baea32572748e6322b827a3eb67a941f25efe07a605cbea3fd1da3cb5",
+    ),
+    (
+        ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
+        "3c01bd247fb3dc85ad11e25909ceb01280252fcf9e96d47f0159cd4fd6edfffe",
+    ),
+    (
+        ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
+        "78e8ddce5527a611fe03e06bddb5d44f9eabe6d20e581b99a070e73c3db9b5c9",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TEXT_DIGESTS, ids=[" ".join(a) for a, _ in TEXT_DIGESTS])
+def test_text_output_matches_golden_digest(capsys, argv, digest):
+    status, out = run_capture(capsys, argv)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,7 +8,6 @@ from zetalab.characters import character, enumerate_characters
 from zetalab.coefficients import (
     beta_coefficient,
     coefficient_table,
-    convolution_coefficient,
     gamma_aq,
     l_deriv_at_0,
     l_deriv_at_0_all,
@@ -17,18 +16,23 @@ from zetalab.coefficients import (
     l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     lerch_taylor_at_1,
-    limit_gamma_aq_extrapolated,
-    limit_gamma_extrapolated,
-    limit_oracle_gamma,
-    limit_oracle_gamma_aq,
     reconstruct_series,
-    richardson_fit,
     stieltjes_gamma,
 )
 from zetalab.evaluate import HurwitzArgs, LerchArgs, _psi_at_split, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
 from zetalab.sawtooth import EvalResult, psi_tail_powers
 
-from .oracles import leibniz_pi_4, log2_series, zeta_eta
+from .oracles import (
+    convolution_coefficient,
+    leibniz_pi_4,
+    limit_gamma_aq_extrapolated,
+    limit_gamma_extrapolated,
+    limit_oracle_gamma,
+    limit_oracle_gamma_aq,
+    log2_series,
+    richardson_fit,
+    zeta_eta,
+)
 
 mp.mp.dps = 25
 

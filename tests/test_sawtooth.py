@@ -12,16 +12,12 @@ from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, lerch_deriv
 from zetalab.sawtooth import (
     _K_TAIL,
     _PSI_TILDE_ABS,
-    MAX_ORDER,
     EvalResult,
-    TailIntegralSpec,
     _deriv_rows,
     _far_remainders,
     _osc_remainder_const,
-    _psi_breaks,
     _psi_fourier_shift_sums,
     _row_eval,
-    oscillatory_tail,
     periodic_bernoulli,
     psi,
     psi2,
@@ -30,7 +26,6 @@ from zetalab.sawtooth import (
     psi_tail_powers,
     psi_tail_powers_batch,
     pure_osc_tail_powers,
-    sawtooth_tail,
     segment_osc_power_log,
 )
 
@@ -127,14 +122,14 @@ def test_piecewise_additivity():
 
 def test_tail_reference_value_euler_gamma():
     # int_1^inf psi(u-1)/u^2 du = 1/2 - gamma
-    res = sawtooth_tail(TailIntegralSpec(lower=1.0, shift=1.0, exponent=-2.0, log_power=0))
+    vals, _ = psi_tail_powers(1.0, 1.0, -2.0, 0)
     gamma = euler_gamma_limit()
-    assert abs(res.value - (0.5 - gamma)) < 1e-9
+    assert abs(vals[0] - (0.5 - gamma)) < 1e-9
 
 
 def test_tail_smallness_far_out():
-    res = sawtooth_tail(TailIntegralSpec(lower=100.0, shift=0.5, exponent=-2.0, log_power=0))
-    assert abs(res.value) <= 1.0 / (6.0 * 100.0**2)
+    vals, _ = psi_tail_powers(100.0, 0.5, -2.0, 0)
+    assert abs(vals[0]) <= 1.0 / (6.0 * 100.0**2)
 
 
 def test_tail_cutoff_independence():
@@ -159,8 +154,9 @@ def test_error_bound_honest_grid():
 
 
 def test_tail_requires_decaying_exponent():
-    with pytest.raises(ValueError):
-        sawtooth_tail(TailIntegralSpec(lower=1.0, shift=1.0, exponent=-0.5, log_power=0))
+    # the tail subcommand asks for Re(exponent) <= -1 without oscillation (test_cli)
+    with pytest.raises(ValueError, match="Re\\(exponent\\) < 0"):
+        psi_tail_powers(1.0, 1.0, complex(0.0, 3.0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +165,12 @@ def test_tail_requires_decaying_exponent():
 
 
 def test_pure_oscillatory_far_tail_bound():
+    # the Fresnel-type tail int_x^inf e^{2 pi i lam (u - 1)} u^{-1} du at x = 1e6
     lam = 0.5
-    spec = TailIntegralSpec(lower=1e6, shift=1.0, exponent=-1.0, log_power=0, oscillation=lam)
-    res = oscillatory_tail(spec, weighted=False)
+    vals, _ = pure_osc_tail_powers(lam, -1.0, 0, 1e6)
+    value = cmath.exp(-2j * math.pi * lam) * vals[0]
     # one integration by parts: boundary + derivative terms
-    assert abs(res.value) <= (1.0 / (2.0 * math.pi * lam)) * 2.0 / 1e6
+    assert abs(value) <= (1.0 / (2.0 * math.pi * lam)) * 2.0 / 1e6
 
 
 def test_pure_oscillatory_against_quadrature():
@@ -209,32 +206,11 @@ def test_weighted_tail_at_reflected_frequencies():
         assert abs(vals[1] - oracle) <= errs[1] + oscale + 1e-9
 
 
-def test_oscillatory_rejects_lambda_zero_divergent():
-    spec = TailIntegralSpec(lower=1.0, shift=1.0, exponent=-0.5, log_power=0, oscillation=0.0)
-    with pytest.raises(ValueError):
-        oscillatory_tail(spec, weighted=False)
-
-
 def test_eval_result_validates_bound():
     with pytest.raises(ValueError):
         EvalResult(1.0 + 0j, -1.0)
     with pytest.raises(ValueError):
         EvalResult(1.0 + 0j, math.inf)
-
-
-def test_tail_integral_spec_validation():
-    with pytest.raises(ValueError):
-        TailIntegralSpec(lower=-1.0, shift=0.5, exponent=-2.0, log_power=0)
-    with pytest.raises(ValueError):
-        TailIntegralSpec(lower=1.0, shift=1.5, exponent=-2.0, log_power=0)
-    with pytest.raises(ValueError):
-        TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=0, oscillation=1.0)
-    # log powers share the derivative-order cap of every other route
-    TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=MAX_ORDER)
-    with pytest.raises(ValueError):
-        TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=MAX_ORDER + 1)
-    with pytest.raises(ValueError):
-        TailIntegralSpec(lower=1.0, shift=0.5, exponent=-2.0, log_power=-1)
 
 
 def test_psi_fourier_shift_cache_stays_bounded():
@@ -266,6 +242,20 @@ def test_osc_remainder_cache_stays_bounded():
 #
 # The scalar functions below are the march as it ran before the kernel
 # worked on rows x segments arrays; the kernel must give the same bits.
+
+
+def ref_psi_breaks(lo: float, hi: float, alpha: float) -> list[float]:
+    """Breakpoints lo < m + alpha < hi where psi(u - alpha) has kinks, one at a time."""
+    pts = [lo]
+    m = math.floor(lo - alpha + 1e-12) + 1
+    v = m + alpha
+    while v < hi - 1e-12:
+        if v > lo + 1e-12:
+            pts.append(v)
+        m += 1
+        v = m + alpha
+    pts.append(hi)
+    return pts
 
 
 def ref_moments_exp(z: complex, imax: int) -> list[complex]:
@@ -335,7 +325,7 @@ def ref_power_log_segments(beta: complex, rmax: int, t1: float, t2: float) -> li
 
 
 def ref_march_exact(vals, lo, hi, alpha, b, rmax, mags=None) -> None:
-    pts = _psi_breaks(lo, hi, alpha)
+    pts = ref_psi_breaks(lo, hi, alpha)
     for u1, u2 in zip(pts, pts[1:]):
         mseg = math.floor(0.5 * (u1 + u2) - alpha)
         c = alpha + mseg + 0.5
@@ -436,7 +426,7 @@ def test_batch_rows_have_unequal_segment_counts():
     # alpha shifts the kinks: within one batch the rows march over different counts
     first, count = sawtooth._kinks(0.5, 36.0, np.array([a / 7 for a in range(1, 8)]))
     assert len(set(count.tolist())) > 1
-    assert count.tolist() == [len(_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
+    assert count.tolist() == [len(ref_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
 
 
 def test_random_marches_match_the_scalar_march():
@@ -546,7 +536,7 @@ def ref_psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
 def _panel_walk(x: float, panels: int, nu: float, alpha: float | None, rng) -> list[float]:
     """Break points of a walk of the given length; with alpha, inside the kinks."""
     if alpha is not None:
-        return _psi_breaks(x, math.floor(x) + panels + 0.5, alpha)[: panels + 1]
+        return ref_psi_breaks(x, math.floor(x) + panels + 0.5, alpha)[: panels + 1]
     steps = rng.uniform(0.05, 0.45 / nu, panels)
     return [x] + (x + np.cumsum(steps)).tolist()
 
@@ -608,3 +598,53 @@ def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, ro
     monkeypatch.setattr(sawtooth, "_gl_panels", ref_gl_panels)
     monkeypatch.setattr(sawtooth, "_psi_fourier_shift_sums", _per_k_shift_sums)
     assert repr(got) == repr(route(*args))
+
+
+# ---------------------------------------------------------------------------
+# the sawtooth-weighted walk takes its break points from the march's kinks
+# ---------------------------------------------------------------------------
+
+
+def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
+    """psi_osc_tail_powers as it ran with its own cutoff loop and its break
+    points from ref_psi_breaks."""
+    b = complex(b)
+    K = sawtooth._K_OSC
+    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
+    rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
+    sk = _osc_remainder_const(K, nu)
+    while max(_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
+        x0 *= 2.0
+    vals = [0.0 + 0.0j] * (rmax + 1)
+    mags = [0.0] * (rmax + 1)
+    sawtooth._gl_panels(vals, mags, ref_psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
+    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
+    tails = sawtooth._far_tail(rows_all, b, x0, [coeffs])[0].tolist()
+    rems = _far_remainders(rows_all, b, x0, sk)
+    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
+
+
+@pytest.mark.parametrize(
+    "nu, alpha, b, rmax, x",
+    [
+        (0.3, 0.7, complex(-1.5, 20.0), 2, 1.0),
+        (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7),  # x on a kink
+        (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 - 5e-14),  # within 1e-13 of a kink, below
+        (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 + 5e-14),  # and above
+        (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # just beyond the 1e-12 margin
+        (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: the cutoff x0 = 12 sits on a kink
+        (0.9, 1e-9, complex(-0.5, 40.0), 4, 0.5),
+        (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # x0 = x: one empty panel
+        (0.7, 0.3, complex(-1.5, 2000.0), 0, 160.0),  # a walk longer than one panel block
+    ],
+)
+def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
+    assert repr(psi_osc_tail_powers(nu, alpha, b, rmax, x)) == repr(ref_psi_osc_tail_powers(nu, alpha, b, rmax, x))
+
+
+def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
+    # beyond 2^53 first + 1 == first: the adjustments used to spin forever
+    # (the march at 1e17; the weighted walk at 1e300, where it has no kinks)
+    first, count = sawtooth._kinks(1e17, 1e17 + 1e6, np.array([0.5]))
+    assert first.tolist() == [1e17] and count.tolist() == [1000002]
+    assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
