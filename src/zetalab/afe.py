@@ -97,11 +97,11 @@ def _dual_sum_panels(s: complex, r: int, x: float, nmid: int) -> float:
     return 2.0 * (k * c + floor * (nmid * (nmid + 1) - k * (k + 1)) / 2.0) / 0.45
 
 
-def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
+def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[complex, float]:
     """The strip representation without its pole term.
 
     The finite sum and the walks of the dual sum are charged to the work
-    budget before any term."""
+    budget before any term; the alpha-free dual terms are kept in duals[r]."""
     t = s.imag
     y = t / (_TWO_PI * x)
     nmid = math.floor(y + 1e-12)
@@ -126,16 +126,18 @@ def _afe_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, floa
     val += tail
     sign = (-1.0) ** r
     # dual gamma-factor sum, segment integrals, and oscillatory tails
-    for n in range(1, nmid + 1):
-        for nn in (n, -n):
-            g = gamma_factor_derivs(s, nn, r)[r]
-            val += cmath.exp(2j * math.pi * nn * alpha) * g
-            seg = segment_osc_power_log(nn, -s, r, x)
-            val -= cmath.exp(-2j * math.pi * nn * alpha) * sign * seg[r]
-            tail, terr = _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x), s, r)
-            w = cmath.exp(-2j * math.pi * nn * alpha) / (2j * math.pi * nn)
-            val += w * tail
-            err += abs(w) * terr + 1e-15 * abs(seg[r])
+    if r not in duals:
+        duals[r] = [
+            (nn, gamma_factor_derivs(s, nn, r)[r], segment_osc_power_log(nn, -s, r, x)[r])
+            + _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x), s, r)
+            for n in range(1, nmid + 1) for nn in (n, -n)
+        ]
+    for nn, g, seg, tail, terr in duals[r]:
+        val += cmath.exp(2j * math.pi * nn * alpha) * g
+        val -= cmath.exp(-2j * math.pi * nn * alpha) * sign * seg
+        w = cmath.exp(-2j * math.pi * nn * alpha) / (2j * math.pi * nn)
+        val += w * tail
+        err += abs(w) * terr + 1e-15 * abs(seg)
     return val, err
 
 
@@ -146,7 +148,7 @@ def afe_hurwitz(s: complex, alpha: float, r: int, x: float) -> EvalResult:
     if s == 1:
         raise ValueError("s = 1 is the pole; use the coefficient operations instead")
     _check_alpha(alpha)
-    core, err = _afe_core(s, alpha, r, x)
+    core, err = _afe_core(s, alpha, r, x, {})
     pole = pole_term_derivs(s, x, r)[r]
     return EvalResult(core + pole, err)
 
@@ -154,8 +156,8 @@ def afe_hurwitz(s: complex, alpha: float, r: int, x: float) -> EvalResult:
 def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
     """L^{(r)}(s, chi) in the strip for non-principal chi, cutoff y = qt/(2 pi X).
 
-    Assembled per residue class from the Hurwitz core with split X/q; the
-    pole terms cancel against sum_a chi(a) = 0 and are never computed.
+    Assembled per residue class from the Hurwitz core with split X/q (which
+    share the dual terms); the pole terms cancel against sum_a chi(a) = 0.
     """
     if chi.is_principal:
         raise ValueError("needs a non-principal character")
@@ -166,11 +168,12 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
     qs = cmath.exp(-s * lq)
     val = 0.0 + 0.0j
     err = 0.0
+    duals: dict = {}
     for a in range(1, q + 1):
         ca = chi(a)
         if ca == 0:
             continue
-        parts = [_afe_core(s, a / q, l, X / q) for l in range(r + 1)]
+        parts = [_afe_core(s, a / q, l, X / q, duals) for l in range(r + 1)]
         acc = 0.0 + 0.0j
         eacc = 0.0
         for l in range(r + 1):

@@ -17,6 +17,7 @@ import argparse
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
@@ -271,6 +272,7 @@ def _cmd_afe(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # parse_args does not change the parser: one per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zetalab",

@@ -19,13 +19,14 @@ convergent integral.
 The plain tail has one kernel for many shifts alpha at once (the residue
 classes a/q of an L-function): the march walks a rows x segments grid,
 one row per alpha and one segment per linear piece of psi, in blocks of
-about 2048 segments whose break points are generated block by block, so
-memory does not grow with the length of the march.  Each row is bit for
-bit the scalar march: complex products and quotients replay CPython's
-formulas on separate real and imaginary float64 arrays, math.log and
-cmath.exp stay scalar (numpy's versions round differently), and sums
-run left to right.  A tail whose march or panel walk would exceed about
-2e6 pieces is refused before any work.
+at most 2048 moments, no wider than the longest row left, whose break
+points are generated block by block, so memory does not grow with the
+length of the march; the exponents b + 2 and b + 1 share one stacked pass
+of moments.  Each row is bit for bit the scalar march: complex products
+and quotients replay CPython's formulas on separate real and imaginary
+float64 arrays, math.log and cmath.exp stay scalar (numpy's versions
+round differently), and sums run left to right.  A tail whose march or
+panel walk would exceed about 2e6 pieces, or reach 2^53, is refused.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -321,41 +322,42 @@ def _moments_down(zr, zi, az, imax: int):
     return out_r, out_i
 
 
-def _power_log_segments(beta: complex, rmax: int, t1, t2):
+def _powers(v, m: int) -> np.ndarray:
+    """Rows v^0, v^1, ..., v^m, each the previous one times v."""
+    out = np.empty((m + 1, v.size))
+    out[0] = 1.0
+    for i in range(1, m + 1):
+        out[i] = out[i - 1] * v
+    return out
+
+
+def _power_log_segments(betas: tuple[complex, ...], rmax: int, t1, t2) -> list:
     """int_{t1}^{t2} e^{beta t} t^r dt for r = 0..rmax (t = log u) on arrays
-    of segments, as (real, imaginary) arrays of shape (rmax + 1, len(t1))."""
+    of segments, one (real, imaginary) pair of shape (rmax + 1, len(t1)) per
+    beta of betas.  The nonzero betas are stacked along the segment axis:
+    one pass of moments and exponentials, each element as if alone."""
     delta = t2 - t1
-    t1p = np.empty((rmax + 1, delta.size))
-    t1p[0] = 1.0
-    for i in range(1, rmax + 1):
-        t1p[i] = t1p[i - 1] * t1
-    zero = np.zeros_like(delta)
-    out_r = np.empty_like(t1p)
-    if beta == 0:
+    t1p = _powers(t1, rmax)
+    if 0 in betas:
         # factored (t2^{r+1}-t1^{r+1})/(r+1) = delta * sum_k t2^k t1^{r-k}/(r+1):
         # same-sign terms, so the value carries relative (not power-sized) error
-        t2p = np.empty_like(t1p)
-        t2p[0] = 1.0
-        for i in range(1, rmax + 1):
-            t2p[i] = t2p[i - 1] * t2
+        t2p, zero = _powers(t2, rmax), np.zeros(t1.size)
+        closed = np.array([delta * _running_sum(zero, t2p[: r + 1] * t1p[r::-1]) / (r + 1) for r in range(rmax + 1)])
+    live = [beta for beta in betas if beta != 0]
+    if k := len(live):
+        br, bi = (np.repeat(v, t1.size) for v in ([beta.real for beta in live], [beta.imag for beta in live]))
+        d, tp, zero = np.tile(delta, k), np.tile(t1p, k), np.zeros(t1.size * k)
+        mr, mi = _moments_exp(*_cmul(br, bi, d, 0.0), rmax)
+        pr, pi_ = _cexp(*_cmul(br, bi, np.tile(t1, k), 0.0))
+        dmr, dmi = _cmul(_powers(d, rmax + 1)[1:], 0.0, mr, mi)  # delta^{i+1} m_i
+        out_r, out_i = np.empty_like(tp), np.empty_like(tp)
         for r in range(rmax + 1):
-            out_r[r] = delta * _running_sum(zero, t2p[: r + 1] * t1p[r::-1]) / (r + 1)
-        return out_r, np.zeros_like(out_r)
-    br, bi = beta.real, beta.imag
-    mr, mi = _moments_exp(*_cmul(br, bi, delta, 0.0), rmax)
-    pr, pi_ = _cexp(*_cmul(br, bi, t1, 0.0))
-    dp = np.empty_like(t1p)  # delta^{i+1}
-    dp[0] = delta
-    for i in range(1, rmax + 1):
-        dp[i] = dp[i - 1] * delta
-    dmr, dmi = _cmul(dp, 0.0, mr, mi)
-    out_i = np.empty_like(t1p)
-    for r in range(rmax + 1):
-        # sum_i C(r, i) t1^{r-i} delta^{i+1} m_i, then times e^{beta t1}
-        f = _binomials(r)[:, None] * t1p[r::-1]
-        tr, ti = _cmul(f, 0.0, dmr[: r + 1], dmi[: r + 1])
-        out_r[r], out_i[r] = _cmul(pr, pi_, _running_sum(zero, tr), _running_sum(zero, ti))
-    return out_r, out_i
+            # sum_i C(r, i) t1^{r-i} delta^{i+1} m_i, then times e^{beta t1}
+            f = _binomials(r)[:, None] * tp[r::-1]
+            tr, ti = _cmul(f, 0.0, dmr[: r + 1], dmi[: r + 1])
+            out_r[r], out_i[r] = _cmul(pr, pi_, _running_sum(zero, tr), _running_sum(zero, ti))
+        stacked = iter(zip(np.split(out_r, k, axis=1), np.split(out_i, k, axis=1)))
+    return [next(stacked) if beta != 0 else (closed, np.zeros_like(closed)) for beta in betas]
 
 
 @lru_cache(maxsize=None)  # one entry per order r <= MAX_ORDER
@@ -440,7 +442,7 @@ _TOL_REL = 1e-12
 _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
 
 
-_BLOCK = 2048  # segments per block of the march: memory stays flat in its length
+_BLOCK = 2048  # moments per block of the march, over its segments and nonzero exponents: memory stays flat in its length
 _WORK_BUDGET = 2e6  # terms of one finite sum, or unit intervals (plain) or panels (oscillatory) of one tail
 
 
@@ -450,6 +452,13 @@ def _check_work(pieces: float) -> None:
         raise ValueError(
             f"the request would take about {pieces:.3g} terms, segments or panels, beyond the work budget of {_WORK_BUDGET:.0e}"
         )
+
+
+def _check_kinks(lo: float, hi: float) -> None:
+    """Refuse a walk over (lo, hi) that reaches 2^53: there m + 1 == m, so the
+    kinks m + alpha of psi(u - alpha) are not distinct floats."""
+    if lo < hi and not hi < 2.0**53:
+        raise ValueError(f"the walk to u = {hi:.6g} reaches 2^53, where the kinks of the sawtooth are not distinct floats")
 
 
 def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,30 +486,34 @@ def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int
     cancellation), three arrays of shape (rmax + 1, rows) updated in place.
 
     One segment per interval where psi(u - alpha) is linear; the rows x
-    segments grid is walked in blocks of about _BLOCK segments whose break
-    points are made block by block, so memory does not grow with the march.
+    segments grid is walked in blocks of at most _BLOCK moments, no wider
+    than the longest row left (the exponents b + 2 and b + 1 share one pass),
+    whose break points are made block by block, so memory stays flat.
     """
     if not lo < hi:
         return
+    _check_kinks(lo, hi)
     first, count = _kinks(lo, hi, alphas)
-    for r0 in range(0, alphas.size, _BLOCK):
-        rows = np.arange(r0, min(r0 + _BLOCK, alphas.size))
-        width = _BLOCK // rows.size
-        for j0 in range(0, int(count[rows].max()), width):
+    betas = (b + 2.0, b + 1.0)
+    block = _BLOCK // sum(beta != 0 for beta in betas)  # segments per block
+    for r0 in range(0, alphas.size, block):
+        rows = np.arange(r0, min(r0 + block, alphas.size))
+        width, end = block // rows.size, int(count[rows].max())
+        for j0 in range(0, end, width):
             rows = rows[count[rows] > j0]
-            j = np.arange(j0, j0 + width + 1)  # break point indices: lo, the kinks, hi
+            w = min(width, end - j0)
+            j = np.arange(j0, j0 + w + 1)  # break point indices: lo, the kinks, hi
             al, n = alphas[rows, None], count[rows, None]
             pts = np.where(j == 0, lo, np.where(j >= n, hi, (first[rows, None] + (j - 1)) + al))
             logs = np.fromiter(map(math.log, pts.ravel().tolist()), dtype=float, count=pts.size).reshape(pts.shape)
             u1, u2 = pts[:, :-1], pts[:, 1:]
             c = (al + np.floor(0.5 * (u1 + u2) - al) + 0.5).ravel()
             t1, t2 = logs[:, :-1].ravel(), logs[:, 1:].ravel()
-            hr, hi_ = _power_log_segments(b + 2.0, rmax, t1, t2)
-            lr, li = _power_log_segments(b + 1.0, rmax, t1, t2)
+            (hr, hi_), (lr, li) = _power_log_segments(betas, rmax, t1, t2)
             pr, pi_ = _cmul(c, 0.0, lr, li)
             parts = (hr - pr, hi_ - pi_, np.hypot(hr, hi_) + np.abs(c) * np.hypot(lr, li))
             valid = (j[:-1] < n).ravel()
-            shape = (rmax + 1, rows.size, width)
+            shape = (rmax + 1, rows.size, w)
             for acc, d in zip(sums, parts):
                 both = np.concatenate([acc[:, rows, None], np.where(valid, d, 0.0).reshape(shape)], axis=2)
                 acc[:, rows] = np.add.accumulate(both, axis=2)[:, :, -1]
@@ -639,6 +652,23 @@ def _gl_panels(
             lp = lp * logs
 
 
+def _walk(u: float, step_of, step_cap: float, end: float, stop: float) -> list[float]:
+    """Break points u, ... of u = min(u + min(step_of(u), step_cap), end) while
+    u < stop (step_of grows with u): the constant run by np.add.accumulate,
+    left to right, so the loop's floats.  A run that stops moving is refused."""
+    pts = [u]
+    while u < stop and (step := step_of(u)) < step_cap:
+        u = min(u + step, end)
+        pts.append(u)
+    while u < stop:
+        run = np.add.accumulate(np.r_[u, np.full(min(int((stop - u) / step_cap) + 2, 1 << 16), step_cap)])
+        if not run[-1] > u:
+            raise ValueError(f"panel steps of {step_cap:.3g} no longer change u = {u:.6g}")
+        pts.extend(np.minimum(run[1 : np.searchsorted(run, stop) + 1], end).tolist())
+        u = pts[-1]
+    return pts
+
+
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
 
 
@@ -677,12 +707,7 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[li
     step_cap = 0.45 / max(anu, 1e-12)
     _check_work((x0 - x) / step_cap)
     rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, (TWO_PI * anu) ** (-K), 4000.0 * max(0.45 / anu, 0.5))
-    pts = [x]
-    u = x
-    while u < x0 - 1e-12:
-        step = min(max(0.5, 0.6 * u), step_cap)
-        u = min(u + step, x0)
-        pts.append(u)
+    pts = _walk(x, lambda u: max(0.5, 0.6 * u), step_cap, x0, x0 - 1e-12)
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     _gl_panels(vals, mags, pts, nu, b, rmax)
@@ -765,6 +790,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
     _check_work(x0 - x)
     rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, _osc_remainder_const(K, nu), 4000.0)
+    _check_kinks(x, x0)
     first, count = _kinks(x, x0, np.array([alpha]))
     pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
     vals = [0.0 + 0.0j] * (rmax + 1)
@@ -818,12 +844,6 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
     if delta >= x:
         return vals
     # geometric panels from delta to x, capped at ~half an oscillation each
-    pts = [delta]
-    u = delta
-    step_cap = 0.45 / max(abs(nu), 1e-12)
-    while u < x - 1e-14 * x:
-        step = min(u, step_cap)
-        u = min(u + step, x)
-        pts.append(u)
+    pts = _walk(delta, lambda u: u, 0.45 / max(abs(nu), 1e-12), x, x - 1e-14 * x)
     _gl_panels(vals, None, pts, nu, b, rmax)
     return vals

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import zetalab.afe as afe
 from zetalab.afe import afe_hurwitz, afe_l, gamma_factor_derivs
 from zetalab.characters import enumerate_characters
 from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
@@ -121,6 +123,26 @@ def test_afe_l_derivatives(chi4):
         a = afe_l(s, chi4, r, X)
         b = l_deriv(s, chi4, r)
         assert abs(a.value - b.value) < 1e-6
+
+
+def test_afe_l_walks_each_dual_frequency_once_per_order(monkeypatch):
+    # the gamma factors, segment integrals and oscillatory tails of the dual
+    # sum do not depend on alpha = a/q: one set per order, not one per class
+    chi = next(c for c in enumerate_characters(5) if not c.is_principal)
+    s, r, X = 0.5 + 30j, 2, 3.0
+    nmid = math.floor(s.imag / (2.0 * math.pi * X / 5))
+    calls = Counter()
+    for name in ("gamma_factor_derivs", "segment_osc_power_log", "pure_osc_tail_powers"):
+        f = getattr(afe, name)
+        monkeypatch.setattr(afe, name, lambda *args, f=f, name=name: calls.update([name]) or f(*args))
+    shared = afe_l(s, chi, r, X)
+    assert calls == Counter({name: 2 * nmid * (r + 1) for name in calls}) and len(calls) == 3
+    # the same request with every class computing its own dual terms, as before they were shared
+    calls.clear()
+    core = afe._afe_core
+    monkeypatch.setattr(afe, "_afe_core", lambda s, alpha, r, x, duals: core(s, alpha, r, x, {}))
+    assert repr(afe_l(s, chi, r, X)) == repr(shared)
+    assert calls == Counter({name: 4 * 2 * nmid * (r + 1) for name in calls})
 
 
 def test_afe_l_conjugation():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from zetalab import cli
 from zetalab.cli import render_json, run
 
 
@@ -262,6 +263,45 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 5.0
+
+
+def test_walks_reaching_two_to_the_53_are_refused_with_one_line(capsys):
+    # the kinks of the sawtooth are not distinct floats there; both printed
+    # a tight but meaningless bound
+    for flags in (["--im-a", repr(5e16 + 5e5 - 14)], ["--im-a", repr((1e17 + 1e6) * math.pi * 0.5 - 22.0), "--lambda", "0.5"]):
+        assert run(["tail", "--x", "1e17", "--alpha", "0.5", "--re-a", "-1.5"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^53" in captured.err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a refused argv, an eval, a
+    # certify to a file and another eval each give what a fresh parser gives
+    target = tmp_path / "sweep.json"
+    sequence = [
+        ["eval", "--kind", "hurwitz", "--s", "0.5,3", "--bogus"],
+        ["eval", "--kind", "hurwitz", "--s", "0.5,3", "--json"],
+        ["--output", str(target), "certify", "--bound", "t3", "--r-max", "2", "--q", "3", "4", "--json"],
+        ["eval", "--kind", "l", "--s", "0.5,3", "--q", "5", "--label", "2"],
+    ]
+
+    def outcome(argv):
+        target.unlink(missing_ok=True)
+        status = run(argv)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err, target.read_text() if target.exists() else None
+
+    cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [o[0] for o in shared] == [1, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in shared[0][2] and shared[2][3].startswith("{")
 
 
 TAIL_REFUSALS = [

@@ -391,10 +391,13 @@ def test_power_log_segments_match_the_scalar_antiderivatives(beta):
     rng = np.random.default_rng(11)
     t1 = np.concatenate([[0.0, 0.0], rng.uniform(-0.7, 8.0, 60)])
     t2 = t1 + np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 60)])
+    # alone, and stacked with a second exponent in either place (beta -+ 1 is 0 at beta = +-1)
     for rmax in (0, 2, 8):
-        re, im = sawtooth._power_log_segments(beta, rmax, t1, t2)
-        got = sawtooth._complex(re, im).T.tolist()
-        assert repr(got) == repr([ref_power_log_segments(beta, rmax, a, b) for a, b in zip(t1.tolist(), t2.tolist())])
+        for betas in ((beta,), (beta + 1.0, beta), (beta, beta - 1.0)):
+            for k, (re, im) in enumerate(sawtooth._power_log_segments(betas, rmax, t1, t2)):
+                got = sawtooth._complex(re, im).T.tolist()
+                want = [ref_power_log_segments(betas[k], rmax, a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+                assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize(
@@ -452,6 +455,127 @@ def test_piecewise_integral_matches_the_scalar_march():
         vals = [0.0 + 0.0j] * (m + 1)
         ref_march_exact(vals, lo, hi, alpha, complex(b), m)
         assert repr(psi_piecewise_integral(lo, hi, alpha=alpha, exponent=b, log_power=m)) == repr(vals[m])
+
+
+def _ref_march_rows(lo, hi, alphas, b, rmax):
+    """sums as _march leaves them, from one scalar march per row."""
+    vals, mags = [], []
+    for alpha in alphas:
+        v, m = [0.0 + 0.0j] * (rmax + 1), [0.0] * (rmax + 1)
+        ref_march_exact(v, lo, hi, alpha, b, rmax, m)
+        vals.append(v)
+        mags.append(m)
+    return np.array(vals).T.tolist(), np.array(mags).T.tolist()
+
+
+# a block holds _BLOCK moments: _BLOCK // 2 segments with two nonzero exponents,
+# _BLOCK with one (b = -1: u^{b+1} = u^0 has a closed form)
+BLOCK_EDGES = [(b, n) for b, block in ((complex(-1.3, 5.0), sawtooth._BLOCK // 2), (-1.0, sawtooth._BLOCK)) for n in (1, block - 1, block, block + 1)]
+
+
+@pytest.mark.parametrize("b, segments", BLOCK_EDGES)
+def test_blocks_sized_to_the_walk_match_the_scalar_march(b, segments):
+    # alpha = 1: the kinks 1, 2, ..., segments - 1 cut (0.5, segments - 0.5)
+    lo, hi, b, rmax = 0.5, segments - 0.5, complex(b), 2
+    sums = [np.zeros((rmax + 1, 1)) for _ in range(3)]
+    sawtooth._march(sums, lo, hi, np.array([1.0]), b, rmax)
+    vals, mags = _ref_march_rows(lo, hi, [1.0], b, rmax)
+    assert repr(sawtooth._complex(sums[0], sums[1]).tolist()) == repr(vals)
+    assert repr(sums[2].tolist()) == repr(mags)
+
+
+def test_rows_of_unequal_length_end_in_a_partial_block(monkeypatch):
+    # three rows, two exponents: blocks of _BLOCK // 2 // 3 segments, the last one narrower
+    lo, hi, b, rmax = 0.5, 1500.3, complex(-1.6, -40.0), 3
+    alphas = np.array([0.2, 0.5, 0.9])
+    count = sawtooth._kinks(lo, hi, alphas)[1]
+    assert count.tolist() == [1501, 1500, 1501]
+    sizes = []
+    moments = sawtooth._moments_exp
+    monkeypatch.setattr(sawtooth, "_moments_exp", lambda zr, zi, imax: sizes.append(zr.size) or moments(zr, zi, imax))
+    sums = [np.zeros((rmax + 1, 3)) for _ in range(3)]
+    sawtooth._march(sums, lo, hi, alphas, b, rmax)
+    width = sawtooth._BLOCK // 2 // 3
+    full, rest = divmod(1501, width)
+    assert rest and sizes == [2 * 3 * width] * full + [2 * 3 * rest]
+    vals, mags = _ref_march_rows(lo, hi, alphas.tolist(), b, rmax)
+    assert repr(sawtooth._complex(sums[0], sums[1]).tolist()) == repr(vals)
+    assert repr(sums[2].tolist()) == repr(mags)
+
+
+def test_a_short_march_makes_one_moment_pass_over_its_segments(monkeypatch):
+    # 39 segments of one row: both exponents in one call over 2 x 39 elements,
+    # not one call per exponent over a full block of 2048 each
+    sizes = []
+    moments = sawtooth._moments_exp
+    monkeypatch.setattr(sawtooth, "_moments_exp", lambda zr, zi, imax: sizes.append(zr.size) or moments(zr, zi, imax))
+    psi_piecewise_integral(0.5, 38.5, alpha=1.0, exponent=complex(-1.5, 3.0))
+    assert sizes == [2 * 39]
+
+
+def ref_pure_osc_breaks(x: float, x0: float, step_cap: float) -> list[float]:
+    """The break points of pure_osc_tail_powers as its loop made them, one panel at a time."""
+    pts = [x]
+    u = x
+    while u < x0 - 1e-12:
+        step = min(max(0.5, 0.6 * u), step_cap)
+        u = min(u + step, x0)
+        pts.append(u)
+    return pts
+
+
+def ref_segment_breaks(delta: float, x: float, step_cap: float) -> list[float]:
+    """The break points of segment_osc_power_log as its loop made them."""
+    pts = [delta]
+    u = delta
+    while u < x - 1e-14 * x:
+        step = min(u, step_cap)
+        u = min(u + step, x)
+        pts.append(u)
+    return pts
+
+
+def test_panel_break_points_match_the_one_panel_loop():
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(60):
+        nu = float(10.0 ** rng.uniform(-2.0, 2.5))
+        x = float(rng.uniform(0.02, 60.0))
+        cases.append((x, x + float(rng.uniform(0.0, 4000.0 * max(0.45 / nu, 0.5))), 0.45 / nu))
+    # the run ends just below its stop (x0 - 1e-12): the last point is not clipped to x0
+    near = ref_pure_osc_breaks(3.0, 40.0, 0.7)[-2] + 0.7
+    cases += [(3.0, near + 5e-13, 0.7), (3.0, near - 5e-13, 0.7), (3.0, 3.0, 0.7), (8.0, 9.0, 100.0)]
+    # and exactly on it: 10.000000000001 - 1e-12 == 10.0, a point of the run 8.5, 9.0, ...
+    cases.append((8.0, 10.000000000001, 0.5))
+    for x, x0, cap in cases:
+        got = sawtooth._walk(x, lambda u: max(0.5, 0.6 * u), cap, x0, x0 - 1e-12)
+        assert repr(got) == repr(ref_pure_osc_breaks(x, x0, cap))
+        delta = min(x0, 0.04 * cap)
+        got = sawtooth._walk(delta, lambda u: u, cap, x0, x0 - 1e-14 * x0)
+        assert repr(got) == repr(ref_segment_breaks(delta, x0, cap))
+    # a constant run longer than one accumulated chunk of 2^16 points
+    got = sawtooth._walk(1.0, lambda u: u, 1e-3, 150.0, 150.0 - 1.5e-12)
+    assert repr(got) == repr(ref_segment_breaks(1.0, 150.0, 1e-3))
+
+
+def test_panel_walk_that_stops_moving_is_refused():
+    # beyond 2^56 a step of 4 rounds away; the loop used to spin forever
+    with pytest.raises(ValueError, match="no longer change"):
+        sawtooth._walk(1e17, lambda u: u, 4.0, 1e17 + 1e6, 1e17 + 1e6)
+
+
+def test_walks_reaching_two_to_the_53_are_refused():
+    # the kinks m + alpha are not distinct floats there: these returned
+    # tight but meaningless bounds (1.8e-20 and 4.7e-16)
+    with pytest.raises(ValueError, match="2\\^53"):
+        psi_tail_powers(1e17, 0.5, complex(-1.5, 5e16 + 5e5 - 14), 0)
+    with pytest.raises(ValueError, match="2\\^53"):
+        psi_osc_tail_powers(0.5, 0.5, complex(-1.5, (1e17 + 1e6) * math.pi * 0.5 - 22.0), 0, 1e17)
+    with pytest.raises(ValueError, match="2\\^53"):
+        psi_piecewise_integral(2.0**53 - 2.0, 2.0**53)
+    # a walk that ends below 2^53 still runs, and a call that walks nothing keeps its answer
+    assert cmath.isfinite(psi_piecewise_integral(2.0**53 - 4.0, 2.0**53 - 2.0))
+    assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
 
 
 def test_march_memory_does_not_grow_with_its_length():
