@@ -26,7 +26,7 @@ of moments.  Each row is bit for bit the scalar march: complex products
 and quotients replay CPython's formulas on separate real and imaginary
 float64 arrays, math.log and cmath.exp stay scalar (numpy's versions
 round differently), and sums run left to right.  A tail whose march or
-panel walk would exceed about 2e6 pieces, or reach 2^53, is refused.
+panel walk would exceed about 2e6 pieces, or reach 2^52, is refused.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -455,10 +455,10 @@ def _check_work(pieces: float) -> None:
 
 
 def _check_kinks(lo: float, hi: float) -> None:
-    """Refuse a walk over (lo, hi) that reaches 2^53: there m + 1 == m, so the
-    kinks m + alpha of psi(u - alpha) are not distinct floats."""
-    if lo < hi and not hi < 2.0**53:
-        raise ValueError(f"the walk to u = {hi:.6g} reaches 2^53, where the kinks of the sawtooth are not distinct floats")
+    """Refuse a walk over (lo, hi) that reaches 2^52: from there the float spacing is 1,
+    so the kinks m + alpha of psi(u - alpha) round onto integers and two can coincide."""
+    if lo < hi and not hi < 2.0**52:
+        raise ValueError(f"the walk to u = {hi:.6g} reaches 2^52, where the kinks of the sawtooth round onto integers")
 
 
 def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -265,14 +265,14 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     assert elapsed < 5.0
 
 
-def test_walks_reaching_two_to_the_53_are_refused_with_one_line(capsys):
-    # the kinks of the sawtooth are not distinct floats there; both printed
-    # a tight but meaningless bound
+def test_walks_reaching_two_to_the_52_are_refused_with_one_line(capsys):
+    # from 2^52 the kinks of the sawtooth round onto integers (at 1e17 they
+    # are not even distinct floats); both printed a tight but meaningless bound
     for flags in (["--im-a", repr(5e16 + 5e5 - 14)], ["--im-a", repr((1e17 + 1e6) * math.pi * 0.5 - 22.0), "--lambda", "0.5"]):
         assert run(["tail", "--x", "1e17", "--alpha", "0.5", "--re-a", "-1.5"] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^53" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^52" in captured.err
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

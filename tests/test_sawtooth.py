@@ -564,17 +564,22 @@ def test_panel_walk_that_stops_moving_is_refused():
         sawtooth._walk(1e17, lambda u: u, 4.0, 1e17 + 1e6, 1e17 + 1e6)
 
 
-def test_walks_reaching_two_to_the_53_are_refused():
-    # the kinks m + alpha are not distinct floats there: these returned
-    # tight but meaningless bounds (1.8e-20 and 4.7e-16)
-    with pytest.raises(ValueError, match="2\\^53"):
+def test_walks_reaching_two_to_the_52_are_refused():
+    # from 2^52 the kinks m + alpha round onto integers and two of one alpha
+    # can coincide: these returned tight but meaningless bounds (1.8e-20 and 4.7e-16)
+    with pytest.raises(ValueError, match="2\\^52"):
         psi_tail_powers(1e17, 0.5, complex(-1.5, 5e16 + 5e5 - 14), 0)
-    with pytest.raises(ValueError, match="2\\^53"):
+    with pytest.raises(ValueError, match="2\\^52"):
         psi_osc_tail_powers(0.5, 0.5, complex(-1.5, (1e17 + 1e6) * math.pi * 0.5 - 22.0), 0, 1e17)
-    with pytest.raises(ValueError, match="2\\^53"):
-        psi_piecewise_integral(2.0**53 - 2.0, 2.0**53)
-    # a walk that ends below 2^53 still runs, and a call that walks nothing keeps its answer
-    assert cmath.isfinite(psi_piecewise_integral(2.0**53 - 4.0, 2.0**53 - 2.0))
+    # walks that end inside [2^52, 2^53), where m + 1 is still a distinct float
+    x = 2.0**52 + 2.0
+    with pytest.raises(ValueError, match="2\\^52"):
+        psi_osc_tail_powers(0.5, 0.5, complex(-1.5, (x + 1e6) * math.pi * 0.5 - 22.0), 0, x)
+    for lo, hi in ((2.0**52 + 2.0, 2.0**52 + 6.0), (2.0**53 - 4.0, 2.0**53 - 2.0), (2.0**52 - 2.0, 2.0**52)):
+        with pytest.raises(ValueError, match="2\\^52"):
+            psi_piecewise_integral(lo, hi)
+    # a walk that ends below 2^52 still runs, and a call that walks nothing keeps its answer
+    assert cmath.isfinite(psi_piecewise_integral(2.0**52 - 4.0, 2.0**52 - 2.0))
     assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
 
 
