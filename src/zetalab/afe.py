@@ -32,13 +32,14 @@ import cmath
 import math
 
 from .characters import DirichletCharacter
-from .evaluate import _psi_at_split, _s_tail, _split_floor, pole_term_derivs
+from .evaluate import _characters_at, _psi_at_split, _s_tail, _split_floor, _units, _weigh, pole_term_derivs
 from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
-    _K_OSC,
     EvalResult,
     _check_alpha,
     _check_work,
+    _cmul,
+    _dual_walk_panels,
     psi_tail_powers,
     pure_osc_tail_powers,
     segment_osc_power_log,
@@ -82,21 +83,6 @@ def _check_strip(s: complex, r: int, x: float) -> None:
         raise ValueError("split must be positive")
 
 
-def _dual_sum_panels(s: complex, r: int, x: float, nmid: int) -> float:
-    """About how many panels the 2 nmid walks of the dual sum take.
-
-    The walk of frequency n has about n x / 0.45 panels in its segment
-    integral and n (x0_n - x) / 0.45 in its oscillatory tail, where
-    x0_n = max(x, c/n, 8) with c = (|s + 1| + r + K + 6)/pi is the first
-    cutoff of pure_osc_tail_powers at b = -s - 1; summed in closed form
-    over n = 1..nmid, split where c/n falls below max(x, 8).
-    """
-    c = (abs(s + 1.0) + r + _K_OSC + 6.0) / math.pi
-    floor = max(x, 8.0)
-    k = min(nmid, math.floor(c / floor))
-    return 2.0 * (k * c + floor * (nmid * (nmid + 1) - k * (k + 1)) / 2.0) / 0.45
-
-
 def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[complex, float]:
     """The strip representation without its pole term.
 
@@ -109,7 +95,7 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
         raise ValueError("a nonempty dual sum needs Re(s) < 1 (singular segment integrals at Re(s) = 1)")
     nmax = _split_floor(x - alpha)
     _check_work(nmax + 1)
-    _check_work(_dual_sum_panels(s, r, x, nmid))
+    _check_work(_dual_walk_panels(-s - 1.0, r, x, nmid))
     val = 0.0 + 0.0j
     # finite (n + alpha)-sum
     for n in range(0, nmax + 1):
@@ -157,7 +143,8 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
     """L^{(r)}(s, chi) in the strip for non-principal chi, cutoff y = qt/(2 pi X).
 
     Assembled per residue class from the Hurwitz core with split X/q (which
-    share the dual terms); the pole terms cancel against sum_a chi(a) = 0.
+    share the dual terms), the classes weighed by chi(a) q^{-s} in one
+    kernel; the pole terms cancel against sum_a chi(a) = 0.
     """
     if chi.is_principal:
         raise ValueError("needs a non-principal character")
@@ -166,13 +153,11 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
     q = chi.modulus
     lq = math.log(q)
     qs = cmath.exp(-s * lq)
-    val = 0.0 + 0.0j
+    units = _units(q)
+    pieces = []
     err = 0.0
     duals: dict = {}
-    for a in range(1, q + 1):
-        ca = chi(a)
-        if ca == 0:
-            continue
+    for a in units:
         parts = [_afe_core(s, a / q, l, X / q, duals) for l in range(r + 1)]
         acc = 0.0 + 0.0j
         eacc = 0.0
@@ -180,6 +165,6 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
             c = math.comb(r, l) * (-lq) ** (r - l)
             acc += c * parts[l][0]
             eacc += abs(c) * parts[l][1]
-        val += ca * qs * acc
+        pieces.append(acc)
         err += abs(qs) * eacc
-    return EvalResult(val, err)
+    return EvalResult(complex(_weigh(_cmul(*_characters_at([chi], units), qs.real, qs.imag), pieces)[0]), err)

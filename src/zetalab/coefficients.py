@@ -35,12 +35,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter
-from .evaluate import _log_binomial_tail_combo, _psi_at_split, _split_floor
+from .evaluate import _characters_at, _log_binomial_tail_combo, _psi_at_split, _split_floor, _units, _weigh
 from .sawtooth import (
     EvalResult,
     _check_alpha,
     _check_order,
     _check_work,
+    _cmul,
     psi,
     psi_osc_tail_powers,
     psi_tail_powers,
@@ -176,20 +177,18 @@ def _common_modulus(chars) -> int:
 
 
 def _residue_pass(q: int, X: float, r: int, s_at: int, tails):
-    """The chi-independent pieces of the split representation at s = s_at.
-
-    One row per unit a mod q, in increasing a: (a, the finite sum of
-    log^r n / n^{s_at} over n = a (mod q), n <= X (None when empty), the
-    boundary sawtooth psi((X-a)/q), the tail piece).  tails(units) returns
-    one (piece, error) per unit, from one batched tail call, or None; the
-    errors are summed in the order of the units.
-    """
+    """The chi-independent pieces of the split representation at s = s_at:
+    the units a of Z/qZ in increasing order; over them, the finite sums of
+    log^r n / n^{s_at}, n = a (mod q), n <= X (None when empty), the boundary
+    sawtooths psi((X-a)/q) and the tail pieces; the tail errors summed in
+    the order of the units.  tails(units) returns one (piece, error) per
+    unit, from one batched tail call, or None."""
     _check_work(X)  # the n <= X of the finite sums of all residue classes
-    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-    pieces = tails(units) or [None] * len(units)
-    rows = []
+    units = _units(q)
+    pieces = tails(units) or [(None, 0.0)] * len(units)
+    mains = []
     err = 0.0
-    for a, piece in zip(units, pieces):
+    for a, (_, perr) in zip(units, pieces):
         main = None
         kmax = _split_floor((X - a) / q)
         if kmax >= 0:
@@ -198,24 +197,9 @@ def _residue_pass(q: int, X: float, r: int, s_at: int, tails):
                 main = complex(np.sum((np.log(n) ** r if r else 1.0) / n))
             else:
                 main = complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
-        if piece is not None:
-            err += piece[1]
-        rows.append((a, main, _psi_at_split((X - a) / q), None if piece is None else piece[0]))
-    return rows, err
-
-
-def _weigh(chi: DirichletCharacter, rows, tail_scale: int | None = None):
-    """(sum_a chi(a) main_a, sum_a chi(a) psi_a, sum_a chi(a) [tail_scale] tail_a),
-    accumulated over the rows of _residue_pass in their order."""
-    main = bnd = tail = 0.0 + 0.0j
-    for a, m, b, t in rows:
-        ca = chi(a)
-        if m is not None:
-            main += ca * m
-        bnd += ca * b
-        if t is not None:
-            tail += (ca if tail_scale is None else ca * tail_scale) * t
-    return main, bnd, tail
+        mains.append(main)
+        err += perr
+    return units, mains, [_psi_at_split((X - a) / q) for a in units], [p for p, _ in pieces], err
 
 
 def l_deriv_at_1_exact_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
@@ -242,12 +226,10 @@ def l_deriv_at_1_exact_all(r: int, chars, X: float | None = None) -> list[EvalRe
         batch = psi_tail_powers_batch(X / q, [a / q for a in units], -2.0, r)
         return [_log_binomial_tail_combo(t, terrs, r, 1.0, lq) for t, terrs in batch]
 
-    rows, err = _residue_pass(q, X, r, 1, tails)
-    out = []
-    for chi in chars:
-        main, bnd, tail_sum = _weigh(chi, rows)
-        out.append(EvalResult((-1.0) ** r * (main + (lX**r / X) * bnd + tail_sum / q), err / q))
-    return out
+    units, mains, bnds, pieces, err = _residue_pass(q, X, r, 1, tails)
+    w = _characters_at(chars, units)
+    sums = zip(*(_weigh(w, column).tolist() for column in (mains, bnds, pieces)))
+    return [EvalResult((-1.0) ** r * (main + (lX**r / X) * bnd + tail / q), err / q) for main, bnd, tail in sums]
 
 
 def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
@@ -311,13 +293,10 @@ def l_deriv_at_0_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
             for t, e in batch
         ]
 
-    rows, err = _residue_pass(q, X, r, 0, tails)
-    out = []
-    for chi in chars:
-        main, bnd, val = _weigh(chi, rows, tail_scale=r)
-        val += main + (lX**r if r else 1.0) * bnd
-        out.append(EvalResult((-1.0) ** r * val, err))
-    return out
+    units, mains, bnds, pieces, err = _residue_pass(q, X, r, 0, tails)
+    w = _characters_at(chars, units)  # the tails weigh by chi(a) r, formed first
+    sums = zip(*(_weigh(v, column).tolist() for v, column in ((w, mains), (w, bnds), (_cmul(*w, r, 0.0), pieces))))
+    return [EvalResult((-1.0) ** r * (tail + (main + (lX**r if r else 1.0) * bnd)), err) for main, bnd, tail in sums]
 
 
 def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:

@@ -7,6 +7,11 @@ pole-term derivative, a sawtooth boundary term at the split, and
 rigorously bounded sawtooth tail integrals.  The representation is exact
 for every split, which the test suite exploits as its master property.
 
+One core serves Hurwitz, Z and L: zeta(s, alpha) = Z(s, alpha, 1), and
+L(s, chi) = sum_a chi(a) Z(s, a, q) over the units a of Z/qZ.  One
+kernel weighs chi-free class pieces by chi(a) for a batch of characters
+at once; the L routes here, at s = 1 and s = 0, and in the strip use it.
+
 Derivative order r differentiates everything term by term:
 
     d^r/ds^r (n+a)^{-s}       = (n+a)^{-s} (-log(n+a))^r
@@ -28,6 +33,8 @@ from .sawtooth import (
     _check_alpha,
     _check_order,
     _check_work,
+    _cmul,
+    _complex,
     psi_osc_tail_powers,
     psi_tail_powers,
     psi_tail_powers_batch,
@@ -163,32 +170,9 @@ def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
     return acc, err
 
 
-def _hurwitz_core(s: complex, alpha: float, r: int, x: float) -> tuple[complex, float]:
-    """Representation without the pole term: finite sum + boundary + tail.
-
-    The sum and the tail are charged to the work budget before either runs."""
-    nmax = _split_floor(x - alpha)
-    _check_work(nmax + 1)
-    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
-    pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
-    val = _finite_power_sum(pts, s, r)
-    lx = math.log(x)
-    val += _psi_at_split(x - alpha) * cmath.exp(-s * lx) * (-lx) ** r
-    return val + tail, err
-
-
-def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
-    """d^r/ds^r zeta(s, alpha) via the split-sum representation."""
-    s = complex(args.s)
-    x = args.split if args.split is not None else default_split(s, args.alpha)
-    core, err = _hurwitz_core(s, args.alpha, args.order, x)
-    pole = pole_term_derivs(s, x, args.order)[args.order]
-    return EvalResult(core + pole, err)
-
-
-def _z_core(s: complex, a: int, q: int, r: int, X: float, tail) -> tuple[complex, float]:
+def _z_core(s: complex, a: float, q: int, r: int, X: float, tail) -> tuple[complex, float]:
     """Z-representation without its pole term (1/q) d^r (X^{1-s}/(s-1));
-    tail = psi_tail_powers(X/q, a/q, -s-1, r)."""
+    tail = psi_tail_powers(X/q, a/q, -s-1, r).  At q = 1, a is any alpha in (0, 1]."""
     kmax = _split_floor((X - a) / q)
     pts = a + q * np.arange(0, kmax + 1, dtype=float) if kmax >= 0 else np.empty(0)
     val = _finite_power_sum(pts, s, r)
@@ -199,6 +183,21 @@ def _z_core(s: complex, a: int, q: int, r: int, X: float, tail) -> tuple[complex
     qs = cmath.exp(-s * lq)
     acc, err = _log_binomial_tail_combo(tails, terrs, r, s, lq)
     return val + (-1.0) ** r * qs * acc, abs(qs) * err
+
+
+def _z_value(s: complex, a: float, q: int, r: int, X: float) -> EvalResult:
+    """Z^{(r)}(s, a, q) at the split X: core plus pole/q, the finite sum and
+    the tail charged to the work budget before either runs."""
+    _check_work(_split_floor((X - a) / q) + 1)
+    core, err = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
+    return EvalResult(core + pole_term_derivs(s, X, r)[r] / q, err)
+
+
+def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
+    """d^r/ds^r zeta(s, alpha) = Z^{(r)}(s, alpha, 1) via the split-sum representation."""
+    s = complex(args.s)
+    x = args.split if args.split is not None else default_split(s, args.alpha)
+    return _z_value(s, args.alpha, 1, args.order, x)
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -213,10 +212,30 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     _check_order(r)
     if X is None:
         X = q * default_split(s, a / q)
-    _check_work(_split_floor((X - a) / q) + 1)
-    core, err = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
-    pole = pole_term_derivs(s, X, r)[r] / q
-    return EvalResult(core + pole, err)
+    return _z_value(s, a, q, r, X)
+
+
+def _units(q: int) -> list[int]:
+    """The units a = 1..q of Z/qZ in increasing order: the residue classes of a character sum."""
+    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+
+
+def _characters_at(chars, units) -> tuple[np.ndarray, np.ndarray]:
+    """chi(a) for every chi of chars (rows) and a of units (columns), as (real, imaginary) arrays."""
+    w = np.array([chi.values for chi in chars], dtype=complex)[:, np.array(units) % chars[0].modulus]
+    return w.real, w.imag
+
+
+def _weigh(w, pieces) -> np.ndarray:
+    """sum_a w_a piece_a for every row of the weights w = (real, imaginary)
+    arrays of shape (characters, units), bit for bit the loop acc = 0j;
+    acc += w_a * piece_a: products by CPython's formula, sums left to right
+    along the units from 0j.  A piece None (a class with no finite sum) adds 0.0."""
+    live = np.array([p is not None for p in pieces])
+    p = np.array([0j if v is None else v for v in pieces], dtype=complex)
+    zero = np.zeros((w[0].shape[0], 1))
+    parts = (np.add.accumulate(np.hstack([zero, np.where(live, v, 0.0)]), axis=1)[:, -1] for v in _cmul(*w, p.real, p.imag))
+    return _complex(*parts)
 
 
 def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None) -> EvalResult:
@@ -231,15 +250,11 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     if X is None:
         X = q * default_split(s, 1.0)
     _check_work(X)  # the n <= X of the finite sums of all residue classes
-    units = [a for a in range(1, q + 1) if chi(a) != 0]
+    units = _units(q)
     tails = psi_tail_powers_batch(X / q, [a / q for a in units], -s - 1.0, r)
-    val = 0.0 + 0.0j
-    err = 0.0
-    for a, tail in zip(units, tails):
-        core, cerr = _z_core(s, a, q, r, X, tail)
-        val += chi(a) * core
-        err += cerr
-    return EvalResult(val, err)
+    cores, errs = zip(*(_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)))
+    err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
+    return EvalResult(complex(_weigh(_characters_at([chi], units), cores)[0]), err)
 
 
 def lerch_deriv(args: LerchArgs) -> EvalResult:

@@ -26,7 +26,9 @@ of moments.  Each row is bit for bit the scalar march: complex products
 and quotients replay CPython's formulas on separate real and imaginary
 float64 arrays, math.log and cmath.exp stay scalar (numpy's versions
 round differently), and sums run left to right.  A tail whose march or
-panel walk would exceed about 2e6 pieces, or reach 2^52, is refused.
+panel walk would exceed about 2e6 pieces, or reach 2^52, is refused; a
+plain tail from x >= 2^52 walks nothing, and since its cutoff is then an
+integer, its far tail is expanded at {-alpha}.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -531,30 +533,20 @@ def psi_piecewise_integral(
     return complex(sums[0][log_power, 0], sums[1][log_power, 0])
 
 
-def psi_tail_powers_batch(
-    x: float,
-    alphas,
-    b: complex,
-    rmax: int,
-    *,
-    tol_abs: float = _TOL_ABS,
-    tol_rel: float = _TOL_REL,
-    u_start: float | None = None,
-) -> list[tuple[list[complex], list[float]]]:
+def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
     """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
     from one march of all rows; each row is bit for bit its one-row result.
 
     Rows that meet the tolerance at the cutoff u0 stop there; the others
     march on to 2 u0.  The far-tail derivatives and remainders do not depend
-    on alpha and are evaluated once per cutoff.
+    on alpha and are evaluated once per cutoff.  From 2^52 on, where u0 is
+    an integer (and a walk is refused), they are expanded at {-alpha}.
     """
     b = complex(b)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
     kt = _K_TAIL
     u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
-    if u_start is not None:
-        u0 = max(u0, float(u_start))
     alphas = np.array(alphas, dtype=float)
     _check_work(alphas.size * (u0 - x))
     sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
@@ -566,12 +558,12 @@ def psi_tail_powers_batch(
         _march(sums, cur, u0, alphas, b, rmax)
         cur = u0
         # (-1)^{k+1} periodic_bernoulli(k + 2, u0 - alpha), one row per alpha
-        v = u0 - alphas
+        v = u0 - alphas if u0 < 2.0**52 else -alphas
         coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(kt - 1)]
         tails = _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
         rems = np.array(_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt]))[:, None]
         vr, vi = sums[0] + tails.real, sums[1] + tails.imag
-        done = np.all(rems <= np.fmax(tol_abs, tol_rel * np.hypot(vr, vi)), axis=0) | (u0 > 5e6)
+        done = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.hypot(vr, vi)), axis=0) | (u0 > 5e6)
         # widen by the accumulated-magnitude proxy so that downstream
         # two-route comparisons stay inside the reported bounds
         errs = rems + 5e-16 * sums[2]
@@ -584,23 +576,14 @@ def psi_tail_powers_batch(
         u0 *= 2.0
 
 
-def psi_tail_powers(
-    x: float,
-    alpha: float,
-    b: complex,
-    rmax: int,
-    *,
-    tol_abs: float = _TOL_ABS,
-    tol_rel: float = _TOL_REL,
-    u_start: float | None = None,
-) -> tuple[list[complex], list[float]]:
+def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list[complex], list[float]]:
     """int_x^inf psi(u-alpha) u^b log^m u du for m = 0..rmax, with bounds.
 
     Requires Re(b) < 0.  Piecewise exact up to an adaptive cutoff U, then
     the expansion sum_k (-1)^k psi~_{k+1}(U-alpha) g^{(k-1)}(U) with the
     remainder bounded through int_U^inf |g^{(K-1)}|.
     """
-    return psi_tail_powers_batch(x, [alpha], b, rmax, tol_abs=tol_abs, tol_rel=tol_rel, u_start=u_start)[0]
+    return psi_tail_powers_batch(x, [alpha], b, rmax)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +655,12 @@ def _walk(u: float, step_of, step_cap: float, end: float, stop: float) -> list[f
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
 
 
+def _osc_reach(b: complex, rmax: int) -> float:
+    """pi |nu| times the first cutoff of pure_osc_tail_powers (pi (1 - nu) times
+    that of psi_osc_tail_powers), before the floors x and 8 (12)."""
+    return abs(b) + rmax + _K_OSC + 6.0
+
+
 def _osc_cutoff(b: complex, rmax: int, x: float, x0: float, scale: float, panel_cap: float):
     """The far-tail rows of g_m = u^b log^m u (m = 0..rmax), the cutoff and
     its remainders scale * int_x0^inf |g_m^{(K)}|.
@@ -703,7 +692,7 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[li
     K = _K_OSC
     anu = abs(nu)
     # the deep by-parts expansion keeps x0 (hence panel rounding) small
-    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * anu), 8.0)
+    x0 = max(x, _osc_reach(b, rmax) / (math.pi * anu), 8.0)
     step_cap = 0.45 / max(anu, 1e-12)
     _check_work((x0 - x) / step_cap)
     rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, (TWO_PI * anu) ** (-K), 4000.0 * max(0.45 / anu, 0.5))
@@ -718,6 +707,17 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[li
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     phase = cmath.exp(2j * math.pi * nu * x0)
     return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
+
+
+def _dual_walk_panels(b: complex, rmax: int, x: float, nmax: int) -> float:
+    """About how many panels segment_osc_power_log(n, ., rmax, x) and
+    pure_osc_tail_powers(n, b, rmax, x) walk for n = +-1..+-nmax: n x0_n / 0.45,
+    x0_n = max(x, c/n, 8) the first cutoff, c = _osc_reach(b, rmax)/pi, summed
+    in closed form, split where c/n falls below max(x, 8)."""
+    c = _osc_reach(b, rmax) / math.pi
+    floor = max(x, 8.0)
+    k = min(nmax, math.floor(c / floor))
+    return 2.0 * (k * c + floor * (nmax * (nmax + 1) - k * (k + 1)) / 2.0) / 0.45
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
@@ -787,7 +787,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
     # one panel per unit interval, between the kinks of psi(u - alpha) that the march uses
-    x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
+    x0 = max(x, _osc_reach(b, rmax) / (math.pi * (1.0 - nu)), 12.0)
     _check_work(x0 - x)
     rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, _osc_remainder_const(K, nu), 4000.0)
     _check_kinks(x, x0)

@@ -1,3 +1,4 @@
+import cmath
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ import zetalab.afe as afe
 from zetalab.afe import afe_hurwitz, afe_l, gamma_factor_derivs
 from zetalab.characters import enumerate_characters
 from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
+from zetalab.sawtooth import EvalResult
 
 mp.mp.dps = 25
 
@@ -143,6 +145,28 @@ def test_afe_l_walks_each_dual_frequency_once_per_order(monkeypatch):
     monkeypatch.setattr(afe, "_afe_core", lambda s, alpha, r, x, duals: core(s, alpha, r, x, {}))
     assert repr(afe_l(s, chi, r, X)) == repr(shared)
     assert calls == Counter({name: 4 * 2 * nmid * (r + 1) for name in calls})
+
+
+def test_afe_l_weighs_like_the_per_class_loop():
+    # the class pieces weighed by chi(a) q^{-s} in one kernel, bit for bit the loop it replaced
+    s, r, X = 0.5 + 30j, 2, 3.0
+    for q in (5, 12):
+        for chi in [c for c in enumerate_characters(q) if not c.is_principal][:2]:
+            lq = math.log(q)
+            qs = cmath.exp(-s * lq)
+            val, err, duals = 0.0 + 0.0j, 0.0, {}
+            for a in range(1, q + 1):
+                if chi(a) == 0:
+                    continue
+                parts = [afe._afe_core(s, a / q, l, X / q, duals) for l in range(r + 1)]
+                acc, eacc = 0.0 + 0.0j, 0.0
+                for l in range(r + 1):
+                    c = math.comb(r, l) * (-lq) ** (r - l)
+                    acc += c * parts[l][0]
+                    eacc += abs(c) * parts[l][1]
+                val += chi(a) * qs * acc
+                err += abs(qs) * eacc
+            assert repr(afe_l(s, chi, r, X)) == repr(EvalResult(val, err)), (q, chi.label)
 
 
 def test_afe_l_conjugation():

@@ -275,6 +275,15 @@ def test_walks_reaching_two_to_the_52_are_refused_with_one_line(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^52" in captured.err
 
 
+def test_tail_from_two_to_the_52_keeps_its_shift(capsys):
+    # a tail that walks nothing from x = 1e17 expands its far tail at {-alpha}
+    # (it printed -2.635e-27, the value at alpha = 1, for every alpha)
+    assert run(["tail", "--x", "1e17", "--alpha", "0.5", "--re-a", "-1.5", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["value"]
+    want = -(0.25 - 0.5 + 1.0 / 6.0) / 2.0 * 10.0**-25.5  # -psi2(-1/2) x^{-3/2}
+    assert abs(complex(*got) - want) <= 1e-12 * abs(want)
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     # the parser is built once per process; a refused argv, an eval, a
     # certify to a file and another eval each give what a fresh parser gives

@@ -358,20 +358,24 @@ def _l_at_0_per_character(r, chi, X):
     return EvalResult((-1.0) ** r * val, err)
 
 
-@pytest.mark.parametrize("q", [7, 8])
+@pytest.mark.parametrize("q", [7, 8, 293])
 def test_batched_l_routes_equal_the_single_character_routes(q):
     chars = [c for c in enumerate_characters(q) if not c.is_principal]
+    # mod 293 the batch holds all 291 characters; three are checked: labels 1, 146 (real) and 291
+    checked = range(len(chars)) if q < 100 else (0, 145, 290)
     for X in (None, 2.5):
-        for r in range(0, 5):
+        for r in range(0, 5 if q < 100 else 3):
             batch1 = l_deriv_at_1_exact_all(r, chars, X=X)
             batch0 = l_deriv_at_0_all(r, chars, X=X)
             assert len(batch1) == len(batch0) == len(chars)
-            for chi, got1, got0 in zip(chars, batch1, batch0):
+            for chi, got1, got0 in ((chars[i], batch1[i], batch0[i]) for i in checked):
                 # exact equality, value and error_bound alike
                 single1 = l_deriv_at_1_exact(r, chi, X=X)
                 single0 = l_deriv_at_0(r, chi, X=X)
                 assert got1.value == single1.value and got1.error_bound == single1.error_bound
                 assert got0.value == single0.value and got0.error_bound == single0.error_bound
+                if q > 100 and (X is None or chi.label != 146):
+                    continue  # the per-class loops take a second each at q = 293
                 ref1 = _l_at_1_per_character(r, chi, 4.0 * q if X is None else X)
                 ref0 = _l_at_0_per_character(r, chi, 4.0 * q if X is None else X)
                 assert got1 == ref1 and got0 == ref0, (chi.label, r, X)

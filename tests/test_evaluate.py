@@ -9,11 +9,19 @@ from zetalab.characters import enumerate_characters
 from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
+    _finite_power_sum,
+    _psi_at_split,
+    _s_tail,
+    _split_floor,
+    _z_core,
+    default_split,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
+    pole_term_derivs,
     z_deriv,
 )
+from zetalab.sawtooth import EvalResult, psi_tail_powers
 
 from .oracles import (
     catalan_constant,
@@ -103,6 +111,32 @@ def test_hurwitz_validation():
         HurwitzArgs(s=0.5, alpha=1.0, split=-2.0)
 
 
+def ref_hurwitz_core(s, alpha, r, x):
+    """The Hurwitz core that Z(s, alpha, 1) replaced (reference): finite sum
+    + boundary + tail, without the pole term."""
+    nmax = _split_floor(x - alpha)
+    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
+    pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
+    val = _finite_power_sum(pts, s, r)
+    lx = math.log(x)
+    val += _psi_at_split(x - alpha) * cmath.exp(-s * lx) * (-lx) ** r
+    return val + tail, err
+
+
+def test_hurwitz_is_z_at_q1_bit_for_bit():
+    # real and complex s, the default split, an explicit one and one below alpha
+    rng = np.random.default_rng(9)
+    for alpha in (1e-9, 0.3, 1.0):
+        for i in range(12):
+            s = complex(rng.uniform(0.05, 3.0), 0.0 if i % 2 else rng.uniform(-200.0, 200.0))
+            r = int(rng.integers(0, 7))
+            for x in (None, float(rng.uniform(0.5, 30.0)), alpha / 2.0):
+                got = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, order=r, split=x))
+                split = default_split(s, alpha) if x is None else x
+                core, err = ref_hurwitz_core(s, alpha, r, split)
+                assert repr(got) == repr(EvalResult(core + pole_term_derivs(s, split, r)[r], err)), (s, alpha, r, x)
+
+
 # ---------------------------------------------------------------------------
 # Z (progressions)
 # ---------------------------------------------------------------------------
@@ -176,6 +210,20 @@ def test_l_character_decomposition(chi4):
     total = sum(chi4(a) * z_deriv(s, a, 4, r, X=11.0).value for a in (1, 3))
     res = l_deriv(s, chi4, r, X=11.0)
     assert abs(res.value - total) < 1e-10 * max(1.0, abs(res.value))
+
+
+def test_l_deriv_matches_the_per_class_loop_with_empty_classes():
+    # q = 15 with X = 7.5 < q: the classes a > X have no term in their finite sums
+    q, X = 15, 7.5
+    for chi in [c for c in enumerate_characters(q) if not c.is_principal][::2]:
+        for s, r in ((0.7 + 3j, 2), (1.0 + 0j, 0), (2.0 + 0j, 1)):
+            val, err = 0.0 + 0.0j, 0.0
+            for a in range(1, q + 1):
+                if chi(a) != 0:
+                    core, cerr = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
+                    val += chi(a) * core
+                    err += cerr
+            assert repr(l_deriv(s, chi, r, X=X)) == repr(EvalResult(val, err)), (chi.label, s, r)
 
 
 def test_l_principal_rejected(principal4):

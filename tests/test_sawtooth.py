@@ -133,10 +133,12 @@ def test_tail_smallness_far_out():
 
 
 def test_tail_cutoff_independence():
+    # the tail from 1.3 against the march to 260 plus the tail from 260
     vals1, errs1 = psi_tail_powers(1.3, 0.4, -1.7, 3)
-    vals2, errs2 = psi_tail_powers(1.3, 0.4, -1.7, 3, u_start=260.0)
+    vals2, errs2 = psi_tail_powers(260.0, 0.4, -1.7, 3)
     for r in range(4):
-        assert abs(vals1[r] - vals2[r]) <= errs1[r] + errs2[r] + 1e-15
+        part = psi_piecewise_integral(1.3, 260.0, alpha=0.4, exponent=-1.7, log_power=r)
+        assert abs(vals1[r] - (part + vals2[r])) <= errs1[r] + errs2[r] + 1e-15
 
 
 def test_error_bound_honest_grid():
@@ -338,12 +340,10 @@ def ref_march_exact(vals, lo, hi, alpha, b, rmax, mags=None) -> None:
                 mags[m] += abs(j_hi[m]) + abs(c) * abs(j_lo[m])
 
 
-def ref_psi_tail_powers(x, alpha, b, rmax, *, tol_abs=1e-15, tol_rel=1e-12, u_start=None):
+def ref_psi_tail_powers(x, alpha, b, rmax):
     b = complex(b)
     kt = _K_TAIL
     u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
-    if u_start is not None:
-        u0 = max(u0, float(u_start))
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     cur = x
@@ -351,7 +351,7 @@ def ref_psi_tail_powers(x, alpha, b, rmax, *, tol_abs=1e-15, tol_rel=1e-12, u_st
     while True:
         ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
         cur = u0
-        v = u0 - alpha
+        v = u0 - alpha if u0 < 2.0**52 else -alpha  # from 2^52 on u0 is an integer
         coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
         tails = []
         for rows in rows_all:
@@ -360,6 +360,7 @@ def ref_psi_tail_powers(x, alpha, b, rmax, *, tol_abs=1e-15, tol_rel=1e-12, u_st
                 acc += c * _row_eval(rows[k], b - k, u0)
             tails.append(acc)
         rems = _far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
+        tol_abs, tol_rel = sawtooth._TOL_ABS, sawtooth._TOL_REL
         ok = all(rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r])) for r, rem in enumerate(rems))
         if ok or u0 > 5e6:
             return (
@@ -411,18 +412,21 @@ def test_power_log_segments_match_the_scalar_antiderivatives(beta):
         (2.5, complex(-1.6, 40.0), 8, 5, {}),  # all three moment branches
         (1.0, complex(-1.5, 1500.0), 1, 1, {}),  # one row longer than a block
         (3.0, complex(-1.2, -60.0), 2, 101, {}),  # rows x segments over many blocks
-        (1.3, -1.7, 0, 3, {"u_start": 260.0}),
-        (0.5, -1.0, 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-17}),  # one row doubles its cutoff
-        (0.5, complex(-1.3, 7.0), 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-18}),  # three rows double
-        (0.5, -2.0, 2, 7, {"tol_abs": 0.0, "tol_rel": 1e-20}),  # six of seven double
+        (1.3, complex(-1.7, 115.0), 0, 3, {}),  # a first cutoff of 258 from a large Im b
+        (0.5, -1.0, 2, 7, {"_TOL_ABS": 0.0, "_TOL_REL": 1e-17}),  # one row doubles its cutoff
+        (0.5, complex(-1.3, 7.0), 2, 7, {"_TOL_ABS": 0.0, "_TOL_REL": 1e-18}),  # three rows double
+        (0.5, -2.0, 2, 7, {"_TOL_ABS": 0.0, "_TOL_REL": 1e-20}),  # six of seven double
+        (1e17, -1.5, 2, 4, {}),  # from 2^52: no walk, the far tail at {-alpha}
     ],
 )
-def test_batched_tail_matches_the_scalar_march_bit_for_bit(x, b, rmax, q, kw):
+def test_batched_tail_matches_the_scalar_march_bit_for_bit(monkeypatch, x, b, rmax, q, kw):
+    for name, value in kw.items():
+        monkeypatch.setattr(sawtooth, name, value)
     alphas = [a / q for a in range(1, q + 1)]
-    got = psi_tail_powers_batch(x, alphas, b, rmax, **kw)
-    want = [ref_psi_tail_powers(x, alpha, b, rmax, **kw) for alpha in alphas]
+    got = psi_tail_powers_batch(x, alphas, b, rmax)
+    want = [ref_psi_tail_powers(x, alpha, b, rmax) for alpha in alphas]
     assert repr(got) == repr(want)
-    assert repr(psi_tail_powers(x, alphas[-1], b, rmax, **kw)) == repr(want[-1])
+    assert repr(psi_tail_powers(x, alphas[-1], b, rmax)) == repr(want[-1])
 
 
 def test_batch_rows_have_unequal_segment_counts():
@@ -581,6 +585,16 @@ def test_walks_reaching_two_to_the_52_are_refused():
     # a walk that ends below 2^52 still runs, and a call that walks nothing keeps its answer
     assert cmath.isfinite(psi_piecewise_integral(2.0**52 - 4.0, 2.0**52 - 2.0))
     assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
+
+
+def test_tail_from_two_to_the_52_is_expanded_at_minus_alpha():
+    # from 2^52 u0 = x is an integer, so psi~_k(u0 - alpha) = psi~_k(-alpha);
+    # expanded at u0 - alpha, alpha was lost and every alpha gave -2.635e-27
+    for alpha in (0.25, 0.5, 0.75, 1.0):
+        vals, errs = psi_tail_powers(1e17, alpha, -1.5, 0)
+        want = -psi2(-alpha) * 10.0**-25.5  # the leading term -psi2(x - alpha) x^{-3/2}
+        assert abs(vals[0] - want) <= 1e-12 * abs(want)
+        assert errs[0] <= 1e-12 * abs(want)
 
 
 def test_march_memory_does_not_grow_with_its_length():
