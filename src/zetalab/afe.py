@@ -32,7 +32,7 @@ import cmath
 import math
 
 from .characters import DirichletCharacter
-from .evaluate import _characters_at, _psi_at_split, _s_tail, _split_floor, _units, _weigh, pole_term_derivs
+from .evaluate import _characters_at, _pole_term, _psi_at_split, _s_tail, _split_floor, _units, _weigh
 from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
     EvalResult,
@@ -135,7 +135,7 @@ def afe_hurwitz(s: complex, alpha: float, r: int, x: float) -> EvalResult:
         raise ValueError("s = 1 is the pole; use the coefficient operations instead")
     _check_alpha(alpha)
     core, err = _afe_core(s, alpha, r, x, {})
-    pole = pole_term_derivs(s, x, r)[r]
+    pole = _pole_term(s, x, r)[0]
     return EvalResult(core + pole, err)
 
 

@@ -12,6 +12,16 @@ L(s, chi) = sum_a chi(a) Z(s, a, q) over the units a of Z/qZ.  One
 kernel weighs chi-free class pieces by chi(a) for a batch of characters
 at once; the L routes here, at s = 1 and s = 0, and in the strip use it.
 
+Their default split puts X/q at the final cutoff of the plain sawtooth
+tails (Euler-Maclaurin at the cutoff, as in Johansson, arXiv:1309.2877):
+the tails march over no interval, and what is left is one blocked numpy
+sum per residue class and the closed-form far tails.  An explicit split
+keeps the piecewise march.  For every split their error bounds add the
+binary64 rounding of the finite sums (the phase eps |s| log p of each
+term dominates at large t), of the boundary and pole terms, of the tail
+combination and of the character weighting to the tails' truncation and
+quadrature bounds.  Lerch keeps default_split.
+
 Derivative order r differentiates everything term by term:
 
     d^r/ds^r (n+a)^{-s}       = (n+a)^{-s} (-log(n+a))^r
@@ -35,6 +45,8 @@ from .sawtooth import (
     _check_work,
     _cmul,
     _complex,
+    _first_cutoff,
+    _tail_cutoff,
     psi_osc_tail_powers,
     psi_tail_powers,
     psi_tail_powers_batch,
@@ -95,7 +107,7 @@ class LerchArgs:
 
 
 def default_split(s: complex, alpha: float) -> float:
-    """Keeps the finite sum short while the tail integrand decays."""
+    """The default split of lerch_deriv: keeps the finite sum short while the tail integrand decays."""
     return max(1.0, abs(complex(s).imag) / (2.0 * math.pi)) + alpha
 
 
@@ -116,24 +128,34 @@ def _psi_at_split(v: float) -> float:
     return v - _split_floor(v) - 0.5
 
 
-def pole_term_derivs(s: complex, x: float, rmax: int) -> list[complex]:
-    """d^r/ds^r (x^{1-s}/(s-1)) for r = 0..rmax by the Leibniz closed form."""
-    s = complex(s)
+_EPS = 2.0**-53  # unit roundoff of binary64
+
+
+def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
+    """d^r/ds^r (x^{1-s}/(s-1)) by the Leibniz closed form, with its rounding:
+    the phase of x^{1-s} (eps |1-s| log x) and each of the r + 1 terms.
+    Refused where it is not finite in binary64 (s within rounding of the pole)."""
     lx = math.log(x)
     xp = cmath.exp((1.0 - s) * lx)
-    out = []
-    for r in range(rmax + 1):
-        acc = 0.0 + 0.0j
+    acc = 0.0 + 0.0j
+    mags = 0.0
+    try:
         for l in range(r + 1):
-            acc += (
-                math.comb(r, l)
-                * (-lx) ** (r - l)
-                * (-1.0) ** l
-                * math.factorial(l)
-                / (s - 1.0) ** (l + 1)
-            )
-        out.append(xp * acc)
-    return out
+            term = math.comb(r, l) * (-lx) ** (r - l) * (-1.0) ** l * math.factorial(l) / (s - 1.0) ** (l + 1)
+            acc += term
+            mags += abs(term)
+    except ZeroDivisionError:
+        acc = mags = math.inf
+    val = xp * acc
+    err = abs(xp) * _EPS * ((3.0 * abs(1.0 - s) * abs(lx) + 8.0) * abs(acc) + (5 * r + 16) * mags)
+    if not (cmath.isfinite(val) and math.isfinite(err)):
+        raise ValueError(f"s = {s} lies too close to the pole s = 1: the pole term is not finite in binary64")
+    return val, err
+
+
+def pole_term_derivs(s: complex, x: float, rmax: int) -> list[complex]:
+    """d^r/ds^r (x^{1-s}/(s-1)) for r = 0..rmax by the Leibniz closed form."""
+    return [_pole_term(complex(s), x, r)[0] for r in range(rmax + 1)]
 
 
 def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarray | None = None) -> complex:
@@ -145,6 +167,42 @@ def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarra
     if weights is not None:
         terms = terms * weights
     return complex(terms.sum())
+
+
+_SUM_BLOCK = 1 << 15  # terms per block of a progression sum: memory stays flat in its length
+# work budget charges, in march segments: a progression-sum term takes about
+# 1/30 of one, a residue class (its far tails and its core) about 16 to 32
+_TERM_COST = 1.0 / 8.0
+_CLASS_COST = 16.0
+
+
+def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int) -> tuple[complex, float]:
+    """sum_{k <= kmax} p^{-s} (-log p)^r over p = a + q k, in blocks, with its rounding.
+
+    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p (the
+    logarithm, the rounded point, the product), the modulus, the power and
+    the product; r eps |term| / |log p| more where |log p| < 1 (at most the
+    first three points), for the rounded point inside (-log p)^r; then the
+    pairwise sums within blocks and the sum of the blocks, 1.5 eps (depth)
+    sum |term|.  A single block is summed as one array, so a short sum is
+    bit for bit _finite_power_sum."""
+    val, mags, lmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0
+    for k0 in range(0, kmax + 1, _SUM_BLOCK):
+        pts = a + q * np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
+        logs = np.log(pts)
+        terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+        part = complex(terms.sum())
+        val = val + part if blocks else part
+        blocks += 1
+        mag, al = np.abs(terms), np.abs(logs)
+        mags += float(mag.sum())
+        lmags += float((mag * al).sum())
+        if r and not k0:
+            near = (al[:3] > 0.0) & (al[:3] < 1.0)
+            head = r * float((mag[:3][near] / al[:3][near]).sum())
+    depth = math.log2(min(kmax + 1, _SUM_BLOCK) + 1) + 20 + blocks
+    abs_s = abs(s)
+    return val, _EPS * (3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags + head)
 
 
 def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
@@ -170,34 +228,76 @@ def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
     return acc, err
 
 
+def _boundary_rounding(s: complex, q: int, r: int, X: float, v: float, kmax: int, psi: float, ax: float) -> float:
+    """Rounding of the boundary term psi(v) X^{-s} (-log X)^r, |X^{-s}| = ax:
+    psi at a split v = (X - a)/q that carries the rounding of v, of X/q and
+    of a/q, 4 eps (|v| + 2); the phase and the products, eps (3 |s| |log X|
+    + 2 r + 8) |psi|; and where v sits within _SNAP below the lattice point
+    kmax that the sum counts, that point's term against the boundary's,
+    q (kmax - v) |d/dX X^{-s} (-log X)^r|."""
+    lx = abs(math.log(X))
+    err = ax * lx**r * _EPS * (4.0 * (abs(v) + 2.0) + abs(psi) * (3.0 * abs(s) * lx + 2 * r + 8))
+    if kmax > v:
+        err += 1.01 * q * (kmax - v) * ax / X * (abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0))
+    return err
+
+
 def _z_core(s: complex, a: float, q: int, r: int, X: float, tail) -> tuple[complex, float]:
     """Z-representation without its pole term (1/q) d^r (X^{1-s}/(s-1));
-    tail = psi_tail_powers(X/q, a/q, -s-1, r).  At q = 1, a is any alpha in (0, 1]."""
-    kmax = _split_floor((X - a) / q)
-    pts = a + q * np.arange(0, kmax + 1, dtype=float) if kmax >= 0 else np.empty(0)
-    val = _finite_power_sum(pts, s, r)
+    tail = psi_tail_powers(X/q, a/q, -s-1, r).  At q = 1, a is any alpha in (0, 1].
+
+    The bound adds to the tail's the rounding of the finite sum, of the
+    boundary term, of the tail combination (the phase of q^{-s} and of the
+    far tail, eps 3 |s| (|log q| + |log X|), and the coefficients) and of
+    the addition."""
+    v = (X - a) / q
+    kmax = _split_floor(v)
+    val, err = _progression_sum(a, q, kmax, s, r)
     lX = math.log(X)
-    val += _psi_at_split((X - a) / q) * cmath.exp(-s * lX) * (-lX) ** r
+    psi = _psi_at_split(v)
+    fx = cmath.exp(-s * lX)
+    val += psi * fx * (-lX) ** r
+    err += _boundary_rounding(s, q, r, X, v, kmax, psi, abs(fx))
     tails, terrs = tail
     lq = math.log(q)
     qs = cmath.exp(-s * lq)
-    acc, err = _log_binomial_tail_combo(tails, terrs, r, s, lq)
-    return val + (-1.0) ** r * qs * acc, abs(qs) * err
+    acc, terr = _log_binomial_tail_combo(tails, terrs, r, s, lq)
+    combo = (-1.0) ** r * qs * acc
+    mags = _log_binomial_tail_combo(tails, [abs(t) for t in tails], r, s, lq)[1]  # sum |c_m| |T_m|
+    err += _EPS * (abs(qs) * (3.0 * abs(s) * (abs(lq) + abs(lX)) + 3 * r + 12) * mags + abs(val) + abs(combo))
+    return val + combo, abs(qs) * terr + err
 
 
-def _z_value(s: complex, a: float, q: int, r: int, X: float) -> EvalResult:
-    """Z^{(r)}(s, a, q) at the split X: core plus pole/q, the finite sum and
-    the tail charged to the work budget before either runs."""
-    _check_work(_split_floor((X - a) / q) + 1)
-    core, err = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
-    return EvalResult(core + pole_term_derivs(s, X, r)[r] / q, err)
+def _z_value(s: complex, a: float, q: int, r: int, X: float, u: float) -> EvalResult:
+    """Z^{(r)}(s, a, q) at the split X, its tail from u = X/q: core plus pole/q."""
+    core, err = _z_core(s, a, q, r, X, psi_tail_powers(u, a / q, -s - 1.0, r))
+    pole, perr = _pole_term(s, X, r)
+    return EvalResult(core + pole / q, err + (perr + _EPS * abs(pole)) / q + _EPS * abs(core + pole / q))
+
+
+def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, float]:
+    """The split X and the tails' lower limit X/q.  By default X/q is the
+    final cutoff of the plain tails of the residue classes a of units, so
+    that they march over no interval and only their closed-form far tails
+    are left beside the finite sums.
+
+    The classes and the n <= X of their finite sums are charged to the work
+    budget before any runs; by default first at the tails' first cutoff,
+    before the search for the final one, then at the final one."""
+    if X is None:
+        _check_work(len(units) * _CLASS_COST + q * _first_cutoff(-s - 1.0, r) * _TERM_COST)
+        u = _tail_cutoff([a / q for a in units], -s - 1.0, r)
+        X = q * u
+    else:
+        u = X / q
+    _check_work(len(units) * _CLASS_COST + X * _TERM_COST)
+    return X, u
 
 
 def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
     """d^r/ds^r zeta(s, alpha) = Z^{(r)}(s, alpha, 1) via the split-sum representation."""
     s = complex(args.s)
-    x = args.split if args.split is not None else default_split(s, args.alpha)
-    return _z_value(s, args.alpha, 1, args.order, x)
+    return _z_value(s, args.alpha, 1, args.order, *_split(s, args.order, 1, [args.alpha], args.split))
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -210,9 +310,7 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
-    if X is None:
-        X = q * default_split(s, a / q)
-    return _z_value(s, a, q, r, X)
+    return _z_value(s, a, q, r, *_split(s, r, q, [a], X))
 
 
 def _units(q: int) -> list[int]:
@@ -247,13 +345,14 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
         raise ValueError("evaluation requires Re(s) > 0")
     _check_order(r)
     q = chi.modulus
-    if X is None:
-        X = q * default_split(s, 1.0)
-    _check_work(X)  # the n <= X of the finite sums of all residue classes
     units = _units(q)
-    tails = psi_tail_powers_batch(X / q, [a / q for a in units], -s - 1.0, r)
+    X, u = _split(s, r, q, units, X)
+    tails = psi_tail_powers_batch(u, [a / q for a in units], -s - 1.0, r)
     cores, errs = zip(*(_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)))
     err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
+    # the weighting: chi(a) to within 14 eps (cmath.exp of 2 pi k/E), CPython's
+    # product, and the sum over the units left to right
+    err += _EPS * (20 + len(units)) * float(np.abs(cores).sum())
     return EvalResult(complex(_weigh(_characters_at([chi], units), cores)[0]), err)
 
 

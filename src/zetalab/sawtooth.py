@@ -28,7 +28,9 @@ float64 arrays, math.log and cmath.exp stay scalar (numpy's versions
 round differently), and sums run left to right.  A tail whose march or
 panel walk would exceed about 2e6 pieces, or reach 2^52, is refused; a
 plain tail from x >= 2^52 walks nothing, and since its cutoff is then an
-integer, its far tail is expanded at {-alpha}.
+integer, its far tail is expanded at {-alpha}.  One rule picks the plain
+tail's cutoffs and where its rows stop; a split placed at the final one
+(_tail_cutoff) leaves the march nothing to walk.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -38,9 +40,13 @@ sums the boundary terms of all parts in closed form, from one row of
 periodic Bernoulli values shared by all K parts.  One panel kernel serves
 every walk, as (block x 32) arrays of at most 512 panels; it is bit for
 bit the one-panel-at-a-time loop (np.vecdot per panel, which is np.dot's
-BLAS dot, and panel sums added left to right).
+BLAS dot, and panel sums added left to right).  A sawtooth-weighted tail
+whose cutoff reaches 2^52 is refused: from there alpha and the phase
+2 pi nu u are lost to rounding.
 
-Error bounds cover truncation and quadrature, not binary64 rounding.
+Error bounds here cover truncation and quadrature, not binary64 rounding;
+the Hurwitz, Z and L routes of evaluate add the rounding of what they
+assemble from these tails.
 """
 
 from __future__ import annotations
@@ -168,24 +174,35 @@ def _phi_bernoulli(m: int, v: float) -> float:
     return acc
 
 
+_ROW_BLOCK = 4096  # entries per (terms x entries) block of the Fourier branch: memory stays flat in the batch
+
+
 def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
-    """_phi_bernoulli(m, v) for every entry of v, bit for bit (math.cos stays scalar)."""
+    """_phi_bernoulli(m, v) for every entry of v, bit for bit: math.cos stays
+    scalar, and the Fourier terms of all n are subtracted in n order."""
     if m <= 12:
         f = v - np.floor(v)
         acc = np.zeros_like(f)
         for c in _bernoulli_poly_coeffs(m):
             acc = acc * f + c
         return acc * TWO_PI**m
-    acc = np.zeros_like(v)
+    n, powers = _fourier_orders(m)
+    out = np.empty_like(v)
+    for c in range(0, v.size, _ROW_BLOCK):
+        arg = TWO_PI * n * v[c : c + _ROW_BLOCK] + (-0.5 * math.pi * m)
+        cos = np.fromiter(map(math.cos, arg.ravel().tolist()), dtype=float, count=arg.size).reshape(arg.shape)
+        out[c : c + _ROW_BLOCK] = np.subtract.accumulate(np.vstack([np.zeros((1, arg.shape[1])), 2.0 * cos / powers]))[-1]
+    return out
+
+
+@lru_cache(maxsize=None)  # one entry per order m > 12
+def _fourier_orders(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n = 1, 2, ... of the Fourier terms _phi_bernoulli sums at order m,
+    and float(n^m), as columns."""
     n = 1
-    phase = -0.5 * math.pi * m
-    while True:
-        arg = TWO_PI * n * v + phase
-        acc = acc - 2.0 * np.fromiter(map(math.cos, arg.tolist()), dtype=float, count=arg.size) / float(n**m)
+    while not ((n + 1) ** (-m) < 1e-20 or n + 1 > 64):
         n += 1
-        if n ** (-m) < 1e-20 or n > 64:
-            break
-    return acc
+    return np.arange(1, n + 1)[:, None], np.array([float(k**m) for k in range(1, n + 1)])[:, None]
 
 
 _PSI_TILDE_ABS = tuple(
@@ -533,37 +550,73 @@ def psi_piecewise_integral(
     return complex(sums[0][log_power, 0], sums[1][log_power, 0])
 
 
+def _first_cutoff(b: complex, rmax: int) -> float:
+    """The plain tail's first cutoff from any x below it."""
+    return max(2.0 * (abs(b) + rmax + _K_TAIL), 8.0)
+
+
+def _tail_cutoffs(x: float, b: complex, rmax: int):
+    """The plain tail's cutoffs u0 = max(x, _first_cutoff), 2 u0, 4 u0, ...,
+    each with the far-tail rows of g_m = u^b log^m u (m = 0..rmax) and the
+    remainders 2.5 (2 pi)^{-K} int_u0^inf |g_m^{(K-1)}|, a column of one per m."""
+    rows_all = [_deriv_rows(b, r, _K_TAIL - 1) for r in range(rmax + 1)]
+    u0 = max(x, _first_cutoff(b, rmax))
+    while True:
+        yield u0, rows_all, np.array(_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[_K_TAIL]))[:, None]
+        u0 *= 2.0
+
+
+def _tail_stops(u0: float, rems: np.ndarray, size) -> np.ndarray:
+    """Whether a row stops at the cutoff u0: its remainders meet the tolerance
+    for a tail of this size, or u0 is past the cap."""
+    return np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * size), axis=0) | (u0 > 5e6)
+
+
+def _far_tails(rows_all, b: complex, u0: float, alphas: np.ndarray) -> np.ndarray:
+    """The far-tail expansions at the cutoff u0, shape (rmax + 1, rows): one
+    column per alpha, sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0).
+    From 2^52 on, where u0 is an integer, they are expanded at {-alpha}."""
+    v = u0 - alphas if u0 < 2.0**52 else -alphas
+    coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(_K_TAIL - 1)]
+    return _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
+
+
+def _tail_cutoff(alphas, b: complex, rmax: int) -> float:
+    """The first cutoff of _tail_cutoffs at which every row of
+    psi_tail_powers_batch(x, alphas, b, rmax) stops with nothing marched:
+    a batch from there marches over no interval."""
+    alphas = np.array(alphas, dtype=float)
+    for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
+        tails = _far_tails(rows_all, b, u0, alphas)
+        if _tail_stops(u0, rems, np.hypot(tails.real, tails.imag)).all():
+            return u0
+
+
 def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
     """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
     from one march of all rows; each row is bit for bit its one-row result.
 
     Rows that meet the tolerance at the cutoff u0 stop there; the others
     march on to 2 u0.  The far-tail derivatives and remainders do not depend
-    on alpha and are evaluated once per cutoff.  From 2^52 on, where u0 is
-    an integer (and a walk is refused), they are expanded at {-alpha}.
+    on alpha and are evaluated once per cutoff.
     """
     b = complex(b)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
-    kt = _K_TAIL
-    u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
+    cutoffs = _tail_cutoffs(x, b, rmax)
+    u0, rows_all, rems = next(cutoffs)
     alphas = np.array(alphas, dtype=float)
     _check_work(alphas.size * (u0 - x))
     sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
     out: list = [None] * alphas.size
     rows = np.arange(alphas.size)
-    rows_all = [_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
     cur = x
     while True:
         _march(sums, cur, u0, alphas, b, rmax)
         cur = u0
-        # (-1)^{k+1} periodic_bernoulli(k + 2, u0 - alpha), one row per alpha
-        v = u0 - alphas if u0 < 2.0**52 else -alphas
-        coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(kt - 1)]
-        tails = _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
-        rems = np.array(_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt]))[:, None]
+        tails = _far_tails(rows_all, b, u0, alphas)
         vr, vi = sums[0] + tails.real, sums[1] + tails.imag
-        done = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.hypot(vr, vi)), axis=0) | (u0 > 5e6)
+        done = _tail_stops(u0, rems, np.hypot(vr, vi))
         # widen by the accumulated-magnitude proxy so that downstream
         # two-route comparisons stay inside the reported bounds
         errs = rems + 5e-16 * sums[2]
@@ -573,7 +626,7 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
             return out
         rows, alphas = rows[~done], alphas[~done]
         sums = [a[:, ~done] for a in sums]
-        u0 *= 2.0
+        u0, _, rems = next(cutoffs)
 
 
 def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list[complex], list[float]]:
@@ -791,6 +844,8 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     _check_work(x0 - x)
     rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, _osc_remainder_const(K, nu), 4000.0)
     _check_kinks(x, x0)
+    if not x0 < 2.0**52:
+        raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
     first, count = _kinks(x, x0, np.array([alpha]))
     pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
     vals = [0.0 + 0.0j] * (rmax + 1)

@@ -8,12 +8,15 @@ Gauss-Legendre panel quadrature for the sawtooth tails, and partial-sum
 cutoffs chosen from explicit tail estimates for the direct series.  The
 one exception is convolution_coefficient, the right-hand side of the
 progression identity, which combines the library's classical constants.
+The Hurwitz, progression and L derivatives come from mpmath's Hurwitz
+zeta derivatives, with the characters' exact phases.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from zetalab.characters import factorize
@@ -294,3 +297,22 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def z_oracle(s: complex, a: float, q: int, r: int, dps: int = 30):
+    """Z^{(r)}(s, a, q) = d^r/ds^r q^{-s} zeta(s, a/q) as an mpmath number,
+    by Leibniz over mpmath's Hurwitz derivatives; q = 1 is zeta^{(r)}(s, a)."""
+    with mp.workdps(dps):
+        sm, lq = mp.mpc(s.real, s.imag), mp.log(q)
+        alpha = mp.mpf(a) / q
+        return q**-sm * mp.fsum(math.comb(r, l) * (-lq) ** (r - l) * mp.zeta(sm, alpha, l) for l in range(r + 1))
+
+
+def l_oracle(s: complex, chi, r: int, dps: int = 30):
+    """L^{(r)}(s, chi) = sum_a chi(a) Z^{(r)}(s, a, q), chi(a) = e^{2 pi i k/E}
+    from the character's exact exponent k."""
+    q, e = chi.modulus, chi.group_exponent
+    with mp.workdps(dps):
+        return mp.fsum(
+            mp.expjpi(mp.mpf(2 * k) / e) * z_oracle(s, a, q, r, dps) for a, k in enumerate(chi.value_logs) if k >= 0
+        )

@@ -275,6 +275,26 @@ def test_walks_reaching_two_to_the_52_are_refused_with_one_line(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^52" in captured.err
 
 
+def test_weighted_tail_from_two_to_the_52_is_refused_with_one_line(capsys):
+    # it printed the same value for every alpha at 1e17, and 0j with a bound of 0 at 1e300
+    for x, alpha in (("1e17", "0.25"), ("1e17", "0.75"), ("1e300", "0.5")):
+        assert run(["tail", "--x", x, "--alpha", alpha, "--re-a", "-1.5", "--lambda", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "2^52" in captured.err
+
+
+@pytest.mark.parametrize("kind", [["--kind", "hurwitz", "--alpha", "0.5"], ["--kind", "z"]])
+def test_pole_term_near_one_is_refused_with_one_line(capsys, kind):
+    # (s - 1)^3 underflowed to 0 (a ZeroDivisionError traceback); 24!/(s - 1)^25
+    # overflowed (["nan", "nan"] with exit 0)
+    for s, r in (("1,1e-300", "2"), ("1.000000000001,0", "24")):
+        assert run(["eval", *kind, "--s", s, "--r", r, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "pole" in captured.err
+
+
 def test_tail_from_two_to_the_52_keeps_its_shift(capsys):
     # a tail that walks nothing from x = 1e17 expands its far tail at {-alpha}
     # (it printed -2.635e-27, the value at alpha = 1, for every alpha)
@@ -356,7 +376,9 @@ def test_tail_log_power_is_capped(capsys):
 
 
 # SHA-256 of the --json stdout, recorded before the characters were built
-# from a discrete-log table; the output must stay byte-identical
+# from a discrete-log table; the output must stay byte-identical.  The
+# `eval --kind hurwitz|z|l` entries were re-recorded when their default
+# split moved to the tail cutoff and their bounds gained the rounding term
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -366,7 +388,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
-        "055c7759b4976a465874efffed77f5fb7217d990de7122424357627143d2839a",
+        "03398cfcf32b18a683590dfaaf51893eb6df3d122c1440204758fd86e4c6442b",
     ),
     (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
     # recorded before the exact L routes shared one residue pass across characters
@@ -396,11 +418,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
-        "ae3642d95400b0f5798edcba8b2544d80a8ff6b4635e5bbdb0440e71bb6b0b6c",
+        "83733ac6f82d685848732d0a6c3b6c30151e1240cb75f8dd4f19018331a5327f",
     ),
     (
         ["eval", "--kind", "z", "--s", "0.7,5", "--a", "2", "--q", "5", "--r", "2"],
-        "c1282b48bd981bf0e69fc3ab97c8838057996b80b22b1191759ded3df1079222",
+        "0d533123a553710b52448acf94d038fb491576e1238c7c4484238b9d7f9c24b7",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
@@ -423,11 +445,11 @@ GOLDEN_DIGESTS = [
     # certify sweeps to r = 20, and plain complex tails
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,1000", "--alpha", "0.3", "--r", "1"],
-        "a5e0d8f9697db443dd047ee28bab2b8e1dad46f910c190d784405c4fd9d0170b",
+        "e972df84e1c40d650b1bafc05c24c5fac0db28d5443f839ccb5207d2bc74a0fe",
     ),
     (
         ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
-        "7cd5b43b657d65e9f516c29b4d9064564cf3670e09791c0230fbe3ef9c9f75c4",
+        "0a1143c77cdc9f8c216022ffe18339a081dedc9915964cdd542ff45af9ca5cb8",
     ),
     (["certify", "--bound", "t2-ib"], "6b1c731b42f08810bf3c0df4a10c9a9324cc2338c6789b4d5d2a91005749b751"),
     (["certify", "--bound", "t2-iib"], "54ed97725722525b903814c0ed23e946bb6cb7f43e8fd9a9552100b382d11286"),
@@ -437,11 +459,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
-        "5692217c0f67ccac5455cf90d4d80a88ecce4f136d5e5b2cb1983bd42c05b200",
+        "d126a746adc20a903b27e9514f59ebce56223356233064fe89b78e5279b7fe08",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
-        "0ee6afc222d8bfb9d900a77e3c4f5dc37a32c1ee7885e80c8eb8d4bd47cc24f6",
+        "666ea05f7cc8316dfed466972d9eb2471bdd61e56d160d368fb973912e132c21",
     ),
     # recorded before the Gauss-Legendre panels ran as (block x 32) arrays: a
     # panel walk longer than one block, an explicit Lerch split at t = 300,
@@ -495,3 +517,23 @@ def test_text_output_matches_golden_digest(capsys, argv, digest):
     status, out = run_capture(capsys, argv)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cutoff_split_answers_what_the_march_answered(capsys):
+    # two requests that marched for about 6 s each and now sum to the tail
+    # cutoff (2e6 terms), and every Hurwitz, Z and L request of the benchmark
+    # pools, all of which answer (exit 0) at the march-based default split
+    import perfbench.workloads as workloads
+
+    argvs = [
+        ["eval", "--kind", "hurwitz", "--s", "0.5,1000000", "--alpha", "0.3", "--r", "1", "--json"],
+        ["eval", "--kind", "l", "--s", "0.5,1000", "--q", "1009", "--label", "1", "--r", "1", "--json"],
+    ]
+    routes = {("eval", "--kind", kind) for kind in ("hurwitz", "z", "l")}
+    for name in workloads.WORKLOADS:
+        argvs += [list(job.argv) for cell in workloads.pool(name) for job in cell if job.argv[:3] in routes]
+    assert len(argvs) == 2 + 3 * 240 + 3 * 180 + 8
+    for argv in argvs:
+        status, out = run_capture(capsys, argv)
+        doc = json.loads(out)
+        assert status == 0 and all(map(math.isfinite, doc["value"] + [doc["error_bound"]])), argv

@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from zetalab.characters import enumerate_characters
+from zetalab import evaluate, sawtooth
+from zetalab.characters import character, enumerate_characters
 from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
@@ -14,22 +16,23 @@ from zetalab.evaluate import (
     _s_tail,
     _split_floor,
     _z_core,
-    default_split,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
     pole_term_derivs,
     z_deriv,
 )
-from zetalab.sawtooth import EvalResult, psi_tail_powers
+from zetalab.sawtooth import EvalResult, _tail_cutoff, psi_tail_powers
 
 from .oracles import (
     catalan_constant,
     direct_series_oracle,
     hurwitz_series_cutoff,
+    l_oracle,
     leibniz_pi_4,
     log2_series,
     oscillating_series_cutoff,
+    z_oracle,
     zeta_eta,
 )
 
@@ -111,20 +114,66 @@ def test_hurwitz_validation():
         HurwitzArgs(s=0.5, alpha=1.0, split=-2.0)
 
 
+EPS = 2.0**-53
+
+
 def ref_hurwitz_core(s, alpha, r, x):
     """The Hurwitz core that Z(s, alpha, 1) replaced (reference): finite sum
-    + boundary + tail, without the pole term."""
+    + boundary + tail, without the pole term; with the pieces that the
+    rounding term of the new contract is made of."""
     nmax = _split_floor(x - alpha)
-    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
+    tails, terrs = psi_tail_powers(x, alpha, -s - 1.0, r)
+    tail, err = _s_tail(tails, terrs, s, r)
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = _finite_power_sum(pts, s, r)
     lx = math.log(x)
-    val += _psi_at_split(x - alpha) * cmath.exp(-s * lx) * (-lx) ** r
-    return val + tail, err
+    psi = _psi_at_split(x - alpha)
+    fx = cmath.exp(-s * lx)
+    val += psi * fx * (-lx) ** r
+    pieces = dict(pts=pts, nmax=nmax, v=x - alpha, psi=psi, fx=fx, val=val, tail=tail, tails=tails)
+    return val + tail, err, pieces
+
+
+def ref_rounding(s, r, x, p) -> float:
+    """The rounding term of the Hurwitz bound at q = 1, term by term as documented:
+    the finite sum, the boundary term, the tail combination and its addition."""
+    logs = np.log(p["pts"])
+    terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+    mag, al = np.abs(terms), np.abs(logs)
+    head = 0.0
+    if r and p["pts"].size:
+        near = (al[:3] > 0.0) & (al[:3] < 1.0)
+        head = r * float((mag[:3][near] / al[:3][near]).sum())
+    depth = math.log2(p["nmax"] + 2) + 20 + (p["pts"].size > 0)
+    err = EPS * (3.0 * abs(s) * float((mag * al).sum()) + (abs(s) + 3 * r + 8 + 1.5 * depth) * float(mag.sum()) + head)
+    lx, v, kmax = abs(math.log(x)), p["v"], p["nmax"]
+    boundary = abs(p["fx"]) * lx**r * EPS * (4.0 * (abs(v) + 2.0) + abs(p["psi"]) * (3.0 * abs(s) * lx + 2 * r + 8))
+    if kmax > v:  # the split within _SNAP below the lattice point kmax, which the sum counts
+        boundary += 1.01 * (kmax - v) * abs(p["fx"]) / x * (abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0))
+    err += boundary
+    tails = p["tails"]
+    mags = (r * abs(tails[r - 1]) if r else 0.0) + abs(s) * abs(tails[r])  # |c_m| |T_m| at q = 1
+    return err + EPS * ((3.0 * abs(s) * lx + 3 * r + 12) * mags + abs(p["val"]) + abs(p["tail"]))
+
+
+def ref_pole(s, x, r):
+    """The pole term d^r/ds^r (x^{1-s}/(s-1)) and its rounding."""
+    lx = math.log(x)
+    xp = cmath.exp((1.0 - s) * lx)
+    terms = [math.comb(r, l) * (-lx) ** (r - l) * (-1.0) ** l * math.factorial(l) / (s - 1.0) ** (l + 1) for l in range(r + 1)]
+    acc = 0.0 + 0.0j
+    for t in terms:
+        acc += t
+    mags = 0.0
+    for t in terms:
+        mags += abs(t)
+    return xp * acc, abs(xp) * EPS * ((3.0 * abs(1.0 - s) * abs(lx) + 8.0) * abs(acc) + (5 * r + 16) * mags)
 
 
 def test_hurwitz_is_z_at_q1_bit_for_bit():
-    # real and complex s, the default split, an explicit one and one below alpha
+    # real and complex s, the default split, an explicit one and one below
+    # alpha: the values are the old Hurwitz core's, bit for bit; the bound
+    # is its truncation bound plus the rounding term, also bit for bit
     rng = np.random.default_rng(9)
     for alpha in (1e-9, 0.3, 1.0):
         for i in range(12):
@@ -132,9 +181,12 @@ def test_hurwitz_is_z_at_q1_bit_for_bit():
             r = int(rng.integers(0, 7))
             for x in (None, float(rng.uniform(0.5, 30.0)), alpha / 2.0):
                 got = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, order=r, split=x))
-                split = default_split(s, alpha) if x is None else x
-                core, err = ref_hurwitz_core(s, alpha, r, split)
-                assert repr(got) == repr(EvalResult(core + pole_term_derivs(s, split, r)[r], err)), (s, alpha, r, x)
+                split = _tail_cutoff([alpha], -s - 1.0, r) if x is None else x
+                core, err, pieces = ref_hurwitz_core(s, alpha, r, split)
+                pole, perr = ref_pole(s, split, r)
+                assert pole == pole_term_derivs(s, split, r)[r]
+                bound = err + ref_rounding(s, r, split, pieces) + (perr + EPS * abs(pole)) + EPS * abs(core + pole)
+                assert repr(got) == repr(EvalResult(core + pole, bound)), (s, alpha, r, x)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +269,15 @@ def test_l_deriv_matches_the_per_class_loop_with_empty_classes():
     q, X = 15, 7.5
     for chi in [c for c in enumerate_characters(q) if not c.is_principal][::2]:
         for s, r in ((0.7 + 3j, 2), (1.0 + 0j, 0), (2.0 + 0j, 1)):
-            val, err = 0.0 + 0.0j, 0.0
+            val, err, cores = 0.0 + 0.0j, 0.0, []
             for a in range(1, q + 1):
                 if chi(a) != 0:
                     core, cerr = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
                     val += chi(a) * core
                     err += cerr
+                    cores.append(core)
+            # the weighting's rounding: chi(a), the products and the sum over the units
+            err += EPS * (20 + len(cores)) * float(np.abs(cores).sum())
             assert repr(l_deriv(s, chi, r, X=X)) == repr(EvalResult(val, err)), (chi.label, s, r)
 
 
@@ -335,8 +390,107 @@ def test_split_independence_random_grid():
         x1, x2 = sorted(rng.uniform(0.6, 25.0, size=2))
         a = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, order=r, split=float(x1)))
         b = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, order=r, split=float(x2)))
-        # the last term allows for binary64 rounding, which the reported
-        # bounds deliberately exclude
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-13 + 5e-15 * (
-            abs(a.value) + abs(b.value)
-        )
+        # the reported bounds include binary64 rounding
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+# ---------------------------------------------------------------------------
+# the bound is a true bound: |value - oracle| <= error_bound, rounding included
+# ---------------------------------------------------------------------------
+
+
+def _held(res, ref) -> bool:
+    """|value - ref| <= error_bound, the distance taken at the reference's precision."""
+    with mp.workdps(30):
+        return abs(mp.mpc(res.value.real, res.value.imag) - ref) <= res.error_bound
+
+
+def _grid_s(rng, i: int) -> complex:
+    """Re(s) in [0.05, 3]; Im(s) 0, or log-spread up to 1000 with either sign."""
+    t = 0.0 if i % 4 == 0 else float(10.0 ** rng.uniform(-0.5, 3.0)) * (-1.0 if i % 7 == 3 else 1.0)
+    return complex(rng.uniform(0.05, 3.0), t)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, "random", 1.0])
+def test_hurwitz_bound_holds_against_mpmath(alpha):
+    # the default split and explicit ones (the march, and below alpha) at each point
+    rng = np.random.default_rng(10 + (alpha == "random") + 2 * (alpha == 1.0))
+    for i in range(10):
+        a = float(rng.uniform(0.01, 1.0)) if alpha == "random" else alpha
+        s, r = _grid_s(rng, i), int(rng.integers(0, 9))
+        ref = z_oracle(s, a, 1, r)
+        for x in (None, float(rng.uniform(0.5, 60.0)), a / 2.0):
+            res = hurwitz_deriv(HurwitzArgs(s=s, alpha=a, order=r, split=x))
+            assert _held(res, ref), (s, a, r, x, res, complex(ref))
+
+
+def test_z_bound_holds_against_mpmath():
+    rng = np.random.default_rng(11)
+    for i in range(10):
+        q = int(rng.integers(2, 31))
+        a, s, r = int(rng.integers(1, q + 1)), _grid_s(rng, i), int(rng.integers(0, 9))
+        ref = z_oracle(s, a, q, r)
+        for X in (None, float(rng.uniform(1.0, 60.0))):
+            res = z_deriv(s, a, q, r, X=X)
+            assert _held(res, ref), (s, a, q, r, X, res, complex(ref))
+
+
+@pytest.mark.parametrize(
+    "q, label, s, r",
+    [(3, 1, 0.5 + 1000j, 8), (4, 1, 0.05 + 400j, 5), (7, 3, 1.0 + 0.5j, 2), (12, 2, 2.7 - 30j, 1), (30, 5, 0.6 + 150j, 0), (29, 11, 0.3 + 3j, 0)],
+)
+def test_l_bound_holds_against_mpmath(q, label, s, r):
+    chi = character(q, label)
+    ref = l_oracle(s, chi, r)
+    for X in (None, 2.5, q * 1.7):
+        res = l_deriv(s, chi, r, X=X)
+        assert _held(res, ref), (q, label, s, r, X, res, complex(ref))
+
+
+def test_default_split_walks_no_march(monkeypatch):
+    # the tails start at their own final cutoff: every march they call is empty
+    walked = []
+    march = sawtooth._march
+    monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
+    for s, r in ((0.5 + 1000j, 1), (0.5 + 10j, 24), (2.0 + 0j, 0), (0.05 - 300j, 8)):
+        hurwitz_deriv(HurwitzArgs(s=s, alpha=0.3, order=r))
+        z_deriv(s, 3, 7, r)
+        l_deriv(s, character(7, 3), r)
+    assert walked and all(not lo < hi for lo, hi in walked)
+    # an explicit split still marches
+    hurwitz_deriv(HurwitzArgs(s=0.5 + 1000j, alpha=0.3, order=1, split=3.0))
+    assert walked[-1][0] < walked[-1][1]
+
+
+def test_default_split_sums_in_blocks():
+    # s = 0.5 + 2e5 i sums about 4e5 terms; as one array they took about 30 MB
+    tracemalloc.start()
+    try:
+        hurwitz_deriv(HurwitzArgs(s=complex(0.5, 2e5), alpha=0.3, order=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_pole_term_near_one_is_refused():
+    # (s - 1)^{l+1} underflows to 0, or the pole term overflows
+    for s, r in ((1 + 1e-300j, 2), (1.000000000001 + 0j, 24)):
+        with pytest.raises(ValueError, match="pole"):
+            hurwitz_deriv(HurwitzArgs(s=s, alpha=0.5, order=r))
+        with pytest.raises(ValueError, match="pole"):
+            z_deriv(s, 1, 1, r)
+    # close to the pole but finite: its rounding enters the bound
+    res = hurwitz_deriv(HurwitzArgs(s=1 + 1e-10j, alpha=0.5, order=1))
+    assert _held(res, z_oracle(1 + 1e-10j, 0.5, 1, 1, dps=40))
+    assert res.error_bound > 1e-16 * 1e20  # the pole term is about 1e20
+
+
+def test_cutoff_search_is_charged_before_it_runs(monkeypatch):
+    # at the first cutoff already beyond the budget: 200002 residue classes
+    # (far tails and a core each), and a finite sum of 2e7 terms
+    monkeypatch.setattr(evaluate, "_tail_cutoff", lambda *args: pytest.fail("the cutoff search ran"))
+    with pytest.raises(ValueError, match="work budget"):
+        l_deriv(2.0, character(200003, 1), 0)
+    with pytest.raises(ValueError, match="work budget"):
+        hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e7), alpha=0.3))

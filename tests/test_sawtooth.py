@@ -582,9 +582,24 @@ def test_walks_reaching_two_to_the_52_are_refused():
     for lo, hi in ((2.0**52 + 2.0, 2.0**52 + 6.0), (2.0**53 - 4.0, 2.0**53 - 2.0), (2.0**52 - 2.0, 2.0**52)):
         with pytest.raises(ValueError, match="2\\^52"):
             psi_piecewise_integral(lo, hi)
-    # a walk that ends below 2^52 still runs, and a call that walks nothing keeps its answer
+    # a walk that ends below 2^52 still runs; a sawtooth-weighted tail that
+    # walks nothing from 1e300 is refused too (it answered 0j with a bound of 0)
     assert cmath.isfinite(psi_piecewise_integral(2.0**52 - 4.0, 2.0**52 - 2.0))
-    assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
+    with pytest.raises(ValueError, match="2\\^52"):
+        psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300)
+
+
+def test_weighted_tail_from_two_to_the_52_is_refused():
+    # from 2^52 alpha is lost in x0 - alpha and the phase 2 pi nu x0 is off by
+    # order 1: at 1e17 every alpha printed (1.698e-27+2.717e-27j), at 1e300 0j
+    for x in (1e17, 2.0**52, 1e300):
+        for alpha in (0.25, 0.75):
+            with pytest.raises(ValueError, match="2\\^52"):
+                psi_osc_tail_powers(0.5, alpha, -1.5, 0, x)
+    # below 2^52 the tail still answers, and moves with alpha
+    x = 2.0**52 - 2.0**20
+    got = [psi_osc_tail_powers(0.5, alpha, -1.5, 0, x)[0][0] for alpha in (0.25, 0.75)]
+    assert all(cmath.isfinite(v) for v in got) and got[0] != got[1]
 
 
 def test_tail_from_two_to_the_52_is_expanded_at_minus_alpha():
@@ -598,8 +613,9 @@ def test_tail_from_two_to_the_52_is_expanded_at_minus_alpha():
 
 
 def test_march_memory_does_not_grow_with_its_length():
-    # s = 0.5 + 2e5 i marches about 3.7e5 segments of one row
-    args = HurwitzArgs(s=complex(0.5, 2e5), alpha=0.3)
+    # s = 0.5 + 2e5 i from the split x = 1 marches about 4e5 segments of one row
+    # (the default split, at the tail's cutoff, marches none)
+    args = HurwitzArgs(s=complex(0.5, 2e5), alpha=0.3, split=1.0)
     tracemalloc.start()
     try:
         hurwitz_deriv(args)
@@ -787,7 +803,31 @@ def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
 
 def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
     # beyond 2^53 first + 1 == first: the adjustments used to spin forever
-    # (the march at 1e17; the weighted walk at 1e300, where it has no kinks)
+    # (the march at 1e17; the weighted walk at 1e300, now refused before it)
     first, count = sawtooth._kinks(1e17, 1e17 + 1e6, np.array([0.5]))
     assert first.tolist() == [1e17] and count.tolist() == [1000002]
-    assert psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300) == ([0j], [0.0])
+    with pytest.raises(ValueError, match="2\\^52"):
+        psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300)
+
+
+def test_fourier_bernoulli_rows_match_the_scalar_series_bit_for_bit():
+    # orders 13 and 14 of the far tail take the Fourier branch, all n at once
+    rng = np.random.default_rng(13)
+    v = np.concatenate([rng.uniform(-3.0, 5000.0, 300), [0.0, -0.25, 0.5, 2.0**40 + 0.75]])
+    for m in (13, 14, 20):
+        want = [sawtooth._phi_bernoulli(m, float(x)) for x in v]
+        assert sawtooth._phi_bernoulli_rows(m, v).tolist() == want
+
+
+@pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])
+def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
+    walked = []
+    march = sawtooth._march
+    monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
+    alphas = [a / q for a in range(1, q + 1)]
+    u = sawtooth._tail_cutoff(alphas, b, rmax)
+    first = sawtooth._first_cutoff(complex(b), rmax)
+    assert u / first == 2.0 ** round(math.log2(u / first))  # one of the batch's own cutoffs
+    got = psi_tail_powers_batch(u, alphas, b, rmax)
+    assert walked and all(lo == hi for lo, hi in walked)
+    assert repr(got) == repr([ref_psi_tail_powers(u, alpha, b, rmax) for alpha in alphas])
