@@ -48,7 +48,6 @@ from .sawtooth import (
     _first_cutoff,
     _tail_cutoff,
     psi_osc_tail_powers,
-    psi_tail_powers,
     psi_tail_powers_batch,
     pure_osc_tail_powers,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "z_deriv",
     "l_deriv",
     "lerch_deriv",
-    "pole_term_derivs",
     "default_split",
 ]
 
@@ -153,11 +151,6 @@ def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     return val, err
 
 
-def pole_term_derivs(s: complex, x: float, rmax: int) -> list[complex]:
-    """d^r/ds^r (x^{1-s}/(s-1)) for r = 0..rmax by the Leibniz closed form."""
-    return [_pole_term(complex(s), x, r)[0] for r in range(rmax + 1)]
-
-
 def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarray | None = None) -> complex:
     """sum w_n p_n^{-s} (-log p_n)^r over the given points."""
     if points.size == 0:
@@ -171,9 +164,12 @@ def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarra
 
 _SUM_BLOCK = 1 << 15  # terms per block of a progression sum: memory stays flat in its length
 # work budget charges, in march segments: a progression-sum term takes about
-# 1/30 of one, a residue class (its far tails and its core) about 16 to 32
+# 1/30 of one, a residue class (its far tails and its core) about 10 to 25.
+# At 12 a class of u = X/q terms is charged 12 + u/8 <= max(u, 30 - u): no
+# more than its terms at 1 each, or than a march from u to the first cutoff
+# (30 or more) at 1 a segment
 _TERM_COST = 1.0 / 8.0
-_CLASS_COST = 16.0
+_CLASS_COST = 12.0
 
 
 def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int) -> tuple[complex, float]:
@@ -268,36 +264,38 @@ def _z_core(s: complex, a: float, q: int, r: int, X: float, tail) -> tuple[compl
     return val + combo, abs(qs) * terr + err
 
 
-def _z_value(s: complex, a: float, q: int, r: int, X: float, u: float) -> EvalResult:
-    """Z^{(r)}(s, a, q) at the split X, its tail from u = X/q: core plus pole/q."""
-    core, err = _z_core(s, a, q, r, X, psi_tail_powers(u, a / q, -s - 1.0, r))
+def _z_value(s: complex, a: float, q: int, r: int, X: float, tail) -> EvalResult:
+    """Z^{(r)}(s, a, q) at the split X, its tail from X/q: core plus pole/q."""
+    core, err = _z_core(s, a, q, r, X, tail)
     pole, perr = _pole_term(s, X, r)
     return EvalResult(core + pole / q, err + (perr + _EPS * abs(pole)) / q + _EPS * abs(core + pole / q))
 
 
-def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, float]:
-    """The split X and the tails' lower limit X/q.  By default X/q is the
-    final cutoff of the plain tails of the residue classes a of units, so
-    that they march over no interval and only their closed-form far tails
-    are left beside the finite sums.
+def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, list]:
+    """The split X and the plain tails from X/q of the residue classes a of
+    units, psi_tail_powers(X/q, a/q, -s-1, r) each.  By default X/q is the
+    final cutoff of those tails, so that they march over no interval and
+    only their closed-form far tails are left beside the finite sums.
 
-    The classes and the n <= X of their finite sums are charged to the work
-    budget before any runs; by default first at the tails' first cutoff,
-    before the search for the final one, then at the final one."""
+    Each class is charged to the work budget by its own length before any
+    runs: its far tails and core, and the about X/q terms of its finite sum;
+    by default first at the tails' first cutoff, before the search for the
+    final one, then at the final one."""
+    alphas, b = [a / q for a in units], -s - 1.0
     if X is None:
-        _check_work(len(units) * _CLASS_COST + q * _first_cutoff(-s - 1.0, r) * _TERM_COST)
-        u = _tail_cutoff([a / q for a in units], -s - 1.0, r)
-        X = q * u
-    else:
-        u = X / q
-    _check_work(len(units) * _CLASS_COST + X * _TERM_COST)
-    return X, u
+        _check_work(len(units) * (_CLASS_COST + _first_cutoff(b, r) * _TERM_COST))
+        u, tails = _tail_cutoff(alphas, b, r)
+        _check_work(len(units) * (_CLASS_COST + u * _TERM_COST))
+        return q * u, tails
+    _check_work(len(units) * (_CLASS_COST + X / q * _TERM_COST))
+    return X, psi_tail_powers_batch(X / q, alphas, b, r)
 
 
 def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
     """d^r/ds^r zeta(s, alpha) = Z^{(r)}(s, alpha, 1) via the split-sum representation."""
     s = complex(args.s)
-    return _z_value(s, args.alpha, 1, args.order, *_split(s, args.order, 1, [args.alpha], args.split))
+    X, (tail,) = _split(s, args.order, 1, [args.alpha], args.split)
+    return _z_value(s, args.alpha, 1, args.order, X, tail)
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -310,7 +308,8 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
-    return _z_value(s, a, q, r, *_split(s, r, q, [a], X))
+    X, (tail,) = _split(s, r, q, [a], X)
+    return _z_value(s, a, q, r, X, tail)
 
 
 def _units(q: int) -> list[int]:
@@ -346,8 +345,7 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     _check_order(r)
     q = chi.modulus
     units = _units(q)
-    X, u = _split(s, r, q, units, X)
-    tails = psi_tail_powers_batch(u, [a / q for a in units], -s - 1.0, r)
+    X, tails = _split(s, r, q, units, X)
     cores, errs = zip(*(_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)))
     err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
     # the weighting: chi(a) to within 14 eps (cmath.exp of 2 pi k/E), CPython's

@@ -29,8 +29,8 @@ round differently), and sums run left to right.  A tail whose march or
 panel walk would exceed about 2e6 pieces, or reach 2^52, is refused; a
 plain tail from x >= 2^52 walks nothing, and since its cutoff is then an
 integer, its far tail is expanded at {-alpha}.  One rule picks the plain
-tail's cutoffs and where its rows stop; a split placed at the final one
-(_tail_cutoff) leaves the march nothing to walk.
+tail's cutoffs and where its rows stop; the search for the final one
+(_tail_cutoff) returns the tails from there, where nothing is marched.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -174,35 +174,24 @@ def _phi_bernoulli(m: int, v: float) -> float:
     return acc
 
 
-_ROW_BLOCK = 4096  # entries per (terms x entries) block of the Fourier branch: memory stays flat in the batch
-
-
 def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
-    """_phi_bernoulli(m, v) for every entry of v, bit for bit: math.cos stays
-    scalar, and the Fourier terms of all n are subtracted in n order."""
+    """_phi_bernoulli(m, v) for every entry of v, bit for bit (math.cos stays scalar)."""
     if m <= 12:
         f = v - np.floor(v)
         acc = np.zeros_like(f)
         for c in _bernoulli_poly_coeffs(m):
             acc = acc * f + c
         return acc * TWO_PI**m
-    n, powers = _fourier_orders(m)
-    out = np.empty_like(v)
-    for c in range(0, v.size, _ROW_BLOCK):
-        arg = TWO_PI * n * v[c : c + _ROW_BLOCK] + (-0.5 * math.pi * m)
-        cos = np.fromiter(map(math.cos, arg.ravel().tolist()), dtype=float, count=arg.size).reshape(arg.shape)
-        out[c : c + _ROW_BLOCK] = np.subtract.accumulate(np.vstack([np.zeros((1, arg.shape[1])), 2.0 * cos / powers]))[-1]
-    return out
-
-
-@lru_cache(maxsize=None)  # one entry per order m > 12
-def _fourier_orders(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n = 1, 2, ... of the Fourier terms _phi_bernoulli sums at order m,
-    and float(n^m), as columns."""
+    acc = np.zeros_like(v)
     n = 1
-    while not ((n + 1) ** (-m) < 1e-20 or n + 1 > 64):
+    phase = -0.5 * math.pi * m
+    while True:
+        arg = TWO_PI * n * v + phase
+        acc = acc - 2.0 * np.fromiter(map(math.cos, arg.tolist()), dtype=float, count=arg.size) / float(n**m)
         n += 1
-    return np.arange(1, n + 1)[:, None], np.array([float(k**m) for k in range(1, n + 1)])[:, None]
+        if n ** (-m) < 1e-20 or n > 64:
+            break
+    return acc
 
 
 _PSI_TILDE_ABS = tuple(
@@ -462,14 +451,17 @@ _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
 
 
 _BLOCK = 2048  # moments per block of the march, over its segments and nonzero exponents: memory stays flat in its length
-_WORK_BUDGET = 2e6  # terms of one finite sum, or unit intervals (plain) or panels (oscillatory) of one tail
+# units of work of one request: a unit interval of a plain march, a panel of
+# an oscillatory walk, a term of a Lerch or AFE sum; the Hurwitz, Z and L
+# splits weigh their terms and residue classes in march segments
+_WORK_BUDGET = 2e6
 
 
 def _check_work(pieces: float) -> None:
     """Refuse, before any work, a finite sum or a walk beyond the budget (about 10 s)."""
     if not pieces <= _WORK_BUDGET:
         raise ValueError(
-            f"the request would take about {pieces:.3g} terms, segments or panels, beyond the work budget of {_WORK_BUDGET:.0e}"
+            f"the request would take about {pieces:.3g} units of work, beyond the work budget of {_WORK_BUDGET:.0e}"
         )
 
 
@@ -581,15 +573,26 @@ def _far_tails(rows_all, b: complex, u0: float, alphas: np.ndarray) -> np.ndarra
     return _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
 
 
-def _tail_cutoff(alphas, b: complex, rmax: int) -> float:
-    """The first cutoff of _tail_cutoffs at which every row of
-    psi_tail_powers_batch(x, alphas, b, rmax) stops with nothing marched:
-    a batch from there marches over no interval."""
+def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
+    """Each row's tails at the cutoff u0, its marched sums plus the far tail,
+    with their bounds (rmax + 1, rows), and whether the row stops there."""
+    tails = _far_tails(rows_all, b, u0, alphas)
+    vr, vi = sums[0] + tails.real, sums[1] + tails.imag
+    # widen by the accumulated-magnitude proxy so that downstream
+    # two-route comparisons stay inside the reported bounds
+    return _complex(vr, vi), rems + 5e-16 * sums[2], _tail_stops(u0, rems, np.hypot(vr, vi))
+
+
+def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, list[tuple[list[complex], list[float]]]]:
+    """The first cutoff u of _tail_cutoffs at which every row of
+    psi_tail_powers_batch(u, alphas, b, rmax) stops with nothing marched,
+    and that batch's result, bit for bit: from u it marches over no interval."""
     alphas = np.array(alphas, dtype=float)
+    sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
     for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
-        tails = _far_tails(rows_all, b, u0, alphas)
-        if _tail_stops(u0, rems, np.hypot(tails.real, tails.imag)).all():
-            return u0
+        vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
+        if done.all():
+            return u0, list(zip(vals.T.tolist(), errs.T.tolist()))
 
 
 def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
@@ -614,14 +617,9 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
     while True:
         _march(sums, cur, u0, alphas, b, rmax)
         cur = u0
-        tails = _far_tails(rows_all, b, u0, alphas)
-        vr, vi = sums[0] + tails.real, sums[1] + tails.imag
-        done = _tail_stops(u0, rems, np.hypot(vr, vi))
-        # widen by the accumulated-magnitude proxy so that downstream
-        # two-route comparisons stay inside the reported bounds
-        errs = rems + 5e-16 * sums[2]
-        for i, vals, bounds in zip(rows[done].tolist(), _complex(vr, vi)[:, done].T.tolist(), errs[:, done].T.tolist()):
-            out[i] = (vals, bounds)
+        vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
+        for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
+            out[i] = (row, bounds)
         if done.all():
             return out
         rows, alphas = rows[~done], alphas[~done]

@@ -12,6 +12,7 @@ from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
     _finite_power_sum,
+    _pole_term,
     _psi_at_split,
     _s_tail,
     _split_floor,
@@ -19,7 +20,6 @@ from zetalab.evaluate import (
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
-    pole_term_derivs,
     z_deriv,
 )
 from zetalab.sawtooth import EvalResult, _tail_cutoff, psi_tail_powers
@@ -181,10 +181,10 @@ def test_hurwitz_is_z_at_q1_bit_for_bit():
             r = int(rng.integers(0, 7))
             for x in (None, float(rng.uniform(0.5, 30.0)), alpha / 2.0):
                 got = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, order=r, split=x))
-                split = _tail_cutoff([alpha], -s - 1.0, r) if x is None else x
+                split = _tail_cutoff([alpha], -s - 1.0, r)[0] if x is None else x
                 core, err, pieces = ref_hurwitz_core(s, alpha, r, split)
                 pole, perr = ref_pole(s, split, r)
-                assert pole == pole_term_derivs(s, split, r)[r]
+                assert (pole, perr) == _pole_term(s, split, r)
                 bound = err + ref_rounding(s, r, split, pieces) + (perr + EPS * abs(pole)) + EPS * abs(core + pole)
                 assert repr(got) == repr(EvalResult(core + pole, bound)), (s, alpha, r, x)
 
@@ -448,7 +448,8 @@ def test_l_bound_holds_against_mpmath(q, label, s, r):
 
 
 def test_default_split_walks_no_march(monkeypatch):
-    # the tails start at their own final cutoff: every march they call is empty
+    # the tails are the cutoff search's own far tails at the final cutoff:
+    # no march is called, so none walks a nonempty interval
     walked = []
     march = sawtooth._march
     monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
@@ -456,7 +457,7 @@ def test_default_split_walks_no_march(monkeypatch):
         hurwitz_deriv(HurwitzArgs(s=s, alpha=0.3, order=r))
         z_deriv(s, 3, 7, r)
         l_deriv(s, character(7, 3), r)
-    assert walked and all(not lo < hi for lo, hi in walked)
+    assert walked == []
     # an explicit split still marches
     hurwitz_deriv(HurwitzArgs(s=0.5 + 1000j, alpha=0.3, order=1, split=3.0))
     assert walked[-1][0] < walked[-1][1]
@@ -471,6 +472,14 @@ def test_default_split_sums_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_a_progression_is_charged_by_its_own_class():
+    # z sums one residue class of about X/q terms: large moduli and an
+    # explicit split of 2e7 (2e4 terms at q = 1000) stay inside the budget
+    for s, a, q, r, X in ((0.5 + 1000j, 1, 10000, 1, None), (2.0, 1, 1000000, 0, None), (2.0, 1, 1000, 0, 2e7)):
+        res = z_deriv(s, a, q, r, X=X)
+        assert _held(res, z_oracle(s, a, q, r, dps=40)), (s, a, q, r, X, res)
 
 
 def test_pole_term_near_one_is_refused():

@@ -811,7 +811,7 @@ def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
 
 
 def test_fourier_bernoulli_rows_match_the_scalar_series_bit_for_bit():
-    # orders 13 and 14 of the far tail take the Fourier branch, all n at once
+    # orders 13 and 14 of the far tail take the Fourier branch, over all entries at once
     rng = np.random.default_rng(13)
     v = np.concatenate([rng.uniform(-3.0, 5000.0, 300), [0.0, -0.25, 0.5, 2.0**40 + 0.75]])
     for m in (13, 14, 20):
@@ -825,9 +825,10 @@ def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     march = sawtooth._march
     monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
     alphas = [a / q for a in range(1, q + 1)]
-    u = sawtooth._tail_cutoff(alphas, b, rmax)
+    u, at_cutoff = sawtooth._tail_cutoff(alphas, b, rmax)
     first = sawtooth._first_cutoff(complex(b), rmax)
     assert u / first == 2.0 ** round(math.log2(u / first))  # one of the batch's own cutoffs
     got = psi_tail_powers_batch(u, alphas, b, rmax)
     assert walked and all(lo == hi for lo, hi in walked)
     assert repr(got) == repr([ref_psi_tail_powers(u, alpha, b, rmax) for alpha in alphas])
+    assert repr(at_cutoff) == repr(got)  # the search hands over the batch's result
