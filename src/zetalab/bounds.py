@@ -29,14 +29,12 @@ from dataclasses import dataclass
 from .characters import enumerate_characters, partial_character_sum
 from .coefficients import (
     beta_coefficient_all,
-    l_deriv_at_0_all,
     l_deriv_at_0_truncated,
-    l_deriv_at_1_exact,
-    l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     lerch_taylor_at_1,
     stieltjes_gamma_all,
 )
+from .evaluate import _l_values
 from .sawtooth import _check_order, _check_work
 
 __all__ = [
@@ -205,10 +203,9 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
         if not prim:
             raise ValueError(f"q = {q} has no primitive characters")
         lq = math.log(q)
-        # one residue pass per (q, r) serves every character
+        # one pass per point serves every character and order
         rs = range(1, r_max + 1)
-        exact1_all = [l_deriv_at_1_exact_all(r, prim, X=4.0 * q) for r in rs]
-        exact0_all = [l_deriv_at_0_all(r, prim, X=4.0 * q) for r in rs]
+        exact1_all, exact0_all = (_l_values(s, prim, rs, X=4.0 * q) for s in (1.0 + 0.0j, 0.0j))
         for i, chi in enumerate(prim):
             for r in rs:
                 exact1 = exact1_all[r - 1][i]
@@ -254,12 +251,14 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
     chi = prim[0]
     info = []
     lq = math.log(q)
+    orders = [r for r in r_range if r <= 12]  # the orders the exact route runs, in one pass
+    exact = dict(zip(orders, (row[0] for row in _l_values(1.0 + 0.0j, [chi], orders, X=2.0 * q)))) if orders else {}
     for r in r_range:
         lr = math.log(r)
         llr = math.log(lr)
         ish = math.exp((r / lr - 0.5) * lq + r * llr - r * llr / lr)
         here = 10.0 * (lq + r / 2.0) ** (r + 1)
-        measured = abs(l_deriv_at_1_exact(r, chi, X=2.0 * q).value) if r <= 12 else float("nan")
+        measured = abs(exact[r].value) if r in exact else float("nan")
         info.append(
             BoundCase({"q": q, "r": r, "ishikawa": ish, "shape_bound": here}, measured, ish)
         )

@@ -11,18 +11,25 @@ so the Laurent expansion reads
     zeta(s, alpha) - 1/(s-1) = sum_r (-1)^r gamma_r(alpha)/r! (s-1)^r.
 
 Progression constants gamma_r(a, q) follow the analogous limit over
-n = a (mod q) and satisfy the exact convolution
+n = a (mod q), so that Z(s, a, q) - 1/(q(s-1)) has the Laurent
+coefficients (-1)^r gamma_r(a, q)/r!, and satisfy the exact convolution
 
     gamma_r(a, q) = (1/q)[ sum_l C(r,l) log^l q * gamma_{r-l}(a/q)
                            - log^{r+1} q / (r+1) ],
 
 whose trailing term comes from expanding (q^{-s} - q^{-1})/(s-1); it is
 independent of a and therefore drops out of every character sum
-L^{(r)}(1, chi) = sum_a chi(a) (-1)^r gamma_r(a, q).
+L^{(r)}(1, chi) = sum_a chi(a) (-1)^r gamma_r(a, q).  beta_r(alpha) =
+zeta^{(r)}(0, alpha)/r!, and lerch_taylor_at_1 returns the Taylor
+coefficient phi^{(r)}(lambda, alpha, 1)/r!.
 
-beta_coefficient and the L-values at s = 0 use the evaluated pole term
-d^r/ds^r (1/(s-1))|_{s=0} = -r!, and lerch_taylor_at_1 returns the
-Taylor coefficient phi^{(r)}(lambda, alpha, 1)/r!.
+Every route but the Lerch one reads the Z core of evaluate (Z without
+its pole term, analytic for Re(s) > -1) and its bound, rounding included,
+at s = 1 or s = 0, every order from one pass: (-1)^r gamma_r(a, q) is the
+core at s = 1 plus the regular part (-log X)^{r+1}/(q(r+1)) of the pole
+term X^{1-s}/(q(s-1)); zeta^{(r)}(0, alpha) is the core at s = 0 plus the
+pole term; L^{(r)}(1, chi) and L^{(r)}(0, chi) weigh the class cores by
+chi(a), where the pole terms cancel.
 """
 
 from __future__ import annotations
@@ -35,17 +42,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter
-from .evaluate import _characters_at, _log_binomial_tail_combo, _psi_at_split, _split_floor, _units, _weigh
+from .evaluate import _EPS, _cores, _l_values, _z_value
 from .sawtooth import (
     EvalResult,
     _check_alpha,
     _check_order,
     _check_work,
-    _cmul,
     psi,
     psi_osc_tail_powers,
-    psi_tail_powers,
-    psi_tail_powers_batch,
     pure_osc_tail_powers,
 )
 
@@ -71,32 +75,39 @@ __all__ = [
 ]
 
 
+def _per_factorial(res: list[EvalResult]) -> list[EvalResult]:
+    """Derivatives of orders 0, 1, ... to Taylor coefficients res[r]/r!, with
+    the rounding of r! and of the quotient."""
+    return [
+        EvalResult(e.value / math.factorial(r), (e.error_bound + 2.0 * _EPS * abs(e.value)) / math.factorial(r))
+        for r, e in enumerate(res)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Stieltjes constants gamma_r(alpha)
+# Hurwitz and progression constants: the Z core at s = 1 and s = 0
 # ---------------------------------------------------------------------------
+
+
+def _gamma_all(rmax: int, a: float, q: int, X: float | None = None) -> list[EvalResult]:
+    """gamma_r(a, q) for r = 0..rmax (a = alpha at q = 1) from one pass of the
+    Z core at s = 1, split X, plus the regular part of its pole term (module
+    docstring); that part rounds as log X, its power and the quotient, (r + 4) eps."""
+    X, cores = _cores(1.0 + 0.0j, q, [a], range(rmax + 1), X)
+    lX = math.log(X)
+    out = []
+    for r, ((core, err),) in enumerate(cores):
+        pole = (-lX) ** (r + 1) / (q * (r + 1))
+        val = core.real + pole
+        out.append(EvalResult(complex((-1.0) ** r * val), err + _EPS * ((r + 4) * abs(pole) + abs(val))))
+    return out
 
 
 def stieltjes_gamma_all(rmax: int, alpha: float) -> list[EvalResult]:
-    """gamma_r(alpha) for r = 0..rmax from one pass of tail integrals.
-
-    gamma_0 follows the x = 1 split representation 1/alpha (or 1 at
-    alpha = 1) + psi(1-alpha) - int_1^inf psi(u-alpha)/u^2 du; for r >= 1,
-
-        gamma_r(alpha) = log^r alpha / alpha
-                         + r A_{r-1} - A_r,
-        A_m = int_1^inf psi(u-alpha) u^{-2} log^m u du.
-    """
+    """gamma_r(alpha) for r = 0..rmax from one pass of the Z core at q = 1."""
     _check_order(rmax)
     _check_alpha(alpha)
-    tails, terrs = psi_tail_powers(1.0, alpha, -2.0, max(rmax, 1))
-    la = math.log(alpha)
-    out = []
-    g0 = 1.0 / alpha + psi(1.0 - alpha) - tails[0].real
-    out.append(EvalResult(complex(g0), terrs[0]))
-    for r in range(1, rmax + 1):
-        val = la**r / alpha + r * tails[r - 1].real - tails[r].real
-        out.append(EvalResult(complex(val), r * terrs[r - 1] + terrs[r]))
-    return out
+    return _gamma_all(rmax, alpha, 1)
 
 
 def stieltjes_gamma(r: int, alpha: float) -> EvalResult:
@@ -104,30 +115,36 @@ def stieltjes_gamma(r: int, alpha: float) -> EvalResult:
     return stieltjes_gamma_all(r, alpha)[r]
 
 
-# ---------------------------------------------------------------------------
-# Taylor coefficients at s = 0
-# ---------------------------------------------------------------------------
+def _gamma_aq_all(rmax: int, a: int, q: int) -> list[EvalResult]:
+    """gamma_r(a, q) for r = 0..rmax from one pass of the Z core at q."""
+    if q < 1 or not 1 <= a <= q:
+        raise ValueError("need 1 <= a <= q")
+    _check_order(rmax)
+    return _gamma_all(rmax, a, q)
+
+
+def gamma_aq(r: int, a: int, q: int) -> EvalResult:
+    """Progression constant gamma_r(a, q) (module docstring)."""
+    return _gamma_aq_all(r, a, q)[r]
+
+
+def _beta_all(rmax: int, alpha: float, X: float | None = None) -> list[EvalResult]:
+    """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax: beta_0 = 1/2 -
+    alpha, the others from one pass of the Z core at s = 0, split X, plus the pole term."""
+    out = [EvalResult(complex(0.5 - alpha), _EPS * (0.5 + alpha))]
+    if rmax:
+        X, cores = _cores(0.0j, 1, [alpha], range(1, rmax + 1), X)
+        for r, (core,) in enumerate(cores, 1):
+            z = _z_value(0.0j, 1, r, X, core)
+            out.append(EvalResult(complex(z.value.real), z.error_bound))
+    return _per_factorial(out)
 
 
 def beta_coefficient_all(rmax: int, alpha: float) -> list[EvalResult]:
-    """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax.
-
-    beta_0 = 1/2 - alpha; for r >= 1,
-
-        zeta^{(r)}(0, alpha) = -r! + (-1)^r [ log^r alpha
-                                + r int_1^inf psi(u-alpha)/u log^{r-1} u du ].
-    """
+    """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax."""
     _check_order(rmax)
     _check_alpha(alpha)
-    out = [EvalResult(complex(0.5 - alpha), 0.0)]
-    if rmax == 0:
-        return out
-    tails, terrs = psi_tail_powers(1.0, alpha, -1.0, max(rmax - 1, 0))
-    la = math.log(alpha)
-    for r in range(1, rmax + 1):
-        zr = -math.factorial(r) + (-1.0) ** r * (la**r + r * tails[r - 1].real)
-        out.append(EvalResult(complex(zr / math.factorial(r)), r * terrs[r - 1] / math.factorial(r)))
-    return out
+    return _beta_all(rmax, alpha)
 
 
 def beta_coefficient(r: int, alpha: float) -> EvalResult:
@@ -136,100 +153,14 @@ def beta_coefficient(r: int, alpha: float) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# progression constants gamma_r(a, q)
-# ---------------------------------------------------------------------------
-
-
-def gamma_aq(r: int, a: int, q: int) -> EvalResult:
-    """gamma_r(a, q) by the binomial convolution over the classical
-    constants gamma_{r-l}(a/q) (module docstring)."""
-    if q < 1 or not 1 <= a <= q:
-        raise ValueError("need 1 <= a <= q")
-    _check_order(r)
-    gam = stieltjes_gamma_all(r, a / q)
-    lq = math.log(q)
-    acc = 0.0
-    err = 0.0
-    for l in range(r + 1):
-        c = math.comb(r, l) * lq**l
-        acc += c * gam[r - l].value.real
-        err += c * gam[r - l].error_bound
-    val = (acc - lq ** (r + 1) / (r + 1)) / q
-    return EvalResult(complex(val), err / q)
-
-
-# ---------------------------------------------------------------------------
 # L-function values at s = 1 and s = 0
 # ---------------------------------------------------------------------------
 
 
-def _common_modulus(chars) -> int:
-    """The one modulus of a batch of non-principal characters."""
-    if not chars:
-        raise ValueError("needs at least one character")
-    q = chars[0].modulus
-    for chi in chars:
-        if chi.is_principal:
-            raise ValueError("needs a non-principal character")
-        if chi.modulus != q:
-            raise ValueError("characters of one batch must share one modulus")
-    return q
-
-
-def _residue_pass(q: int, X: float, r: int, s_at: int, tails):
-    """The chi-independent pieces of the split representation at s = s_at:
-    the units a of Z/qZ in increasing order; over them, the finite sums of
-    log^r n / n^{s_at}, n = a (mod q), n <= X (None when empty), the boundary
-    sawtooths psi((X-a)/q) and the tail pieces; the tail errors summed in
-    the order of the units.  tails(units) returns one (piece, error) per
-    unit, from one batched tail call, or None."""
-    _check_work(X)  # the n <= X of the finite sums of all residue classes
-    units = _units(q)
-    pieces = tails(units) or [(None, 0.0)] * len(units)
-    mains = []
-    err = 0.0
-    for a, (_, perr) in zip(units, pieces):
-        main = None
-        kmax = _split_floor((X - a) / q)
-        if kmax >= 0:
-            n = a + q * np.arange(0, kmax + 1, dtype=float)
-            if s_at:
-                main = complex(np.sum((np.log(n) ** r if r else 1.0) / n))
-            else:
-                main = complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
-        mains.append(main)
-        err += perr
-    return units, mains, [_psi_at_split((X - a) / q) for a in units], [p for p, _ in pieces], err
-
-
 def l_deriv_at_1_exact_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
     """L^{(r)}(1, chi) for every chi of a batch of non-principal characters
-    sharing one modulus q, via the split representation
-
-    (-1)^r L^{(r)}(1,chi) = sum_{n<=X} chi(n) log^r n / n
-        + (log^r X / X) sum_a chi(a) psi((X-a)/q)
-        + (1/q) sum_a chi(a) int_{X/q}^inf psi(u-a/q) u^{-2}
-                                 log^{r-1}(qu) (r - log(qu)) du.
-
-    The finite sums, boundary terms and tail integrals of the residue
-    classes do not depend on chi: one pass computes them for the batch.
-    """
-    chars = list(chars)
-    q = _common_modulus(chars)
-    _check_order(r)
-    if X is None:
-        X = 4.0 * q
-    lX = math.log(X)
-    lq = math.log(q)
-
-    def tails(units):
-        batch = psi_tail_powers_batch(X / q, [a / q for a in units], -2.0, r)
-        return [_log_binomial_tail_combo(t, terrs, r, 1.0, lq) for t, terrs in batch]
-
-    units, mains, bnds, pieces, err = _residue_pass(q, X, r, 1, tails)
-    w = _characters_at(chars, units)
-    sums = zip(*(_weigh(w, column).tolist() for column in (mains, bnds, pieces)))
-    return [EvalResult((-1.0) ** r * (main + (lX**r / X) * bnd + tail / q), err / q) for main, bnd, tail in sums]
+    sharing one modulus q, sum_a chi(a) core_a^{(r)}(1) over the units a."""
+    return _l_values(1.0 + 0.0j, chars, [r], X)[0]
 
 
 def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
@@ -267,36 +198,8 @@ def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
 
 def l_deriv_at_0_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
     """L^{(r)}(0, chi) for every chi of a batch of non-principal characters
-    sharing one modulus q, via
-
-    (-1)^r L^{(r)}(0,chi) = sum_{n<=X} chi(n) log^r n
-        + log^r X sum_a chi(a) psi((X-a)/q)
-        + r sum_a chi(a) int_{X/q}^inf psi(u-a/q) u^{-1} log^{r-1}(qu) du,
-
-    from one residue pass shared by the batch.
-    """
-    chars = list(chars)
-    q = _common_modulus(chars)
-    _check_order(r)
-    if X is None:
-        X = 4.0 * q
-    lX = math.log(X)
-    lq = math.log(q)
-
-    def tails(units):
-        if not r:
-            return None
-        weights = [math.comb(r - 1, mm) * lq ** (r - 1 - mm) for mm in range(r)]
-        batch = psi_tail_powers_batch(X / q, [a / q for a in units], -1.0, r - 1)
-        return [
-            (sum(w * t[mm] for mm, w in enumerate(weights)), r * sum(w * e[mm] for mm, w in enumerate(weights)))
-            for t, e in batch
-        ]
-
-    units, mains, bnds, pieces, err = _residue_pass(q, X, r, 0, tails)
-    w = _characters_at(chars, units)  # the tails weigh by chi(a) r, formed first
-    sums = zip(*(_weigh(v, column).tolist() for v, column in ((w, mains), (w, bnds), (_cmul(*w, r, 0.0), pieces))))
-    return [EvalResult((-1.0) ** r * (tail + (main + (lX**r if r else 1.0) * bnd)), err) for main, bnd, tail in sums]
+    sharing one modulus q, sum_a chi(a) core_a^{(r)}(0) over the units a."""
+    return _l_values(0.0j, chars, [r], X)[0]
 
 
 def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> EvalResult:
@@ -386,12 +289,6 @@ class CoefficientKind(NamedTuple):
     route: str = "closed_form"
 
 
-def _gamma_chi_all(r_max: int, chi: DirichletCharacter) -> list[EvalResult]:
-    """Taylor coefficients L^{(r)}(1, chi)/r! for r = 0..r_max."""
-    res = [l_deriv_at_1_exact(r, chi) for r in range(r_max + 1)]
-    return [EvalResult(e.value / math.factorial(r), e.error_bound / math.factorial(r)) for r, e in enumerate(res)]
-
-
 def _laurent(v: complex, r: int) -> complex:
     """Classical constant gamma_r -> Laurent coefficient (-1)^r gamma_r / r!."""
     return (-1.0) ** r * v / math.factorial(r)
@@ -405,18 +302,23 @@ COEFFICIENT_KINDS = {
     "beta_at_zero": CoefficientKind(("alpha",), lambda n, alpha: beta_coefficient_all(n, alpha), 0.0),
     "gamma_aq": CoefficientKind(
         ("a", "q"),
-        lambda n, a, q: [gamma_aq(r, a, q) for r in range(n + 1)],
+        lambda n, a, q: _gamma_aq_all(n, a, q),
         1.0,
         _laurent,
         lambda p, s: 1.0 / (p["q"] * (s - 1.0)),
         "proposition",
     ),
-    "gamma_chi": CoefficientKind(("chi",), lambda n, chi: _gamma_chi_all(n, chi), 1.0),
+    "gamma_chi": CoefficientKind(
+        ("chi",), lambda n, chi: _per_factorial([e for (e,) in _l_values(1.0 + 0.0j, [chi], range(n + 1))]), 1.0
+    ),
     "lerch_at_one": CoefficientKind(
         ("lam", "alpha"), lambda n, lam, alpha: [lerch_taylor_at_1(r, lam, alpha) for r in range(n + 1)], 1.0
     ),
     "l_deriv_at_zero": CoefficientKind(
-        ("chi",), lambda n, chi: [l_deriv_at_0(r, chi) for r in range(n + 1)], 0.0, lambda v, r: v / math.factorial(r)
+        ("chi",),
+        lambda n, chi: [e for (e,) in _l_values(0.0j, [chi], range(n + 1))],
+        0.0,
+        lambda v, r: v / math.factorial(r),
     ),
 }
 
@@ -434,16 +336,13 @@ def coefficient_table(
     """Build a contiguous table of expansion coefficients for r = 0..r_max;
     COEFFICIENT_KINDS[kind].params names the keywords the kind reads.  A
     value that leaves binary64 (such as log^r(alpha)/alpha at tiny alpha)
-    raises OverflowError."""
+    is refused by EvalResult."""
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
     spec = COEFFICIENT_KINDS[kind]
     given = {"alpha": alpha, "a": a, "q": q, "chi": chi, "lam": lam}
     params = {name: given[name] for name in spec.params}
     res = spec.orders(r_max, **params)
-    for r, e in enumerate(res):
-        if not (math.isfinite(e.value.real) and math.isfinite(e.value.imag)):
-            raise OverflowError(f"the coefficient of order {r} is not finite in binary64")
     entries = tuple(CoefficientEntry(r, res[r].value, res[r].error_bound, spec.route) for r in range(r_max + 1))
     if "chi" in params:
         params = {"q": chi.modulus, "label": chi.label}

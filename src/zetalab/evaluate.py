@@ -1,5 +1,6 @@
 """Hurwitz, progression, Dirichlet-L and Lerch zeta values and their
-s-derivatives for Re(s) > 0.
+s-derivatives for Re(s) > 0, and the one Z core the coefficient routes
+read at s = 1 and s = 0.
 
 Each evaluator assembles the same Euler-summation representation with a
 free split parameter x (or X): a finite Dirichlet-type sum up to x, a
@@ -10,7 +11,10 @@ for every split, which the test suite exploits as its master property.
 One core serves Hurwitz, Z and L: zeta(s, alpha) = Z(s, alpha, 1), and
 L(s, chi) = sum_a chi(a) Z(s, a, q) over the units a of Z/qZ.  One
 kernel weighs chi-free class pieces by chi(a) for a batch of characters
-at once; the L routes here, at s = 1 and s = 0, and in the strip use it.
+at once; the pole terms cancel in that sum.  The core (Z without its
+pole term) is analytic for Re(s) > -1, so the coefficient routes read it
+at s = 1 and s = 0 too, for every order from one split and one tail
+batch at the largest order.
 
 Their default split puts X/q at the final cutoff of the plain sawtooth
 tails (Euler-Maclaurin at the cutoff, as in Johansson, arXiv:1309.2877):
@@ -109,12 +113,10 @@ def default_split(s: complex, alpha: float) -> float:
     return max(1.0, abs(complex(s).imag) / (2.0 * math.pi)) + alpha
 
 
-_SNAP = 1e-9
-
-
 def _split_floor(v: float) -> int:
-    """Endpoint count at the split: ties (and float dust below them) included."""
-    return math.floor(v + _SNAP)
+    """Endpoint count at the split: ties, and lattice points within four
+    ulps above v (the rounding of v), included."""
+    return math.floor(v + 4.0 * math.ulp(v))
 
 
 def _psi_at_split(v: float) -> float:
@@ -181,21 +183,23 @@ def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int) -> tuple[c
     first three points), for the rounded point inside (-log p)^r; then the
     pairwise sums within blocks and the sum of the blocks, 1.5 eps (depth)
     sum |term|.  A single block is summed as one array, so a short sum is
-    bit for bit _finite_power_sum."""
+    bit for bit _finite_power_sum.  A term that leaves binary64 makes the
+    sum and its bound non-finite, without a warning: EvalResult refuses them."""
     val, mags, lmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0
-    for k0 in range(0, kmax + 1, _SUM_BLOCK):
-        pts = a + q * np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
-        logs = np.log(pts)
-        terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
-        part = complex(terms.sum())
-        val = val + part if blocks else part
-        blocks += 1
-        mag, al = np.abs(terms), np.abs(logs)
-        mags += float(mag.sum())
-        lmags += float((mag * al).sum())
-        if r and not k0:
-            near = (al[:3] > 0.0) & (al[:3] < 1.0)
-            head = r * float((mag[:3][near] / al[:3][near]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, kmax + 1, _SUM_BLOCK):
+            pts = a + q * np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
+            logs = np.log(pts)
+            terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+            part = complex(terms.sum())
+            val = val + part if blocks else part
+            blocks += 1
+            mag, al = np.abs(terms), np.abs(logs)
+            mags += float(mag.sum())
+            lmags += float((mag * al).sum())
+            if r and not k0:
+                near = (al[:3] > 0.0) & (al[:3] < 1.0)
+                head = r * float((mag[:3][near] / al[:3][near]).sum())
     depth = math.log2(min(kmax + 1, _SUM_BLOCK) + 1) + 20 + blocks
     abs_s = abs(s)
     return val, _EPS * (3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags + head)
@@ -228,9 +232,9 @@ def _boundary_rounding(s: complex, q: int, r: int, X: float, v: float, kmax: int
     """Rounding of the boundary term psi(v) X^{-s} (-log X)^r, |X^{-s}| = ax:
     psi at a split v = (X - a)/q that carries the rounding of v, of X/q and
     of a/q, 4 eps (|v| + 2); the phase and the products, eps (3 |s| |log X|
-    + 2 r + 8) |psi|; and where v sits within _SNAP below the lattice point
-    kmax that the sum counts, that point's term against the boundary's,
-    q (kmax - v) |d/dX X^{-s} (-log X)^r|."""
+    + 2 r + 8) |psi|; and where v sits within the four ulps below the
+    lattice point kmax that the sum counts, that point's term against the
+    boundary's, q (kmax - v) |d/dX X^{-s} (-log X)^r|."""
     lx = abs(math.log(X))
     err = ax * lx**r * _EPS * (4.0 * (abs(v) + 2.0) + abs(psi) * (3.0 * abs(s) * lx + 2 * r + 8))
     if kmax > v:
@@ -264,9 +268,9 @@ def _z_core(s: complex, a: float, q: int, r: int, X: float, tail) -> tuple[compl
     return val + combo, abs(qs) * terr + err
 
 
-def _z_value(s: complex, a: float, q: int, r: int, X: float, tail) -> EvalResult:
-    """Z^{(r)}(s, a, q) at the split X, its tail from X/q: core plus pole/q."""
-    core, err = _z_core(s, a, q, r, X, tail)
+def _z_value(s: complex, q: int, r: int, X: float, core: tuple[complex, float]) -> EvalResult:
+    """Z^{(r)}(s, a, q) from its core (value, bound) at the split X: core plus pole/q."""
+    core, err = core
     pole, perr = _pole_term(s, X, r)
     return EvalResult(core + pole / q, err + (perr + _EPS * abs(pole)) / q + _EPS * abs(core + pole / q))
 
@@ -291,11 +295,21 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, l
     return X, psi_tail_powers_batch(X / q, alphas, b, r)
 
 
+def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, list[list[tuple[complex, float]]]]:
+    """The split X and, for each order r of orders, the core _z_core(s, a, q,
+    r, X, .) of every class a of units, as (value, bound).  One _split and
+    one tail batch at the largest order serve every order: the batch's
+    stopping test covers every log power up to it.  Re(s) > -1, s = 1 and
+    s = 0 included (the core carries no pole)."""
+    X, tails = _split(s, max(orders), q, units, X)
+    return X, [[_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)] for r in orders]
+
+
 def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
     """d^r/ds^r zeta(s, alpha) = Z^{(r)}(s, alpha, 1) via the split-sum representation."""
     s = complex(args.s)
-    X, (tail,) = _split(s, args.order, 1, [args.alpha], args.split)
-    return _z_value(s, args.alpha, 1, args.order, X, tail)
+    X, ((core,),) = _cores(s, 1, [args.alpha], [args.order], args.split)
+    return _z_value(s, 1, args.order, X, core)
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -308,8 +322,8 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
-    X, (tail,) = _split(s, r, q, [a], X)
-    return _z_value(s, a, q, r, X, tail)
+    X, ((core,),) = _cores(s, q, [a], [r], X)
+    return _z_value(s, q, r, X, core)
 
 
 def _units(q: int) -> list[int]:
@@ -327,31 +341,53 @@ def _weigh(w, pieces) -> np.ndarray:
     """sum_a w_a piece_a for every row of the weights w = (real, imaginary)
     arrays of shape (characters, units), bit for bit the loop acc = 0j;
     acc += w_a * piece_a: products by CPython's formula, sums left to right
-    along the units from 0j.  A piece None (a class with no finite sum) adds 0.0."""
-    live = np.array([p is not None for p in pieces])
-    p = np.array([0j if v is None else v for v in pieces], dtype=complex)
+    along the units from 0j."""
+    p = np.array(pieces, dtype=complex)
     zero = np.zeros((w[0].shape[0], 1))
-    parts = (np.add.accumulate(np.hstack([zero, np.where(live, v, 0.0)]), axis=1)[:, -1] for v in _cmul(*w, p.real, p.imag))
+    parts = (np.add.accumulate(np.hstack([zero, v]), axis=1)[:, -1] for v in _cmul(*w, p.real, p.imag))
     return _complex(*parts)
+
+
+def _common_modulus(chars) -> int:
+    """The one modulus of a batch of non-principal characters."""
+    if not chars:
+        raise ValueError("needs at least one character")
+    q = chars[0].modulus
+    for chi in chars:
+        if chi.is_principal:
+            raise ValueError("the series representation needs a non-principal character")
+        if chi.modulus != q:
+            raise ValueError("characters of one batch must share one modulus")
+    return q
+
+
+def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[EvalResult]]:
+    """d^r/ds^r L(s, chi) for each order r of orders (outer) and chi of a
+    batch of non-principal characters of one modulus q (inner): the class
+    cores of one _cores pass weighed by chi(a), where the pole terms cancel."""
+    chars = list(chars)
+    q = _common_modulus(chars)
+    for r in orders:
+        _check_order(r)
+    units = _units(q)
+    w = _characters_at(chars, units)
+    out = []
+    for pieces in _cores(s, q, units, orders, X)[1]:
+        cores, errs = zip(*pieces)
+        err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
+        # the weighting: chi(a) to within 14 eps (cmath.exp of 2 pi k/E), CPython's
+        # product, and the sum over the units left to right
+        err += _EPS * (20 + len(units)) * float(np.abs(cores).sum())
+        out.append([EvalResult(v, err) for v in _weigh(w, cores).tolist()])
+    return out
 
 
 def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None) -> EvalResult:
     """d^r/ds^r L(s, chi) for non-principal chi; s = 1 is allowed (entire)."""
-    if chi.is_principal:
-        raise ValueError("the series representation needs a non-principal character")
     s = complex(s)
     if s.real <= 0.0:
         raise ValueError("evaluation requires Re(s) > 0")
-    _check_order(r)
-    q = chi.modulus
-    units = _units(q)
-    X, tails = _split(s, r, q, units, X)
-    cores, errs = zip(*(_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)))
-    err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
-    # the weighting: chi(a) to within 14 eps (cmath.exp of 2 pi k/E), CPython's
-    # product, and the sum over the units left to right
-    err += _EPS * (20 + len(units)) * float(np.abs(cores).sum())
-    return EvalResult(complex(_weigh(_characters_at([chi], units), cores)[0]), err)
+    return _l_values(s, [chi], [r], X)[0][0]
 
 
 def lerch_deriv(args: LerchArgs) -> EvalResult:

@@ -45,8 +45,8 @@ whose cutoff reaches 2^52 is refused: from there alpha and the phase
 2 pi nu u are lost to rounding.
 
 Error bounds here cover truncation and quadrature, not binary64 rounding;
-the Hurwitz, Z and L routes of evaluate add the rounding of what they
-assemble from these tails.
+the Hurwitz, Z and L routes of evaluate, and the coefficient routes that
+read their core, add the rounding of what they assemble from these tails.
 """
 
 from __future__ import annotations
@@ -64,13 +64,11 @@ __all__ = [
     "EvalResult",
     "psi",
     "psi2",
-    "periodic_bernoulli",
     "psi_tail_powers",
     "psi_tail_powers_batch",
     "pure_osc_tail_powers",
     "psi_osc_tail_powers",
     "segment_osc_power_log",
-    "psi_piecewise_integral",
     "power_log_tail_abs",
 ]
 
@@ -97,8 +95,10 @@ class EvalResult:
     error_bound: float
 
     def __post_init__(self):
-        if not math.isfinite(self.error_bound) or self.error_bound < 0.0:
-            raise ValueError(f"error bound must be finite and nonnegative, got {self.error_bound}")
+        if not (cmath.isfinite(self.value) and math.isfinite(self.error_bound)):
+            raise ValueError(f"the value {self.value} or its error bound {self.error_bound} is not finite in binary64")
+        if self.error_bound < 0.0:
+            raise ValueError(f"error bound must be nonnegative, got {self.error_bound}")
 
 
 def psi(u: float) -> float:
@@ -145,13 +145,6 @@ def _bernoulli_poly_coeffs(m: int) -> tuple[float, ...]:
         for k in range(m + 1)
     ]
     return tuple(float(c) for c in coeffs)
-
-
-def periodic_bernoulli(m: int, v: float) -> float:
-    """B_m({v})/m!; for m = 1 uses the sawtooth convention psi(v)."""
-    if m == 1:
-        return psi(v)
-    return _phi_bernoulli(m, v) / TWO_PI**m
 
 
 def _phi_bernoulli(m: int, v: float) -> float:
@@ -528,18 +521,6 @@ def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int
             for acc, d in zip(sums, parts):
                 both = np.concatenate([acc[:, rows, None], np.where(valid, d, 0.0).reshape(shape)], axis=2)
                 acc[:, rows] = np.add.accumulate(both, axis=2)[:, :, -1]
-
-
-def psi_piecewise_integral(
-    lo: float, hi: float, alpha: float = 1.0, exponent: complex = 0.0, log_power: int = 0
-) -> complex:
-    """Finite int_lo^hi psi(u-alpha) u^exponent log^log_power u du, piecewise exact."""
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    _check_work(hi - lo)
-    sums = [np.zeros((log_power + 1, 1)) for _ in range(3)]
-    _march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
-    return complex(sums[0][log_power, 0], sums[1][log_power, 0])
 
 
 def _first_cutoff(b: complex, rmax: int) -> float:

@@ -10,18 +10,24 @@ one exception is convolution_coefficient, the right-hand side of the
 progression identity, which combines the library's classical constants.
 The Hurwitz, progression and L derivatives come from mpmath's Hurwitz
 zeta derivatives, with the characters' exact phases.
+
+periodic_bernoulli and psi_piecewise_integral are not oracles: they
+expose the library's periodic-Bernoulli values and its piecewise-exact
+march over a finite interval, which only the tests call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
 from zetalab.characters import factorize
 from zetalab.coefficients import stieltjes_gamma_all
-from zetalab.sawtooth import _check_alpha, power_log_tail_abs
+from zetalab import sawtooth
+from zetalab.sawtooth import TWO_PI, _check_alpha, _check_work, _phi_bernoulli, power_log_tail_abs, psi
 
 GL64_NODES, GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -308,6 +314,33 @@ def z_oracle(s: complex, a: float, q: int, r: int, dps: int = 30):
         return q**-sm * mp.fsum(math.comb(r, l) * (-lq) ** (r - l) * mp.zeta(sm, alpha, l) for l in range(r + 1))
 
 
+@lru_cache(maxsize=None)  # one entry per (order, shift) of the suite's grids
+def stieltjes_oracle(r: int, alpha: float, dps: int = 30):
+    """gamma_r(alpha) as an mpmath number: log^r(alpha)/alpha + gamma_r(alpha + 1),
+    the second term by mpmath.stieltjes, whose quadrature is quick on [1, 2]."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        return mp.log(a) ** r / a + mp.stieltjes(r, a + 1)
+
+
+def gamma_aq_oracle(r: int, a: int, q: int, dps: int = 30):
+    """gamma_r(a, q) by the convolution over gamma_{r-l}(a/q), in mpmath."""
+    with mp.workdps(dps):
+        lq = mp.log(q)
+        conv = mp.fsum(math.comb(r, l) * lq**l * stieltjes_oracle(r - l, a / q, dps) for l in range(r + 1))
+        return (conv - lq ** (r + 1) / (r + 1)) / q
+
+
+def l_at_one_oracle(chi, r: int, dps: int = 30):
+    """L^{(r)}(1, chi) = (-1)^r sum_a chi(a) gamma_r(a, q), chi(a) = e^{2 pi i k/E}
+    from the character's exact exponent k."""
+    q, e = chi.modulus, chi.group_exponent
+    with mp.workdps(dps):
+        return (-1) ** r * mp.fsum(
+            mp.expjpi(mp.mpf(2 * k) / e) * gamma_aq_oracle(r, a, q, dps) for a, k in enumerate(chi.value_logs) if k >= 0
+        )
+
+
 def l_oracle(s: complex, chi, r: int, dps: int = 30):
     """L^{(r)}(s, chi) = sum_a chi(a) Z^{(r)}(s, a, q), chi(a) = e^{2 pi i k/E}
     from the character's exact exponent k."""
@@ -316,3 +349,23 @@ def l_oracle(s: complex, chi, r: int, dps: int = 30):
         return mp.fsum(
             mp.expjpi(mp.mpf(2 * k) / e) * z_oracle(s, a, q, r, dps) for a, k in enumerate(chi.value_logs) if k >= 0
         )
+
+
+def periodic_bernoulli(m: int, v: float) -> float:
+    """B_m({v})/m!; for m = 1 uses the sawtooth convention psi(v)."""
+    if m == 1:
+        return psi(v)
+    return _phi_bernoulli(m, v) / TWO_PI**m
+
+
+def psi_piecewise_integral(
+    lo: float, hi: float, alpha: float = 1.0, exponent: complex = 0.0, log_power: int = 0
+) -> complex:
+    """Finite int_lo^hi psi(u-alpha) u^exponent log^log_power u du by the
+    library's piecewise-exact march, charged to its work budget first."""
+    if not 0.0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
+    _check_work(hi - lo)
+    sums = [np.zeros((log_power + 1, 1)) for _ in range(3)]
+    sawtooth._march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
+    return complex(sums[0][log_power, 0], sums[1][log_power, 0])

@@ -81,22 +81,23 @@ def test_t3_small_sweep():
 
 
 def test_t3_computes_each_tail_integral_once(monkeypatch):
-    # the tails depend on (q, a, r, point) but not on chi: one row per unit a mod q,
-    # order r and point reaches the batched kernel, 28 units x 8 orders x 2 points
-    # (2304 when run per character)
-    import zetalab.coefficients as coefficients
+    # the tails depend on (q, a, point) but not on chi or r: one row per unit a
+    # mod q and point, at the largest order, reaches the batched kernel, 28 units
+    # x 2 points (448 when run per order, 2304 per character and order)
+    import zetalab.evaluate as evaluate
 
     rows = []
-    real = coefficients.psi_tail_powers_batch
+    real = evaluate.psi_tail_powers_batch
 
     def counting(x, alphas, b, rmax, **kwargs):
         rows.extend((x, alpha, b, rmax) for alpha in alphas)
         return real(x, alphas, b, rmax, **kwargs)
 
-    monkeypatch.setattr(coefficients, "psi_tail_powers_batch", counting)
+    monkeypatch.setattr(evaluate, "psi_tail_powers_batch", counting)
     rep = certify_T3()
-    assert len(rows) == 448
-    assert len(set(rows)) == 448
+    assert len(rows) == 56
+    assert len(set(rows)) == 56
+    assert {row[3] for row in rows} == {8}
     assert rep.all_pass
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -265,6 +268,25 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--alpha", "1e-200"],
+        ["coeff", "--kind", "gamma", "--alpha", "1e-300", "--r-max", "3"],
+    ],
+)
+def test_a_value_that_overflows_is_refused_with_one_stderr_line(argv):
+    # alpha^{-2} and log^3(alpha)/alpha leave binary64 in the finite sum; numpy
+    # printed two RuntimeWarning lines before the error.  A fresh process, since
+    # pytest's capture hides such warnings in process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "zetalab", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "not finite in binary64" in proc.stderr
+
+
 def test_walks_reaching_two_to_the_52_are_refused_with_one_line(capsys):
     # from 2^52 the kinks of the sawtooth round onto integers (at 1e17 they
     # are not even distinct floats); both printed a tight but meaningless bound
@@ -378,39 +400,41 @@ def test_tail_log_power_is_capped(capsys):
 # SHA-256 of the --json stdout, recorded before the characters were built
 # from a discrete-log table; the output must stay byte-identical.  The
 # `eval --kind hurwitz|z|l` entries were re-recorded when their default
-# split moved to the tail cutoff and their bounds gained the rounding term
+# split moved to the tail cutoff and their bounds gained the rounding term;
+# the `coeff --kind gamma|beta|gamma-aq|gamma-chi|l-zero` and `certify
+# --bound t2-ib|t2-iib|t3` entries when those routes became readings of the
+# Z core at s = 1 and s = 0, all orders from one pass, with rounding booked
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
     (
         ["coeff", "--kind", "gamma-chi", "--q", "311", "--label", "211", "--r-max", "2"],
-        "7a296977a779df1768ee99d8cd1a28d98037eb2f73a1292847f555cecee4bbbc",
+        "92b37feebb1cedb98f19cda77bede758dabbe49dee6a7e1535f7fd3d96e38050",
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
         "03398cfcf32b18a683590dfaaf51893eb6df3d122c1440204758fd86e4c6442b",
     ),
     (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
-    # recorded before the exact L routes shared one residue pass across characters
-    (["certify", "--bound", "t3"], "b55512152346ff8697a1bd1b2c0d7fd96d4e806e30f867e6506f9de90a796bc6"),
+    (["certify", "--bound", "t3"], "e2f7e027e7d814af693e44ba2c5f9190879aafb9dd41afaa2a1c396fdd8bc13c"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
-        "6372bdc89338d7248a25444b86e7b3d3f4d1ecb7ebc12f0b92db319cce8c295b",
+        "510330e29e9f3f6b96dbee5bfb78e9728d8d151cc758431eb38ef3ef40ba05b3",
     ),
     # recorded before the panel, far-tail, s-tail and coefficient-table code
     # was merged into one kernel per term; both afe requests have a nonempty
     # dual sum (y = 2.18 and 5.79)
     (
         ["coeff", "--kind", "gamma", "--alpha", "0.37", "--r-max", "6"],
-        "c948e76850656dfc94d4c33f563aae69eb4a048981299e083f181aa0e326c586",
+        "468e6702b4ca574b12cc938172eef270480c38930c64473f167d96b6fbb3e80b",
     ),
     (
         ["coeff", "--kind", "beta", "--alpha", "0.3", "--r-max", "6"],
-        "25f387e7a67e94c056b4dc82700f40e680328170038491dfb7a429978ce57ed5",
+        "5d3918f6f6fc5484d4148ed0219762f7730989685e5fbbf159bd2192cfec9cd7",
     ),
     (
         ["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "6"],
-        "71c5a43b8821c096ff68274b97c73a7e093ec7bd1411a477edba0f8ebfed4d9b",
+        "e6e2ba75cf344ef1368a71d183b5dfc06bd47cc203f1f076231ec32006959afa",
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
@@ -451,8 +475,8 @@ GOLDEN_DIGESTS = [
         ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
         "0a1143c77cdc9f8c216022ffe18339a081dedc9915964cdd542ff45af9ca5cb8",
     ),
-    (["certify", "--bound", "t2-ib"], "6b1c731b42f08810bf3c0df4a10c9a9324cc2338c6789b4d5d2a91005749b751"),
-    (["certify", "--bound", "t2-iib"], "54ed97725722525b903814c0ed23e946bb6cb7f43e8fd9a9552100b382d11286"),
+    (["certify", "--bound", "t2-ib"], "cfa26b893de93fd6704868b07c69e5dbbb3614d626d641d6398dffe3693d311c"),
+    (["certify", "--bound", "t2-iib"], "7a9c82b3a04f67a64e9481201dc5197e9e029f12676b00e6311f76417e0e65b0"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
         "64bdf990e2a507a038a919c764b3f884f3a8f8e7726abebeba76de67d9fe7873",

@@ -6,7 +6,11 @@ import pytest
 
 from zetalab.characters import character, enumerate_characters
 from zetalab.coefficients import (
+    _beta_all,
+    _gamma_all,
+    _gamma_aq_all,
     beta_coefficient,
+    beta_coefficient_all,
     coefficient_table,
     gamma_aq,
     l_deriv_at_0,
@@ -18,12 +22,16 @@ from zetalab.coefficients import (
     lerch_taylor_at_1,
     reconstruct_series,
     stieltjes_gamma,
+    stieltjes_gamma_all,
 )
 from zetalab.evaluate import HurwitzArgs, LerchArgs, _psi_at_split, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
 from zetalab.sawtooth import EvalResult, psi_tail_powers
 
 from .oracles import (
     convolution_coefficient,
+    gamma_aq_oracle,
+    l_at_one_oracle,
+    l_oracle,
     leibniz_pi_4,
     limit_gamma_aq_extrapolated,
     limit_gamma_extrapolated,
@@ -31,6 +39,7 @@ from .oracles import (
     limit_oracle_gamma_aq,
     log2_series,
     richardson_fit,
+    stieltjes_oracle,
     zeta_eta,
 )
 
@@ -376,9 +385,12 @@ def test_batched_l_routes_equal_the_single_character_routes(q):
                 assert got0.value == single0.value and got0.error_bound == single0.error_bound
                 if q > 100 and (X is None or chi.label != 146):
                     continue  # the per-class loops take a second each at q = 293
+                # the per-class loops are a second route (split 4q by default):
+                # the two agree within the sum of their bounds
                 ref1 = _l_at_1_per_character(r, chi, 4.0 * q if X is None else X)
                 ref0 = _l_at_0_per_character(r, chi, 4.0 * q if X is None else X)
-                assert got1 == ref1 and got0 == ref0, (chi.label, r, X)
+                for got, ref in ((got1, ref1), (got0, ref0)):
+                    assert abs(got.value - ref.value) <= got.error_bound + ref.error_bound, (chi.label, r, X)
 
 
 def test_batched_l_routes_refuse_mixed_batches(principal4):
@@ -390,6 +402,57 @@ def test_batched_l_routes_refuse_mixed_batches(principal4):
                 fn(1, batch)
         with pytest.raises(ValueError):
             fn(-1, chars5)
+
+
+# ---------------------------------------------------------------------------
+# the bounds are true bounds: |value - oracle| <= error_bound, rounding included
+# ---------------------------------------------------------------------------
+
+
+def _held(res, ref) -> bool:
+    """|value - ref| <= error_bound, the distance taken at the reference's precision."""
+    with mp.workdps(30):
+        return abs(mp.mpc(res.value.real, res.value.imag) - ref) <= res.error_bound
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.029714, 0.37, 1.0])
+def test_gamma_and_beta_bounds_hold_against_mpmath(alpha):
+    # mpmath.stieltjes and mpmath's zeta derivatives at s = 0, r <= 12, at the
+    # default split and an explicit one; the bounds without rounding failed at
+    # alpha = 0.029714 (gamma) and 1e-6 (beta)
+    for X in (None, 7.3):
+        gam, bet = _gamma_all(12, alpha, 1, X), _beta_all(12, alpha, X)
+        for r in range(13):
+            assert _held(gam[r], stieltjes_oracle(r, alpha)), (alpha, r, X, gam[r])
+            assert _held(bet[r], mp.zeta(0, mp.mpf(alpha), r) / math.factorial(r)), (alpha, r, X, bet[r])
+    assert stieltjes_gamma_all(12, alpha) == _gamma_all(12, alpha, 1) and beta_coefficient_all(12, alpha) == _beta_all(12, alpha)
+
+
+@pytest.mark.parametrize("a, q", [(1, 2), (2, 5), (3, 7), (7, 12)])
+def test_gamma_aq_bounds_hold_against_mpmath(a, q):
+    for X in (None, 7.3):
+        gam = _gamma_all(12, a, q, X)
+        for r in range(13):
+            assert _held(gam[r], gamma_aq_oracle(r, a, q)), (a, q, r, X, gam[r])
+    assert _gamma_aq_all(12, a, q) == _gamma_all(12, a, q) and gamma_aq(12, a, q) == _gamma_all(12, a, q)[12]
+
+
+@pytest.mark.parametrize("q, label, rmax", [(5, 1, 12), (12, 2, 6), (30, 3, 4)])
+def test_l_at_one_and_zero_bounds_hold_against_hurwitz_sums(q, label, rmax):
+    # mpmath's Hurwitz constants at s = 1 and zeta derivatives at s = 0, summed over the classes
+    chi = character(q, label)
+    for X in (None, 7.3):
+        for r in range(rmax + 1):
+            got1, got0 = l_deriv_at_1_exact(r, chi, X=X), l_deriv_at_0(r, chi, X=X)
+            assert _held(got1, l_at_one_oracle(chi, r)), (q, label, r, X, got1)
+            assert _held(got0, l_oracle(0j, chi, r)), (q, label, r, X, got0)
+
+
+def test_l_at_zero_order_zero_books_its_rounding():
+    # the finite sums of 1 over each class: the bound was exactly 0 against an error of 6.5e-14
+    chi = character(311, 268)
+    got = l_deriv_at_0(0, chi)
+    assert got.error_bound > 0.0 and _held(got, l_oracle(0j, chi, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def ref_rounding(s, r, x, p) -> float:
     err = EPS * (3.0 * abs(s) * float((mag * al).sum()) + (abs(s) + 3 * r + 8 + 1.5 * depth) * float(mag.sum()) + head)
     lx, v, kmax = abs(math.log(x)), p["v"], p["nmax"]
     boundary = abs(p["fx"]) * lx**r * EPS * (4.0 * (abs(v) + 2.0) + abs(p["psi"]) * (3.0 * abs(s) * lx + 2 * r + 8))
-    if kmax > v:  # the split within _SNAP below the lattice point kmax, which the sum counts
+    if kmax > v:  # the split within four ulps below the lattice point kmax, which the sum counts
         boundary += 1.01 * (kmax - v) * abs(p["fx"]) / x * (abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0))
     err += boundary
     tails = p["tails"]
@@ -480,6 +480,17 @@ def test_a_progression_is_charged_by_its_own_class():
     for s, a, q, r, X in ((0.5 + 1000j, 1, 10000, 1, None), (2.0, 1, 1000000, 0, None), (2.0, 1, 1000, 0, 2e7)):
         res = z_deriv(s, a, q, r, X=X)
         assert _held(res, z_oracle(s, a, q, r, dps=40)), (s, a, q, r, X, res)
+
+
+@pytest.mark.parametrize("s, alpha, split", [(0.5 + 10j, 0.3, 2.3 - 5e-10), (2.0 + 0j, 1e-9, 5e-10)])
+def test_a_split_just_below_a_lattice_point_does_not_count_it(s, alpha, split):
+    # the split sits 5e-10 below the lattice point 2 + alpha (alpha): a snap of
+    # 1e-9 counted it, off by 1.4e-9 on 1.9 (3e18 on 1e18); the snap is now a few ulps
+    res = hurwitz_deriv(HurwitzArgs(s=s, alpha=alpha, split=split))
+    ref = z_oracle(s, alpha, 1, 0, dps=40)
+    assert _held(res, ref), (s, alpha, split, res, complex(ref))
+    with mp.workdps(40):
+        assert abs(mp.mpc(res.value.real, res.value.imag) - ref) <= 1e-13 * abs(ref)
 
 
 def test_pole_term_near_one_is_refused():

@@ -18,18 +18,16 @@ from zetalab.sawtooth import (
     _osc_remainder_const,
     _psi_fourier_shift_sums,
     _row_eval,
-    periodic_bernoulli,
     psi,
     psi2,
     psi_osc_tail_powers,
-    psi_piecewise_integral,
     psi_tail_powers,
     psi_tail_powers_batch,
     pure_osc_tail_powers,
     segment_osc_power_log,
 )
 
-from .oracles import euler_gamma_limit, quad_psi_osc_tail, quad_psi_tail
+from .oracles import euler_gamma_limit, periodic_bernoulli, psi_piecewise_integral, quad_psi_osc_tail, quad_psi_tail
 
 
 # ---------------------------------------------------------------------------
