@@ -32,13 +32,13 @@ import cmath
 import math
 
 from .characters import DirichletCharacter
-from .evaluate import _characters_at, _pole_term, _psi_at_split, _s_tail, _split_floor, _units, _weigh
+from .evaluate import _characters_at, _pole_term, _progression_sum, _psi_at_split, _s_tail, _split_floor, _units, _weigh
 from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import (
+    _EPS,
     EvalResult,
     _check_alpha,
     _check_work,
-    _cmul,
     _dual_walk_panels,
     psi_tail_powers,
     pure_osc_tail_powers,
@@ -84,7 +84,9 @@ def _check_strip(s: complex, r: int, x: float) -> None:
 
 
 def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[complex, float]:
-    """The strip representation without its pole term.
+    """The strip representation without its pole term; its bound adds the
+    rounding of the finite sum and of the plain tail's march to the tails'
+    truncation and quadrature.
 
     The finite sum and the walks of the dual sum are charged to the work
     budget before any term; the alpha-free dual terms are kept in duals[r]."""
@@ -96,20 +98,17 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
     nmax = _split_floor(x - alpha)
     _check_work(nmax + 1)
     _check_work(_dual_walk_panels(-s - 1.0, r, x, nmid))
-    val = 0.0 + 0.0j
-    # finite (n + alpha)-sum
-    for n in range(0, nmax + 1):
-        w = n + alpha
-        lw = math.log(w)
-        val += cmath.exp(-s * lw) * (-lw) ** r
+    # finite (n + alpha)-sum, with its rounding
+    val, err = _progression_sum(alpha, 1, nmax, s, r)
     # sawtooth boundary, with the |n| > y Fourier remainder folded in
     lx = math.log(x)
     xs = cmath.exp(-s * lx) * (-lx) ** r
     four = sum(math.sin(_TWO_PI * n * (x - alpha)) / (math.pi * n) for n in range(1, nmid + 1))
     val += xs * (_psi_at_split(x - alpha) + four)
     # plain sawtooth tail
-    tail, err = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
+    tail, terr = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
     val += tail
+    err += terr
     sign = (-1.0) ** r
     # dual gamma-factor sum, segment integrals, and oscillatory tails
     if r not in duals:
@@ -167,4 +166,7 @@ def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
             eacc += abs(c) * parts[l][1]
         pieces.append(acc)
         err += abs(qs) * eacc
-    return EvalResult(complex(_weigh(_cmul(*_characters_at([chi], units), qs.real, qs.imag), pieces)[0]), err)
+    # the weighting: q^{-s} (its phase eps |s| |log q|), chi(a) to within 14 eps,
+    # their product, the products with the pieces and the sum over the units
+    err += _EPS * (abs(s) * lq + 22 + len(units)) * abs(qs) * sum(map(abs, pieces))
+    return EvalResult(complex(_weigh(_characters_at([chi], units) * qs, pieces)[0]), err)

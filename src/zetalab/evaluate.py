@@ -43,12 +43,11 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .sawtooth import (
+    _EPS,
     EvalResult,
     _check_alpha,
     _check_order,
     _check_work,
-    _cmul,
-    _complex,
     _first_cutoff,
     _tail_cutoff,
     psi_osc_tail_powers,
@@ -128,9 +127,6 @@ def _psi_at_split(v: float) -> float:
     return v - _split_floor(v) - 0.5
 
 
-_EPS = 2.0**-53  # unit roundoff of binary64
-
-
 def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     """d^r/ds^r (x^{1-s}/(s-1)) by the Leibniz closed form, with its rounding:
     the phase of x^{1-s} (eps |1-s| log x) and each of the r + 1 terms.
@@ -177,14 +173,19 @@ _CLASS_COST = 12.0
 def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int) -> tuple[complex, float]:
     """sum_{k <= kmax} p^{-s} (-log p)^r over p = a + q k, in blocks, with its rounding.
 
-    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p (the
-    logarithm, the rounded point, the product), the modulus, the power and
-    the product; r eps |term| / |log p| more where |log p| < 1 (at most the
-    first three points), for the rounded point inside (-log p)^r; then the
-    pairwise sums within blocks and the sum of the blocks, 1.5 eps (depth)
-    sum |term|.  A single block is summed as one array, so a short sum is
-    bit for bit _finite_power_sum.  A term that leaves binary64 makes the
-    sum and its bound non-finite, without a warning: EvalResult refuses them."""
+    The one finite-sum kernel of the split representations: each residue
+    class of the Z core, and the (n + alpha)-sum of the AFE at q = 1 (empty,
+    0 with a bound of 0, for kmax < 0).
+
+    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
+    (the logarithm, the rounded point, the product), the modulus, the power
+    and the product; r eps |term| / |log p| more where |log p| < 1 (at most
+    the first three points), for the rounded point inside (-log p)^r; then
+    the pairwise sums within blocks and the sum of the blocks, 1.5 eps
+    (depth) sum |term|.  A single block is summed as one array, so a short
+    sum is bit for bit _finite_power_sum.  A term that leaves binary64 makes
+    the sum and its bound non-finite, without a warning: EvalResult refuses
+    them."""
     val, mags, lmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, kmax + 1, _SUM_BLOCK):
@@ -331,21 +332,17 @@ def _units(q: int) -> list[int]:
     return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
 
 
-def _characters_at(chars, units) -> tuple[np.ndarray, np.ndarray]:
-    """chi(a) for every chi of chars (rows) and a of units (columns), as (real, imaginary) arrays."""
-    w = np.array([chi.values for chi in chars], dtype=complex)[:, np.array(units) % chars[0].modulus]
-    return w.real, w.imag
+def _characters_at(chars, units) -> np.ndarray:
+    """chi(a) for every chi of chars (rows) and a of units (columns)."""
+    return np.array([chi.values for chi in chars], dtype=complex)[:, np.array(units) % chars[0].modulus]
 
 
-def _weigh(w, pieces) -> np.ndarray:
-    """sum_a w_a piece_a for every row of the weights w = (real, imaginary)
-    arrays of shape (characters, units), bit for bit the loop acc = 0j;
-    acc += w_a * piece_a: products by CPython's formula, sums left to right
-    along the units from 0j."""
-    p = np.array(pieces, dtype=complex)
-    zero = np.zeros((w[0].shape[0], 1))
-    parts = (np.add.accumulate(np.hstack([zero, v]), axis=1)[:, -1] for v in _cmul(*w, p.real, p.imag))
-    return _complex(*parts)
+def _weigh(w: np.ndarray, pieces) -> np.ndarray:
+    """sum_a w_a piece_a for every row of the weights w, of shape (characters,
+    units): the products, added along each row left to right, so that a row
+    does not depend on the others (a reduction may block by the shape).  The
+    callers book its rounding, eps (units + 1) sum_a |w_a piece_a|."""
+    return np.add.accumulate(w * np.asarray(pieces, dtype=complex), axis=1)[:, -1]
 
 
 def _common_modulus(chars) -> int:
@@ -364,7 +361,13 @@ def _common_modulus(chars) -> int:
 def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[EvalResult]]:
     """d^r/ds^r L(s, chi) for each order r of orders (outer) and chi of a
     batch of non-principal characters of one modulus q (inner): the class
-    cores of one _cores pass weighed by chi(a), where the pole terms cancel."""
+    cores of one _cores pass weighed by chi(a), where the pole terms cancel.
+
+    The cores less their mean c are weighed: sum_a chi(a) = 0, so the value
+    is the same, but c (the X/q of the pole part at s = 0, say) no longer
+    enters the rounding.  That rounding: core - c, eps |core - c|; chi(a), to
+    within 14 eps (cmath.exp of 2 pi k/E); the product and the sum (_weigh),
+    so eps (21 + units) sum_a |core_a - c|."""
     chars = list(chars)
     q = _common_modulus(chars)
     for r in orders:
@@ -374,10 +377,10 @@ def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[Ev
     out = []
     for pieces in _cores(s, q, units, orders, X)[1]:
         cores, errs = zip(*pieces)
+        cores = np.array(cores)
+        cores -= cores.mean()
         err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
-        # the weighting: chi(a) to within 14 eps (cmath.exp of 2 pi k/E), CPython's
-        # product, and the sum over the units left to right
-        err += _EPS * (20 + len(units)) * float(np.abs(cores).sum())
+        err += _EPS * (21 + len(units)) * float(np.abs(cores).sum())
         out.append([EvalResult(v, err) for v in _weigh(w, cores).tolist()])
     return out
 

@@ -22,15 +22,19 @@ one row per alpha and one segment per linear piece of psi, in blocks of
 at most 2048 moments, no wider than the longest row left, whose break
 points are generated block by block, so memory does not grow with the
 length of the march; the exponents b + 2 and b + 1 share one stacked pass
-of moments.  Each row is bit for bit the scalar march: complex products
-and quotients replay CPython's formulas on separate real and imaginary
-float64 arrays, math.log and cmath.exp stay scalar (numpy's versions
-round differently), and sums run left to right.  A tail whose march or
-panel walk would exceed about 2e6 pieces, or reach 2^52, is refused; a
-plain tail from x >= 2^52 walks nothing, and since its cutoff is then an
-integer, its far tail is expanded at {-alpha}.  One rule picks the plain
-tail's cutoffs and where its rows stop; the search for the final one
-(_tail_cutoff) returns the tails from there, where nothing is marched.
+of moments.  It works on plain complex arrays and books its binary64
+rounding beside its values, term by term: the moments of each branch
+(_moments_exp), the phase and modulus of e^{beta t1}, the moment argument,
+the powers and the binomial sums (_power_log_segments), the rounded kinks
+and their logarithms, the product c L and the additions along each row
+(_march).  Sums along a row and over the log powers run in order, so each
+row, value and bound, is bit for bit its one-row result.  A tail whose
+march or panel walk would exceed about 2e6 pieces, or reach 2^52, is
+refused; a plain tail from x >= 2^52 walks nothing, and since its cutoff
+is then an integer, its far tail is expanded at {-alpha}.  One rule picks
+the plain tail's cutoffs and where its rows stop; the search for the
+final one (_tail_cutoff) returns the tails from there, where nothing is
+marched and so no rounding is booked.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
 cycle each) with repeated integration by parts against the exponential
@@ -44,9 +48,11 @@ BLAS dot, and panel sums added left to right).  A sawtooth-weighted tail
 whose cutoff reaches 2^52 is refused: from there alpha and the phase
 2 pi nu u are lost to rounding.
 
-Error bounds here cover truncation and quadrature, not binary64 rounding;
-the Hurwitz, Z and L routes of evaluate, and the coefficient routes that
-read their core, add the rounding of what they assemble from these tails.
+Error bounds here cover truncation and quadrature, and the rounding of
+the plain tail's march; not that of the far-tail expansions or of the
+oscillatory panels.  The Hurwitz, Z and L routes of evaluate, and the
+coefficient routes that read their core, add the rounding of what they
+assemble from these tails, the far tails' phase included.
 """
 
 from __future__ import annotations
@@ -89,7 +95,9 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A value together with a rigorous truncation/quadrature bound."""
+    """A value and its error bound: truncation and quadrature, and the
+    binary64 rounding its route books (all of it for the Hurwitz, Z and L
+    routes and their coefficient readings; the march's for a plain tail)."""
 
     value: complex
     error_bound: float
@@ -168,7 +176,7 @@ def _phi_bernoulli(m: int, v: float) -> float:
 
 
 def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
-    """_phi_bernoulli(m, v) for every entry of v, bit for bit (math.cos stays scalar)."""
+    """_phi_bernoulli(m, v) for every entry of v."""
     if m <= 12:
         f = v - np.floor(v)
         acc = np.zeros_like(f)
@@ -180,7 +188,7 @@ def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
     phase = -0.5 * math.pi * m
     while True:
         arg = TWO_PI * n * v + phase
-        acc = acc - 2.0 * np.fromiter(map(math.cos, arg.tolist()), dtype=float, count=arg.size) / float(n**m)
+        acc = acc - 2.0 * np.cos(arg) / float(n**m)
         n += 1
         if n ** (-m) < 1e-20 or n > 64:
             break
@@ -193,134 +201,91 @@ _PSI_TILDE_ABS = tuple(
 
 
 # ---------------------------------------------------------------------------
-# CPython's complex arithmetic on (real, imaginary) float64 arrays
-# ---------------------------------------------------------------------------
-#
-# The plain-tail kernel evaluates the scalar formulas on arrays and gives
-# the same bits.  numpy's complex multiply and divide round differently from
-# CPython's, and np.log / np.exp from math.log / math.exp, so products and
-# quotients replay CPython 3.11's formulas on separate real and imaginary
-# arrays (a float operand enters as (x, 0.0), as Python promotes it), the
-# logarithms and exponentials stay scalar, and sums run left to right
-# (in-place adds, or np.add.accumulate along the segments; np.sum adds
-# pairwise).
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) by CPython's product formula."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """(ar + i ai)/(br + i bi) by CPython's quotient (Smith's method)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        by_re = np.abs(br) >= np.abs(bi)
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai)
-        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar)
-    return re / denom, im / denom
-
-
-def _cdiv_real(ar, ai, d):
-    """(ar + i ai)/d for real d > 0, as CPython divides by complex(d, 0.0)."""
-    return (ar + ai * 0.0) / d, (ai - ar * 0.0) / d
-
-
-def _cexp(re, im):
-    """cmath.exp elementwise, as (real, imaginary) arrays."""
-    z = _complex(re, im)
-    w = np.fromiter(map(cmath.exp, z.ravel().tolist()), dtype=complex, count=z.size)
-    return w.real.reshape(z.shape), w.imag.reshape(z.shape)
-
-
-def _complex(re, im) -> np.ndarray:
-    """The complex array with exactly these real and imaginary parts."""
-    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    z.real = re
-    z.imag = im
-    return z
-
-
-def _running_sum(start, terms):
-    """start + terms[0] + terms[1] + ..., added left to right."""
-    acc = np.array(start, dtype=float)
-    for t in terms:
-        acc += t
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # antiderivatives of u^c log^m u and absolute tail integrals
 # ---------------------------------------------------------------------------
 
 
-def _moments_exp(zr, zi, imax: int):
-    """m_i(z) = int_0^1 e^{z w} w^i dw for i = 0..imax and an array of z,
-    as (real, imaginary) arrays of shape (imax + 1, len(z)).
+_EPS = 2.0**-53  # unit roundoff of binary64
+
+
+def _moments_exp(z: np.ndarray, imax: int) -> tuple[np.ndarray, np.ndarray]:
+    """m_i(z) = int_0^1 e^{z w} w^i dw for i = 0..imax and an array of z, of
+    shape (imax + 1, len(z)), and the rounding of each for z as given.
 
     |z| <= 2: power series; |z| >= imax: upward recurrence; between them a
-    downward recurrence seeded far above imax.
-    """
-    az = np.hypot(zr, zi)
-    out_r = np.empty((imax + 1, az.size))
-    out_i = np.empty_like(out_r)
+    downward recurrence seeded far above imax.  Each branch carries its
+    rounding along (e^z to 4 eps, a complex product 3 eps, a quotient 6 eps)."""
+    az = np.abs(z)
+    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
     series = az <= 2.0
     upward = ~series & (az >= imax)
     for part, moments in ((series, _moments_series), (upward, _moments_up), (~series & ~upward, _moments_down)):
         if part.any():
             idx = np.flatnonzero(part)
-            out_r[:, idx], out_i[:, idx] = moments(zr[idx], zi[idx], az[idx], imax)
-    return out_r, out_i
+            out[:, idx], err[:, idx] = moments(z[idx], az[idx], imax)
+    return out, err
 
 
-def _moments_series(zr, zi, az, imax: int):
-    """sum_k z^k / (k! (i + k + 1)), each i stopping at its first term below
-    1e-19 (i + k + 1) or at k = 80; the terms c_k = z^k/k! serve every i."""
+def _moments_series(z, az, imax: int):
+    """sum_k t_k, t_k = z^k / (k! (i + k + 1)), each i stopping at its first
+    term below 1e-19 or at k = 80; c_k = z^k/k! serves every i.  Rounding:
+    c_k takes k steps of 4 eps and t_k one of eps; the n_i additions round
+    by eps |S_k| <= eps (|m_i| + sum_{j > k} |t_j|) each; so eps (sum_k
+    (5 k + 1) |t_k| + n_i |m_i|), and the terms left out add below 2e-19."""
     d0 = np.arange(1.0, imax + 2.0)[:, None]  # i + 1
-    sr, si = (np.repeat(v, az.size, axis=1) for v in _cdiv_real(1.0, 0.0, d0))
-    cr, ci = np.ones_like(zr), np.zeros_like(zr)
-    zkr, zki = zr + zi * 0.0, zi - zr * 0.0  # numerators of z / k
-    live = np.ones(sr.shape, dtype=bool)
+    out = np.repeat(1.0 / d0, z.size, axis=1).astype(complex)
+    mags, steps = out.real.copy(), np.zeros(out.shape)  # sum_k (5 k + 1) |t_k|, n_i
+    c = np.ones_like(z)
+    live = np.ones(out.shape, dtype=bool)
     for k in range(1, 81):
-        cr, ci = _cmul(cr, ci, zkr / k, zki / k)
+        c = c * (z / k)
         d = d0 + k
-        tr, ti = _cdiv_real(cr, ci, d)
-        np.add(sr, tr, out=sr, where=live)
-        np.add(si, ti, out=si, where=live)
-        live &= ~(np.hypot(cr, ci) < 1e-19 * d)
+        ac = np.abs(c)
+        np.add(out, c / d, out=out, where=live)
+        np.add(mags, (5 * k + 1) * ac / d, out=mags, where=live)
+        steps += live
+        live &= ~(ac < 1e-19 * d)
         if not live.any():
             break
-    return sr, si
+    return out, _EPS * (mags + steps * np.abs(out)) + 2e-19
 
 
-def _moments_up(zr, zi, az, imax: int):
-    """m_0 = (e^z - 1)/z, m_i = (e^z - i m_{i-1})/z."""
-    er, ei = _cexp(zr, zi)
-    out_r = np.empty((imax + 1, az.size))
-    out_i = np.empty_like(out_r)
-    out_r[0], out_i[0] = _cdiv(er - 1.0, ei - 0.0, zr, zi)
-    for i in range(1, imax + 1):
-        pr, pi_ = _cmul(float(i), 0.0, out_r[i - 1], out_i[i - 1])
-        out_r[i], out_i[i] = _cdiv(er - pr, ei - pi_, zr, zi)
-    return out_r, out_i
+def _moments_up(z, az, imax: int):
+    """m_0 = (e^z - 1)/z, m_i = (e^z - i m_{i-1})/z.  A step carries the
+    error on by i/|z| <= 1: e_i = (i e_{i-1} + eps (4 |e^z| + i |m_{i-1}|))/|z|
+    + 6 eps |m_i|, for e^z, i m_{i-1}, the difference and the quotient."""
+    ez = np.exp(z)
+    aez = 4.0 * _EPS * np.abs(ez)
+    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
+    m, e = np.ones_like(z), np.zeros(z.size)  # at i = 0 the 1 of e^z - 1 stands for i m_{i-1}
+    for i in range(imax + 1):
+        k = max(i, 1)
+        e = (k * e + aez + k * _EPS * np.abs(m)) / az
+        m = (ez - k * m) / z
+        e = e + 6.0 * _EPS * np.abs(m)
+        out[i], err[i] = m, e
+    return out, err
 
 
-def _moments_down(zr, zi, az, imax: int):
-    """m_{i-1} = (e^z - z m_i)/i from m = 0 at i = imax + int|z| + 60."""
-    er, ei = _cexp(zr, zi)
+def _moments_down(z, az, imax: int):
+    """m_{i-1} = (e^z - z m_i)/i from m = 0 at i = imax + int|z| + 60, off by
+    at most max(1, |e^z|)/(i + 1) there.  A step carries the error on by
+    |z|/i (more than 1 below i = |z|): e_{i-1} = (|z| e_i + eps (4 |e^z| +
+    3 |z m_i|))/i + 2 eps |m_{i-1}|."""
+    ez = np.exp(z)
+    aez = 4.0 * _EPS * np.abs(ez)
     start = imax + az.astype(np.int64) + 60
-    mr, mi = np.zeros_like(zr), np.zeros_like(zr)
-    out_r = np.empty((imax + 1, az.size))
-    out_i = np.empty_like(out_r)
+    m, e = np.zeros_like(z), np.maximum(1.0, np.abs(ez)) / (start + 1)
+    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
     for i in range(int(start.max()), 0, -1):
-        pr, pi_ = _cmul(zr, zi, mr, mi)
-        nr, ni = _cdiv_real(er - pr, ei - pi_, float(i))
+        zm = z * m
+        nxt = (ez - zm) / i
+        nerr = (az * e + aez + 3.0 * _EPS * np.abs(zm)) / i + 2.0 * _EPS * np.abs(nxt)
         begun = start >= i
-        mr, mi = np.where(begun, nr, mr), np.where(begun, ni, mi)
+        m, e = np.where(begun, nxt, m), np.where(begun, nerr, e)
         if i - 1 <= imax:
-            out_r[i - 1], out_i[i - 1] = mr, mi
-    return out_r, out_i
+            out[i - 1], err[i - 1] = m, e
+    return out, err
 
 
 def _powers(v, m: int) -> np.ndarray:
@@ -334,31 +299,46 @@ def _powers(v, m: int) -> np.ndarray:
 
 def _power_log_segments(betas: tuple[complex, ...], rmax: int, t1, t2) -> list:
     """int_{t1}^{t2} e^{beta t} t^r dt for r = 0..rmax (t = log u) on arrays
-    of segments, one (real, imaginary) pair of shape (rmax + 1, len(t1)) per
+    of segments, one (values, rounding) pair of shape (rmax + 1, len(t1)) per
     beta of betas.  The nonzero betas are stacked along the segment axis:
-    one pass of moments and exponentials, each element as if alone."""
+    one pass of moments and exponentials, each element as if alone (the sums
+    over i run in order).
+
+    The value e^{beta t1} sum_i C(r, i) t1^{r-i} D_i, D_i = delta^{i+1} m_i(z),
+    z = beta delta, rounds, for t1 and t2 as given, by: the modulus of
+    e^{beta t1}, eps (|Re beta| |t1| + 3), and the last product, 3 eps (its
+    phase, which the betas of one imaginary part share, is left to the
+    caller); m_i by its branch's rounding and, for z, eps |z m_{i+1}| <= eps
+    (|e^z| + (i + 1) |m_i|); D_i, t1^{r-i}, the binomial product and the sum
+    by eps (i + 2 rmax + 3) per term.  At beta = 0 the closed form rounds by
+    eps (2 r + 3) delta max(|t1|, |t2|)^r."""
     delta = t2 - t1
     t1p = _powers(t1, rmax)
+    orders = np.arange(rmax + 1.0)[:, None]
     if 0 in betas:
         # factored (t2^{r+1}-t1^{r+1})/(r+1) = delta * sum_k t2^k t1^{r-k}/(r+1):
         # same-sign terms, so the value carries relative (not power-sized) error
-        t2p, zero = _powers(t2, rmax), np.zeros(t1.size)
-        closed = np.array([delta * _running_sum(zero, t2p[: r + 1] * t1p[r::-1]) / (r + 1) for r in range(rmax + 1)])
+        t2p = _powers(t2, rmax)
+        closed = np.array([delta * np.add.accumulate(t2p[: r + 1] * t1p[r::-1])[-1] / (r + 1) for r in range(rmax + 1)])
+        closed_err = _EPS * (2.0 * orders + 3.0) * delta * _powers(np.maximum(np.abs(t1), np.abs(t2)), rmax)
     live = [beta for beta in betas if beta != 0]
     if k := len(live):
-        br, bi = (np.repeat(v, t1.size) for v in ([beta.real for beta in live], [beta.imag for beta in live]))
-        d, tp, zero = np.tile(delta, k), np.tile(t1p, k), np.zeros(t1.size * k)
-        mr, mi = _moments_exp(*_cmul(br, bi, d, 0.0), rmax)
-        pr, pi_ = _cexp(*_cmul(br, bi, np.tile(t1, k), 0.0))
-        dmr, dmi = _cmul(_powers(d, rmax + 1)[1:], 0.0, mr, mi)  # delta^{i+1} m_i
-        out_r, out_i = np.empty_like(tp), np.empty_like(tp)
+        beta = np.repeat(np.array(live, dtype=complex), t1.size)
+        d, t, tp = np.tile(delta, k), np.tile(t1, k), np.tile(t1p, k)
+        m, merr = _moments_exp(beta * d, rmax)
+        dp = _powers(d, rmax + 1)[1:]
+        dm = dp * m  # D_i
+        g = dp * (merr + _EPS * (np.exp(beta.real * d) + (orders + 1.0) * np.abs(m))) + _EPS * (orders + 2 * rmax + 3) * np.abs(dm)
+        out, err = np.empty(tp.shape, dtype=complex), np.empty(tp.shape)
         for r in range(rmax + 1):
-            # sum_i C(r, i) t1^{r-i} delta^{i+1} m_i, then times e^{beta t1}
             f = _binomials(r)[:, None] * tp[r::-1]
-            tr, ti = _cmul(f, 0.0, dmr[: r + 1], dmi[: r + 1])
-            out_r[r], out_i[r] = _cmul(pr, pi_, _running_sum(zero, tr), _running_sum(zero, ti))
-        stacked = iter(zip(np.split(out_r, k, axis=1), np.split(out_i, k, axis=1)))
-    return [next(stacked) if beta != 0 else (closed, np.zeros_like(closed)) for beta in betas]
+            out[r] = np.add.accumulate(f * dm[: r + 1])[-1]
+            err[r] = np.add.accumulate(np.abs(f) * g[: r + 1])[-1]
+        p = np.exp(beta * t)
+        out *= p
+        err = np.abs(p) * err + _EPS * (np.abs(beta.real * t) + 6.0) * np.abs(out)
+        stacked = iter(zip(np.split(out, k, axis=1), np.split(err, k, axis=1)))
+    return [next(stacked) if beta != 0 else (closed, closed_err) for beta in betas]
 
 
 @lru_cache(maxsize=None)  # one entry per order r <= MAX_ORDER
@@ -405,33 +385,22 @@ def _row_eval(row: list[complex], b_minus_k: complex, u: float) -> complex:
     return acc * cmath.exp(b_minus_k * math.log(u))
 
 
-def _row_abs_tail(row: list[complex], re_b_minus_k: float, u: float) -> float:
-    """Bound int_u^inf |u^{b-k} sum_i c_i log^i u| du termwise."""
-    acc = 0.0
-    for i, c in enumerate(row):
-        ac = abs(c)
-        if ac:
-            acc += ac * power_log_tail_abs(re_b_minus_k, i, u)
-    return acc
-
-
 def _far_tail(rows_all: list[list[list[complex]]], b: complex, u0: float, coeffs) -> np.ndarray:
     """sum_k coeffs[j][k] g_r^{(k)}(u0) for every row j of coefficients and every
-    g_r = u^b log^r u (rows_all[r] from _deriv_rows), added in k order: the
-    boundary terms of the far-tail expansions, shape (rows, rmax + 1).
+    g_r = u^b log^r u (rows_all[r] from _deriv_rows), added in k order from 0:
+    the boundary terms of the far-tail expansions, shape (rows, rmax + 1).
 
     g_r^{(k)}(u0) does not depend on the row: it is evaluated once."""
     c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
     g = np.array([[_row_eval(rows[k], b - k, u0) for rows in rows_all] for k in range(c.shape[0])])[:, None, :]
-    tr, ti = _cmul(c.real, c.imag, g.real, g.imag)
-    zero = np.zeros(tr.shape[1:])
-    return _complex(_running_sum(zero, tr), _running_sum(zero, ti))
+    return sum(c * g, np.zeros((c.shape[1], g.shape[2]), dtype=complex))
 
 
 def _far_remainders(rows_all: list[list[list[complex]]], b: complex, u0: float, scale: float) -> list[float]:
-    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of rows_all[r]."""
+    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of rows_all[r],
+    bounded termwise by sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du."""
     K = len(rows_all[0]) - 1
-    return [scale * _row_abs_tail(rows[K], b.real - K, u0) for rows in rows_all]
+    return [scale * sum(abs(c) * power_log_tail_abs(b.real - K, i, u0) for i, c in enumerate(rows[K]) if c) for rows in rows_all]
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +454,31 @@ def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int) -> None:
     """Add int_lo^hi psi(u - alpha) u^b log^m u du, m = 0..rmax, piecewise
-    exact, to each row's sums = (real parts, imaginary parts, sum of the raw
-    segment magnitudes |J| as a proxy for accumulated double-precision
-    cancellation), three arrays of shape (rmax + 1, rows) updated in place.
+    exact, to each row's sums = (values, rounding), a complex and a real
+    array of shape (rmax + 1, rows) updated in place.
 
-    One segment per interval where psi(u - alpha) is linear; the rows x
+    One segment per interval where psi(u - alpha) = u - c is linear; the rows x
     segments grid is walked in blocks of at most _BLOCK moments, no wider
     than the longest row left (the exponents b + 2 and b + 1 share one pass),
-    whose break points are made block by block, so memory stays flat.
+    whose break points are made block by block, so memory stays flat.  A
+    segment adds H - c L (H, L: _power_log_segments at b + 2, b + 1) to its
+    row, left to right.  Its rounding: that of H and L; their common phase,
+    eps (|Im b| |t1| + 2) |H - c L|; c (a rounded kink plus 1/2), c L and
+    H - c L, eps (3 |c L| + |H - c L|); its first break point t1 = log u,
+    where the kink m + alpha rounds by eps u and the log by 2 eps |t1|, so
+    the jump |u^{b+1} t1^m| of the integrand (in t) moves by eps (2 |t1| + 1);
+    and its addition, eps |partial sum|.  Per row, hi moves like a kink, and
+    a kink within 1e-12 of lo or hi, not a break point, leaves a sliver of
+    that width on the wrong piece of psi.
     """
     if not lo < hi:
         return
     _check_kinks(lo, hi)
     first, count = _kinks(lo, hi, alphas)
+    ends = np.log([lo, hi])
+    jumps = np.exp(b.real * ends)[:, None] * _powers(np.abs(ends), rmax).T  # |u^b log^m u| at lo and hi
+    slivers = np.maximum(first - 1.0 + alphas - lo, 0.0), np.maximum(hi - (first + (count - 1.0) + alphas), 0.0)
+    sums[1] += jumps[0][:, None] * slivers[0] + jumps[1][:, None] * (slivers[1] + _EPS * hi * (2.0 * abs(ends[1]) + 1.0))
     betas = (b + 2.0, b + 1.0)
     block = _BLOCK // sum(beta != 0 for beta in betas)  # segments per block
     for r0 in range(0, alphas.size, block):
@@ -509,18 +490,18 @@ def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int
             j = np.arange(j0, j0 + w + 1)  # break point indices: lo, the kinks, hi
             al, n = alphas[rows, None], count[rows, None]
             pts = np.where(j == 0, lo, np.where(j >= n, hi, (first[rows, None] + (j - 1)) + al))
-            logs = np.fromiter(map(math.log, pts.ravel().tolist()), dtype=float, count=pts.size).reshape(pts.shape)
-            u1, u2 = pts[:, :-1], pts[:, 1:]
-            c = (al + np.floor(0.5 * (u1 + u2) - al) + 0.5).ravel()
+            logs = np.log(pts)
+            c = (al + np.floor(0.5 * (pts[:, :-1] + pts[:, 1:]) - al) + 0.5).ravel()
             t1, t2 = logs[:, :-1].ravel(), logs[:, 1:].ravel()
-            (hr, hi_), (lr, li) = _power_log_segments(betas, rmax, t1, t2)
-            pr, pi_ = _cmul(c, 0.0, lr, li)
-            parts = (hr - pr, hi_ - pi_, np.hypot(hr, hi_) + np.abs(c) * np.hypot(lr, li))
-            valid = (j[:-1] < n).ravel()
-            shape = (rmax + 1, rows.size, w)
-            for acc, d in zip(sums, parts):
-                both = np.concatenate([acc[:, rows, None], np.where(valid, d, 0.0).reshape(shape)], axis=2)
-                acc[:, rows] = np.add.accumulate(both, axis=2)[:, :, -1]
+            (h, herr), (l, lerr) = _power_log_segments(betas, rmax, t1, t2)
+            d, at1, ac = h - c * l, np.abs(t1), np.abs(c)
+            kinks = (2.0 * at1 + 1.0) * np.exp((b.real + 1.0) * t1) * _powers(at1, rmax)
+            derr = herr + ac * lerr + _EPS * (3.0 * ac * np.abs(l) + (abs(b.imag) * at1 + 3.0) * np.abs(d) + kinks)
+            shape, valid = (rmax + 1, rows.size, w), j[:-1] < n
+            part = np.add.accumulate(np.concatenate([sums[0][:, rows, None], np.where(valid, d.reshape(shape), 0.0)], axis=2), axis=2)
+            derr = np.where(valid, derr.reshape(shape) + _EPS * np.abs(part[:, :, 1:]), 0.0)
+            sums[0][:, rows] = part[:, :, -1]
+            sums[1][:, rows] = np.add.accumulate(np.concatenate([sums[1][:, rows, None], derr], axis=2), axis=2)[:, :, -1]
 
 
 def _first_cutoff(b: complex, rmax: int) -> float:
@@ -539,29 +520,18 @@ def _tail_cutoffs(x: float, b: complex, rmax: int):
         u0 *= 2.0
 
 
-def _tail_stops(u0: float, rems: np.ndarray, size) -> np.ndarray:
-    """Whether a row stops at the cutoff u0: its remainders meet the tolerance
-    for a tail of this size, or u0 is past the cap."""
-    return np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * size), axis=0) | (u0 > 5e6)
-
-
-def _far_tails(rows_all, b: complex, u0: float, alphas: np.ndarray) -> np.ndarray:
-    """The far-tail expansions at the cutoff u0, shape (rmax + 1, rows): one
-    column per alpha, sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0).
-    From 2^52 on, where u0 is an integer, they are expanded at {-alpha}."""
+def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
+    """Each row's tails at the cutoff u0, its marched sums plus the far tail
+    sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0) (from 2^52 on, where
+    u0 is an integer, expanded at {-alpha}), with their bounds (rmax + 1,
+    rows): the remainders, the march's rounding and, where it marched, that
+    of adding the far tail; and whether the row stops there: its remainders
+    meet the tolerance for a tail of its size, or u0 is past the cap."""
     v = u0 - alphas if u0 < 2.0**52 else -alphas
     coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(_K_TAIL - 1)]
-    return _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
-
-
-def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
-    """Each row's tails at the cutoff u0, its marched sums plus the far tail,
-    with their bounds (rmax + 1, rows), and whether the row stops there."""
-    tails = _far_tails(rows_all, b, u0, alphas)
-    vr, vi = sums[0] + tails.real, sums[1] + tails.imag
-    # widen by the accumulated-magnitude proxy so that downstream
-    # two-route comparisons stay inside the reported bounds
-    return _complex(vr, vi), rems + 5e-16 * sums[2], _tail_stops(u0, rems, np.hypot(vr, vi))
+    vals = sums[0] + _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
+    stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | (u0 > 5e6)
+    return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
 
 
 def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, list[tuple[list[complex], list[float]]]]:
@@ -569,7 +539,7 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, list[tuple[list[
     psi_tail_powers_batch(u, alphas, b, rmax) stops with nothing marched,
     and that batch's result, bit for bit: from u it marches over no interval."""
     alphas = np.array(alphas, dtype=float)
-    sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
+    sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
         vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
         if done.all():
@@ -591,7 +561,7 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
     u0, rows_all, rems = next(cutoffs)
     alphas = np.array(alphas, dtype=float)
     _check_work(alphas.size * (u0 - x))
-    sums = [np.zeros((rmax + 1, alphas.size)) for _ in range(3)]
+    sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     out: list = [None] * alphas.size
     rows = np.arange(alphas.size)
     cur = x

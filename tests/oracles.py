@@ -351,6 +351,40 @@ def l_oracle(s: complex, chi, r: int, dps: int = 30):
         )
 
 
+def power_log_segment_oracle(beta: complex, r: int, t1: float, t2: float, dps: int = 50):
+    """int_{t1}^{t2} e^{beta t} t^r dt to dps digits, for the binary64 endpoints as
+    given: (t2^{r+1} - t1^{r+1})/(r + 1) at beta = 0, else the antiderivative
+    e^{beta t} sum_k (-1)^k r!/(r-k)! t^{r-k} / beta^{k+1}, whose terms cancel,
+    so it is worked at dps + 150 digits."""
+    with mp.workdps(dps + 150):
+        a, b = mp.mpf(t1), mp.mpf(t2)
+        if beta == 0:
+            value = (b ** (r + 1) - a ** (r + 1)) / (r + 1)
+        else:
+            z = mp.mpc(beta)
+
+            def anti(t):
+                terms = (mp.mpf(-1) ** k * mp.factorial(r) / mp.factorial(r - k) * t ** (r - k) / z ** (k + 1) for k in range(r + 1))
+                return mp.exp(z * t) * mp.fsum(terms)
+
+            value = anti(b) - anti(a)
+    with mp.workdps(dps):
+        return +value
+
+
+def psi_march_oracle(lo: float, hi: float, alpha: float, b: complex, m: int, dps: int = 30):
+    """int_lo^hi psi(u - alpha) u^b log^m u du by mpmath quadrature on each
+    piece between the exact kinks k + alpha (alpha as given)."""
+    with mp.workdps(dps):
+        a, lo_, hi_ = mp.mpf(alpha), mp.mpf(lo), mp.mpf(hi)
+        pts = [lo_] + [k + a for k in range(math.floor(lo - alpha), math.ceil(hi - alpha) + 1) if lo_ < k + a < hi_] + [hi_]
+        total = 0
+        for u1, u2 in zip(pts, pts[1:]):
+            c = a + mp.floor((u1 + u2) / 2 - a) + mp.mpf(1) / 2
+            total += mp.quad(lambda u: (u - c) * u ** mp.mpc(b) * mp.log(u) ** m, [u1, u2])
+        return total
+
+
 def periodic_bernoulli(m: int, v: float) -> float:
     """B_m({v})/m!; for m = 1 uses the sawtooth convention psi(v)."""
     if m == 1:
@@ -366,6 +400,6 @@ def psi_piecewise_integral(
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     _check_work(hi - lo)
-    sums = [np.zeros((log_power + 1, 1)) for _ in range(3)]
+    sums = [np.zeros((log_power + 1, 1), dtype=complex), np.zeros((log_power + 1, 1))]
     sawtooth._march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
-    return complex(sums[0][log_power, 0], sums[1][log_power, 0])
+    return complex(sums[0][log_power, 0])

@@ -10,7 +10,6 @@ import zetalab.afe as afe
 from zetalab.afe import afe_hurwitz, afe_l, gamma_factor_derivs
 from zetalab.characters import enumerate_characters
 from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
-from zetalab.sawtooth import EvalResult
 
 mp.mp.dps = 25
 
@@ -147,14 +146,18 @@ def test_afe_l_walks_each_dual_frequency_once_per_order(monkeypatch):
     assert calls == Counter({name: 4 * 2 * nmid * (r + 1) for name in calls})
 
 
+EPS = 2.0**-53  # unit roundoff of binary64
+
+
 def test_afe_l_weighs_like_the_per_class_loop():
-    # the class pieces weighed by chi(a) q^{-s} in one kernel, bit for bit the loop it replaced
+    # the class pieces weighed by chi(a) q^{-s} in one kernel, within the weighting's
+    # rounding of the loop it replaced (which rounds by as much), and that rounding booked
     s, r, X = 0.5 + 30j, 2, 3.0
     for q in (5, 12):
         for chi in [c for c in enumerate_characters(q) if not c.is_principal][:2]:
             lq = math.log(q)
             qs = cmath.exp(-s * lq)
-            val, err, duals = 0.0 + 0.0j, 0.0, {}
+            val, err, mags, duals = 0.0 + 0.0j, 0.0, 0.0, {}
             for a in range(1, q + 1):
                 if chi(a) == 0:
                     continue
@@ -166,7 +169,11 @@ def test_afe_l_weighs_like_the_per_class_loop():
                     eacc += abs(c) * parts[l][1]
                 val += chi(a) * qs * acc
                 err += abs(qs) * eacc
-            assert repr(afe_l(s, chi, r, X)) == repr(EvalResult(val, err)), (q, chi.label)
+                mags += abs(acc)
+            weighting = EPS * (abs(s) * lq + 22 + sum(chi(a) != 0 for a in range(1, q + 1))) * abs(qs) * mags
+            got = afe_l(s, chi, r, X)
+            assert got.error_bound == pytest.approx(err + weighting, rel=1e-12), (q, chi.label)
+            assert abs(got.value - val) <= 2.0 * weighting, (q, chi.label)
 
 
 def test_afe_l_conjugation():

@@ -403,23 +403,26 @@ def test_tail_log_power_is_capped(capsys):
 # split moved to the tail cutoff and their bounds gained the rounding term;
 # the `coeff --kind gamma|beta|gamma-aq|gamma-chi|l-zero` and `certify
 # --bound t2-ib|t2-iib|t3` entries when those routes became readings of the
-# Z core at s = 1 and s = 0, all orders from one pass, with rounding booked
+# Z core at s = 1 and s = 0, all orders from one pass, with rounding booked;
+# the L (`eval --kind l`, `gamma-chi`, `l-zero`, `t3`), explicit-split, AFE
+# and plain `tail` entries when the march and the character weighting ran
+# in plain complex arithmetic, the march booking its rounding
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
     (
         ["coeff", "--kind", "gamma-chi", "--q", "311", "--label", "211", "--r-max", "2"],
-        "92b37feebb1cedb98f19cda77bede758dabbe49dee6a7e1535f7fd3d96e38050",
+        "e6618ef7a5a5b748b4383e631e70b5827f2d14026419c58974c678776df7b931",
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
-        "03398cfcf32b18a683590dfaaf51893eb6df3d122c1440204758fd86e4c6442b",
+        "bcd862afbc06d23d09915b8fd94f9ee96e3f0a919d5888cdc0d76f0e4236c2ac",
     ),
     (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
-    (["certify", "--bound", "t3"], "e2f7e027e7d814af693e44ba2c5f9190879aafb9dd41afaa2a1c396fdd8bc13c"),
+    (["certify", "--bound", "t3"], "a3d3835e963b544efaa755b4a21f8075b6cea21b05aad74350cd8cd2cb69be56"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
-        "510330e29e9f3f6b96dbee5bfb78e9728d8d151cc758431eb38ef3ef40ba05b3",
+        "5a9a0bfaa588e5320a99d06b4c55f3e4f641ca19e66c00ed00ecd10740b2106b",
     ),
     # recorded before the panel, far-tail, s-tail and coefficient-table code
     # was merged into one kernel per term; both afe requests have a nonempty
@@ -454,11 +457,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "b2f0b489b31bb378d25ad9c695d4c33f0b794a52c38cfc0d11a41dde64bc6778",
+        "cfc87f2e8d80508286dbfe527acee903a2c66c8d01afba9a0d788d00ca2b6424",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
-        "c425ee2479e96885cbd183b6f634fd7a5a00d2a45afa53868fe9c5715749179c",
+        "499d0e394f44f3b03a55411631eabe20cf4e6610c09d43787c2701b114d8a68b",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
@@ -473,13 +476,13 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
-        "0a1143c77cdc9f8c216022ffe18339a081dedc9915964cdd542ff45af9ca5cb8",
+        "9f23507b3531888575ea51d3df9a7fc0e27ee25d129933a089ead9540f737ce4",
     ),
     (["certify", "--bound", "t2-ib"], "cfa26b893de93fd6704868b07c69e5dbbb3614d626d641d6398dffe3693d311c"),
     (["certify", "--bound", "t2-iib"], "7a9c82b3a04f67a64e9481201dc5197e9e029f12676b00e6311f76417e0e65b0"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "64bdf990e2a507a038a919c764b3f884f3a8f8e7726abebeba76de67d9fe7873",
+        "0673c109363de7d9ceb3e10b8850d9c8a0b08ea71a4991ed2e358adee944a760",
     ),
     (
         ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
@@ -487,7 +490,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
-        "666ea05f7cc8316dfed466972d9eb2471bdd61e56d160d368fb973912e132c21",
+        "776893f7d85f6d9e43454561e11cca59c72ff8ee18ae14c49b8b8579ed7c4ee4",
     ),
     # recorded before the Gauss-Legendre panels ran as (block x 32) arrays: a
     # panel walk longer than one block, an explicit Lerch split at t = 300,
@@ -502,7 +505,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "95b0b44cef274d04942a1a125ab03aeed3239eff49f2228c36156afb3c51a962",
+        "04688714f0f731aaf20f55f1a8be2da29d197e2f06e0161d012a256554746b3a",
     ),
 ]
 
@@ -515,7 +518,8 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 
 
 # SHA-256 of the text (no --json) stdout, recorded before eval, afe and tail
-# shared one value report
+# shared one value report; the afe and plain tail entries re-recorded with
+# the GOLDEN_DIGESTS of the plain complex march
 TEXT_DIGESTS = [
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
@@ -523,11 +527,11 @@ TEXT_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "8b86ab7baea32572748e6322b827a3eb67a941f25efe07a605cbea3fd1da3cb5",
+        "14a50322dee78e6fd13fe290694e4443229f3523a02ba6d5ac1fcdc5b53019bb",
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "3c01bd247fb3dc85ad11e25909ceb01280252fcf9e96d47f0159cd4fd6edfffe",
+        "3e1e4ff6af7cb2df578338778457458770a2e01479443075d84b96b282df5591",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],

@@ -276,9 +276,13 @@ def test_l_deriv_matches_the_per_class_loop_with_empty_classes():
                     val += chi(a) * core
                     err += cerr
                     cores.append(core)
-            # the weighting's rounding: chi(a), the products and the sum over the units
-            err += EPS * (20 + len(cores)) * float(np.abs(cores).sum())
-            assert repr(l_deriv(s, chi, r, X=X)) == repr(EvalResult(val, err)), (chi.label, s, r)
+            # the route weighs the cores less their mean and books that weighting's
+            # rounding; the loop's own weighting rounds by at most EPS (20 + units) sum |core|
+            got = l_deriv(s, chi, r, X=X)
+            weighting = EPS * (21 + len(cores)) * float(np.abs(np.array(cores) - np.mean(cores)).sum())
+            assert got.error_bound == pytest.approx(err + weighting, rel=1e-12), (chi.label, s, r)
+            loop = EPS * (20 + len(cores)) * float(np.abs(cores).sum())
+            assert abs(got.value - val) <= weighting + loop, (chi.label, s, r)
 
 
 def test_l_principal_rejected(principal4):

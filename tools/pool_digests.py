@@ -3,7 +3,9 @@
 Runs each request of perfbench.workloads.pool(w) through zetalab.cli.run
 in process and prints one line per request:
 
-    <workload> <cell> <candidate> <exit status> <sha256 of stdout> <sha256 of stderr>
+    <workload> <cell> <candidate> <exit status> <sha256 of stdout> <sha256 of stderr> <argv>
+
+The request's argv ends the line, so a diff names the routes that moved.
 
 Run it from the root of a checkout (the package is imported from src/) on
 two commits and diff the outputs:
@@ -41,7 +43,7 @@ def main(argv: list[str]) -> int:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     status = cli.run(list(job.argv))
-                print(workload, cell, candidate, status, _sha(out.getvalue()), _sha(err.getvalue()), flush=True)
+                print(workload, cell, candidate, status, _sha(out.getvalue()), _sha(err.getvalue()), job.key, flush=True)
     return 0
 
 
