@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 from .characters import enumerate_characters, partial_character_sum
 from .coefficients import (
+    _lerch_at_one,
     beta_coefficient_all,
     l_deriv_at_0_truncated,
     l_deriv_at_1_truncated,
-    lerch_taylor_at_1,
     stieltjes_gamma_all,
 )
 from .evaluate import _l_values
@@ -167,13 +167,16 @@ def certify_T2_IIIb(
     lam_grid=(0.1, 0.5, 0.9),
     alpha_grid=(0.25, 1.0),
 ) -> BoundReport:
-    """Lerch Taylor-coefficient deviation with the guard-constant bound."""
+    """Lerch Taylor-coefficient deviation with the guard-constant bound; one
+    table of every order per (lambda, alpha), the order cap checked before
+    any work."""
     cases = []
     for lam in lam_grid:
         for alpha in alpha_grid:
+            coefs = _lerch_at_one(r_max, lam, alpha)
             la = math.log(alpha)
             for r in range(1, r_max + 1):
-                coef = lerch_taylor_at_1(r, lam, alpha).value
+                coef = coefs[r].value
                 main = (-1.0) ** r * la**r / (math.factorial(r) * alpha)
                 measured = abs(coef - main)
                 shape = math.exp(r * (math.log(r) - 1.0) - _log_factorial(r))

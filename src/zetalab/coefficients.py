@@ -23,18 +23,20 @@ L^{(r)}(1, chi) = sum_a chi(a) (-1)^r gamma_r(a, q).  beta_r(alpha) =
 zeta^{(r)}(0, alpha)/r!, and lerch_taylor_at_1 returns the Taylor
 coefficient phi^{(r)}(lambda, alpha, 1)/r!.
 
-Every route but the Lerch one reads the Z core of evaluate (Z without
-its pole term, analytic for Re(s) > -1) and its bound, rounding included,
-at s = 1 or s = 0, every order from one pass: (-1)^r gamma_r(a, q) is the
-core at s = 1 plus the regular part (-log X)^{r+1}/(q(r+1)) of the pole
-term X^{1-s}/(q(s-1)); zeta^{(r)}(0, alpha) is the core at s = 0 plus the
-pole term; L^{(r)}(1, chi) and L^{(r)}(0, chi) weigh the class cores by
-chi(a), where the pole terms cancel.
+Every route reads one core of evaluate and its bound at s = 1 or s = 0,
+every order from one pass.  The Hurwitz, progression and L routes read the
+Z core (Z without its pole term, analytic for Re(s) > -1), rounding
+included: (-1)^r gamma_r(a, q) is the core at s = 1 plus the regular part
+(-log X)^{r+1}/(q(r+1)) of the pole term X^{1-s}/(q(s-1)); zeta^{(r)}(0,
+alpha) is the core at s = 0 plus the pole term; L^{(r)}(1, chi) and
+L^{(r)}(0, chi) weigh the class cores by chi(a), where the pole terms
+cancel.  The Lerch coefficients read the Lerch core at s = 1 and x = 1
+(at its default split x = 1 + alpha more break their bound, from the
+rounded panel geometry of the oscillatory tails).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -42,16 +44,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter
-from .evaluate import _EPS, _cores, _l_values, _z_value
-from .sawtooth import (
-    EvalResult,
-    _check_alpha,
-    _check_order,
-    _check_work,
-    psi,
-    psi_osc_tail_powers,
-    pure_osc_tail_powers,
-)
+from .evaluate import _EPS, LerchArgs, _cores, _l_values, _lerch_values, _z_value
+from .sawtooth import EvalResult, _check_alpha, _check_order, _check_work
 
 __all__ = [
     "COEFFICIENT_KINDS",
@@ -222,37 +216,16 @@ def l_deriv_at_0_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+def _lerch_at_one(rmax: int, lam: float, alpha: float) -> list[EvalResult]:
+    """phi^{(r)}(lambda, alpha, 1)/r! for r = 0..rmax from one pass of the
+    Lerch core at s = 1 and x = 1; the arguments checked before any work."""
+    LerchArgs(lam=lam, alpha=alpha, s=1.0, order=rmax)
+    return _per_factorial(_lerch_values(1.0 + 0.0j, lam, alpha, range(rmax + 1), 1.0))
+
+
 def lerch_taylor_at_1(r: int, lam: float, alpha: float) -> EvalResult:
-    """Taylor coefficient phi^{(r)}(lambda, alpha, 1)/r! for lambda in (0,1).
-
-    Split representation at x = 1:
-
-        phi^{(r)}(lambda, alpha, 1) = (-1)^r [ log^r alpha / alpha
-            + int_1^inf e^{2 pi i lam (u-alpha)} u^{-1} log^r u du
-            + 2 pi i lam int_1^inf psi(u-alpha) e^{...} u^{-1} log^r u du
-            + r int_1^inf psi(u-alpha) e^{...} u^{-2} log^{r-1} u du
-            -   int_1^inf psi(u-alpha) e^{...} u^{-2} log^r u du ]
-        + [r = 0 only]  e^{2 pi i lam (1-alpha)} psi(1-alpha).
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1); integer lambda is the Stieltjes case")
-    _check_alpha(alpha)
-    _check_order(r)
-    la = math.log(alpha)
-    head = (1.0 / alpha) if r == 0 else la**r / alpha
-    pure, perr = pure_osc_tail_powers(lam, -1.0, r, 1.0)
-    phase = cmath.exp(-2j * math.pi * lam * alpha)
-    w1, w1err = psi_osc_tail_powers(lam, alpha, -1.0, r, 1.0)
-    w2, w2err = psi_osc_tail_powers(lam, alpha, -2.0, r, 1.0)
-    inner = head + phase * pure[r] + 2j * math.pi * lam * w1[r] - w2[r]
-    err = perr[r] + 2.0 * math.pi * lam * w1err[r] + w2err[r]
-    if r:
-        inner += r * w2[r - 1]
-        err += r * w2err[r - 1]
-    val = (-1.0) ** r * inner
-    if r == 0:
-        val += cmath.exp(2j * math.pi * lam * (1.0 - alpha)) * psi(1.0 - alpha)
-    return EvalResult(val / math.factorial(r), err / math.factorial(r))
+    """Taylor coefficient phi^{(r)}(lambda, alpha, 1)/r! for lambda in (0,1)."""
+    return _lerch_at_one(r, lam, alpha)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +285,7 @@ COEFFICIENT_KINDS = {
         ("chi",), lambda n, chi: _per_factorial([e for (e,) in _l_values(1.0 + 0.0j, [chi], range(n + 1))]), 1.0
     ),
     "lerch_at_one": CoefficientKind(
-        ("lam", "alpha"), lambda n, lam, alpha: [lerch_taylor_at_1(r, lam, alpha) for r in range(n + 1)], 1.0
+        ("lam", "alpha"), lambda n, lam, alpha: _lerch_at_one(n, lam, alpha), 1.0
     ),
     "l_deriv_at_zero": CoefficientKind(
         ("chi",),

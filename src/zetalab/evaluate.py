@@ -24,7 +24,11 @@ keeps the piecewise march.  For every split their error bounds add the
 binary64 rounding of the finite sums (the phase eps |s| log p of each
 term dominates at large t), of the boundary and pole terms, of the tail
 combination and of the character weighting to the tails' truncation and
-quadrature bounds.  Lerch keeps default_split.
+quadrature bounds.  Lerch keeps default_split: one core gives its values
+and its Taylor coefficients at s = 1 (at x = 1), every order from one pass
+of its three oscillatory tails, through the same finite-sum kernel (with
+the phase e^{2 pi i lambda n}), and books the rounding of all but those
+tails.
 
 Derivative order r differentiates everything term by term:
 
@@ -149,17 +153,6 @@ def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     return val, err
 
 
-def _finite_power_sum(points: np.ndarray, s: complex, r: int, weights: np.ndarray | None = None) -> complex:
-    """sum w_n p_n^{-s} (-log p_n)^r over the given points."""
-    if points.size == 0:
-        return 0.0 + 0.0j
-    logs = np.log(points)
-    terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
-    if weights is not None:
-        terms = terms * weights
-    return complex(terms.sum())
-
-
 _SUM_BLOCK = 1 << 15  # terms per block of a progression sum: memory stays flat in its length
 # work budget charges, in march segments: a progression-sum term takes about
 # 1/30 of one, a residue class (its far tails and its core) about 10 to 25.
@@ -170,40 +163,49 @@ _TERM_COST = 1.0 / 8.0
 _CLASS_COST = 12.0
 
 
-def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int) -> tuple[complex, float]:
-    """sum_{k <= kmax} p^{-s} (-log p)^r over p = a + q k, in blocks, with its rounding.
+def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int, lam: float = 0.0) -> tuple[complex, float]:
+    """sum_{k <= kmax} e^{2 pi i lam k} p^{-s} (-log p)^r over p = a + q k, in
+    blocks, with its rounding.
 
     The one finite-sum kernel of the split representations: each residue
-    class of the Z core, and the (n + alpha)-sum of the AFE at q = 1 (empty,
-    0 with a bound of 0, for kmax < 0).
+    class of the Z core (lam = 0), the Lerch sum over n + alpha (q = 1) and
+    the (n + alpha)-sum of the AFE at q = 1 (empty, 0 with a bound of 0, for
+    kmax < 0).
 
     Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
     (the logarithm, the rounded point, the product), the modulus, the power
     and the product; r eps |term| / |log p| more where |log p| < 1 (at most
-    the first three points), for the rounded point inside (-log p)^r; then
-    the pairwise sums within blocks and the sum of the blocks, 1.5 eps
-    (depth) sum |term|.  A single block is summed as one array, so a short
-    sum is bit for bit _finite_power_sum.  A term that leaves binary64 makes
-    the sum and its bound non-finite, without a warning: EvalResult refuses
-    them."""
-    val, mags, lmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0
+    the first three points), for the rounded point inside (-log p)^r; with
+    lam, eps (3 (2 pi lam k) + 5) |term| more for the Lerch phase (pi and
+    the products by lam and by k in its argument, the exponential, the
+    product); then the pairwise sums within blocks and the sum of the
+    blocks, 1.5 eps (depth) sum |term|.  A single block is summed as one
+    array, so a short sum adds its terms in one numpy reduction.  A term
+    that leaves binary64 makes the sum and its bound non-finite, without a
+    warning: EvalResult refuses them."""
+    val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, kmax + 1, _SUM_BLOCK):
-            pts = a + q * np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
-            logs = np.log(pts)
+            k = np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
+            logs = np.log(a + q * k)
             terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+            if lam:
+                terms = terms * np.exp(2j * np.pi * lam * k)
             part = complex(terms.sum())
             val = val + part if blocks else part
             blocks += 1
             mag, al = np.abs(terms), np.abs(logs)
             mags += float(mag.sum())
             lmags += float((mag * al).sum())
+            if lam:
+                kmags += float((mag * k).sum())
             if r and not k0:
                 near = (al[:3] > 0.0) & (al[:3] < 1.0)
                 head = r * float((mag[:3][near] / al[:3][near]).sum())
     depth = math.log2(min(kmax + 1, _SUM_BLOCK) + 1) + 20 + blocks
     abs_s = abs(s)
-    return val, _EPS * (3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags + head)
+    phase = 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags if lam else 0.0
+    return val, _EPS * (3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags + head + phase)
 
 
 def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
@@ -393,33 +395,53 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     return _l_values(s, [chi], [r], X)[0][0]
 
 
-def lerch_deriv(args: LerchArgs) -> EvalResult:
-    """d^r/ds^r phi(lambda, alpha, s) via the oscillatory split representation."""
-    lam, alpha, r = args.lam, args.alpha, args.order
-    s = complex(args.s)
-    x = args.split if args.split is not None else default_split(s, alpha)
-    # the sum and the tails are charged to the work budget before any runs
-    nmax = _split_floor(x - alpha)
-    _check_work(nmax + 1)
-    pure, perr = pure_osc_tail_powers(lam, -s, r, x)
-    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, r, x)
-    tail2, err2 = _s_tail(*psi_osc_tail_powers(lam, alpha, -s - 1.0, r, x), s, r)
-    val = 0.0 + 0.0j
-    if nmax >= 0:
-        n = np.arange(0, nmax + 1, dtype=float)
-        pts = alpha + n
-        val += _finite_power_sum(pts, s, r, weights=np.exp(2j * np.pi * lam * n))
-    lx = math.log(x)
-    val += (
-        cmath.exp(2j * math.pi * lam * (x - alpha))
-        * _psi_at_split(x - alpha)
-        * cmath.exp(-s * lx)
-        * (-lx) ** r
-    )
-    sign = (-1.0) ** r
+def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | None) -> list[EvalResult]:
+    """d^r/ds^r phi(lambda, alpha, s) for each order r of orders at the split
+    x (default_split for None): with w(u) = e^{2 pi i lam (u - alpha)}, the
+    sum of e^{2 pi i lam n} (n + alpha)^{-s} (-log(n + alpha))^r over n <= x -
+    alpha, w(x) psi(x - alpha) x^{-s} (-log x)^r, and (-1)^r (e^{-2 pi i lam
+    alpha} P_r + 2 pi i lam V_r + r W_{r-1} - s W_r) for the tails from x of
+    e^{2 pi i lam u} u^{-s} log^m u (P_m), and of psi(u - alpha) w(u) log^m u
+    times u^{-s} (V_m) and u^{-s-1} (W_m): one pass each, at the largest order.
+
+    The bound adds to the tails' (their own rounding not booked) the rounding
+    of the finite sum (with its phase); of the boundary term, and of its phase
+    w(x), eps (4 (2 pi lam (x - alpha)) + 5), with 2 pi lam in the jump at a
+    lattice point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5);
+    of 2 pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
+    x = split if split is not None else default_split(s, alpha)
+    orders = list(orders)
+    # the sums are charged to the work budget before any runs, at the Z
+    # route's cost of a term (the phase e^{2 pi i lam k} makes a term about
+    # 1.5 times a Z term, 100-290 ns at r <= 4); the tails charge their walks
+    kmax = _split_floor(x - alpha)
+    _check_work(len(orders) * (kmax + 1) * _TERM_COST)
+    rmax = max(orders)
+    pure, perr = pure_osc_tail_powers(lam, -s, rmax, x)
+    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x)
+    w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x)
+    lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
+    wx, psi, fx = cmath.exp(2j * math.pi * lam * v), _psi_at_split(v), cmath.exp(-s * lx)
     phase = cmath.exp(-2j * math.pi * lam * alpha)
-    val += sign * phase * pure[r]
-    err = perr[r]
-    val += 2j * math.pi * lam * sign * w1[r]
-    err += 2.0 * math.pi * lam * w1err[r]
-    return EvalResult(val + tail2, err + err2)
+    out = []
+    for r in orders:
+        sign = (-1.0) ** r
+        val, err = _progression_sum(alpha, 1, kmax, s, r, lam)
+        err += _boundary_rounding(s, 1, r, x, v, kmax, psi, abs(fx))
+        ax = abs(fx) * abs(lx) ** r
+        err += ax * (_EPS * (4.0 * two_pi_lam * abs(v) + 5.0) * abs(psi) + 1.01 * max(kmax - v, 0.0) * two_pi_lam)
+        tail2, err2 = _s_tail(w2, w2err, s, r)
+        err += perr[r] + two_pi_lam * w1err[r] + err2
+        err += _EPS * ((3.0 * two_pi_lam * alpha + 5.0) * abs(pure[r]) + 3.0 * two_pi_lam * abs(w1[r]))
+        err += _EPS * ((r * abs(w2[r - 1]) if r else 0.0) + 3.0 * abs(s) * abs(w2[r]) + abs(tail2))
+        for piece in (wx * psi * fx * (-lx) ** r, sign * phase * pure[r], 2j * math.pi * lam * sign * w1[r]):
+            val += piece
+            err += _EPS * abs(val)
+        val += tail2
+        out.append(EvalResult(val, err + _EPS * abs(val)))
+    return out
+
+
+def lerch_deriv(args: LerchArgs) -> EvalResult:
+    """d^r/ds^r phi(lambda, alpha, s) via the oscillatory split representation (_lerch_values)."""
+    return _lerch_values(complex(args.s), args.lam, args.alpha, [args.order], args.split)[0]

@@ -97,7 +97,8 @@ def _check_alpha(alpha: float) -> None:
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
-    routes and their coefficient readings; the march's for a plain tail)."""
+    routes and their coefficient readings; the march's for a plain tail;
+    all but the oscillatory tails' for the Lerch routes)."""
 
     value: complex
     error_bound: float
@@ -414,8 +415,8 @@ _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
 
 _BLOCK = 2048  # moments per block of the march, over its segments and nonzero exponents: memory stays flat in its length
 # units of work of one request: a unit interval of a plain march, a panel of
-# an oscillatory walk, a term of a Lerch or AFE sum; the Hurwitz, Z and L
-# splits weigh their terms and residue classes in march segments
+# an oscillatory walk, a term of an AFE sum; the Hurwitz, Z, L and Lerch
+# splits weigh their terms (and residue classes) in march segments
 _WORK_BUDGET = 2e6
 
 

@@ -8,17 +8,20 @@ Gauss-Legendre panel quadrature for the sawtooth tails, and partial-sum
 cutoffs chosen from explicit tail estimates for the direct series.  The
 one exception is convolution_coefficient, the right-hand side of the
 progression identity, which combines the library's classical constants.
-The Hurwitz, progression and L derivatives come from mpmath's Hurwitz
-zeta derivatives, with the characters' exact phases.
+The Hurwitz, progression, L and rational-lambda Lerch derivatives come
+from mpmath's Hurwitz zeta derivatives, with the characters' exact phases.
 
 periodic_bernoulli and psi_piecewise_integral are not oracles: they
 expose the library's periodic-Bernoulli values and its piecewise-exact
 march over a finite interval, which only the tests call.
+finite_power_sum is the one-array finite sum that the progression-sum
+kernel replaced, kept as a reference.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -351,6 +354,33 @@ def l_oracle(s: complex, chi, r: int, dps: int = 30):
         )
 
 
+@lru_cache(maxsize=None)  # one entry per (point, shift, order) of the suite's grids
+def _hurwitz_deriv_oracle(s: complex, j: int, d: int, alpha: float, k: int, dps: int):
+    """zeta^{(k)}(s, (j + alpha)/d) with the shift exact; at s = 1 the regular
+    part (-1)^k gamma_k, by mpmath.stieltjes on [1, 2] after the first term."""
+    with mp.workdps(dps):
+        beta = (j + mp.mpf(alpha)) / d
+        if s == 1:
+            return (-1) ** k * (mp.log(beta) ** k / beta + mp.stieltjes(k, beta + 1))
+        return mp.zeta(mp.mpc(s.real, s.imag), beta, k)
+
+
+def lerch_oracle(s: complex, lam: Fraction, alpha: float, r: int, dps: int = 30):
+    """phi^{(r)}(lam, alpha, s) for rational lam = p/d in (0, 1) as an mpmath
+    number: sum_j e^{2 pi i p j/d} d^{-s} zeta(s, (j + alpha)/d), differentiated
+    by Leibniz.  At s = 1 the poles cancel (sum_j e^{2 pi i p j/d} = 0), so the
+    regular parts stand in.  mpmath.lerchphi is not used: at 30 digits it is
+    off by 2e-6 at t = 100."""
+    p, d = lam.numerator, lam.denominator
+    with mp.workdps(dps):
+        sm, ld = mp.mpc(s.real, s.imag), mp.log(d)
+        return d**-sm * mp.fsum(
+            mp.expjpi(mp.mpf(2 * p * j) / d)
+            * mp.fsum(math.comb(r, k) * (-ld) ** (r - k) * _hurwitz_deriv_oracle(s, j, d, alpha, k, dps) for k in range(r + 1))
+            for j in range(d)
+        )
+
+
 def power_log_segment_oracle(beta: complex, r: int, t1: float, t2: float, dps: int = 50):
     """int_{t1}^{t2} e^{beta t} t^r dt to dps digits, for the binary64 endpoints as
     given: (t2^{r+1} - t1^{r+1})/(r + 1) at beta = 0, else the antiderivative
@@ -403,3 +433,12 @@ def psi_piecewise_integral(
     sums = [np.zeros((log_power + 1, 1), dtype=complex), np.zeros((log_power + 1, 1))]
     sawtooth._march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
     return complex(sums[0][log_power, 0])
+
+
+def finite_power_sum(points: np.ndarray, s: complex, r: int) -> complex:
+    """sum p^{-s} (-log p)^r over the given points, as one numpy sum."""
+    if points.size == 0:
+        return 0.0 + 0.0j
+    logs = np.log(points)
+    terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+    return complex(terms.sum())

@@ -64,6 +64,49 @@ def test_t2_iiib_small_grid():
     assert rep.all_pass
 
 
+def _count_lerch_tails(monkeypatch) -> list[str]:
+    """Patch the Lerch core's three oscillatory tails to log each walk by kind."""
+    import zetalab.evaluate as evaluate
+
+    walks = []
+    for name in ("pure_osc_tail_powers", "psi_osc_tail_powers"):
+
+        def counting(*args, real=getattr(evaluate, name), name=name):
+            walks.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(evaluate, name, counting)
+    return walks
+
+
+def test_t2_iiib_takes_one_tail_pass_per_table(monkeypatch):
+    # every order of a (lambda, alpha) table reads one pass of the three
+    # tails: 6 pure and 12 sawtooth-weighted walks for the default grid
+    # (180 when each order ran its own), and 3 for a table to r = 8
+    from zetalab.coefficients import coefficient_table
+
+    walks = _count_lerch_tails(monkeypatch)
+    assert certify_T2_IIIb().all_pass
+    assert (walks.count("pure_osc_tail_powers"), walks.count("psi_osc_tail_powers")) == (6, 12)
+    walks.clear()
+    coefficient_table("lerch_at_one", 8, lam=0.3, alpha=0.7)
+    assert len(walks) == 3
+
+
+def test_t2_iiib_refuses_the_order_cap_before_any_tail(monkeypatch):
+    import zetalab.evaluate as evaluate
+    from zetalab import cli
+
+    def no_walk(*args):
+        raise AssertionError("a tail was walked")
+
+    monkeypatch.setattr(evaluate, "psi_osc_tail_powers", no_walk)
+    monkeypatch.setattr(evaluate, "pure_osc_tail_powers", no_walk)
+    with pytest.raises(ValueError, match=r"order must lie in 0\.\.24"):
+        certify_T2_IIIb(r_max=30)
+    assert cli.run(["certify", "--bound", "t2-iiib", "--r-max", "30"]) == 1
+
+
 def test_t3_small_sweep():
     rep = certify_T3(q_set=(3, 4, 5), r_max=4)
     assert rep.all_pass

@@ -406,7 +406,9 @@ def test_tail_log_power_is_capped(capsys):
 # Z core at s = 1 and s = 0, all orders from one pass, with rounding booked;
 # the L (`eval --kind l`, `gamma-chi`, `l-zero`, `t3`), explicit-split, AFE
 # and plain `tail` entries when the march and the character weighting ran
-# in plain complex arithmetic, the march booking its rounding
+# in plain complex arithmetic, the march booking its rounding; the Lerch
+# entries (`eval --kind lerch`, `coeff --kind lerch`) when one Lerch core
+# gave every order from one tail pass, with its rounding booked
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -441,7 +443,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "4231a1403aee651acb356d57935024f362e439597bf9b19b1000ac0786bcb7a3",
+        "bf5721ee1f44b9445e8e70ca2570283d1f4b860ac90d57a0bae00d73d736934a",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -453,7 +455,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "235c9dc9bbe66f4f8662abf9867f1e7dc0e333ebe461c588a9fcac7414d96c22",
+        "57eeb9398860c08076b1985e025d75ea2f222b203ee610590d3e73d6c03746d7",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -497,11 +499,11 @@ GOLDEN_DIGESTS = [
     # and an L-function AFE with two dual-sum terms
     (
         ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
-        "08f7eda514d72905dfc506c63bedec49b985c84f9a5ac5a63fc657bc96cc3b0b",
+        "1114c6e6f10f6855009f076f2274d4a3bf155f697f72cf49f37f24a182dab385",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
-        "e712dcb7bb543ce0f040a42f0c0111383808f0526fe03ba76299bef8e63ee16a",
+        "82694afa494831489aca48da0655bebde55ff37cd6db08f0a0508adf06fda750",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
@@ -519,11 +521,12 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 
 # SHA-256 of the text (no --json) stdout, recorded before eval, afe and tail
 # shared one value report; the afe and plain tail entries re-recorded with
-# the GOLDEN_DIGESTS of the plain complex march
+# the GOLDEN_DIGESTS of the plain complex march, and the Lerch entry with
+# the Lerch ones
 TEXT_DIGESTS = [
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "d5547ffc8702d3311aa8ffdb82391a1c16cde1a58a0a4d60a82a522772daebd7",
+        "4600c7f7a0f20f78ecb32dfc5128b284f78bd0b0350b5ef1b515f8c50353418a",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],

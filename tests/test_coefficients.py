@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +34,7 @@ from .oracles import (
     l_at_one_oracle,
     l_oracle,
     leibniz_pi_4,
+    lerch_oracle,
     limit_gamma_aq_extrapolated,
     limit_gamma_extrapolated,
     limit_oracle_gamma,
@@ -463,10 +465,22 @@ def test_l_at_zero_order_zero_books_its_rounding():
 def test_lerch_taylor_log2():
     res = lerch_taylor_at_1(0, 0.5, 1.0)
     assert abs(res.value - log2_series()) < 1e-9
+    # the oracle's s = 1 branch, where the Hurwitz poles cancel, against the series
+    assert abs(complex(lerch_oracle(1.0, Fraction(1, 2), 1.0, 0)) - log2_series()) < 1e-15
 
 
 def test_lerch_taylor_matches_evaluator():
-    for r, lam, alpha in [(0, 0.3, 0.7), (1, 0.3, 0.7), (2, 0.6, 0.25), (3, 0.5, 1.0)]:
+    for r, lam, alpha in [
+        (0, 0.3, 0.7),
+        (1, 0.3, 0.7),
+        (2, 0.6, 0.25),
+        (3, 0.5, 1.0),
+        (4, 0.1, 0.5),
+        (5, 0.9, 0.25),
+        (6, 0.3, 0.7),
+        (7, 0.75, 1.0),
+        (8, 0.5, 0.4),
+    ]:
         coef = lerch_taylor_at_1(r, lam, alpha)
         ev = lerch_deriv(LerchArgs(lam=lam, alpha=alpha, s=1.0, order=r, split=2.5))
         want = ev.value / math.factorial(r)

@@ -1,0 +1,53 @@
+"""Bound violations of every benchmark pool request, by route.
+
+Runs each workload's pool in process (tools/pool_digests.runs), classifies
+each request with perfbench/check.classify against
+perfbench/oracle_values.json, and prints one line per (workload, command,
+kind):
+
+    <workload> <command> <kind> <checked results> <violations> <failed requests> <worst err/bound>
+
+A violation is a checked result with |value - reference| > error_bound;
+the worst err/bound is that of the worst violation (- if there is none).
+Run it from the root of a checkout:
+
+    python3 tools/bound_violations.py                 # all workloads
+    python3 tools/bound_violations.py eval-default    # one workload
+"""
+
+from __future__ import annotations
+
+import collections
+import os
+import sys
+
+from pool_digests import ROOT, WORKLOADS, runs
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import check  # noqa: E402
+from workloads import load_values  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    values = load_values()
+    for workload in argv or list(WORKLOADS):
+        if workload not in WORKLOADS:
+            print(f"error: unknown workload {workload!r}; one of {', '.join(WORKLOADS)}", file=sys.stderr)
+            return 1
+        rows = collections.defaultdict(lambda: [0, 0, 0, 0.0])  # checked, violations, failed, worst err/bound
+        for _, _, job, status, out, _ in runs(workload):
+            o = check.classify(job.argv, status, out, values.get(job.key))
+            flag = next((f for f in ("--kind", "--bound") if f in job.argv), None)
+            row = rows[job.argv[0], job.argv[job.argv.index(flag) + 1] if flag else "-"]
+            row[0] += o.checked
+            row[1] += len(o.violations)
+            row[2] += o.failed
+            row[3] = max([row[3]] + [v["ratio"] for v in o.violations])
+        for (command, kind), (checked, bad, failed, worst) in sorted(rows.items()):
+            print(workload, command, kind, checked, bad, failed, f"{worst:.3g}" if bad else "-", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

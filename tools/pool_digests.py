@@ -33,17 +33,24 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def runs(workload: str):
+    """(cell, candidate, job, exit status, stdout, stderr) of each request of
+    the workload's pool, run in process; tools/bound_violations.py reads it too."""
+    for cell, jobs in enumerate(pool(workload)):
+        for candidate, job in enumerate(jobs):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.run(list(job.argv))
+            yield cell, candidate, job, status, out.getvalue(), err.getvalue()
+
+
 def main(argv: list[str]) -> int:
     for workload in argv or list(WORKLOADS):
         if workload not in WORKLOADS:
             print(f"error: unknown workload {workload!r}; one of {', '.join(WORKLOADS)}", file=sys.stderr)
             return 1
-        for cell, jobs in enumerate(pool(workload)):
-            for candidate, job in enumerate(jobs):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    status = cli.run(list(job.argv))
-                print(workload, cell, candidate, status, _sha(out.getvalue()), _sha(err.getvalue()), job.key, flush=True)
+        for cell, candidate, job, status, out, err in runs(workload):
+            print(workload, cell, candidate, status, _sha(out), _sha(err), job.key, flush=True)
     return 0
 
 
