@@ -30,9 +30,8 @@ included: (-1)^r gamma_r(a, q) is the core at s = 1 plus the regular part
 (-log X)^{r+1}/(q(r+1)) of the pole term X^{1-s}/(q(s-1)); zeta^{(r)}(0,
 alpha) is the core at s = 0 plus the pole term; L^{(r)}(1, chi) and
 L^{(r)}(0, chi) weigh the class cores by chi(a), where the pole terms
-cancel.  The Lerch coefficients read the Lerch core at s = 1 and x = 1
-(at its default split x = 1 + alpha more break their bound, from the
-rounded panel geometry of the oscillatory tails).
+cancel.  The Lerch coefficients read the Lerch core at s = 1 and its
+default split, where a table of few orders walks no panel.
 """
 
 from __future__ import annotations
@@ -218,9 +217,10 @@ def l_deriv_at_0_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
 
 def _lerch_at_one(rmax: int, lam: float, alpha: float) -> list[EvalResult]:
     """phi^{(r)}(lambda, alpha, 1)/r! for r = 0..rmax from one pass of the
-    Lerch core at s = 1 and x = 1; the arguments checked before any work."""
+    Lerch core at s = 1 and its default split; the arguments checked before
+    any work."""
     LerchArgs(lam=lam, alpha=alpha, s=1.0, order=rmax)
-    return _per_factorial(_lerch_values(1.0 + 0.0j, lam, alpha, range(rmax + 1), 1.0))
+    return _per_factorial(_lerch_values(1.0 + 0.0j, lam, alpha, range(rmax + 1), None))
 
 
 def lerch_taylor_at_1(r: int, lam: float, alpha: float) -> EvalResult:

@@ -24,11 +24,13 @@ keeps the piecewise march.  For every split their error bounds add the
 binary64 rounding of the finite sums (the phase eps |s| log p of each
 term dominates at large t), of the boundary and pole terms, of the tail
 combination and of the character weighting to the tails' truncation and
-quadrature bounds.  Lerch keeps default_split: one core gives its values
-and its Taylor coefficients at s = 1 (at x = 1), every order from one pass
-of its three oscillatory tails, through the same finite-sum kernel (with
-the phase e^{2 pi i lambda n}), and books the rounding of all but those
-tails.
+quadrature bounds.  One Lerch core gives its values and its Taylor
+coefficients at s = 1, every order from one pass of its three oscillatory
+tails, through the same finite-sum kernel (with the phase e^{2 pi i lambda
+n}), and books the rounding of all but those tails.  Its default split
+(_lerch_split) moves from default_split to the final cutoff of each tail
+whose panels cost more than the finite-sum terms that replace them, so
+that such a tail is its closed-form far tail alone.
 
 Derivative order r differentiates everything term by term:
 
@@ -48,11 +50,13 @@ import numpy as np
 from .characters import DirichletCharacter
 from .sawtooth import (
     _EPS,
+    _WORK_BUDGET,
     EvalResult,
     _check_alpha,
     _check_order,
     _check_work,
     _first_cutoff,
+    _osc_final_cutoff,
     _tail_cutoff,
     psi_osc_tail_powers,
     psi_tail_powers_batch,
@@ -112,7 +116,9 @@ class LerchArgs:
 
 
 def default_split(s: complex, alpha: float) -> float:
-    """The default split of lerch_deriv: keeps the finite sum short while the tail integrand decays."""
+    """The least default split of lerch_deriv (_lerch_split moves it to the
+    cutoffs of the tails it passes): keeps the finite sum short while the
+    tail integrand decays."""
     return max(1.0, abs(complex(s).imag) / (2.0 * math.pi)) + alpha
 
 
@@ -395,9 +401,30 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     return _l_values(s, [chi], [r], X)[0][0]
 
 
+def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tuple[float, list]:
+    """The default split x of the Lerch core for n orders up to rmax, and the
+    final cutoffs (_osc_final_cutoff) of the pure tail at -s and the
+    sawtooth-weighted tails at -s and -s-1 that it passes, None for a tail
+    it walks: x = max(default_split, the final cutoff of each tail worth
+    passing), so a passed tail walks no panel.  A tail is worth passing if,
+    per unit of u, the n finite-sum terms cost less than the panels they
+    replace: 2 for the two sawtooth-weighted tails (a panel per unit each),
+    lam/0.45 for the pure one (a panel per 0.45/lam).  Where the sum to that
+    x would exceed the work budget, no tail is passed: the split is
+    default_split, and the tails charge their own walks."""
+    x = default_split(s, alpha)
+    term = n * _TERM_COST
+    cuts = [_osc_final_cutoff(lam, -s, rmax, x, False) if term < lam / 0.45 else None]
+    cuts += [_osc_final_cutoff(lam, b, rmax, x, True) if term < 2.0 else None for b in (-s, -s - 1.0)]
+    passed = max([x] + [cut[1] for cut in cuts if cut])
+    if not term * (_split_floor(passed - alpha) + 1) <= _WORK_BUDGET:
+        return x, [None] * 3
+    return passed, cuts
+
+
 def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | None) -> list[EvalResult]:
     """d^r/ds^r phi(lambda, alpha, s) for each order r of orders at the split
-    x (default_split for None): with w(u) = e^{2 pi i lam (u - alpha)}, the
+    x (_lerch_split for None): with w(u) = e^{2 pi i lam (u - alpha)}, the
     sum of e^{2 pi i lam n} (n + alpha)^{-s} (-log(n + alpha))^r over n <= x -
     alpha, w(x) psi(x - alpha) x^{-s} (-log x)^r, and (-1)^r (e^{-2 pi i lam
     alpha} P_r + 2 pi i lam V_r + r W_{r-1} - s W_r) for the tails from x of
@@ -409,17 +436,17 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     w(x), eps (4 (2 pi lam (x - alpha)) + 5), with 2 pi lam in the jump at a
     lattice point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5);
     of 2 pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
-    x = split if split is not None else default_split(s, alpha)
     orders = list(orders)
+    rmax = max(orders)
+    x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax, len(orders)) if split is None else (split, [None] * 3)
     # the sums are charged to the work budget before any runs, at the Z
     # route's cost of a term (the phase e^{2 pi i lam k} makes a term about
     # 1.5 times a Z term, 100-290 ns at r <= 4); the tails charge their walks
     kmax = _split_floor(x - alpha)
     _check_work(len(orders) * (kmax + 1) * _TERM_COST)
-    rmax = max(orders)
-    pure, perr = pure_osc_tail_powers(lam, -s, rmax, x)
-    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x)
-    w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x)
+    pure, perr = pure_osc_tail_powers(lam, -s, rmax, x, pcut)
+    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x, w1cut)
+    w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x, w2cut)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
     wx, psi, fx = cmath.exp(2j * math.pi * lam * v), _psi_at_split(v), cmath.exp(-s * lx)
     phase = cmath.exp(-2j * math.pi * lam * alpha)

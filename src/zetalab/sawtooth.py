@@ -46,7 +46,9 @@ every walk, as (block x 32) arrays of at most 512 panels; it is bit for
 bit the one-panel-at-a-time loop (np.vecdot per panel, which is np.dot's
 BLAS dot, and panel sums added left to right).  A sawtooth-weighted tail
 whose cutoff reaches 2^52 is refused: from there alpha and the phase
-2 pi nu u are lost to rounding.
+2 pi nu u are lost to rounding.  A tail given its final cutoff
+(_osc_final_cutoff, which doubles the first on the closed-form remainder
+alone) from a split at or past it walks no panel: it is its far tail.
 
 Error bounds here cover truncation and quadrature, and the rounding of
 the plain tail's march; not that of the far-tail expansions or of the
@@ -194,6 +196,15 @@ def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
         if n ** (-m) < 1e-20 or n > 64:
             break
     return acc
+
+
+def _phi_bernoulli_orders(v: float, mmax: int) -> list[float]:
+    """_phi_bernoulli(m, v) for m = 0..mmax, bit for bit: from m = 67 on,
+    where 2^{-m} < 1e-20, the Fourier series stops after its first term, so
+    each of those orders is one cosine."""
+    head = [_phi_bernoulli(m, v) for m in range(min(mmax, 66) + 1)]
+    c = TWO_PI * v
+    return head + [0.0 - 2.0 * math.cos(c + -0.5 * math.pi * m) for m in range(67, mmax + 1)]
 
 
 _PSI_TILDE_ABS = tuple(
@@ -664,28 +675,54 @@ def _osc_reach(b: complex, rmax: int) -> float:
     return abs(b) + rmax + _K_OSC + 6.0
 
 
-def _osc_cutoff(b: complex, rmax: int, x: float, x0: float, scale: float, panel_cap: float):
+def _osc_first(nu: float, b: complex, rmax: int, x: float, weighted: bool) -> tuple[float, float]:
+    """The first cutoff from x of pure_osc_tail_powers (psi_osc_tail_powers if
+    weighted) and the scale of its remainders: (2 pi |nu|)^{-K} (S_K(nu))."""
+    if weighted:
+        return max(x, _osc_reach(b, rmax) / (math.pi * (1.0 - nu)), 12.0), _osc_remainder_const(_K_OSC, nu)
+    anu = abs(nu)
+    return max(x, _osc_reach(b, rmax) / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC)
+
+
+def _osc_cutoff(b: complex, rmax: int, x: float, x0: float, scale: float, panel_cap: float, rel: float = 0.0):
     """The far-tail rows of g_m = u^b log^m u (m = 0..rmax), the cutoff and
     its remainders scale * int_x0^inf |g_m^{(K)}|.
 
-    x0 doubles on the closed-form remainder alone, while the walk from x to
-    2 x0 stays under the caller's panel cap (which keeps the growth inside
-    the work budget) and x0 under 5e7.
+    x0 doubles on the closed-form remainder alone until each remainder meets
+    max(_TOL_ABS, rel |g_m(x0)|), while the walk from x to 2 x0 stays under
+    the caller's panel cap (which keeps the growth inside the work budget)
+    and x0 under 5e7.
     """
     rows_all = [_deriv_rows(b, r, _K_OSC) for r in range(rmax + 1)]
     while True:
         rems = _far_remainders(rows_all, b, x0, scale)
-        if not (max(rems) > _TOL_ABS and 2.0 * x0 - x < panel_cap and x0 < 5e7):
+        size = x0**b.real
+        met = all(rem <= max(_TOL_ABS, rel * size * math.log(x0) ** m) for m, rem in enumerate(rems))
+        if met or not (2.0 * x0 - x < panel_cap and x0 < 5e7):
             return rows_all, x0, rems
         x0 *= 2.0
 
 
-def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
+def _osc_final_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool):
+    """The final cutoff from x of pure_osc_tail_powers (psi_osc_tail_powers if
+    weighted), with its far-tail rows and remainders: the first cutoff
+    doubled on the remainder alone, with no panel cap as nothing is walked,
+    to a tolerance relative to the integrand there (an absolute one sends
+    high log powers far out, and the finite sum and its rounding with
+    them).  Passed as that tail's cutoff from a split at or past it, the
+    tail walks no panel."""
+    b = complex(b)
+    return _osc_cutoff(b, rmax, x, *_osc_first(nu, b, rmax, x, weighted), math.inf, _TOL_REL)
+
+
+def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
     """int_x^inf e^{2 pi i nu u} u^b log^m u du for m = 0..rmax.
 
     Requires nu != 0 and Re(b) < 0.  Gauss-Legendre panels to an adaptive
     cutoff, then K integrations by parts against the exponential with the
-    remainder bounded by (2 pi |nu|)^{-K} int |g^{(K)}|.
+    remainder bounded by (2 pi |nu|)^{-K} int |g^{(K)}|.  A cutoff from
+    _osc_final_cutoff at or below x walks no panel: the far tail is expanded
+    at x, under the remainders at that cutoff (they fall as it rises).
     """
     b = complex(b)
     if nu == 0.0:
@@ -694,11 +731,14 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[li
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
     anu = abs(nu)
-    # the deep by-parts expansion keeps x0 (hence panel rounding) small
-    x0 = max(x, _osc_reach(b, rmax) / (math.pi * anu), 8.0)
     step_cap = 0.45 / max(anu, 1e-12)
-    _check_work((x0 - x) / step_cap)
-    rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, (TWO_PI * anu) ** (-K), 4000.0 * max(0.45 / anu, 0.5))
+    if cutoff is None:
+        # the deep by-parts expansion keeps x0 (hence panel rounding) small
+        x0, scale = _osc_first(nu, b, rmax, x, False)
+        _check_work((x0 - x) / step_cap)
+        cutoff = _osc_cutoff(b, rmax, x, x0, scale, 4000.0 * max(0.45 / anu, 0.5))
+    rows_all, x0, rems = cutoff
+    x0 = max(x0, x)
     pts = _walk(x, lambda u: max(0.5, 0.6 * u), step_cap, x0, x0 - 1e-12)
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
@@ -741,6 +781,9 @@ def _osc_remainder_const(K: int, nu: float) -> float:
     return acc
 
 
+_SHIFT_STEPS = 4000  # the cap on j of each shifted Fourier series
+
+
 @lru_cache(maxsize=256)  # float keys: bounded, one entry of K sums per oscillatory cutoff
 def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k)
@@ -748,40 +791,43 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
 
     Binomial expansion in nu/n reduces each sum to periodic Bernoulli
     values at combined order k+1+j; converges geometrically at rate nu.
-    The k share one row of those values, each order evaluated once.
+    Each k sums its j-series, sum_j C(k+j-1, j) (-i nu)^j phi_{k+1+j}(v),
+    as one row of a (K x j) array, from one row of those values, each order
+    evaluated once, up to its first j > 4 with C(k+j-1, j) nu^j 2.6 <
+    1e-18 max(1, |partial sum|), or to j = 4000.  Bit for bit the loop over
+    j that added one term at a time: the binomials, the powers (-i nu)^j
+    and the partial sums are running products and sums, left to right, and
+    nu^j is Python's power.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
-    phi = [0.0, 0.0]  # phi[m] = _phi_bernoulli(m, v) for m >= 2, grown as the orders rise
+    # the columns j < n needed: to the first j > 4 where the last row (the
+    # largest binomials) meets the test without its partial sum, with a
+    # margin for np.power against Python's power
+    j = np.arange(_SHIFT_STEPS + 1)
+    last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
+    n = 6 + int(last[5:].argmax()) if last[5:].any() else _SHIFT_STEPS + 1
+    j = np.arange(1, n)
+    binom = np.cumprod(np.concatenate([np.ones((K, 1)), (np.arange(1, K + 1)[:, None] + j - 1) / j], axis=1), axis=1)
+    pw = np.array([nu**i for i in range(n)])
+    zj = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n - 1, -1j * nu)]))  # (-i nu)^j
+    phi = np.lib.stride_tricks.sliding_window_view(np.array(_phi_bernoulli_orders(v, K + n)[2:]), n)
+    terms = np.concatenate([np.zeros((K, 1), dtype=complex), binom * zj * phi], axis=1)
+    acc = np.add.accumulate(terms, axis=1)[:, 1:]
+    hit = (binom * pw * 2.6 < 1e-18 * np.maximum(1.0, np.abs(acc))) & (np.arange(n) > 4)
+    stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
     phase = cmath.exp(2j * math.pi * nu * v)
-    out = []
-    for k in range(1, K + 1):
-        acc = 0.0 + 0.0j
-        binom = 1.0  # C(k+j-1, j) at j = 0
-        zj = 1.0 + 0.0j  # (-i nu)^j
-        j = 0
-        while True:
-            if k + 1 + j == len(phi):
-                phi.append(_phi_bernoulli(k + 1 + j, v))
-            acc += binom * zj * phi[k + 1 + j]
-            if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
-                break
-            j += 1
-            if j > 4000:
-                break
-            binom *= (k + j - 1) / j
-            zj *= -1j * nu
-        out.append(-phase * TWO_PI ** (-(k + 1)) * acc)
-    return tuple(out)
+    return tuple(-phase * TWO_PI ** (-(k + 1)) * a for k, a in zip(range(1, K + 1), acc[np.arange(K), stop].tolist()))
 
 
-def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
+def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
     """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m = 0..rmax.
 
     Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff;
     beyond it the sawtooth is expanded in combined frequencies n + nu and
     each frequency integrated by parts K times, the boundary terms summed
-    in closed form via shifted periodic-Bernoulli series.
+    in closed form via shifted periodic-Bernoulli series.  A cutoff from
+    _osc_final_cutoff at or below x walks no panel, as in pure_osc_tail_powers.
     """
     b = complex(b)
     if not 0.0 < nu < 1.0:
@@ -789,18 +835,22 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     if b.real >= 0.0:
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
-    # one panel per unit interval, between the kinks of psi(u - alpha) that the march uses
-    x0 = max(x, _osc_reach(b, rmax) / (math.pi * (1.0 - nu)), 12.0)
-    _check_work(x0 - x)
-    rows_all, x0, rems = _osc_cutoff(b, rmax, x, x0, _osc_remainder_const(K, nu), 4000.0)
+    if cutoff is None:
+        # one panel per unit interval, between the kinks of psi(u - alpha) that the march uses
+        x0, scale = _osc_first(nu, b, rmax, x, True)
+        _check_work(x0 - x)
+        cutoff = _osc_cutoff(b, rmax, x, x0, scale, 4000.0)
+    rows_all, x0, rems = cutoff
+    x0 = max(x0, x)
     _check_kinks(x, x0)
     if not x0 < 2.0**52:
         raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
-    first, count = _kinks(x, x0, np.array([alpha]))
-    pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
-    _gl_panels(vals, mags, pts, nu, b, rmax, alpha)
+    if x0 > x:
+        first, count = _kinks(x, x0, np.array([alpha]))
+        pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
+        _gl_panels(vals, mags, pts, nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]

@@ -408,7 +408,9 @@ def test_tail_log_power_is_capped(capsys):
 # and plain `tail` entries when the march and the character weighting ran
 # in plain complex arithmetic, the march booking its rounding; the Lerch
 # entries (`eval --kind lerch`, `coeff --kind lerch`) when one Lerch core
-# gave every order from one tail pass, with its rounding booked
+# gave every order from one tail pass, with its rounding booked, and again
+# (the default-split `eval --kind lerch` and `coeff --kind lerch` entries)
+# when the Lerch default split moved to its oscillatory tails' cutoff
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -443,7 +445,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "bf5721ee1f44b9445e8e70ca2570283d1f4b860ac90d57a0bae00d73d736934a",
+        "dec67ef3503eb52c1860b1235181b8bdb12b70c1b8325b0692fb3e083bc93a0c",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -455,7 +457,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "57eeb9398860c08076b1985e025d75ea2f222b203ee610590d3e73d6c03746d7",
+        "30229f01b13388621e1f33e55bcbced54f75834a22a70fc182024cc4e3f5da63",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -499,7 +501,7 @@ GOLDEN_DIGESTS = [
     # and an L-function AFE with two dual-sum terms
     (
         ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
-        "1114c6e6f10f6855009f076f2274d4a3bf155f697f72cf49f37f24a182dab385",
+        "fc68892ad17de2d381786019d07d265722d841fe8f95f05a8fecc0b076e96c26",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
@@ -522,11 +524,11 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # SHA-256 of the text (no --json) stdout, recorded before eval, afe and tail
 # shared one value report; the afe and plain tail entries re-recorded with
 # the GOLDEN_DIGESTS of the plain complex march, and the Lerch entry with
-# the Lerch ones
+# the Lerch ones, both times
 TEXT_DIGESTS = [
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "4600c7f7a0f20f78ecb32dfc5128b284f78bd0b0350b5ef1b515f8c50353418a",
+        "ee2e7611a4360c1e1865b4612e75a07bee3ac931b4f3a7fad42700413b1df3ec",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],

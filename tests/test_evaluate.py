@@ -9,6 +9,7 @@ import pytest
 
 from zetalab import evaluate, sawtooth
 from zetalab.characters import character, enumerate_characters
+from zetalab.coefficients import lerch_taylor_at_1
 from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
@@ -322,18 +323,13 @@ def test_lerch_against_mpmath(lam, alpha, s, r):
     assert abs(res.value - want) <= res.error_bound + 1e-9
 
 
-# The one grid case beyond its bound, by 2.1 times, from the oscillatory
-# tails' panels, whose rounding is not booked (1e-15 sum |w f| stands in for
-# it): at lambda = 15/16 the sawtooth-weighted tails walk them to u ~ 180
-_LERCH_TAIL_ROUNDING = {(Fraction(15, 16), 0.3, 10.0, 4)}
-
-
 def test_lerch_default_split_bound_holds_against_the_rational_lambda_oracle():
     # the rational-lambda Hurwitz decomposition to t = 1000; before the finite
     # sum, boundary and assembly booked their rounding, 18 of the 72 cases
-    # broke their bound (all but the one above at t = 300 and 1000)
+    # without lambda = 7/8 broke their bound, and (15/16, 0.3, 10, 4) still
+    # did while the default split walked panels
     broken = set()
-    for lam in (Fraction(1, 16), Fraction(5, 16), Fraction(1, 2), Fraction(15, 16)):
+    for lam in (Fraction(1, 16), Fraction(5, 16), Fraction(1, 2), Fraction(7, 8), Fraction(15, 16)):
         for alpha in (0.3, 1.0):
             for t in (10.0, 300.0, 1000.0):
                 s = complex(0.5, t)
@@ -341,7 +337,7 @@ def test_lerch_default_split_bound_holds_against_the_rational_lambda_oracle():
                     got = lerch_deriv(LerchArgs(lam=float(lam), alpha=alpha, s=s, order=r))
                     if not abs(got.value - complex(lerch_oracle(s, lam, alpha, r))) <= got.error_bound:
                         broken.add((lam, alpha, t, r))
-    assert broken == _LERCH_TAIL_ROUNDING
+    assert broken == set()
 
 
 def test_lerch_conjugation_pair():
@@ -504,6 +500,31 @@ def test_default_split_walks_no_march(monkeypatch):
     # an explicit split still marches
     hurwitz_deriv(HurwitzArgs(s=0.5 + 1000j, alpha=0.3, order=1, split=3.0))
     assert walked[-1][0] < walked[-1][1]
+
+
+def test_default_lerch_split_walks_no_panel(monkeypatch):
+    # at one order the split passes all three oscillatory tails: each is its
+    # closed-form far tail from the split, so no panel of nonzero width is walked
+    widths = []
+    panels = sawtooth._gl_panels
+    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, mags, pts, *rest: widths.append(pts[-1] - pts[0]) or panels(vals, mags, pts, *rest))
+    for lam in (1 / 16, 5 / 16, 1 / 2, 15 / 16):
+        for s, r in ((0.5 + 1000j, 1), (0.5 + 10j, 8), (2.0 + 0j, 0)):
+            lerch_deriv(LerchArgs(lam=lam, alpha=0.3, s=s, order=r))
+    assert not any(widths)
+    # an explicit split still walks them
+    lerch_deriv(LerchArgs(lam=0.5, alpha=0.3, s=0.5 + 10j, order=1, split=3.0))
+    assert widths[-1] > 0.0
+
+
+def test_lerch_tails_not_worth_passing_are_walked():
+    # at lambda -> 0 the pure tail's final cutoff, about 1/lambda, holds more
+    # finite-sum terms than the work budget allows; its panels cost less per
+    # unit of u, so the split does not pass it and these still answer
+    for lam in (1e-6, 1e-4):
+        lerch_deriv(LerchArgs(lam=lam, alpha=0.7, s=0.5 + 1000j, order=1))
+    # 21 orders cost more per unit than any tail's panels: no tail is passed
+    lerch_taylor_at_1(20, 1e-4, 0.7)
 
 
 def test_default_split_sums_in_blocks():

@@ -5,10 +5,13 @@ each request with perfbench/check.classify against
 perfbench/oracle_values.json, and prints one line per (workload, command,
 kind):
 
-    <workload> <command> <kind> <checked results> <violations> <failed requests> <worst err/bound>
+    <workload> <command> <kind> <checked results> <violations> <failed requests> <worst err/bound> <median bound>
 
 A violation is a checked result with |value - reference| > error_bound;
 the worst err/bound is that of the worst violation (- if there is none).
+The median bound is that of error_bound / max(1, |reference|) over the
+checked results (- if there are none), so that a looser bound shows even
+where it holds.
 Run it from the root of a checkout:
 
     python3 tools/bound_violations.py                 # all workloads
@@ -18,7 +21,9 @@ Run it from the root of a checkout:
 from __future__ import annotations
 
 import collections
+import json
 import os
+import statistics
 import sys
 
 from pool_digests import ROOT, WORKLOADS, runs
@@ -29,13 +34,24 @@ import check  # noqa: E402
 from workloads import load_values  # noqa: E402
 
 
+def relative_bounds(argv: tuple[str, ...], stdout: str, reference) -> list[float]:
+    """error_bound / max(1, |reference|) of each result of an eval, afe or
+    coeff request that perfbench/check.classify compared with its reference."""
+    doc = json.loads(stdout)
+    if argv[0] == "coeff":
+        pairs = [(e["error"], ref) for e, ref in zip(doc["entries"], reference)]
+    else:
+        pairs = [(doc["error_bound"], reference)]
+    return [bound / max(1.0, abs(complex(float(ref[0]), float(ref[1])))) for bound, ref in pairs]
+
+
 def main(argv: list[str]) -> int:
     values = load_values()
     for workload in argv or list(WORKLOADS):
         if workload not in WORKLOADS:
             print(f"error: unknown workload {workload!r}; one of {', '.join(WORKLOADS)}", file=sys.stderr)
             return 1
-        rows = collections.defaultdict(lambda: [0, 0, 0, 0.0])  # checked, violations, failed, worst err/bound
+        rows = collections.defaultdict(lambda: [0, 0, 0, 0.0, []])  # checked, violations, failed, worst err/bound, bounds
         for _, _, job, status, out, _ in runs(workload):
             o = check.classify(job.argv, status, out, values.get(job.key))
             flag = next((f for f in ("--kind", "--bound") if f in job.argv), None)
@@ -44,8 +60,11 @@ def main(argv: list[str]) -> int:
             row[1] += len(o.violations)
             row[2] += o.failed
             row[3] = max([row[3]] + [v["ratio"] for v in o.violations])
-        for (command, kind), (checked, bad, failed, worst) in sorted(rows.items()):
-            print(workload, command, kind, checked, bad, failed, f"{worst:.3g}" if bad else "-", flush=True)
+            if o.checked:
+                row[4] += relative_bounds(job.argv, out, values[job.key])
+        for (command, kind), (checked, bad, failed, worst, bounds) in sorted(rows.items()):
+            median = f"{statistics.median(bounds):.3g}" if bounds else "-"
+            print(workload, command, kind, checked, bad, failed, f"{worst:.3g}" if bad else "-", median, flush=True)
     return 0
 
 
