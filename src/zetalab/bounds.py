@@ -3,7 +3,9 @@ bounds, plus the published comparison baselines.
 
 Each certifier sweeps a deterministic parameter grid, records the
 measured quantity, the bound, and the margin bound - measured, and
-asserts nothing itself: callers inspect all_pass.  Bound formulas switch
+asserts nothing itself: callers inspect all_pass.  The t2 sweeps measure
+each deviation plus the computed value's error_bound (normalized alike),
+so a margin >= 0 holds for the true deviation too.  Bound formulas switch
 to log-space evaluation for r >= 15 so that r! against (r/2e)^r cannot
 degenerate into 0 * inf.
 
@@ -26,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import enumerate_characters, partial_character_sum
+import numpy as np
+
+from .characters import enumerate_characters
 from .coefficients import (
     _lerch_at_one,
     beta_coefficient_all,
@@ -118,7 +122,8 @@ def certify_T2_Ib(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundReport
     """Stieltjes-coefficient deviation against e (r/2e)^r / r!.
 
     The measured quantity is the Laurent-normalized deviation
-    |gamma_r(alpha) - log^r alpha / alpha| / r!; the Berndt baseline is
+    |gamma_r(alpha) - log^r alpha / alpha| / r!, plus gamma_r's
+    error_bound / r!; the Berndt baseline is
     attached to every case as an informational column.
     """
     if r_max > 20:
@@ -129,7 +134,7 @@ def certify_T2_Ib(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundReport
         gam = stieltjes_gamma_all(r_max, alpha)
         la = math.log(alpha)
         for r in range(1, r_max + 1):
-            measured = abs(gam[r].value.real - la**r / alpha) / math.factorial(r)
+            measured = (abs(gam[r].value.real - la**r / alpha) + gam[r].error_bound) / math.factorial(r)
             bound = _t2_ib_bound(r)
             cases.append(
                 BoundCase({"r": r, "alpha": alpha, "berndt": berndt_bound(r)}, measured, bound)
@@ -154,7 +159,7 @@ def certify_T2_IIb(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundRepor
         la = math.log(alpha)
         for r in range(1, r_max + 1):
             main = (-1.0) ** r * la**r / math.factorial(r)
-            measured = abs(bet[r].value.real - main)
+            measured = abs(bet[r].value.real - main) + bet[r].error_bound
             cases.append(BoundCase({"r": r, "alpha": alpha}, measured, _t2_iib_bound(r)))
             info.append(
                 BoundCase({"r": r, "alpha": alpha, "kind": "printed"}, measured, _t2_iib_bound_printed(r))
@@ -176,9 +181,8 @@ def certify_T2_IIIb(
             coefs = _lerch_at_one(r_max, lam, alpha)
             la = math.log(alpha)
             for r in range(1, r_max + 1):
-                coef = coefs[r].value
                 main = (-1.0) ** r * la**r / (math.factorial(r) * alpha)
-                measured = abs(coef - main)
+                measured = abs(coefs[r].value - main) + coefs[r].error_bound
                 shape = math.exp(r * (math.log(r) - 1.0) - _log_factorial(r))
                 bound = _GUARD * shape * (1.0 / lam + 1.0 / (1.0 - lam))
                 cases.append(BoundCase({"r": r, "lam": lam, "alpha": alpha}, measured, bound))
@@ -269,14 +273,18 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
 
 
 def certify_polya_vinogradov(q_min: int = 3, q_max: int = 50) -> BoundReport:
-    """max_{x <= q} |sum_{a <= x} chi(a)| <= sqrt(q) log q for non-principal chi."""
+    """max_{x <= q} |sum_{a <= x} chi(a)| <= sqrt(q) log q for non-principal chi.
+
+    One cumsum along the rows of the (chi x a) array per modulus: column n
+    holds sum_{a <= n} chi(a), as chi(0) = 0, and x = q needs no column, as
+    its full-period sum is 0."""
     cases = []
     for q in range(q_min, q_max + 1):
-        for chi in enumerate_characters(q):
-            if chi.is_principal:
-                continue
-            worst = max(abs(partial_character_sum(chi, x)) for x in range(1, q + 1))
-            cases.append(
-                BoundCase({"q": q, "label": chi.label}, worst, math.sqrt(q) * math.log(q))
-            )
+        chars = [chi for chi in enumerate_characters(q) if not chi.is_principal]
+        if not chars:
+            continue
+        sums = np.cumsum(np.array([chi.values for chi in chars]), axis=1)
+        bound = math.sqrt(q) * math.log(q)
+        for chi, worst in zip(chars, np.abs(sums).max(axis=1).tolist()):
+            cases.append(BoundCase({"q": q, "label": chi.label}, worst, bound))
     return BoundReport("PolyaVinogradov", tuple(cases))

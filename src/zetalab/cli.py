@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
-from .characters import character, enumerate_characters
+from .characters import _unit_group, character, enumerate_characters
 from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
 from .sawtooth import EvalResult, _check_order, psi_osc_tail_powers, psi_tail_powers
@@ -42,7 +42,11 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# one renderer per type, in the order of the isinstance ladder that serves subclasses
+class _Rendered(str):
+    """A JSON fragment rendered ahead of time, written as it stands."""
+
+
+# one renderer per scalar type, in the order of the isinstance ladder that serves subclasses
 _RENDER = {
     type(None): lambda _: "null",
     bool: lambda b: "true" if b else "false",
@@ -52,10 +56,8 @@ _RENDER = {
         f"[{z.real:.17g}, {z.imag:.17g}]" if cmath.isfinite(z) else f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]"
     ),
     str: lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"',
-    dict: lambda d: "{" + ", ".join(f"{_render(str(k))}: {_render(v)}" for k, v in d.items()) + "}",
-    list: lambda v: "[" + ", ".join(map(_render, v)) + "]",
+    _Rendered: str,
 }
-_RENDER[tuple] = _RENDER[list]
 
 
 def _render(obj) -> str:
@@ -67,10 +69,32 @@ def _render(obj) -> str:
     return render(obj)
 
 
+def _emit(obj, out: list[str]) -> None:
+    """Append the JSON text of obj to out in pieces: a document is joined, so copied, once."""
+    render = _RENDER.get(type(obj))
+    if render is not None:
+        out.append(render(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{', ' if i else ''}{_render(str(k))}: ")
+            _emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _emit(v, out)
+        out.append("]")
+    else:  # a scalar subclass
+        out.append(_render(obj))
+
+
 def render_json(payload: dict) -> str:
-    doc = {"schema": "1"}
-    doc.update(payload)
-    return _render(doc)
+    out: list[str] = []
+    _emit({"schema": "1", **payload}, out)
+    return "".join(out)
 
 
 def _finite_float(text: str) -> float:
@@ -96,25 +120,29 @@ def _parse_complex(text: str) -> complex:
 
 def _cmd_characters(args) -> tuple[int, str]:
     chars = enumerate_characters(args.q)
-    rows = [
-        {
-            "label": chi.label,
-            "conductor": chi.conductor,
-            "parity": chi.parity,
-            "primitive": chi.is_primitive,
-            "principal": chi.is_principal,
-            "values": list(chi.values),
-        }
-        for chi in chars
-    ]
+    # chi.values[n] is roots[chi.value_logs[n]], the trailing 0 read by the
+    # non-units: each of the E + 1 distinct values is formatted once
+    roots = _unit_group(args.q).roots.tolist()
     if args.json:
+        cells = [_render(z) for z in roots]
+        rows = [
+            {
+                "label": chi.label,
+                "conductor": chi.conductor,
+                "parity": chi.parity,
+                "primitive": chi.is_primitive,
+                "principal": chi.is_principal,
+                "values": _Rendered("[" + ", ".join(map(cells.__getitem__, chi.value_logs)) + "]"),
+            }
+            for chi in chars
+        ]
         return 0, render_json({"command": "characters", "q": args.q, "characters": rows})
-    lines = [f"characters mod {args.q}: {len(rows)}"]
-    for row in rows:
-        vals = " ".join(f"({v.real:+.3f},{v.imag:+.3f})" for v in row["values"])
+    cells = [f"({z.real:+.3f},{z.imag:+.3f})" for z in roots]
+    lines = [f"characters mod {args.q}: {len(chars)}"]
+    for chi in chars:
         lines.append(
-            f"label {row['label']:>3}  conductor {row['conductor']:>3}  parity {row['parity']:+d}  "
-            f"primitive {str(row['primitive']):<5}  {vals}"
+            f"label {chi.label:>3}  conductor {chi.conductor:>3}  parity {chi.parity:+d}  "
+            f"primitive {str(chi.is_primitive):<5}  {' '.join(map(cells.__getitem__, chi.value_logs))}"
         )
     return 0, "\n".join(lines)
 

@@ -11,8 +11,10 @@ from zetalab.bounds import (
     certify_T3,
     ishikawa_compare,
 )
-from zetalab.characters import enumerate_characters
-from zetalab.coefficients import l_deriv_at_0_truncated
+from zetalab.characters import character, enumerate_characters, euler_phi, partial_character_sum
+from zetalab.coefficients import _lerch_at_one, beta_coefficient_all, l_deriv_at_0_truncated, stieltjes_gamma_all
+
+EPS = 2.0**-53  # unit roundoff of binary64
 
 
 def test_t2_ib_all_pass_and_example_case():
@@ -188,6 +190,37 @@ def test_polya_vinogradov_report():
     rep = certify_polya_vinogradov(3, 30)
     assert rep.all_pass
     assert all(c.measured <= c.bound for c in rep.cases)
+
+
+def test_polya_vinogradov_cumsum_agrees_with_the_scalar_partial_sums():
+    # every non-principal character mod q <= 50: the maxima of one cumsum
+    # per modulus against max_x |partial_character_sum(chi, x)|
+    rep = certify_polya_vinogradov(1, 50)
+    assert len(rep.cases) == sum(euler_phi(q) - 1 for q in range(3, 51))
+    for case in rep.cases:
+        q = case.parameters["q"]
+        chi = character(q, case.parameters["label"])
+        want = max(abs(partial_character_sum(chi, x)) for x in range(1, q + 1))
+        assert abs(case.measured - want) <= 8 * q * EPS * want, (q, chi.label)
+
+
+def test_t2_measured_deviations_take_in_the_error_bound():
+    # the margin certifies |value - true| too: measured is the deviation of
+    # the computed value plus its error_bound, normalized alike
+    alpha, r = 0.3, 5
+    case = next(c for c in certify_T2_Ib(r_max=r, alpha_grid=(alpha,)).cases if c.parameters["r"] == r)
+    gam = stieltjes_gamma_all(r, alpha)[r]
+    assert gam.error_bound > 0.0
+    dev = abs(gam.value.real - math.log(alpha) ** r / alpha)
+    assert case.measured == (dev + gam.error_bound) / math.factorial(r)
+    case = next(c for c in certify_T2_IIb(r_max=r, alpha_grid=(alpha,)).cases if c.parameters["r"] == r)
+    bet = beta_coefficient_all(r, alpha)[r]
+    main = (-1.0) ** r * math.log(alpha) ** r / math.factorial(r)
+    assert case.measured == abs(bet.value.real - main) + bet.error_bound
+    case = next(c for c in certify_T2_IIIb(r_max=r, lam_grid=(0.5,), alpha_grid=(alpha,)).cases if c.parameters["r"] == r)
+    lerch = _lerch_at_one(r, 0.5, alpha)[r]
+    main = (-1.0) ** r * math.log(alpha) ** r / (math.factorial(r) * alpha)
+    assert case.measured == abs(lerch.value - main) + lerch.error_bound
 
 
 def test_ishikawa_informational():

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from zetalab import cli
+from zetalab.characters import enumerate_characters
 from zetalab.cli import render_json, run
 
 
@@ -57,6 +58,56 @@ def test_characters_table(capsys):
     assert labels[1]["conductor"] == 4
     re3, im3 = labels[1]["values"][3]
     assert re3 == pytest.approx(-1.0, abs=1e-15) and im3 == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 24, 105, 307, 331])
+def test_characters_json_joins_each_rendered_root_byte_for_byte(capsys, q):
+    # prime, 2^k (two generators at 8 and 24) and multi-factor moduli: the
+    # table joined from the E + 1 distinct rendered roots equals the plain
+    # rendering of every value
+    rows = [
+        {
+            "label": chi.label,
+            "conductor": chi.conductor,
+            "parity": chi.parity,
+            "primitive": chi.is_primitive,
+            "principal": chi.is_principal,
+            "values": list(chi.values),
+        }
+        for chi in enumerate_characters(q)
+    ]
+    status, out = run_capture(capsys, ["characters", "--q", str(q), "--json"])
+    assert status == 0
+    assert out == render_json({"command": "characters", "q": q, "characters": rows}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characters", "--q", "10007", "--json"],
+        ["certify", "--bound", "t3", "--q", "10007", "--r-max", "1"],
+        ["certify", "--bound", "ishikawa", "--q", "10007"],
+    ],
+)
+def test_character_tables_beyond_memory_are_refused_before_any_is_built(capsys, monkeypatch, argv):
+    # phi(q) q = 1.0e8 table entries, about 8 GB of Python objects
+    import zetalab.characters as characters
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a character was built")
+
+    monkeypatch.setattr(characters, "_build_character", no_build)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "work budget" in captured.err
+
+
+def test_character_tables_at_q_2003_are_inside_the_budget(monkeypatch):
+    import zetalab.characters as characters
+
+    monkeypatch.setattr(characters, "_build_character", lambda q, kexp: kexp)
+    assert len(enumerate_characters(2003)) == 2002
 
 
 def test_tail_subcommand(capsys):
@@ -410,7 +461,10 @@ def test_tail_log_power_is_capped(capsys):
 # entries (`eval --kind lerch`, `coeff --kind lerch`) when one Lerch core
 # gave every order from one tail pass, with its rounding booked, and again
 # (the default-split `eval --kind lerch` and `coeff --kind lerch` entries)
-# when the Lerch default split moved to its oscillatory tails' cutoff
+# when the Lerch default split moved to its oscillatory tails' cutoff; the
+# `certify --bound polya` entry when its partial sums became one cumsum per
+# modulus (maxima within 2 ulp), and `certify --bound t2-ib|t2-iib` when
+# their measured deviations took in the value's error_bound
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -422,7 +476,7 @@ GOLDEN_DIGESTS = [
         ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
         "bcd862afbc06d23d09915b8fd94f9ee96e3f0a919d5888cdc0d76f0e4236c2ac",
     ),
-    (["certify", "--bound", "polya"], "3e8ce6099de813211a1361cd57463cb6845ec34db38b26ff557a3f5c16a6f047"),
+    (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
     (["certify", "--bound", "t3"], "a3d3835e963b544efaa755b4a21f8075b6cea21b05aad74350cd8cd2cb69be56"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
@@ -482,8 +536,8 @@ GOLDEN_DIGESTS = [
         ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
         "9f23507b3531888575ea51d3df9a7fc0e27ee25d129933a089ead9540f737ce4",
     ),
-    (["certify", "--bound", "t2-ib"], "cfa26b893de93fd6704868b07c69e5dbbb3614d626d641d6398dffe3693d311c"),
-    (["certify", "--bound", "t2-iib"], "7a9c82b3a04f67a64e9481201dc5197e9e029f12676b00e6311f76417e0e65b0"),
+    (["certify", "--bound", "t2-ib"], "2f2799663a451d38f7573a0748ebad2825236ec52ff9d49547a1d6fff17f4dab"),
+    (["certify", "--bound", "t2-iib"], "086b8b14bd9d955eec14a549b9ea6613781f39cf8205ba3324ebd0ed341d0c7e"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
         "0673c109363de7d9ceb3e10b8850d9c8a0b08ea71a4991ed2e358adee944a760",
@@ -524,8 +578,11 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # SHA-256 of the text (no --json) stdout, recorded before eval, afe and tail
 # shared one value report; the afe and plain tail entries re-recorded with
 # the GOLDEN_DIGESTS of the plain complex march, and the Lerch entry with
-# the Lerch ones, both times
+# the Lerch ones, both times; the characters entries recorded before each
+# distinct root was formatted once per table
 TEXT_DIGESTS = [
+    (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
+    (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
         "ee2e7611a4360c1e1865b4612e75a07bee3ac931b4f3a7fad42700413b1df3ec",
