@@ -99,7 +99,7 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
     _check_work(nmax + 1)
     _check_work(_dual_walk_panels(-s - 1.0, r, x, nmid))
     # finite (n + alpha)-sum, with its rounding
-    val, err = _progression_sum(alpha, 1, nmax, s, r)
+    val, err = (x.item() for x in _progression_sum([alpha], 1, [nmax], s, [r]))
     # sawtooth boundary, with the |n| > y Fourier remainder folded in
     lx = math.log(x)
     xs = cmath.exp(-s * lx) * (-lx) ** r

@@ -31,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import enumerate_characters
-from .coefficients import (
-    _lerch_at_one,
-    beta_coefficient_all,
-    l_deriv_at_0_truncated,
-    l_deriv_at_1_truncated,
-    stieltjes_gamma_all,
-)
+from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_all
 from .evaluate import _l_values
-from .sawtooth import _check_order, _check_work
+from .sawtooth import _check_alpha, _check_order, _check_work
 
 __all__ = [
     "BoundCase",
@@ -118,6 +112,17 @@ def berndt_bound(r: int) -> float:
     return c * math.exp(-r * math.log(math.pi)) / r
 
 
+def _grid(route, r_max: int, alpha_grid, *q) -> list:
+    """Orders 0..r_max of a coefficient route at every alpha of the grid from
+    one pass of the Z core, the order cap and every alpha checked first."""
+    if r_max > 20:
+        raise ValueError("grid is capped at r <= 20")
+    _check_order(r_max)
+    for alpha in alpha_grid:
+        _check_alpha(alpha)
+    return route(r_max, list(alpha_grid), *q) if alpha_grid else []
+
+
 def certify_T2_Ib(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundReport:
     """Stieltjes-coefficient deviation against e (r/2e)^r / r!.
 
@@ -126,19 +131,12 @@ def certify_T2_Ib(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundReport
     error_bound / r!; the Berndt baseline is
     attached to every case as an informational column.
     """
-    if r_max > 20:
-        raise ValueError("grid is capped at r <= 20")
-    cases = []
-    info = []
-    for alpha in alpha_grid:
-        gam = stieltjes_gamma_all(r_max, alpha)
+    cases, info = [], []
+    for alpha, gam in zip(alpha_grid, _grid(_gamma_all, r_max, alpha_grid, 1)):
         la = math.log(alpha)
         for r in range(1, r_max + 1):
             measured = (abs(gam[r].value.real - la**r / alpha) + gam[r].error_bound) / math.factorial(r)
-            bound = _t2_ib_bound(r)
-            cases.append(
-                BoundCase({"r": r, "alpha": alpha, "berndt": berndt_bound(r)}, measured, bound)
-            )
+            cases.append(BoundCase({"r": r, "alpha": alpha, "berndt": berndt_bound(r)}, measured, _t2_ib_bound(r)))
             # measured deviation never exceeds the Berndt baseline either
             info.append(BoundCase({"r": r, "alpha": alpha, "kind": "berndt"}, measured, berndt_bound(r)))
     return BoundReport("T2_Ib", tuple(cases), tuple(info))
@@ -150,20 +148,14 @@ def certify_T2_IIb(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundRepor
     The printed form with additive 1/r! is attached informationally; it
     fails for r >= 2, which the report records without asserting.
     """
-    if r_max > 20:
-        raise ValueError("grid is capped at r <= 20")
-    cases = []
-    info = []
-    for alpha in alpha_grid:
-        bet = beta_coefficient_all(r_max, alpha)
+    cases, info = [], []
+    for alpha, bet in zip(alpha_grid, _grid(_beta_all, r_max, alpha_grid)):
         la = math.log(alpha)
         for r in range(1, r_max + 1):
             main = (-1.0) ** r * la**r / math.factorial(r)
             measured = abs(bet[r].value.real - main) + bet[r].error_bound
             cases.append(BoundCase({"r": r, "alpha": alpha}, measured, _t2_iib_bound(r)))
-            info.append(
-                BoundCase({"r": r, "alpha": alpha, "kind": "printed"}, measured, _t2_iib_bound_printed(r))
-            )
+            info.append(BoundCase({"r": r, "alpha": alpha, "kind": "printed"}, measured, _t2_iib_bound_printed(r)))
     return BoundReport("T2_IIb", tuple(cases), tuple(info))
 
 
@@ -210,40 +202,20 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
         if not prim:
             raise ValueError(f"q = {q} has no primitive characters")
         lq = math.log(q)
-        # one pass per point serves every character and order
+        # one pass per point serves every character and order, and one
+        # finite-sum kernel pass per point and order every truncated sum
         rs = range(1, r_max + 1)
-        exact1_all, exact0_all = (_l_values(s, prim, rs, X=4.0 * q) for s in (1.0 + 0.0j, 0.0j))
+        exact = [_l_values(s, prim, rs, X=4.0 * q) for s in (1.0 + 0.0j, 0.0j)]
+        trunc = [[_truncated_all(r, prim, point) for r in rs] for point in (1, 0)]
         for i, chi in enumerate(prim):
             for r in rs:
-                exact1 = exact1_all[r - 1][i]
-                trunc1 = l_deriv_at_1_truncated(r, chi)
-                meas1 = abs(trunc1.value - exact1.value)
-                shape1 = q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r
-                cases.append(
-                    BoundCase(
-                        {"q": q, "label": chi.label, "r": r, "point": 1, "observed": meas1 / shape1},
-                        meas1,
-                        _GUARD * shape1,
-                    )
-                )
-                exact0 = exact0_all[r - 1][i]
-                trunc0 = l_deriv_at_0_truncated(r, chi)
-                meas0 = abs(trunc0.value - exact0.value)
-                shape0 = math.sqrt(q) * lq * (lq + r) ** r
-                cases.append(
-                    BoundCase(
-                        {"q": q, "label": chi.label, "r": r, "point": 0, "observed": meas0 / shape0},
-                        meas0,
-                        _GUARD * shape0,
-                    )
-                )
-                cases.append(
-                    BoundCase(
-                        {"q": q, "label": chi.label, "r": r, "point": "size"},
-                        abs(exact1.value),
-                        _GUARD * (lq + r / 2.0) ** (r + 1),
-                    )
-                )
+                shapes = (q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r, math.sqrt(q) * lq * (lq + r) ** r)
+                for point, ex, tr, shape in zip((1, 0), exact, trunc, shapes):
+                    meas = abs(tr[r - 1][i].value - ex[r - 1][i].value)
+                    params = {"q": q, "label": chi.label, "r": r, "point": point, "observed": meas / shape}
+                    cases.append(BoundCase(params, meas, _GUARD * shape))
+                size = abs(exact[0][r - 1][i].value)
+                cases.append(BoundCase({"q": q, "label": chi.label, "r": r, "point": "size"}, size, _GUARD * (lq + r / 2.0) ** (r + 1)))
     return BoundReport("T3", tuple(cases))
 
 

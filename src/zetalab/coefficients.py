@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characters import DirichletCharacter
-from .evaluate import _EPS, LerchArgs, _cores, _l_values, _lerch_values, _z_value
+from .evaluate import _EPS, LerchArgs, _characters_at, _common_modulus, _cores, _l_values, _lerch_values
+from .evaluate import _progression_sum, _units, _weigh, _z_values
 from .sawtooth import EvalResult, _check_alpha, _check_order, _check_work
 
 __all__ = [
@@ -82,17 +83,19 @@ def _per_factorial(res: list[EvalResult]) -> list[EvalResult]:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_all(rmax: int, a: float, q: int, X: float | None = None) -> list[EvalResult]:
-    """gamma_r(a, q) for r = 0..rmax (a = alpha at q = 1) from one pass of the
-    Z core at s = 1, split X, plus the regular part of its pole term (module
-    docstring); that part rounds as log X, its power and the quotient, (r + 4) eps."""
-    X, cores = _cores(1.0 + 0.0j, q, [a], range(rmax + 1), X)
+def _gamma_all(rmax: int, shifts, q: int, X: float | None = None) -> list[list[EvalResult]]:
+    """gamma_r(a, q) for r = 0..rmax (outer: each a of shifts, any alphas at
+    q = 1; inner: r) from one pass of the Z core at s = 1, split X, plus the
+    regular part of its pole term (module docstring); that part rounds as
+    log X, its power and the quotient, (r + 4) eps."""
+    X, cores, errs = _cores(1.0 + 0.0j, q, shifts, range(rmax + 1), X)
     lX = math.log(X)
-    out = []
-    for r, ((core, err),) in enumerate(cores):
+    out = [[] for _ in shifts]
+    for r, (row, rerrs) in enumerate(zip(cores.real.tolist(), errs.tolist())):
         pole = (-lX) ** (r + 1) / (q * (r + 1))
-        val = core.real + pole
-        out.append(EvalResult(complex((-1.0) ** r * val), err + _EPS * ((r + 4) * abs(pole) + abs(val))))
+        for res, core, err in zip(out, row, rerrs):
+            val = core + pole
+            res.append(EvalResult(complex((-1.0) ** r * val), err + _EPS * ((r + 4) * abs(pole) + abs(val))))
     return out
 
 
@@ -100,7 +103,7 @@ def stieltjes_gamma_all(rmax: int, alpha: float) -> list[EvalResult]:
     """gamma_r(alpha) for r = 0..rmax from one pass of the Z core at q = 1."""
     _check_order(rmax)
     _check_alpha(alpha)
-    return _gamma_all(rmax, alpha, 1)
+    return _gamma_all(rmax, [alpha], 1)[0]
 
 
 def stieltjes_gamma(r: int, alpha: float) -> EvalResult:
@@ -113,7 +116,7 @@ def _gamma_aq_all(rmax: int, a: int, q: int) -> list[EvalResult]:
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(rmax)
-    return _gamma_all(rmax, a, q)
+    return _gamma_all(rmax, [a], q)[0]
 
 
 def gamma_aq(r: int, a: int, q: int) -> EvalResult:
@@ -121,23 +124,24 @@ def gamma_aq(r: int, a: int, q: int) -> EvalResult:
     return _gamma_aq_all(r, a, q)[r]
 
 
-def _beta_all(rmax: int, alpha: float, X: float | None = None) -> list[EvalResult]:
-    """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax: beta_0 = 1/2 -
-    alpha, the others from one pass of the Z core at s = 0, split X, plus the pole term."""
-    out = [EvalResult(complex(0.5 - alpha), _EPS * (0.5 + alpha))]
+def _beta_all(rmax: int, alphas, X: float | None = None) -> list[list[EvalResult]]:
+    """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax (outer: each
+    alpha of alphas; inner: r): beta_0 = 1/2 - alpha, the others from one pass
+    of the Z core at s = 0, split X, plus the pole term."""
+    out = [[EvalResult(complex(0.5 - alpha), _EPS * (0.5 + alpha))] for alpha in alphas]
     if rmax:
-        X, cores = _cores(0.0j, 1, [alpha], range(1, rmax + 1), X)
-        for r, (core,) in enumerate(cores, 1):
-            z = _z_value(0.0j, 1, r, X, core)
-            out.append(EvalResult(complex(z.value.real), z.error_bound))
-    return _per_factorial(out)
+        X, cores, errs = _cores(0.0j, 1, alphas, range(1, rmax + 1), X)
+        for r, row, rerrs in zip(range(1, rmax + 1), cores, errs):
+            for res, z in zip(out, _z_values(0.0j, 1, r, X, row, rerrs)):
+                res.append(EvalResult(complex(z.value.real), z.error_bound))
+    return [_per_factorial(res) for res in out]
 
 
 def beta_coefficient_all(rmax: int, alpha: float) -> list[EvalResult]:
     """beta_r(alpha) = zeta^{(r)}(0, alpha)/r! for r = 0..rmax."""
     _check_order(rmax)
     _check_alpha(alpha)
-    return _beta_all(rmax, alpha)
+    return _beta_all(rmax, [alpha])[0]
 
 
 def beta_coefficient(r: int, alpha: float) -> EvalResult:
@@ -161,18 +165,28 @@ def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) 
     return l_deriv_at_1_exact_all(r, [chi], X)[0]
 
 
-def _truncated_terms(r: int, chi: DirichletCharacter, log_x_over_q: float):
-    """n = 1..X with chi(n) and log n, X = q e^{log_x_over_q}: the terms of the
-    truncated main sums, stated for r >= 1 and primitive chi mod q >= 3."""
+def _truncated_all(r: int, chars, point: int) -> list[EvalResult]:
+    """(-1)^r sum_{n <= X} chi(n) log^r n / n^s at s = point (1 or 0), X = q
+    e^{r/2} at s = 1 and q e^{r-1} at s = 0, for every chi of a batch of
+    primitive characters mod q >= 3 (stated for r >= 1): sum_a chi(a) S_a
+    over the units a, the S_a from one finite-sum kernel pass up to X; the
+    bound is the truncation bound of l_deriv_at_1_truncated (s = 1) or
+    l_deriv_at_0_truncated (s = 0)."""
     if r < 1:
         raise ValueError("the truncated form is stated for r >= 1")
-    if not chi.is_primitive or chi.modulus < 3:
+    if not all(chi.is_primitive and chi.modulus >= 3 for chi in chars):
         raise ValueError("truncation bound requires a primitive character mod q >= 3")
+    q = _common_modulus(chars)
     _check_order(r)
-    count = math.floor(chi.modulus * math.exp(log_x_over_q) + 1e-12)
+    count = math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12)
     _check_work(count)
-    n = np.arange(1, count + 1)
-    return n, np.asarray(chi.values, dtype=complex)[n % chi.modulus], np.log(n.astype(float))
+    a = np.array(_units(q))
+    sums, lq = _progression_sum(a, q, (count - a) // q, complex(point), [r])[0][0], math.log(q)
+    if point:
+        bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r
+    else:
+        bound = 10.0 * math.sqrt(q) * lq * (lq + r) ** r
+    return [EvalResult(v, bound) for v in _weigh(_characters_at(chars, a), sums).tolist()]
 
 
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
@@ -182,11 +196,7 @@ def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     O(q^{-1/2} e^{-r/2} log q (log q + r/2)^r); the reported bound carries
     the empirical guard constant 10.
     """
-    n, vals, logs = _truncated_terms(r, chi, r / 2.0)
-    q = chi.modulus
-    main = complex(np.sum(vals * logs**r / n))
-    bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * math.log(q) * (math.log(q) + r / 2.0) ** r
-    return EvalResult((-1.0) ** r * main, bound)
+    return _truncated_all(r, [chi], 1)[0]
 
 
 def l_deriv_at_0_all(r: int, chars, X: float | None = None) -> list[EvalResult]:
@@ -203,11 +213,7 @@ def l_deriv_at_0(r: int, chi: DirichletCharacter, X: float | None = None) -> Eva
 def l_deriv_at_0_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
     """Truncated main term (-1)^r sum_{n <= q e^{r-1}} chi(n) log^r n with
     the O(q^{1/2} log q (log q + r)^r) bound (guard constant 10)."""
-    n, vals, logs = _truncated_terms(r, chi, r - 1.0)
-    q = chi.modulus
-    main = complex(np.sum(vals * logs**r))
-    bound = 10.0 * math.sqrt(q) * math.log(q) * (math.log(q) + r) ** r
-    return EvalResult((-1.0) ** r * main, bound)
+    return _truncated_all(r, [chi], 0)[0]
 
 
 # ---------------------------------------------------------------------------

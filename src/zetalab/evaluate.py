@@ -18,13 +18,13 @@ batch at the largest order.
 
 Their default split puts X/q at the final cutoff of the plain sawtooth
 tails (Euler-Maclaurin at the cutoff, as in Johansson, arXiv:1309.2877):
-the tails march over no interval, and what is left is one blocked numpy
-sum per residue class and the closed-form far tails.  An explicit split
-keeps the piecewise march.  For every split their error bounds add the
-binary64 rounding of the finite sums (the phase eps |s| log p of each
-term dominates at large t), of the boundary and pole terms, of the tail
-combination and of the character weighting to the tails' truncation and
-quadrature bounds.  One Lerch core gives its values and its Taylor
+the tails march over no interval, and what is left is one finite-sum
+kernel pass over (orders x classes x terms) and the closed-form far tails.
+An explicit split keeps the piecewise march.  For every split their error
+bounds add the binary64 rounding of the finite sums (the phase eps |s| log
+p of each term dominates at large t), of the boundary and pole terms, of
+the tail combination and of the character weighting to the tails'
+truncation and quadrature bounds.  One Lerch core gives its values and its Taylor
 coefficients at s = 1, every order from one pass of its three oscillatory
 tails, through the same finite-sum kernel (with the phase e^{2 pi i lambda
 n}), and books the rounding of all but those tails.  Its default split
@@ -122,10 +122,12 @@ def default_split(s: complex, alpha: float) -> float:
     return max(1.0, abs(complex(s).imag) / (2.0 * math.pi)) + alpha
 
 
-def _split_floor(v: float) -> int:
-    """Endpoint count at the split: ties, and lattice points within four
-    ulps above v (the rounding of v), included."""
-    return math.floor(v + 4.0 * math.ulp(v))
+def _split_floor(v):
+    """Endpoint count at the split, of a float or elementwise of an array:
+    ties, and lattice points within four ulps above v (the rounding of v),
+    included (np.spacing is negative below 0)."""
+    k = np.floor(v + 4.0 * np.abs(np.spacing(v)))
+    return k.astype(int) if np.ndim(k) else int(k)
 
 
 def _psi_at_split(v: float) -> float:
@@ -159,24 +161,32 @@ def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     return val, err
 
 
-_SUM_BLOCK = 1 << 15  # terms per block of a progression sum: memory stays flat in its length
-# work budget charges, in march segments: a progression-sum term takes about
-# 1/30 of one, a residue class (its far tails and its core) about 10 to 25.
-# At 12 a class of u = X/q terms is charged 12 + u/8 <= max(u, 30 - u): no
+_SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
+_ROW_BLOCK = 1 << 13  # terms per block of rows of a progression sum: the block's arrays stay in cache
+# work budget charges, in march segments (2-5.5 us each): a progression-sum
+# term takes 40-80 ns at one order, 1/30 to 1/60 of one, and a residue class
+# of a batch (its far tails and its core, less its sum) 3-17 us, about 1 to 8
+# (q near 1000, s = 0, 1 and 0.5 + 1000i).  The charges stay as they were:
+# at 12 a class of u = X/q terms is charged 12 + u/8 <= max(u, 30 - u): no
 # more than its terms at 1 each, or than a march from u to the first cutoff
 # (30 or more) at 1 a segment
 _TERM_COST = 1.0 / 8.0
 _CLASS_COST = 12.0
 
 
-def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int, lam: float = 0.0) -> tuple[complex, float]:
-    """sum_{k <= kmax} e^{2 pi i lam k} p^{-s} (-log p)^r over p = a + q k, in
-    blocks, with its rounding.
+def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k <= kmax} e^{2 pi i lam k} p^{-s} (-log p)^r over p = a + q k for
+    every start of a (rows, each to its own kmax; 0 with a bound of 0 for
+    kmax < 0) and every order r of orders: (orders, rows) values and bounds.
 
-    The one finite-sum kernel of the split representations: each residue
-    class of the Z core (lam = 0), the Lerch sum over n + alpha (q = 1) and
-    the (n + alpha)-sum of the AFE at q = 1 (empty, 0 with a bound of 0, for
-    kmax < 0).
+    The one finite-sum kernel of the split representations: the residue
+    classes of the Z core (lam = 0), the Lerch sum over n + alpha (q = 1),
+    the AFE's (n + alpha)-sum and the truncated character sums.  The rows of
+    one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
+    terms of a row and _ROW_BLOCK or fewer in all, or one row; a block takes
+    log p and p^{-s} once and every order from them, (-log p)^r at each
+    integer r, and a row adds its blocks left to right: each row is its
+    one-row sum, bit for bit.
 
     Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
     (the logarithm, the rounded point, the product), the modulus, the power
@@ -185,33 +195,45 @@ def _progression_sum(a: float, q: int, kmax: int, s: complex, r: int, lam: float
     lam, eps (3 (2 pi lam k) + 5) |term| more for the Lerch phase (pi and
     the products by lam and by k in its argument, the exponential, the
     product); then the pairwise sums within blocks and the sum of the
-    blocks, 1.5 eps (depth) sum |term|.  A single block is summed as one
-    array, so a short sum adds its terms in one numpy reduction.  A term
-    that leaves binary64 makes the sum and its bound non-finite, without a
-    warning: EvalResult refuses them."""
-    val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
+    blocks, 1.5 eps (depth) sum |term|.  A term that leaves binary64 makes
+    the sum and its bound non-finite, without a warning: EvalResult refuses
+    them."""
+    a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
+    val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
+    cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
+    abs_s, add = abs(s), np.add.reduce
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, kmax + 1, _SUM_BLOCK):
-            k = np.arange(k0, min(k0 + _SUM_BLOCK, kmax + 1), dtype=float)
-            logs = np.log(a + q * k)
-            terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
-            if lam:
-                terms = terms * np.exp(2j * np.pi * lam * k)
-            part = complex(terms.sum())
-            val = val + part if blocks else part
-            blocks += 1
-            mag, al = np.abs(terms), np.abs(logs)
-            mags += float(mag.sum())
-            lmags += float((mag * al).sum())
-            if lam:
-                kmags += float((mag * k).sum())
-            if r and not k0:
-                near = (al[:3] > 0.0) & (al[:3] < 1.0)
-                head = r * float((mag[:3][near] / al[:3][near]).sum())
-    depth = math.log2(min(kmax + 1, _SUM_BLOCK) + 1) + 20 + blocks
-    abs_s = abs(s)
-    phase = 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags if lam else 0.0
-    return val, _EPS * (3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags + head + phase)
+        for lo, hi, kk in ((lo, hi, int(kmax[lo])) for lo, hi in zip(cuts, cuts[1:]) if kmax[lo] >= 0):
+            width = min(kk + 1, _SUM_BLOCK)
+            depth = math.log2(width + 1) + 20 + -(-(kk + 1) // _SUM_BLOCK)
+            step = max(1, _ROW_BLOCK // width)
+            for j in range(lo, hi, step):
+                rows = slice(j, min(j + step, hi))
+                sums = [[None] * 5 for _ in orders]  # value, sum |term|, sum |term log p|, sum k |term|, head
+                for k0 in range(0, kk + 1, _SUM_BLOCK):
+                    k = np.arange(k0, min(k0 + _SUM_BLOCK, kk + 1), dtype=float)
+                    logs = np.log(a[rows, None] + q * k)
+                    al3 = np.abs(logs[:, :3])  # the points with 0 < |log p| < 1: the first three at most
+                    al3 = np.where((al3 > 0.0) & (al3 < 1.0), al3, np.inf)
+                    # one order keeps no copy of p^{-s}, and |log p| is taken where it is
+                    # used: fewer live arrays keep a long row in cache
+                    base = np.exp(-s * logs) if len(orders) > 1 else None
+                    for sm, r in zip(sums, orders):
+                        terms = np.exp(-s * logs) if base is None else base
+                        terms = terms * ((-logs) ** r if r > 1 else -logs) if r else terms  # x ** 1 is x
+                        if lam:
+                            terms = terms * np.exp(2j * np.pi * lam * k)
+                        mag = np.abs(terms)
+                        parts = [add(terms, axis=1), add(mag, axis=1), add(mag * np.abs(logs), axis=1)]
+                        parts += [add(mag * k, axis=1)] if lam else []
+                        sm[: len(parts)] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
+                        if r and not k0:
+                            sm[4] = r * add(mag[:, :3] / al3, axis=1)
+                for i, (r, (v, mags, lmags, kmags, head)) in enumerate(zip(orders, sums)):
+                    bound = 3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags
+                    bound = bound + head if r else bound
+                    val[i, rows], err[i, rows] = v, _EPS * (bound + (6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else bound)
+    return val, err
 
 
 def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
@@ -222,73 +244,33 @@ def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tup
     return (-1.0) ** r * (r * tails[r - 1] - s * tails[r]), r * terrs[r - 1] + abs(s) * terrs[r]
 
 
-def _log_binomial_tail_combo(tails, terrs, r: int, s_at: complex, lq: float):
-    """sum over m of [r C(r-1,m) log^{r-1-m} q - s C(r,m) log^{r-m} q] tails[m],
-    the expansion of int psi * u^{-s-1} log^{r-1}(qu) (r - s log(qu)) du."""
-    acc = 0.0 + 0.0j
-    err = 0.0
-    for m in range(r + 1):
-        cm = 0.0
-        if r and m <= r - 1:
-            cm += r * math.comb(r - 1, m) * lq ** (r - 1 - m)
-        cm -= s_at * math.comb(r, m) * lq ** (r - m)
-        acc += cm * tails[m]
-        err += abs(cm) * terrs[m]
-    return acc, err
-
-
-def _boundary_rounding(s: complex, q: int, r: int, X: float, v: float, kmax: int, psi: float, ax: float) -> float:
-    """Rounding of the boundary term psi(v) X^{-s} (-log X)^r, |X^{-s}| = ax:
-    psi at a split v = (X - a)/q that carries the rounding of v, of X/q and
-    of a/q, 4 eps (|v| + 2); the phase and the products, eps (3 |s| |log X|
-    + 2 r + 8) |psi|; and where v sits within the four ulps below the
-    lattice point kmax that the sum counts, that point's term against the
-    boundary's, q (kmax - v) |d/dX X^{-s} (-log X)^r|."""
+def _boundary_rounding(s: complex, q: int, orders, X: float, v, kmax, psi, ax: float) -> np.ndarray:
+    """Rounding of the boundary term psi(v) X^{-s} (-log X)^r, |X^{-s}| = ax,
+    for each order r (rows) and split v = (X - a)/q (columns): psi at a v
+    that carries the rounding of v, of X/q and of a/q, 4 eps (|v| + 2); the
+    phase and the products, eps (3 |s| |log X| + 2 r + 8) |psi|; and where v
+    sits within the four ulps below the lattice point kmax that the sum
+    counts, that point's term against the boundary's, q (kmax - v) |d/dX
+    X^{-s} (-log X)^r|."""
     lx = abs(math.log(X))
-    err = ax * lx**r * _EPS * (4.0 * (abs(v) + 2.0) + abs(psi) * (3.0 * abs(s) * lx + 2 * r + 8))
-    if kmax > v:
-        err += 1.01 * q * (kmax - v) * ax / X * (abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0))
-    return err
+    scale = np.array([(ax * lx**r * _EPS, 3.0 * abs(s) * lx + 2 * r + 8, abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0)) for r in orders])
+    err = scale[:, :1] * (4.0 * (abs(v) + 2.0) + abs(psi) * scale[:, 1:2])
+    return err + (kmax > v) * (1.01 * q * (kmax - v) * ax / X) * scale[:, 2:]  # + 0 where kmax <= v
 
 
-def _z_core(s: complex, a: float, q: int, r: int, X: float, tail) -> tuple[complex, float]:
-    """Z-representation without its pole term (1/q) d^r (X^{1-s}/(s-1));
-    tail = psi_tail_powers(X/q, a/q, -s-1, r).  At q = 1, a is any alpha in (0, 1].
-
-    The bound adds to the tail's the rounding of the finite sum, of the
-    boundary term, of the tail combination (the phase of q^{-s} and of the
-    far tail, eps 3 |s| (|log q| + |log X|), and the coefficients) and of
-    the addition."""
-    v = (X - a) / q
-    kmax = _split_floor(v)
-    val, err = _progression_sum(a, q, kmax, s, r)
-    lX = math.log(X)
-    psi = _psi_at_split(v)
-    fx = cmath.exp(-s * lX)
-    val += psi * fx * (-lX) ** r
-    err += _boundary_rounding(s, q, r, X, v, kmax, psi, abs(fx))
-    tails, terrs = tail
-    lq = math.log(q)
-    qs = cmath.exp(-s * lq)
-    acc, terr = _log_binomial_tail_combo(tails, terrs, r, s, lq)
-    combo = (-1.0) ** r * qs * acc
-    mags = _log_binomial_tail_combo(tails, [abs(t) for t in tails], r, s, lq)[1]  # sum |c_m| |T_m|
-    err += _EPS * (abs(qs) * (3.0 * abs(s) * (abs(lq) + abs(lX)) + 3 * r + 12) * mags + abs(val) + abs(combo))
-    return val + combo, abs(qs) * terr + err
-
-
-def _z_value(s: complex, q: int, r: int, X: float, core: tuple[complex, float]) -> EvalResult:
-    """Z^{(r)}(s, a, q) from its core (value, bound) at the split X: core plus pole/q."""
-    core, err = core
+def _z_values(s: complex, q: int, r: int, X: float, cores, errs) -> list[EvalResult]:
+    """Z^{(r)}(s, a, q) of each class from its core (value, bound) at the split X: core plus pole/q."""
     pole, perr = _pole_term(s, X, r)
-    return EvalResult(core + pole / q, err + (perr + _EPS * abs(pole)) / q + _EPS * abs(core + pole / q))
+    perr = (perr + _EPS * abs(pole)) / q
+    return [EvalResult(core + pole / q, err + perr + _EPS * abs(core + pole / q)) for core, err in zip(cores.tolist(), errs.tolist())]
 
 
-def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, list]:
+def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, np.ndarray, np.ndarray]:
     """The split X and the plain tails from X/q of the residue classes a of
-    units, psi_tail_powers(X/q, a/q, -s-1, r) each.  By default X/q is the
-    final cutoff of those tails, so that they march over no interval and
-    only their closed-form far tails are left beside the finite sums.
+    units, psi_tail_powers(X/q, a/q, -s-1, r) each, as (r + 1, classes)
+    values and bounds.  By default X/q is the final cutoff of those tails,
+    so that they march over no interval and only their closed-form far
+    tails are left beside the finite sums.
 
     Each class is charged to the work budget by its own length before any
     runs: its far tails and core, and the about X/q terms of its finite sum;
@@ -297,28 +279,65 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, l
     alphas, b = [a / q for a in units], -s - 1.0
     if X is None:
         _check_work(len(units) * (_CLASS_COST + _first_cutoff(b, r) * _TERM_COST))
-        u, tails = _tail_cutoff(alphas, b, r)
+        u, tails, terrs = _tail_cutoff(alphas, b, r)
         _check_work(len(units) * (_CLASS_COST + u * _TERM_COST))
-        return q * u, tails
+        return q * u, tails, terrs
     _check_work(len(units) * (_CLASS_COST + X / q * _TERM_COST))
-    return X, psi_tail_powers_batch(X / q, alphas, b, r)
+    tails = psi_tail_powers_batch(X / q, alphas, b, r)
+    return X, np.array([t for t, _ in tails]).T, np.array([e for _, e in tails]).T
 
 
-def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, list[list[tuple[complex, float]]]]:
-    """The split X and, for each order r of orders, the core _z_core(s, a, q,
-    r, X, .) of every class a of units, as (value, bound).  One _split and
-    one tail batch at the largest order serve every order: the batch's
-    stopping test covers every log power up to it.  Re(s) > -1, s = 1 and
-    s = 0 included (the core carries no pole)."""
-    X, tails = _split(s, max(orders), q, units, X)
-    return X, [[_z_core(s, a, q, r, X, tail) for a, tail in zip(units, tails)] for r in orders]
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as abs() rounds a Python complex (np.abs of a complex
+    array can differ by an ulp): a bound's moduli are its scalar formula's."""
+    return np.hypot(z.real, z.imag)
+
+
+def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, np.ndarray, np.ndarray]:
+    """The split X and the Z-representation without its pole term (1/q) d^r
+    (X^{1-s}/(s-1)) of every class a of units (columns; at q = 1 any shifts
+    alpha in (0, 1]) at every order r of the increasing orders (rows), as
+    (orders, classes) values and bounds.  One _split and one tail batch at
+    the largest order (its stopping test covers every log power up to it)
+    and one _progression_sum serve them all; the boundary term and the tail
+    combination sum_m [r C(r-1,m) log^{r-1-m} q - s C(r,m) log^{r-m} q] T_m
+    (of int psi u^{-s-1} log^{r-1}(qu) (r - s log(qu)) du) run as arrays.
+    Re(s) > -1, s = 1 and s = 0 included (the core carries no pole).
+
+    The bound adds to the tails' the rounding of the finite sum, of the
+    boundary term, of the tail combination (the phase of q^{-s} and of the
+    far tail, eps 3 |s| (|log q| + |log X|), and the coefficients) and of
+    the addition."""
+    orders = list(orders)
+    X, tails, terrs = _split(s, orders[-1], q, units, X)
+    a = np.array(units, dtype=float)
+    v = (X - a) / q
+    kmax = _split_floor(v)
+    vals, errs = _progression_sum(a, q, kmax, s, orders)
+    lX, lq = math.log(X), math.log(q)
+    fx, qs = cmath.exp(-s * lX), cmath.exp(-s * lq)
+    psi = v - kmax - 0.5
+    vals += psi * fx * np.array([[(-lX) ** r] for r in orders])
+    errs += _boundary_rounding(s, q, orders, X, v, kmax, psi, abs(fx))
+    # the combination: each (order, class) adds its terms m = 0..r in turn to 0
+    # (+ 0.0 gives a zero sum the sign a start at 0 gives it; the terms 0 for
+    # m > r leave each sum as it is), in blocks of at most _SUM_BLOCK products
+    C = [[(r * math.comb(r - 1, m) * lq ** (r - 1 - m) if m < r else 0.0) - s * math.comb(r, m) * lq ** (r - m) if m <= r else 0.0 for m in range(orders[-1] + 1)] for r in orders]
+    C = np.array(C)[:, :, None]
+    step, MC, bounds = max(1, _SUM_BLOCK // (2 * C.size)), _modulus(C), np.array([terrs, _modulus(tails)])[:, None]
+    acc = np.concatenate([np.add.accumulate(C * tails[:, j : j + step], axis=1)[:, -1] for j in range(0, len(units), step)], axis=1) + 0.0
+    terr, mags = np.concatenate([np.add.accumulate(MC * bounds[..., j : j + step], axis=2)[:, :, -1] for j in range(0, len(units), step)], axis=2)
+    scale = np.array([[(-1.0) ** r * qs, abs(qs) * (3.0 * abs(s) * (abs(lq) + abs(lX)) + 3 * r + 12)] for r in orders])
+    combo = scale[:, :1] * acc
+    errs += _EPS * (scale[:, 1:].real * mags + _modulus(vals) + _modulus(combo))
+    return X, vals + combo, abs(qs) * terr + errs
 
 
 def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
     """d^r/ds^r zeta(s, alpha) = Z^{(r)}(s, alpha, 1) via the split-sum representation."""
     s = complex(args.s)
-    X, ((core,),) = _cores(s, 1, [args.alpha], [args.order], args.split)
-    return _z_value(s, 1, args.order, X, core)
+    X, cores, errs = _cores(s, 1, [args.alpha], [args.order], args.split)
+    return _z_values(s, 1, args.order, X, cores[0], errs[0])[0]
 
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
@@ -331,8 +350,8 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
-    X, ((core,),) = _cores(s, q, [a], [r], X)
-    return _z_value(s, q, r, X, core)
+    X, cores, errs = _cores(s, q, [a], [r], X)
+    return _z_values(s, q, r, X, cores[0], errs[0])[0]
 
 
 def _units(q: int) -> list[int]:
@@ -381,16 +400,11 @@ def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[Ev
     for r in orders:
         _check_order(r)
     units = _units(q)
+    _, vals, errs = _cores(s, q, units, orders, X)
+    vals -= vals.mean(axis=1, keepdims=True)
+    errs = np.add.accumulate(errs, axis=1)[:, -1] + _EPS * (21 + len(units)) * np.abs(vals).sum(axis=1)  # left to right
     w = _characters_at(chars, units)
-    out = []
-    for pieces in _cores(s, q, units, orders, X)[1]:
-        cores, errs = zip(*pieces)
-        cores = np.array(cores)
-        cores -= cores.mean()
-        err = float(np.add.accumulate((0.0,) + errs)[-1])  # left to right
-        err += _EPS * (21 + len(units)) * float(np.abs(cores).sum())
-        out.append([EvalResult(v, err) for v in _weigh(w, cores).tolist()])
-    return out
+    return [[EvalResult(v, err) for v in _weigh(w, cores).tolist()] for cores, err in zip(vals, errs.tolist())]
 
 
 def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None) -> EvalResult:
@@ -447,14 +461,14 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     pure, perr = pure_osc_tail_powers(lam, -s, rmax, x, pcut)
     w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x, w1cut)
     w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x, w2cut)
+    sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
     wx, psi, fx = cmath.exp(2j * math.pi * lam * v), _psi_at_split(v), cmath.exp(-s * lx)
     phase = cmath.exp(-2j * math.pi * lam * alpha)
+    serrs += _boundary_rounding(s, 1, orders, x, v, kmax, psi, abs(fx))
     out = []
-    for r in orders:
+    for r, val, err in zip(orders, sums[:, 0].tolist(), serrs[:, 0].tolist()):
         sign = (-1.0) ** r
-        val, err = _progression_sum(alpha, 1, kmax, s, r, lam)
-        err += _boundary_rounding(s, 1, r, x, v, kmax, psi, abs(fx))
         ax = abs(fx) * abs(lx) ** r
         err += ax * (_EPS * (4.0 * two_pi_lam * abs(v) + 5.0) * abs(psi) + 1.01 * max(kmax - v, 0.0) * two_pi_lam)
         tail2, err2 = _s_tail(w2, w2err, s, r)

@@ -178,24 +178,25 @@ def _phi_bernoulli(m: int, v: float) -> float:
     return acc
 
 
-def _phi_bernoulli_rows(m: int, v: np.ndarray) -> np.ndarray:
-    """_phi_bernoulli(m, v) for every entry of v."""
-    if m <= 12:
-        f = v - np.floor(v)
-        acc = np.zeros_like(f)
-        for c in _bernoulli_poly_coeffs(m):
-            acc = acc * f + c
-        return acc * TWO_PI**m
-    acc = np.zeros_like(v)
-    n = 1
-    phase = -0.5 * math.pi * m
-    while True:
-        arg = TWO_PI * n * v + phase
-        acc = acc - 2.0 * np.cos(arg) / float(n**m)
-        n += 1
-        if n ** (-m) < 1e-20 or n > 64:
-            break
-    return acc
+def _phi_bernoulli_rows(ms, v: np.ndarray) -> np.ndarray:
+    """_phi_bernoulli(m, v) for every m of the increasing ms (rows) and entry
+    of v (columns), bit for bit: one Horner pass serves every m <= 12 (a
+    leading coefficient 0 leaves it as it is), and each larger m takes all
+    its Fourier terms at once and subtracts them from 0 in turn."""
+    poly, out = [m for m in ms if m <= 12], np.empty((len(ms), v.size))
+    if poly:
+        f, coeffs = v - np.floor(v), [_bernoulli_poly_coeffs(m) for m in poly]
+        table, acc = np.array([(0.0,) * (poly[-1] + 1 - len(c)) + c for c in coeffs]), np.zeros((len(poly), v.size))
+        for c in table.T:
+            acc = acc * f + c[:, None]
+        out[: len(poly)] = acc * np.array([[TWO_PI**m] for m in poly])
+    for i, m in enumerate(ms[len(poly) :], len(poly)):
+        ns = [n for n in range(1, 65) if n == 1 or n ** (-m) >= 1e-20]  # the terms until n^{-m} < 1e-20 or n > 64
+        arg, den, step = np.array([[TWO_PI * n] for n in ns]), np.array([[float(n**m)] for n in ns]), max(1, _BLOCK // len(ns))
+        for j in range(0, v.size, step):  # at most _BLOCK terms at a time
+            terms = 2.0 * np.cos(arg * v[j : j + step] + -0.5 * math.pi * m) / den
+            out[i, j : j + step] = np.subtract.accumulate(np.concatenate([np.zeros((1, terms.shape[1])), terms]), axis=0)[-1]
+    return out
 
 
 def _phi_bernoulli_orders(v: float, mmax: int) -> list[float]:
@@ -540,22 +541,24 @@ def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas
     of adding the far tail; and whether the row stops there: its remainders
     meet the tolerance for a tail of its size, or u0 is past the cap."""
     v = u0 - alphas if u0 < 2.0**52 else -alphas
-    coeffs = [(-1.0) ** (k + 1) * (_phi_bernoulli_rows(k + 2, v) / TWO_PI ** (k + 2)) for k in range(_K_TAIL - 1)]
-    vals = sums[0] + _far_tail(rows_all, b, u0, np.transpose(coeffs)).T
+    coeffs = _phi_bernoulli_rows(range(2, _K_TAIL + 1), v) / np.array([[TWO_PI**m] for m in range(2, _K_TAIL + 1)])
+    coeffs *= np.array([[(-1.0) ** (m - 1)] for m in range(2, _K_TAIL + 1)])
+    vals = sums[0] + _far_tail(rows_all, b, u0, coeffs.T).T
     stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | (u0 > 5e6)
     return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
 
 
-def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, list[tuple[list[complex], list[float]]]]:
+def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The first cutoff u of _tail_cutoffs at which every row of
     psi_tail_powers_batch(u, alphas, b, rmax) stops with nothing marched,
-    and that batch's result, bit for bit: from u it marches over no interval."""
+    and that batch's result, bit for bit, as (rmax + 1, rows) values and
+    bounds: from u it marches over no interval."""
     alphas = np.array(alphas, dtype=float)
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
         vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
         if done.all():
-            return u0, list(zip(vals.T.tolist(), errs.T.tolist()))
+            return u0, vals, errs
 
 
 def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from zetalab.bounds import (
+    DEFAULT_ALPHA_GRID,
     berndt_bound,
     certify_polya_vinogradov,
     certify_T2_Ib,
@@ -12,7 +14,18 @@ from zetalab.bounds import (
     ishikawa_compare,
 )
 from zetalab.characters import character, enumerate_characters, euler_phi, partial_character_sum
-from zetalab.coefficients import _lerch_at_one, beta_coefficient_all, l_deriv_at_0_truncated, stieltjes_gamma_all
+from zetalab.coefficients import (
+    _beta_all,
+    _gamma_all,
+    _lerch_at_one,
+    _truncated_all,
+    beta_coefficient_all,
+    l_deriv_at_0_truncated,
+    l_deriv_at_1_truncated,
+    stieltjes_gamma_all,
+)
+from zetalab.evaluate import _cores
+from zetalab.sawtooth import _tail_cutoff
 
 EPS = 2.0**-53  # unit roundoff of binary64
 
@@ -221,6 +234,43 @@ def test_t2_measured_deviations_take_in_the_error_bound():
     lerch = _lerch_at_one(r, 0.5, alpha)[r]
     main = (-1.0) ** r * math.log(alpha) ** r / (math.factorial(r) * alpha)
     assert case.measured == abs(lerch.value - main) + lerch.error_bound
+
+
+def test_t2_grid_batch_equals_the_per_alpha_passes():
+    # certify_T2_Ib and certify_T2_IIb send their whole alpha grid through one
+    # Z core pass; at the default grid every alpha stops at the same cutoff, so
+    # the batch is each alpha's own pass, values and bounds bit for bit
+    grid = list(DEFAULT_ALPHA_GRID)
+    for s, orders in ((1.0 + 0j, range(21)), (0j, range(1, 21))):
+        split = _cores(s, 1, grid, orders, None)[0]
+        assert all(split == _tail_cutoff([alpha], -s - 1.0, 20)[0] for alpha in grid), s
+    gam, bet = [stieltjes_gamma_all(20, alpha) for alpha in grid], [beta_coefficient_all(20, alpha) for alpha in grid]
+    assert _gamma_all(20, grid, 1) == gam and _beta_all(20, grid) == bet
+    # each certified case is the per-alpha pass's deviation plus error_bound
+    for case in certify_T2_Ib().cases:
+        r, alpha = case.parameters["r"], case.parameters["alpha"]
+        g = gam[grid.index(alpha)][r]
+        assert case.measured == (abs(g.value.real - math.log(alpha) ** r / alpha) + g.error_bound) / math.factorial(r)
+    for case in certify_T2_IIb().cases:
+        r, alpha = case.parameters["r"], case.parameters["alpha"]
+        b = bet[grid.index(alpha)][r]
+        assert case.measured == abs(b.value.real - (-1.0) ** r * math.log(alpha) ** r / math.factorial(r)) + b.error_bound
+
+
+def test_t3_truncated_sums_weigh_one_kernel_pass_per_order():
+    # sum_{n <= X} chi(n) log^r n / n^s as sum_a chi(a) S_a: the batch of every
+    # primitive character mod q is each character's own value, bit for bit,
+    # and the direct n-sum agrees to within the rounding of its terms
+    for q in (5, 11):
+        prim = [c for c in enumerate_characters(q) if c.is_primitive and not c.is_principal]
+        for r in (1, 4):
+            for point, fn in ((1, l_deriv_at_1_truncated), (0, l_deriv_at_0_truncated)):
+                batch = _truncated_all(r, prim, point)
+                assert batch == [fn(r, chi) for chi in prim]
+                n = np.arange(1, math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12) + 1)
+                for chi, res in zip(prim, batch):
+                    terms = np.asarray(chi.values)[n % q] * np.log(n) ** r / n**point
+                    assert abs(res.value - (-1.0) ** r * terms.sum()) <= 1e-13 * np.abs(terms).sum(), (q, chi.label, r, point)
 
 
 def test_ishikawa_informational():

@@ -463,8 +463,10 @@ def test_tail_log_power_is_capped(capsys):
 # (the default-split `eval --kind lerch` and `coeff --kind lerch` entries)
 # when the Lerch default split moved to its oscillatory tails' cutoff; the
 # `certify --bound polya` entry when its partial sums became one cumsum per
-# modulus (maxima within 2 ulp), and `certify --bound t2-ib|t2-iib` when
-# their measured deviations took in the value's error_bound
+# modulus (maxima within 2 ulp), `certify --bound t2-ib|t2-iib` when
+# their measured deviations took in the value's error_bound, and `certify
+# --bound t3` when its truncated sums became one finite-sum kernel pass per
+# (modulus, point, order) weighed for every character
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -477,7 +479,7 @@ GOLDEN_DIGESTS = [
         "bcd862afbc06d23d09915b8fd94f9ee96e3f0a919d5888cdc0d76f0e4236c2ac",
     ),
     (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
-    (["certify", "--bound", "t3"], "a3d3835e963b544efaa755b4a21f8075b6cea21b05aad74350cd8cd2cb69be56"),
+    (["certify", "--bound", "t3"], "70024a0731fab42d5124b15aa04b85b4efb4f0fc5eeb58aa943e83e42edcaf8a"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
         "5a9a0bfaa588e5320a99d06b4c55f3e4f641ca19e66c00ed00ecd10740b2106b",
@@ -564,6 +566,22 @@ GOLDEN_DIGESTS = [
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
         "04688714f0f731aaf20f55f1a8be2da29d197e2f06e0161d012a256554746b3a",
+    ),
+    # recorded before every residue class and order of a request came from one
+    # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span
+    # more than one row block, and a split X = 6.5 below q = 13, where the
+    # classes a > X have an empty finite sum
+    (
+        ["coeff", "--kind", "l-zero", "--q", "977", "--label", "550", "--r-max", "3"],
+        "a327287a7553b7223f3ae6b1d863b04c31ef5f680d7304b676bef672ba03ec5f",
+    ),
+    (
+        ["coeff", "--kind", "gamma-chi", "--q", "977", "--label", "528", "--r-max", "2"],
+        "bb8f8254006b6e65b27f8f4b07b34eeec9853fb70db1d4627fbe45c67525c022",
+    ),
+    (
+        ["eval", "--kind", "l", "--s", "1,0", "--q", "13", "--label", "2", "--r", "1", "--x", "6.5"],
+        "eb9a24473864c97a56956bcca0df46d9d024802ac8f7ca1d8489ad41cd653116",
     ),
 ]
 

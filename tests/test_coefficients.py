@@ -423,20 +423,20 @@ def test_gamma_and_beta_bounds_hold_against_mpmath(alpha):
     # default split and an explicit one; the bounds without rounding failed at
     # alpha = 0.029714 (gamma) and 1e-6 (beta)
     for X in (None, 7.3):
-        gam, bet = _gamma_all(12, alpha, 1, X), _beta_all(12, alpha, X)
+        gam, bet = _gamma_all(12, [alpha], 1, X)[0], _beta_all(12, [alpha], X)[0]
         for r in range(13):
             assert _held(gam[r], stieltjes_oracle(r, alpha)), (alpha, r, X, gam[r])
             assert _held(bet[r], mp.zeta(0, mp.mpf(alpha), r) / math.factorial(r)), (alpha, r, X, bet[r])
-    assert stieltjes_gamma_all(12, alpha) == _gamma_all(12, alpha, 1) and beta_coefficient_all(12, alpha) == _beta_all(12, alpha)
+    assert stieltjes_gamma_all(12, alpha) == _gamma_all(12, [alpha], 1)[0] and beta_coefficient_all(12, alpha) == _beta_all(12, [alpha])[0]
 
 
 @pytest.mark.parametrize("a, q", [(1, 2), (2, 5), (3, 7), (7, 12)])
 def test_gamma_aq_bounds_hold_against_mpmath(a, q):
     for X in (None, 7.3):
-        gam = _gamma_all(12, a, q, X)
+        gam = _gamma_all(12, [a], q, X)[0]
         for r in range(13):
             assert _held(gam[r], gamma_aq_oracle(r, a, q)), (a, q, r, X, gam[r])
-    assert _gamma_aq_all(12, a, q) == _gamma_all(12, a, q) and gamma_aq(12, a, q) == _gamma_all(12, a, q)[12]
+    assert _gamma_aq_all(12, a, q) == _gamma_all(12, [a], q)[0] and gamma_aq(12, a, q) == _gamma_all(12, [a], q)[0][12]
 
 
 @pytest.mark.parametrize("q, label, rmax", [(5, 1, 12), (12, 2, 6), (30, 3, 4)])

@@ -14,10 +14,11 @@ from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
     _pole_term,
+    _progression_sum,
     _psi_at_split,
     _s_tail,
+    _cores,
     _split_floor,
-    _z_core,
     hurwitz_deriv,
     l_deriv,
     lerch_deriv,
@@ -275,7 +276,8 @@ def test_l_deriv_matches_the_per_class_loop_with_empty_classes():
             val, err, cores = 0.0 + 0.0j, 0.0, []
             for a in range(1, q + 1):
                 if chi(a) != 0:
-                    core, cerr = _z_core(s, a, q, r, X, psi_tail_powers(X / q, a / q, -s - 1.0, r))
+                    _, core, cerr = _cores(s, q, [a], [r], X)
+                    core, cerr = complex(core[0, 0]), float(cerr[0, 0])
                     val += chi(a) * core
                     err += cerr
                     cores.append(core)
@@ -525,6 +527,65 @@ def test_lerch_tails_not_worth_passing_are_walked():
         lerch_deriv(LerchArgs(lam=lam, alpha=0.7, s=0.5 + 1000j, order=1))
     # 21 orders cost more per unit than any tail's panels: no tail is passed
     lerch_taylor_at_1(20, 1e-4, 0.7)
+
+
+def ref_progression_sum(a, q, kmax, s, r, lam, block):
+    """One row and one order of the finite-sum kernel as documented (reference):
+    blocks of `block` terms, each summed as one array, added left to right,
+    with the rounding term."""
+    val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
+    for k0 in range(0, kmax + 1, block):
+        k = np.arange(k0, min(k0 + block, kmax + 1), dtype=float)
+        logs = np.log(a + q * k)
+        terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+        if lam:
+            terms = terms * np.exp(2j * np.pi * lam * k)
+        part = complex(terms.sum())
+        val = val + part if blocks else part
+        blocks += 1
+        mag, al = np.abs(terms), np.abs(logs)
+        mags += float(mag.sum())
+        lmags += float((mag * al).sum())
+        kmags += float((mag * k).sum())
+        if r and not k0:
+            near = (al[:3] > 0.0) & (al[:3] < 1.0)
+            head = r * float((mag[:3][near] / al[:3][near]).sum())
+    depth = math.log2(min(kmax + 1, block) + 1) + 20 + blocks
+    phase = 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags if lam else 0.0
+    return val, EPS * (3.0 * abs(s) * lmags + (abs(s) + 3 * r + 8 + 1.5 * depth) * mags + head + phase)
+
+
+@pytest.mark.parametrize("block, row_block", [(8, 8), (1 << 15, 1 << 13)])
+def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, block, row_block):
+    # every residue class of a split below and above q (two row lengths, empty
+    # classes beyond X), and rows out of order with lengths from 0 to 41; at
+    # blocks of 8 terms a row spans six blocks and a block holds one row
+    monkeypatch.setattr(evaluate, "_SUM_BLOCK", block)
+    monkeypatch.setattr(evaluate, "_ROW_BLOCK", row_block)
+    cases = [(13, np.arange(1.0, 14.0), 30.5), (13, np.arange(1.0, 14.0), 7.5), (1, np.array([0.3, 1.0, 0.05, 0.7]), None)]
+    for q, a, X in cases:
+        kmax = _split_floor((X - a) / q) if X else np.array([3, -1, 40, 0])
+        for s, lam in ((0.5 + 300j, 0.0), (1.0 + 0j, 0.0), (0.7 - 20j, 0.3 if q == 1 else 0.0)):
+            orders = [0, 1, 4]
+            vals, errs = _progression_sum(a, q, kmax, s, orders, lam)
+            assert vals.shape == errs.shape == (len(orders), a.size)
+            for i, r in enumerate(orders):
+                for j in range(a.size):
+                    want = ref_progression_sum(float(a[j]), q, int(kmax[j]), s, r, lam, block)
+                    assert repr((complex(vals[i, j]), float(errs[i, j]))) == repr(want), (q, X, s, r, j)
+
+
+def test_all_classes_sum_in_flat_memory():
+    # l_deriv at q = 1009, t = 1000 sums 1008 classes of about 2030 terms each;
+    # blocks of at most _SUM_BLOCK terms in all keep the arrays small (one
+    # (classes x terms) array of complex terms is 33 MB)
+    tracemalloc.start()
+    try:
+        l_deriv(0.5 + 1000j, character(1009, 1), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_default_split_sums_in_blocks():

@@ -864,7 +864,7 @@ def test_fourier_bernoulli_rows_match_the_scalar_series():
     v = np.concatenate([rng.uniform(-3.0, 5000.0, 300), [0.0, -0.25, 0.5, 2.0**40 + 0.75]])
     for m in (13, 14, 20):
         want = np.array([sawtooth._phi_bernoulli(m, float(x)) for x in v])
-        assert np.all(np.abs(sawtooth._phi_bernoulli_rows(m, v) - want) <= 8.0 * sawtooth._EPS)
+        assert np.all(np.abs(sawtooth._phi_bernoulli_rows([m], v)[0] - want) <= 8.0 * sawtooth._EPS)
 
 
 @pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])
@@ -873,7 +873,7 @@ def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     march = sawtooth._march
     monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
     alphas = [a / q for a in range(1, q + 1)]
-    u, at_cutoff = sawtooth._tail_cutoff(alphas, b, rmax)
+    u, vals, errs = sawtooth._tail_cutoff(alphas, b, rmax)
     first = sawtooth._first_cutoff(complex(b), rmax)
     assert u / first == 2.0 ** round(math.log2(u / first))  # one of the batch's own cutoffs
     got = psi_tail_powers_batch(u, alphas, b, rmax)
@@ -881,4 +881,5 @@ def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     want = [ref_psi_tail_powers(u, alpha, b, rmax) for alpha in alphas]
     _assert_within_bounds(got, want)
     assert [bounds for _, bounds in got] == [bounds for _, bounds in want]  # nothing marched, no rounding booked
+    at_cutoff = list(zip(vals.T.tolist(), errs.T.tolist()))
     assert repr(at_cutoff) == repr(got)  # the search hands over the batch's result, bit for bit

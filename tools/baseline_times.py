@@ -1,0 +1,64 @@
+"""In-process timings of the ROADMAP Baseline rows that serve as "done when"
+targets: the best of N calls of each, timed with time.perf_counter.
+
+    l_deriv q=1009            l_deriv at q = 1009, label 1, s = 0.5+1000i, r = 1
+    L2(1,chi) all chi 1009    L^{(2)}(1, chi) for every non-principal chi mod
+                              1009 in one batch (characters built beforehand)
+    certify_T3 101 103 107    certify_T3(q_set=(101, 103, 107))
+    stieltjes_gamma_all 20    stieltjes_gamma_all(20, 0.3)
+    certify_T2_Ib             certify_T2_Ib() at its default grid
+    hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
+
+Run it from the root of a checkout, or give the root of another checkout
+to time that one (so that two commits are timed in the same window):
+
+    python3 tools/baseline_times.py                    # this checkout, best of 5
+    python3 tools/baseline_times.py ../other --repeat 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+
+def _best(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+
+    from zetalab.bounds import certify_T2_Ib, certify_T3
+    from zetalab.characters import character, enumerate_characters
+    from zetalab.coefficients import l_deriv_at_1_exact_all, stieltjes_gamma_all
+    from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
+
+    chi = character(1009, 1)
+    chars = [c for c in enumerate_characters(1009) if not c.is_principal]
+    rows = [
+        ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
+        ("L2(1,chi) all chi 1009", lambda: l_deriv_at_1_exact_all(2, chars)),
+        ("certify_T3 101 103 107", lambda: certify_T3(q_set=(101, 103, 107))),
+        ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
+        ("certify_T2_Ib", certify_T2_Ib),
+        ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
+    ]
+    for name, fn in rows:
+        print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
