@@ -22,6 +22,9 @@ The L-function variant applies the same core per residue class through
 Z^{(r)}(s,a,q) = sum_l C(r,l)(-log q)^{r-l} q^{-s} zeta^{(l)}(s, a/q)
 with split X/q, so the cutoff becomes y = q t/(2 pi X).
 
+The dual segments and tails are Gauss-Legendre panels sized by their whole
+phase 2 pi n u - t log u (sawtooth._walk); +-n share each tail's cutoff, and
+every panel is charged to the work budget before any term is summed.
 Gamma-factor derivatives are analytic (digamma/trigamma log-derivatives),
 which caps the order at r <= 2.
 """
@@ -39,7 +42,7 @@ from .sawtooth import (
     EvalResult,
     _check_alpha,
     _check_work,
-    _dual_walk_panels,
+    _dual_cutoffs,
     psi_tail_powers,
     pure_osc_tail_powers,
     segment_osc_power_log,
@@ -89,7 +92,8 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
     truncation and quadrature.
 
     The finite sum and the walks of the dual sum are charged to the work
-    budget before any term; the alpha-free dual terms are kept in duals[r]."""
+    budget before any term (_dual_cutoffs); the alpha-free dual terms are kept
+    in duals[r]."""
     t = s.imag
     y = t / (_TWO_PI * x)
     nmid = math.floor(y + 1e-12)
@@ -97,7 +101,7 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
         raise ValueError("a nonempty dual sum needs Re(s) < 1 (singular segment integrals at Re(s) = 1)")
     nmax = _split_floor(x - alpha)
     _check_work(nmax + 1)
-    _check_work(_dual_walk_panels(-s - 1.0, r, x, nmid))
+    cuts = _dual_cutoffs(s, r, x, nmid) if r not in duals else None
     # finite (n + alpha)-sum, with its rounding
     val, err = (x.item() for x in _progression_sum([alpha], 1, [nmax], s, [r]))
     # sawtooth boundary, with the |n| > y Fourier remainder folded in
@@ -114,7 +118,7 @@ def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[
     if r not in duals:
         duals[r] = [
             (nn, gamma_factor_derivs(s, nn, r)[r], segment_osc_power_log(nn, -s, r, x)[r])
-            + _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x), s, r)
+            + _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x, cuts[n - 1]), s, r)
             for n in range(1, nmid + 1) for nn in (n, -n)
         ]
     for nn, g, seg, tail, terr in duals[r]:

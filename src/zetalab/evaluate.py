@@ -56,7 +56,7 @@ from .sawtooth import (
     _check_order,
     _check_work,
     _first_cutoff,
-    _osc_final_cutoff,
+    _osc_cutoff,
     _tail_cutoff,
     psi_osc_tail_powers,
     psi_tail_powers_batch,
@@ -417,19 +417,19 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
 
 def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tuple[float, list]:
     """The default split x of the Lerch core for n orders up to rmax, and the
-    final cutoffs (_osc_final_cutoff) of the pure tail at -s and the
+    final cutoffs (_osc_cutoff) of the pure tail at -s and the
     sawtooth-weighted tails at -s and -s-1 that it passes, None for a tail
     it walks: x = max(default_split, the final cutoff of each tail worth
     passing), so a passed tail walks no panel.  A tail is worth passing if,
-    per unit of u, the n finite-sum terms cost less than the panels they
-    replace: 2 for the two sawtooth-weighted tails (a panel per unit each),
-    lam/0.45 for the pure one (a panel per 0.45/lam).  Where the sum to that
+    per unit of u, the n finite-sum terms cost less than a fixed price for
+    its panels: 2 for the two sawtooth-weighted tails, lam/0.45 for the pure
+    one (fixed, so the split does not move with the walk).  Where the sum to that
     x would exceed the work budget, no tail is passed: the split is
     default_split, and the tails charge their own walks."""
     x = default_split(s, alpha)
     term = n * _TERM_COST
-    cuts = [_osc_final_cutoff(lam, -s, rmax, x, False) if term < lam / 0.45 else None]
-    cuts += [_osc_final_cutoff(lam, b, rmax, x, True) if term < 2.0 else None for b in (-s, -s - 1.0)]
+    cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if term < lam / 0.45 else None]
+    cuts += [_osc_cutoff(lam, b, rmax, x, True, True) if term < 2.0 else None for b in (-s, -s - 1.0)]
     passed = max([x] + [cut[1] for cut in cuts if cut])
     if not term * (_split_floor(passed - alpha) + 1) <= _WORK_BUDGET:
         return x, [None] * 3
@@ -445,8 +445,8 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     e^{2 pi i lam u} u^{-s} log^m u (P_m), and of psi(u - alpha) w(u) log^m u
     times u^{-s} (V_m) and u^{-s-1} (W_m): one pass each, at the largest order.
 
-    The bound adds to the tails' (their own rounding not booked) the rounding
-    of the finite sum (with its phase); of the boundary term, and of its phase
+    The bound adds to the tails' (the rounding of their far tails not booked)
+    that of the finite sum (with its phase); of the boundary term, and of its phase
     w(x), eps (4 (2 pi lam (x - alpha)) + 5), with 2 pi lam in the jump at a
     lattice point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5);
     of 2 pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""

@@ -36,9 +36,12 @@ the plain tail's cutoffs and where its rows stop; the search for the
 final one (_tail_cutoff) returns the tails from there, where nothing is
 marched and so no rounding is booked.
 
-Oscillatory tails combine 32-node Gauss-Legendre panels (at most ~half a
-cycle each) with repeated integration by parts against the exponential
-beyond an adaptive cutoff; the sawtooth-weighted variant expands
+Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
+integration by parts against the exponential beyond an adaptive cutoff.
+Panels are sized by the whole phase 2 pi nu u + Im b log u: each turns it
+by at most a budget _THETA and spans at most a factor 1.6 (2 for the
+segments from 0), their break points the level sets of one closed-form
+count found in one array pass (_walk).  The sawtooth-weighted variant expands
 psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies n + nu and
 sums the boundary terms of all parts in closed form, from one row of
 periodic Bernoulli values shared by all K parts.  One panel kernel serves
@@ -47,12 +50,12 @@ bit the one-panel-at-a-time loop (np.vecdot per panel, which is np.dot's
 BLAS dot, and panel sums added left to right).  A sawtooth-weighted tail
 whose cutoff reaches 2^52 is refused: from there alpha and the phase
 2 pi nu u are lost to rounding.  A tail given its final cutoff
-(_osc_final_cutoff, which doubles the first on the closed-form remainder
-alone) from a split at or past it walks no panel: it is its far tail.
+(_osc_cutoff, which doubles the first on the closed-form remainder alone)
+from a split at or past it walks no panel: it is its far tail.
 
 Error bounds here cover truncation and quadrature, and the rounding of
-the plain tail's march; not that of the far-tail expansions or of the
-oscillatory panels.  The Hurwitz, Z and L routes of evaluate, and the
+the plain tail's march and of the oscillatory panels; not that of the
+far-tail expansions.  The Hurwitz, Z and L routes of evaluate, and the
 coefficient routes that read their core, add the rounding of what they
 assemble from these tails, the far tails' phase included.
 """
@@ -99,8 +102,8 @@ def _check_alpha(alpha: float) -> None:
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
-    routes and their coefficient readings; the march's for a plain tail;
-    all but the oscillatory tails' for the Lerch routes)."""
+    routes and their coefficient readings; the march's and the panels' for a
+    tail; all but the oscillatory far tails' for the Lerch routes)."""
 
     value: complex
     error_bound: float
@@ -608,124 +611,150 @@ def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_SPAN = 1.0 + _GL_NODES  # nodes a + h (1 + x) from a panel's left end a: neighbouring panels share each end
 _PANEL_BLOCK = 512  # panels per (block x 32) array: memory stays flat in the walk's length
+# the phase budget of a panel: f = e^{i phi}, phi' <= omega, on a panel of
+# half-width h grows to e^{omega h (rho - 1/rho)/2} on the Bernstein ellipse E_rho,
+# and 32-node Gauss-Legendre errs by at most (64/15) max|f on E_rho| rho^{-64}/
+# (rho^2 - 1) (Trefethen, ATAP ch. 19): at omega h = _THETA/2 = 12 and rho = 5,
+# clear of u = 0 by the geometric limits, 4.3 e^{28.8} 5^{-64}/24 < 1e-30 max|f|
+_THETA = 24.0
 
 
-def _gl_panels(
-    vals: list[complex],
-    mags: list[float] | None,
-    pts: list[float],
-    nu: float,
-    b: complex,
-    rmax: int,
-    alpha: float | None = None,
-) -> None:
+def _walk_length(lo, hi, nu, c: float, geom: float):
+    """F(hi) - F(lo), F(u) = (2 pi |nu| u + |c| log u)/_THETA + log u/log(1 + geom),
+    elementwise: the turn of the phase 2 pi nu u + c log u over [lo, hi] in
+    budgets _THETA (|phi'| <= 2 pi |nu| + |c|/u) plus its steps u -> (1 + geom) u."""
+    w = np.log1p((hi - lo) / lo)
+    return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / math.log1p(geom)
+
+
+def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
+    """Panel break points over the intervals between the increasing ends, each
+    [lo, hi] cut at the level sets F(u) = F(lo) + k < F(hi) (_walk_length), their
+    count charged to the work budget first, all found at once by Newton's method
+    in w = log(u/lo): F(lo e^w) - F(lo) = a expm1(w) + C w is convex, so from
+    min(k/C, log1p(k/a)), above the root, it descends to it.  A walk whose break
+    points round together is refused."""
+    ends = np.asarray(ends, dtype=float)
+    lo, hi = ends[:-1], ends[1:]
+    n = np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c, geom)), 1.0), 0.0)
+    _check_work(n.sum())
+    n = n.astype(np.int64)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
+    base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / math.log1p(geom)
+    a = TWO_PI * abs(nu) / _THETA * base
+    w, ak = np.minimum(k / C, np.log1p(k / a)) if nu else k / C, a + k
+    tol = 8.0 * _EPS * (1.0 + w.max(initial=0.0))
+    for _ in range(60):
+        e = a * np.exp(w)
+        step = (e + C * w - ak) / (e + C)
+        w -= step
+        if np.abs(step).max(initial=0.0) <= tol:
+            break
+    pts = np.append(np.where(k > 0, np.minimum(base + base * np.expm1(w), np.repeat(hi, n)), base), ends[-1])
+    if not (pts[1:] > pts[:-1]).all():
+        raise ValueError(f"panel break points no longer change u = {pts[:-1][pts[1:] <= pts[:-1]][0]:.6g}")
+    return pts
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
+def _gl_panels(vals: list[complex], errs: list[float] | None, pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
     """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
-    e^{2 pi i nu u} u^b log^m u into vals, m = 0..rmax.
+    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals; with alpha given, of
+    psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose panels must not
+    straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the
+    half-width); the integrand e^{Re b L} (cos theta + i sin theta) L^m, L =
+    log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos theta +
+    i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's
+    tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
 
-    With alpha given the integrand carries psi(u-alpha) e^{-2 pi i nu alpha},
-    so the panels must not straddle a sawtooth kink.  mags, when given,
-    collects sum |w f| per power.
+    errs, when given, collects per power the quadrature and the rounding,
+    sum |w f| (1e-15 + eps kappa), kappa = 6 (2 pi |nu| u) + 3 (|Re b| +
+    |Im b|) (|L| + 1) + 2 m + 67 per node, plus 3 m eps |w f_{m-1}| and, with
+    alpha, eps (4 u + 2) |w f/psi|, and eps |partial sum| per panel.  For the
+    computed node, within 3 eps u of the Gauss node, that covers its offset
+    (theta by 3 eps (2 pi |nu| u + |Im b|), e^{Re b L} by 3 eps |Re b|, L^m by
+    3 m eps |L|^{m-1}, psi by 3 eps u); theta/2, 3 eps (2 pi |nu| (u + alpha) +
+    |Im b| |L|), 2 pi alpha < 7; e^{Re b L}, eps (2 |Re b| |L| + 1); psi, 2 eps
+    (u - k is exact) and eps u per unit of u for the sliver at a rounded kink;
+    L^m, (2 m - 1) eps; the tangent (2 eps) and the phase formed from it
+    (8 eps); the products with psi and L^m, 2 eps; the weights, the 32-term
+    dot and half times it, 35 eps.
 
     Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
     each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
     in another order), and the panels are added left to right.
     """
     pts = np.asarray(pts, dtype=float)
-    shift = cmath.exp(-2j * math.pi * nu * alpha) if alpha is not None else None
+    pi_nu, shift = math.pi * nu, 0.0 if alpha is None else math.pi * nu * alpha
     for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
         ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
         half = 0.5 * (ends[1:] - ends[:-1])
-        mid = 0.5 * (ends[:-1] + ends[1:])
-        u = mid[:, None] + half[:, None] * _GL_NODES
-        base = np.exp(2j * math.pi * nu * u) * np.exp(b * np.log(u))
-        if alpha is not None:
-            # psi(u - alpha) is linear inside each panel; phase shifted by alpha
-            base = base * (u - alpha - np.floor(mid - alpha)[:, None] - 0.5) * shift
+        u = ends[:-1, None] + half[:, None] * _GL_SPAN
         logs = np.log(u)
-        lp = np.ones_like(u)
+        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)  # tan(theta/2)
+        tt, amp = t * t, np.exp(b.real * logs)
+        # psi(u - alpha) is linear inside each panel
+        mag = amp if alpha is None else amp * (u - np.floor(ends[:-1] + half - alpha)[:, None] - alpha - 0.5)
+        g = mag / (1.0 + tt)
+        base = np.empty(u.shape, dtype=complex)
+        base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
+        if errs is not None:
+            mag = np.abs(mag)
+            book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
+            book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
+        lp, alp = np.ones_like(u), None
         for m in range(rmax + 1):
-            fv = base * lp
-            vals[m] = complex(np.add.accumulate(np.append(vals[m], half * np.vecdot(_GL_WEIGHTS, fv)))[-1])
-            if mags is not None:
-                mags[m] = float(np.add.accumulate(np.append(mags[m], half * np.vecdot(_GL_WEIGHTS, np.abs(fv))))[-1])
+            acc = np.add.accumulate(np.append(vals[m], half * np.vecdot(_GL_WEIGHTS, base * lp)))
+            vals[m] = complex(acc[-1])
+            if errs is not None:
+                prev, alp = alp, np.abs(lp)
+                e = book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book
+                errs[m] = float(np.add.accumulate(np.append(errs[m], half * np.vecdot(_GL_WEIGHTS, e) + _EPS * np.abs(acc[1:])))[-1])
             lp = lp * logs
-
-
-def _walk(u: float, step_of, step_cap: float, end: float, stop: float) -> list[float]:
-    """Break points u, ... of u = min(u + min(step_of(u), step_cap), end) while
-    u < stop (step_of grows with u): the constant run by np.add.accumulate,
-    left to right, so the loop's floats.  A run that stops moving is refused."""
-    pts = [u]
-    while u < stop and (step := step_of(u)) < step_cap:
-        u = min(u + step, end)
-        pts.append(u)
-    while u < stop:
-        run = np.add.accumulate(np.r_[u, np.full(min(int((stop - u) / step_cap) + 2, 1 << 16), step_cap)])
-        if not run[-1] > u:
-            raise ValueError(f"panel steps of {step_cap:.3g} no longer change u = {u:.6g}")
-        pts.extend(np.minimum(run[1 : np.searchsorted(run, stop) + 1], end).tolist())
-        u = pts[-1]
-    return pts
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
 
 
-def _osc_reach(b: complex, rmax: int) -> float:
-    """pi |nu| times the first cutoff of pure_osc_tail_powers (pi (1 - nu) times
-    that of psi_osc_tail_powers), before the floors x and 8 (12)."""
-    return abs(b) + rmax + _K_OSC + 6.0
-
-
-def _osc_first(nu: float, b: complex, rmax: int, x: float, weighted: bool) -> tuple[float, float]:
-    """The first cutoff from x of pure_osc_tail_powers (psi_osc_tail_powers if
-    weighted) and the scale of its remainders: (2 pi |nu|)^{-K} (S_K(nu))."""
+def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, final: bool = False):
+    """The cutoff x0 from x of pure_osc_tail_powers (psi_osc_tail_powers if
+    weighted), the far-tail rows of g_m = u^b log^m u (m = 0..rmax) and the
+    remainders (2 pi |nu|)^{-K} (S_K(nu)) int_x0^inf |g_m^{(K)}|.  From reach/
+    (pi |nu|) (reach/(pi (1 - nu))) floored at x and 8 (12), x0 doubles on the
+    remainder alone until each meets _TOL_ABS, while the walk from x to 2 x0
+    stays under a cap, 4000 max(0.45/|nu|, 0.5) (4000), and x0 under 5e7.  The
+    final cutoff, with no cap as nothing is walked, meets max(_TOL_ABS, _TOL_REL
+    |g_m(x0)|) (an absolute tolerance sends high log powers far out, and the
+    finite sum with them): the tail from a split at or past it walks no panel."""
+    b, anu, reach = complex(b), abs(nu), abs(b) + rmax + _K_OSC + 6.0
     if weighted:
-        return max(x, _osc_reach(b, rmax) / (math.pi * (1.0 - nu)), 12.0), _osc_remainder_const(_K_OSC, nu)
-    anu = abs(nu)
-    return max(x, _osc_reach(b, rmax) / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC)
-
-
-def _osc_cutoff(b: complex, rmax: int, x: float, x0: float, scale: float, panel_cap: float, rel: float = 0.0):
-    """The far-tail rows of g_m = u^b log^m u (m = 0..rmax), the cutoff and
-    its remainders scale * int_x0^inf |g_m^{(K)}|.
-
-    x0 doubles on the closed-form remainder alone until each remainder meets
-    max(_TOL_ABS, rel |g_m(x0)|), while the walk from x to 2 x0 stays under
-    the caller's panel cap (which keeps the growth inside the work budget)
-    and x0 under 5e7.
-    """
+        x0, scale, cap = max(x, reach / (math.pi * (1.0 - nu)), 12.0), _osc_remainder_const(_K_OSC, nu), 4000.0
+    else:
+        x0, scale, cap = max(x, reach / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC), 4000.0 * max(0.45 / anu, 0.5)
+    cap, rel = (math.inf, _TOL_REL) if final else (cap, 0.0)
     rows_all = [_deriv_rows(b, r, _K_OSC) for r in range(rmax + 1)]
     while True:
         rems = _far_remainders(rows_all, b, x0, scale)
         size = x0**b.real
         met = all(rem <= max(_TOL_ABS, rel * size * math.log(x0) ** m) for m, rem in enumerate(rems))
-        if met or not (2.0 * x0 - x < panel_cap and x0 < 5e7):
+        if met or not (2.0 * x0 - x < cap and x0 < 5e7):
             return rows_all, x0, rems
         x0 *= 2.0
-
-
-def _osc_final_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool):
-    """The final cutoff from x of pure_osc_tail_powers (psi_osc_tail_powers if
-    weighted), with its far-tail rows and remainders: the first cutoff
-    doubled on the remainder alone, with no panel cap as nothing is walked,
-    to a tolerance relative to the integrand there (an absolute one sends
-    high log powers far out, and the finite sum and its rounding with
-    them).  Passed as that tail's cutoff from a split at or past it, the
-    tail walks no panel."""
-    b = complex(b)
-    return _osc_cutoff(b, rmax, x, *_osc_first(nu, b, rmax, x, weighted), math.inf, _TOL_REL)
 
 
 def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
     """int_x^inf e^{2 pi i nu u} u^b log^m u du for m = 0..rmax.
 
     Requires nu != 0 and Re(b) < 0.  Gauss-Legendre panels to an adaptive
-    cutoff, then K integrations by parts against the exponential with the
-    remainder bounded by (2 pi |nu|)^{-K} int |g^{(K)}|.  A cutoff from
-    _osc_final_cutoff at or below x walks no panel: the far tail is expanded
-    at x, under the remainders at that cutoff (they fall as it rises).
+    cutoff, each turning the phase 2 pi nu u + Im b log u by at most _THETA
+    and spanning at most a factor 1.6 (_walk), then K integrations by parts
+    against the exponential with the remainder bounded by (2 pi |nu|)^{-K}
+    int |g^{(K)}|.  The bounds add the panels' quadrature and rounding
+    (_gl_panels).  A final cutoff (_osc_cutoff) at or below x walks no panel:
+    the far tail is expanded at x, under the remainders at that cutoff (they
+    fall as it rises).
     """
     b = complex(b)
     if nu == 0.0:
@@ -733,37 +762,35 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
     if b.real >= 0.0:
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
     K = _K_OSC
-    anu = abs(nu)
-    step_cap = 0.45 / max(anu, 1e-12)
     if cutoff is None:
         # the deep by-parts expansion keeps x0 (hence panel rounding) small
-        x0, scale = _osc_first(nu, b, rmax, x, False)
-        _check_work((x0 - x) / step_cap)
-        cutoff = _osc_cutoff(b, rmax, x, x0, scale, 4000.0 * max(0.45 / anu, 0.5))
+        cutoff = _osc_cutoff(nu, b, rmax, x, False)
     rows_all, x0, rems = cutoff
     x0 = max(x0, x)
-    pts = _walk(x, lambda u: max(0.5, 0.6 * u), step_cap, x0, x0 - 1e-12)
-    vals = [0.0 + 0.0j] * (rmax + 1)
-    mags = [0.0] * (rmax + 1)
-    _gl_panels(vals, mags, pts, nu, b, rmax)
+    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
+    if x0 > x:
+        _gl_panels(vals, errs, _walk([x, x0], nu, b.imag, 0.6), nu, b, rmax)
     iw = 1.0 / (2j * math.pi * nu)
     coeffs = [iw]
     for _ in range(K - 1):
         coeffs.append(coeffs[-1] * -iw)
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     phase = cmath.exp(2j * math.pi * nu * x0)
-    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
+    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
-def _dual_walk_panels(b: complex, rmax: int, x: float, nmax: int) -> float:
-    """About how many panels segment_osc_power_log(n, ., rmax, x) and
-    pure_osc_tail_powers(n, b, rmax, x) walk for n = +-1..+-nmax: n x0_n / 0.45,
-    x0_n = max(x, c/n, 8) the first cutoff, c = _osc_reach(b, rmax)/pi, summed
-    in closed form, split where c/n falls below max(x, 8)."""
-    c = _osc_reach(b, rmax) / math.pi
-    floor = max(x, 8.0)
-    k = min(nmax, math.floor(c / floor))
-    return 2.0 * (k * c + floor * (nmax * (nmax + 1) - k * (k + 1)) / 2.0) / 0.45
+def _dual_cutoffs(s: complex, rmax: int, x: float, nmax: int) -> list:
+    """The cutoffs of pure_osc_tail_powers(+-n, -s - 1, rmax, x), n = 1..nmax,
+    each charged to the work budget, with the panels (at most _walk_length + 1
+    a walk) of both tails and both segments, before the next is found: every n
+    adds at least 4n (2 pi n u over [0.04, 8]), so a refusal comes within 1000."""
+    cuts, panels = [], 0.0
+    for n in range(1, nmax + 1):
+        cuts.append(_osc_cutoff(n, -s - 1.0, rmax, x, False))
+        tail = _walk_length(x, max(cuts[-1][1], x), n, s.imag, 0.6)
+        panels += 2.0 * (tail + _walk_length(min(x, 0.04 / (TWO_PI * n)), x, n, s.imag, 1.0) + 2.0)
+        _check_work(panels)
+    return cuts
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
@@ -826,37 +853,37 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
 def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
     """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m = 0..rmax.
 
-    Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff;
-    beyond it the sawtooth is expanded in combined frequencies n + nu and
-    each frequency integrated by parts K times, the boundary terms summed
-    in closed form via shifted periodic-Bernoulli series.  A cutoff from
-    _osc_final_cutoff at or below x walks no panel, as in pure_osc_tail_powers.
+    Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff, broken
+    at the kinks of psi(u - alpha) that the march uses, and each interval
+    between them cut further where its phase turns by more than _THETA or it
+    spans more than a factor 1.6 (_walk); beyond the cutoff the sawtooth is
+    expanded in combined frequencies n + nu and each frequency integrated by
+    parts K times, the boundary terms summed in closed form via shifted
+    periodic-Bernoulli series.  The bounds add the panels' quadrature and
+    rounding (_gl_panels).  A final cutoff (_osc_cutoff) at or below x walks
+    no panel, as in pure_osc_tail_powers.
     """
     b = complex(b)
     if not 0.0 < nu < 1.0:
         raise ValueError("sawtooth-weighted oscillatory tail needs oscillation in (0, 1)")
     if b.real >= 0.0:
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
-    K = _K_OSC
     if cutoff is None:
-        # one panel per unit interval, between the kinks of psi(u - alpha) that the march uses
-        x0, scale = _osc_first(nu, b, rmax, x, True)
-        _check_work(x0 - x)
-        cutoff = _osc_cutoff(b, rmax, x, x0, scale, 4000.0)
+        cutoff = _osc_cutoff(nu, b, rmax, x, True)
     rows_all, x0, rems = cutoff
     x0 = max(x0, x)
     _check_kinks(x, x0)
     if not x0 < 2.0**52:
         raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
-    vals = [0.0 + 0.0j] * (rmax + 1)
-    mags = [0.0] * (rmax + 1)
+    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
     if x0 > x:
         first, count = _kinks(x, x0, np.array([alpha]))
-        pts = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
-        _gl_panels(vals, mags, pts, nu, b, rmax, alpha)
-    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
+        _check_work(count[0])  # before the kinks are listed; _walk charges its panels
+        ends = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
+        _gl_panels(vals, errs, _walk(ends, nu, b.imag, 0.6), nu, b, rmax, alpha)
+    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
     tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
-    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
+    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +904,8 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
     """int_0^x e^{2 pi i nu u} u^b log^m u du for m = 0..rmax; Re(b) > -1.
 
     Power series of the exponential near zero (where the power-log factor
-    is integrated in closed form) plus Gauss-Legendre panels on the rest.
+    is integrated in closed form) plus Gauss-Legendre panels on the rest, each
+    turning the phase by at most _THETA and spanning at most a factor 2 (_walk).
     """
     b = complex(b)
     if b.real <= -1.0 + 1e-12:
@@ -901,7 +929,5 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
                 break
     if delta >= x:
         return vals
-    # geometric panels from delta to x, capped at ~half an oscillation each
-    pts = _walk(delta, lambda u: u, 0.45 / max(abs(nu), 1e-12), x, x - 1e-14 * x)
-    _gl_panels(vals, None, pts, nu, b, rmax)
+    _gl_panels(vals, None, _walk([delta, x], nu, b.imag, 1.0), nu, b, rmax)
     return vals

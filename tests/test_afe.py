@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import zetalab.afe as afe
+import zetalab.sawtooth as sawtooth
 from zetalab.afe import afe_hurwitz, afe_l, gamma_factor_derivs
-from zetalab.characters import enumerate_characters
+from zetalab.characters import character, enumerate_characters
 from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
+
+from .oracles import l_oracle
 
 mp.mp.dps = 25
 
@@ -201,3 +204,47 @@ def test_afe_validation(chi4, principal4):
         afe_l(0.5 + 3j, principal4, 0, 4.0)
     with pytest.raises(ValueError):
         afe_hurwitz(1.0 + 30j, 1.0, 0, balanced_split(30.0))  # singular segments
+
+
+# the grid points where the gamma factor of the dual sum overflows (ROADMAP item 16)
+AFE_REFUSED = {(0.9, 250.0)}
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("t", [50.0, 100.0, 200.0, 250.0])
+def test_afe_bounds_hold_against_the_oracles(sigma, t):
+    # the balanced split walks the dual segments and tails; with panels that
+    # followed only e^{2 pi i n u} the value at alpha = 1, s = 0.5+200i was off
+    # by 1.35 against a bound of 5.5e-11
+    s = complex(sigma, t)
+    for r in range(3):
+        if (sigma, t) in AFE_REFUSED:
+            with pytest.raises(OverflowError, match="math range error"):
+                afe_hurwitz(s, 1.0, r, balanced_split(t))
+            continue
+        res = afe_hurwitz(s, 1.0, r, balanced_split(t))
+        assert abs(res.value - complex(mp.zeta(s, 1, r))) <= res.error_bound, (s, r)
+        for chi in (character(3, 1), character(4, 1)):
+            res = afe_l(s, chi, r, balanced_split(chi.modulus * t))
+            with mp.workdps(30):
+                assert abs(mp.mpc(res.value) - l_oracle(s, chi, r)) <= res.error_bound, (s, chi.modulus, r)
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
+def test_dual_walk_charge_bounds_the_panels_walked(monkeypatch, t):
+    # the dual sum's walks are charged before any term is summed; the panels
+    # are counted, not evaluated, and the gamma factor, which overflows at
+    # t = 1000 (ROADMAP item 16), is stubbed out
+    charged, walked = [], []
+    monkeypatch.setattr(afe, "gamma_factor_derivs", lambda s, n, r: [0j] * (r + 1))
+    monkeypatch.setattr(sawtooth, "_check_work", charged.append)
+    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, errs, pts, *rest: walked.append(len(pts) - 1))
+    s = complex(0.5, t)
+    for x in (0.5, 5.0, 20.0):
+        for r in range(3):
+            charged.clear()
+            sawtooth._dual_cutoffs(s, r, x, math.floor(t / (2.0 * math.pi * x) + 1e-12))
+            estimate = charged[-1] if charged else 0.0
+            walked.clear()
+            afe_hurwitz(s, 0.3, r, x)
+            assert sum(walked) <= estimate, (x, r)

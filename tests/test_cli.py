@@ -297,7 +297,7 @@ def test_overflow_exits_one_with_one_line(capsys):
         ["eval", "--kind", "lerch", "--s", "2,0", "--lambda", "0.3", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "hurwitz", "--s", "0.5,0", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "l", "--s", "0.5,0", "--q", "5", "--label", "2", "--x", "1e10"],
-        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.1"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.05"],
         ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.03"],
         ["certify", "--bound", "t3", "--r-max", "14"],
         ["certify", "--bound", "t3", "--r-max", "20"],
@@ -307,8 +307,9 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     # the first three would march or walk panels for minutes (a huge cutoff);
     # the fourth printed log^3(alpha)/alpha as -inf with a tiny bound; an
     # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB);
-    # a small AFE split walks 2 t/(2 pi x) dual-sum frequencies (4.1e6 and
-    # 4.5e7 panels, 18.6 s and over 100 s); t3 at r_max = 20 would build a
+    # a small AFE split walks 2 t/(2 pi x) dual-sum frequencies (at x = 0.05
+    # more than the 2e6 panels of the budget; x = 0.1 walks 6.5e5 in 2.3 s
+    # within its bound); t3 at r_max = 20 would build a
     # truncated sum of q e^{r-1} = 2e9 terms (r_max = 13 still runs)
     start = time.perf_counter()
     assert run(argv) == 1
@@ -324,10 +325,13 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     [
         ["eval", "--kind", "hurwitz", "--s", "2,0", "--alpha", "1e-200"],
         ["coeff", "--kind", "gamma", "--alpha", "1e-300", "--r-max", "3"],
+        ["tail", "--x", "1e-300", "--alpha", "0.3", "--re-a", "-1.5", "--lambda", "0.3"],
     ],
 )
 def test_a_value_that_overflows_is_refused_with_one_stderr_line(argv):
-    # alpha^{-2} and log^3(alpha)/alpha leave binary64 in the finite sum; numpy
+    # alpha^{-2} and log^3(alpha)/alpha leave binary64 in the finite sum, and
+    # u^{-1.5} in the panels from 1e-300 (one panel to the first kink answered
+    # 31.24-19.41i with a bound of 3.8e-14, as from 1e-10 and 1e-100); numpy
     # printed two RuntimeWarning lines before the error.  A fresh process, since
     # pytest's capture hides such warnings in process
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -466,7 +470,10 @@ def test_tail_log_power_is_capped(capsys):
 # modulus (maxima within 2 ulp), `certify --bound t2-ib|t2-iib` when
 # their measured deviations took in the value's error_bound, and `certify
 # --bound t3` when its truncated sums became one finite-sum kernel pass per
-# (modulus, point, order) weighed for every character
+# (modulus, point, order) weighed for every character; the entries that walk
+# Gauss-Legendre panels (`afe`, the explicit-split `eval --kind lerch` and
+# `tail --lambda`) when the panels were sized by the whole phase and their
+# rounding was booked
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -517,15 +524,15 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "cfc87f2e8d80508286dbfe527acee903a2c66c8d01afba9a0d788d00ca2b6424",
+        "b9f2646280282ee6e4688cc28a89124b3fbdddd0eb28ce362455a836f8bb697a",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
-        "499d0e394f44f3b03a55411631eabe20cf4e6610c09d43787c2701b114d8a68b",
+        "0a3bcaadff04cf03e9d3f6b47bda30d3c79f38ec47fa91f03a7605cec3b1c7fd",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "7729601a08c92e91a18a06314a07f5fc9615dcce7792905ecb49c8ef340ea67c",
+        "8107f9b06437ab8ae4e30787b8b3356889644c2687308c82a480df3845ffc09b",
     ),
     # recorded before the plain-tail march ran as one numpy kernel over rows x
     # segments: a march longer than one block, a batched complex exponent, the
@@ -561,11 +568,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
-        "82694afa494831489aca48da0655bebde55ff37cd6db08f0a0508adf06fda750",
+        "682c5542e769d3a376ac88da9acaf0520568f7e0699ec74ee934fcbcbd582714",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "04688714f0f731aaf20f55f1a8be2da29d197e2f06e0161d012a256554746b3a",
+        "a0a55ef8137f456e6385f3c34dcebc7a078108852c256fb98b6f3058d0e3b425",
     ),
     # recorded before every residue class and order of a request came from one
     # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span
@@ -597,7 +604,9 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # shared one value report; the afe and plain tail entries re-recorded with
 # the GOLDEN_DIGESTS of the plain complex march, and the Lerch entry with
 # the Lerch ones, both times; the characters entries recorded before each
-# distinct root was formatted once per table
+# distinct root was formatted once per table; the afe and `tail --lambda`
+# entries re-recorded with the GOLDEN_DIGESTS of the panels sized by the
+# whole phase
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
@@ -607,7 +616,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "14a50322dee78e6fd13fe290694e4443229f3523a02ba6d5ac1fcdc5b53019bb",
+        "15e5c020dbef0c14b83a01462eec089ed0a3009de9d0c57835e49ae4ec5fc7fc",
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
@@ -615,7 +624,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "78e8ddce5527a611fe03e06bddb5d44f9eabe6d20e581b99a070e73c3db9b5c9",
+        "b6cde06032c370e491a6d889628c79e79a1ffda0bd0ced3ac732f9bfc6120e28",
     ),
 ]
 

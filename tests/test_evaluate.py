@@ -488,6 +488,19 @@ def test_l_bound_holds_against_mpmath(q, label, s, r):
         assert _held(res, ref), (q, label, s, r, X, res, complex(ref))
 
 
+@pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(9, 16), Fraction(13, 16)])
+@pytest.mark.parametrize("t", [70.0, 300.0, 800.0])
+def test_explicit_lerch_split_bound_holds_against_the_oracle(lam, t):
+    # explicit splits walk all three oscillatory tails; with panels that
+    # followed only e^{2 pi i lam u}, lam = 0.3 at x = 3, s = 0.5+300i was off by 8e-2
+    s = complex(0.5, t)
+    refs = [lerch_oracle(s, lam, 0.7, r) for r in range(4)]
+    for x in (1.5, 3.0, 12.0):
+        for r, ref in enumerate(refs):
+            res = lerch_deriv(LerchArgs(lam=float(lam), alpha=0.7, s=s, order=r, split=x))
+            assert _held(res, ref), (lam, t, x, r, res, complex(ref))
+
+
 def test_default_split_walks_no_march(monkeypatch):
     # the tails are the cutoff search's own far tails at the final cutoff:
     # no march is called, so none walks a nonempty interval

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,37 @@ def test_pure_oscillatory_against_quadrature():
     oracle = complex(np.sum(half * (f @ GL64_WEIGHTS)))
     # oracle truncation ~ g(2000)/(2 pi nu)
     assert abs(vals[0] - oracle) <= errs[0] + 2000.0**b / (2 * math.pi * nu) + 1e-12
+
+
+def test_pure_tail_with_shared_panel_ends_is_within_its_bound():
+    # nodes mid + half x left gaps of about eps u between panels: this tail was
+    # off by 1.5e-10 at m = 8 against a booked 8.5e-11.  The reference is
+    # d^m/ds^m (-i w)^{-s} Gamma(s, -i w x) at s = 0, w = 2 pi nu, in 40 digits
+    nu, x = 7 / 16, 1.393642
+    vals, errs = pure_osc_tail_powers(nu, -1.0, 8, x)
+    with mp.workdps(40):
+        z = -2j * mp.pi * mp.mpf(7) / 16
+        for m in range(9):
+            want = mp.diff(lambda s: z ** (-s) * mp.gammainc(s, z * mp.mpf(x)), 0, m)
+            assert abs(mp.mpc(vals[m]) - want) <= errs[m], m
+
+
+def test_a_panel_that_turns_by_the_whole_budget_is_within_its_bound():
+    # one panel over which 2 pi nu u - 300 log u turns by exactly THETA (it spans
+    # less than the factor 1.6): the 32-node rule is held to its booked
+    # quadrature and rounding against mpmath.quad (a budget of 120 breaks it)
+    nu, b, lo = 0.5, complex(-1.5, -300.0), 20.0
+    turn = lambda u: (2.0 * math.pi * nu * (u - lo) + 300.0 * math.log(u / lo)) / sawtooth._THETA
+    a, hi = lo, 2.0 * lo
+    while (mid := 0.5 * (a + hi)) not in (a, hi):
+        a, hi = (mid, hi) if turn(mid) < 1.0 else (a, mid)
+    assert hi < 1.6 * lo
+    vals, errs = [0j] * 4, [0.0] * 4
+    sawtooth._gl_panels(vals, errs, [lo, hi], nu, b, 3)
+    with mp.workdps(40):
+        for m in range(4):
+            want = mp.quad(lambda u: mp.expjpi(2 * mp.mpf(nu) * u) * u ** mp.mpc(b.real, b.imag) * mp.log(u) ** m, [lo, hi])
+            assert abs(mp.mpc(vals[m]) - want) <= errs[m], m
 
 
 def test_weighted_oscillatory_against_quadrature():
@@ -564,55 +596,51 @@ def test_a_short_march_makes_one_moment_pass_over_its_segments(monkeypatch):
     assert sizes == [2 * 39]
 
 
-def ref_pure_osc_breaks(x: float, x0: float, step_cap: float) -> list[float]:
-    """The break points of pure_osc_tail_powers as its loop made them, one panel at a time."""
-    pts = [x]
-    u = x
-    while u < x0 - 1e-12:
-        step = min(max(0.5, 0.6 * u), step_cap)
-        u = min(u + step, x0)
-        pts.append(u)
-    return pts
+def ref_walk_breaks(lo: float, hi: float, nu: float, c: float, geom: float) -> list[float]:
+    """The break points lo, ... below hi of one interval of the walk, one panel
+    at a time: the level sets F(u) = F(lo) + k of F(u) = (2 pi |nu| u + |c|
+    log u)/THETA + log u/log(1 + geom), each bisected to the float, while
+    F(hi) - F(lo) > k."""
 
+    def length(u):
+        w = math.log1p((u - lo) / lo)
+        return (2.0 * math.pi * abs(nu) * (u - lo) + abs(c) * w) / sawtooth._THETA + w / math.log1p(geom)
 
-def ref_segment_breaks(delta: float, x: float, step_cap: float) -> list[float]:
-    """The break points of segment_osc_power_log as its loop made them."""
-    pts = [delta]
-    u = delta
-    while u < x - 1e-14 * x:
-        step = min(u, step_cap)
-        u = min(u + step, x)
-        pts.append(u)
+    pts, k = [lo], 1
+    while k < length(hi):
+        a, b = pts[-1], hi
+        while (mid := 0.5 * (a + b)) not in (a, b):
+            a, b = (mid, b) if length(mid) < k else (a, mid)
+        pts.append(b)
+        k += 1
     return pts
 
 
 def test_panel_break_points_match_the_one_panel_loop():
     rng = np.random.default_rng(41)
     cases = []
-    for _ in range(60):
+    for _ in range(40):
         nu = float(10.0 ** rng.uniform(-2.0, 2.5))
+        c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 3.5))
         x = float(rng.uniform(0.02, 60.0))
-        cases.append((x, x + float(rng.uniform(0.0, 4000.0 * max(0.45 / nu, 0.5))), 0.45 / nu))
-    # the run ends just below its stop (x0 - 1e-12): the last point is not clipped to x0
-    near = ref_pure_osc_breaks(3.0, 40.0, 0.7)[-2] + 0.7
-    cases += [(3.0, near + 5e-13, 0.7), (3.0, near - 5e-13, 0.7), (3.0, 3.0, 0.7), (8.0, 9.0, 100.0)]
-    # and exactly on it: 10.000000000001 - 1e-12 == 10.0, a point of the run 8.5, 9.0, ...
-    cases.append((8.0, 10.000000000001, 0.5))
-    for x, x0, cap in cases:
-        got = sawtooth._walk(x, lambda u: max(0.5, 0.6 * u), cap, x0, x0 - 1e-12)
-        assert repr(got) == repr(ref_pure_osc_breaks(x, x0, cap))
-        delta = min(x0, 0.04 * cap)
-        got = sawtooth._walk(delta, lambda u: u, cap, x0, x0 - 1e-14 * x0)
-        assert repr(got) == repr(ref_segment_breaks(delta, x0, cap))
-    # a constant run longer than one accumulated chunk of 2^16 points
-    got = sawtooth._walk(1.0, lambda u: u, 1e-3, 150.0, 150.0 - 1.5e-12)
-    assert repr(got) == repr(ref_segment_breaks(1.0, 150.0, 1e-3))
+        ends = [x, x + float(rng.uniform(0.0, 400.0 / nu))]
+        cases += [(ends, nu, c, 0.6), ([min(ends[1], 0.04 / max(1.0, 2.0 * math.pi * nu)), ends[1]], nu, c, 1.0)]
+    # the segment at nu = 0, an empty walk, and the kinks of a sawtooth-weighted walk
+    cases += [([0.04, 30.0], 0.0, -200.0, 1.0), ([3.0, 3.0], 0.7, 10.0, 0.6), (ref_psi_breaks(0.3, 40.0, 0.7), 0.3, -300.0, 0.6)]
+    for ends, nu, c, geom in cases:
+        got = sawtooth._walk(ends, nu, c, geom)
+        want = np.array([p for lo, hi in zip(ends, ends[1:]) if hi > lo for p in ref_walk_breaks(lo, hi, nu, c, geom)] + [ends[-1]])
+        assert got.size == want.size and got[0] == want[0] and got[-1] == want[-1]
+        assert np.all(np.abs(got - want) <= 1e-13 * want), (ends[:2], nu, c, geom)
+        # no panel turns the phase by more than THETA or spans more than 1 + geom
+        assert np.all(sawtooth._walk_length(got[:-1], got[1:], nu, c, geom) <= 1.0 + 1e-9)
 
 
 def test_panel_walk_that_stops_moving_is_refused():
-    # beyond 2^56 a step of 4 rounds away; the loop used to spin forever
+    # beyond 2^56 panels of about 7.6 round onto the float spacing of 16: the
+    # points would coincide and the panels between them turn by 50 radians
     with pytest.raises(ValueError, match="no longer change"):
-        sawtooth._walk(1e17, lambda u: u, 4.0, 1e17 + 1e6, 1e17 + 1e6)
+        sawtooth._walk([1e17, 1e17 + 1e6], 0.5, 0.0, 0.6)
 
 
 def test_walks_reaching_two_to_the_52_are_refused():
@@ -683,7 +711,7 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="work budget"):
         psi_piecewise_integral(1.0, 3e6)
     assert not marched
-    # oscillatory walks: panels of at most half a cycle, one per unit interval when weighted
+    # oscillatory walks: their panel counts, and the kinks of a weighted walk before they are listed
     with pytest.raises(ValueError, match="work budget"):
         pure_osc_tail_powers(0.5, complex(-0.5, 5e6), 0, 1.0)
     with pytest.raises(ValueError, match="work budget"):
@@ -702,22 +730,29 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
 # the kernel must give the same bits.
 
 
-def ref_gl_panels(vals, mags, pts, nu, b, rmax, alpha=None) -> None:
+def ref_gl_panels(vals, errs, pts, nu, b, rmax, alpha=None) -> None:
+    eps, pi_nu = sawtooth._EPS, math.pi * nu
+    shift = 0.0 if alpha is None else pi_nu * alpha
     for u1, u2 in zip(pts, pts[1:]):
         half = 0.5 * (u2 - u1)
-        mid = 0.5 * (u1 + u2)
-        u = mid + half * sawtooth._GL_NODES
-        base = np.exp(2j * math.pi * nu * u) * np.exp(b * np.log(u))
-        if alpha is not None:
-            mseg = math.floor(mid - alpha)
-            base = base * (u - alpha - mseg - 0.5) * cmath.exp(-2j * math.pi * nu * alpha)
+        u = u1 + half * (1.0 + sawtooth._GL_NODES)
         logs = np.log(u)
-        lp = np.ones_like(u)
+        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)
+        amp = np.exp(b.real * logs)
+        mag = amp if alpha is None else amp * (u - math.floor(u1 + half - alpha) - alpha - 0.5)
+        g = mag / (1.0 + t * t)
+        base = g * (1.0 - t * t) + 1j * (g * (2.0 * t))
+        mag = np.abs(mag)
+        book = mag * (1e-15 + eps * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
+        if alpha is not None:
+            book = book + eps * (4.0 * u + 2.0) * amp
+        lp, alp = np.ones_like(u), None
         for m in range(rmax + 1):
-            fv = base * lp
-            vals[m] += complex(half * np.dot(sawtooth._GL_WEIGHTS, fv))
-            if mags is not None:
-                mags[m] += float(half * np.dot(sawtooth._GL_WEIGHTS, np.abs(fv)))
+            vals[m] += complex(half * np.dot(sawtooth._GL_WEIGHTS, base * lp))
+            prev, alp = alp, np.abs(lp)
+            if errs is not None:
+                e = book * alp + eps * m * mag * (2.0 * alp + 3.0 * prev) if m else book
+                errs[m] += float(half * np.dot(sawtooth._GL_WEIGHTS, e) + eps * np.abs(vals[m]))
             lp = lp * logs
 
 
@@ -784,17 +819,17 @@ def _per_k_shift_sums(K, v, nu):
 @pytest.mark.parametrize(
     "route, args",
     [
-        (pure_osc_tail_powers, (0.3, complex(-0.5, -1000.0), 1, 160.0)),  # 2788 panels: many blocks
+        (pure_osc_tail_powers, (0.3, complex(-0.5, -5000.0), 1, 160.0)),  # 1144 panels: many blocks
         (pure_osc_tail_powers, (0.3, complex(-1.5, -300.0), 8, 3.0)),
         (pure_osc_tail_powers, (-2.0, complex(-1.5, 40.0), 2, 1.2)),  # a dual-sum frequency of the AFE
-        (pure_osc_tail_powers, (0.7, complex(-1.2, 0.0), 0, 1.0)),  # 32 panels: one short block
+        (pure_osc_tail_powers, (0.7, complex(-1.2, 0.0), 0, 1.0)),  # 11 panels: one short block
         (psi_osc_tail_powers, (0.3, 0.7, complex(-1.5, -1000.0), 1, 160.0)),
         (psi_osc_tail_powers, (0.3, 0.7, complex(-0.5, -300.0), 2, 3.0)),
         (psi_osc_tail_powers, (0.95, 0.25, complex(-1.5, 20.0), 5, 1.0)),  # nu near 1: long shift sums
         (psi_osc_tail_powers, (0.125, 1.0, complex(-2.0, 0.0), 8, 0.5)),
         (segment_osc_power_log, (1.0, complex(-0.5, -60.0), 1, 10.0 / 3.0)),
         (segment_osc_power_log, (-2.0, complex(-0.3, -200.0), 2, 9.0)),
-        (segment_osc_power_log, (5.0, complex(-0.5, -400.0), 0, 300.0)),  # 3339 panels
+        (segment_osc_power_log, (5.0, complex(-0.5, -400.0), 0, 300.0)),  # 617 panels: two blocks
         (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 2.0)),
         (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 0.03)),  # the series alone, no panel
     ],
@@ -813,7 +848,7 @@ def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, ro
 
 def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     """psi_osc_tail_powers as it ran with its own cutoff loop and its break
-    points from ref_psi_breaks."""
+    points from ref_psi_breaks, each interval between them cut by its phase."""
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
@@ -822,12 +857,12 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     while max(_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
-    mags = [0.0] * (rmax + 1)
-    sawtooth._gl_panels(vals, mags, ref_psi_breaks(x, x0, alpha), nu, b, rmax, alpha)
+    errs = [0.0] * (rmax + 1)
+    sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag, 0.6), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     tails = sawtooth._far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     rems = _far_remainders(rows_all, b, x0, sk)
-    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + 1e-15 * mags[r] for r in range(rmax + 1)]
+    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
 @pytest.mark.parametrize(
@@ -840,7 +875,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # just beyond the 1e-12 margin
         (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: the cutoff x0 = 12 sits on a kink
         (0.9, 1e-9, complex(-0.5, 40.0), 4, 0.5),
-        (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # x0 = x: one empty panel
+        (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # x0 = x: no panel
         (0.7, 0.3, complex(-1.5, 2000.0), 0, 160.0),  # a walk longer than one panel block
     ],
 )

@@ -8,6 +8,12 @@ targets: the best of N calls of each, timed with time.perf_counter.
     stieltjes_gamma_all 20    stieltjes_gamma_all(20, 0.3)
     certify_T2_Ib             certify_T2_Ib() at its default grid
     hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
+    afe_hurwitz t=200         afe_hurwitz at alpha = 1, s = 0.5+200i, r = 0, the
+                              balanced split x = sqrt(t/2 pi)
+    afe_l q=3 t=450           afe_l at q = 3, label 1, s = 0.135785+449.699845i,
+                              r = 0, X = 14.653186
+    lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
+                              s = 0.5+300i, r = 2, split x = 3
 
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
@@ -19,6 +25,7 @@ to time that one (so that two commits are timed in the same window):
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -40,12 +47,13 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
 
+    from zetalab.afe import afe_hurwitz, afe_l
     from zetalab.bounds import certify_T2_Ib, certify_T3
     from zetalab.characters import character, enumerate_characters
     from zetalab.coefficients import l_deriv_at_1_exact_all, stieltjes_gamma_all
-    from zetalab.evaluate import HurwitzArgs, hurwitz_deriv, l_deriv
+    from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
 
-    chi = character(1009, 1)
+    chi, chi3 = character(1009, 1), character(3, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
     rows = [
         ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
@@ -54,6 +62,9 @@ def main(argv: list[str]) -> int:
         ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
         ("certify_T2_Ib", certify_T2_Ib),
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
+        ("afe_hurwitz t=200", lambda: afe_hurwitz(complex(0.5, 200.0), 1.0, 0, math.sqrt(200.0 / (2.0 * math.pi)))),
+        ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
+        ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
