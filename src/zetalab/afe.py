@@ -14,19 +14,21 @@ For split x > 0 and cutoff y = t/(2 pi x), the representation is
             int_x^inf e^{2 pi i n u} u^{-1} (s u^{-s})^{(r)} du,
 
 where the two |n| > y series have been folded into the sawtooth terms
-through psi(v) = -sum_{|n|>=1} e^{2 pi i n v}/(2 pi i n).  When y < 1
-every n-indexed piece is empty and the assembly coincides term by term
-with the plain split representation.
-
-The L-function variant applies the same core per residue class through
-Z^{(r)}(s,a,q) = sum_l C(r,l)(-log q)^{r-l} q^{-s} zeta^{(l)}(s, a/q)
-with split X/q, so the cutoff becomes y = q t/(2 pi X).
+through psi(v) = -sum_{|n|>=1} e^{2 pi i n v}/(2 pi i n).  So the AFE is
+the Z core of evaluate._cores (the first, second, boundary and plain-tail
+terms) plus a dual sum, which is empty when y < 1.  The L variant takes
+every residue class a of Z/qZ from one core pass at the split X, Z^{(r)}(s,
+a, q) = sum_l C(r,l)(-log q)^{r-l} q^{-s} zeta^{(l)}(s, a/q) at the split X/q
+(cutoff y = q t/(2 pi X)), and weighs them by chi(a) as l_deriv does.  The
+dual sum depends on a only through the phases e^{+-2 pi i n a/q} and the
+folded Fourier remainder: its gamma factors, segments and tails are taken
+once per +-n for every class and order.
 
 The dual segments and tails are Gauss-Legendre panels sized by their whole
 phase 2 pi n u - t log u (sawtooth._walk); +-n share each tail's cutoff, and
 every panel is charged to the work budget before any term is summed.
 Gamma-factor derivatives are analytic (digamma/trigamma log-derivatives),
-which caps the order at r <= 2.
+which caps the order at r <= 2; their rounding is not booked.
 """
 
 from __future__ import annotations
@@ -34,19 +36,12 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .characters import DirichletCharacter
-from .evaluate import _characters_at, _pole_term, _progression_sum, _psi_at_split, _s_tail, _split_floor, _units, _weigh
+from .evaluate import _cores, _s_tail, _units, _weigh_cores, _z_values
 from .gammafn import complex_gamma, digamma, trigamma
-from .sawtooth import (
-    _EPS,
-    EvalResult,
-    _check_alpha,
-    _check_work,
-    _dual_cutoffs,
-    psi_tail_powers,
-    pure_osc_tail_powers,
-    segment_osc_power_log,
-)
+from .sawtooth import _EPS, EvalResult, _check_alpha, _dual_cutoffs, pure_osc_tail_powers, segment_osc_power_log
 
 __all__ = ["afe_hurwitz", "afe_l", "gamma_factor_derivs"]
 
@@ -75,102 +70,87 @@ def gamma_factor_derivs(s: complex, n: int, rmax: int) -> list[complex]:
     return out
 
 
-def _check_strip(s: complex, r: int, x: float) -> None:
+def _strip_cores(s: complex, q: int, units, r: int, X: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Z core of every class a of units at the split X (evaluate._cores;
+    at q = 1 a shift alpha) plus its dual sum at x = X/q, as (1, classes)
+    values and bounds, for 0 <= Re(s) <= 1, Im(s) >= 0 and r <= 2.  With c_l = C(r,l)(-log q)^{r-l}, each +-n takes its
+    gamma factor G, segment and tail S once at the order r; the coefficient
+    K[m] of e^{2 pi i m a/q} gathers sum_l c_l G_m^{(l)} and sum_l c_l (S_{-m}^{(l)}
+    /(-2 pi i m) - (-1)^l seg_{-m}^{(l)}), and a class adds q^{-s} sum_m K[m]
+    e^{2 pi i m a/q} and X^{-s} (-log X)^r sum_n sin(2 pi n v)/(pi n), v = (X - a)/q.
+
+    The bound adds the segments' and tails' bounds times |q^{-s} c_l| (1/(2 pi
+    n) more for a tail) and the rounding of: each K[m], eps (3 r + 12) sum_l
+    |c_l| (|G| + |seg| + (l |T_{l-1}| + |s| |T_l|)/(2 pi n)) (the powers of
+    log q, the products, S = (-1)^l (l T_{l-1} - s T_l), the quotient, 2 r +
+    2 sums); each phase and product, eps (3 (2 pi |m| a/q) + 5) |K[m]|, the
+    2 y sums, q^{-s} and its product, eps (2 y + 3 |s| |log q| + 4) |K[m]|;
+    each Fourier term, eps (3 (2 pi n |v|) + 4)/(pi n), twice v's rounding
+    4 eps (|v| + 2) as the core books it, and the y sums; the product with
+    X^{-s} (-log X)^r, eps (3 |s| |log X| + 2 r + 8) |F| as the core's
+    boundary term; and the two additions."""
     if not 0.0 <= s.real <= 1.0:
         raise ValueError("the hybrid representation is stated for 0 <= Re(s) <= 1")
     if s.imag < 0.0:
         raise ValueError("needs Im(s) >= 0; conjugate the result for Im(s) < 0")
     if not 0 <= r <= 2:
         raise ValueError("derivative order is capped at 2 (analytic gamma-factor derivatives)")
-    if not x > 0.0:
+    if not X > 0.0:
         raise ValueError("split must be positive")
-
-
-def _afe_core(s: complex, alpha: float, r: int, x: float, duals: dict) -> tuple[complex, float]:
-    """The strip representation without its pole term; its bound adds the
-    rounding of the finite sum and of the plain tail's march to the tails'
-    truncation and quadrature.
-
-    The finite sum and the walks of the dual sum are charged to the work
-    budget before any term (_dual_cutoffs); the alpha-free dual terms are kept
-    in duals[r]."""
-    t = s.imag
-    y = t / (_TWO_PI * x)
-    nmid = math.floor(y + 1e-12)
+    x = X / q
+    nmid = math.floor(s.imag / (_TWO_PI * x) + 1e-12)
     if nmid >= 1 and s.real >= 1.0:
         raise ValueError("a nonempty dual sum needs Re(s) < 1 (singular segment integrals at Re(s) = 1)")
-    nmax = _split_floor(x - alpha)
-    _check_work(nmax + 1)
-    cuts = _dual_cutoffs(s, r, x, nmid) if r not in duals else None
-    # finite (n + alpha)-sum, with its rounding
-    val, err = (x.item() for x in _progression_sum([alpha], 1, [nmax], s, [r]))
-    # sawtooth boundary, with the |n| > y Fourier remainder folded in
-    lx = math.log(x)
-    xs = cmath.exp(-s * lx) * (-lx) ** r
-    four = sum(math.sin(_TWO_PI * n * (x - alpha)) / (math.pi * n) for n in range(1, nmid + 1))
-    val += xs * (_psi_at_split(x - alpha) + four)
-    # plain sawtooth tail
-    tail, terr = _s_tail(*psi_tail_powers(x, alpha, -s - 1.0, r), s, r)
-    val += tail
-    err += terr
-    sign = (-1.0) ** r
-    # dual gamma-factor sum, segment integrals, and oscillatory tails
-    if r not in duals:
-        duals[r] = [
-            (nn, gamma_factor_derivs(s, nn, r)[r], segment_osc_power_log(nn, -s, r, x)[r])
-            + _s_tail(*pure_osc_tail_powers(nn, -s - 1.0, r, x, cuts[n - 1]), s, r)
-            for n in range(1, nmid + 1) for nn in (n, -n)
-        ]
-    for nn, g, seg, tail, terr in duals[r]:
-        val += cmath.exp(2j * math.pi * nn * alpha) * g
-        val -= cmath.exp(-2j * math.pi * nn * alpha) * sign * seg
-        w = cmath.exp(-2j * math.pi * nn * alpha) / (2j * math.pi * nn)
-        val += w * tail
-        err += abs(w) * terr + 1e-15 * abs(seg)
-    return val, err
+    cuts = _dual_cutoffs(s, r, x, nmid)
+    X, vals, errs = _cores(s, q, units, [r], X)
+    if not nmid:
+        return X, vals, errs
+    lq, lX = math.log(q), math.log(X)
+    c = [math.comb(r, l) * (-lq) ** (r - l) for l in range(r + 1)]
+    K = {m: 0j for n in range(1, nmid + 1) for m in (n, -n)}  # K[m], the coefficient of e^{2 pi i m a/q}
+    trunc = mags = 0.0
+    for n in range(1, nmid + 1):
+        for nn in (n, -n):
+            g = gamma_factor_derivs(s, nn, r)  # first: a gamma factor beyond binary64 is refused before any walk
+            seg, segerr = segment_osc_power_log(nn, -s, r, x)
+            tails = pure_osc_tail_powers(nn, -s - 1.0, r, x, cuts[n - 1])
+            for l, cl in enumerate(c):
+                tail, terr = _s_tail(*tails, s, l)
+                K[nn] += cl * g[l]
+                K[-nn] += cl * (tail / (2j * math.pi * nn) - (-1.0) ** l * seg[l])
+                trunc += abs(cl) * (segerr[l] + terr / (_TWO_PI * n))
+                tmag = (l * abs(tails[0][l - 1]) if l else 0.0) + abs(s) * abs(tails[0][l])  # of (-1)^l (l T_{l-1} - s T_l)
+                mags += abs(cl) * (abs(g[l]) + abs(seg[l]) + tmag / (_TWO_PI * n))
+    n, a = np.arange(1, nmid + 1), np.array(units, dtype=float)
+    K, phase = np.array([[K[m], K[-m]] for m in n.tolist()]), np.exp(2j * np.pi * (np.outer(n, a) / q))
+    qs, xr, v = cmath.exp(-s * lq), cmath.exp(-s * lX) * (-lX) ** r, (X - a) / q
+    four = (np.sin(_TWO_PI * n[:, None] * v) / (np.pi * n[:, None])).sum(axis=0)
+    dual = qs * (K[:, :1] * phase + K[:, 1:] * phase.conj()).sum(axis=0) + four * xr
+    phases = (6.0 * np.pi * n[:, None] * a / q + 9.0 + 2 * nmid + 3.0 * abs(s) * abs(lq)) * np.abs(K).sum(axis=1)[:, None]
+    derr = abs(qs) * (trunc + _EPS * ((3 * r + 12) * mags + phases.sum(axis=0)))
+    derr += abs(xr) * _EPS * (nmid * (14.0 * np.abs(v) + 16.0) + (4.0 + nmid) * (1.0 / n).sum() / np.pi + (3.0 * abs(s) * abs(lX) + 2 * r + 8) * np.abs(four))
+    vals = vals + dual
+    return X, vals, errs + derr + _EPS * (np.abs(dual) + np.abs(vals))
 
 
 def afe_hurwitz(s: complex, alpha: float, r: int, x: float) -> EvalResult:
-    """zeta^{(r)}(s, alpha) in the strip 0 <= Re(s) <= 1 via the hybrid form."""
+    """zeta^{(r)}(s, alpha) in the strip 0 <= Re(s) <= 1 via the hybrid form:
+    the core plus its dual sum (_strip_cores), plus the pole term (evaluate._z_values)."""
     s = complex(s)
-    _check_strip(s, r, x)
     if s == 1:
         raise ValueError("s = 1 is the pole; use the coefficient operations instead")
     _check_alpha(alpha)
-    core, err = _afe_core(s, alpha, r, x, {})
-    pole = _pole_term(s, x, r)[0]
-    return EvalResult(core + pole, err)
+    X, vals, errs = _strip_cores(s, 1, [alpha], r, x)
+    return _z_values(s, 1, r, X, vals[0], errs[0])[0]
 
 
 def afe_l(s: complex, chi: DirichletCharacter, r: int, X: float) -> EvalResult:
-    """L^{(r)}(s, chi) in the strip for non-principal chi, cutoff y = qt/(2 pi X).
-
-    Assembled per residue class from the Hurwitz core with split X/q (which
-    share the dual terms), the classes weighed by chi(a) q^{-s} in one
-    kernel; the pole terms cancel against sum_a chi(a) = 0.
-    """
+    """L^{(r)}(s, chi) in the strip for non-principal chi, cutoff y = qt/(2 pi X):
+    the class cores plus their dual sum (_strip_cores) weighed by chi(a) as
+    the plain L route weighs its cores; the pole terms cancel against sum_a
+    chi(a) = 0."""
     if chi.is_principal:
         raise ValueError("needs a non-principal character")
-    s = complex(s)
-    _check_strip(s, r, X)
-    q = chi.modulus
-    lq = math.log(q)
-    qs = cmath.exp(-s * lq)
-    units = _units(q)
-    pieces = []
-    err = 0.0
-    duals: dict = {}
-    for a in units:
-        parts = [_afe_core(s, a / q, l, X / q, duals) for l in range(r + 1)]
-        acc = 0.0 + 0.0j
-        eacc = 0.0
-        for l in range(r + 1):
-            c = math.comb(r, l) * (-lq) ** (r - l)
-            acc += c * parts[l][0]
-            eacc += abs(c) * parts[l][1]
-        pieces.append(acc)
-        err += abs(qs) * eacc
-    # the weighting: q^{-s} (its phase eps |s| |log q|), chi(a) to within 14 eps,
-    # their product, the products with the pieces and the sum over the units
-    err += _EPS * (abs(s) * lq + 22 + len(units)) * abs(qs) * sum(map(abs, pieces))
-    return EvalResult(complex(_weigh(_characters_at([chi], units) * qs, pieces)[0]), err)
+    units = _units(chi.modulus)
+    _, vals, errs = _strip_cores(complex(s), chi.modulus, units, r, X)
+    return _weigh_cores([chi], units, vals, errs)[0][0]

@@ -180,8 +180,8 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0) -> t
     kmax < 0) and every order r of orders: (orders, rows) values and bounds.
 
     The one finite-sum kernel of the split representations: the residue
-    classes of the Z core (lam = 0), the Lerch sum over n + alpha (q = 1),
-    the AFE's (n + alpha)-sum and the truncated character sums.  The rows of
+    classes of the Z core (lam = 0, the AFE's too), the Lerch sum over n +
+    alpha (q = 1) and the truncated character sums.  The rows of
     one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
     terms of a row and _ROW_BLOCK or fewer in all, or one row; a block takes
     log p and p^{-s} once and every order from them, (-log p)^r at each
@@ -385,26 +385,30 @@ def _common_modulus(chars) -> int:
     return q
 
 
-def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[EvalResult]]:
-    """d^r/ds^r L(s, chi) for each order r of orders (outer) and chi of a
-    batch of non-principal characters of one modulus q (inner): the class
-    cores of one _cores pass weighed by chi(a), where the pole terms cancel.
-
-    The cores less their mean c are weighed: sum_a chi(a) = 0, so the value
+def _weigh_cores(chars, units, vals: np.ndarray, errs: np.ndarray) -> list[list[EvalResult]]:
+    """sum_a chi(a) core_a for each order (the rows of the class cores and
+    their bounds) and chi of chars (inner); the pole terms cancel.  The
+    cores less their mean c are weighed: sum_a chi(a) = 0, so the value
     is the same, but c (the X/q of the pole part at s = 0, say) no longer
     enters the rounding.  That rounding: core - c, eps |core - c|; chi(a), to
     within 14 eps (cmath.exp of 2 pi k/E); the product and the sum (_weigh),
     so eps (21 + units) sum_a |core_a - c|."""
+    vals = vals - vals.mean(axis=1, keepdims=True)
+    errs = np.add.accumulate(errs, axis=1)[:, -1] + _EPS * (21 + len(units)) * np.abs(vals).sum(axis=1)  # left to right
+    w = _characters_at(chars, units)
+    return [[EvalResult(v, err) for v in _weigh(w, cores).tolist()] for cores, err in zip(vals, errs.tolist())]
+
+
+def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[EvalResult]]:
+    """d^r/ds^r L(s, chi) for each order r of orders (outer) and chi of a batch
+    of non-principal characters of one modulus q (inner): one _cores pass, weighed."""
     chars = list(chars)
     q = _common_modulus(chars)
     for r in orders:
         _check_order(r)
     units = _units(q)
     _, vals, errs = _cores(s, q, units, orders, X)
-    vals -= vals.mean(axis=1, keepdims=True)
-    errs = np.add.accumulate(errs, axis=1)[:, -1] + _EPS * (21 + len(units)) * np.abs(vals).sum(axis=1)  # left to right
-    w = _characters_at(chars, units)
-    return [[EvalResult(v, err) for v in _weigh(w, cores).tolist()] for cores, err in zip(vals, errs.tolist())]
+    return _weigh_cores(chars, units, vals, errs)
 
 
 def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None) -> EvalResult:

@@ -54,10 +54,11 @@ whose cutoff reaches 2^52 is refused: from there alpha and the phase
 from a split at or past it walks no panel: it is its far tail.
 
 Error bounds here cover truncation and quadrature, and the rounding of
-the plain tail's march and of the oscillatory panels; not that of the
-far-tail expansions.  The Hurwitz, Z and L routes of evaluate, and the
-coefficient routes that read their core, add the rounding of what they
-assemble from these tails, the far tails' phase included.
+the plain tail's march, of the oscillatory panels and of the segments'
+series at 0; not that of the far-tail expansions.  The Hurwitz, Z and L
+routes of evaluate, and the coefficient routes that read their core, add
+the rounding of what they assemble from these tails, the far tails'
+phase included.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
     routes and their coefficient readings; the march's and the panels' for a
-    tail; all but the oscillatory far tails' for the Lerch routes)."""
+    tail; all but the oscillatory far tails' for the Lerch routes, and all
+    but theirs and the gamma factors' for the AFE)."""
 
     value: complex
     error_bound: float
@@ -659,7 +661,7 @@ def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
-def _gl_panels(vals: list[complex], errs: list[float] | None, pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
+def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
     """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
     e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals; with alpha given, of
     psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose panels must not
@@ -669,7 +671,7 @@ def _gl_panels(vals: list[complex], errs: list[float] | None, pts, nu: float, b:
     i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's
     tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
 
-    errs, when given, collects per power the quadrature and the rounding,
+    errs collects per power the quadrature and the rounding,
     sum |w f| (1e-15 + eps kappa), kappa = 6 (2 pi |nu| u) + 3 (|Re b| +
     |Im b|) (|L| + 1) + 2 m + 67 per node, plus 3 m eps |w f_{m-1}| and, with
     alpha, eps (4 u + 2) |w f/psi|, and eps |partial sum| per panel.  For the
@@ -700,19 +702,17 @@ def _gl_panels(vals: list[complex], errs: list[float] | None, pts, nu: float, b:
         g = mag / (1.0 + tt)
         base = np.empty(u.shape, dtype=complex)
         base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
-        if errs is not None:
-            mag = np.abs(mag)
-            book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
-            book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
-        lp, alp = np.ones_like(u), None
+        mag = mag if alpha is None else np.abs(mag)  # amp >= 0
+        book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
+        book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
+        lp, alp = 1.0, 1.0  # L^0 and |L^0| as scalars: base * 1 and 1 * L are exact, so the powers are those from an array of ones
         for m in range(rmax + 1):
-            acc = np.add.accumulate(np.append(vals[m], half * np.vecdot(_GL_WEIGHTS, base * lp)))
+            acc = np.add.accumulate(np.concatenate(([vals[m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
             vals[m] = complex(acc[-1])
-            if errs is not None:
-                prev, alp = alp, np.abs(lp)
-                e = book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book
-                errs[m] = float(np.add.accumulate(np.append(errs[m], half * np.vecdot(_GL_WEIGHTS, e) + _EPS * np.abs(acc[1:])))[-1])
-            lp = lp * logs
+            prev, alp = alp, np.abs(lp) if m else 1.0
+            e = book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book
+            errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], half * np.vecdot(_GL_WEIGHTS, e) + _EPS * np.abs(acc[1:]))))[-1])
+            lp = lp * logs if m else logs
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
@@ -891,21 +891,36 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
 # ---------------------------------------------------------------------------
 
 
-def _power_log_lower(c: complex, m: int, delta: float) -> complex:
-    """int_0^delta u^c log^m u du for Re(c) > -1 (closed form, recursive in m)."""
-    dc = cmath.exp((c + 1.0) * math.log(delta))
-    acc = dc * math.log(delta) ** m / (c + 1.0) if m else dc / (c + 1.0)
-    if m:
-        acc -= m / (c + 1.0) * _power_log_lower(c, m - 1, delta)
-    return acc
+def _power_log_lower(c: complex, mmax: int, delta: float) -> list[complex]:
+    """I_m = int_0^delta u^c log^m u du = delta^{c+1} log^m delta/(c+1) - m
+    I_{m-1}/(c+1) for m = 0..mmax, Re(c) > -1."""
+    ld = math.log(delta)
+    dc = cmath.exp((c + 1.0) * ld)
+    vals = [dc / (c + 1.0)]
+    for m in range(1, mmax + 1):
+        vals.append(dc * ld**m / (c + 1.0) - m / (c + 1.0) * vals[-1])
+    return vals
 
 
-def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[complex]:
-    """int_0^x e^{2 pi i nu u} u^b log^m u du for m = 0..rmax; Re(b) > -1.
+def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
+    """int_0^x e^{2 pi i nu u} u^b log^m u du for m = 0..rmax, with bounds; Re(b) > -1.
 
-    Power series of the exponential near zero (where the power-log factor
-    is integrated in closed form) plus Gauss-Legendre panels on the rest, each
-    turning the phase by at most _THETA and spanning at most a factor 2 (_walk).
+    On [0, delta], delta = min(x, 0.04/max(1, 2 pi |nu|)), the series sum_k
+    c_k u^k of the exponential, c_k = (2 pi i nu)^k/k!, is integrated term
+    by term (_power_log_lower at b + k); Gauss-Legendre panels take the
+    rest, each turning the phase by at most _THETA and spanning at most a
+    factor 2 (_walk), with their quadrature and rounding (_gl_panels).
+
+    The series: I_k = delta^{c+1} sum_j (-1)^j m!/(m-j)! log^{m-j} delta/
+    (c+1)^{j+1}, c = b + k, so |I_k| <= M_m(c), the sum of its terms' moduli;
+    |c + 1| grows with k, so M_m(b + k) <= delta^k M_m(b), |c_k I_k| <= 0.04^k
+    M_m(b)/k!, and the terms from the first omitted one, K, sum to at most
+    |c_K| delta^K M_m(b)/0.96.  Rounding, relative to |c_k| M_m(b + k):
+    delta^{c+1}, eps (3 |c + 1| |log delta| + 3); each level of the
+    recursion, eps (2 m + 14); c_k, 4 k eps; c_k I_k, 3 eps; the at most 61
+    sums, 62 eps.  With |c + 1| <= |b| + 1 + k and sum_k 0.04^k/k! (1, k) <=
+    1.041 (1, 0.04), that is at most 1.05 eps (3 (|b| + 2) |log delta| + (m
+    + 1)(2 m + 14) + 69) M_m(b) in all.
     """
     b = complex(b)
     if b.real <= -1.0 + 1e-12:
@@ -913,21 +928,18 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> list[co
     if x <= 0.0:
         raise ValueError("segment upper limit must be positive")
     delta = min(x, 0.04 / max(1.0, TWO_PI * abs(nu)))
-    vals = [0.0 + 0.0j] * (rmax + 1)
-    # series on [0, delta]
-    for m in range(rmax + 1):
-        coef = 1.0 + 0.0j
-        k = 0
-        while True:
-            term = coef * _power_log_lower(b + k, m, delta)
-            vals[m] += term
-            k += 1
-            coef *= 2j * math.pi * nu / k
-            if abs(coef) * delta ** (b.real + k) < 1e-20 and k > 3:
-                break
-            if k > 60:
-                break
-    if delta >= x:
-        return vals
-    _gl_panels(vals, None, _walk([delta, x], nu, b.imag, 1.0), nu, b, rmax)
-    return vals
+    ld, ac = abs(math.log(delta)), abs(b + 1.0)
+    mods = [delta ** (b.real + 1.0) * sum(math.perm(m, j) * ld ** (m - j) / ac ** (j + 1) for j in range(m + 1)) for m in range(rmax + 1)]  # M_m(b)
+    vals = _power_log_lower(b, rmax, delta)  # the series' term k = 0
+    # the terms k = 1, 2, ... to the first k > 3 with |c_k| delta^{Re b + k} < 1e-20, or to k = 60
+    coef, k = 2j * math.pi * nu, 1
+    while not ((abs(coef) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
+        for m, term in enumerate(_power_log_lower(b + k, rmax, delta)):
+            vals[m] += coef * term
+        k += 1
+        coef *= 2j * math.pi * nu / k
+    trunc = abs(coef) * delta**k / 0.96
+    errs = [(trunc + 1.05 * _EPS * (3.0 * (abs(b) + 2.0) * ld + (m + 1) * (2 * m + 14) + 69)) * mod for m, mod in enumerate(mods)]
+    if delta < x:
+        _gl_panels(vals, errs, _walk([delta, x], nu, b.imag, 1.0), nu, b, rmax)
+    return vals, errs

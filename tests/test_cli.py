@@ -473,7 +473,9 @@ def test_tail_log_power_is_capped(capsys):
 # (modulus, point, order) weighed for every character; the entries that walk
 # Gauss-Legendre panels (`afe`, the explicit-split `eval --kind lerch` and
 # `tail --lambda`) when the panels were sized by the whole phase and their
-# rounding was booked
+# rounding was booked; the `afe` entries again when the AFE became the Z core
+# plus its dual sum and booked the rounding of the core, the pole term, the
+# dual assembly and the segments
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -524,11 +526,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "b9f2646280282ee6e4688cc28a89124b3fbdddd0eb28ce362455a836f8bb697a",
+        "8eacd06405f88d3957eb24d6a22e0133c3c4dc7aa923bc56dff79d31933636af",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
-        "0a3bcaadff04cf03e9d3f6b47bda30d3c79f38ec47fa91f03a7605cec3b1c7fd",
+        "98f965dd5831b9fbc9d5e985864e02698b2b7f33561416ebfaf1213f6074e964",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
@@ -572,7 +574,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "a0a55ef8137f456e6385f3c34dcebc7a078108852c256fb98b6f3058d0e3b425",
+        "3752865a1f6b55a72c61d7c5e47d87aeea05bb1c0eb698cf76a736f08fa55e7d",
     ),
     # recorded before every residue class and order of a request came from one
     # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span
@@ -606,7 +608,8 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # the Lerch ones, both times; the characters entries recorded before each
 # distinct root was formatted once per table; the afe and `tail --lambda`
 # entries re-recorded with the GOLDEN_DIGESTS of the panels sized by the
-# whole phase
+# whole phase, and the afe entry with those of the AFE as the Z core plus
+# its dual sum
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
@@ -616,7 +619,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "15e5c020dbef0c14b83a01462eec089ed0a3009de9d0c57835e49ae4ec5fc7fc",
+        "91884c197bd9fa1afe4e75fdcf0d41a547b9c1cba8e988255af80587e2e43826",
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],

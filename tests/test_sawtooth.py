@@ -793,14 +793,13 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
         pts = _panel_walk(float(rng.uniform(0.3, 40.0)), panels, nu, alpha, rng)
         assert len(pts) == panels + 1
         start = [complex(rng.normal(), rng.normal()) for _ in range(rmax + 1)]
-        for with_mags in (True, False):
-            got, want = list(start), list(start)
-            got_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)] if with_mags else None
-            want_m = list(got_m) if with_mags else None
-            sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
-            ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
-            assert repr(got) == repr(want)
-            assert repr(got_m) == repr(want_m)
+        got, want = list(start), list(start)
+        got_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)]
+        want_m = list(got_m)
+        sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
+        ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
+        assert repr(got) == repr(want)
+        assert repr(got_m) == repr(want_m)
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():

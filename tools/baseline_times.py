@@ -12,6 +12,8 @@ targets: the best of N calls of each, timed with time.perf_counter.
                               balanced split x = sqrt(t/2 pi)
     afe_l q=3 t=450           afe_l at q = 3, label 1, s = 0.135785+449.699845i,
                               r = 0, X = 14.653186
+    afe_l q=4 t=100 r=2       afe_l at q = 4, label 1, s = 0.5+100i, r = 2, the
+                              balanced split X = sqrt(q t/2 pi)
     lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
                               s = 0.5+300i, r = 2, split x = 3
 
@@ -53,7 +55,7 @@ def main(argv: list[str]) -> int:
     from zetalab.coefficients import l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
 
-    chi, chi3 = character(1009, 1), character(3, 1)
+    chi, chi3, chi4 = character(1009, 1), character(3, 1), character(4, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
     rows = [
         ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
@@ -64,6 +66,7 @@ def main(argv: list[str]) -> int:
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
         ("afe_hurwitz t=200", lambda: afe_hurwitz(complex(0.5, 200.0), 1.0, 0, math.sqrt(200.0 / (2.0 * math.pi)))),
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
+        ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
     ]
     for name, fn in rows:
