@@ -44,8 +44,8 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .evaluate import _EPS, LerchArgs, _characters_at, _common_modulus, _cores, _l_values, _lerch_values
-from .evaluate import _progression_sum, _units, _weigh, _z_values
-from .sawtooth import EvalResult, _check_alpha, _check_order, _check_work
+from .evaluate import _units, _weigh, _z_values
+from .sawtooth import EvalResult, _check_alpha, _check_order, _check_work, _progression_sum
 
 __all__ = [
     "COEFFICIENT_KINDS",

@@ -18,9 +18,10 @@ batch at the largest order.
 
 Their default split puts X/q at the final cutoff of the plain sawtooth
 tails (Euler-Maclaurin at the cutoff, as in Johansson, arXiv:1309.2877):
-the tails march over no interval, and what is left is one finite-sum
+the tails integrate no interval, and what is left is one finite-sum
 kernel pass over (orders x classes x terms) and the closed-form far tails.
-An explicit split keeps the piecewise march.  For every split their error
+From an explicit split the tails reach their cutoff by the same step, a
+sum over the kinks of psi on that kernel.  For every split their error
 bounds add the binary64 rounding of the finite sums (the phase eps |s| log
 p of each term dominates at large t), of the boundary and pole terms, of
 the tail combination and of the character weighting to the tails'
@@ -50,6 +51,7 @@ import numpy as np
 from .characters import DirichletCharacter
 from .sawtooth import (
     _EPS,
+    _SUM_BLOCK,
     _WORK_BUDGET,
     EvalResult,
     _check_alpha,
@@ -57,6 +59,7 @@ from .sawtooth import (
     _check_work,
     _first_cutoff,
     _osc_cutoff,
+    _progression_sum,
     _tail_cutoff,
     psi_osc_tail_powers,
     psi_tail_powers_batch,
@@ -161,79 +164,13 @@ def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     return val, err
 
 
-_SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
-_ROW_BLOCK = 1 << 13  # terms per block of rows of a progression sum: the block's arrays stay in cache
-# work budget charges, in march segments (2-5.5 us each): a progression-sum
-# term takes 40-80 ns at one order, 1/30 to 1/60 of one, and a residue class
-# of a batch (its far tails and its core, less its sum) 3-17 us, about 1 to 8
-# (q near 1000, s = 0, 1 and 0.5 + 1000i).  The charges stay as they were:
-# at 12 a class of u = X/q terms is charged 12 + u/8 <= max(u, 30 - u): no
-# more than its terms at 1 each, or than a march from u to the first cutoff
-# (30 or more) at 1 a segment
+# work budget charges, in the plain tail's units (one per unit of u and row):
+# a progression-sum term takes 40-80 ns at one order, and a residue class (its
+# far tails and its core, less its sum) 3-17 us.  At 12 a class of u = X/q
+# terms is charged 12 + u/8 <= max(u, 30 - u): no more than its terms at 1
+# each, or than its tail's interval from u to the first cutoff (30 or more)
 _TERM_COST = 1.0 / 8.0
 _CLASS_COST = 12.0
-
-
-def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{k <= kmax} e^{2 pi i lam k} p^{-s} (-log p)^r over p = a + q k for
-    every start of a (rows, each to its own kmax; 0 with a bound of 0 for
-    kmax < 0) and every order r of orders: (orders, rows) values and bounds.
-
-    The one finite-sum kernel of the split representations: the residue
-    classes of the Z core (lam = 0, the AFE's too), the Lerch sum over n +
-    alpha (q = 1) and the truncated character sums.  The rows of
-    one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
-    terms of a row and _ROW_BLOCK or fewer in all, or one row; a block takes
-    log p and p^{-s} once and every order from them, (-log p)^r at each
-    integer r, and a row adds its blocks left to right: each row is its
-    one-row sum, bit for bit.
-
-    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
-    (the logarithm, the rounded point, the product), the modulus, the power
-    and the product; r eps |term| / |log p| more where |log p| < 1 (at most
-    the first three points), for the rounded point inside (-log p)^r; with
-    lam, eps (3 (2 pi lam k) + 5) |term| more for the Lerch phase (pi and
-    the products by lam and by k in its argument, the exponential, the
-    product); then the pairwise sums within blocks and the sum of the
-    blocks, 1.5 eps (depth) sum |term|.  A term that leaves binary64 makes
-    the sum and its bound non-finite, without a warning: EvalResult refuses
-    them."""
-    a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
-    val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
-    cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
-    abs_s, add = abs(s), np.add.reduce
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, kk in ((lo, hi, int(kmax[lo])) for lo, hi in zip(cuts, cuts[1:]) if kmax[lo] >= 0):
-            width = min(kk + 1, _SUM_BLOCK)
-            depth = math.log2(width + 1) + 20 + -(-(kk + 1) // _SUM_BLOCK)
-            step = max(1, _ROW_BLOCK // width)
-            for j in range(lo, hi, step):
-                rows = slice(j, min(j + step, hi))
-                sums = [[None] * 5 for _ in orders]  # value, sum |term|, sum |term log p|, sum k |term|, head
-                for k0 in range(0, kk + 1, _SUM_BLOCK):
-                    k = np.arange(k0, min(k0 + _SUM_BLOCK, kk + 1), dtype=float)
-                    logs = np.log(a[rows, None] + q * k)
-                    al3 = np.abs(logs[:, :3])  # the points with 0 < |log p| < 1: the first three at most
-                    al3 = np.where((al3 > 0.0) & (al3 < 1.0), al3, np.inf)
-                    # one order keeps no copy of p^{-s}, and |log p| is taken where it is
-                    # used: fewer live arrays keep a long row in cache
-                    base = np.exp(-s * logs) if len(orders) > 1 else None
-                    for sm, r in zip(sums, orders):
-                        terms = np.exp(-s * logs) if base is None else base
-                        terms = terms * ((-logs) ** r if r > 1 else -logs) if r else terms  # x ** 1 is x
-                        if lam:
-                            terms = terms * np.exp(2j * np.pi * lam * k)
-                        mag = np.abs(terms)
-                        parts = [add(terms, axis=1), add(mag, axis=1), add(mag * np.abs(logs), axis=1)]
-                        parts += [add(mag * k, axis=1)] if lam else []
-                        sm[: len(parts)] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
-                        if r and not k0:
-                            sm[4] = r * add(mag[:, :3] / al3, axis=1)
-                for i, (r, (v, mags, lmags, kmags, head)) in enumerate(zip(orders, sums)):
-                    bound = 3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags
-                    bound = bound + head if r else bound
-                    val[i, rows], err[i, rows] = v, _EPS * (bound + (6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else bound)
-    return val, err
 
 
 def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
@@ -269,7 +206,7 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, n
     """The split X and the plain tails from X/q of the residue classes a of
     units, psi_tail_powers(X/q, a/q, -s-1, r) each, as (r + 1, classes)
     values and bounds.  By default X/q is the final cutoff of those tails,
-    so that they march over no interval and only their closed-form far
+    so that they integrate no interval and only their closed-form far
     tails are left beside the finite sums.
 
     Each class is charged to the work budget by its own length before any

@@ -9,32 +9,24 @@ antiderivative psi2, and infinite tails of the form
     int_x^inf psi(u - alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du
 
 evaluated for all log powers m = 0..r at once, each returning a value
-plus a truncation bound.  The plain tail is integrated piecewise exactly
-on every interval where psi is linear (the integrand reduces to
-antiderivatives of u^c log^m u), and the far tail is expanded through
-higher periodic-Bernoulli antiderivatives of psi, whose remainder is
-bounded by |B_K({u})/K!| <= 2.5 (2 pi)^{-K} times an explicit absolutely
-convergent integral.
+plus a truncation bound.  Up to an adaptive cutoff the plain tail is a
+finite sum by first-order Euler-Maclaurin over the kinks of psi, the step
+Johansson (arXiv:1309.2877) takes at the cutoff (_psi_interval); beyond
+it the tail is expanded through higher periodic-Bernoulli antiderivatives
+of psi, whose remainder is bounded by |B_K({u})/K!| <= 2.5 (2 pi)^{-K}
+times an explicit absolutely convergent integral.
 
-The plain tail has one kernel for many shifts alpha at once (the residue
-classes a/q of an L-function): the march walks a rows x segments grid,
-one row per alpha and one segment per linear piece of psi, in blocks of
-at most 2048 moments, no wider than the longest row left, whose break
-points are generated block by block, so memory does not grow with the
-length of the march; the exponents b + 2 and b + 1 share one stacked pass
-of moments.  It works on plain complex arrays and books its binary64
-rounding beside its values, term by term: the moments of each branch
-(_moments_exp), the phase and modulus of e^{beta t1}, the moment argument,
-the powers and the binomial sums (_power_log_segments), the rounded kinks
-and their logarithms, the product c L and the additions along each row
-(_march).  Sums along a row and over the log powers run in order, so each
-row, value and bound, is bit for bit its one-row result.  A tail whose
-march or panel walk would exceed about 2e6 pieces, or reach 2^52, is
-refused; a plain tail from x >= 2^52 walks nothing, and since its cutoff
-is then an integer, its far tail is expanded at {-alpha}.  One rule picks
-the plain tail's cutoffs and where its rows stop; the search for the
-final one (_tail_cutoff) returns the tails from there, where nothing is
-marched and so no rounding is booked.
+The plain tail serves many shifts alpha at once (the residue classes a/q
+of an L-function), one row each: its kink sums are one pass of the
+finite-sum kernel that evaluate shares (_progression_sum), the rest one
+triangular recursion of antiderivatives (_antiderivatives), and each row,
+value and booked rounding, is bit for bit its one-row result.  A tail
+whose interval or panel walk would exceed about 2e6 units of work, or
+reach 2^52, is refused; a plain tail from x >= 2^52 integrates nothing,
+and since its cutoff is then an integer, its far tail is expanded at
+{-alpha}.  One rule picks the plain tail's cutoffs and where its rows
+stop; the search for the final one (_tail_cutoff) returns the tails from
+there, where no interval is integrated and so no rounding is booked.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
 integration by parts against the exponential beyond an adaptive cutoff.
@@ -53,8 +45,8 @@ whose cutoff reaches 2^52 is refused: from there alpha and the phase
 (_osc_cutoff, which doubles the first on the closed-form remainder alone)
 from a split at or past it walks no panel: it is its far tail.
 
-Error bounds here cover truncation and quadrature, and the rounding of
-the plain tail's march, of the oscillatory panels and of the segments'
+Error bounds here cover truncation and quadrature, and the rounding of the
+plain tail's intervals, of the oscillatory panels and of the segments'
 series at 0; not that of the far-tail expansions.  The Hurwitz, Z and L
 routes of evaluate, and the coefficient routes that read their core, add
 the rounding of what they assemble from these tails, the far tails'
@@ -103,9 +95,9 @@ def _check_alpha(alpha: float) -> None:
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
-    routes and their coefficient readings; the march's and the panels' for a
-    tail; all but the oscillatory far tails' for the Lerch routes, and all
-    but theirs and the gamma factors' for the AFE)."""
+    routes and their coefficient readings; the intervals' and the panels'
+    for a tail; all but the oscillatory far tails' for the Lerch routes, and
+    all but theirs and the gamma factors' for the AFE)."""
 
     value: complex
     error_bound: float
@@ -226,142 +218,36 @@ _PSI_TILDE_ABS = tuple(
 _EPS = 2.0**-53  # unit roundoff of binary64
 
 
-def _moments_exp(z: np.ndarray, imax: int) -> tuple[np.ndarray, np.ndarray]:
-    """m_i(z) = int_0^1 e^{z w} w^i dw for i = 0..imax and an array of z, of
-    shape (imax + 1, len(z)), and the rounding of each for z as given.
-
-    |z| <= 2: power series; |z| >= imax: upward recurrence; between them a
-    downward recurrence seeded far above imax.  Each branch carries its
-    rounding along (e^z to 4 eps, a complex product 3 eps, a quotient 6 eps)."""
-    az = np.abs(z)
-    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
-    series = az <= 2.0
-    upward = ~series & (az >= imax)
-    for part, moments in ((series, _moments_series), (upward, _moments_up), (~series & ~upward, _moments_down)):
-        if part.any():
-            idx = np.flatnonzero(part)
-            out[:, idx], err[:, idx] = moments(z[idx], az[idx], imax)
-    return out, err
-
-
-def _moments_series(z, az, imax: int):
-    """sum_k t_k, t_k = z^k / (k! (i + k + 1)), each i stopping at its first
-    term below 1e-19 or at k = 80; c_k = z^k/k! serves every i.  Rounding:
-    c_k takes k steps of 4 eps and t_k one of eps; the n_i additions round
-    by eps |S_k| <= eps (|m_i| + sum_{j > k} |t_j|) each; so eps (sum_k
-    (5 k + 1) |t_k| + n_i |m_i|), and the terms left out add below 2e-19."""
-    d0 = np.arange(1.0, imax + 2.0)[:, None]  # i + 1
-    out = np.repeat(1.0 / d0, z.size, axis=1).astype(complex)
-    mags, steps = out.real.copy(), np.zeros(out.shape)  # sum_k (5 k + 1) |t_k|, n_i
-    c = np.ones_like(z)
-    live = np.ones(out.shape, dtype=bool)
-    for k in range(1, 81):
-        c = c * (z / k)
-        d = d0 + k
-        ac = np.abs(c)
-        np.add(out, c / d, out=out, where=live)
-        np.add(mags, (5 * k + 1) * ac / d, out=mags, where=live)
-        steps += live
-        live &= ~(ac < 1e-19 * d)
-        if not live.any():
-            break
-    return out, _EPS * (mags + steps * np.abs(out)) + 2e-19
+def _antiderivatives(d: complex, src: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The triangular recursion of int u^{d-1} log^m u du, R_m = src_m/d - (m/d)
+    R_{m-1} along the leading axis (the orders), from the sources src_m (u^d
+    log^m u at points, or sums of such terms) and their rounding; at d = 0 its
+    log form R_m = src_{m+1}/(m + 1), one order fewer.  A level rounds by at
+    most 8 eps M_m, M_m = (|src_m| + m M_{m-1})/|d| the moduli of its
+    expanded terms, and carries the errors of src_m and R_{m-1} on."""
+    if d == 0:
+        den = np.arange(1.0, len(src)).reshape(-1, *[1] * (src.ndim - 1))
+        return src[1:] / den, err[1:] / den + _EPS * np.abs(src[1:] / den)
+    vals, errs, mags = np.empty_like(src), np.empty_like(err), np.empty_like(err)
+    for m in range(len(src)):
+        vals[m], errs[m], mags[m] = src[m] / d, err[m] / abs(d), np.abs(src[m]) / abs(d)
+        if m:
+            vals[m] -= m / d * vals[m - 1]
+            errs[m] += m * errs[m - 1] / abs(d)
+            mags[m] += m * mags[m - 1] / abs(d)
+        errs[m] += 8.0 * _EPS * mags[m]
+    return vals, errs
 
 
-def _moments_up(z, az, imax: int):
-    """m_0 = (e^z - 1)/z, m_i = (e^z - i m_{i-1})/z.  A step carries the
-    error on by i/|z| <= 1: e_i = (i e_{i-1} + eps (4 |e^z| + i |m_{i-1}|))/|z|
-    + 6 eps |m_i|, for e^z, i m_{i-1}, the difference and the quotient."""
-    ez = np.exp(z)
-    aez = 4.0 * _EPS * np.abs(ez)
-    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
-    m, e = np.ones_like(z), np.zeros(z.size)  # at i = 0 the 1 of e^z - 1 stands for i m_{i-1}
-    for i in range(imax + 1):
-        k = max(i, 1)
-        e = (k * e + aez + k * _EPS * np.abs(m)) / az
-        m = (ez - k * m) / z
-        e = e + 6.0 * _EPS * np.abs(m)
-        out[i], err[i] = m, e
-    return out, err
-
-
-def _moments_down(z, az, imax: int):
-    """m_{i-1} = (e^z - z m_i)/i from m = 0 at i = imax + int|z| + 60, off by
-    at most max(1, |e^z|)/(i + 1) there.  A step carries the error on by
-    |z|/i (more than 1 below i = |z|): e_{i-1} = (|z| e_i + eps (4 |e^z| +
-    3 |z m_i|))/i + 2 eps |m_{i-1}|."""
-    ez = np.exp(z)
-    aez = 4.0 * _EPS * np.abs(ez)
-    start = imax + az.astype(np.int64) + 60
-    m, e = np.zeros_like(z), np.maximum(1.0, np.abs(ez)) / (start + 1)
-    out, err = np.empty((imax + 1, z.size), dtype=complex), np.empty((imax + 1, z.size))
-    for i in range(int(start.max()), 0, -1):
-        zm = z * m
-        nxt = (ez - zm) / i
-        nerr = (az * e + aez + 3.0 * _EPS * np.abs(zm)) / i + 2.0 * _EPS * np.abs(nxt)
-        begun = start >= i
-        m, e = np.where(begun, nxt, m), np.where(begun, nerr, e)
-        if i - 1 <= imax:
-            out[i - 1], err[i - 1] = m, e
-    return out, err
-
-
-def _powers(v, m: int) -> np.ndarray:
-    """Rows v^0, v^1, ..., v^m, each the previous one times v."""
-    out = np.empty((m + 1, v.size))
-    out[0] = 1.0
-    for i in range(1, m + 1):
-        out[i] = out[i - 1] * v
-    return out
-
-
-def _power_log_segments(betas: tuple[complex, ...], rmax: int, t1, t2) -> list:
-    """int_{t1}^{t2} e^{beta t} t^r dt for r = 0..rmax (t = log u) on arrays
-    of segments, one (values, rounding) pair of shape (rmax + 1, len(t1)) per
-    beta of betas.  The nonzero betas are stacked along the segment axis:
-    one pass of moments and exponentials, each element as if alone (the sums
-    over i run in order).
-
-    The value e^{beta t1} sum_i C(r, i) t1^{r-i} D_i, D_i = delta^{i+1} m_i(z),
-    z = beta delta, rounds, for t1 and t2 as given, by: the modulus of
-    e^{beta t1}, eps (|Re beta| |t1| + 3), and the last product, 3 eps (its
-    phase, which the betas of one imaginary part share, is left to the
-    caller); m_i by its branch's rounding and, for z, eps |z m_{i+1}| <= eps
-    (|e^z| + (i + 1) |m_i|); D_i, t1^{r-i}, the binomial product and the sum
-    by eps (i + 2 rmax + 3) per term.  At beta = 0 the closed form rounds by
-    eps (2 r + 3) delta max(|t1|, |t2|)^r."""
-    delta = t2 - t1
-    t1p = _powers(t1, rmax)
-    orders = np.arange(rmax + 1.0)[:, None]
-    if 0 in betas:
-        # factored (t2^{r+1}-t1^{r+1})/(r+1) = delta * sum_k t2^k t1^{r-k}/(r+1):
-        # same-sign terms, so the value carries relative (not power-sized) error
-        t2p = _powers(t2, rmax)
-        closed = np.array([delta * np.add.accumulate(t2p[: r + 1] * t1p[r::-1])[-1] / (r + 1) for r in range(rmax + 1)])
-        closed_err = _EPS * (2.0 * orders + 3.0) * delta * _powers(np.maximum(np.abs(t1), np.abs(t2)), rmax)
-    live = [beta for beta in betas if beta != 0]
-    if k := len(live):
-        beta = np.repeat(np.array(live, dtype=complex), t1.size)
-        d, t, tp = np.tile(delta, k), np.tile(t1, k), np.tile(t1p, k)
-        m, merr = _moments_exp(beta * d, rmax)
-        dp = _powers(d, rmax + 1)[1:]
-        dm = dp * m  # D_i
-        g = dp * (merr + _EPS * (np.exp(beta.real * d) + (orders + 1.0) * np.abs(m))) + _EPS * (orders + 2 * rmax + 3) * np.abs(dm)
-        out, err = np.empty(tp.shape, dtype=complex), np.empty(tp.shape)
-        for r in range(rmax + 1):
-            f = _binomials(r)[:, None] * tp[r::-1]
-            out[r] = np.add.accumulate(f * dm[: r + 1])[-1]
-            err[r] = np.add.accumulate(np.abs(f) * g[: r + 1])[-1]
-        p = np.exp(beta * t)
-        out *= p
-        err = np.abs(p) * err + _EPS * (np.abs(beta.real * t) + 6.0) * np.abs(out)
-        stacked = iter(zip(np.split(out, k, axis=1), np.split(err, k, axis=1)))
-    return [next(stacked) if beta != 0 else (closed, closed_err) for beta in betas]
-
-
-@lru_cache(maxsize=None)  # one entry per order r <= MAX_ORDER
-def _binomials(r: int) -> np.ndarray:
-    return np.array([math.comb(r, i) for i in range(r + 1)], dtype=float)
+def _power_log_lower(c: complex, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """int u^c log^m u du for m = 0..mmax (rows) at the points u, zero at u = 0
+    for Re(c) > -1 and at infinity for Re(c) < -1: _antiderivatives of u^{c+1}
+    log^j u, whose rounding is eps (3 |c + 1| |log u| + 3) for the phase and
+    modulus of u^{c+1} and eps (2 j + 1) for the power of the rounded log u."""
+    d, logs = c + 1.0, np.log(np.asarray(u, dtype=float))
+    src = np.cumprod([np.exp(d * logs)] + [logs] * (mmax + (d == 0)), axis=0)
+    j = np.arange(len(src)).reshape(-1, *[1] * logs.ndim)
+    return _antiderivatives(d, src, _EPS * (3.0 * abs(d) * np.abs(logs) + 2.0 * j + 4.0) * np.abs(src))
 
 
 def power_log_tail_abs(c: float, j: int, u: float) -> float:
@@ -421,19 +307,87 @@ def _far_remainders(rows_all: list[list[list[complex]]], b: complex, u0: float, 
     return [scale * sum(abs(c) * power_log_tail_abs(b.real - K, i, u0) for i, c in enumerate(rows[K]) if c) for rows in rows_all]
 
 
+_SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
+_ROW_BLOCK = 1 << 13  # terms per block of rows of a progression sum: the block's arrays stay in cache
+
+
+def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, first=None) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k <= kmax} e^{2 pi i lam k} p^{-s} (-log p)^r over p = a + q k for
+    every start of a (rows, each to its own kmax; 0 with a bound of 0 for
+    kmax < 0) and every order r of orders: (orders, rows) values and bounds.
+    With first (lam = 0; an integer per row), p = a + q (first + k): each
+    point is still rounded once.
+
+    The one finite-sum kernel of the split representations: the residue
+    classes of the Z core (lam = 0, the AFE's too), the Lerch sum over n +
+    alpha (q = 1), the truncated character sums and the sums over the kinks
+    of the plain tail's intervals (_psi_interval).  The rows of
+    one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
+    terms of a row and _ROW_BLOCK or fewer in all, or one row; a block takes
+    log p and p^{-s} once and every order from them, (-log p)^r at each
+    integer r, and a row adds its blocks left to right: each row is its
+    one-row sum, bit for bit.
+
+    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
+    (the logarithm, the rounded point, the product), the modulus, the power
+    and the product; r eps |term| / |log p| more where |log p| < 1 (at most
+    the first three points), for the rounded point inside (-log p)^r; with
+    lam, eps (3 (2 pi lam k) + 5) |term| more for the Lerch phase (pi and
+    the products by lam and by k in its argument, the exponential, the
+    product); then the pairwise sums within blocks and the sum of the
+    blocks, 1.5 eps (depth) sum |term|.  A term that leaves binary64 makes
+    the sum and its bound non-finite, without a warning: EvalResult refuses
+    them."""
+    a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
+    first = None if first is None else np.asarray(first, dtype=float)
+    val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
+    cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
+    abs_s, add = abs(s), np.add.reduce
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, kk in ((lo, hi, int(kmax[lo])) for lo, hi in zip(cuts, cuts[1:]) if kmax[lo] >= 0):
+            width = min(kk + 1, _SUM_BLOCK)
+            depth = math.log2(width + 1) + 20 + -(-(kk + 1) // _SUM_BLOCK)
+            step = max(1, _ROW_BLOCK // width)
+            for j in range(lo, hi, step):
+                rows = slice(j, min(j + step, hi))
+                sums = [[None] * 5 for _ in orders]  # value, sum |term|, sum |term log p|, sum k |term|, head
+                for k0 in range(0, kk + 1, _SUM_BLOCK):
+                    k = np.arange(k0, min(k0 + _SUM_BLOCK, kk + 1), dtype=float)
+                    logs = np.log(a[rows, None] + q * (k if first is None else first[rows, None] + k))
+                    al3 = np.abs(logs[:, :3])  # the points with 0 < |log p| < 1: the first three at most
+                    al3 = np.where((al3 > 0.0) & (al3 < 1.0), al3, np.inf)
+                    # one order keeps no copy of p^{-s}, and |log p| is taken where it is
+                    # used: fewer live arrays keep a long row in cache
+                    base = np.exp(-s * logs) if len(orders) > 1 else None
+                    for sm, r in zip(sums, orders):
+                        terms = np.exp(-s * logs) if base is None else base
+                        terms = terms * ((-logs) ** r if r > 1 else -logs) if r else terms  # x ** 1 is x
+                        if lam:
+                            terms = terms * np.exp(2j * np.pi * lam * k)
+                        mag = np.abs(terms)
+                        parts = [add(terms, axis=1), add(mag, axis=1), add(mag * np.abs(logs), axis=1)]
+                        parts += [add(mag * k, axis=1)] if lam else []
+                        sm[: len(parts)] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
+                        if r and not k0:
+                            sm[4] = r * add(mag[:, :3] / al3, axis=1)
+                for i, (r, (v, mags, lmags, kmags, head)) in enumerate(zip(orders, sums)):
+                    bound = 3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags
+                    bound = bound + head if r else bound
+                    val[i, rows], err[i, rows] = v, _EPS * (bound + (6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else bound)
+    return val, err
+
+
 # ---------------------------------------------------------------------------
-# plain sawtooth tails, piecewise exact + periodic-Bernoulli far tail
+# plain sawtooth tails, Euler-Maclaurin over the kinks + periodic-Bernoulli far tail
 # ---------------------------------------------------------------------------
 
 _TOL_ABS = 1e-15
 _TOL_REL = 1e-12
 _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
-
-
-_BLOCK = 2048  # moments per block of the march, over its segments and nonzero exponents: memory stays flat in its length
-# units of work of one request: a unit interval of a plain march, a panel of
-# an oscillatory walk, a term of an AFE sum; the Hurwitz, Z, L and Lerch
-# splits weigh their terms (and residue classes) in march segments
+_BLOCK = 2048  # Fourier terms per block of the far tail's periodic Bernoulli rows: memory stays flat in their length
+# units of work of one request: a unit of u of a plain tail's interval (per
+# row), a panel of an oscillatory walk, a term of an AFE sum; the Hurwitz, Z,
+# L and Lerch splits weigh their terms (and residue classes) in those units
 _WORK_BUDGET = 2e6
 
 
@@ -470,56 +424,57 @@ def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.nda
     return first, np.maximum(last - first + 1.0, 0.0).astype(np.int64) + 1
 
 
-def _march(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int) -> None:
-    """Add int_lo^hi psi(u - alpha) u^b log^m u du, m = 0..rmax, piecewise
-    exact, to each row's sums = (values, rounding), a complex and a real
-    array of shape (rmax + 1, rows) updated in place.
+def _psi_interval(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int) -> None:
+    """Add int_lo^hi psi(u - alpha) u^b log^m u du, m = 0..rmax, and its
+    rounding to each row's sums = (values, rounding), arrays of shape (rmax +
+    1, rows), by first-order Euler-Maclaurin: with g_m' = u^b log^m u and G_m'
+    = g_m (_antiderivatives at c = b + 1 and c + 1), it is
 
-    One segment per interval where psi(u - alpha) = u - c is linear; the rows x
-    segments grid is walked in blocks of at most _BLOCK moments, no wider
-    than the longest row left (the exponents b + 2 and b + 1 share one pass),
-    whose break points are made block by block, so memory stays flat.  A
-    segment adds H - c L (H, L: _power_log_segments at b + 2, b + 1) to its
-    row, left to right.  Its rounding: that of H and L; their common phase,
-    eps (|Im b| |t1| + 2) |H - c L|; c (a rounded kink plus 1/2), c L and
-    H - c L, eps (3 |c L| + |H - c L|); its first break point t1 = log u,
-    where the kink m + alpha rounds by eps u and the log by 2 eps |t1|, so
-    the jump |u^{b+1} t1^m| of the integrand (in t) moves by eps (2 |t1| + 1);
-    and its addition, eps |partial sum|.  Per row, hi moves like a kink, and
-    a kink within 1e-12 of lo or hi, not a break point, leaves a sliver of
-    that width on the wrong piece of psi.
-    """
+        sum_{lo < n + alpha <= hi} g(n + alpha) - [G(hi) - G(lo)]
+            - psi(lo - alpha) g(lo) + psi(hi - alpha) g(hi),
+
+    the sum the recursion run on the kernel's sums of p^c log^j p over the
+    kinks (_progression_sum at s = -c).  Count and psi come from one rounded
+    v = u - alpha at each end, so their jumps cancel: psi errs by eps |v|,
+    and a kink that v's rounding puts across the end costs |g(p) - g(u)|.  Next to a
+    zero c or c + 1 (|d| max(2, |log u|) <= 1, d = b - b0, b0 = -1 or -2)
+    the integrand is u^b0 log^m u e^{d log u}, its exponential cut after the
+    first K terms, where e^z z^K/K! < 2^-64 (z = |d| max|log u|), each at b0
+    in the log form; the rest adds (1/2) e^z z^K/K! max|log u|^m int u^b0.
+    Rounding: the kernel's bound, the recursions', and 6 eps sum |piece|."""
     if not lo < hi:
         return
     _check_kinks(lo, hi)
-    first, count = _kinks(lo, hi, alphas)
-    ends = np.log([lo, hi])
-    jumps = np.exp(b.real * ends)[:, None] * _powers(np.abs(ends), rmax).T  # |u^b log^m u| at lo and hi
-    slivers = np.maximum(first - 1.0 + alphas - lo, 0.0), np.maximum(hi - (first + (count - 1.0) + alphas), 0.0)
-    sums[1] += jumps[0][:, None] * slivers[0] + jumps[1][:, None] * (slivers[1] + _EPS * hi * (2.0 * abs(ends[1]) + 1.0))
-    betas = (b + 2.0, b + 1.0)
-    block = _BLOCK // sum(beta != 0 for beta in betas)  # segments per block
-    for r0 in range(0, alphas.size, block):
-        rows = np.arange(r0, min(r0 + block, alphas.size))
-        width, end = block // rows.size, int(count[rows].max())
-        for j0 in range(0, end, width):
-            rows = rows[count[rows] > j0]
-            w = min(width, end - j0)
-            j = np.arange(j0, j0 + w + 1)  # break point indices: lo, the kinks, hi
-            al, n = alphas[rows, None], count[rows, None]
-            pts = np.where(j == 0, lo, np.where(j >= n, hi, (first[rows, None] + (j - 1)) + al))
-            logs = np.log(pts)
-            c = (al + np.floor(0.5 * (pts[:, :-1] + pts[:, 1:]) - al) + 0.5).ravel()
-            t1, t2 = logs[:, :-1].ravel(), logs[:, 1:].ravel()
-            (h, herr), (l, lerr) = _power_log_segments(betas, rmax, t1, t2)
-            d, at1, ac = h - c * l, np.abs(t1), np.abs(c)
-            kinks = (2.0 * at1 + 1.0) * np.exp((b.real + 1.0) * t1) * _powers(at1, rmax)
-            derr = herr + ac * lerr + _EPS * (3.0 * ac * np.abs(l) + (abs(b.imag) * at1 + 3.0) * np.abs(d) + kinks)
-            shape, valid = (rmax + 1, rows.size, w), j[:-1] < n
-            part = np.add.accumulate(np.concatenate([sums[0][:, rows, None], np.where(valid, d.reshape(shape), 0.0)], axis=2), axis=2)
-            derr = np.where(valid, derr.reshape(shape) + _EPS * np.abs(part[:, :, 1:]), 0.0)
-            sums[0][:, rows] = part[:, :, -1]
-            sums[1][:, rows] = np.add.accumulate(np.concatenate([sums[1][:, rows, None], derr], axis=2), axis=2)[:, :, -1]
+    span = max(abs(math.log(lo)), abs(math.log(hi)))
+    for b0 in (-1.0, -2.0):
+        if (d := b - b0) and abs(d) * max(span, 2.0) <= 1.0:
+            z = abs(d) * span
+            K = next(k for k in range(1, 64) if math.exp(z) * z**k / math.factorial(k) <= 2.0**-64)
+            part = [np.zeros((rmax + K, alphas.size), dtype=complex), np.zeros((rmax + K, alphas.size))]
+            _psi_interval(part, lo, hi, alphas, complex(b0), rmax + K - 1)
+            w = np.cumprod([1.0] + [d / k for k in range(1, K)])[:, None, None]  # d^k/k!
+            terms, terrs = (np.array([p[k : k + rmax + 1] for k in range(K)]) for p in part)
+            rem = 0.5 * math.exp(z) * z**K / math.factorial(K) * (math.log(hi / lo) if b0 == -1.0 else 1.0 / lo - 1.0 / hi)
+            vals = np.add.accumulate(w * terms)[-1]
+            errs = (np.abs(w) * (terrs + _EPS * (5 * K + 4) * np.abs(terms))).sum(axis=0) + rem * span ** np.arange(rmax + 1.0)[:, None]
+            break
+    else:
+        c, ends = b + 1.0, np.array([lo, hi])
+        v = ends[:, None] - alphas
+        n, orders = np.floor(v), range(rmax + 1 + (c == 0))
+        psi, near = v - n - 0.5, np.minimum(v - n, n + 1.0 - v) <= 2.0 * _EPS * np.abs(v)  # near: a kink within rounding of the end
+        sums_p, errs_p = _progression_sum(alphas, 1, (n[1] - n[0] - 1.0).astype(np.int64), -c, orders, first=n[0] + 1.0)
+        sg, sgerr = _antiderivatives(c, np.array([[(-1.0) ** j] for j in orders]) * sums_p, errs_p)
+        g, gerr = _power_log_lower(b, rmax, ends)
+        G, Gerr = _antiderivatives(c, *_power_log_lower(c, rmax + (c == 0), ends))
+        f = ends**b.real * np.abs(np.log(ends)) ** np.arange(rmax + 1.0)[:, None]  # |u^b log^m u| at the ends
+        pieces = (sg, G[:, 1:] - G[:, :1], psi[0] * g[:, :1], psi[1] * g[:, 1:])
+        vals = pieces[0] - pieces[1] - pieces[2] + pieces[3]
+        at_ends = [np.abs(psi[e]) * gerr[:, e, None] + _EPS * np.abs(v[e]) * (np.abs(g[:, e, None]) + 2.0 * f[:, e, None] * near[e]) for e in (0, 1)]
+        errs = sgerr + Gerr.sum(axis=1)[:, None] + at_ends[0] + at_ends[1]
+        errs = errs + 6.0 * _EPS * (np.abs(sg) + np.abs(G).sum(axis=1)[:, None] + np.abs(pieces[2]) + np.abs(pieces[3]))
+    sums[0] += vals
+    sums[1] += errs + _EPS * np.abs(sums[0])
 
 
 def _first_cutoff(b: complex, rmax: int) -> float:
@@ -539,10 +494,10 @@ def _tail_cutoffs(x: float, b: complex, rmax: int):
 
 
 def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
-    """Each row's tails at the cutoff u0, its marched sums plus the far tail
+    """Each row's tails at the cutoff u0, its interval sums plus the far tail
     sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0) (from 2^52 on, where
     u0 is an integer, expanded at {-alpha}), with their bounds (rmax + 1,
-    rows): the remainders, the march's rounding and, where it marched, that
+    rows): the remainders, the intervals' rounding and, where one was, that
     of adding the far tail; and whether the row stops there: its remainders
     meet the tolerance for a tail of its size, or u0 is past the cap."""
     v = u0 - alphas if u0 < 2.0**52 else -alphas
@@ -555,9 +510,8 @@ def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas
 
 def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The first cutoff u of _tail_cutoffs at which every row of
-    psi_tail_powers_batch(u, alphas, b, rmax) stops with nothing marched,
-    and that batch's result, bit for bit, as (rmax + 1, rows) values and
-    bounds: from u it marches over no interval."""
+    psi_tail_powers_batch(u, alphas, b, rmax) stops, integrating no interval,
+    and that batch's result, bit for bit, as (rmax + 1, rows) values and bounds."""
     alphas = np.array(alphas, dtype=float)
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
@@ -568,10 +522,11 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
 
 def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
     """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
-    from one march of all rows; each row is bit for bit its one-row result.
+    from one interval integral of all rows per cutoff; each row is bit for
+    bit its one-row result.
 
     Rows that meet the tolerance at the cutoff u0 stop there; the others
-    march on to 2 u0.  The far-tail derivatives and remainders do not depend
+    go on to 2 u0.  The far-tail derivatives and remainders do not depend
     on alpha and are evaluated once per cutoff.
     """
     b = complex(b)
@@ -583,10 +538,9 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
     _check_work(alphas.size * (u0 - x))
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     out: list = [None] * alphas.size
-    rows = np.arange(alphas.size)
-    cur = x
+    rows, cur = np.arange(alphas.size), x
     while True:
-        _march(sums, cur, u0, alphas, b, rmax)
+        _psi_interval(sums, cur, u0, alphas, b, rmax)
         cur = u0
         vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
         for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
@@ -601,9 +555,10 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
 def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list[complex], list[float]]:
     """int_x^inf psi(u-alpha) u^b log^m u du for m = 0..rmax, with bounds.
 
-    Requires Re(b) < 0.  Piecewise exact up to an adaptive cutoff U, then
-    the expansion sum_k (-1)^k psi~_{k+1}(U-alpha) g^{(k-1)}(U) with the
-    remainder bounded through int_U^inf |g^{(K-1)}|.
+    Requires Re(b) < 0.  First-order Euler-Maclaurin over the kinks up to an
+    adaptive cutoff U (_psi_interval), then the expansion sum_k (-1)^k
+    psi~_{k+1}(U-alpha) g^{(k-1)}(U) with the remainder bounded through
+    int_U^inf |g^{(K-1)}|.
     """
     return psi_tail_powers_batch(x, [alpha], b, rmax)[0]
 
@@ -854,9 +809,8 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m = 0..rmax.
 
     Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff, broken
-    at the kinks of psi(u - alpha) that the march uses, and each interval
-    between them cut further where its phase turns by more than _THETA or it
-    spans more than a factor 1.6 (_walk); beyond the cutoff the sawtooth is
+    at the kinks of psi(u - alpha) and cut further where the phase turns by
+    more than _THETA or a panel spans more than a factor 1.6 (_walk); beyond the cutoff the sawtooth is
     expanded in combined frequencies n + nu and each frequency integrated by
     parts K times, the boundary terms summed in closed form via shifted
     periodic-Bernoulli series.  The bounds add the panels' quadrature and
@@ -891,17 +845,6 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
 # ---------------------------------------------------------------------------
 
 
-def _power_log_lower(c: complex, mmax: int, delta: float) -> list[complex]:
-    """I_m = int_0^delta u^c log^m u du = delta^{c+1} log^m delta/(c+1) - m
-    I_{m-1}/(c+1) for m = 0..mmax, Re(c) > -1."""
-    ld = math.log(delta)
-    dc = cmath.exp((c + 1.0) * ld)
-    vals = [dc / (c + 1.0)]
-    for m in range(1, mmax + 1):
-        vals.append(dc * ld**m / (c + 1.0) - m / (c + 1.0) * vals[-1])
-    return vals
-
-
 def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
     """int_0^x e^{2 pi i nu u} u^b log^m u du for m = 0..rmax, with bounds; Re(b) > -1.
 
@@ -930,11 +873,11 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[l
     delta = min(x, 0.04 / max(1.0, TWO_PI * abs(nu)))
     ld, ac = abs(math.log(delta)), abs(b + 1.0)
     mods = [delta ** (b.real + 1.0) * sum(math.perm(m, j) * ld ** (m - j) / ac ** (j + 1) for j in range(m + 1)) for m in range(rmax + 1)]  # M_m(b)
-    vals = _power_log_lower(b, rmax, delta)  # the series' term k = 0
+    vals = _power_log_lower(b, rmax, delta)[0].tolist()  # the series' term k = 0
     # the terms k = 1, 2, ... to the first k > 3 with |c_k| delta^{Re b + k} < 1e-20, or to k = 60
     coef, k = 2j * math.pi * nu, 1
     while not ((abs(coef) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
-        for m, term in enumerate(_power_log_lower(b + k, rmax, delta)):
+        for m, term in enumerate(_power_log_lower(b + k, rmax, delta)[0].tolist()):
             vals[m] += coef * term
         k += 1
         coef *= 2j * math.pi * nu / k

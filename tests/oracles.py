@@ -381,13 +381,13 @@ def lerch_oracle(s: complex, lam: Fraction, alpha: float, r: int, dps: int = 30)
         )
 
 
-def power_log_segment_oracle(beta: complex, r: int, t1: float, t2: float, dps: int = 50):
-    """int_{t1}^{t2} e^{beta t} t^r dt to dps digits, for the binary64 endpoints as
-    given: (t2^{r+1} - t1^{r+1})/(r + 1) at beta = 0, else the antiderivative
-    e^{beta t} sum_k (-1)^k r!/(r-k)! t^{r-k} / beta^{k+1}, whose terms cancel,
-    so it is worked at dps + 150 digits."""
+def power_log_segment_oracle(beta: complex, r: int, u1: float, u2: float, dps: int = 50):
+    """int_{u1}^{u2} u^{beta - 1} log^r u du to dps digits, for the binary64
+    endpoints as given: with t = log u, (t2^{r+1} - t1^{r+1})/(r + 1) at beta =
+    0, else the antiderivative e^{beta t} sum_k (-1)^k r!/(r-k)! t^{r-k} /
+    beta^{k+1}, whose terms cancel, so it is worked at dps + 150 digits."""
     with mp.workdps(dps + 150):
-        a, b = mp.mpf(t1), mp.mpf(t2)
+        a, b = mp.log(mp.mpf(u1)), mp.log(mp.mpf(u2))
         if beta == 0:
             value = (b ** (r + 1) - a ** (r + 1)) / (r + 1)
         else:
@@ -426,12 +426,13 @@ def psi_piecewise_integral(
     lo: float, hi: float, alpha: float = 1.0, exponent: complex = 0.0, log_power: int = 0
 ) -> complex:
     """Finite int_lo^hi psi(u-alpha) u^exponent log^log_power u du by the
-    library's piecewise-exact march, charged to its work budget first."""
+    library's interval integral (Euler-Maclaurin over the kinks), charged to
+    its work budget first."""
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     _check_work(hi - lo)
     sums = [np.zeros((log_power + 1, 1), dtype=complex), np.zeros((log_power + 1, 1))]
-    sawtooth._march(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
+    sawtooth._psi_interval(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
     return complex(sums[0][log_power, 0])
 
 

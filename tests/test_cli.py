@@ -475,7 +475,9 @@ def test_tail_log_power_is_capped(capsys):
 # `tail --lambda`) when the panels were sized by the whole phase and their
 # rounding was booked; the `afe` entries again when the AFE became the Z core
 # plus its dual sum and booked the rounding of the core, the pole term, the
-# dual assembly and the segments
+# dual assembly and the segments; the `certify --bound t3`, plain `tail`,
+# explicit-split `eval` and `afe` entries when the plain tail's intervals
+# became first-order Euler-Maclaurin sums over the kinks of psi
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -488,7 +490,7 @@ GOLDEN_DIGESTS = [
         "bcd862afbc06d23d09915b8fd94f9ee96e3f0a919d5888cdc0d76f0e4236c2ac",
     ),
     (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
-    (["certify", "--bound", "t3"], "70024a0731fab42d5124b15aa04b85b4efb4f0fc5eeb58aa943e83e42edcaf8a"),
+    (["certify", "--bound", "t3"], "8aae8a5d185a9a8a23b2c3464f31709f6804b879610b713467ed5ef006058d85"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
         "5a9a0bfaa588e5320a99d06b4c55f3e4f641ca19e66c00ed00ecd10740b2106b",
@@ -526,11 +528,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "8eacd06405f88d3957eb24d6a22e0133c3c4dc7aa923bc56dff79d31933636af",
+        "9dbb65b8f233709d03983a8f798c87554812c07b77b9408889eec609f93b8741",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
-        "98f965dd5831b9fbc9d5e985864e02698b2b7f33561416ebfaf1213f6074e964",
+        "25858b68aa984d45e6b95c4ffc7bfc46df185e4bd911a782c5759aebdd42a7ab",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
@@ -551,7 +553,7 @@ GOLDEN_DIGESTS = [
     (["certify", "--bound", "t2-iib"], "086b8b14bd9d955eec14a549b9ea6613781f39cf8205ba3324ebd0ed341d0c7e"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "0673c109363de7d9ceb3e10b8850d9c8a0b08ea71a4991ed2e358adee944a760",
+        "bae0e201a1e32722256a89ce9deaaaac01ee8f689be269621b2ffd48c1a91a17",
     ),
     (
         ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
@@ -559,7 +561,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
-        "776893f7d85f6d9e43454561e11cca59c72ff8ee18ae14c49b8b8579ed7c4ee4",
+        "09763f28cfcfc18a187a6fe9fd12dafb6fdd96f2b5e22e4457871dd581336308",
     ),
     # recorded before the Gauss-Legendre panels ran as (block x 32) arrays: a
     # panel walk longer than one block, an explicit Lerch split at t = 300,
@@ -574,7 +576,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "3752865a1f6b55a72c61d7c5e47d87aeea05bb1c0eb698cf76a736f08fa55e7d",
+        "4f6b5b655ca23bd221867077ea18048dd1c883706c33cd585bba850a72541332",
     ),
     # recorded before every residue class and order of a request came from one
     # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span
@@ -590,7 +592,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "13", "--label", "2", "--r", "1", "--x", "6.5"],
-        "eb9a24473864c97a56956bcca0df46d9d024802ac8f7ca1d8489ad41cd653116",
+        "b7558a6475bf26ce7c99907027e5e23146da966139a84b8cdb983e51d6b1c9c6",
     ),
 ]
 
@@ -609,7 +611,8 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # distinct root was formatted once per table; the afe and `tail --lambda`
 # entries re-recorded with the GOLDEN_DIGESTS of the panels sized by the
 # whole phase, and the afe entry with those of the AFE as the Z core plus
-# its dual sum
+# its dual sum; the afe and plain tail entries with the GOLDEN_DIGESTS of the
+# Euler-Maclaurin intervals
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
@@ -619,11 +622,11 @@ TEXT_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "91884c197bd9fa1afe4e75fdcf0d41a547b9c1cba8e988255af80587e2e43826",
+        "2aaf0d96832efe2109bc12877013f015132b59f75e0db1cd0580ebb642c7c1a3",
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "3e1e4ff6af7cb2df578338778457458770a2e01479443075d84b96b282df5591",
+        "6b9119a5c893be9726b69bf298425d4e56ef48f72ceba0c03f01b7d3cf02d3f7",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],

@@ -14,7 +14,6 @@ from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
     _pole_term,
-    _progression_sum,
     _psi_at_split,
     _s_tail,
     _cores,
@@ -24,7 +23,7 @@ from zetalab.evaluate import (
     lerch_deriv,
     z_deriv,
 )
-from zetalab.sawtooth import EvalResult, _tail_cutoff, psi_tail_powers
+from zetalab.sawtooth import EvalResult, _progression_sum, _tail_cutoff, psi_tail_powers
 
 from .oracles import (
     catalan_constant,
@@ -501,12 +500,22 @@ def test_explicit_lerch_split_bound_holds_against_the_oracle(lam, t):
             assert _held(res, ref), (lam, t, x, r, res, complex(ref))
 
 
+def test_explicit_split_next_to_s_0_holds_against_the_default_split():
+    # s = 1e-9: the tails' antiderivative exponent c = -s is next to 0, where
+    # they take the Taylor series of the log form in b; the default split,
+    # at the tails' cutoff, integrates no interval
+    for r in (0, 3, 8):
+        got = hurwitz_deriv(HurwitzArgs(s=1e-9, alpha=0.3, order=r, split=2.0))
+        want = hurwitz_deriv(HurwitzArgs(s=1e-9, alpha=0.3, order=r))
+        assert abs(got.value - want.value) <= got.error_bound + want.error_bound, r
+
+
 def test_default_split_walks_no_march(monkeypatch):
     # the tails are the cutoff search's own far tails at the final cutoff:
     # no march is called, so none walks a nonempty interval
     walked = []
-    march = sawtooth._march
-    monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
+    interval = sawtooth._psi_interval
+    monkeypatch.setattr(sawtooth, "_psi_interval", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or interval(sums, lo, hi, *rest))
     for s, r in ((0.5 + 1000j, 1), (0.5 + 10j, 24), (2.0 + 0j, 0), (0.05 - 300j, 8)):
         hurwitz_deriv(HurwitzArgs(s=s, alpha=0.3, order=r))
         z_deriv(s, 3, 7, r)
@@ -542,14 +551,14 @@ def test_lerch_tails_not_worth_passing_are_walked():
     lerch_taylor_at_1(20, 1e-4, 0.7)
 
 
-def ref_progression_sum(a, q, kmax, s, r, lam, block):
+def ref_progression_sum(a, q, kmax, s, r, lam, block, first=0):
     """One row and one order of the finite-sum kernel as documented (reference):
     blocks of `block` terms, each summed as one array, added left to right,
-    with the rounding term."""
+    with the rounding term; the points a + q (first + k)."""
     val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
     for k0 in range(0, kmax + 1, block):
         k = np.arange(k0, min(k0 + block, kmax + 1), dtype=float)
-        logs = np.log(a + q * k)
+        logs = np.log(a + q * (first + k))
         terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
         if lam:
             terms = terms * np.exp(2j * np.pi * lam * k)
@@ -573,8 +582,8 @@ def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, bl
     # every residue class of a split below and above q (two row lengths, empty
     # classes beyond X), and rows out of order with lengths from 0 to 41; at
     # blocks of 8 terms a row spans six blocks and a block holds one row
-    monkeypatch.setattr(evaluate, "_SUM_BLOCK", block)
-    monkeypatch.setattr(evaluate, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(sawtooth, "_SUM_BLOCK", block)
+    monkeypatch.setattr(sawtooth, "_ROW_BLOCK", row_block)
     cases = [(13, np.arange(1.0, 14.0), 30.5), (13, np.arange(1.0, 14.0), 7.5), (1, np.array([0.3, 1.0, 0.05, 0.7]), None)]
     for q, a, X in cases:
         kmax = _split_floor((X - a) / q) if X else np.array([3, -1, 40, 0])
@@ -586,6 +595,13 @@ def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, bl
                 for j in range(a.size):
                     want = ref_progression_sum(float(a[j]), q, int(kmax[j]), s, r, lam, block)
                     assert repr((complex(vals[i, j]), float(errs[i, j]))) == repr(want), (q, X, s, r, j)
+    # the kinks n + alpha, n >= first, of the plain tail's intervals
+    a, kmax, first = np.array([0.3, 0.7, 0.25]), np.array([40, 40, 0]), np.array([3.0, 0.0, 17.0])
+    vals, errs = _progression_sum(a, 1, kmax, 0.5 + 300j, [0, 2], first=first)
+    for i, r in enumerate([0, 2]):
+        for j in range(a.size):
+            want = ref_progression_sum(float(a[j]), 1, int(kmax[j]), 0.5 + 300j, r, 0.0, block, first[j])
+            assert repr((complex(vals[i, j]), float(errs[i, j]))) == repr(want), (r, j)
 
 
 def test_all_classes_sum_in_flat_memory():

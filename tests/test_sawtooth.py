@@ -154,6 +154,29 @@ def test_error_bound_honest_grid():
         assert abs(vals[r] - oracle) <= errs[r] + otail + 1e-12
 
 
+@pytest.mark.parametrize("b", [-1.0, complex(-1.0, 1e-9), -2.0, complex(-2.0, 1e-9)])
+def test_tail_next_to_a_zero_antiderivative_exponent_holds_against_mpmath(monkeypatch, b):
+    # g' = u^b log^m u and G' = g have the exponents c = b + 1 and c + 1: 0 at
+    # s = 0 and s = 1 (the log form), next to 0 beside them (its Taylor series
+    # in b); the intervals to the cutoff U against mpmath on each piece of psi,
+    # plus the far tail from U, which both share
+    from .oracles import psi_march_oracle
+
+    walked = []
+    interval = sawtooth._psi_interval
+    monkeypatch.setattr(sawtooth, "_psi_interval", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or interval(sums, lo, hi, *rest))
+    for r in (0, 3, 8):
+        for x in (0.5, 4.0, 200.0):
+            walked.clear()
+            vals, errs = psi_tail_powers(x, 0.3, b, r)
+            U = walked[-1][1] if walked else x
+            far, ferrs = psi_tail_powers(U, 0.3, b, r)
+            want = complex(psi_march_oracle(x, U, 0.3, complex(b), r, dps=20)) + far[r] if U > x else far[r]
+            assert abs(vals[r] - want) <= errs[r] + ferrs[r], (r, x)
+            # next to the zero the bound stays the zero's (the recursion's 1/c would blow it up)
+            assert errs[r] <= 1.1 * psi_tail_powers(x, 0.3, complex(b).real, r)[1][r], (r, x)
+
+
 def test_tail_requires_decaying_exponent():
     # the tail subcommand asks for Re(exponent) <= -1 without oscillation (test_cli)
     with pytest.raises(ValueError, match="Re\\(exponent\\) < 0"):
@@ -401,50 +424,63 @@ def ref_psi_tail_powers(x, alpha, b, rmax):
         u0 *= 2.0
 
 
-def _march_sums(lo, hi, alphas, b, rmax):
-    """(values, rounding) of one march of the rows alphas from lo to hi."""
+def _interval_sums(lo, hi, alphas, b, rmax):
+    """(values, rounding) of one interval integral of the rows alphas from lo to hi."""
     sums = [np.zeros((rmax + 1, len(alphas)), dtype=complex), np.zeros((rmax + 1, len(alphas)))]
-    sawtooth._march(sums, lo, hi, np.array(alphas, dtype=float), b, rmax)
+    sawtooth._psi_interval(sums, lo, hi, np.array(alphas, dtype=float), complex(b), rmax)
     return sums
 
 
-def _phase_rounding(beta, t1, values):
-    """The rounding of the phase of e^{beta t1}, which the march books once for both exponents."""
-    return sawtooth._EPS * (abs(complex(beta).imag) * np.abs(t1) + 2.0) * np.abs(values)
+def _ref_interval_rows(lo, hi, alphas, b, rmax):
+    """One scalar march per row over (lo, hi): values and the rounding stand-in
+    5e-16 sum |pieces| of ref_psi_tail_powers, as (rmax + 1, rows) arrays."""
+    vals, bounds = [], []
+    for alpha in alphas:
+        v, mags = [0.0 + 0.0j] * (rmax + 1), [0.0] * (rmax + 1)
+        ref_march_exact(v, lo, hi, alpha, complex(b), rmax, mags)
+        vals.append(v)
+        bounds.append([5e-16 * m for m in mags])
+    return np.array(vals).T, np.array(bounds).T
 
 
 def _assert_within_bounds(got, want):
-    """Each (values, bounds) row of got holds the values of want within its bounds."""
-    for (vals, bounds), (ref, _) in zip(got, want, strict=True):
-        assert all(abs(v - w) <= e for v, w, e in zip(vals, ref, bounds, strict=True))
+    """Each (values, bounds) row of got holds the values of want within the sum of both bounds."""
+    for (vals, bounds), (ref, rbounds) in zip(got, want, strict=True):
+        assert all(abs(v - w) <= e + f for v, w, e, f in zip(vals, ref, bounds, rbounds, strict=True))
 
 
-def test_moments_match_the_scalar_recurrences_in_every_branch():
-    # |z| <= 2 (series), 2 < |z| < imax (downward), |z| >= imax (upward)
-    rng = np.random.default_rng(5)
-    for imax in (0, 1, 3, 8, 24):
-        radii = np.concatenate(
-            [rng.uniform(0.0, 2.0, 40), rng.uniform(2.0, max(imax, 2.5), 40), rng.uniform(imax, imax + 40.0, 40)]
-        )
-        angles = rng.uniform(-math.pi, math.pi, radii.size)
-        zs = [complex(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)] + [0j, 2.0 + 0j, complex(imax)]
-        got, err = sawtooth._moments_exp(np.array(zs), imax)
-        want = np.array([ref_moments_exp(z, imax) for z in zs]).T
-        assert np.all(np.abs(got - want) <= err)
+def _segments(beta: complex, rmax: int, u1, u2):
+    """int_{u1}^{u2} u^{beta - 1} log^r u du, r = 0..rmax, as the difference of
+    two _power_log_lower antiderivatives, and its bound: theirs and the difference."""
+    (lo, elo), (hi, ehi) = (sawtooth._power_log_lower(beta - 1.0, rmax, np.asarray(u)) for u in (u1, u2))
+    return hi - lo, ehi + elo + sawtooth._EPS * np.abs(hi - lo)
+
+
+def ref_power_log_lower(c: complex, rmax: int, u: float) -> list[complex]:
+    """The antiderivative int u^c log^m u du, m = 0..rmax, one order at a time:
+    u^{c+1} log^m u/(c + 1) - m I_{m-1}/(c + 1), log^{m+1} u/(m + 1) at c = -1."""
+    ld = math.log(u)
+    if c == -1:
+        return [complex(ld ** (m + 1) / (m + 1)) for m in range(rmax + 1)]
+    dc = cmath.exp((c + 1.0) * ld)
+    vals = [dc / (c + 1.0)]
+    for m in range(1, rmax + 1):
+        vals.append(dc * ld**m / (c + 1.0) - m / (c + 1.0) * vals[-1])
+    return vals
 
 
 @pytest.mark.parametrize("beta", [0j, complex(-1.0), complex(1.0), complex(-0.7, 3.0), complex(0.4, -250.0)])
 def test_power_log_segments_match_the_scalar_antiderivatives(beta):
-    # t = log u from below 0 to 8, with t1 = 0 (u = 1) and zero-width segments
+    # segments of u = e^t from t below 0 to 8, with u1 = 1 and zero-width segments,
+    # at beta and beta -+ 1 (0 at beta = +-1: the log form), against the scalar recursion
     rng = np.random.default_rng(11)
-    t1 = np.concatenate([[0.0, 0.0], rng.uniform(-0.7, 8.0, 60)])
-    t2 = t1 + np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 60)])
-    # alone, and stacked with a second exponent in either place (beta -+ 1 is 0 at beta = +-1)
+    u1 = np.exp(np.concatenate([[0.0, 0.0], rng.uniform(-0.7, 8.0, 60)]))
+    u2 = u1 * np.exp(np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 60)]))
     for rmax in (0, 2, 8):
-        for betas in ((beta,), (beta + 1.0, beta), (beta, beta - 1.0)):
-            for k, (got, err) in enumerate(sawtooth._power_log_segments(betas, rmax, t1, t2)):
-                want = np.array([ref_power_log_segments(betas[k], rmax, a, b) for a, b in zip(t1.tolist(), t2.tolist())]).T
-                assert np.all(np.abs(got - want) <= err + _phase_rounding(betas[k], t1, got))
+        for b in (beta, beta + 1.0, beta - 1.0):
+            got, err = _segments(b, rmax, u1, u2)
+            ends = [np.array([ref_power_log_lower(b - 1.0, rmax, u) for u in us.tolist()]).T for us in (u1, u2)]
+            assert np.all(np.abs(got - (ends[1] - ends[0])) <= err)
 
 
 @pytest.mark.parametrize(
@@ -490,110 +526,70 @@ def test_random_marches_match_the_scalar_march():
         alpha = float(rng.uniform(1e-6, 1.0))
         b = complex(rng.uniform(-3.0, -0.5), rng.choice([0.0, rng.uniform(-300.0, 300.0)]))
         rmax = int(rng.integers(0, 9))
-        vals = [0.0 + 0.0j] * (rmax + 1)
-        ref_march_exact(vals, lo, hi, alpha, b, rmax)
-        sums = _march_sums(lo, hi, [alpha], b, rmax)
-        assert np.all(np.abs(sums[0][:, 0] - vals) <= sums[1][:, 0])
+        vals, bounds = _ref_interval_rows(lo, hi, [alpha], b, rmax)
+        sums = _interval_sums(lo, hi, [alpha], b, rmax)
+        assert np.all(np.abs(sums[0] - vals) <= sums[1] + bounds)
 
 
 def test_piecewise_integral_matches_the_scalar_march():
     cases = [(1e-8, 1.0, 1.0, 0.0, 0), (1.7, 9.2, 1.0, -1.5, 2), (0.3, 2500.0, 0.25, complex(-0.5, 3.0), 1)]
     for lo, hi, alpha, b, m in cases:
-        vals = [0.0 + 0.0j] * (m + 1)
-        ref_march_exact(vals, lo, hi, alpha, complex(b), m)
-        got, sums = psi_piecewise_integral(lo, hi, alpha=alpha, exponent=b, log_power=m), _march_sums(lo, hi, [alpha], complex(b), m)
-        assert got == sums[0][m, 0] and abs(got - vals[m]) <= sums[1][m, 0]
+        vals, bounds = _ref_interval_rows(lo, hi, [alpha], b, m)
+        got, sums = psi_piecewise_integral(lo, hi, alpha=alpha, exponent=b, log_power=m), _interval_sums(lo, hi, [alpha], b, m)
+        assert got == sums[0][m, 0] and abs(got - vals[m, 0]) <= sums[1][m, 0] + bounds[m, 0]
 
 
-def _ref_march_rows(lo, hi, alphas, b, rmax):
-    """The values _march leaves in its sums, from one scalar march per row."""
-    vals = []
-    for alpha in alphas:
-        v = [0.0 + 0.0j] * (rmax + 1)
-        ref_march_exact(v, lo, hi, alpha, b, rmax)
-        vals.append(v)
-    return np.array(vals).T
-
-
-# a block holds _BLOCK moments: _BLOCK // 2 segments with two nonzero exponents,
-# _BLOCK with one (b = -1: u^{b+1} = u^0 has a closed form)
-BLOCK_EDGES = [(b, n) for b, block in ((complex(-1.3, 5.0), sawtooth._BLOCK // 2), (-1.0, sawtooth._BLOCK)) for n in (1, block - 1, block, block + 1)]
+# the kinks of an interval are summed in blocks of at most _SUM_BLOCK terms:
+# intervals with one block less one kink, one block and one more, at two block sizes
+BLOCK_EDGES = [(b, n) for b, block in ((complex(-1.3, 5.0), 1024), (-1.0, 2048)) for n in (1, block - 1, block, block + 1)]
 
 
 @pytest.mark.parametrize("b, segments", BLOCK_EDGES)
-def test_blocks_sized_to_the_walk_match_the_scalar_march(b, segments):
-    # alpha = 1: the kinks 1, 2, ..., segments - 1 cut (0.5, segments - 0.5)
-    lo, hi, b, rmax = 0.5, segments - 0.5, complex(b), 2
-    sums = _march_sums(lo, hi, [1.0], b, rmax)
-    assert np.all(np.abs(sums[0] - _ref_march_rows(lo, hi, [1.0], b, rmax)) <= sums[1])
-
-
-def test_rows_of_unequal_length_end_in_a_partial_block(monkeypatch):
-    # three rows, two exponents: blocks of _BLOCK // 2 // 3 segments, the last one narrower
-    lo, hi, b, rmax = 0.5, 1500.3, complex(-1.6, -40.0), 3
-    alphas = np.array([0.2, 0.5, 0.9])
-    count = sawtooth._kinks(lo, hi, alphas)[1]
-    assert count.tolist() == [1501, 1500, 1501]
-    sizes = []
-    moments = sawtooth._moments_exp
-    monkeypatch.setattr(sawtooth, "_moments_exp", lambda z, imax: sizes.append(z.size) or moments(z, imax))
-    sums = _march_sums(lo, hi, alphas.tolist(), b, rmax)
-    width = sawtooth._BLOCK // 2 // 3
-    full, rest = divmod(1501, width)
-    assert rest and sizes == [2 * 3 * width] * full + [2 * 3 * rest]
-    assert np.all(np.abs(sums[0] - _ref_march_rows(lo, hi, alphas.tolist(), b, rmax)) <= sums[1])
+def test_blocks_sized_to_the_walk_match_the_scalar_march(monkeypatch, b, segments):
+    # alpha = 1: the kinks 1, 2, ..., segments in (0.5, segments + 0.5)
+    monkeypatch.setattr(sawtooth, "_SUM_BLOCK", 1024 if b != -1.0 else 2048)
+    lo, hi, rmax = 0.5, segments + 0.5, 2
+    sums = _interval_sums(lo, hi, [1.0], b, rmax)
+    vals, bounds = _ref_interval_rows(lo, hi, [1.0], b, rmax)
+    assert np.all(np.abs(sums[0] - vals) <= sums[1] + bounds)
 
 
 def _segments_in_every_branch(beta: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Segments (t1, t2) from t1 = -0.7 to log 2^51, with beta delta on both
-    sides of every moment branch at rmax = 8 (series to 2, downward to 8,
-    upward beyond), and the march's own widths log(1 + 1/u) at u = e^{t1}."""
+    """Segments (u1, u2), u = e^t, from t = -0.7 to log 2^51, from a fraction
+    of the scale 1/|beta| of e^{beta t} to forty of it, and the widths log(1 +
+    1/u) of a unit step at u."""
     t1 = np.array([-0.7, 0.0, 0.1, 3.0, 12.0, 51.0 * math.log(2.0)])
     reach = np.array([0.5, 1.9, 2.1, 5.0, 7.9, 8.1, 40.0]) / max(abs(beta), 1.0)
     starts = np.concatenate([np.repeat(t1, reach.size), t1])
     widths = np.concatenate([np.tile(reach, t1.size), np.log1p(np.exp(-t1))])
-    return starts, starts + widths
+    return np.exp(starts), np.exp(starts + widths)
 
 
 @pytest.mark.parametrize("beta", [0j, complex(-0.5, -2000.0), complex(0.5, 1000.0), complex(-1.0, 40.0), complex(0.3, 7.0), complex(-2.5, 0.0), complex(1.0, 0.0)])
 def test_power_log_segments_are_within_their_rounding_of_mpmath(beta):
-    # the segment integrals and their booked rounding, with the phase the march
-    # books once for both exponents, against 50-digit antiderivatives
+    # the segment integrals of u^{beta - 1} log^r u from the antiderivative
+    # recursion, and their booked rounding, against 50-digit antiderivatives
     from .oracles import power_log_segment_oracle
 
     rmax = 8
-    t1, t2 = _segments_in_every_branch(beta)
-    branches = np.abs(beta * (t2 - t1))
-    if beta != 0:
-        assert (branches <= 2.0).any() and ((branches > 2.0) & (branches < rmax)).any() and (branches >= rmax).any()
-    (got, err), = sawtooth._power_log_segments((beta,), rmax, t1, t2)
-    bound = err + _phase_rounding(beta, t1, got)
-    for j, (a, b) in enumerate(zip(t1.tolist(), t2.tolist())):
+    u1, u2 = _segments_in_every_branch(beta)
+    got, bound = _segments(beta, rmax, u1, u2)
+    for j, (a, b) in enumerate(zip(u1.tolist(), u2.tolist())):
         for r in range(rmax + 1):
             want = complex(power_log_segment_oracle(beta, r, a, b))
             assert abs(got[r, j] - want) <= bound[r, j], (r, a, b)
 
 
-@pytest.mark.parametrize("lo, hi", [(3.7 - 5e-13, 12.0), (3.7 + 5e-13, 12.0), (3.2, 11.7 + 5e-13), (3.2, 11.7 - 5e-13)])
+@pytest.mark.parametrize("lo, hi", [(3.7 - 5e-13, 12.0), (3.7 + 5e-13, 12.0), (3.2, 11.7 + 5e-13), (3.2, 11.7 - 5e-13), (3.0 + 0.7, 11.0 + 0.7)])
 def test_march_next_to_a_kink_is_within_its_bound(lo, hi):
-    # a kink within 1e-12 of lo or hi is no break point: the sliver between them
-    # runs on the wrong piece of psi, an error of about 5e-13 |u^b log^m u|
+    # kinks within 5e-13 of lo or hi, and ends on a kink to within the rounding
+    # of u - alpha, against mpmath on the exact pieces
     from .oracles import psi_march_oracle
 
     b, rmax = complex(-1.5, 3.0), 1
-    sums = _march_sums(lo, hi, [0.7], b, rmax)
+    sums = _interval_sums(lo, hi, [0.7], b, rmax)
     for m in range(rmax + 1):
         assert abs(sums[0][m, 0] - complex(psi_march_oracle(lo, hi, 0.7, b, m))) <= sums[1][m, 0]
-
-
-def test_a_short_march_makes_one_moment_pass_over_its_segments(monkeypatch):
-    # 39 segments of one row: both exponents in one call over 2 x 39 elements,
-    # not one call per exponent over a full block of 2048 each
-    sizes = []
-    moments = sawtooth._moments_exp
-    monkeypatch.setattr(sawtooth, "_moments_exp", lambda z, imax: sizes.append(z.size) or moments(z, imax))
-    psi_piecewise_integral(0.5, 38.5, alpha=1.0, exponent=complex(-1.5, 3.0))
-    assert sizes == [2 * 39]
 
 
 def ref_walk_breaks(lo: float, hi: float, nu: float, c: float, geom: float) -> list[float]:
@@ -702,7 +698,7 @@ def test_march_memory_does_not_grow_with_its_length():
 
 def test_work_budget_refuses_before_any_work(monkeypatch):
     marched = []
-    monkeypatch.setattr(sawtooth, "_march", lambda *args: marched.append(args))
+    monkeypatch.setattr(sawtooth, "_psi_interval", lambda *args: marched.append(args))
     # 1000 rows x (u0 - x) = 1000 x 2300 segments
     with pytest.raises(ValueError, match="work budget"):
         psi_tail_powers_batch(1.0, [a / 1000 for a in range(1, 1001)], complex(-1.5, 1130.0), 2)
@@ -904,8 +900,8 @@ def test_fourier_bernoulli_rows_match_the_scalar_series():
 @pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])
 def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     walked = []
-    march = sawtooth._march
-    monkeypatch.setattr(sawtooth, "_march", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or march(sums, lo, hi, *rest))
+    interval = sawtooth._psi_interval
+    monkeypatch.setattr(sawtooth, "_psi_interval", lambda sums, lo, hi, *rest: walked.append((lo, hi)) or interval(sums, lo, hi, *rest))
     alphas = [a / q for a in range(1, q + 1)]
     u, vals, errs = sawtooth._tail_cutoff(alphas, b, rmax)
     first = sawtooth._first_cutoff(complex(b), rmax)

@@ -5,13 +5,14 @@ each request with perfbench/check.classify against
 perfbench/oracle_values.json, and prints one line per (workload, command,
 kind):
 
-    <workload> <command> <kind> <checked results> <violations> <failed requests> <worst err/bound> <median bound>
+    <workload> <command> <kind> <checked results> <violations> <failed requests> <worst err/bound> <median bound> <median err/bound>
 
 A violation is a checked result with |value - reference| > error_bound;
 the worst err/bound is that of the worst violation (- if there is none).
 The median bound is that of error_bound / max(1, |reference|) over the
 checked results (- if there are none), so that a looser bound shows even
-where it holds.
+where it holds; the median err/bound, that of |value - reference| /
+error_bound, shows how much of the bound the error uses.
 Run it from the root of a checkout:
 
     python3 tools/bound_violations.py                 # all workloads
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import os
 import statistics
 import sys
@@ -34,15 +36,22 @@ import check  # noqa: E402
 from workloads import load_values  # noqa: E402
 
 
-def relative_bounds(argv: tuple[str, ...], stdout: str, reference) -> list[float]:
-    """error_bound / max(1, |reference|) of each result of an eval, afe or
-    coeff request that perfbench/check.classify compared with its reference."""
+def relative_bounds(argv: tuple[str, ...], stdout: str, reference) -> list[tuple[float, float]]:
+    """error_bound / max(1, |reference|) and |value - reference| / error_bound
+    (the distance less the reference's slack, as check.classify takes it; inf
+    for a bound of 0) of each result of an eval, afe or coeff request that
+    perfbench/check.classify compared with its reference."""
     doc = json.loads(stdout)
     if argv[0] == "coeff":
-        pairs = [(e["error"], ref) for e, ref in zip(doc["entries"], reference)]
+        triples = [(e["value"], e["error"], ref) for e, ref in zip(doc["entries"], reference)]
     else:
-        pairs = [(doc["error_bound"], reference)]
-    return [bound / max(1.0, abs(complex(float(ref[0]), float(ref[1])))) for bound, ref in pairs]
+        triples = [(doc["value"], doc["error_bound"], reference)]
+    out = []
+    for value, bound, ref in triples:
+        size = abs(complex(float(ref[0]), float(ref[1])))
+        err = max(0.0, check._distance(value, ref) - check.REFERENCE_SLACK * size)
+        out.append((bound / max(1.0, size), err / bound if bound else math.inf))
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -63,8 +72,8 @@ def main(argv: list[str]) -> int:
             if o.checked:
                 row[4] += relative_bounds(job.argv, out, values[job.key])
         for (command, kind), (checked, bad, failed, worst, bounds) in sorted(rows.items()):
-            median = f"{statistics.median(bounds):.3g}" if bounds else "-"
-            print(workload, command, kind, checked, bad, failed, f"{worst:.3g}" if bad else "-", median, flush=True)
+            medians = [f"{statistics.median(col):.3g}" for col in zip(*bounds)] or ["-", "-"]
+            print(workload, command, kind, checked, bad, failed, f"{worst:.3g}" if bad else "-", *medians, flush=True)
     return 0
 
 
