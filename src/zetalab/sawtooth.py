@@ -45,6 +45,17 @@ whose cutoff reaches 2^52 is refused: from there alpha and the phase
 (_osc_cutoff, which doubles the first on the closed-form remainder alone)
 from a split at or past it walks no panel: it is its far tail.
 
+The far tails of both kinds are one layer, bit for bit the scalar loops
+that took one order at a time: the periodic Bernoulli values of all
+their orders come from one array kernel (_phi_bernoulli) whose constant
+tables are built once per range of orders; the derivative coefficients
+of u^b log^r u, every order r, from one table per (b, rmax, K) that a
+request's cutoff searches and far tails share (_deriv_table); a far tail
+evaluates every k and r at once (_far_tail) and its remainders take one
+tail integral per log power (_far_remainders).  The shifted Fourier sums
+of the sawtooth-weighted far tail refuse a request whose series reach
+their cap of 4000 terms unmet (nu above about 0.965).
+
 Error bounds here cover truncation and quadrature, and the rounding of the
 plain tail's intervals, of the oscillatory panels and of the segments'
 series at 0; not that of the far-tail expansions.  The Hurwitz, Z and L
@@ -128,81 +139,66 @@ def psi2(u: float) -> float:
 # periodic Bernoulli functions B_m({u})/m! and their scaled variant
 # ---------------------------------------------------------------------------
 
-_BERNOULLI = (
-    Fraction(1),
-    Fraction(-1, 2),
-    Fraction(1, 6),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(1, 42),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(5, 66),
-    Fraction(0),
-    Fraction(-691, 2730),
-)
+_BERNOULLI = tuple(Fraction(*c) for c in [(1,), (-1, 2), (1, 6), (0,), (-1, 30), (0,), (1, 42), (0,), (-1, 30), (0,), (5, 66), (0,), (-691, 2730)])
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_poly_coeffs(m: int) -> tuple[float, ...]:
     """Coefficients of B_m(x)/m!, highest degree first."""
-    coeffs = [
-        Fraction(math.comb(m, k)) * _BERNOULLI[k] / Fraction(math.factorial(m))
-        for k in range(m + 1)
-    ]
-    return tuple(float(c) for c in coeffs)
+    return tuple(float(math.comb(m, k) * _BERNOULLI[k] / math.factorial(m)) for k in range(m + 1))
 
 
-def _phi_bernoulli(m: int, v: float) -> float:
-    """(2 pi)^m B_m({v})/m! = -sum_{|n|>=1} e^{2 pi i n v}/(i n)^m, bounded by ~2.5."""
-    if m <= 12:
-        f = v - math.floor(v)
-        acc = 0.0
-        for c in _bernoulli_poly_coeffs(m):
-            acc = acc * f + c
-        return acc * TWO_PI**m
-    # Fourier series; terms decay like n^{-m}, so a handful suffice
-    acc = 0.0
-    n = 1
-    phase = -0.5 * math.pi * m  # i^{-m} = e^{-i pi m / 2}
-    while True:
-        acc -= 2.0 * math.cos(TWO_PI * n * v + phase) / n**m
-        n += 1
-        if n ** (-m) < 1e-20 or n > 64:
-            break
-    return acc
+def _frozen(*items) -> tuple:
+    """items, each array made read-only: a cached table is shared by every later caller."""
+    return tuple(x.setflags(write=False) or x if isinstance(x, np.ndarray) else x for x in items)
 
 
-def _phi_bernoulli_rows(ms, v: np.ndarray) -> np.ndarray:
-    """_phi_bernoulli(m, v) for every m of the increasing ms (rows) and entry
-    of v (columns), bit for bit: one Horner pass serves every m <= 12 (a
-    leading coefficient 0 leaves it as it is), and each larger m takes all
-    its Fourier terms at once and subtracts them from 0 in turn."""
-    poly, out = [m for m in ms if m <= 12], np.empty((len(ms), v.size))
-    if poly:
-        f, coeffs = v - np.floor(v), [_bernoulli_poly_coeffs(m) for m in poly]
-        table, acc = np.array([(0.0,) * (poly[-1] + 1 - len(c)) + c for c in coeffs]), np.zeros((len(poly), v.size))
-        for c in table.T:
-            acc = acc * f + c[:, None]
-        out[: len(poly)] = acc * np.array([[TWO_PI**m] for m in poly])
-    for i, m in enumerate(ms[len(poly) :], len(poly)):
-        ns = [n for n in range(1, 65) if n == 1 or n ** (-m) >= 1e-20]  # the terms until n^{-m} < 1e-20 or n > 64
-        arg, den, step = np.array([[TWO_PI * n] for n in ns]), np.array([[float(n**m)] for n in ns]), max(1, _BLOCK // len(ns))
-        for j in range(0, v.size, step):  # at most _BLOCK terms at a time
-            terms = 2.0 * np.cos(arg * v[j : j + step] + -0.5 * math.pi * m) / den
-            out[i, j : j + step] = np.subtract.accumulate(np.concatenate([np.zeros((1, terms.shape[1])), terms]), axis=0)[-1]
+@lru_cache(maxsize=16)  # one entry per range of orders up to 66: the plain far tail's, the shift sums'
+def _bernoulli_table(ms: range) -> tuple:
+    """The constants of _phi_bernoulli for the orders ms <= 66, built once:
+    the Horner rows of B_m/m! (highest degree first, zeros before a lower
+    degree) and (2 pi)^m of each m <= 12; the Fourier terms of each larger m,
+    n = 1, 2, ... while n^{-m} >= 1e-20 and n <= 64, as 2 pi n, the phase
+    -pi m/2 and n^m per term, with their places (order, n) in a grid."""
+    poly, fourier = range(ms.start, min(ms.stop, 13)), range(max(ms.start, 13), ms.stop)
+    horner = np.array([(0.0,) * (poly[-1] - m) + _bernoulli_poly_coeffs(m) for m in poly]).T[:, :, None] if poly else []
+    places = []
+    for i, m in enumerate(fourier):
+        n = 1
+        while n <= 64 and (n == 1 or n ** (-m) >= 1e-20):
+            places.append((i, n))
+            n += 1
+    rows, cols = (np.array([p[j] for p in places], dtype=int) for j in (0, 1))
+    arg = np.array([TWO_PI * n for _, n in places]).reshape(-1, 1)
+    phase = np.array([-0.5 * math.pi * fourier[i] for i, _ in places]).reshape(-1, 1)
+    den = np.array([float(n ** fourier[i]) for i, n in places]).reshape(-1, 1)
+    return _frozen(horner, np.array([TWO_PI**m for m in poly]).reshape(-1, 1), len(fourier), cols.max(initial=0), rows, cols, arg, phase, den)
+
+
+def _phi_bernoulli(ms: range, v: np.ndarray) -> np.ndarray:
+    """(2 pi)^m B_m({v})/m! = -sum_{|n|>=1} e^{2 pi i n v}/(i n)^m, bounded by
+    about 2.5, for every order m of the increasing range ms (rows) and entry
+    of v (columns), from the constants of _bernoulli_table: one Horner pass
+    serves every m <= 12 (a leading coefficient 0 leaves it as it is); the m
+    up to 66 take all their Fourier terms at once, each order's subtracted
+    from 0 in turn along one grid (a term an order lacks is an exact 0 there,
+    which leaves it as it is); from m = 67 on, where 2^{-m} < 1e-20, the
+    series stops after its first term, so each order is 0 less one term."""
+    horner, scale, nf, width, rows, cols, arg, phase, den = _bernoulli_table(range(ms.start, min(ms.stop, 67)))
+    out, p, f = np.empty((len(ms), v.size)), scale.shape[0], v - np.floor(v)
+    acc = np.zeros((p, v.size))
+    for c in horner:
+        acc = acc * f + c
+    out[:p] = acc * scale
+    single = -0.5 * math.pi * np.arange(max(ms.start, 67), ms.stop, dtype=float)[:, None]  # the phases of the orders of one term
+    step = max(1, _BLOCK // max(arg.size + single.size, 1))
+    for j in range(0, v.size, step):  # at most _BLOCK terms at a time
+        terms = 2.0 * np.cos(arg * v[j : j + step] + phase) / den
+        grid = np.zeros((nf, width + 1, terms.shape[1]))
+        grid[rows, cols] = terms
+        out[p : p + nf, j : j + step] = np.subtract.accumulate(grid, axis=1)[:, -1]
+        out[p + nf :, j : j + step] = 0.0 - 2.0 * np.cos(TWO_PI * v[j : j + step] + single)
     return out
-
-
-def _phi_bernoulli_orders(v: float, mmax: int) -> list[float]:
-    """_phi_bernoulli(m, v) for m = 0..mmax, bit for bit: from m = 67 on,
-    where 2^{-m} < 1e-20, the Fourier series stops after its first term, so
-    each of those orders is one cosine."""
-    head = [_phi_bernoulli(m, v) for m in range(min(mmax, 66) + 1)]
-    c = TWO_PI * v
-    return head + [0.0 - 2.0 * math.cos(c + -0.5 * math.pi * m) for m in range(67, mmax + 1)]
 
 
 _PSI_TILDE_ABS = tuple(
@@ -263,48 +259,56 @@ def power_log_tail_abs(c: float, j: int, u: float) -> float:
     return math.exp(-lam * ll) * acc
 
 
-def _deriv_rows(b: complex, r: int, kmax: int) -> list[list[complex]]:
-    """Coefficient rows of g^(k) for g = u^b log^r u.
-
-    Row k holds coefficients c[i] with g^(k)(u) = u^{b-k} sum_i c[i] log^i u.
-    """
-    rows = [[0.0 + 0.0j] * (r + 1)]
-    rows[0][r] = 1.0 + 0.0j
-    for k in range(kmax):
-        prev = rows[k]
-        nxt = [0.0 + 0.0j] * (r + 1)
-        for i in range(r + 1):
-            nxt[i] = (b - k) * prev[i]
-            if i + 1 <= r:
-                nxt[i] += (i + 1) * prev[i + 1]
-        rows.append(nxt)
-    return rows
-
-
-def _row_eval(row: list[complex], b_minus_k: complex, u: float) -> complex:
-    ll = math.log(u)
-    acc = 0.0 + 0.0j
-    for i in reversed(range(len(row))):
-        acc = acc * ll + row[i]
-    return acc * cmath.exp(b_minus_k * math.log(u))
+@lru_cache(maxsize=4)  # complex keys: a request asks for at most two (b, rmax, K), tables of up to 0.2 MB
+def _deriv_table(b: complex, rmax: int, K: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients c[k, r, i] of g_r^(k)(u) = u^{b-k} sum_i c[k, r, i]
+    log^i u, g_r = u^b log^r u, for k = 0..K and r = 0..rmax, as (i, k, r),
+    0 beyond i = r, with |c[K, r, i]| as (r, i): from c[0, r, r] = 1 by
+    c[k + 1, r, i] = (b - k) c[k, r, i] + (i + 1) c[k, r, i + 1] (i < r),
+    one list of every order's coefficients per k.  sign, math.copysign(1,
+    Im b), keeps apart the b that 0.0 == -0.0 would share: the signs of their
+    coefficients' zeros differ."""
+    size = rmax + 1
+    at = [(r, i) for r in range(size) for i in range(r, -1, -1)]  # each order from its top power down
+    facs = [0 if i == r else i + 1 for r, i in at]  # 0: the top power takes no (i + 1) c[k, r, i + 1]
+    rows = [[1.0 + 0.0j if i == r else 0.0 + 0.0j for r, i in at]]
+    for bk in (b - k for k in range(K)):
+        rows.append([bk * c + f * up if f else bk * c for f, c, up in zip(facs, rows[-1], [0j, *rows[-1]])])
+    flat = np.zeros((K + 1, size * size), dtype=complex)
+    flat[:, [i * size + r for r, i in at]] = rows
+    tab = flat.reshape(K + 1, size, size).transpose(1, 0, 2)
+    return _frozen(tab, np.hypot(tab[:, K].real, tab[:, K].imag).T)
 
 
-def _far_tail(rows_all: list[list[list[complex]]], b: complex, u0: float, coeffs) -> np.ndarray:
+def _far_tail(table, b: complex, u0: float, coeffs) -> np.ndarray:
     """sum_k coeffs[j][k] g_r^{(k)}(u0) for every row j of coefficients and every
-    g_r = u^b log^r u (rows_all[r] from _deriv_rows), added in k order from 0:
+    g_r = u^b log^r u (table from _deriv_table), added in k order from 0:
     the boundary terms of the far-tail expansions, shape (rows, rmax + 1).
 
-    g_r^{(k)}(u0) does not depend on the row: it is evaluated once."""
+    g_r^{(k)}(u0) does not depend on the row: it is evaluated once, every k
+    and r at once, bit for bit as the scalar loop did: Horner in log u0 from
+    the top power (numpy's product of a complex and a real is Python's: its
+    cross products with the real's 0 are exact zeros), then the product with
+    the one cmath.exp((b - k) log u0) of each k, formed as Python forms it."""
     c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
-    g = np.array([[_row_eval(rows[k], b - k, u0) for rows in rows_all] for k in range(c.shape[0])])[:, None, :]
-    return sum(c * g, np.zeros((c.shape[1], g.shape[2]), dtype=complex))
+    tab, kc, ll = table[0], c.shape[0], math.log(u0)
+    acc = np.zeros((kc, tab.shape[2]), dtype=complex)
+    for t in tab[::-1, :kc]:
+        acc = acc * ll + t
+    e = np.array([cmath.exp((b - k) * ll) for k in range(kc)])[:, None]
+    g = np.empty((kc, 1, tab.shape[2]), dtype=complex)
+    g.real[:, 0], g.imag[:, 0] = acc.real * e.real - acc.imag * e.imag, acc.real * e.imag + acc.imag * e.real
+    terms = c * g  # added to 0 in k order, as Python's sum adds them
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + terms.shape[1:], dtype=complex), terms]), axis=0)[-1]
 
 
-def _far_remainders(rows_all: list[list[list[complex]]], b: complex, u0: float, scale: float) -> list[float]:
-    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of rows_all[r],
-    bounded termwise by sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du."""
-    K = len(rows_all[0]) - 1
-    return [scale * sum(abs(c) * power_log_tail_abs(b.real - K, i, u0) for i, c in enumerate(rows[K]) if c) for rows in rows_all]
+def _far_remainders(table, b: complex, u0: float, scale: float) -> list[float]:
+    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of the table,
+    bounded termwise by sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du, each
+    integral taken once for every r, the terms added from i = 0."""
+    K = table[0].shape[1] - 1
+    ints = np.array([power_log_tail_abs(b.real - K, i, u0) for i in range(table[1].shape[0])])
+    return (scale * np.add.accumulate(table[1] * ints, axis=1)[:, -1]).tolist()
 
 
 _SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
@@ -384,7 +388,9 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
 _TOL_ABS = 1e-15
 _TOL_REL = 1e-12
 _K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
-_BLOCK = 2048  # Fourier terms per block of the far tail's periodic Bernoulli rows: memory stays flat in their length
+_TAIL_ORDERS = range(2, _K_TAIL + 1)  # the plain far tail's coefficients (-1)^{m-1} B_m({u0 - alpha})/m!
+_TAIL_SCALE, _TAIL_SIGNS = np.array([[TWO_PI**m] for m in _TAIL_ORDERS]), np.array([[(-1.0) ** (m - 1)] for m in _TAIL_ORDERS])
+_BLOCK = 1 << 14  # Fourier terms per block of _phi_bernoulli: memory stays flat in the number of shifts
 # units of work of one request: a unit of u of a plain tail's interval (per
 # row), a panel of an oscillatory walk, a term of an AFE sum; the Hurwitz, Z,
 # L and Lerch splits weigh their terms (and residue classes) in those units
@@ -484,16 +490,16 @@ def _first_cutoff(b: complex, rmax: int) -> float:
 
 def _tail_cutoffs(x: float, b: complex, rmax: int):
     """The plain tail's cutoffs u0 = max(x, _first_cutoff), 2 u0, 4 u0, ...,
-    each with the far-tail rows of g_m = u^b log^m u (m = 0..rmax) and the
+    each with the derivative table of g_m = u^b log^m u (m = 0..rmax) and the
     remainders 2.5 (2 pi)^{-K} int_u0^inf |g_m^{(K-1)}|, a column of one per m."""
-    rows_all = [_deriv_rows(b, r, _K_TAIL - 1) for r in range(rmax + 1)]
+    table = _deriv_table(b, rmax, _K_TAIL - 1, math.copysign(1.0, b.imag))
     u0 = max(x, _first_cutoff(b, rmax))
     while True:
-        yield u0, rows_all, np.array(_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[_K_TAIL]))[:, None]
+        yield u0, table, np.array(_far_remainders(table, b, u0, _PSI_TILDE_ABS[_K_TAIL]))[:, None]
         u0 *= 2.0
 
 
-def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
+def _tail_values(sums, table, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
     """Each row's tails at the cutoff u0, its interval sums plus the far tail
     sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0) (from 2^52 on, where
     u0 is an integer, expanded at {-alpha}), with their bounds (rmax + 1,
@@ -501,9 +507,8 @@ def _tail_values(sums, rows_all, b: complex, u0: float, rems: np.ndarray, alphas
     of adding the far tail; and whether the row stops there: its remainders
     meet the tolerance for a tail of its size, or u0 is past the cap."""
     v = u0 - alphas if u0 < 2.0**52 else -alphas
-    coeffs = _phi_bernoulli_rows(range(2, _K_TAIL + 1), v) / np.array([[TWO_PI**m] for m in range(2, _K_TAIL + 1)])
-    coeffs *= np.array([[(-1.0) ** (m - 1)] for m in range(2, _K_TAIL + 1)])
-    vals = sums[0] + _far_tail(rows_all, b, u0, coeffs.T).T
+    coeffs = _phi_bernoulli(_TAIL_ORDERS, v) / _TAIL_SCALE * _TAIL_SIGNS
+    vals = sums[0] + _far_tail(table, b, u0, coeffs.T).T
     stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | (u0 > 5e6)
     return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
 
@@ -514,8 +519,8 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
     and that batch's result, bit for bit, as (rmax + 1, rows) values and bounds."""
     alphas = np.array(alphas, dtype=float)
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
-    for u0, rows_all, rems in _tail_cutoffs(0.0, b, rmax):
-        vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
+    for u0, table, rems in _tail_cutoffs(0.0, b, rmax):
+        vals, errs, done = _tail_values(sums, table, b, u0, rems, alphas)
         if done.all():
             return u0, vals, errs
 
@@ -533,7 +538,7 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
     cutoffs = _tail_cutoffs(x, b, rmax)
-    u0, rows_all, rems = next(cutoffs)
+    u0, table, rems = next(cutoffs)
     alphas = np.array(alphas, dtype=float)
     _check_work(alphas.size * (u0 - x))
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
@@ -542,7 +547,7 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
     while True:
         _psi_interval(sums, cur, u0, alphas, b, rmax)
         cur = u0
-        vals, errs, done = _tail_values(sums, rows_all, b, u0, rems, alphas)
+        vals, errs, done = _tail_values(sums, table, b, u0, rems, alphas)
         for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
             out[i] = (row, bounds)
         if done.all():
@@ -675,7 +680,7 @@ _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) smal
 
 def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, final: bool = False):
     """The cutoff x0 from x of pure_osc_tail_powers (psi_osc_tail_powers if
-    weighted), the far-tail rows of g_m = u^b log^m u (m = 0..rmax) and the
+    weighted), the derivative table of g_m = u^b log^m u (m = 0..rmax) and the
     remainders (2 pi |nu|)^{-K} (S_K(nu)) int_x0^inf |g_m^{(K)}|.  From reach/
     (pi |nu|) (reach/(pi (1 - nu))) floored at x and 8 (12), x0 doubles on the
     remainder alone until each meets _TOL_ABS, while the walk from x to 2 x0
@@ -689,13 +694,13 @@ def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, fina
     else:
         x0, scale, cap = max(x, reach / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC), 4000.0 * max(0.45 / anu, 0.5)
     cap, rel = (math.inf, _TOL_REL) if final else (cap, 0.0)
-    rows_all = [_deriv_rows(b, r, _K_OSC) for r in range(rmax + 1)]
+    table = _deriv_table(b, rmax, _K_OSC, math.copysign(1.0, b.imag))
     while True:
-        rems = _far_remainders(rows_all, b, x0, scale)
+        rems = _far_remainders(table, b, x0, scale)
         size = x0**b.real
         met = all(rem <= max(_TOL_ABS, rel * size * math.log(x0) ** m) for m, rem in enumerate(rems))
         if met or not (2.0 * x0 - x < cap and x0 < 5e7):
-            return rows_all, x0, rems
+            return table, x0, rems
         x0 *= 2.0
 
 
@@ -720,7 +725,7 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
     if cutoff is None:
         # the deep by-parts expansion keeps x0 (hence panel rounding) small
         cutoff = _osc_cutoff(nu, b, rmax, x, False)
-    rows_all, x0, rems = cutoff
+    table, x0, rems = cutoff
     x0 = max(x0, x)
     vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
     if x0 > x:
@@ -729,7 +734,7 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
     coeffs = [iw]
     for _ in range(K - 1):
         coeffs.append(coeffs[-1] * -iw)
-    tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
+    tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
     phase = cmath.exp(2j * math.pi * nu * x0)
     return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
@@ -769,6 +774,23 @@ def _osc_remainder_const(K: int, nu: float) -> float:
 _SHIFT_STEPS = 4000  # the cap on j of each shifted Fourier series
 
 
+@lru_cache(maxsize=16)  # float keys: bounded, one entry of two rows of n per oscillation nu
+def _shift_table(K: int, nu: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The columns j < n of _psi_fourier_shift_sums(K, ., nu) and the powers
+    nu^j (Python's) and (-i nu)^j of its terms: n to the first j > 4 where
+    the last row (the largest binomials) meets the test without its partial
+    sum, with a margin for np.power against Python's power, or to j = 4000,
+    sought on growing prefixes of the j."""
+    for size in (64, 256, 1024, _SHIFT_STEPS + 1):
+        j = np.arange(size)
+        last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
+        if last[5:].any():
+            break
+    n = 6 + int(last[5:].argmax()) if last[5:].any() else _SHIFT_STEPS + 1
+    zj = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n - 1, -1j * nu)]))  # (-i nu)^j
+    return _frozen(n, np.array([nu**i for i in range(n)]), zj)
+
+
 @lru_cache(maxsize=256)  # float keys: bounded, one entry of K sums per oscillatory cutoff
 def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k)
@@ -777,32 +799,27 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     Binomial expansion in nu/n reduces each sum to periodic Bernoulli
     values at combined order k+1+j; converges geometrically at rate nu.
     Each k sums its j-series, sum_j C(k+j-1, j) (-i nu)^j phi_{k+1+j}(v),
-    as one row of a (K x j) array, from one row of those values, each order
-    evaluated once, up to its first j > 4 with C(k+j-1, j) nu^j 2.6 <
-    1e-18 max(1, |partial sum|), or to j = 4000.  Bit for bit the loop over
-    j that added one term at a time: the binomials, the powers (-i nu)^j
-    and the partial sums are running products and sums, left to right, and
-    nu^j is Python's power.
+    as one row of a (K x j) array (its columns and powers of nu from
+    _shift_table), from one row of those values (_phi_bernoulli), up to its
+    first j > 4 with C(k+j-1, j) nu^j 2.6 < 1e-18 max(1, |partial sum|); a
+    row that does not meet it by j = 4000 (nu above about 0.965) is refused.
+    Bit for bit the loop over j that added one term at a time: the
+    binomials, the powers (-i nu)^j and the partial sums are running
+    products and sums, left to right, and nu^j is Python's power.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
-    # the columns j < n needed: to the first j > 4 where the last row (the
-    # largest binomials) meets the test without its partial sum, with a
-    # margin for np.power against Python's power
-    j = np.arange(_SHIFT_STEPS + 1)
-    last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
-    n = 6 + int(last[5:].argmax()) if last[5:].any() else _SHIFT_STEPS + 1
+    n, pw, zj = _shift_table(K, nu)
     j = np.arange(1, n)
     binom = np.cumprod(np.concatenate([np.ones((K, 1)), (np.arange(1, K + 1)[:, None] + j - 1) / j], axis=1), axis=1)
-    pw = np.array([nu**i for i in range(n)])
-    zj = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n - 1, -1j * nu)]))  # (-i nu)^j
-    phi = np.lib.stride_tricks.sliding_window_view(np.array(_phi_bernoulli_orders(v, K + n)[2:]), n)
+    phi = np.lib.stride_tricks.sliding_window_view(_phi_bernoulli(range(2, K + n + 1), np.array([v]))[:, 0], n)
     terms = np.concatenate([np.zeros((K, 1), dtype=complex), binom * zj * phi], axis=1)
     acc = np.add.accumulate(terms, axis=1)[:, 1:]
     hit = (binom * pw * 2.6 < 1e-18 * np.maximum(1.0, np.abs(acc))) & (np.arange(n) > 4)
-    stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
+    if not hit.any(axis=1).all():
+        raise ValueError(f"the shifted Fourier sums at nu = {nu:.6g} do not converge within {_SHIFT_STEPS} terms")
     phase = cmath.exp(2j * math.pi * nu * v)
-    return tuple(-phase * TWO_PI ** (-(k + 1)) * a for k, a in zip(range(1, K + 1), acc[np.arange(K), stop].tolist()))
+    return tuple(-phase * TWO_PI ** (-(k + 1)) * a for k, a in zip(range(1, K + 1), acc[np.arange(K), hit.argmax(axis=1)].tolist()))
 
 
 def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
@@ -824,7 +841,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
     if cutoff is None:
         cutoff = _osc_cutoff(nu, b, rmax, x, True)
-    rows_all, x0, rems = cutoff
+    table, x0, rems = cutoff
     x0 = max(x0, x)
     _check_kinks(x, x0)
     if not x0 < 2.0**52:
@@ -836,7 +853,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         ends = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
         _gl_panels(vals, errs, _walk(ends, nu, b.imag, 0.6), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
-    tails = _far_tail(rows_all, b, x0, [coeffs])[0].tolist()
+    tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 

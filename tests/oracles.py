@@ -12,10 +12,11 @@ The Hurwitz, progression, L and rational-lambda Lerch derivatives come
 from mpmath's Hurwitz zeta derivatives, with the characters' exact phases.
 
 periodic_bernoulli and psi_piecewise_integral are not oracles: they
-expose the library's periodic-Bernoulli values and its piecewise-exact
-march over a finite interval, which only the tests call.
-finite_power_sum is the one-array finite sum that the progression-sum
-kernel replaced, kept as a reference.
+expose the scalar periodic-Bernoulli series (phi_bernoulli, the scalar
+loop that the library's array kernel replaced, kept as a reference) and
+the library's interval integral over a finite interval, which only the
+tests call.  finite_power_sum is the one-array finite sum that the
+progression-sum kernel replaced, kept as a reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from zetalab.characters import factorize
 from zetalab.coefficients import stieltjes_gamma_all
 from zetalab import sawtooth
-from zetalab.sawtooth import TWO_PI, _check_alpha, _check_work, _phi_bernoulli, power_log_tail_abs, psi
+from zetalab.sawtooth import TWO_PI, _bernoulli_poly_coeffs, _check_alpha, _check_work, power_log_tail_abs, psi
 
 GL64_NODES, GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -415,11 +416,34 @@ def psi_march_oracle(lo: float, hi: float, alpha: float, b: complex, m: int, dps
         return total
 
 
+def phi_bernoulli(m: int, v: float) -> float:
+    """(2 pi)^m B_m({v})/m! = -sum_{|n|>=1} e^{2 pi i n v}/(i n)^m, one order
+    at one point: Horner on B_m/m! for m <= 12, else the Fourier series to the
+    first n with n^{-m} < 1e-20 or n > 64 (the scalar loop of the library's
+    sawtooth._phi_bernoulli, which must equal it bit for bit where np.cos is
+    math.cos)."""
+    if m <= 12:
+        f = v - math.floor(v)
+        acc = 0.0
+        for c in _bernoulli_poly_coeffs(m):
+            acc = acc * f + c
+        return acc * TWO_PI**m
+    acc = 0.0
+    n = 1
+    phase = -0.5 * math.pi * m  # i^{-m} = e^{-i pi m / 2}
+    while True:
+        acc -= 2.0 * math.cos(TWO_PI * n * v + phase) / n**m
+        n += 1
+        if n ** (-m) < 1e-20 or n > 64:
+            break
+    return acc
+
+
 def periodic_bernoulli(m: int, v: float) -> float:
     """B_m({v})/m!; for m = 1 uses the sawtooth convention psi(v)."""
     if m == 1:
         return psi(v)
-    return _phi_bernoulli(m, v) / TWO_PI**m
+    return phi_bernoulli(m, v) / TWO_PI**m
 
 
 def psi_piecewise_integral(

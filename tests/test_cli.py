@@ -275,6 +275,16 @@ def test_non_finite_numbers_are_refused_at_parse_time(capsys, argv):
     assert "Traceback" not in captured.err and "not a finite number" in captured.err
 
 
+def test_shifted_sums_past_their_cap_exit_one_with_one_line(capsys):
+    # at lambda = 0.999 the weighted tails' shifted Fourier sums converge at rate
+    # 0.999 and reach their cap of 4000 terms unmet; the value they gave was off
+    # by 1.4e-2 against a bound of 4.1e-9
+    assert run(["eval", "--kind", "lerch", "--lambda", "0.999", "--alpha", "0.7", "--s", "0.5,10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the shifted Fourier sums at nu = 0.999 do not converge within 4000 terms\n"
+
+
 def test_overflow_exits_one_with_one_line(capsys):
     # Gamma(1-s) and (2 pi i n)^{s-1} overflow as separate factors at t = 342
     argv = ["afe", "--kind", "hurwitz", "--s", "0.841005,342.234378", "--r", "0", "--alpha", "0.61979"]

@@ -120,13 +120,25 @@ def test_hurwitz_validation():
 EPS = 2.0**-53
 
 
+def ref_tail_combination(tails, s, r) -> complex:
+    """(-1)^r (r T_{r-1} - s T_r), formed as evaluate._cores forms its tail
+    combination at q = 1: its coefficients at log q = 0, numpy's products
+    C_m T_m added from m = 0 by np.add.accumulate (and + 0.0), times the
+    array (-1)^r q^{-s}.  numpy's complex product of arrays rounds unlike
+    Python's in about half of all cases, so a scalar formula may differ."""
+    lq = math.log(1)
+    C = np.array([(r * math.comb(r - 1, m) * lq ** (r - 1 - m) if m < r else 0.0) - s * math.comb(r, m) * lq ** (r - m) for m in range(r + 1)])
+    acc = np.add.accumulate(C * np.array(tails))[-1:] + 0.0
+    return complex((np.array([(-1.0) ** r * cmath.exp(-s * lq)]) * acc)[0])
+
+
 def ref_hurwitz_core(s, alpha, r, x):
     """The Hurwitz core that Z(s, alpha, 1) replaced (reference): finite sum
     + boundary + tail, without the pole term; with the pieces that the
     rounding term of the new contract is made of."""
     nmax = _split_floor(x - alpha)
     tails, terrs = psi_tail_powers(x, alpha, -s - 1.0, r)
-    tail, err = _s_tail(tails, terrs, s, r)
+    tail, err = ref_tail_combination(tails, s, r), _s_tail(tails, terrs, s, r)[1]
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = finite_power_sum(pts, s, r)
     lx = math.log(x)

@@ -14,11 +14,9 @@ from zetalab.sawtooth import (
     _K_TAIL,
     _PSI_TILDE_ABS,
     EvalResult,
-    _deriv_rows,
-    _far_remainders,
     _osc_remainder_const,
     _psi_fourier_shift_sums,
-    _row_eval,
+    power_log_tail_abs,
     psi,
     psi2,
     psi_osc_tail_powers,
@@ -28,7 +26,7 @@ from zetalab.sawtooth import (
     segment_osc_power_log,
 )
 
-from .oracles import euler_gamma_limit, periodic_bernoulli, psi_piecewise_integral, quad_psi_osc_tail, quad_psi_tail
+from .oracles import euler_gamma_limit, periodic_bernoulli, phi_bernoulli, psi_piecewise_integral, quad_psi_osc_tail, quad_psi_tail
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +392,44 @@ def ref_march_exact(vals, lo, hi, alpha, b, rmax, mags=None) -> None:
                 mags[m] += abs(j_hi[m]) + abs(c) * abs(j_lo[m])
 
 
+def ref_deriv_rows(b: complex, r: int, kmax: int) -> list[list[complex]]:
+    """Coefficient rows of g^(k) for g = u^b log^r u, one scalar recursion per
+    order: row k holds c[i] with g^(k)(u) = u^{b-k} sum_i c[i] log^i u."""
+    rows = [[0.0 + 0.0j] * (r + 1)]
+    rows[0][r] = 1.0 + 0.0j
+    for k in range(kmax):
+        prev = rows[k]
+        nxt = [0.0 + 0.0j] * (r + 1)
+        for i in range(r + 1):
+            nxt[i] = (b - k) * prev[i]
+            if i + 1 <= r:
+                nxt[i] += (i + 1) * prev[i + 1]
+        rows.append(nxt)
+    return rows
+
+
+def ref_row_eval(row: list[complex], b_minus_k: complex, u: float) -> complex:
+    """One g^(k)(u) from its row: scalar Horner in log u, then one exponential."""
+    ll = math.log(u)
+    acc = 0.0 + 0.0j
+    for i in reversed(range(len(row))):
+        acc = acc * ll + row[i]
+    return acc * cmath.exp(b_minus_k * math.log(u))
+
+
+def ref_far_tail(rows_all, b, u0, coeffs) -> np.ndarray:
+    """sawtooth._far_tail from the scalar rows, one ref_row_eval per (k, r)."""
+    c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
+    g = np.array([[ref_row_eval(rows[k], b - k, u0) for rows in rows_all] for k in range(c.shape[0])])[:, None, :]
+    return sum(c * g, np.zeros((c.shape[1], g.shape[2]), dtype=complex))
+
+
+def ref_far_remainders(rows_all, b, u0, scale) -> list[float]:
+    """sawtooth._far_remainders from the scalar rows, one integral per (r, i)."""
+    K = len(rows_all[0]) - 1
+    return [scale * sum(abs(c) * power_log_tail_abs(b.real - K, i, u0) for i, c in enumerate(rows[K]) if c) for rows in rows_all]
+
+
 def ref_psi_tail_powers(x, alpha, b, rmax):
     b = complex(b)
     kt = _K_TAIL
@@ -401,7 +437,7 @@ def ref_psi_tail_powers(x, alpha, b, rmax):
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     cur = x
-    rows_all = [_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
+    rows_all = [ref_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
     while True:
         ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
         cur = u0
@@ -411,9 +447,9 @@ def ref_psi_tail_powers(x, alpha, b, rmax):
         for rows in rows_all:
             acc = 0.0 + 0.0j
             for k, c in enumerate(coeffs):
-                acc += c * _row_eval(rows[k], b - k, u0)
+                acc += c * ref_row_eval(rows[k], b - k, u0)
             tails.append(acc)
-        rems = _far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
+        rems = ref_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
         tol_abs, tol_rel = sawtooth._TOL_ABS, sawtooth._TOL_REL
         ok = all(rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r])) for r, rem in enumerate(rems))
         if ok or u0 > 5e6:
@@ -758,7 +794,7 @@ def ref_psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
     zj = 1.0 + 0.0j
     j = 0
     while True:
-        term = binom * zj * sawtooth._phi_bernoulli(k + 1 + j, v)
+        term = binom * zj * phi_bernoulli(k + 1 + j, v)
         acc += term
         if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
             break
@@ -802,9 +838,52 @@ def test_shift_sums_match_the_per_k_sums_bit_for_bit():
     rng = np.random.default_rng(31)
     for nu in (0.05, 0.3, 0.5, 0.9, 0.999):
         for v in [0.0, 0.5, 12.25] + rng.uniform(-3.0, 5000.0, 3).tolist():
+            if nu == 0.999:  # the series converge at rate nu: they reach the cap j = 4000 unmet
+                with pytest.raises(ValueError, match="do not converge within 4000 terms"):
+                    sawtooth._psi_fourier_shift_sums(sawtooth._K_OSC, v, nu)
+                continue
             got = sawtooth._psi_fourier_shift_sums(sawtooth._K_OSC, v, nu)
             want = tuple(ref_psi_fourier_shift_sum(k, v, nu) for k in range(1, sawtooth._K_OSC + 1))
             assert repr(got) == repr(want)
+
+
+def ref_shift_columns(K: int, nu: float) -> int:
+    """The column count of the shifted sums from one scan of all 4001 j."""
+    j = np.arange(sawtooth._SHIFT_STEPS + 1)
+    last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
+    return 6 + int(last[5:].argmax()) if last[5:].any() else sawtooth._SHIFT_STEPS + 1
+
+
+def test_shift_columns_match_the_scan_of_every_column():
+    # the count is sought on growing prefixes of the j; it must be the full scan's
+    for nu in [p / 16 for p in range(1, 16)] + [1e-3, 0.5, 0.9, 0.95, 0.96]:
+        assert sawtooth._shift_table(sawtooth._K_OSC, nu)[0] == ref_shift_columns(sawtooth._K_OSC, nu), nu
+    assert sawtooth._shift_table(sawtooth._K_OSC, 0.999)[0] == sawtooth._SHIFT_STEPS + 1
+
+
+@pytest.mark.parametrize("K", [13, 16])
+def test_far_tails_match_the_scalar_rows_bit_for_bit(K):
+    # every order's rows from one table, Horner and the exponential as arrays:
+    # the values, remainders and the table itself (the signs of its zeros too)
+    # are those of the scalar loops, for real b (of either zero sign) and complex b
+    rng = np.random.default_rng(K)
+    for case in range(40):
+        rmax = [0, 1, 4, 8, 24][case // 2 % 5]
+        if case % 4 < 2:  # a real b with a zero of either sign in turn: equal by ==, a table each
+            b = complex(-0.5 - case // 4, [0.0, -0.0][case % 2])
+        else:
+            b = complex(rng.uniform(-30.0, -0.05), rng.uniform(-1000.0, 1000.0))
+        u0 = float(np.exp(rng.uniform(math.log(8.0), math.log(5e7))))
+        rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
+        table = sawtooth._deriv_table(b, rmax, K, math.copysign(1.0, b.imag))
+        want = np.array([[rows[k][i] if i <= r else 0j for r, rows in enumerate(rows_all)] for i in range(rmax + 1) for k in range(K + 1)])
+        assert np.array_equal(table[0].reshape(want.shape).view(np.uint64), want.view(np.uint64)), (b, rmax)
+        coeffs = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        for c in (coeffs, coeffs.real + 0j):
+            got = sawtooth._far_tail(table, b, u0, c)
+            assert np.array_equal(got.view(np.uint64), ref_far_tail(rows_all, b, u0, c).view(np.uint64)), (b, rmax, u0)
+        scale = float(rng.uniform(1e-12, 1.0))
+        assert repr(sawtooth._far_remainders(table, b, u0, scale)) == repr(ref_far_remainders(rows_all, b, u0, scale))
 
 
 def _per_k_shift_sums(K, v, nu):
@@ -847,16 +926,16 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
-    rows_all = [_deriv_rows(b, r, K) for r in range(rmax + 1)]
+    rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
     sk = _osc_remainder_const(K, nu)
-    while max(_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
+    while max(ref_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
     errs = [0.0] * (rmax + 1)
     sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag, 0.6), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
-    tails = sawtooth._far_tail(rows_all, b, x0, [coeffs])[0].tolist()
-    rems = _far_remainders(rows_all, b, x0, sk)
+    tails = ref_far_tail(rows_all, b, x0, [coeffs])[0].tolist()
+    rems = ref_far_remainders(rows_all, b, x0, sk)
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
@@ -893,8 +972,8 @@ def test_fourier_bernoulli_rows_match_the_scalar_series():
     rng = np.random.default_rng(13)
     v = np.concatenate([rng.uniform(-3.0, 5000.0, 300), [0.0, -0.25, 0.5, 2.0**40 + 0.75]])
     for m in (13, 14, 20):
-        want = np.array([sawtooth._phi_bernoulli(m, float(x)) for x in v])
-        assert np.all(np.abs(sawtooth._phi_bernoulli_rows([m], v)[0] - want) <= 8.0 * sawtooth._EPS)
+        want = np.array([phi_bernoulli(m, float(x)) for x in v])
+        assert np.all(np.abs(sawtooth._phi_bernoulli(range(m, m + 1), v)[0] - want) <= 8.0 * sawtooth._EPS)
 
 
 @pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])

@@ -17,6 +17,16 @@ targets: the best of N calls of each, timed with time.perf_counter.
     lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
                               s = 0.5+300i, r = 2, split x = 3
 
+and the far-tail expansion layer alone:
+
+    _tail_cutoff s=0.5+30i    sawtooth._tail_cutoff at one class, alpha = 0.3,
+                              b = -s-1, s = 0.5+30i, r = 2: the plain tail's
+                              cutoff search and its far tails
+    shift sums nu=1/16        sawtooth._psi_fourier_shift_sums(16, 123.3, nu),
+    shift sums nu=15/16       its result cache cleared before each call
+    lerch_deriv 15/16 t=30    lerch_deriv at the default split, lambda = 15/16,
+                              alpha = 0.7, s = 0.5+30i, r = 1
+
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
 
@@ -54,6 +64,11 @@ def main(argv: list[str]) -> int:
     from zetalab.characters import character, enumerate_characters
     from zetalab.coefficients import l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
+    from zetalab.sawtooth import _psi_fourier_shift_sums, _tail_cutoff
+
+    def shift_sums(nu: float):
+        _psi_fourier_shift_sums.cache_clear()
+        return _psi_fourier_shift_sums(16, 123.3, nu)
 
     chi, chi3, chi4 = character(1009, 1), character(3, 1), character(4, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
@@ -68,6 +83,10 @@ def main(argv: list[str]) -> int:
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
         ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
+        ("_tail_cutoff s=0.5+30i", lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2)),
+        ("shift sums nu=1/16", lambda: shift_sums(1.0 / 16.0)),
+        ("shift sums nu=15/16", lambda: shift_sums(15.0 / 16.0)),
+        ("lerch_deriv 15/16 t=30", lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 30.0), order=1))),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
