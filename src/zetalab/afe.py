@@ -25,7 +25,8 @@ folded Fourier remainder: its gamma factors, segments and tails are taken
 once per +-n for every class and order.
 
 The dual segments and tails are Gauss-Legendre panels sized by their whole
-phase 2 pi n u - t log u (sawtooth._walk); +-n share each tail's cutoff, and
+phase 2 pi n u - t log u (sawtooth._walk); +-n share each segment's and each
+tail's walk and nodes, the tail's cutoff and the segment's series at 0, and
 every panel is charged to the work budget before any term is summed.
 Gamma-factor derivatives are analytic (digamma/trigamma log-derivatives),
 which caps the order at r <= 2; their rounding is not booked.
@@ -41,7 +42,7 @@ import numpy as np
 from .characters import DirichletCharacter
 from .evaluate import _cores, _s_tail, _units, _weigh_cores, _z_values
 from .gammafn import complex_gamma, digamma, trigamma
-from .sawtooth import _EPS, EvalResult, _check_alpha, _dual_cutoffs, pure_osc_tail_powers, segment_osc_power_log
+from .sawtooth import _EPS, EvalResult, _check_alpha, _dual_cutoffs, _osc_segments, _pure_osc_tails
 
 __all__ = ["afe_hurwitz", "afe_l", "gamma_factor_derivs"]
 
@@ -73,10 +74,10 @@ def gamma_factor_derivs(s: complex, n: int, rmax: int) -> list[complex]:
 def _strip_cores(s: complex, q: int, units, r: int, X: float) -> tuple[float, np.ndarray, np.ndarray]:
     """The Z core of every class a of units at the split X (evaluate._cores;
     at q = 1 a shift alpha) plus its dual sum at x = X/q, as (1, classes)
-    values and bounds, for 0 <= Re(s) <= 1, Im(s) >= 0 and r <= 2.  With c_l = C(r,l)(-log q)^{r-l}, each +-n takes its
-    gamma factor G, segment and tail S once at the order r; the coefficient
-    K[m] of e^{2 pi i m a/q} gathers sum_l c_l G_m^{(l)} and sum_l c_l (S_{-m}^{(l)}
-    /(-2 pi i m) - (-1)^l seg_{-m}^{(l)}), and a class adds q^{-s} sum_m K[m]
+    values and bounds, for 0 <= Re(s) <= 1, Im(s) >= 0 and r <= 2.  With c_l = C(r,l)(-log q)^{r-l},
+    each n takes the gamma factors G of +-n, then their segments and tails S at the order r, one
+    pass for both; the coefficient K[m] of e^{2 pi i m a/q} gathers sum_l c_l G_m^{(l)} and sum_l
+    c_l (S_{-m}^{(l)}/(-2 pi i m) - (-1)^l seg_{-m}^{(l)}), and a class adds q^{-s} sum_m K[m]
     e^{2 pi i m a/q} and X^{-s} (-log X)^r sum_n sin(2 pi n v)/(pi n), v = (X - a)/q.
 
     The bound adds the segments' and tails' bounds times |q^{-s} c_l| (1/(2 pi
@@ -110,10 +111,8 @@ def _strip_cores(s: complex, q: int, units, r: int, X: float) -> tuple[float, np
     K = {m: 0j for n in range(1, nmid + 1) for m in (n, -n)}  # K[m], the coefficient of e^{2 pi i m a/q}
     trunc = mags = 0.0
     for n in range(1, nmid + 1):
-        for nn in (n, -n):
-            g = gamma_factor_derivs(s, nn, r)  # first: a gamma factor beyond binary64 is refused before any walk
-            seg, segerr = segment_osc_power_log(nn, -s, r, x)
-            tails = pure_osc_tail_powers(nn, -s - 1.0, r, x, cuts[n - 1])
+        gs = [gamma_factor_derivs(s, nn, r) for nn in (n, -n)]  # first: a gamma factor beyond binary64 is refused before any walk
+        for nn, g, (seg, segerr), tails in zip((n, -n), gs, _osc_segments((n, -n), -s, r, x), _pure_osc_tails((n, -n), -s - 1.0, r, x, cuts[n - 1])):
             for l, cl in enumerate(c):
                 tail, terr = _s_tail(*tails, s, l)
                 K[nn] += cl * g[l]

@@ -37,13 +37,15 @@ count found in one array pass (_walk).  The sawtooth-weighted variant expands
 psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies n + nu and
 sums the boundary terms of all parts in closed form, from one row of
 periodic Bernoulli values shared by all K parts.  One panel kernel serves
-every walk, as (block x 32) arrays of at most 512 panels; it is bit for
-bit the one-panel-at-a-time loop (np.vecdot per panel, which is np.dot's
-BLAS dot, and panel sums added left to right).  A sawtooth-weighted tail
-whose cutoff reaches 2^52 is refused: from there alpha and the phase
-2 pi nu u are lost to rounding.  A tail given its final cutoff
-(_osc_cutoff, which doubles the first on the closed-form remainder alone)
-from a split at or past it walks no panel: it is its far tail.
+every walk, as (block x 32) arrays of at most 512 panels, and all the
+frequencies of one |nu| in one pass (a dual sum's +-n share their walks,
+nodes and booked rounding, as their segments share the series terms at 0);
+it is bit for bit the one-panel-at-a-time loop of each frequency (np.vecdot
+per panel, which is np.dot's BLAS dot, and panel sums added left to right).
+A sawtooth-weighted tail whose cutoff reaches 2^52 is refused: from there
+alpha and the phase 2 pi nu u are lost to rounding.  A tail given its final
+cutoff (_osc_cutoff, which doubles the first on the closed-form remainder
+alone) from a split at or past it walks no panel: it is its far tail.
 
 The far tails of both kinds are one layer, bit for bit the scalar loops
 that took one order at a time: the periodic Bernoulli values of all
@@ -214,34 +216,42 @@ _PSI_TILDE_ABS = tuple(
 _EPS = 2.0**-53  # unit roundoff of binary64
 
 
-def _antiderivatives(d: complex, src: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _antiderivatives(d, src: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The triangular recursion of int u^{d-1} log^m u du, R_m = src_m/d - (m/d)
     R_{m-1} along the leading axis (the orders), from the sources src_m (u^d
     log^m u at points, or sums of such terms) and their rounding; at d = 0 its
     log form R_m = src_{m+1}/(m + 1), one order fewer.  A level rounds by at
     most 8 eps M_m, M_m = (|src_m| + m M_{m-1})/|d| the moduli of its
-    expanded terms, and carries the errors of src_m and R_{m-1} on."""
-    if d == 0:
+    expanded terms, and carries the errors of src_m and R_{m-1} on.  d may be
+    an array of nonzero exponents along the last axis, each (m/d) R_{m-1}
+    formed as Python forms it (numpy's complex product of arrays is fused)."""
+    if not isinstance(d, np.ndarray) and d == 0:
         den = np.arange(1.0, len(src)).reshape(-1, *[1] * (src.ndim - 1))
         return src[1:] / den, err[1:] / den + _EPS * np.abs(src[1:] / den)
     vals, errs, mags = np.empty_like(src), np.empty_like(err), np.empty_like(err)
     for m in range(len(src)):
         vals[m], errs[m], mags[m] = src[m] / d, err[m] / abs(d), np.abs(src[m]) / abs(d)
         if m:
-            vals[m] -= m / d * vals[m - 1]
+            if isinstance(d, np.ndarray):
+                f, v = np.array([m / dk for dk in d.tolist()]), vals[m - 1]
+                vals[m].real -= f.real * v.real - f.imag * v.imag
+                vals[m].imag -= f.real * v.imag + f.imag * v.real
+            else:
+                vals[m] -= m / d * vals[m - 1]
             errs[m] += m * errs[m - 1] / abs(d)
             mags[m] += m * mags[m - 1] / abs(d)
         errs[m] += 8.0 * _EPS * mags[m]
     return vals, errs
 
 
-def _power_log_lower(c: complex, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
+def _power_log_lower(c, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
     """int u^c log^m u du for m = 0..mmax (rows) at the points u, zero at u = 0
     for Re(c) > -1 and at infinity for Re(c) < -1: _antiderivatives of u^{c+1}
     log^j u, whose rounding is eps (3 |c + 1| |log u| + 3) for the phase and
-    modulus of u^{c+1} and eps (2 j + 1) for the power of the rounded log u."""
+    modulus of u^{c+1} and eps (2 j + 1) for the power of the rounded log u.
+    c may be an array of exponents, none -1, one per point u."""
     d, logs = c + 1.0, np.log(np.asarray(u, dtype=float))
-    src = np.cumprod([np.exp(d * logs)] + [logs] * (mmax + (d == 0)), axis=0)
+    src = np.cumprod([np.exp(d * logs)] + [logs] * (mmax + (not isinstance(d, np.ndarray) and d == 0)), axis=0)
     j = np.arange(len(src)).reshape(-1, *[1] * logs.ndim)
     return _antiderivatives(d, src, _EPS * (3.0 * abs(d) * np.abs(logs) + 2.0 * j + 4.0) * np.abs(src))
 
@@ -621,17 +631,18 @@ def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
-def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
+def _gl_panels(vals: list[list[complex]], errs: list[list[float]], pts, nus: tuple[float, ...], b: complex, rmax: int, alpha: float | None = None) -> None:
     """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
-    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals; with alpha given, of
-    psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose panels must not
-    straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the
-    half-width); the integrand e^{Re b L} (cos theta + i sin theta) L^m, L =
-    log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos theta +
-    i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's
-    tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
+    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals[f] for each frequency
+    nu = nus[f], all of one |nu|; with alpha given, of psi(u - alpha) e^{2 pi i
+    nu (u - alpha)} u^b log^m u, whose panels must not straddle a kink.  The
+    nodes are a + h (1 + x) (a the left end, h the half-width); the integrand
+    e^{Re b L} (cos theta + i sin theta) L^m, L = log u, theta = 2 pi nu u +
+    Im b L (less 2 pi nu alpha), takes cos theta + i sin theta = ((1 - t^2) +
+    2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's tangent takes 3 ns on
+    AVX-512, its cosine and sine 33 ns each).
 
-    errs collects per power the quadrature and the rounding,
+    errs[f] collects per power the quadrature and the rounding,
     sum |w f| (1e-15 + eps kappa), kappa = 6 (2 pi |nu| u) + 3 (|Re b| +
     |Im b|) (|L| + 1) + 2 m + 67 per node, plus 3 m eps |w f_{m-1}| and, with
     alpha, eps (4 u + 2) |w f/psi|, and eps |partial sum| per panel.  For the
@@ -642,37 +653,43 @@ def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: comple
     (u - k is exact) and eps u per unit of u for the sliver at a rounded kink;
     L^m, (2 m - 1) eps; the tangent (2 eps) and the phase formed from it
     (8 eps); the products with psi and L^m, 2 eps; the weights, the 32-term
-    dot and half times it, 35 eps.
+    dot and half times it, 35 eps.  As kappa takes |nu| and pi (-nu) is -(pi
+    nu), the nodes, e^{Re b L} and the booked dots are taken once for all nus;
+    each takes its own tangent, value dots and rounded partial sums.
 
-    Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
-    each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
-    in another order), and the panels are added left to right.
+    Bit for bit the one-panel-at-a-time loop of each nu: the integrand is
+    elementwise, each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix
+    product sums in another order), and the panels are added left to right.
     """
     pts = np.asarray(pts, dtype=float)
-    pi_nu, shift = math.pi * nu, 0.0 if alpha is None else math.pi * nu * alpha
     for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
         ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
         half = 0.5 * (ends[1:] - ends[:-1])
         u = ends[:-1, None] + half[:, None] * _GL_SPAN
         logs = np.log(u)
-        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)  # tan(theta/2)
-        tt, amp = t * t, np.exp(b.real * logs)
+        amp = np.exp(b.real * logs)
         # psi(u - alpha) is linear inside each panel
-        mag = amp if alpha is None else amp * (u - np.floor(ends[:-1] + half - alpha)[:, None] - alpha - 0.5)
-        g = mag / (1.0 + tt)
-        base = np.empty(u.shape, dtype=complex)
-        base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
-        mag = mag if alpha is None else np.abs(mag)  # amp >= 0
-        book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
+        wt = amp if alpha is None else amp * (u - np.floor(ends[:-1] + half - alpha)[:, None] - alpha - 0.5)
+        mag = amp if alpha is None else np.abs(wt)  # amp >= 0
+        book = mag * (1e-15 + _EPS * (12.0 * abs(math.pi * nus[0]) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
         book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
-        lp, alp = 1.0, 1.0  # L^0 and |L^0| as scalars: base * 1 and 1 * L are exact, so the powers are those from an array of ones
-        for m in range(rmax + 1):
-            acc = np.add.accumulate(np.concatenate(([vals[m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
-            vals[m] = complex(acc[-1])
-            prev, alp = alp, np.abs(lp) if m else 1.0
-            e = book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book
-            errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], half * np.vecdot(_GL_WEIGHTS, e) + _EPS * np.abs(acc[1:]))))[-1])
-            lp = lp * logs if m else logs
+        dots = []  # the booked dot of each power, from the first frequency's pass
+        for f, pi_nu in enumerate(math.pi * nu for nu in nus):
+            t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
+            tt = t * t
+            g = wt / (1.0 + tt)
+            base = np.empty(u.shape, dtype=complex)
+            base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
+            lp = 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
+            for m in range(rmax + 1):
+                acc = np.add.accumulate(np.concatenate(([vals[f][m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
+                vals[f][m] = complex(acc[-1])
+                if not f:
+                    prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
+                    dots.append(half * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book))
+                errs[f][m] = float(np.add.accumulate(np.concatenate(([errs[f][m]], dots[m] + _EPS * np.abs(acc[1:]))))[-1])
+                lp = lp * logs if m else logs
+            del t, tt, g, base, lp  # one frequency's arrays alive at a time: peak memory stays that of one
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
@@ -716,27 +733,28 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
     the far tail is expanded at x, under the remainders at that cutoff (they
     fall as it rises).
     """
+    return _pure_osc_tails((nu,), b, rmax, x, cutoff)[0]
+
+
+def _pure_osc_tails(nus: tuple[float, ...], b: complex, rmax: int, x: float, cutoff=None) -> list[tuple[list[complex], list[float]]]:
+    """pure_osc_tail_powers at each frequency of nus, all of one |nu|."""
     b = complex(b)
-    if nu == 0.0:
+    if nus[0] == 0.0:
         raise ValueError("oscillation frequency must be nonzero")
     if b.real >= 0.0:
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
-    K = _K_OSC
-    if cutoff is None:
-        # the deep by-parts expansion keeps x0 (hence panel rounding) small
-        cutoff = _osc_cutoff(nu, b, rmax, x, False)
-    table, x0, rems = cutoff
+    table, x0, rems = cutoff or _osc_cutoff(nus[0], b, rmax, x, False)  # the deep by-parts expansion keeps x0 (hence panel rounding) small
     x0 = max(x0, x)
-    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
+    vals, errs = [[0j] * (rmax + 1) for _ in nus], [[0.0] * (rmax + 1) for _ in nus]
     if x0 > x:
-        _gl_panels(vals, errs, _walk([x, x0], nu, b.imag, 0.6), nu, b, rmax)
-    iw = 1.0 / (2j * math.pi * nu)
-    coeffs = [iw]
-    for _ in range(K - 1):
-        coeffs.append(coeffs[-1] * -iw)
-    tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
-    phase = cmath.exp(2j * math.pi * nu * x0)
-    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
+        _gl_panels(vals, errs, _walk([x, x0], nus[0], b.imag, 0.6), nus, b, rmax)
+    rows = [[1.0 / (2j * math.pi * nu)] for nu in nus]  # (i/(2 pi nu))^k/i of the by-parts terms
+    for _ in range(_K_OSC - 1):
+        for row in rows:
+            row.append(row[-1] * -row[0])
+    phases = [cmath.exp(2j * math.pi * nu * x0) for nu in nus]
+    tails = _far_tail(table, b, x0, rows).tolist()
+    return [([v[r] - p * t[r] for r in range(rmax + 1)], [rems[r] + e[r] for r in range(rmax + 1)]) for p, v, e, t in zip(phases, vals, errs, tails)]
 
 
 def _dual_cutoffs(s: complex, rmax: int, x: float, nmax: int) -> list:
@@ -851,7 +869,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         first, count = _kinks(x, x0, np.array([alpha]))
         _check_work(count[0])  # before the kinks are listed; _walk charges its panels
         ends = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
-        _gl_panels(vals, errs, _walk(ends, nu, b.imag, 0.6), nu, b, rmax, alpha)
+        _gl_panels([vals], [errs], _walk(ends, nu, b.imag, 0.6), (nu,), b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
     tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
@@ -867,9 +885,10 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[l
 
     On [0, delta], delta = min(x, 0.04/max(1, 2 pi |nu|)), the series sum_k
     c_k u^k of the exponential, c_k = (2 pi i nu)^k/k!, is integrated term
-    by term (_power_log_lower at b + k); Gauss-Legendre panels take the
-    rest, each turning the phase by at most _THETA and spanning at most a
-    factor 2 (_walk), with their quadrature and rounding (_gl_panels).
+    by term (_power_log_lower at b + k, every k in one pass); Gauss-Legendre
+    panels take the rest, each turning the phase by at most _THETA and
+    spanning at most a factor 2 (_walk), with their quadrature and rounding
+    (_gl_panels).
 
     The series: I_k = delta^{c+1} sum_j (-1)^j m!/(m-j)! log^{m-j} delta/
     (c+1)^{j+1}, c = b + k, so |I_k| <= M_m(c), the sum of its terms' moduli;
@@ -882,24 +901,31 @@ def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[l
     1.041 (1, 0.04), that is at most 1.05 eps (3 (|b| + 2) |log delta| + (m
     + 1)(2 m + 14) + 69) M_m(b) in all.
     """
+    return _osc_segments((nu,), b, rmax, x)[0]
+
+
+def _osc_segments(nus: tuple[float, ...], b: complex, rmax: int, x: float) -> list[tuple[list[complex], list[float]]]:
+    """segment_osc_power_log at each frequency of nus, all of one |nu|."""
     b = complex(b)
     if b.real <= -1.0 + 1e-12:
         raise ValueError("finite singular segment requires Re(exponent) > -1")
     if x <= 0.0:
         raise ValueError("segment upper limit must be positive")
-    delta = min(x, 0.04 / max(1.0, TWO_PI * abs(nu)))
+    delta = min(x, 0.04 / max(1.0, TWO_PI * abs(nus[0])))
     ld, ac = abs(math.log(delta)), abs(b + 1.0)
     mods = [delta ** (b.real + 1.0) * sum(math.perm(m, j) * ld ** (m - j) / ac ** (j + 1) for j in range(m + 1)) for m in range(rmax + 1)]  # M_m(b)
-    vals = _power_log_lower(b, rmax, delta)[0].tolist()  # the series' term k = 0
     # the terms k = 1, 2, ... to the first k > 3 with |c_k| delta^{Re b + k} < 1e-20, or to k = 60
-    coef, k = 2j * math.pi * nu, 1
-    while not ((abs(coef) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
-        for m, term in enumerate(_power_log_lower(b + k, rmax, delta)[0].tolist()):
-            vals[m] += coef * term
+    coefs, k = [[2j * math.pi * nu] for nu in nus], 1
+    while not ((abs(coefs[0][-1]) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
         k += 1
-        coef *= 2j * math.pi * nu / k
-    trunc = abs(coef) * delta**k / 0.96
-    errs = [(trunc + 1.05 * _EPS * (3.0 * (abs(b) + 2.0) * ld + (m + 1) * (2 * m + 14) + 69)) * mod for m, mod in enumerate(mods)]
+        for c, nu in zip(coefs, nus):
+            c.append(c[-1] * (2j * math.pi * nu / k))
+    terms = _power_log_lower(np.array([b + j for j in range(k)]), rmax, np.full(k, delta))[0].T.tolist()  # I_j, j < k, for every m
+    vals = [list(terms[0]) for _ in nus]
+    for v, c in zip(vals, coefs):  # each nu adds its products c_k I_k in k order
+        for ck, term in zip(c, terms[1:]):
+            v[:] = [a + ck * t for a, t in zip(v, term)]
+    errs = [[(abs(c[-1]) * delta**k / 0.96 + 1.05 * _EPS * (3.0 * (abs(b) + 2.0) * ld + (m + 1) * (2 * m + 14) + 69)) * mod for m, mod in enumerate(mods)] for c in coefs]
     if delta < x:
-        _gl_panels(vals, errs, _walk([delta, x], nu, b.imag, 1.0), nu, b, rmax)
-    return vals, errs
+        _gl_panels(vals, errs, _walk([delta, x], nus[0], b.imag, 1.0), nus, b, rmax)
+    return list(zip(vals, errs))

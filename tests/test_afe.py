@@ -130,17 +130,20 @@ def test_afe_l_derivatives(chi4):
 
 def test_afe_l_walks_each_dual_frequency_once(monkeypatch):
     # the gamma factors, segment integrals and oscillatory tails of the dual
-    # sum depend neither on alpha = a/q nor on the order l <= r: one of each
-    # per +-n for the whole request
+    # sum depend neither on alpha = a/q nor on the order l <= r: a gamma
+    # factor per +-n for the whole request, and n and -n share the walk of
+    # their segment and the walk of their tail
     chi = next(c for c in enumerate_characters(5) if not c.is_principal)
     s, r, X = 0.5 + 30j, 2, 3.0
     nmid = math.floor(s.imag / (2.0 * math.pi * X / 5))
-    calls = Counter()
-    for name in ("gamma_factor_derivs", "segment_osc_power_log", "pure_osc_tail_powers"):
-        f = getattr(afe, name)
-        monkeypatch.setattr(afe, name, lambda *args, f=f, name=name: calls.update([name]) or f(*args))
+    assert nmid == 7
+    calls, walked = Counter(), Counter()
+    gamma, walk = afe.gamma_factor_derivs, sawtooth._walk
+    monkeypatch.setattr(afe, "gamma_factor_derivs", lambda *args: calls.update(["gamma_factor_derivs"]) or gamma(*args))
+    monkeypatch.setattr(sawtooth, "_walk", lambda ends, nu, c, geom: walked.update([(abs(nu), geom)]) or walk(ends, nu, c, geom))
     afe_l(s, chi, r, X)
-    assert calls == Counter({name: 2 * nmid for name in calls}) and len(calls) == 3
+    assert calls == Counter({"gamma_factor_derivs": 2 * nmid})
+    assert walked == Counter({(n, geom): 1 for n in range(1, nmid + 1) for geom in (0.6, 1.0)})  # a tail (0.6) and a segment (1.0)
 
 
 def test_afe_l_weighs_like_the_hurwitz_classes():
@@ -223,7 +226,8 @@ def test_dual_walk_charge_bounds_the_panels_walked(monkeypatch, t):
     charged, walked = [], []
     monkeypatch.setattr(afe, "gamma_factor_derivs", lambda s, n, r: [0j] * (r + 1))
     monkeypatch.setattr(sawtooth, "_check_work", charged.append)
-    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, errs, pts, *rest: walked.append(len(pts) - 1))
+    # a pass serves each frequency of one |n|: its panels count once per frequency
+    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, errs, pts, nus, *rest: walked.append(len(nus) * (len(pts) - 1)))
     s = complex(0.5, t)
     for x in (0.5, 5.0, 20.0):
         for r in range(3):

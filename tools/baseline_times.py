@@ -10,6 +10,8 @@ targets: the best of N calls of each, timed with time.perf_counter.
     hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
     afe_hurwitz t=200         afe_hurwitz at alpha = 1, s = 0.5+200i, r = 0, the
                               balanced split x = sqrt(t/2 pi)
+    afe_hurwitz t=450 r=1     afe_hurwitz at alpha = 0.871613,
+                              s = 0.484462+449.835876i, r = 1, x = 8.4613
     afe_l q=3 t=450           afe_l at q = 3, label 1, s = 0.135785+449.699845i,
                               r = 0, X = 14.653186
     afe_l q=4 t=100 r=2       afe_l at q = 4, label 1, s = 0.5+100i, r = 2, the
@@ -80,6 +82,7 @@ def main(argv: list[str]) -> int:
         ("certify_T2_Ib", certify_T2_Ib),
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
         ("afe_hurwitz t=200", lambda: afe_hurwitz(complex(0.5, 200.0), 1.0, 0, math.sqrt(200.0 / (2.0 * math.pi)))),
+        ("afe_hurwitz t=450 r=1", lambda: afe_hurwitz(complex(0.484462, 449.835876), 0.871613, 1, 8.4613)),
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
         ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
