@@ -60,10 +60,10 @@ their cap of 4000 terms unmet (nu above about 0.965).
 
 Error bounds here cover truncation and quadrature, and the rounding of the
 plain tail's intervals, of the oscillatory panels and of the segments'
-series at 0; not that of the far-tail expansions.  The Hurwitz, Z and L
-routes of evaluate, and the coefficient routes that read their core, add
-the rounding of what they assemble from these tails, the far tails'
-phase included.
+series at 0; of the far-tail expansions only psi_tail_powers books its own
+(_far_tail_rounding).  The Hurwitz, Z and L routes of evaluate, and the
+coefficient routes that read their core, add the rounding of what they
+assemble from these tails, the far tails' phase included.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def _check_alpha(alpha: float) -> None:
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
-    routes and their coefficient readings; the intervals' and the panels'
-    for a tail; all but the oscillatory far tails' for the Lerch routes, and
-    all but theirs and the gamma factors' for the AFE)."""
+    routes and their coefficient readings and for a plain tail; the panels'
+    for an oscillatory tail; all but the oscillatory far tails' for the
+    Lerch routes, and all but theirs and the gamma factors' for the AFE)."""
 
     value: complex
     error_bound: float
@@ -338,25 +338,48 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
     of the plain tail's intervals (_psi_interval).  The rows of
     one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
     terms of a row and _ROW_BLOCK or fewer in all, or one row; a block takes
-    log p and p^{-s} once and every order from them, (-log p)^r at each
-    integer r, and a row adds its blocks left to right: each row is its
-    one-row sum, bit for bit.
+    log p and p^{-s} e^{2 pi i lam k} once (p^{-s} real at real s, the s = 0
+    and s = 1 tables and a real b's intervals) and every order from them,
+    and a row adds its blocks left to right: each row is its one-row sum,
+    bit for bit.  (-log p)^r is |log p|^r for r > 2, with the sign of -log p
+    (copysign, exact) for odd r: numpy's power of a negative base leaves its
+    vector path for one 30 to 50 times slower, about four times the complex
+    exponential it multiplies, while that of a positive base is within one
+    ulp of the exact power (0.65 ulp on 4500 samples against Fraction).
 
-    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: the phase -t log p
-    (the logarithm, the rounded point, the product), the modulus, the power
-    and the product; r eps |term| / |log p| more where |log p| < 1 (at most
-    the first three points), for the rounded point inside (-log p)^r; with
-    lam, eps (3 (2 pi lam k) + 5) |term| more for the Lerch phase (pi and
-    the products by lam and by k in its argument, the exponential, the
-    product); then the pairwise sums within blocks and the sum of the
-    blocks, 1.5 eps (depth) sum |term|.  A term that leaves binary64 makes
-    the sum and its bound non-finite, without a warning: EvalResult refuses
-    them."""
+    Per term eps (|s| (3 |log p| + 1) + 3 r + 8) |term|: p^{-s}, the phase -t
+    log p and the modulus (the logarithm, the rounded point, the product, the
+    exponential); (-log p)^r, r eps for the rounded log p and one for the
+    power; and the products; r eps |term| / |log p| more where |log p| < 1
+    (at most the first three points), for the rounded point inside (-log
+    p)^r; with lam, the Lerch phase e^{2 pi i lam k}: where lam 2^10 is an
+    integer and k < 2^42, lam k is exact and so is its reduction lam k -
+    [lam k] < 1, and eps (3 (2 pi) + 5) |term| more (pi and the product in
+    the argument, the exponential, the product), else eps (3 (2 pi lam k) +
+    5) |term| from the unreduced argument; then the pairwise sums within
+    blocks and the sum of the blocks, 1.5 eps (depth) sum |term|.  A term
+    that leaves binary64 makes the sum and its bound non-finite, without a
+    warning: EvalResult refuses them."""
     a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
     first = None if first is None else np.asarray(first, dtype=float)
     val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
     cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
     abs_s, add = abs(s), np.add.reduce
+    exponent = -s.real if not s.imag else -s  # p^{-s} real at real s
+    reduced = bool(lam) and (lam * 1024.0).is_integer() and kmax.max(initial=-1) < 2**42  # lam k exact, so its reduction mod 1
+
+    def factor(logs, k):
+        """p^{-s} e^{2 pi i lam k}, the factor of every order's terms, formed
+        in place where it can be: the Lerch sums are the longest rows."""
+        ps = np.exp(exponent * logs)
+        if not lam:
+            return ps
+        arg = lam * k
+        if reduced:
+            arg -= np.floor(arg)
+        arg = 2j * np.pi * arg
+        return np.multiply(ps, np.exp(arg, out=arg), out=ps if s.imag else None)  # ps is real at real s
+
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, kk in ((lo, hi, int(kmax[lo])) for lo, hi in zip(cuts, cuts[1:]) if kmax[lo] >= 0):
             width = min(kk + 1, _SUM_BLOCK)
@@ -370,24 +393,31 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
                     logs = np.log(a[rows, None] + q * (k if first is None else first[rows, None] + k))
                     al3 = np.abs(logs[:, :3])  # the points with 0 < |log p| < 1: the first three at most
                     al3 = np.where((al3 > 0.0) & (al3 < 1.0), al3, np.inf)
-                    # one order keeps no copy of p^{-s}, and |log p| is taken where it is
-                    # used: fewer live arrays keep a long row in cache
-                    base = np.exp(-s * logs) if len(orders) > 1 else None
+                    # one order keeps no copy of p^{-s} e^{2 pi i lam k}, and |log p| is taken
+                    # where it is used: fewer live arrays keep a long row in cache
+                    base = factor(logs, k) if len(orders) > 1 else None
                     for sm, r in zip(sums, orders):
-                        terms = np.exp(-s * logs) if base is None else base
-                        terms = terms * ((-logs) ** r if r > 1 else -logs) if r else terms  # x ** 1 is x
-                        if lam:
-                            terms = terms * np.exp(2j * np.pi * lam * k)
+                        terms = factor(logs, k) if base is None else base
+                        if r > 2:  # numpy's power of a negative base leaves its vector path
+                            power = np.abs(logs)
+                            np.power(power, r, out=power)
+                            if r % 2:  # -|x|^r with the sign of x is (-x)^r; in place, no copy of -log p
+                                np.negative(np.copysign(power, logs, out=power), out=power)
+                            terms = terms * power
+                        elif r:
+                            terms = terms * (np.square(logs) if r == 2 else -logs)
                         mag = np.abs(terms)
                         parts = [add(terms, axis=1), add(mag, axis=1), add(mag * np.abs(logs), axis=1)]
-                        parts += [add(mag * k, axis=1)] if lam else []
+                        parts += [add(mag * k, axis=1)] if lam and not reduced else []
                         sm[: len(parts)] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
                         if r and not k0:
                             sm[4] = r * add(mag[:, :3] / al3, axis=1)
                 for i, (r, (v, mags, lmags, kmags, head)) in enumerate(zip(orders, sums)):
                     bound = 3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags
                     bound = bound + head if r else bound
-                    val[i, rows], err[i, rows] = v, _EPS * (bound + (6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else bound)
+                    if lam:
+                        bound = bound + ((6.0 * math.pi + 5.0) * mags if reduced else 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags)
+                    val[i, rows], err[i, rows] = v, _EPS * bound
     return val, err
 
 
@@ -523,6 +553,44 @@ def _tail_values(sums, table, b: complex, u0: float, rems: np.ndarray, alphas: n
     return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
 
 
+@lru_cache(maxsize=1)
+def _tail_coeff_bounds() -> tuple[np.ndarray, np.ndarray]:
+    """For the orders m of _TAIL_ORDERS: D_m >= |B_m({v})/m!| (2 zeta(m)/(2 pi)^m,
+    2 zeta(2) < 3.3) and the rounding of the far tail's coefficient B_m({v})/m!
+    in eps, less eps |v| 3 D_{m-1} (D_1 = 1/2, d/dv B_m/m! = B_{m-1}/(m-1)!),
+    the part of v's rounding and of 2 pi n v in the Fourier terms: below 13, the
+    13 Horner levels and the rounded coefficients, 28 sum_j |a_j|; from 13 on,
+    the phase -pi m/2, the cosines and the running sum of at most 64 terms,
+    (pi m + 70) D_m; both with the scaling by (2 pi)^m and back."""
+    d = np.array([3.3 / TWO_PI**m for m in _TAIL_ORDERS])
+    horner = np.array([28.0 * sum(map(abs, _bernoulli_poly_coeffs(m))) if m < 13 else 0.0 for m in _TAIL_ORDERS])
+    return _frozen(d, horner + (math.pi * np.array(_TAIL_ORDERS) + 70.0) * d)
+
+
+def _far_tail_rounding(b: complex, rmax: int, u0: float, alpha: float) -> np.ndarray:
+    """The rounding of _tail_values' far tail F_r = sum_k c_k g_r^{(k)}(u0),
+    c_k = (-1)^{k+1} B_{k+2}({v})/(k+2)!, v = u0 - alpha (-alpha from 2^52
+    on, where it is exact), for r = 0..rmax, in terms of G_{k,r} = u0^{Re b -
+    k} sum_i M[k, r, i] |L|^i >= |g_r^{(k)}(u0)|, L = log u0, where M bounds
+    the coefficients of _deriv_table by the recursion of their moduli, M[k +
+    1, r, i] = |b - k| M[k, r, i] + (i + 1) M[k, r, i + 1].  Per k, in eps G:
+    c_k (_tail_coeff_bounds, with 3 |v| D_{k+1} for v); the table, 4 k (a
+    complex product and a sum a level); Horner in the rounded L, 3 r; the
+    phase and modulus of e^{(b - k) L}, 3 |b - k| |L| + 5 (the argument and
+    cmath.exp); the product with it, 3; then D_{k+2} (3 + 13) for c_k g and
+    the sum of the 13 terms."""
+    d, coeff = _tail_coeff_bounds()
+    v = abs(u0 - alpha if u0 < 2.0**52 else alpha)
+    ks, pw, ll = np.arange(d.size), np.arange(rmax + 1.0), abs(math.log(u0))  # pw: the log powers i, and the orders r
+    M, G = np.eye(rmax + 1), []  # M[r, i] of one k
+    for k in ks.tolist():
+        G.append(M @ ll**pw)
+        M = abs(b - k) * M + np.concatenate([M[:, 1:] * pw[1:], np.zeros((rmax + 1, 1))], axis=1)
+    G = np.array(G) * u0 ** (b.real - ks)[:, None]
+    w = 3.0 * v * np.concatenate([[0.5], d[:-1]]) + coeff + d * (3.0 * np.abs(b - ks) * ll + 4.0 * ks + 24.0)
+    return _EPS * ((w[:, None] + 3.0 * d[:, None] * pw) * G).sum(axis=0)
+
+
 def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The first cutoff u of _tail_cutoffs at which every row of
     psi_tail_powers_batch(u, alphas, b, rmax) stops, integrating no interval,
@@ -535,15 +603,8 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
             return u0, vals, errs
 
 
-def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
-    """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
-    from one interval integral of all rows per cutoff; each row is bit for
-    bit its one-row result.
-
-    Rows that meet the tolerance at the cutoff u0 stop there; the others
-    go on to 2 u0.  The far-tail derivatives and remainders do not depend
-    on alpha and are evaluated once per cutoff.
-    """
+def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float], float]]:
+    """The rows of psi_tail_powers_batch, each with the cutoff u0 of its far tail."""
     b = complex(b)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
@@ -559,12 +620,25 @@ def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple
         cur = u0
         vals, errs, done = _tail_values(sums, table, b, u0, rems, alphas)
         for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
-            out[i] = (row, bounds)
+            out[i] = (row, bounds, u0)
         if done.all():
             return out
         rows, alphas = rows[~done], alphas[~done]
         sums = [a[:, ~done] for a in sums]
         u0, _, rems = next(cutoffs)
+
+
+def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
+    """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
+    less the rounding of the far tails (the evaluate routes book it in their
+    assembly), from one interval integral of all rows per cutoff; each row is
+    bit for bit its one-row result.
+
+    Rows that meet the tolerance at the cutoff u0 stop there; the others
+    go on to 2 u0.  The far-tail derivatives and remainders do not depend
+    on alpha and are evaluated once per cutoff.
+    """
+    return [(vals, errs) for vals, errs, _ in _psi_tails(x, alphas, b, rmax)]
 
 
 def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list[complex], list[float]]:
@@ -573,9 +647,11 @@ def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list
     Requires Re(b) < 0.  First-order Euler-Maclaurin over the kinks up to an
     adaptive cutoff U (_psi_interval), then the expansion sum_k (-1)^k
     psi~_{k+1}(U-alpha) g^{(k-1)}(U) with the remainder bounded through
-    int_U^inf |g^{(K-1)}|.
+    int_U^inf |g^{(K-1)}|.  The bounds add the rounding of that expansion
+    (_far_tail_rounding) to psi_tail_powers_batch's.
     """
-    return psi_tail_powers_batch(x, [alpha], b, rmax)[0]
+    ((vals, errs, u0),) = _psi_tails(x, [alpha], b, rmax)
+    return vals, [e + f for e, f in zip(errs, _far_tail_rounding(complex(b), rmax, u0, alpha).tolist())]
 
 
 # ---------------------------------------------------------------------------

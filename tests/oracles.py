@@ -16,7 +16,8 @@ expose the scalar periodic-Bernoulli series (phi_bernoulli, the scalar
 loop that the library's array kernel replaced, kept as a reference) and
 the library's interval integral over a finite interval, which only the
 tests call.  finite_power_sum is the one-array finite sum that the
-progression-sum kernel replaced, kept as a reference.
+progression-sum kernel replaced, kept as a reference, its terms formed as
+the kernel forms them (kernel_terms).
 """
 
 from __future__ import annotations
@@ -460,10 +461,34 @@ def psi_piecewise_integral(
     return complex(sums[0][log_power, 0])
 
 
+def kernel_terms(logs: np.ndarray, s: complex, r: int, phase=None) -> np.ndarray:
+    """p^{-s} (-log p)^r from log p, times the phases if given, each term as
+    the finite-sum kernel forms it: p^{-s} real at real s, times the phase,
+    then (-log p)^r, for r > 2 as |log p|^r with the sign of -log p for odd r."""
+    terms = np.exp(-s * logs) if complex(s).imag else np.exp(-complex(s).real * logs)
+    terms = terms if phase is None else terms * phase
+    if r > 2:
+        power = np.abs(logs) ** r
+        return terms * (np.copysign(power, -logs) if r % 2 else power)
+    return terms * ((-logs) ** 2 if r == 2 else -logs) if r else terms
+
+
 def finite_power_sum(points: np.ndarray, s: complex, r: int) -> complex:
     """sum p^{-s} (-log p)^r over the given points, as one numpy sum."""
     if points.size == 0:
         return 0.0 + 0.0j
-    logs = np.log(points)
-    terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
-    return complex(terms.sum())
+    return complex(kernel_terms(np.log(points), s, r).sum())
+
+
+def psi_tail_oracle(x: float, alpha: float, b: complex, m: int, dps: int = 40):
+    """int_x^inf psi(u - alpha) u^b log^m u du from the Hurwitz zeta function:
+    by parts against dpsi = du - sum_n delta(u - alpha - n), the tail at m = 0
+    is T(b) = [zeta(-b-1, alpha + N) + x^{b+2}/(b+2)]/(b+1) - psi(x - alpha)
+    x^{b+1}/(b+1), N = floor(x - alpha) + 1, and d^m/db^m T(b) at m >= 1
+    (mpmath's numerical derivative), with x and alpha taken exactly."""
+    with mp.workdps(dps):
+        x, alpha = mp.mpf(x), mp.mpf(alpha)
+        n = mp.floor(x - alpha)
+        psi_x = x - alpha - n - mp.mpf(0.5)
+        tail = lambda c: (mp.zeta(-c - 1, alpha + n + 1) + x ** (c + 2) / (c + 2)) / (c + 1) - psi_x * x ** (c + 1) / (c + 1)
+        return tail(mp.mpc(b)) if m == 0 else mp.diff(tail, mp.mpc(b), m)

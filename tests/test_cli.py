@@ -487,42 +487,48 @@ def test_tail_log_power_is_capped(capsys):
 # plus its dual sum and booked the rounding of the core, the pole term, the
 # dual assembly and the segments; the `certify --bound t3`, plain `tail`,
 # explicit-split `eval` and `afe` entries when the plain tail's intervals
-# became first-order Euler-Maclaurin sums over the kinks of psi
+# became first-order Euler-Maclaurin sums over the kinks of psi; the entries
+# whose finite sums run at real s (`coeff`, `certify --bound t2-ib|t2-iib|t3`,
+# `eval --kind l --s 1,0`) or take (-log p)^r beyond the square (`eval --kind
+# z ... --r 3`) when the kernel took p^{-s} real at real s and (-log p)^r
+# from |log p|^r, the Lerch entries (`eval --kind lerch`, `coeff --kind
+# lerch`) when it took p^{-s} e^{2 pi i lam k} once per block, and plain
+# `tail` when it booked its far tail's rounding
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
     (
         ["coeff", "--kind", "gamma-chi", "--q", "311", "--label", "211", "--r-max", "2"],
-        "e6618ef7a5a5b748b4383e631e70b5827f2d14026419c58974c678776df7b931",
+        "113ddc29f3c2682337ee356e0d37959ceb880a5ba0b263dec7b69da2943665cf",
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "313", "--label", "256", "--r", "1"],
-        "bcd862afbc06d23d09915b8fd94f9ee96e3f0a919d5888cdc0d76f0e4236c2ac",
+        "de8617fc770ae4f8a434940d6ca8f88e9aa13528e39c06377d9b744c5866716c",
     ),
     (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
-    (["certify", "--bound", "t3"], "8aae8a5d185a9a8a23b2c3464f31709f6804b879610b713467ed5ef006058d85"),
+    (["certify", "--bound", "t3"], "c08323e582d3c510f1a42a209e2ad1ac7c0cee47957914c05f03d23aa0b0fdb6"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
-        "5a9a0bfaa588e5320a99d06b4c55f3e4f641ca19e66c00ed00ecd10740b2106b",
+        "a0089386fa176e04157d7e5ddca0f2f8179685f5a2b1cf5dc3e5505254118581",
     ),
     # recorded before the panel, far-tail, s-tail and coefficient-table code
     # was merged into one kernel per term; both afe requests have a nonempty
     # dual sum (y = 2.18 and 5.79)
     (
         ["coeff", "--kind", "gamma", "--alpha", "0.37", "--r-max", "6"],
-        "468e6702b4ca574b12cc938172eef270480c38930c64473f167d96b6fbb3e80b",
+        "da67e3bf1df5dcedb7119b3e94ae67c87a6c4790d34b8360a6df7448dcb0dea2",
     ),
     (
         ["coeff", "--kind", "beta", "--alpha", "0.3", "--r-max", "6"],
-        "5d3918f6f6fc5484d4148ed0219762f7730989685e5fbbf159bd2192cfec9cd7",
+        "1ecb8e97fb4fb7f20676e2c5f09f2095e86993047ba3f83b7dbefc24e6a8019e",
     ),
     (
         ["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "6"],
-        "e6e2ba75cf344ef1368a71d183b5dfc06bd47cc203f1f076231ec32006959afa",
+        "a4fc4cff6232674c54727994a6f4f7e19a6711cf7245ae7acff6a44727d2e0e1",
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "dec67ef3503eb52c1860b1235181b8bdb12b70c1b8325b0692fb3e083bc93a0c",
+        "44b2f11c833e161f77f63ae57467fd248a7e156678edb1371503c13e804b11d7",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -534,7 +540,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "30229f01b13388621e1f33e55bcbced54f75834a22a70fc182024cc4e3f5da63",
+        "cc202a622d583a21dafc64befab900f16f157966a01bf41aa0453da1184d9837",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -559,15 +565,15 @@ GOLDEN_DIGESTS = [
         ["eval", "--kind", "l", "--s", "0.6,300", "--q", "7", "--label", "3", "--r", "2"],
         "9f23507b3531888575ea51d3df9a7fc0e27ee25d129933a089ead9540f737ce4",
     ),
-    (["certify", "--bound", "t2-ib"], "2f2799663a451d38f7573a0748ebad2825236ec52ff9d49547a1d6fff17f4dab"),
-    (["certify", "--bound", "t2-iib"], "086b8b14bd9d955eec14a549b9ea6613781f39cf8205ba3324ebd0ed341d0c7e"),
+    (["certify", "--bound", "t2-ib"], "339ec0508570a680b6707d92259b074159c094b2fbe9413d91b3c0b033992a50"),
+    (["certify", "--bound", "t2-iib"], "71a5a236363f37c268f283fcc8abc0c1b9a334576ff4883711a072d64013b934"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "bae0e201a1e32722256a89ce9deaaaac01ee8f689be269621b2ffd48c1a91a17",
+        "59ed562a54abe5fea6086520108719cbca144bd71c62a295e878758c9c717d48",
     ),
     (
         ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
-        "d126a746adc20a903b27e9514f59ebce56223356233064fe89b78e5279b7fe08",
+        "4480a27032371ca6c78497532660f313c344675889b58518b51e6ef5d16f8c86",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "2.5,0", "--alpha", "0.7", "--r", "8", "--x", "1.2"],
@@ -578,7 +584,7 @@ GOLDEN_DIGESTS = [
     # and an L-function AFE with two dual-sum terms
     (
         ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
-        "fc68892ad17de2d381786019d07d265722d841fe8f95f05a8fecc0b076e96c26",
+        "502aa1d1082a54bcc466aba807d73a62398219c0608ae4e79c8b761341558304",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
@@ -594,15 +600,15 @@ GOLDEN_DIGESTS = [
     # classes a > X have an empty finite sum
     (
         ["coeff", "--kind", "l-zero", "--q", "977", "--label", "550", "--r-max", "3"],
-        "a327287a7553b7223f3ae6b1d863b04c31ef5f680d7304b676bef672ba03ec5f",
+        "d547b2502fdf2383c73a0f7c6c2d1957406c9660604e11f4f83766e2c7dd2ed5",
     ),
     (
         ["coeff", "--kind", "gamma-chi", "--q", "977", "--label", "528", "--r-max", "2"],
-        "bb8f8254006b6e65b27f8f4b07b34eeec9853fb70db1d4627fbe45c67525c022",
+        "9e29e78421e9fa8466124e28422d1c698b8cdab434e299932afd8c93ab315085",
     ),
     (
         ["eval", "--kind", "l", "--s", "1,0", "--q", "13", "--label", "2", "--r", "1", "--x", "6.5"],
-        "b7558a6475bf26ce7c99907027e5e23146da966139a84b8cdb983e51d6b1c9c6",
+        "09d7b424f76442694396e3f7be35bcf799e23113df8037f358d72496bccbc7ef",
     ),
 ]
 
@@ -622,13 +628,14 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # entries re-recorded with the GOLDEN_DIGESTS of the panels sized by the
 # whole phase, and the afe entry with those of the AFE as the Z core plus
 # its dual sum; the afe and plain tail entries with the GOLDEN_DIGESTS of the
-# Euler-Maclaurin intervals
+# Euler-Maclaurin intervals, and the plain tail and Lerch entries with those
+# of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k}
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "ee2e7611a4360c1e1865b4612e75a07bee3ac931b4f3a7fad42700413b1df3ec",
+        "f4aec3a18c1966d9a26443aa1378cb3754874a664921e93ff16f74c3d5c3564a",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -636,7 +643,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "6b9119a5c893be9726b69bf298425d4e56ef48f72ceba0c03f01b7d3cf02d3f7",
+        "7d559fcb14d0e9466867b5169dd89025b33943cad2a798a2c9ac384c1aad5f43",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],

@@ -23,13 +23,14 @@ from zetalab.evaluate import (
     lerch_deriv,
     z_deriv,
 )
-from zetalab.sawtooth import EvalResult, _progression_sum, _tail_cutoff, psi_tail_powers
+from zetalab.sawtooth import EvalResult, _progression_sum, _tail_cutoff, psi_tail_powers_batch
 
 from .oracles import (
     catalan_constant,
     direct_series_oracle,
     finite_power_sum,
     hurwitz_series_cutoff,
+    kernel_terms,
     l_oracle,
     leibniz_pi_4,
     lerch_oracle,
@@ -137,7 +138,7 @@ def ref_hurwitz_core(s, alpha, r, x):
     + boundary + tail, without the pole term; with the pieces that the
     rounding term of the new contract is made of."""
     nmax = _split_floor(x - alpha)
-    tails, terrs = psi_tail_powers(x, alpha, -s - 1.0, r)
+    ((tails, terrs),) = psi_tail_powers_batch(x, [alpha], -s - 1.0, r)
     tail, err = ref_tail_combination(tails, s, r), _s_tail(tails, terrs, s, r)[1]
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = finite_power_sum(pts, s, r)
@@ -153,7 +154,7 @@ def ref_rounding(s, r, x, p) -> float:
     """The rounding term of the Hurwitz bound at q = 1, term by term as documented:
     the finite sum, the boundary term, the tail combination and its addition."""
     logs = np.log(p["pts"])
-    terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
+    terms = kernel_terms(logs, s, r)
     mag, al = np.abs(terms), np.abs(logs)
     head = 0.0
     if r and p["pts"].size:
@@ -566,14 +567,15 @@ def test_lerch_tails_not_worth_passing_are_walked():
 def ref_progression_sum(a, q, kmax, s, r, lam, block, first=0):
     """One row and one order of the finite-sum kernel as documented (reference):
     blocks of `block` terms, each summed as one array, added left to right,
-    with the rounding term; the points a + q (first + k)."""
+    with the rounding term; the points a + q (first + k).  Where lam 2^10 is
+    an integer, lam k is exact and its phase is taken at lam k mod 1."""
     val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
+    reduced = (lam * 1024.0).is_integer()
     for k0 in range(0, kmax + 1, block):
         k = np.arange(k0, min(k0 + block, kmax + 1), dtype=float)
         logs = np.log(a + q * (first + k))
-        terms = np.exp(-s * logs) * (-logs) ** r if r else np.exp(-s * logs)
-        if lam:
-            terms = terms * np.exp(2j * np.pi * lam * k)
+        phase = np.exp(2j * np.pi * (lam * k % 1.0 if reduced else lam * k)) if lam else None
+        terms = kernel_terms(logs, s, r, phase)
         part = complex(terms.sum())
         val = val + part if blocks else part
         blocks += 1
@@ -585,7 +587,7 @@ def ref_progression_sum(a, q, kmax, s, r, lam, block, first=0):
             near = (al[:3] > 0.0) & (al[:3] < 1.0)
             head = r * float((mag[:3][near] / al[:3][near]).sum())
     depth = math.log2(min(kmax + 1, block) + 1) + 20 + blocks
-    phase = 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags if lam else 0.0
+    phase = ((6.0 * math.pi + 5.0) * mags if reduced else 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else 0.0
     return val, EPS * (3.0 * abs(s) * lmags + (abs(s) + 3 * r + 8 + 1.5 * depth) * mags + head + phase)
 
 
@@ -599,7 +601,7 @@ def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, bl
     cases = [(13, np.arange(1.0, 14.0), 30.5), (13, np.arange(1.0, 14.0), 7.5), (1, np.array([0.3, 1.0, 0.05, 0.7]), None)]
     for q, a, X in cases:
         kmax = _split_floor((X - a) / q) if X else np.array([3, -1, 40, 0])
-        for s, lam in ((0.5 + 300j, 0.0), (1.0 + 0j, 0.0), (0.7 - 20j, 0.3 if q == 1 else 0.0)):
+        for s, lam in ((0.5 + 300j, 0.0), (1.0 + 0j, 0.0), (0.7 - 20j, 0.3 if q == 1 else 0.0), (2.0 + 0j, 15.0 / 16.0 if q == 1 else 0.0)):
             orders = [0, 1, 4]
             vals, errs = _progression_sum(a, q, kmax, s, orders, lam)
             assert vals.shape == errs.shape == (len(orders), a.size)
@@ -614,6 +616,40 @@ def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, bl
         for j in range(a.size):
             want = ref_progression_sum(float(a[j]), 1, int(kmax[j]), 0.5 + 300j, r, 0.0, block, first[j])
             assert repr((complex(vals[i, j]), float(errs[i, j]))) == repr(want), (r, j)
+
+
+@pytest.mark.parametrize("r", [3, 4, 8, 24])
+def test_kernel_power_is_the_power_of_the_rounded_log_within_an_ulp(r):
+    # a one-term sum at s = 0 is the kernel's (-log p)^r itself (p^{-0} = 1
+    # exactly): numpy's power of |log p| with the sign of -log p, against the
+    # exact power of the rounded log p, within one ulp; against the true
+    # (-log p)^r within (r + 1) eps, inside the 3 r eps the bound books for it.
+    # Points below 1 (log p < 0, the Hurwitz alpha < 1), p = 1 and above
+    rng = np.random.default_rng(r)
+    p = np.concatenate([[1.0, 0.3, 1e-9, 0.999, 1.001, 2.0], rng.uniform(0.01, 1.0, 200), np.exp(rng.uniform(0.0, 14.0, 300))])
+    vals, _ = _progression_sum(p, 1, np.zeros(p.size, dtype=int), 0j, [r])
+    logs = np.log(p)
+    with mp.workdps(40):
+        for got, lp, pt in zip(vals[0].tolist(), logs.tolist(), p.tolist()):
+            exact = Fraction(-lp) ** r
+            assert got.imag == 0.0 and abs(Fraction(got.real) - exact) <= Fraction(np.spacing(abs(got.real))), (pt, got, r)
+            true = (-mp.log(mp.mpf(pt))) ** r
+            assert abs(got.real - true) <= (r + 1) * EPS * abs(true), (pt, got, r)
+    assert vals[0, 0] == 0.0  # log 1 = 0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 15.0 / 16.0])
+def test_a_real_s_sum_is_the_complex_s_sum_within_its_bound(lam):
+    # at real s the kernel takes p^{-s} from the real exponential; the complex
+    # exponential at Im s = 1e-300 (phases below 1e-295) differs from it by
+    # the rounding each books, and the real sum of lam = 0 has no imaginary part
+    a, kmax = np.array([0.3, 1.0, 0.05, 0.7]), np.array([40, 3, 2000, 0])
+    for sigma in (0.0, 0.5, 1.0, 2.0, -1.5):
+        real, rerr = _progression_sum(a, 1, kmax, complex(sigma, 0.0), [0, 1, 2, 5], lam)
+        cplx, cerr = _progression_sum(a, 1, kmax, complex(sigma, 1e-300), [0, 1, 2, 5], lam)
+        assert (np.abs(real - cplx) <= rerr + cerr).all(), sigma
+        assert np.allclose(rerr, cerr, rtol=1e-12, atol=0.0), sigma
+        assert lam or (real.imag == 0.0).all()
 
 
 def test_all_classes_sum_in_flat_memory():

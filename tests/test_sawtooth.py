@@ -26,7 +26,7 @@ from zetalab.sawtooth import (
     segment_osc_power_log,
 )
 
-from .oracles import euler_gamma_limit, periodic_bernoulli, phi_bernoulli, psi_piecewise_integral, quad_psi_osc_tail, quad_psi_tail
+from .oracles import euler_gamma_limit, periodic_bernoulli, phi_bernoulli, psi_piecewise_integral, psi_tail_oracle, quad_psi_osc_tail, quad_psi_tail
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,21 @@ def test_tail_next_to_a_zero_antiderivative_exponent_holds_against_mpmath(monkey
             assert abs(vals[r] - want) <= errs[r] + ferrs[r], (r, x)
             # next to the zero the bound stays the zero's (the recursion's 1/c would blow it up)
             assert errs[r] <= 1.1 * psi_tail_powers(x, 0.3, complex(b).real, r)[1][r], (r, x)
+
+
+@pytest.mark.parametrize("alpha, b", [(0.3, complex(-1.5, -300.0)), (0.25, complex(-1.5, -300.0)), (0.7, complex(-2.5, 40.0)), (0.6, -3.0)])
+def test_tail_from_its_first_cutoff_and_beyond_holds_against_the_hurwitz_identity(alpha, b):
+    # from x at or past the first cutoff u0 no interval is integrated: the
+    # bound is the remainder and the far tail's rounding, led by that of
+    # v = u0 - alpha (x - alpha is exact at alpha = 0.25) and the phase of
+    # u0^{b-k}; booked without it, the error at 50 u0 was up to 3e25 times the bound
+    rmax = 2
+    u0 = sawtooth._first_cutoff(complex(b), rmax)
+    for x in (u0, 1.5 * u0, 4.0 * u0, 50.0 * u0):
+        vals, errs = psi_tail_powers(x, alpha, b, rmax)
+        for m in range(rmax + 1):
+            err = abs(mp.mpc(vals[m]) - psi_tail_oracle(x, alpha, b, m))
+            assert err <= errs[m], (x, m, float(err), errs[m])
 
 
 def test_tail_requires_decaying_exponent():
@@ -538,13 +553,17 @@ def test_power_log_segments_match_the_scalar_antiderivatives(beta):
     ],
 )
 def test_batched_tail_matches_the_scalar_march_bit_for_bit(monkeypatch, x, b, rmax, q, kw):
-    # within its bounds of the scalar march; bit for bit its one-row result
+    # within its bounds of the scalar march; bit for bit its one-row result,
+    # which psi_tail_powers gives with the rounding of its far tail added
     for name, value in kw.items():
         monkeypatch.setattr(sawtooth, name, value)
     alphas = [a / q for a in range(1, q + 1)]
     got = psi_tail_powers_batch(x, alphas, b, rmax)
     _assert_within_bounds(got, [ref_psi_tail_powers(x, alpha, b, rmax) for alpha in alphas])
-    assert repr(psi_tail_powers(x, alphas[-1], b, rmax)) == repr(got[-1])
+    ((vals, errs, u0),) = sawtooth._psi_tails(x, alphas[-1:], b, rmax)
+    assert repr((vals, errs)) == repr(got[-1])
+    far = sawtooth._far_tail_rounding(complex(b), rmax, u0, alphas[-1]).tolist()
+    assert repr(psi_tail_powers(x, alphas[-1], b, rmax)) == repr((vals, [e + f for e, f in zip(errs, far)]))
 
 
 def test_batch_rows_have_unequal_segment_counts():

@@ -2,9 +2,14 @@
 targets: the best of N calls of each, timed with time.perf_counter.
 
     l_deriv q=1009            l_deriv at q = 1009, label 1, s = 0.5+1000i, r = 1
+    l_deriv q=1009 r=3        the same at r = 3: the finite sum's (-log p)^r
+                              beyond the square
     L2(1,chi) all chi 1009    L^{(2)}(1, chi) for every non-principal chi mod
                               1009 in one batch (characters built beforehand)
     certify_T3 101 103 107    certify_T3(q_set=(101, 103, 107))
+    coeff l-zero q=971 r_max=3
+                              coefficient_table("l_deriv_at_zero", 3) at
+                              q = 971, label 1: the finite sums at real s = 0
     stieltjes_gamma_all 20    stieltjes_gamma_all(20, 0.3)
     certify_T2_Ib             certify_T2_Ib() at its default grid
     hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
@@ -64,7 +69,7 @@ def main(argv: list[str]) -> int:
     from zetalab.afe import afe_hurwitz, afe_l
     from zetalab.bounds import certify_T2_Ib, certify_T3
     from zetalab.characters import character, enumerate_characters
-    from zetalab.coefficients import l_deriv_at_1_exact_all, stieltjes_gamma_all
+    from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
     from zetalab.sawtooth import _psi_fourier_shift_sums, _tail_cutoff
 
@@ -72,12 +77,14 @@ def main(argv: list[str]) -> int:
         _psi_fourier_shift_sums.cache_clear()
         return _psi_fourier_shift_sums(16, 123.3, nu)
 
-    chi, chi3, chi4 = character(1009, 1), character(3, 1), character(4, 1)
+    chi, chi3, chi4, chi971 = character(1009, 1), character(3, 1), character(4, 1), character(971, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
     rows = [
         ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
+        ("l_deriv q=1009 r=3", lambda: l_deriv(complex(0.5, 1000.0), chi, 3)),
         ("L2(1,chi) all chi 1009", lambda: l_deriv_at_1_exact_all(2, chars)),
         ("certify_T3 101 103 107", lambda: certify_T3(q_set=(101, 103, 107))),
+        ("coeff l-zero q=971 r_max=3", lambda: coefficient_table("l_deriv_at_zero", 3, chi=chi971)),
         ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
         ("certify_T2_Ib", certify_T2_Ib),
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
