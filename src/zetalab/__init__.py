@@ -9,7 +9,7 @@ direct series, plain quadrature) live in the test suite's
 tests/oracles.py, which plays them against the library.
 """
 
-from .afe import afe_hurwitz, afe_l, gamma_factor_derivs
+from .afe import afe_hurwitz, afe_l
 from .bounds import (
     BoundCase,
     BoundReport,
@@ -53,7 +53,6 @@ from .evaluate import (
     lerch_deriv,
     z_deriv,
 )
-from .gammafn import complex_gamma, digamma, trigamma
 from .sawtooth import EvalResult, psi, psi2
 
 __version__ = "0.1.0"
@@ -77,13 +76,10 @@ __all__ = [
     "certify_polya_vinogradov",
     "character",
     "coefficient_table",
-    "complex_gamma",
     "conductor",
-    "digamma",
     "enumerate_characters",
     "euler_phi",
     "gamma_aq",
-    "gamma_factor_derivs",
     "gauss_sum",
     "hurwitz_deriv",
     "ishikawa_compare",
@@ -101,6 +97,5 @@ __all__ = [
     "psi2",
     "reconstruct_series",
     "stieltjes_gamma",
-    "trigamma",
     "z_deriv",
 ]

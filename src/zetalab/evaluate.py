@@ -133,15 +133,6 @@ def _split_floor(v):
     return k.astype(int) if np.ndim(k) else int(k)
 
 
-def _psi_at_split(v: float) -> float:
-    """Sawtooth at the split with the same integer part the sum count used.
-
-    Keeps the finite-sum jump and the boundary-term jump cancelling exactly
-    even when v sits within rounding dust of an integer.
-    """
-    return v - _split_floor(v) - 0.5
-
-
 def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     """d^r/ds^r (x^{1-s}/(s-1)) by the Leibniz closed form, with its rounding:
     the phase of x^{1-s} (eps |1-s| log x) and each of the r + 1 terms.
@@ -404,7 +395,7 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x, w2cut)
     sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
-    wx, psi, fx = cmath.exp(2j * math.pi * lam * v), _psi_at_split(v), cmath.exp(-s * lx)
+    wx, psi, fx = cmath.exp(2j * math.pi * lam * v), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel
     phase = cmath.exp(-2j * math.pi * lam * alpha)
     serrs += _boundary_rounding(s, 1, orders, x, v, kmax, psi, abs(fx))
     out = []

@@ -31,17 +31,15 @@ there, where no interval is integrated and so no rounding is booked.
 Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
 integration by parts against the exponential beyond an adaptive cutoff.
 Panels are sized by the whole phase 2 pi nu u + Im b log u: each turns it
-by at most a budget _THETA and spans at most a factor 1.6 (2 for the
-segments from 0), their break points the level sets of one closed-form
-count found in one array pass (_walk).  The sawtooth-weighted variant expands
-psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies n + nu and
-sums the boundary terms of all parts in closed form, from one row of
-periodic Bernoulli values shared by all K parts.  One panel kernel serves
-every walk, as (block x 32) arrays of at most 512 panels, and all the
-frequencies of one |nu| in one pass (a dual sum's +-n share their walks,
-nodes and booked rounding, as their segments share the series terms at 0);
-it is bit for bit the one-panel-at-a-time loop of each frequency (np.vecdot
-per panel, which is np.dot's BLAS dot, and panel sums added left to right).
+by at most a budget _THETA and spans at most a factor 1.6, their break
+points the level sets of one closed-form count found in one array pass
+(_walk).  The sawtooth-weighted variant expands psi(u-alpha) e^{2 pi i
+nu(u-alpha)} in combined frequencies n + nu and sums the boundary terms of
+all parts in closed form, from one row of periodic Bernoulli values shared
+by all K parts.  One panel kernel serves every walk, as (block x 32)
+arrays of at most 512 panels; it is bit for bit the one-panel-at-a-time
+loop (np.vecdot per panel, which is np.dot's BLAS dot, and panel sums
+added left to right).
 A sawtooth-weighted tail whose cutoff reaches 2^52 is refused: from there
 alpha and the phase 2 pi nu u are lost to rounding.  A tail given its final
 cutoff (_osc_cutoff, which doubles the first on the closed-form remainder
@@ -59,11 +57,11 @@ of the sawtooth-weighted far tail refuse a request whose series reach
 their cap of 4000 terms unmet (nu above about 0.965).
 
 Error bounds here cover truncation and quadrature, and the rounding of the
-plain tail's intervals, of the oscillatory panels and of the segments'
-series at 0; of the far-tail expansions only psi_tail_powers books its own
-(_far_tail_rounding).  The Hurwitz, Z and L routes of evaluate, and the
-coefficient routes that read their core, add the rounding of what they
-assemble from these tails, the far tails' phase included.
+plain tail's intervals and of the oscillatory panels; of the far-tail
+expansions only psi_tail_powers books its own (_far_tail_rounding).  The
+Hurwitz, Z and L routes of evaluate, and the coefficient routes that read
+their core, add the rounding of what they assemble from these tails, the
+far tails' phase included.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ __all__ = [
     "psi_tail_powers_batch",
     "pure_osc_tail_powers",
     "psi_osc_tail_powers",
-    "segment_osc_power_log",
     "power_log_tail_abs",
 ]
 
@@ -110,7 +107,7 @@ class EvalResult:
     binary64 rounding its route books (all of it for the Hurwitz, Z and L
     routes and their coefficient readings and for a plain tail; the panels'
     for an oscillatory tail; all but the oscillatory far tails' for the
-    Lerch routes, and all but theirs and the gamma factors' for the AFE)."""
+    Lerch routes)."""
 
     value: complex
     error_bound: float
@@ -216,42 +213,34 @@ _PSI_TILDE_ABS = tuple(
 _EPS = 2.0**-53  # unit roundoff of binary64
 
 
-def _antiderivatives(d, src: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _antiderivatives(d: complex, src: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The triangular recursion of int u^{d-1} log^m u du, R_m = src_m/d - (m/d)
     R_{m-1} along the leading axis (the orders), from the sources src_m (u^d
     log^m u at points, or sums of such terms) and their rounding; at d = 0 its
     log form R_m = src_{m+1}/(m + 1), one order fewer.  A level rounds by at
     most 8 eps M_m, M_m = (|src_m| + m M_{m-1})/|d| the moduli of its
-    expanded terms, and carries the errors of src_m and R_{m-1} on.  d may be
-    an array of nonzero exponents along the last axis, each (m/d) R_{m-1}
-    formed as Python forms it (numpy's complex product of arrays is fused)."""
-    if not isinstance(d, np.ndarray) and d == 0:
+    expanded terms, and carries the errors of src_m and R_{m-1} on."""
+    if d == 0:
         den = np.arange(1.0, len(src)).reshape(-1, *[1] * (src.ndim - 1))
         return src[1:] / den, err[1:] / den + _EPS * np.abs(src[1:] / den)
     vals, errs, mags = np.empty_like(src), np.empty_like(err), np.empty_like(err)
     for m in range(len(src)):
         vals[m], errs[m], mags[m] = src[m] / d, err[m] / abs(d), np.abs(src[m]) / abs(d)
         if m:
-            if isinstance(d, np.ndarray):
-                f, v = np.array([m / dk for dk in d.tolist()]), vals[m - 1]
-                vals[m].real -= f.real * v.real - f.imag * v.imag
-                vals[m].imag -= f.real * v.imag + f.imag * v.real
-            else:
-                vals[m] -= m / d * vals[m - 1]
+            vals[m] -= m / d * vals[m - 1]
             errs[m] += m * errs[m - 1] / abs(d)
             mags[m] += m * mags[m - 1] / abs(d)
         errs[m] += 8.0 * _EPS * mags[m]
     return vals, errs
 
 
-def _power_log_lower(c, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
+def _power_log_lower(c: complex, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
     """int u^c log^m u du for m = 0..mmax (rows) at the points u, zero at u = 0
     for Re(c) > -1 and at infinity for Re(c) < -1: _antiderivatives of u^{c+1}
     log^j u, whose rounding is eps (3 |c + 1| |log u| + 3) for the phase and
-    modulus of u^{c+1} and eps (2 j + 1) for the power of the rounded log u.
-    c may be an array of exponents, none -1, one per point u."""
+    modulus of u^{c+1} and eps (2 j + 1) for the power of the rounded log u."""
     d, logs = c + 1.0, np.log(np.asarray(u, dtype=float))
-    src = np.cumprod([np.exp(d * logs)] + [logs] * (mmax + (not isinstance(d, np.ndarray) and d == 0)), axis=0)
+    src = np.cumprod([np.exp(d * logs)] + [logs] * (mmax + (d == 0)), axis=0)
     j = np.arange(len(src)).reshape(-1, *[1] * logs.ndim)
     return _antiderivatives(d, src, _EPS * (3.0 * abs(d) * np.abs(logs) + 2.0 * j + 4.0) * np.abs(src))
 
@@ -333,7 +322,7 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
     point is still rounded once.
 
     The one finite-sum kernel of the split representations: the residue
-    classes of the Z core (lam = 0, the AFE's too), the Lerch sum over n +
+    classes of the Z core (lam = 0), the Lerch sum over n +
     alpha (q = 1), the truncated character sums and the sums over the kinks
     of the plain tail's intervals (_psi_interval).  The rows of
     one kmax (a split has at most two) run as blocks of _SUM_BLOCK or fewer
@@ -432,8 +421,8 @@ _TAIL_ORDERS = range(2, _K_TAIL + 1)  # the plain far tail's coefficients (-1)^{
 _TAIL_SCALE, _TAIL_SIGNS = np.array([[TWO_PI**m] for m in _TAIL_ORDERS]), np.array([[(-1.0) ** (m - 1)] for m in _TAIL_ORDERS])
 _BLOCK = 1 << 14  # Fourier terms per block of _phi_bernoulli: memory stays flat in the number of shifts
 # units of work of one request: a unit of u of a plain tail's interval (per
-# row), a panel of an oscillatory walk, a term of an AFE sum; the Hurwitz, Z,
-# L and Lerch splits weigh their terms (and residue classes) in those units
+# row), a panel of an oscillatory walk; the Hurwitz, Z, L and Lerch splits
+# weigh their terms (and residue classes) in those units
 _WORK_BUDGET = 2e6
 
 
@@ -669,15 +658,18 @@ _PANEL_BLOCK = 512  # panels per (block x 32) array: memory stays flat in the wa
 _THETA = 24.0
 
 
-def _walk_length(lo, hi, nu, c: float, geom: float):
-    """F(hi) - F(lo), F(u) = (2 pi |nu| u + |c| log u)/_THETA + log u/log(1 + geom),
+_LOG_STEP = math.log1p(0.6)  # a panel spans at most a factor 1.6
+
+
+def _walk_length(lo, hi, nu, c: float):
+    """F(hi) - F(lo), F(u) = (2 pi |nu| u + |c| log u)/_THETA + log u/log 1.6,
     elementwise: the turn of the phase 2 pi nu u + c log u over [lo, hi] in
-    budgets _THETA (|phi'| <= 2 pi |nu| + |c|/u) plus its steps u -> (1 + geom) u."""
+    budgets _THETA (|phi'| <= 2 pi |nu| + |c|/u) plus its steps u -> 1.6 u."""
     w = np.log1p((hi - lo) / lo)
-    return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / math.log1p(geom)
+    return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / _LOG_STEP
 
 
-def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
+def _walk(ends, nu: float, c: float) -> np.ndarray:
     """Panel break points over the intervals between the increasing ends, each
     [lo, hi] cut at the level sets F(u) = F(lo) + k < F(hi) (_walk_length), their
     count charged to the work budget first, all found at once by Newton's method
@@ -686,11 +678,11 @@ def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
     points round together is refused."""
     ends = np.asarray(ends, dtype=float)
     lo, hi = ends[:-1], ends[1:]
-    n = np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c, geom)), 1.0), 0.0)
+    n = np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c)), 1.0), 0.0)
     _check_work(n.sum())
     n = n.astype(np.int64)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
-    base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / math.log1p(geom)
+    base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / _LOG_STEP
     a = TWO_PI * abs(nu) / _THETA * base
     w, ak = np.minimum(k / C, np.log1p(k / a)) if nu else k / C, a + k
     tol = 8.0 * _EPS * (1.0 + w.max(initial=0.0))
@@ -707,18 +699,17 @@ def _walk(ends, nu: float, c: float, geom: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
-def _gl_panels(vals: list[list[complex]], errs: list[list[float]], pts, nus: tuple[float, ...], b: complex, rmax: int, alpha: float | None = None) -> None:
+def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
     """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
-    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals[f] for each frequency
-    nu = nus[f], all of one |nu|; with alpha given, of psi(u - alpha) e^{2 pi i
-    nu (u - alpha)} u^b log^m u, whose panels must not straddle a kink.  The
-    nodes are a + h (1 + x) (a the left end, h the half-width); the integrand
-    e^{Re b L} (cos theta + i sin theta) L^m, L = log u, theta = 2 pi nu u +
-    Im b L (less 2 pi nu alpha), takes cos theta + i sin theta = ((1 - t^2) +
-    2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's tangent takes 3 ns on
-    AVX-512, its cosine and sine 33 ns each).
+    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals; with alpha given, of
+    psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose panels must
+    not straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the
+    half-width); the integrand e^{Re b L} (cos theta + i sin theta) L^m, L =
+    log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos theta +
+    i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2)
+    (numpy's tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
 
-    errs[f] collects per power the quadrature and the rounding,
+    errs collects per power the quadrature and the rounding,
     sum |w f| (1e-15 + eps kappa), kappa = 6 (2 pi |nu| u) + 3 (|Re b| +
     |Im b|) (|L| + 1) + 2 m + 67 per node, plus 3 m eps |w f_{m-1}| and, with
     alpha, eps (4 u + 2) |w f/psi|, and eps |partial sum| per panel.  For the
@@ -729,15 +720,13 @@ def _gl_panels(vals: list[list[complex]], errs: list[list[float]], pts, nus: tup
     (u - k is exact) and eps u per unit of u for the sliver at a rounded kink;
     L^m, (2 m - 1) eps; the tangent (2 eps) and the phase formed from it
     (8 eps); the products with psi and L^m, 2 eps; the weights, the 32-term
-    dot and half times it, 35 eps.  As kappa takes |nu| and pi (-nu) is -(pi
-    nu), the nodes, e^{Re b L} and the booked dots are taken once for all nus;
-    each takes its own tangent, value dots and rounded partial sums.
+    dot and half times it, 35 eps.
 
-    Bit for bit the one-panel-at-a-time loop of each nu: the integrand is
-    elementwise, each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix
-    product sums in another order), and the panels are added left to right.
+    Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
+    each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
+    in another order), and the panels are added left to right.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts, pi_nu = np.asarray(pts, dtype=float), math.pi * nu
     for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
         ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
         half = 0.5 * (ends[1:] - ends[:-1])
@@ -747,25 +736,21 @@ def _gl_panels(vals: list[list[complex]], errs: list[list[float]], pts, nus: tup
         # psi(u - alpha) is linear inside each panel
         wt = amp if alpha is None else amp * (u - np.floor(ends[:-1] + half - alpha)[:, None] - alpha - 0.5)
         mag = amp if alpha is None else np.abs(wt)  # amp >= 0
-        book = mag * (1e-15 + _EPS * (12.0 * abs(math.pi * nus[0]) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
+        book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
         book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
-        dots = []  # the booked dot of each power, from the first frequency's pass
-        for f, pi_nu in enumerate(math.pi * nu for nu in nus):
-            t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
-            tt = t * t
-            g = wt / (1.0 + tt)
-            base = np.empty(u.shape, dtype=complex)
-            base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
-            lp = 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
-            for m in range(rmax + 1):
-                acc = np.add.accumulate(np.concatenate(([vals[f][m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
-                vals[f][m] = complex(acc[-1])
-                if not f:
-                    prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
-                    dots.append(half * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book))
-                errs[f][m] = float(np.add.accumulate(np.concatenate(([errs[f][m]], dots[m] + _EPS * np.abs(acc[1:]))))[-1])
-                lp = lp * logs if m else logs
-            del t, tt, g, base, lp  # one frequency's arrays alive at a time: peak memory stays that of one
+        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
+        tt = t * t
+        g = wt / (1.0 + tt)
+        base = np.empty(u.shape, dtype=complex)
+        base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
+        lp = 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
+        for m in range(rmax + 1):
+            acc = np.add.accumulate(np.concatenate(([vals[m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
+            vals[m] = complex(acc[-1])
+            prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
+            dot = half * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book)
+            errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], dot + _EPS * np.abs(acc[1:]))))[-1])
+            lp = lp * logs if m else logs
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
@@ -809,42 +794,22 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
     the far tail is expanded at x, under the remainders at that cutoff (they
     fall as it rises).
     """
-    return _pure_osc_tails((nu,), b, rmax, x, cutoff)[0]
-
-
-def _pure_osc_tails(nus: tuple[float, ...], b: complex, rmax: int, x: float, cutoff=None) -> list[tuple[list[complex], list[float]]]:
-    """pure_osc_tail_powers at each frequency of nus, all of one |nu|."""
     b = complex(b)
-    if nus[0] == 0.0:
+    if nu == 0.0:
         raise ValueError("oscillation frequency must be nonzero")
     if b.real >= 0.0:
         raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
-    table, x0, rems = cutoff or _osc_cutoff(nus[0], b, rmax, x, False)  # the deep by-parts expansion keeps x0 (hence panel rounding) small
+    table, x0, rems = cutoff or _osc_cutoff(nu, b, rmax, x, False)  # the deep by-parts expansion keeps x0 (hence panel rounding) small
     x0 = max(x0, x)
-    vals, errs = [[0j] * (rmax + 1) for _ in nus], [[0.0] * (rmax + 1) for _ in nus]
+    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
     if x0 > x:
-        _gl_panels(vals, errs, _walk([x, x0], nus[0], b.imag, 0.6), nus, b, rmax)
-    rows = [[1.0 / (2j * math.pi * nu)] for nu in nus]  # (i/(2 pi nu))^k/i of the by-parts terms
+        _gl_panels(vals, errs, _walk([x, x0], nu, b.imag), nu, b, rmax)
+    row = [1.0 / (2j * math.pi * nu)]  # (i/(2 pi nu))^k/i of the by-parts terms
     for _ in range(_K_OSC - 1):
-        for row in rows:
-            row.append(row[-1] * -row[0])
-    phases = [cmath.exp(2j * math.pi * nu * x0) for nu in nus]
-    tails = _far_tail(table, b, x0, rows).tolist()
-    return [([v[r] - p * t[r] for r in range(rmax + 1)], [rems[r] + e[r] for r in range(rmax + 1)]) for p, v, e, t in zip(phases, vals, errs, tails)]
-
-
-def _dual_cutoffs(s: complex, rmax: int, x: float, nmax: int) -> list:
-    """The cutoffs of pure_osc_tail_powers(+-n, -s - 1, rmax, x), n = 1..nmax,
-    each charged to the work budget, with the panels (at most _walk_length + 1
-    a walk) of both tails and both segments, before the next is found: every n
-    adds at least 4n (2 pi n u over [0.04, 8]), so a refusal comes within 1000."""
-    cuts, panels = [], 0.0
-    for n in range(1, nmax + 1):
-        cuts.append(_osc_cutoff(n, -s - 1.0, rmax, x, False))
-        tail = _walk_length(x, max(cuts[-1][1], x), n, s.imag, 0.6)
-        panels += 2.0 * (tail + _walk_length(min(x, 0.04 / (TWO_PI * n)), x, n, s.imag, 1.0) + 2.0)
-        _check_work(panels)
-    return cuts
+        row.append(row[-1] * -row[0])
+    phase = cmath.exp(2j * math.pi * nu * x0)
+    tails = _far_tail(table, b, x0, [row])[0].tolist()
+    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
@@ -937,7 +902,6 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         cutoff = _osc_cutoff(nu, b, rmax, x, True)
     table, x0, rems = cutoff
     x0 = max(x0, x)
-    _check_kinks(x, x0)
     if not x0 < 2.0**52:
         raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
     vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
@@ -945,63 +909,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         first, count = _kinks(x, x0, np.array([alpha]))
         _check_work(count[0])  # before the kinks are listed; _walk charges its panels
         ends = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
-        _gl_panels([vals], [errs], _walk(ends, nu, b.imag, 0.6), (nu,), b, rmax, alpha)
+        _gl_panels(vals, errs, _walk(ends, nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
     tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
-
-
-# ---------------------------------------------------------------------------
-# finite singular oscillatory segments int_0^x (for the hybrid formulas)
-# ---------------------------------------------------------------------------
-
-
-def segment_osc_power_log(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
-    """int_0^x e^{2 pi i nu u} u^b log^m u du for m = 0..rmax, with bounds; Re(b) > -1.
-
-    On [0, delta], delta = min(x, 0.04/max(1, 2 pi |nu|)), the series sum_k
-    c_k u^k of the exponential, c_k = (2 pi i nu)^k/k!, is integrated term
-    by term (_power_log_lower at b + k, every k in one pass); Gauss-Legendre
-    panels take the rest, each turning the phase by at most _THETA and
-    spanning at most a factor 2 (_walk), with their quadrature and rounding
-    (_gl_panels).
-
-    The series: I_k = delta^{c+1} sum_j (-1)^j m!/(m-j)! log^{m-j} delta/
-    (c+1)^{j+1}, c = b + k, so |I_k| <= M_m(c), the sum of its terms' moduli;
-    |c + 1| grows with k, so M_m(b + k) <= delta^k M_m(b), |c_k I_k| <= 0.04^k
-    M_m(b)/k!, and the terms from the first omitted one, K, sum to at most
-    |c_K| delta^K M_m(b)/0.96.  Rounding, relative to |c_k| M_m(b + k):
-    delta^{c+1}, eps (3 |c + 1| |log delta| + 3); each level of the
-    recursion, eps (2 m + 14); c_k, 4 k eps; c_k I_k, 3 eps; the at most 61
-    sums, 62 eps.  With |c + 1| <= |b| + 1 + k and sum_k 0.04^k/k! (1, k) <=
-    1.041 (1, 0.04), that is at most 1.05 eps (3 (|b| + 2) |log delta| + (m
-    + 1)(2 m + 14) + 69) M_m(b) in all.
-    """
-    return _osc_segments((nu,), b, rmax, x)[0]
-
-
-def _osc_segments(nus: tuple[float, ...], b: complex, rmax: int, x: float) -> list[tuple[list[complex], list[float]]]:
-    """segment_osc_power_log at each frequency of nus, all of one |nu|."""
-    b = complex(b)
-    if b.real <= -1.0 + 1e-12:
-        raise ValueError("finite singular segment requires Re(exponent) > -1")
-    if x <= 0.0:
-        raise ValueError("segment upper limit must be positive")
-    delta = min(x, 0.04 / max(1.0, TWO_PI * abs(nus[0])))
-    ld, ac = abs(math.log(delta)), abs(b + 1.0)
-    mods = [delta ** (b.real + 1.0) * sum(math.perm(m, j) * ld ** (m - j) / ac ** (j + 1) for j in range(m + 1)) for m in range(rmax + 1)]  # M_m(b)
-    # the terms k = 1, 2, ... to the first k > 3 with |c_k| delta^{Re b + k} < 1e-20, or to k = 60
-    coefs, k = [[2j * math.pi * nu] for nu in nus], 1
-    while not ((abs(coefs[0][-1]) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
-        k += 1
-        for c, nu in zip(coefs, nus):
-            c.append(c[-1] * (2j * math.pi * nu / k))
-    terms = _power_log_lower(np.array([b + j for j in range(k)]), rmax, np.full(k, delta))[0].T.tolist()  # I_j, j < k, for every m
-    vals = [list(terms[0]) for _ in nus]
-    for v, c in zip(vals, coefs):  # each nu adds its products c_k I_k in k order
-        for ck, term in zip(c, terms[1:]):
-            v[:] = [a + ck * t for a, t in zip(v, term)]
-    errs = [[(abs(c[-1]) * delta**k / 0.96 + 1.05 * _EPS * (3.0 * (abs(b) + 2.0) * ld + (m + 1) * (2 * m + 14) + 69)) * mod for m, mod in enumerate(mods)] for c in coefs]
-    if delta < x:
-        _gl_panels(vals, errs, _walk([delta, x], nus[0], b.imag, 1.0), nus, b, rmax)
-    return list(zip(vals, errs))

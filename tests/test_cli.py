@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import mpmath as mp
 import pytest
 
 from zetalab import cli
@@ -286,9 +287,10 @@ def test_shifted_sums_past_their_cap_exit_one_with_one_line(capsys):
 
 
 def test_overflow_exits_one_with_one_line(capsys):
-    # Gamma(1-s) and (2 pi i n)^{s-1} overflow as separate factors at t = 342
-    argv = ["afe", "--kind", "hurwitz", "--s", "0.841005,342.234378", "--r", "0", "--alpha", "0.61979"]
-    assert run(argv + ["--x", "7.380264"]) == 1
+    # the pure tail's remainder scale (2 pi lambda)^{-16} leaves binary64 as an
+    # OverflowError at lambda = 1e-30
+    argv = ["eval", "--kind", "lerch", "--s", "0.5,10", "--lambda", "1e-30", "--alpha", "0.5"]
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -307,8 +309,8 @@ def test_overflow_exits_one_with_one_line(capsys):
         ["eval", "--kind", "lerch", "--s", "2,0", "--lambda", "0.3", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "hurwitz", "--s", "0.5,0", "--alpha", "0.5", "--x", "1e10"],
         ["afe", "--kind", "l", "--s", "0.5,0", "--q", "5", "--label", "2", "--x", "1e10"],
-        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.05"],
-        ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", "0.03"],
+        ["afe", "--kind", "hurwitz", "--s", "0.5,1e7", "--alpha", "0.5", "--x", "1"],
+        ["afe", "--kind", "l", "--s", "0.5,1e7", "--q", "5", "--label", "2", "--x", "5"],
         ["certify", "--bound", "t3", "--r-max", "14"],
         ["certify", "--bound", "t3", "--r-max", "20"],
     ],
@@ -317,9 +319,8 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     # the first three would march or walk panels for minutes (a huge cutoff);
     # the fourth printed log^3(alpha)/alpha as -inf with a tiny bound; an
     # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB);
-    # a small AFE split walks 2 t/(2 pi x) dual-sum frequencies (at x = 0.05
-    # more than the 2e6 panels of the budget; x = 0.1 walks 6.5e5 in 2.3 s
-    # within its bound); t3 at r_max = 20 would build a
+    # an AFE split far below t would sum the plain tail over an interval of
+    # about 2 t per class; t3 at r_max = 20 would build a
     # truncated sum of q e^{r-1} = 2e9 terms (r_max = 13 still runs)
     start = time.perf_counter()
     assert run(argv) == 1
@@ -328,6 +329,19 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("x", ["0.05", "0.03"])
+def test_an_afe_split_far_below_the_balanced_one_answers_within_its_bound(capsys, x):
+    # these walked more dual-sum panels than the work budget allows and were
+    # refused; as the Z core they sum the plain tail from x to its cutoff
+    start = time.perf_counter()
+    status, out = run_capture(capsys, ["afe", "--kind", "hurwitz", "--s", "0.5,300", "--alpha", "0.5", "--r", "0", "--x", x, "--json"])
+    assert time.perf_counter() - start < 5.0
+    doc = json.loads(out)
+    assert status == 0
+    with mp.workdps(30):
+        assert abs(complex(*doc["value"]) - complex(mp.zeta(mp.mpc(0.5, 300), 0.5))) <= doc["error_bound"]
 
 
 @pytest.mark.parametrize(
@@ -492,8 +506,9 @@ def test_tail_log_power_is_capped(capsys):
 # `eval --kind l --s 1,0`) or take (-log p)^r beyond the square (`eval --kind
 # z ... --r 3`) when the kernel took p^{-s} real at real s and (-log p)^r
 # from |log p|^r, the Lerch entries (`eval --kind lerch`, `coeff --kind
-# lerch`) when it took p^{-s} e^{2 pi i lam k} once per block, and plain
-# `tail` when it booked its far tail's rounding
+# lerch`) when it took p^{-s} e^{2 pi i lam k} once per block, plain
+# `tail` when it booked its far tail's rounding, and the `afe` entries when
+# the AFE became its Z core (its dual sum adds to 0)
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -512,8 +527,8 @@ GOLDEN_DIGESTS = [
         "a0089386fa176e04157d7e5ddca0f2f8179685f5a2b1cf5dc3e5505254118581",
     ),
     # recorded before the panel, far-tail, s-tail and coefficient-table code
-    # was merged into one kernel per term; both afe requests have a nonempty
-    # dual sum (y = 2.18 and 5.79)
+    # was merged into one kernel per term; both afe requests are past y = 1
+    # (y = 2.18 and 5.79), where the dual sum that adds to 0 was summed
     (
         ["coeff", "--kind", "gamma", "--alpha", "0.37", "--r-max", "6"],
         "da67e3bf1df5dcedb7119b3e94ae67c87a6c4790d34b8360a6df7448dcb0dea2",
@@ -544,11 +559,11 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "9dbb65b8f233709d03983a8f798c87554812c07b77b9408889eec609f93b8741",
+        "dcb5bc2a8807027748c752d53d0655dee3ffa3d056c4fd460a99ac605363f058",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
-        "25858b68aa984d45e6b95c4ffc7bfc46df185e4bd911a782c5759aebdd42a7ab",
+        "c03f895f12edf26bb79509ee5b7637ae1940278df6697691d5994274dc1cec2a",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
@@ -592,7 +607,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "4f6b5b655ca23bd221867077ea18048dd1c883706c33cd585bba850a72541332",
+        "060517dbce7dfdc0524254ca99bcd2fee1e90c1f464a3523299bf2602e9a5196",
     ),
     # recorded before every residue class and order of a request came from one
     # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span
@@ -628,8 +643,9 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # entries re-recorded with the GOLDEN_DIGESTS of the panels sized by the
 # whole phase, and the afe entry with those of the AFE as the Z core plus
 # its dual sum; the afe and plain tail entries with the GOLDEN_DIGESTS of the
-# Euler-Maclaurin intervals, and the plain tail and Lerch entries with those
-# of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k}
+# Euler-Maclaurin intervals, the plain tail and Lerch entries with those
+# of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k},
+# and the afe entry with those of the AFE as its Z core
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
@@ -639,7 +655,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
-        "2aaf0d96832efe2109bc12877013f015132b59f75e0db1cd0580ebb642c7c1a3",
+        "f2a60858074a592c091a3f20a591e2f7d22ffbe81349a7fdbe9a2f59a9cc9004",
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],

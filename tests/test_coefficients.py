@@ -25,7 +25,7 @@ from zetalab.coefficients import (
     stieltjes_gamma,
     stieltjes_gamma_all,
 )
-from zetalab.evaluate import HurwitzArgs, LerchArgs, _psi_at_split, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
+from zetalab.evaluate import HurwitzArgs, LerchArgs, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
 from zetalab.sawtooth import EvalResult, psi_tail_powers
 
 from .oracles import (
@@ -329,7 +329,7 @@ def _l_at_1_per_character(r, chi, X):
             n = a + q * np.arange(0, kmax + 1, dtype=float)
             logs = np.log(n)
             main += ca * complex(np.sum((logs**r if r else 1.0) / n))
-        bnd += ca * _psi_at_split((X - a) / q)
+        bnd += ca * ((X - a) / q - kmax - 0.5)
         tails, terrs = psi_tail_powers(X / q, a / q, -2.0, r)
         combo, cerr = 0.0 + 0.0j, 0.0
         for m in range(r + 1):
@@ -359,7 +359,7 @@ def _l_at_0_per_character(r, chi, X):
         if kmax >= 0:
             n = a + q * np.arange(0, kmax + 1, dtype=float)
             main += ca * complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))
-        bnd += ca * _psi_at_split((X - a) / q)
+        bnd += ca * ((X - a) / q - kmax - 0.5)
         if r:
             tails, terrs = psi_tail_powers(X / q, a / q, -1.0, r - 1)
             combo = sum(math.comb(r - 1, mm) * lq ** (r - 1 - mm) * tails[mm] for mm in range(r))

@@ -14,7 +14,6 @@ from zetalab.evaluate import (
     HurwitzArgs,
     LerchArgs,
     _pole_term,
-    _psi_at_split,
     _s_tail,
     _cores,
     _split_floor,
@@ -143,7 +142,7 @@ def ref_hurwitz_core(s, alpha, r, x):
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = finite_power_sum(pts, s, r)
     lx = math.log(x)
-    psi = _psi_at_split(x - alpha)
+    psi = x - alpha - nmax - 0.5
     fx = cmath.exp(-s * lx)
     val += psi * fx * (-lx) ** r
     pieces = dict(pts=pts, nmax=nmax, v=x - alpha, psi=psi, fx=fx, val=val, tail=tail, tails=tails)

@@ -23,7 +23,6 @@ from zetalab.sawtooth import (
     psi_tail_powers,
     psi_tail_powers_batch,
     pure_osc_tail_powers,
-    segment_osc_power_log,
 )
 
 from .oracles import euler_gamma_limit, periodic_bernoulli, phi_bernoulli, psi_piecewise_integral, psi_tail_oracle, quad_psi_osc_tail, quad_psi_tail
@@ -250,7 +249,7 @@ def test_a_panel_that_turns_by_the_whole_budget_is_within_its_bound():
         a, hi = (mid, hi) if turn(mid) < 1.0 else (a, mid)
     assert hi < 1.6 * lo
     vals, errs = [0j] * 4, [0.0] * 4
-    sawtooth._gl_panels([vals], [errs], [lo, hi], (nu,), b, 3)
+    sawtooth._gl_panels(vals, errs, [lo, hi], nu, b, 3)
     with mp.workdps(40):
         for m in range(4):
             want = mp.quad(lambda u: mp.expjpi(2 * mp.mpf(nu) * u) * u ** mp.mpc(b.real, b.imag) * mp.log(u) ** m, [lo, hi])
@@ -647,15 +646,15 @@ def test_march_next_to_a_kink_is_within_its_bound(lo, hi):
         assert abs(sums[0][m, 0] - complex(psi_march_oracle(lo, hi, 0.7, b, m))) <= sums[1][m, 0]
 
 
-def ref_walk_breaks(lo: float, hi: float, nu: float, c: float, geom: float) -> list[float]:
+def ref_walk_breaks(lo: float, hi: float, nu: float, c: float) -> list[float]:
     """The break points lo, ... below hi of one interval of the walk, one panel
     at a time: the level sets F(u) = F(lo) + k of F(u) = (2 pi |nu| u + |c|
-    log u)/THETA + log u/log(1 + geom), each bisected to the float, while
+    log u)/THETA + log u/log 1.6, each bisected to the float, while
     F(hi) - F(lo) > k."""
 
     def length(u):
         w = math.log1p((u - lo) / lo)
-        return (2.0 * math.pi * abs(nu) * (u - lo) + abs(c) * w) / sawtooth._THETA + w / math.log1p(geom)
+        return (2.0 * math.pi * abs(nu) * (u - lo) + abs(c) * w) / sawtooth._THETA + w / math.log1p(0.6)
 
     pts, k = [lo], 1
     while k < length(hi):
@@ -674,24 +673,23 @@ def test_panel_break_points_match_the_one_panel_loop():
         nu = float(10.0 ** rng.uniform(-2.0, 2.5))
         c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 3.5))
         x = float(rng.uniform(0.02, 60.0))
-        ends = [x, x + float(rng.uniform(0.0, 400.0 / nu))]
-        cases += [(ends, nu, c, 0.6), ([min(ends[1], 0.04 / max(1.0, 2.0 * math.pi * nu)), ends[1]], nu, c, 1.0)]
-    # the segment at nu = 0, an empty walk, and the kinks of a sawtooth-weighted walk
-    cases += [([0.04, 30.0], 0.0, -200.0, 1.0), ([3.0, 3.0], 0.7, 10.0, 0.6), (ref_psi_breaks(0.3, 40.0, 0.7), 0.3, -300.0, 0.6)]
-    for ends, nu, c, geom in cases:
-        got = sawtooth._walk(ends, nu, c, geom)
-        want = np.array([p for lo, hi in zip(ends, ends[1:]) if hi > lo for p in ref_walk_breaks(lo, hi, nu, c, geom)] + [ends[-1]])
+        cases.append(([x, x + float(rng.uniform(0.0, 400.0 / nu))], nu, c))
+    # nu = 0, an empty walk, and the kinks of a sawtooth-weighted walk
+    cases += [([0.04, 30.0], 0.0, -200.0), ([3.0, 3.0], 0.7, 10.0), (ref_psi_breaks(0.3, 40.0, 0.7), 0.3, -300.0)]
+    for ends, nu, c in cases:
+        got = sawtooth._walk(ends, nu, c)
+        want = np.array([p for lo, hi in zip(ends, ends[1:]) if hi > lo for p in ref_walk_breaks(lo, hi, nu, c)] + [ends[-1]])
         assert got.size == want.size and got[0] == want[0] and got[-1] == want[-1]
-        assert np.all(np.abs(got - want) <= 1e-13 * want), (ends[:2], nu, c, geom)
-        # no panel turns the phase by more than THETA or spans more than 1 + geom
-        assert np.all(sawtooth._walk_length(got[:-1], got[1:], nu, c, geom) <= 1.0 + 1e-9)
+        assert np.all(np.abs(got - want) <= 1e-13 * want), (ends[:2], nu, c)
+        # no panel turns the phase by more than THETA or spans more than a factor 1.6
+        assert np.all(sawtooth._walk_length(got[:-1], got[1:], nu, c) <= 1.0 + 1e-9)
 
 
 def test_panel_walk_that_stops_moving_is_refused():
     # beyond 2^56 panels of about 7.6 round onto the float spacing of 16: the
     # points would coincide and the panels between them turn by 50 radians
     with pytest.raises(ValueError, match="no longer change"):
-        sawtooth._walk([1e17, 1e17 + 1e6], 0.5, 0.0, 0.6)
+        sawtooth._walk([1e17, 1e17 + 1e6], 0.5, 0.0)
 
 
 def test_walks_reaching_two_to_the_52_are_refused():
@@ -847,77 +845,10 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
         got, want = list(start), list(start)
         got_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)]
         want_m = list(got_m)
-        sawtooth._gl_panels([got], [got_m], pts, (nu,), b, rmax, alpha)
+        sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
         ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
         assert repr(got) == repr(want)
         assert repr(got_m) == repr(want_m)
-
-
-def ref_gl_panels_each(vals, errs, pts, nus, b, rmax, alpha=None) -> None:
-    """The kernel's signature on ref_gl_panels: one loop per frequency."""
-    for v, e, nu in zip(vals, errs, nus, strict=True):
-        ref_gl_panels(v, e, pts, nu, b, rmax, alpha)
-
-
-@pytest.mark.parametrize("panels", [1, 7, sawtooth._PANEL_BLOCK + 1, 3 * sawtooth._PANEL_BLOCK + 40])
-def test_a_pass_of_nu_and_minus_nu_is_two_one_panel_loops_bit_for_bit(panels):
-    # +-nu share the nodes, e^{Re b L} and the booked dots, and each takes its
-    # own tangent, value dots and partial sums, from running sums of its own
-    # (a segment's panels start from its series at 0)
-    rng = np.random.default_rng(panels + 101)
-    for rmax in (0, 2, 8):
-        for nu in (float(rng.uniform(0.05, 0.95)), float(rng.integers(1, 41))):
-            b = complex(rng.uniform(-2.5, -0.2), rng.uniform(-1200.0, 1200.0))
-            pts = _panel_walk(float(rng.uniform(0.3, 40.0)), panels, min(nu, 0.95), None, rng)  # widths move no bit
-            start = [[complex(rng.normal(), rng.normal()) for _ in range(rmax + 1)] for _ in range(2)]
-            start_m = [rng.uniform(0.0, 1.0, rmax + 1).tolist() for _ in range(2)]
-            got, got_m = [list(v) for v in start], [list(e) for e in start_m]
-            sawtooth._gl_panels(got, got_m, pts, (nu, -nu), b, rmax)
-            want, want_m = [list(v) for v in start], [list(e) for e in start_m]
-            ref_gl_panels_each(want, want_m, pts, (nu, -nu), b, rmax)
-            assert repr(got) == repr(want), (nu, rmax)
-            assert repr(got_m) == repr(want_m), (nu, rmax)
-
-
-def ref_segment_osc_power_log(nu, b, rmax, x):
-    """segment_osc_power_log as it ran one frequency at a time, its series one
-    term k at a time (a _power_log_lower at b + k each)."""
-    b = complex(b)
-    delta = min(x, 0.04 / max(1.0, sawtooth.TWO_PI * abs(nu)))
-    ld, ac = abs(math.log(delta)), abs(b + 1.0)
-    mods = [delta ** (b.real + 1.0) * sum(math.perm(m, j) * ld ** (m - j) / ac ** (j + 1) for j in range(m + 1)) for m in range(rmax + 1)]
-    vals = sawtooth._power_log_lower(b, rmax, delta)[0].tolist()
-    coef, k = 2j * math.pi * nu, 1
-    while not ((abs(coef) * delta ** (b.real + k) < 1e-20 and k > 3) or k > 60):
-        for m, term in enumerate(sawtooth._power_log_lower(b + k, rmax, delta)[0].tolist()):
-            vals[m] += coef * term
-        k += 1
-        coef *= 2j * math.pi * nu / k
-    trunc = abs(coef) * delta**k / 0.96
-    errs = [(trunc + 1.05 * sawtooth._EPS * (3.0 * (abs(b) + 2.0) * ld + (m + 1) * (2 * m + 14) + 69)) * mod for m, mod in enumerate(mods)]
-    if delta < x:
-        ref_gl_panels(vals, errs, sawtooth._walk([delta, x], nu, b.imag, 1.0), nu, b, rmax)
-    return vals, errs
-
-
-def test_segments_of_nu_and_minus_nu_match_the_per_k_series_bit_for_bit(monkeypatch):
-    # the terms I_k of the series at 0 for every k in one pass of the recursion
-    # (exponents b + k along an axis), shared by +-nu, which add their own
-    # products c_k I_k: as the loop over k and each frequency alone gave them
-    rng = np.random.default_rng(47)
-    for case in range(200):  # the terms themselves: a rounding of (m/d) R_{m-1} shows here, not always in their sum
-        rmax, delta = case % 9, float(np.exp(rng.uniform(math.log(1e-4), math.log(0.04))))
-        b = complex(0.0 if case % 7 == 0 else -float(rng.uniform(0.0, 0.999)), float(rng.uniform(-1000.0, 1000.0)))
-        got = sawtooth._power_log_lower(np.array([b + k for k in range(61)]), rmax, np.full(61, delta))[0]
-        want = [sawtooth._power_log_lower(b + k, rmax, delta)[0].tolist() for k in range(61)]
-        assert repr(got.T.tolist()) == repr(want), (b, rmax, delta)
-    monkeypatch.setattr(sawtooth, "_gl_panels", ref_gl_panels_each)
-    for case, nu in enumerate(list(range(1, 41)) + [0.3, 0.01, 2.5]):
-        rmax = case % 9
-        b = complex(0.0 if case % 7 == 0 else -float(rng.uniform(0.0, 0.999)), float(rng.uniform(-1000.0, 1000.0)))
-        x = float(np.exp(rng.uniform(math.log(1e-4), math.log(2.0))))  # delta = x below 0.04/(2 pi nu): the series alone
-        got = sawtooth._osc_segments((nu, -nu), b, rmax, x)
-        assert repr(got) == repr([ref_segment_osc_power_log(nu, b, rmax, x), ref_segment_osc_power_log(-nu, b, rmax, x)]), (nu, b, rmax, x)
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():
@@ -981,24 +912,17 @@ def _per_k_shift_sums(K, v, nu):
     [
         (pure_osc_tail_powers, (0.3, complex(-0.5, -5000.0), 1, 160.0)),  # 1144 panels: many blocks
         (pure_osc_tail_powers, (0.3, complex(-1.5, -300.0), 8, 3.0)),
-        (pure_osc_tail_powers, (-2.0, complex(-1.5, 40.0), 2, 1.2)),  # a dual-sum frequency of the AFE
+        (pure_osc_tail_powers, (-2.0, complex(-1.5, 40.0), 2, 1.2)),  # a negative frequency
         (pure_osc_tail_powers, (0.7, complex(-1.2, 0.0), 0, 1.0)),  # 11 panels: one short block
         (psi_osc_tail_powers, (0.3, 0.7, complex(-1.5, -1000.0), 1, 160.0)),
         (psi_osc_tail_powers, (0.3, 0.7, complex(-0.5, -300.0), 2, 3.0)),
         (psi_osc_tail_powers, (0.95, 0.25, complex(-1.5, 20.0), 5, 1.0)),  # nu near 1: long shift sums
         (psi_osc_tail_powers, (0.125, 1.0, complex(-2.0, 0.0), 8, 0.5)),
-        (segment_osc_power_log, (1.0, complex(-0.5, -60.0), 1, 10.0 / 3.0)),
-        (segment_osc_power_log, (-2.0, complex(-0.3, -200.0), 2, 9.0)),
-        (segment_osc_power_log, (5.0, complex(-0.5, -400.0), 0, 300.0)),  # 617 panels: two blocks
-        (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 2.0)),
-        (segment_osc_power_log, (0.01, complex(-0.5, 0.0), 4, 0.03)),  # the series alone, no panel
-        (sawtooth._pure_osc_tails, ((3, -3), complex(-1.5, 40.0), 2, 1.2)),  # +-n of the AFE's dual sum: one pass
-        (sawtooth._osc_segments, ((3, -3), complex(-0.5, -40.0), 2, 1.2)),
     ],
 )
 def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, route, args):
     got = route(*args)
-    monkeypatch.setattr(sawtooth, "_gl_panels", ref_gl_panels_each)
+    monkeypatch.setattr(sawtooth, "_gl_panels", ref_gl_panels)
     monkeypatch.setattr(sawtooth, "_psi_fourier_shift_sums", _per_k_shift_sums)
     assert repr(got) == repr(route(*args))
 
@@ -1020,7 +944,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
     errs = [0.0] * (rmax + 1)
-    sawtooth._gl_panels([vals], [errs], sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag, 0.6), (nu,), b, rmax, alpha)
+    sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     tails = ref_far_tail(rows_all, b, x0, [coeffs])[0].tolist()
     rems = ref_far_remainders(rows_all, b, x0, sk)
