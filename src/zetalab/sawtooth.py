@@ -24,9 +24,9 @@ value and booked rounding, is bit for bit its one-row result.  A tail
 whose interval or panel walk would exceed about 2e6 units of work, or
 reach 2^52, is refused; a plain tail from x >= 2^52 integrates nothing,
 and since its cutoff is then an integer, its far tail is expanded at
-{-alpha}.  One rule picks the plain tail's cutoffs and where its rows
-stop; the search for the final one (_tail_cutoff) returns the tails from
-there, where no interval is integrated and so no rounding is booked.
+{-alpha}.  Each row stops at its own cutoff; the final one (_tail_cutoff),
+where every row stops at once, returns the tails from there: no interval
+is integrated and so no rounding is booked.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
 integration by parts against the exponential beyond an adaptive cutoff.
@@ -42,8 +42,13 @@ loop (np.vecdot per panel, which is np.dot's BLAS dot, and panel sums
 added left to right).
 A sawtooth-weighted tail whose cutoff reaches 2^52 is refused: from there
 alpha and the phase 2 pi nu u are lost to rounding.  A tail given its final
-cutoff (_osc_cutoff, which doubles the first on the closed-form remainder
-alone) from a split at or past it walks no panel: it is its far tail.
+cutoff (_osc_cutoff, on the closed-form remainder alone) from a split at or
+past it walks no panel: it is its far tail.
+
+Every search doubles its first cutoff in one driver (_cutoffs) until the
+caller's tolerance is met or a cap stops it (a plain cutoff at 5e6, an
+oscillatory one at 5e7, a walk from x to the next of 4000 max(0.45/|nu|,
+0.5) (pure) or 4000 (weighted)); a capped search books its unmet remainders.
 
 The far tails of both kinds are one layer, bit for bit the scalar loops
 that took one order at a time: the periodic Bernoulli values of all
@@ -67,6 +72,7 @@ far tails' phase included.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,11 +206,6 @@ def _phi_bernoulli(ms: range, v: np.ndarray) -> np.ndarray:
     return out
 
 
-_PSI_TILDE_ABS = tuple(
-    2.5 / TWO_PI**m if m >= 2 else 0.5 for m in range(0, 40)
-)  # |B_m({v})/m!| <= 2 zeta(m)/(2 pi)^m <= 2.5/(2 pi)^m for m >= 2
-
-
 # ---------------------------------------------------------------------------
 # antiderivatives of u^c log^m u and absolute tail integrals
 # ---------------------------------------------------------------------------
@@ -308,6 +309,17 @@ def _far_remainders(table, b: complex, u0: float, scale: float) -> list[float]:
     K = table[0].shape[1] - 1
     ints = np.array([power_log_tail_abs(b.real - K, i, u0) for i in range(table[1].shape[0])])
     return (scale * np.add.accumulate(table[1] * ints, axis=1)[:, -1]).tolist()
+
+
+def _cutoffs(u0: float, b: complex, rmax: int, K: int, scale: float, cap: float):
+    """The cutoffs u0, 2 u0, 4 u0, ... of a tail search, each with the
+    derivative table of g_m = u^b log^m u (m = 0..rmax) to order K, the
+    remainders scale int_u^inf |g_m^{(K)}| (_far_remainders) and whether the
+    cap stops the search there (u >= cap): the one doubling of every search."""
+    table = _deriv_table(b, rmax, K, math.copysign(1.0, b.imag))
+    while True:
+        yield u0, table, _far_remainders(table, b, u0, scale), not u0 < cap
+        u0 *= 2.0
 
 
 _SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
@@ -434,29 +446,20 @@ def _check_work(pieces: float) -> None:
         )
 
 
-def _check_kinks(lo: float, hi: float) -> None:
-    """Refuse a walk over (lo, hi) that reaches 2^52: from there the float spacing is 1,
-    so the kinks m + alpha of psi(u - alpha) round onto integers and two can coincide."""
-    if lo < hi and not hi < 2.0**52:
-        raise ValueError(f"the walk to u = {hi:.6g} reaches 2^52, where the kinks of the sawtooth round onto integers")
-
-
-def _kinks(lo: float, hi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first kink index m1 and the segment count: the kinks
-    m + alpha of psi(u - alpha) with lo + 1e-12 < m + alpha < hi - 1e-12
-    cut (lo, hi) into count segments on which psi is linear.
-
-    Each adjustment stops where a unit step no longer changes the float
-    (beyond 2^53, where the kinks are not distinct), so the walk ends."""
-    first = np.floor(lo - alphas + 1e-12) + 1.0
-    while (low := (first + alphas <= lo + 1e-12) & (first + 1.0 > first)).any():
-        first += low
-    last = np.floor(hi - alphas)
-    while (up := ((last + 1.0) + alphas < hi - 1e-12) & (last + 1.0 > last)).any():
-        last += up
-    while (down := (last + alphas >= hi - 1e-12) & (last - 1.0 < last)).any():
-        last -= down
-    return first, np.maximum(last - first + 1.0, 0.0).astype(np.int64) + 1
+def _kinks(lo: float, hi: float, alpha: float) -> tuple[float, int]:
+    """The first kink index m1 and the segment count: the kinks m + alpha of
+    psi(u - alpha) with lo + 1e-12 < m + alpha < hi - 1e-12 cut (lo, hi) into
+    count segments on which psi is linear (hi < 2^52, where a unit step
+    changes the float)."""
+    first = math.floor(lo - alpha + 1e-12) + 1.0
+    while first + alpha <= lo + 1e-12:
+        first += 1.0
+    last = float(math.floor(hi - alpha))
+    while (last + 1.0) + alpha < hi - 1e-12:
+        last += 1.0
+    while last + alpha >= hi - 1e-12:
+        last -= 1.0
+    return first, int(max(last - first + 1.0, 0.0)) + 1
 
 
 def _psi_interval(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rmax: int) -> None:
@@ -479,7 +482,8 @@ def _psi_interval(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rm
     Rounding: the kernel's bound, the recursions', and 6 eps sum |piece|."""
     if not lo < hi:
         return
-    _check_kinks(lo, hi)
+    if not hi < 2.0**52:  # from there the float spacing is 1: the kinks m + alpha round onto integers, two can coincide
+        raise ValueError(f"the walk to u = {hi:.6g} reaches 2^52, where the kinks of the sawtooth round onto integers")
     span = max(abs(math.log(lo)), abs(math.log(hi)))
     for b0 in (-1.0, -2.0):
         if (d := b - b0) and abs(d) * max(span, 2.0) <= 1.0:
@@ -518,27 +522,25 @@ def _first_cutoff(b: complex, rmax: int) -> float:
 
 
 def _tail_cutoffs(x: float, b: complex, rmax: int):
-    """The plain tail's cutoffs u0 = max(x, _first_cutoff), 2 u0, 4 u0, ...,
-    each with the derivative table of g_m = u^b log^m u (m = 0..rmax) and the
-    remainders 2.5 (2 pi)^{-K} int_u0^inf |g_m^{(K-1)}|, a column of one per m."""
-    table = _deriv_table(b, rmax, _K_TAIL - 1, math.copysign(1.0, b.imag))
-    u0 = max(x, _first_cutoff(b, rmax))
-    while True:
-        yield u0, table, np.array(_far_remainders(table, b, u0, _PSI_TILDE_ABS[_K_TAIL]))[:, None]
-        u0 *= 2.0
+    """The plain tail's cutoffs (_cutoffs) from max(x, _first_cutoff), their
+    remainders 2.5 (2 pi)^{-K} int_u^inf |g_m^{(K-1)}|, capped at 5e6."""
+    return _cutoffs(max(x, _first_cutoff(b, rmax)), b, rmax, _K_TAIL - 1, 2.5 / TWO_PI**_K_TAIL, 5e6)
 
 
-def _tail_values(sums, table, b: complex, u0: float, rems: np.ndarray, alphas: np.ndarray):
-    """Each row's tails at the cutoff u0, its interval sums plus the far tail
-    sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha) g_m^{(k)}(u0) (from 2^52 on, where
-    u0 is an integer, expanded at {-alpha}), with their bounds (rmax + 1,
-    rows): the remainders, the intervals' rounding and, where one was, that
-    of adding the far tail; and whether the row stops there: its remainders
-    meet the tolerance for a tail of its size, or u0 is past the cap."""
+def _tail_values(sums, cutoff, b: complex, alphas: np.ndarray):
+    """Each row's tails at the cutoff u0 of cutoff (from _tail_cutoffs), its
+    interval sums plus the far tail sum_k (-1)^{k+1} psi~_{k+2}(u0 - alpha)
+    g_m^{(k)}(u0) (from 2^52 on, where u0 is an integer, expanded at
+    {-alpha}), with their bounds (rmax + 1, rows): the remainders, the
+    intervals' rounding and, where one was, that of adding the far tail; and
+    whether the row stops there: its remainders meet the tolerance for a tail
+    of its size, or the cap stops the search."""
+    u0, table, rems, capped = cutoff
+    rems = np.array(rems)[:, None]
     v = u0 - alphas if u0 < 2.0**52 else -alphas
     coeffs = _phi_bernoulli(_TAIL_ORDERS, v) / _TAIL_SCALE * _TAIL_SIGNS
     vals = sums[0] + _far_tail(table, b, u0, coeffs.T).T
-    stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | (u0 > 5e6)
+    stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | capped
     return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
 
 
@@ -586,10 +588,10 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
     and that batch's result, bit for bit, as (rmax + 1, rows) values and bounds."""
     alphas = np.array(alphas, dtype=float)
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
-    for u0, table, rems in _tail_cutoffs(0.0, b, rmax):
-        vals, errs, done = _tail_values(sums, table, b, u0, rems, alphas)
+    for cutoff in _tail_cutoffs(0.0, b, rmax):
+        vals, errs, done = _tail_values(sums, cutoff, b, alphas)
         if done.all():
-            return u0, vals, errs
+            return cutoff[0], vals, errs
 
 
 def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float], float]]:
@@ -598,34 +600,31 @@ def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[compl
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
     cutoffs = _tail_cutoffs(x, b, rmax)
-    u0, table, rems = next(cutoffs)
+    cutoff = next(cutoffs)
     alphas = np.array(alphas, dtype=float)
-    _check_work(alphas.size * (u0 - x))
+    _check_work(alphas.size * (cutoff[0] - x))
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     out: list = [None] * alphas.size
     rows, cur = np.arange(alphas.size), x
-    while True:
-        _psi_interval(sums, cur, u0, alphas, b, rmax)
-        cur = u0
-        vals, errs, done = _tail_values(sums, table, b, u0, rems, alphas)
+    for cutoff in itertools.chain([cutoff], cutoffs):
+        _psi_interval(sums, cur, cutoff[0], alphas, b, rmax)
+        cur = cutoff[0]
+        vals, errs, done = _tail_values(sums, cutoff, b, alphas)
         for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
-            out[i] = (row, bounds, u0)
+            out[i] = (row, bounds, cur)
         if done.all():
             return out
         rows, alphas = rows[~done], alphas[~done]
         sums = [a[:, ~done] for a in sums]
-        u0, _, rems = next(cutoffs)
 
 
 def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
     """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
     less the rounding of the far tails (the evaluate routes book it in their
     assembly), from one interval integral of all rows per cutoff; each row is
-    bit for bit its one-row result.
-
-    Rows that meet the tolerance at the cutoff u0 stop there; the others
-    go on to 2 u0.  The far-tail derivatives and remainders do not depend
-    on alpha and are evaluated once per cutoff.
+    bit for bit its one-row result.  Each row stops at the first cutoff
+    (_tail_cutoffs) where it meets the tolerance or the cap stops the
+    search; the far-tail derivatives and remainders serve every row.
     """
     return [(vals, errs) for vals, errs, _ in _psi_tails(x, alphas, b, rmax)]
 
@@ -759,27 +758,23 @@ _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) smal
 def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, final: bool = False):
     """The cutoff x0 from x of pure_osc_tail_powers (psi_osc_tail_powers if
     weighted), the derivative table of g_m = u^b log^m u (m = 0..rmax) and the
-    remainders (2 pi |nu|)^{-K} (S_K(nu)) int_x0^inf |g_m^{(K)}|.  From reach/
-    (pi |nu|) (reach/(pi (1 - nu))) floored at x and 8 (12), x0 doubles on the
-    remainder alone until each meets _TOL_ABS, while the walk from x to 2 x0
-    stays under a cap, 4000 max(0.45/|nu|, 0.5) (4000), and x0 under 5e7.  The
-    final cutoff, with no cap as nothing is walked, meets max(_TOL_ABS, _TOL_REL
-    |g_m(x0)|) (an absolute tolerance sends high log powers far out, and the
-    finite sum with them): the tail from a split at or past it walks no panel."""
+    remainders (2 pi |nu|)^{-K} (S_K(nu)) int_x0^inf |g_m^{(K)}|: of the cutoffs
+    (_cutoffs) from reach/(pi |nu|) (reach/(pi (1 - nu))), floored at x and 8
+    (12), the first whose remainders each meet _TOL_ABS, or where the cap stops
+    the search: x0 at 5e7, or a walk from x to 2 x0 of 4000 max(0.45/|nu|, 0.5)
+    (4000).  The final cutoff walks nothing and keeps the 5e7 cap; it meets
+    max(_TOL_ABS, _TOL_REL |g_m(x0)|) (an absolute tolerance sends high log
+    powers far out, and the finite sum with them), so that a tail from a split
+    at or past it walks no panel."""
     b, anu, reach = complex(b), abs(nu), abs(b) + rmax + _K_OSC + 6.0
     if weighted:
-        x0, scale, cap = max(x, reach / (math.pi * (1.0 - nu)), 12.0), _osc_remainder_const(_K_OSC, nu), 4000.0
+        x0, scale, walk = max(x, reach / (math.pi * (1.0 - nu)), 12.0), _osc_remainder_const(nu), 4000.0
     else:
-        x0, scale, cap = max(x, reach / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC), 4000.0 * max(0.45 / anu, 0.5)
-    cap, rel = (math.inf, _TOL_REL) if final else (cap, 0.0)
-    table = _deriv_table(b, rmax, _K_OSC, math.copysign(1.0, b.imag))
-    while True:
-        rems = _far_remainders(table, b, x0, scale)
-        size = x0**b.real
-        met = all(rem <= max(_TOL_ABS, rel * size * math.log(x0) ** m) for m, rem in enumerate(rems))
-        if met or not (2.0 * x0 - x < cap and x0 < 5e7):
+        x0, scale, walk = max(x, reach / (math.pi * anu), 8.0), (TWO_PI * anu) ** (-_K_OSC), 4000.0 * max(0.45 / anu, 0.5)
+    walk, rel = (math.inf, _TOL_REL) if final else (walk, 0.0)
+    for x0, table, rems, capped in _cutoffs(x0, b, rmax, _K_OSC, scale, min(0.5 * (x + walk), 5e7)):
+        if capped or all(rem <= max(_TOL_ABS, rel * x0**b.real * math.log(x0) ** m) for m, rem in enumerate(rems)):
             return table, x0, rems
-        x0 *= 2.0
 
 
 def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
@@ -813,18 +808,15 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
-def _osc_remainder_const(K: int, nu: float) -> float:
-    """S_K(nu) = sum_{|n|>=1} 1/((2 pi |n|)(2 pi |n+nu|)^K), plus a tail bound."""
-    acc = 0.0
-    n = 1
-    while n <= 200000:
-        t = 1.0 / ((TWO_PI * n) * (TWO_PI * (n + nu)) ** K) + 1.0 / (
-            (TWO_PI * n) * (TWO_PI * abs(n - nu)) ** K
-        )
+def _osc_remainder_const(nu: float) -> float:
+    """S_K(nu) = sum_{|n|>=1} 1/((2 pi |n|)(2 pi |n+nu|)^K), K = _K_OSC, plus
+    a tail bound; for nu in (0, 1) its terms fall below 1e-19 of the sum by n = 14."""
+    K, acc = _K_OSC, 0.0
+    for n in itertools.count(1):
+        t = 1.0 / ((TWO_PI * n) * (TWO_PI * (n + nu)) ** K) + 1.0 / ((TWO_PI * n) * (TWO_PI * abs(n - nu)) ** K)
         acc += t
         if t < 1e-19 * acc:
             break
-        n += 1
     # integral tail over |n| > n
     acc += 2.0 / (TWO_PI ** (K + 1) * K * max(n - 1, 1) ** K)
     return acc
@@ -898,17 +890,15 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
         raise ValueError("sawtooth-weighted oscillatory tail needs oscillation in (0, 1)")
     if b.real >= 0.0:
         raise ValueError("oscillatory tail requires Re(exponent) < 0")
-    if cutoff is None:
-        cutoff = _osc_cutoff(nu, b, rmax, x, True)
-    table, x0, rems = cutoff
+    table, x0, rems = cutoff or _osc_cutoff(nu, b, rmax, x, True)
     x0 = max(x0, x)
     if not x0 < 2.0**52:
         raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
     vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
     if x0 > x:
-        first, count = _kinks(x, x0, np.array([alpha]))
-        _check_work(count[0])  # before the kinks are listed; _walk charges its panels
-        ends = np.concatenate(([x], first[0] + np.arange(count[0] - 1) + alpha, [x0]))
+        first, count = _kinks(x, x0, alpha)
+        _check_work(count)  # before the kinks are listed; _walk charges its panels
+        ends = np.concatenate(([x], first + np.arange(count - 1) + alpha, [x0]))
         _gl_panels(vals, errs, _walk(ends, nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
     tails = _far_tail(table, b, x0, [coeffs])[0].tolist()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -321,10 +322,20 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     # explicit split of 1e10 would build finite sums of 1e10 terms (80 GB);
     # an AFE split far below t would sum the plain tail over an interval of
     # about 2 t per class; t3 at r_max = 20 would build a
-    # truncated sum of q e^{r-1} = 2e9 terms (r_max = 13 still runs)
-    start = time.perf_counter()
-    assert run(argv) == 1
-    elapsed = time.perf_counter() - start
+    # truncated sum of q e^{r-1} = 2e9 terms (r_max = 13 still runs); a
+    # request that runs past 5 s is stopped there and fails, so a hang fails
+    def too_slow(signum, frame):
+        pytest.fail(f"{' '.join(argv)} still ran after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        assert run(argv) == 1
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -715,3 +715,23 @@ def test_cutoff_search_is_charged_before_it_runs(monkeypatch):
         l_deriv(2.0, character(200003, 1), 0)
     with pytest.raises(ValueError, match="work budget"):
         hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e7), alpha=0.3))
+
+
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_hurwitz_formula_joins_the_plain_and_oscillatory_routes(t, alpha):
+    # zeta(1 - s, alpha) = Gamma(s) (2 pi)^{-s} [e^{-i pi s/2} F(alpha, s) + e^{i pi s/2} F(1 - alpha, s)],
+    # F(lam, s) = e^{2 pi i lam} phi(lam, 1, s): the plain cutoff search at 1 - s against the
+    # oscillatory final cutoffs at s, to t = 1e5 with no oracle; only Gamma is mpmath's
+    s = complex(0.5, t)
+    lhs = hurwitz_deriv(HurwitzArgs(s=1.0 - s, alpha=alpha, order=0))
+    with mp.workdps(30):
+        sm = mp.mpc(s.real, s.imag)
+        common = mp.gamma(sm) * (2 * mp.pi) ** (-sm)
+        rhs, bound = mp.mpc(lhs.value), mp.mpf(lhs.error_bound)
+        for lam, sign in ((alpha, -1), (1.0 - alpha, 1)):
+            phi = lerch_deriv(LerchArgs(lam=lam, alpha=1.0, s=s, order=0))
+            factor = common * mp.exp(sign * 0.5j * mp.pi * sm) * mp.expjpi(2 * mp.mpf(lam))
+            rhs -= factor * mp.mpc(phi.value)
+            bound += abs(factor) * phi.error_bound
+        assert abs(rhs) <= bound, (abs(rhs), bound)

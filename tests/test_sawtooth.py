@@ -12,7 +12,6 @@ import zetalab.sawtooth as sawtooth
 from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, lerch_deriv
 from zetalab.sawtooth import (
     _K_TAIL,
-    _PSI_TILDE_ABS,
     EvalResult,
     _osc_remainder_const,
     _psi_fourier_shift_sums,
@@ -445,6 +444,14 @@ def ref_far_remainders(rows_all, b, u0, scale) -> list[float]:
 
 
 def ref_psi_tail_powers(x, alpha, b, rmax):
+    return ref_psi_tail_search(x, alpha, b, rmax)[:2]
+
+
+def ref_psi_tail_search(x, alpha, b, rmax, march=True):
+    """The plain tail as its own doubling loop ran it: (values, bounds, the
+    cutoff u0 where it stopped, the remainders there, whether they met the
+    tolerance, whether u0 > 5e6 stopped it); without march, each cutoff's far
+    tail alone, as the search for the final cutoff (_tail_cutoff) tests it."""
     b = complex(b)
     kt = _K_TAIL
     u0 = max(x, 2.0 * (abs(b) + rmax + kt), 8.0)
@@ -453,7 +460,8 @@ def ref_psi_tail_powers(x, alpha, b, rmax):
     cur = x
     rows_all = [ref_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
     while True:
-        ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
+        if march:
+            ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
         cur = u0
         v = u0 - alpha if u0 < 2.0**52 else -alpha  # from 2^52 on u0 is an integer
         coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
@@ -463,13 +471,17 @@ def ref_psi_tail_powers(x, alpha, b, rmax):
             for k, c in enumerate(coeffs):
                 acc += c * ref_row_eval(rows[k], b - k, u0)
             tails.append(acc)
-        rems = ref_far_remainders(rows_all, b, u0, _PSI_TILDE_ABS[kt])
+        rems = ref_far_remainders(rows_all, b, u0, 2.5 / (2.0 * math.pi) ** kt)  # |B_m({v})/m!| <= 2.5/(2 pi)^m
         tol_abs, tol_rel = sawtooth._TOL_ABS, sawtooth._TOL_REL
         ok = all(rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r])) for r, rem in enumerate(rems))
         if ok or u0 > 5e6:
             return (
                 [vals[r] + tails[r] for r in range(rmax + 1)],
                 [rems[r] + 5e-16 * mags[r] for r in range(rmax + 1)],
+                u0,
+                rems,
+                ok,
+                u0 > 5e6,
             )
         u0 *= 2.0
 
@@ -567,9 +579,9 @@ def test_batched_tail_matches_the_scalar_march_bit_for_bit(monkeypatch, x, b, rm
 
 def test_batch_rows_have_unequal_segment_counts():
     # alpha shifts the kinks: within one batch the rows march over different counts
-    first, count = sawtooth._kinks(0.5, 36.0, np.array([a / 7 for a in range(1, 8)]))
-    assert len(set(count.tolist())) > 1
-    assert count.tolist() == [len(ref_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
+    count = [sawtooth._kinks(0.5, 36.0, a / 7)[1] for a in range(1, 8)]
+    assert len(set(count)) > 1
+    assert count == [len(ref_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
 
 
 def test_random_marches_match_the_scalar_march():
@@ -939,7 +951,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
     rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
-    sk = _osc_remainder_const(K, nu)
+    sk = _osc_remainder_const(nu)
     while max(ref_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
@@ -970,10 +982,8 @@ def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
 
 
 def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
-    # beyond 2^53 first + 1 == first: the adjustments used to spin forever
-    # (the march at 1e17; the weighted walk at 1e300, now refused before it)
-    first, count = sawtooth._kinks(1e17, 1e17 + 1e6, np.array([0.5]))
-    assert first.tolist() == [1e17] and count.tolist() == [1000002]
+    # beyond 2^53 first + 1 == first: the kink search used to spin forever
+    # (the weighted walk at 1e300); the walk is refused from 2^52, before it
     with pytest.raises(ValueError, match="2\\^52"):
         psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300)
 
@@ -1004,3 +1014,127 @@ def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     assert [bounds for _, bounds in got] == [bounds for _, bounds in want]  # nothing marched, no rounding booked
     at_cutoff = list(zip(vals.T.tolist(), errs.T.tolist()))
     assert repr(at_cutoff) == repr(got)  # the search hands over the batch's result, bit for bit
+
+
+# ---------------------------------------------------------------------------
+# one cutoff driver: every stop reason against the doubling loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_osc_remainder_const(K, nu):
+    """_osc_remainder_const as it ran with its order K and its cap of n = 200000:
+    (S_K(nu) with its tail bound, the n where the series stopped)."""
+    two_pi, acc, n = 2.0 * math.pi, 0.0, 1
+    while n <= 200000:
+        t = 1.0 / ((two_pi * n) * (two_pi * (n + nu)) ** K) + 1.0 / ((two_pi * n) * (two_pi * abs(n - nu)) ** K)
+        acc += t
+        if t < 1e-19 * acc:
+            break
+        n += 1
+    return acc + 2.0 / (two_pi ** (K + 1) * K * max(n - 1, 1) ** K), n
+
+
+def ref_osc_search(nu, b, rmax, x, weighted, final):
+    """_osc_cutoff as its own doubling loop ran it: (x0, its remainders,
+    whether they met the tolerance, whether a cap stopped the search)."""
+    b, K = complex(b), sawtooth._K_OSC
+    reach = abs(b) + rmax + K + 6.0
+    if weighted:
+        x0, scale, cap = max(x, reach / (math.pi * (1.0 - nu)), 12.0), ref_osc_remainder_const(K, nu)[0], 4000.0
+    else:
+        x0, scale, cap = max(x, reach / (math.pi * abs(nu)), 8.0), (2.0 * math.pi * abs(nu)) ** -K, 4000.0 * max(0.45 / abs(nu), 0.5)
+    cap, rel = (math.inf, sawtooth._TOL_REL) if final else (cap, 0.0)
+    rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
+    while True:
+        rems = ref_far_remainders(rows_all, b, x0, scale)
+        met = all(rem <= max(sawtooth._TOL_ABS, rel * x0**b.real * math.log(x0) ** m) for m, rem in enumerate(rems))
+        capped = not (2.0 * x0 - x < cap and x0 < 5e7)
+        if met or capped:
+            return x0, rems, met, capped
+        x0 *= 2.0
+
+
+@pytest.fixture
+def driven(monkeypatch):
+    """Every cutoff the one driver yields, (u, table, remainders, capped), in order."""
+    seen, cutoffs = [], sawtooth._cutoffs
+
+    def recording(*args):
+        for cutoff in cutoffs(*args):
+            seen.append(cutoff)
+            yield cutoff
+
+    monkeypatch.setattr(sawtooth, "_cutoffs", recording)
+    return seen
+
+
+def test_osc_remainder_constant_stops_by_n_14_and_matches_its_capped_loop():
+    # the cap of n = 200000 never bound: at K = 16 every nu in (0, 1) stops by n = 14
+    for nu in [*np.linspace(0.0, 1.0, 2001)[1:-1].tolist(), 5e-324, 1e-300, math.nextafter(1.0, 0.0)]:
+        want, n = ref_osc_remainder_const(sawtooth._K_OSC, nu)
+        assert n <= 14 and _osc_remainder_const(nu) == want, nu
+
+
+@pytest.mark.parametrize(
+    "nu, b, rmax, x, weighted, final, steps, capped",
+    [
+        (0.5, complex(-0.5, -1e4), 0, 1.0, True, False, 1, True),  # the weighted walk's cap of 4000 at x0 = 6380
+        (0.9, complex(-0.5, -300.0), 0, 1.0, True, False, 2, True),  # doubles, then the walk's cap
+        (0.05, -0.5, 8, 1.0, True, False, 2, False),  # doubles to the tolerance
+        (0.05, complex(-0.5, -1e4), 0, 1.0, False, False, 1, True),  # the pure walk's cap of 4000 * 9
+        (0.05, -0.5, 0, 1.0, False, False, 2, False),
+        (0.5, complex(-0.5, -1e8), 0, 1e8 / (2.0 * math.pi), False, True, 1, True),  # the final cutoff's 5e7 at x0 = 6.4e7
+        (0.05, -1.5, 2, 1.0, False, True, 2, False),
+        (0.05, complex(-0.5, -20.0), 0, 1.0, True, True, 2, False),
+    ],
+)
+def test_oscillatory_search_stops_where_its_own_loop_did(driven, nu, b, rmax, x, weighted, final, steps, capped):
+    _, x0, rems = sawtooth._osc_cutoff(nu, b, rmax, x, weighted, final)
+    want_x0, want_rems, met, want_capped = ref_osc_search(nu, b, rmax, x, weighted, final)
+    assert (x0, rems, driven[-1][0], driven[-1][3]) == (want_x0, want_rems, want_x0, want_capped)
+    assert (len(driven), want_capped, met) == (steps, capped, not capped)
+
+
+def test_a_capped_search_books_its_unmet_remainder():
+    # the weighted walk from x = 1 at t = 1e4 stops at its cap, its remainder far above the tolerance
+    _, x0, rems = sawtooth._osc_cutoff(0.5, complex(-0.5, -1e4), 0, 1.0, True)
+    assert x0 == pytest.approx(6380.2, rel=1e-4) and rems[0] == pytest.approx(1.2e-5, rel=0.01)
+    assert psi_osc_tail_powers(0.5, 0.7, complex(-0.5, -1e4), 0, 1.0)[1][0] >= rems[0]
+    # the final pure cutoff at t = 1e8 starts past 5e7
+    _, x0, rems = sawtooth._osc_cutoff(0.5, complex(-0.5, -1e8), 0, 1e8 / (2.0 * math.pi), False, True)
+    assert x0 == pytest.approx(6.3662e7, rel=1e-4) and rems[0] == pytest.approx(7.9e-3, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "b, rmax, alpha, steps, met, capped",
+    [
+        (complex(-1.5, -3e6), 0, 0.3, 1, True, True),  # the first cutoff 6.0e6: the tolerance and the 5e6 cap stop it
+        (complex(-1.5, -300.0), 4, 0.3, 2, True, False),  # a default split that doubles
+        (complex(-1.5, -1000.0), 4, 1.0, 2, True, False),
+    ],
+)
+def test_final_plain_search_stops_where_its_own_loop_did(driven, b, rmax, alpha, steps, met, capped):
+    u, vals, errs = sawtooth._tail_cutoff([alpha], b, rmax)
+    want_vals, want_errs, want_u, rems, want_met, want_capped = ref_psi_tail_search(0.0, alpha, b, rmax, march=False)
+    assert (u, driven[-1][0], driven[-1][2], driven[-1][3]) == (want_u, want_u, rems, want_capped)
+    assert (len(driven), want_met, want_capped) == (steps, met, capped)
+    _assert_within_bounds(list(zip(vals.T.tolist(), errs.T.tolist())), [(want_vals, want_errs)])
+
+
+def test_explicit_split_rows_stop_where_their_own_loops_did(driven):
+    b, rmax, alphas = complex(-1.5, -200.0), 4, [1 / 3, 2 / 3, 1.0]
+    x = 0.9 * sawtooth._first_cutoff(b, rmax)
+    rows = sawtooth._psi_tails(x, alphas, b, rmax)
+    at = {u: (rems, capped) for u, _, rems, capped in driven}
+    assert sorted({u0 for *_, u0 in rows}) == sorted(at)  # the rows stop at two cutoffs
+    assert len(at) == 2
+    for alpha, (_, _, u0) in zip(alphas, rows):
+        _, _, want_u, rems, met, capped = ref_psi_tail_search(x, alpha, b, rmax)
+        assert (u0, *at[u0], met) == (want_u, rems, capped, True)
+
+
+def test_explicit_split_past_the_plain_cap_stops_at_once(driven):
+    b, rmax = complex(-1.5, -10.0), 1
+    ((vals, errs, u0),) = sawtooth._psi_tails(6e6, [0.3], b, rmax)
+    _, _, want_u, rems, _, capped = ref_psi_tail_search(6e6, 0.3, b, rmax)
+    assert (u0, len(driven), driven[0][2], driven[0][3]) == (want_u, 1, rems, capped) and capped

@@ -13,6 +13,8 @@ targets: the best of N calls of each, timed with time.perf_counter.
     stieltjes_gamma_all 20    stieltjes_gamma_all(20, 0.3)
     certify_T2_Ib             certify_T2_Ib() at its default grid
     hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
+    hurwitz_deriv t=1e5       the same at s = 0.5+10^5 i and s = 0.5+10^6 i:
+    hurwitz_deriv t=1e6       the cutoff searches and far tails at large |b|
     afe_hurwitz t=200         afe_hurwitz at alpha = 1, s = 0.5+200i, r = 0, the
                               balanced split x = sqrt(t/2 pi)
     afe_hurwitz t=450 r=1     afe_hurwitz at alpha = 0.871613,
@@ -88,6 +90,8 @@ def main(argv: list[str]) -> int:
         ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
         ("certify_T2_Ib", certify_T2_Ib),
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
+        ("hurwitz_deriv t=1e5", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e5), alpha=0.3, order=1))),
+        ("hurwitz_deriv t=1e6", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e6), alpha=0.3, order=1))),
         ("afe_hurwitz t=200", lambda: afe_hurwitz(complex(0.5, 200.0), 1.0, 0, math.sqrt(200.0 / (2.0 * math.pi)))),
         ("afe_hurwitz t=450 r=1", lambda: afe_hurwitz(complex(0.484462, 449.835876), 0.871613, 1, 8.4613)),
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
