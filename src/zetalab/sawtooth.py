@@ -50,16 +50,18 @@ caller's tolerance is met or a cap stops it (a plain cutoff at 5e6, an
 oscillatory one at 5e7, a walk from x to the next of 4000 max(0.45/|nu|,
 0.5) (pure) or 4000 (weighted)); a capped search books its unmet remainders.
 
-The far tails of both kinds are one layer, bit for bit the scalar loops
-that took one order at a time: the periodic Bernoulli values of all
-their orders come from one array kernel (_phi_bernoulli) whose constant
-tables are built once per range of orders; the derivative coefficients
-of u^b log^r u, every order r, from one table per (b, rmax, K) that a
-request's cutoff searches and far tails share (_deriv_table); a far tail
-evaluates every k and r at once (_far_tail) and its remainders take one
-tail integral per log power (_far_remainders).  The shifted Fourier sums
-of the sawtooth-weighted far tail refuse a request whose series reach
-their cap of 4000 terms unmet (nu above about 0.965).
+The far tails of both kinds are one layer, each piece bit for bit a scalar
+loop over its terms, in O(rmax K) work: the derivatives of u^b log^r u for
+every order r come from one table d[k, j], j = r - i, of (rmax + 1) K
+complex products per (b, rmax, K) that a request's cutoff searches and far
+tails share (_deriv_table); a far tail evaluates every k and r at once
+from it (_far_tail) and its remainders take one tail integral per log
+power (_far_remainders).  The plain far tail's coefficients B_m({v})/m!, m
+= 2..14, are one polynomial pass in {v} - 1/2 (_bernoulli_rows).  The
+shifted Fourier sums of the sawtooth-weighted far tail take their terms n
+= +-1 in closed form and expand the rest at rate nu/2, in at most 110
+terms; they refuse nu above 31/32, where the rounding of their phase,
+which no bound books, outgrows the tail's bound (_psi_fourier_shift_sums).
 
 Error bounds here cover truncation and quadrature, and the rounding of the
 plain tail's intervals and of the oscillatory panels; of the far-tail
@@ -74,6 +76,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,16 +144,10 @@ def psi2(u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# periodic Bernoulli functions B_m({u})/m! and their scaled variant
+# periodic Bernoulli functions B_m({u})/m! and their series without n = +-1
 # ---------------------------------------------------------------------------
 
-_BERNOULLI = tuple(Fraction(*c) for c in [(1,), (-1, 2), (1, 6), (0,), (-1, 30), (0,), (1, 42), (0,), (-1, 30), (0,), (5, 66), (0,), (-691, 2730)])
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_poly_coeffs(m: int) -> tuple[float, ...]:
-    """Coefficients of B_m(x)/m!, highest degree first."""
-    return tuple(float(math.comb(m, k) * _BERNOULLI[k] / math.factorial(m)) for k in range(m + 1))
+_BERNOULLI = tuple(Fraction(*c) for c in [(1,), (-1, 2), (1, 6), (0,), (-1, 30), (0,), (1, 42), (0,), (-1, 30), (0,), (5, 66), (0,), (-691, 2730), (0,), (7, 6)])
 
 
 def _frozen(*items) -> tuple:
@@ -158,51 +155,68 @@ def _frozen(*items) -> tuple:
     return tuple(x.setflags(write=False) or x if isinstance(x, np.ndarray) else x for x in items)
 
 
-@lru_cache(maxsize=16)  # one entry per range of orders up to 66: the plain far tail's, the shift sums'
-def _bernoulli_table(ms: range) -> tuple:
-    """The constants of _phi_bernoulli for the orders ms <= 66, built once:
-    the Horner rows of B_m/m! (highest degree first, zeros before a lower
-    degree) and (2 pi)^m of each m <= 12; the Fourier terms of each larger m,
-    n = 1, 2, ... while n^{-m} >= 1e-20 and n <= 64, as 2 pi n, the phase
-    -pi m/2 and n^m per term, with their places (order, n) in a grid."""
-    poly, fourier = range(ms.start, min(ms.stop, 13)), range(max(ms.start, 13), ms.stop)
-    horner = np.array([(0.0,) * (poly[-1] - m) + _bernoulli_poly_coeffs(m) for m in poly]).T[:, :, None] if poly else []
-    places = []
-    for i, m in enumerate(fourier):
-        n = 1
-        while n <= 64 and (n == 1 or n ** (-m) >= 1e-20):
-            places.append((i, n))
-            n += 1
-    rows, cols = (np.array([p[j] for p in places], dtype=int) for j in (0, 1))
-    arg = np.array([TWO_PI * n for _, n in places]).reshape(-1, 1)
-    phase = np.array([-0.5 * math.pi * fourier[i] for i, _ in places]).reshape(-1, 1)
-    den = np.array([float(n ** fourier[i]) for i, n in places]).reshape(-1, 1)
-    return _frozen(horner, np.array([TWO_PI**m for m in poly]).reshape(-1, 1), len(fourier), cols.max(initial=0), rows, cols, arg, phase, den)
+_TAIL_ORDERS = range(2, 15)  # the plain far tail's coefficients, the orders of one polynomial pass
 
 
-def _phi_bernoulli(ms: range, v: np.ndarray) -> np.ndarray:
-    """(2 pi)^m B_m({v})/m! = -sum_{|n|>=1} e^{2 pi i n v}/(i n)^m, bounded by
-    about 2.5, for every order m of the increasing range ms (rows) and entry
-    of v (columns), from the constants of _bernoulli_table: one Horner pass
-    serves every m <= 12 (a leading coefficient 0 leaves it as it is); the m
-    up to 66 take all their Fourier terms at once, each order's subtracted
-    from 0 in turn along one grid (a term an order lacks is an exact 0 there,
-    which leaves it as it is); from m = 67 on, where 2^{-m} < 1e-20, the
-    series stops after its first term, so each order is 0 less one term."""
-    horner, scale, nf, width, rows, cols, arg, phase, den = _bernoulli_table(range(ms.start, min(ms.stop, 67)))
-    out, p, f = np.empty((len(ms), v.size)), scale.shape[0], v - np.floor(v)
-    acc = np.zeros((p, v.size))
-    for c in horner:
-        acc = acc * f + c
-    out[:p] = acc * scale
-    single = -0.5 * math.pi * np.arange(max(ms.start, 67), ms.stop, dtype=float)[:, None]  # the phases of the orders of one term
-    step = max(1, _BLOCK // max(arg.size + single.size, 1))
-    for j in range(0, v.size, step):  # at most _BLOCK terms at a time
-        terms = 2.0 * np.cos(arg * v[j : j + step] + phase) / den
-        grid = np.zeros((nf, width + 1, terms.shape[1]))
-        grid[rows, cols] = terms
-        out[p : p + nf, j : j + step] = np.subtract.accumulate(grid, axis=1)[:, -1]
-        out[p + nf :, j : j + step] = 0.0 - 2.0 * np.cos(TWO_PI * v[j : j + step] + single)
+def _centred(m: int) -> list[Fraction]:
+    """The coefficients of B_m(1/2 + y)/m! = sum_k C(m, k) B_k(1/2) y^{m-k}/m!,
+    B_k(1/2) = (2^{1-k} - 1) B_k, lowest degree first: those of the degrees
+    of the other parity than m are 0."""
+    return [math.comb(m, k) * (Fraction(2) ** (1 - k) - 1) * _BERNOULLI[k] / math.factorial(m) for k in range(m, -1, -1)]
+
+
+# the polynomials in z = y^2 of (-1)^{m-1} B_m(1/2 + y)/m! (even m) and of it
+# over y (odd m), z^0 first (zeros above degree m), as (power of z, order, 1)
+_MONOMIALS = _frozen(np.ascontiguousarray(np.array([[float((-1) ** (m - 1) * a) for a in _centred(m)[m % 2 :: 2]] + [0.0] * (7 - m // 2) for m in _TAIL_ORDERS]).T[:, :, None]))[0]
+_PHI_SCALE = np.array([(-1.0) ** (m - 1) * TWO_PI**m for m in _TAIL_ORDERS])  # back to (2 pi)^m B_m/m!
+
+
+def _bernoulli_rows(v: np.ndarray) -> np.ndarray:
+    """(-1)^{m-1} B_m({v})/m! for m = 2..14 (rows) at every entry of v
+    (columns), the plain far tail's coefficients, in one polynomial pass in
+    y = {v} - 1/2, |y| <= 1/2, where each row is even or odd: every row's
+    terms in z = y^2, the powers z^i from one running product, added in turn
+    from z^0 up (numpy sums pairwise only along the fast axis), times y for
+    the odd m."""
+    y = v - np.floor(v) - 0.5
+    powers = np.empty((8, 1, y.size))
+    powers[0], powers[1:] = 1.0, y * y
+    np.cumprod(powers, axis=0, out=powers)
+    acc = np.add.reduce(_MONOMIALS * powers, axis=0)  # C-ordered, along the slow axis: in turn, not pairwise
+    acc[1::2] *= y  # the odd m = 3, 5, ..., 13
+    return acc
+
+
+@lru_cache(maxsize=16)  # one entry per range of orders: the shift sums' columns of one nu
+def _fourier_table(stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the orders m = 15..stop-1 of _phi_shifted: m mod 4 and the powers
+    n^m of its terms n = 2..64, inf past an order's last term (n > 2 with
+    n^{-m} < 1e-20), where the term is a 0 that leaves the sum as it is."""
+    ms = range(15, max(stop, 15))
+    den = np.array([[float(n**m) if n == 2 or n ** (-m) >= 1e-20 else math.inf for n in range(2, 65)] for m in ms]).reshape(len(ms), 63)
+    return _frozen(np.array([m % 4 for m in ms], dtype=int), den)
+
+
+def _phi_shifted(stop: int, v: float) -> np.ndarray:
+    """-sum_{|n|>=2} e^{2 pi i n v}/(i n)^m = (2 pi)^m B_m({v})/m! + 2 cos(2 pi v
+    - pi m/2), the periodic Bernoulli function without its terms n = +-1, for
+    m = 2..stop-1; |.| <= 2 (zeta(m) - 1) <= 2.6 2^{-m} from m = 4.  Up to m =
+    14 from _bernoulli_rows, scaled, plus the two terms; beyond, its Fourier
+    terms n = 2, 3, ... while n^{-m} >= 1e-20 and n <= 64, each order's
+    subtracted from 0 in turn along one grid (_fourier_table).  The cosines
+    take 2 pi n {v} and cos(x - pi m/2) = cos x, sin x, -cos x, -sin x by m
+    mod 4."""
+    f = v - math.floor(v)
+    arg = TWO_PI * np.arange(1.0, 65.0) * f
+    cos, sin = np.cos(arg), np.sin(arg)
+    quarter = np.array([cos, sin, -cos, -sin])  # cos(2 pi n v - pi m/2) by m mod 4
+    low = min(stop, 15) - 2
+    out = np.empty(stop - 2)
+    out[:low] = _bernoulli_rows(np.array([f]))[:low, 0] * _PHI_SCALE[:low] + 2.0 * quarter[np.arange(2, low + 2) % 4, 0]
+    if stop > 15:
+        mods, den = _fourier_table(stop)
+        terms = 2.0 * quarter[mods, 1:] / den
+        out[low:] = np.subtract.accumulate(np.concatenate([np.zeros((mods.size, 1)), terms], axis=1), axis=1)[:, -1]
     return out
 
 
@@ -259,54 +273,75 @@ def power_log_tail_abs(c: float, j: int, u: float) -> float:
     return math.exp(-lam * ll) * acc
 
 
-@lru_cache(maxsize=4)  # complex keys: a request asks for at most two (b, rmax, K), tables of up to 0.2 MB
+@lru_cache(maxsize=8)  # one entry per number of orders
+def _falling(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For r, j < size as (r, j): r!/(r - j)! and r!/j!, each 0 beyond j = r,
+    and the index max(r - j, 0)."""
+    falling = np.array([[float(math.perm(r, j)) if j <= r else 0.0 for j in range(size)] for r in range(size)])
+    ratio = np.array([[float(math.perm(r, r - j)) if j <= r else 0.0 for j in range(size)] for r in range(size)])
+    j = np.arange(size)
+    return _frozen(falling, ratio, np.maximum(j[:, None] - j, 0))
+
+
+def _log_powers(ll: float, size: int) -> np.ndarray:
+    """r!/(r - j)! ll^{r - j} as (r, j) for r, j < size, 0 beyond j = r, the
+    powers of ll from a running product."""
+    powers = [1.0]
+    for _ in range(size - 1):
+        powers.append(powers[-1] * ll)
+    falling, _, gap = _falling(size)
+    return falling * np.array(powers)[gap]
+
+
+@lru_cache(maxsize=4)  # complex keys: a request asks for at most two (b, rmax, K)
 def _deriv_table(b: complex, rmax: int, K: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients c[k, r, i] of g_r^(k)(u) = u^{b-k} sum_i c[k, r, i]
-    log^i u, g_r = u^b log^r u, for k = 0..K and r = 0..rmax, as (i, k, r),
-    0 beyond i = r, with |c[K, r, i]| as (r, i): from c[0, r, r] = 1 by
-    c[k + 1, r, i] = (b - k) c[k, r, i] + (i + 1) c[k, r, i + 1] (i < r),
-    one list of every order's coefficients per k.  sign, math.copysign(1,
-    Im b), keeps apart the b that 0.0 == -0.0 would share: the signs of their
-    coefficients' zeros differ."""
-    size = rmax + 1
-    at = [(r, i) for r in range(size) for i in range(r, -1, -1)]  # each order from its top power down
-    facs = [0 if i == r else i + 1 for r, i in at]  # 0: the top power takes no (i + 1) c[k, r, i + 1]
-    rows = [[1.0 + 0.0j if i == r else 0.0 + 0.0j for r, i in at]]
-    for bk in (b - k for k in range(K)):
-        rows.append([bk * c + f * up if f else bk * c for f, c, up in zip(facs, rows[-1], [0j, *rows[-1]])])
-    flat = np.zeros((K + 1, size * size), dtype=complex)
-    flat[:, [i * size + r for r, i in at]] = rows
-    tab = flat.reshape(K + 1, size, size).transpose(1, 0, 2)
-    return _frozen(tab, np.hypot(tab[:, K].real, tab[:, K].imag).T)
+    """The derivatives of g_r = u^b log^r u for every r = 0..rmax at once:
+    g_r^(k)(u) = u^{b-k} sum_i c[k, r, i] log^i u with c[k, r, i] = r!/i!
+    d[k, r - i], the table d[k, j] for k = 0..K, j = 0..rmax from d[0] = (1,
+    0, ...) by d[k + 1, j] = (b - k) d[k, j] + d[k, j - 1], in (rmax + 1) K
+    complex products, one column j at a time.  (The coefficients' own
+    recursion, c[k + 1, r, i] = (b - k) c[k, r, i] + (i + 1) c[k, r, i + 1]
+    from c[0, r, r] = 1, is this one under c = r!/i! d: row k of d holds the
+    coefficients of the polynomial (x + b)(x + b - 1)...(x + b - k + 1),
+    which no r enters.)  With it, the remainders' coefficients |c[K, r, i]|
+    = r!/i! |d[K, r - i]| as (r, i), 0 beyond i = r.  sign, math.copysign(1,
+    Im b), keeps apart the b that 0.0 == -0.0 would share: the signs of
+    their coefficients' zeros differ."""
+    bks = [b - k for k in range(K)]
+    cols = [list(itertools.accumulate(bks, operator.mul, initial=1.0 + 0.0j))]  # d[k, 0], a running product
+    for _ in range(rmax):  # each column j from column j - 1, down the k
+        x, col = 0.0 + 0.0j, [0.0 + 0.0j]
+        for bk, lower in zip(bks, cols[-1]):
+            x = bk * x + lower
+            col.append(x)
+        cols.append(col)
+    _, ratio, gap = _falling(rmax + 1)
+    return _frozen(np.array(cols, dtype=complex).T, ratio * np.array([abs(col[K]) for col in cols])[gap])
 
 
 def _far_tail(table, b: complex, u0: float, coeffs) -> np.ndarray:
     """sum_k coeffs[j][k] g_r^{(k)}(u0) for every row j of coefficients and every
-    g_r = u^b log^r u (table from _deriv_table), added in k order from 0:
-    the boundary terms of the far-tail expansions, shape (rows, rmax + 1).
+    g_r = u^b log^r u (table from _deriv_table), added in k order: the
+    boundary terms of the far-tail expansions, shape (rows, rmax + 1).
 
-    g_r^{(k)}(u0) does not depend on the row: it is evaluated once, every k
-    and r at once, bit for bit as the scalar loop did: Horner in log u0 from
-    the top power (numpy's product of a complex and a real is Python's: its
-    cross products with the real's 0 are exact zeros), then the product with
-    the one cmath.exp((b - k) log u0) of each k, formed as Python forms it."""
-    c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
-    tab, kc, ll = table[0], c.shape[0], math.log(u0)
-    acc = np.zeros((kc, tab.shape[2]), dtype=complex)
-    for t in tab[::-1, :kc]:
-        acc = acc * ll + t
-    e = np.array([cmath.exp((b - k) * ll) for k in range(kc)])[:, None]
-    g = np.empty((kc, 1, tab.shape[2]), dtype=complex)
-    g.real[:, 0], g.imag[:, 0] = acc.real * e.real - acc.imag * e.imag, acc.real * e.imag + acc.imag * e.real
-    terms = c * g  # added to 0 in k order, as Python's sum adds them
-    return np.add.accumulate(np.concatenate([np.zeros((1,) + terms.shape[1:], dtype=complex), terms]), axis=0)[-1]
+    g_r^{(k)}(u0) = e^{(b-k) L} sum_j d[k, j] r!/(r - j)! L^{r-j}, L = log u0:
+    the sums, every k and r at once, over j from 0 (_log_powers gives r!/(r -
+    j)! L^{r-j}); the one cmath.exp((b - k) L) of each k multiplies the
+    coefficients of k, and that product the sums.  Its rounding, for the
+    plain tail's coefficients, is _far_tail_rounding's."""
+    c = np.asarray(coeffs).T[:, :, None]  # (k, row, 1)
+    d, kc, ll = table[0], c.shape[0], math.log(u0)
+    terms = np.multiply(d.T[:, :kc, None], _log_powers(ll, d.shape[1]).T[:, None], order="C")  # (j, k, r)
+    s = np.add.reduce(terms, axis=0)  # along the slow axis: in j order, not pairwise
+    e = np.array([cmath.exp((b - k) * ll) for k in range(kc)])[:, None, None]
+    return np.add.accumulate(c * e * s[:, None], axis=0)[-1]  # the terms added in k order
 
 
 def _far_remainders(table, b: complex, u0: float, scale: float) -> list[float]:
     """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of the table,
     bounded termwise by sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du, each
     integral taken once for every r, the terms added from i = 0."""
-    K = table[0].shape[1] - 1
+    K = table[0].shape[0] - 1
     ints = np.array([power_log_tail_abs(b.real - K, i, u0) for i in range(table[1].shape[0])])
     return (scale * np.add.accumulate(table[1] * ints, axis=1)[:, -1]).tolist()
 
@@ -428,10 +463,7 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
 
 _TOL_ABS = 1e-15
 _TOL_REL = 1e-12
-_K_TAIL = 14  # periodic-Bernoulli expansion depth for the plain tail
-_TAIL_ORDERS = range(2, _K_TAIL + 1)  # the plain far tail's coefficients (-1)^{m-1} B_m({u0 - alpha})/m!
-_TAIL_SCALE, _TAIL_SIGNS = np.array([[TWO_PI**m] for m in _TAIL_ORDERS]), np.array([[(-1.0) ** (m - 1)] for m in _TAIL_ORDERS])
-_BLOCK = 1 << 14  # Fourier terms per block of _phi_bernoulli: memory stays flat in the number of shifts
+_K_TAIL = _TAIL_ORDERS[-1]  # periodic-Bernoulli expansion depth for the plain tail
 # units of work of one request: a unit of u of a plain tail's interval (per
 # row), a panel of an oscillatory walk; the Hurwitz, Z, L and Lerch splits
 # weigh their terms (and residue classes) in those units
@@ -538,48 +570,53 @@ def _tail_values(sums, cutoff, b: complex, alphas: np.ndarray):
     u0, table, rems, capped = cutoff
     rems = np.array(rems)[:, None]
     v = u0 - alphas if u0 < 2.0**52 else -alphas
-    coeffs = _phi_bernoulli(_TAIL_ORDERS, v) / _TAIL_SCALE * _TAIL_SIGNS
-    vals = sums[0] + _far_tail(table, b, u0, coeffs.T).T
-    stops = np.all(rems <= np.fmax(_TOL_ABS, _TOL_REL * np.abs(vals)), axis=0) | capped
-    return vals, rems + sums[1] + _EPS * np.abs(vals) * (sums[1] > 0.0), stops
+    vals = sums[0] + _far_tail(table, b, u0, _bernoulli_rows(v).T).T
+    size = np.abs(vals)
+    stops = (rems <= np.fmax(_TOL_ABS, _TOL_REL * size)).all(axis=0) | capped
+    return vals, rems + sums[1] + _EPS * size * (sums[1] > 0.0), stops
 
 
 @lru_cache(maxsize=1)
 def _tail_coeff_bounds() -> tuple[np.ndarray, np.ndarray]:
-    """For the orders m of _TAIL_ORDERS: D_m >= |B_m({v})/m!| (2 zeta(m)/(2 pi)^m,
-    2 zeta(2) < 3.3) and the rounding of the far tail's coefficient B_m({v})/m!
-    in eps, less eps |v| 3 D_{m-1} (D_1 = 1/2, d/dv B_m/m! = B_{m-1}/(m-1)!),
-    the part of v's rounding and of 2 pi n v in the Fourier terms: below 13, the
-    13 Horner levels and the rounded coefficients, 28 sum_j |a_j|; from 13 on,
-    the phase -pi m/2, the cosines and the running sum of at most 64 terms,
-    (pi m + 70) D_m; both with the scaling by (2 pi)^m and back."""
+    """For the orders m = 2..14 of _bernoulli_rows: D_m >= |B_m({v})/m!| (2
+    zeta(m)/(2 pi)^m, 2 zeta(2) < 3.3) and the rounding of the far tail's
+    coefficient B_m({v})/m! in eps, less eps |v| 3 D_{m-1} (D_1 = 1/2, d/dv
+    B_m/m! = B_{m-1}/(m-1)!), the part of v's rounding.  y = {v} - 1/2 is
+    exact for {v} >= 1/4 and else within eps/4 <= eps |y|; so z = y^2 errs
+    by 3 eps z, z^i, from i - 1 products, by (4 i - 1) eps z^i, a_i z^i with
+    its rounded coefficient by (4 i + 1) eps |a_i z^i|, the 8 terms added in
+    turn by 7 eps sum_i |a_i z^i|, and the product with y of an odd m by 2
+    eps more: with the degree d = 2 i or 2 i + 1 <= m of each term, (2 m +
+    10) sum_d |a_d| 2^{-d} in all, |y| <= 1/2."""
     d = np.array([3.3 / TWO_PI**m for m in _TAIL_ORDERS])
-    horner = np.array([28.0 * sum(map(abs, _bernoulli_poly_coeffs(m))) if m < 13 else 0.0 for m in _TAIL_ORDERS])
-    return _frozen(d, horner + (math.pi * np.array(_TAIL_ORDERS) + 70.0) * d)
+    return _frozen(d, np.array([(2.0 * m + 10.0) * float(sum(abs(a) / 2**i for i, a in enumerate(_centred(m)))) for m in _TAIL_ORDERS]))
 
 
 def _far_tail_rounding(b: complex, rmax: int, u0: float, alpha: float) -> np.ndarray:
     """The rounding of _tail_values' far tail F_r = sum_k c_k g_r^{(k)}(u0),
     c_k = (-1)^{k+1} B_{k+2}({v})/(k+2)!, v = u0 - alpha (-alpha from 2^52
     on, where it is exact), for r = 0..rmax, in terms of G_{k,r} = u0^{Re b -
-    k} sum_i M[k, r, i] |L|^i >= |g_r^{(k)}(u0)|, L = log u0, where M bounds
-    the coefficients of _deriv_table by the recursion of their moduli, M[k +
-    1, r, i] = |b - k| M[k, r, i] + (i + 1) M[k, r, i + 1].  Per k, in eps G:
-    c_k (_tail_coeff_bounds, with 3 |v| D_{k+1} for v); the table, 4 k (a
-    complex product and a sum a level); Horner in the rounded L, 3 r; the
-    phase and modulus of e^{(b - k) L}, 3 |b - k| |L| + 5 (the argument and
-    cmath.exp); the product with it, 3; then D_{k+2} (3 + 13) for c_k g and
-    the sum of the 13 terms."""
+    k} sum_j M[k, j] r!/(r - j)! |L|^{r-j} >= |g_r^{(k)}(u0)|, L = log u0,
+    where M bounds the table of _deriv_table by the recursion of its moduli,
+    M[k + 1, j] = |b - k| M[k, j] + M[k, j - 1], and G sums the moduli of
+    the terms that _far_tail adds.  Per k, in eps G: c_k (_tail_coeff_bounds,
+    with 3 |v| D_{k+1} for v); the table, 5 k (a level rounds b - k, its
+    complex product, 2 sqrt 2 eps, and its sum); r!/(r - j)! L^{r-j}, 2 r + 1
+    (the rounded L, the running product and r!/(r - j)!, and their product);
+    its product with the table and the sum over j, r + 1; the phase and
+    modulus of e^{(b - k) L}, 3 |b - k| |L| + 5 (the argument and cmath.exp);
+    and D_{k+2} (1 + 3 + 13) for c_k e^{(b - k) L} (a real times a complex),
+    its product with the sum and the sum of the 13 terms: D_{k+2} (3 |b - k|
+    |L| + 5 k + 3 r + 24)."""
     d, coeff = _tail_coeff_bounds()
     v = abs(u0 - alpha if u0 < 2.0**52 else alpha)
-    ks, pw, ll = np.arange(d.size), np.arange(rmax + 1.0), abs(math.log(u0))  # pw: the log powers i, and the orders r
-    M, G = np.eye(rmax + 1), []  # M[r, i] of one k
-    for k in ks.tolist():
-        G.append(M @ ll**pw)
-        M = abs(b - k) * M + np.concatenate([M[:, 1:] * pw[1:], np.zeros((rmax + 1, 1))], axis=1)
-    G = np.array(G) * u0 ** (b.real - ks)[:, None]
-    w = 3.0 * v * np.concatenate([[0.5], d[:-1]]) + coeff + d * (3.0 * np.abs(b - ks) * ll + 4.0 * ks + 24.0)
-    return _EPS * ((w[:, None] + 3.0 * d[:, None] * pw) * G).sum(axis=0)
+    ks, ll = np.arange(d.size), abs(math.log(u0))
+    M = [np.eye(1, rmax + 1)[0]]  # M[k, j] of each k
+    for k in range(d.size - 1):
+        M.append(abs(b - k) * M[-1] + np.concatenate([[0.0], M[-1][:-1]]))
+    G = (np.array(M)[:, None, :] * _log_powers(ll, rmax + 1)).sum(axis=2) * u0 ** (b.real - ks)[:, None]
+    w = 3.0 * v * np.concatenate([[0.5], d[:-1]]) + coeff + d * (3.0 * np.abs(b - ks) * ll + 5.0 * ks + 24.0)
+    return _EPS * ((w[:, None] + 3.0 * d[:, None] * np.arange(rmax + 1.0)) * G).sum(axis=0)
 
 
 def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -599,14 +636,12 @@ def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[compl
     b = complex(b)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
-    cutoffs = _tail_cutoffs(x, b, rmax)
-    cutoff = next(cutoffs)
     alphas = np.array(alphas, dtype=float)
-    _check_work(alphas.size * (cutoff[0] - x))
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
     out: list = [None] * alphas.size
     rows, cur = np.arange(alphas.size), x
-    for cutoff in itertools.chain([cutoff], cutoffs):
+    for cutoff in _tail_cutoffs(x, b, rmax):
+        _check_work(alphas.size * (cutoff[0] - cur))  # each interval, for the rows still open, before it is integrated
         _psi_interval(sums, cur, cutoff[0], alphas, b, rmax)
         cur = cutoff[0]
         vals, errs, done = _tail_values(sums, cutoff, b, alphas)
@@ -822,24 +857,30 @@ def _osc_remainder_const(nu: float) -> float:
     return acc
 
 
-_SHIFT_STEPS = 4000  # the cap on j of each shifted Fourier series
+# the shift sums refuse nu above this: their phase e^{2 pi i nu v} at the tail's
+# cutoff v ~ 1/(1 - nu) rounds by about eps 2 pi nu v, which no bound books; at
+# lambda = 255/256 (s = 0.5, r = 1) the Lerch route erred by 1.4 times its bound
+_NU_MAX = 31.0 / 32.0
 
 
-@lru_cache(maxsize=16)  # float keys: bounded, one entry of two rows of n per oscillation nu
-def _shift_table(K: int, nu: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """The columns j < n of _psi_fourier_shift_sums(K, ., nu) and the powers
-    nu^j (Python's) and (-i nu)^j of its terms: n to the first j > 4 where
-    the last row (the largest binomials) meets the test without its partial
-    sum, with a margin for np.power against Python's power, or to j = 4000,
-    sought on growing prefixes of the j."""
-    for size in (64, 256, 1024, _SHIFT_STEPS + 1):
-        j = np.arange(size)
-        last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
-        if last[5:].any():
-            break
-    n = 6 + int(last[5:].argmax()) if last[5:].any() else _SHIFT_STEPS + 1
+@lru_cache(maxsize=16)  # float keys: bounded, one entry of K rows of n per oscillation nu
+def _shift_table(K: int, nu: float) -> tuple[int, np.ndarray]:
+    """The columns j < n of _psi_fourier_shift_sums(K, ., nu) and their
+    coefficients C(k + j - 1, j) (-i nu)^j as (k, j), k = 1..K: n to the
+    first j > 4 where every row's term is below 1e-18 of the row's n = -1
+    term, C(k + j - 1, j) nu^j 2.6 2^{-(k+1+j)} < 1e-18 (1 - nu)^{-k} in the
+    units of the j-series (|phi'_m| <= 2.6 2^{-m} from m = 4).  The bound of
+    row k rises from its value at j = 0 while (k + j)/(j + 1) nu/2 > 1 and
+    falls from then on, so where it is below its start it falls, and the
+    rest of the row is below 1e-18 (1 - nu)^{-k}/(1 - (K + 5)/6 nu/2).  At
+    rate nu/2 < 1/2 the test holds by j = 110 for every nu < 1."""
+    j = np.arange(1, 160)
+    binom = np.cumprod(np.concatenate([np.ones((K, 1)), (np.arange(1, K + 1)[:, None] + j - 1) / j], axis=1), axis=1)
+    half = np.cumprod(np.concatenate([[2.6], np.full(j.size, 0.5 * nu)]))  # 2.6 (nu/2)^j
+    met = (binom * half * np.array([[0.5 ** (k + 1) * (1.0 - nu) ** k] for k in range(1, K + 1)])).max(axis=0) < 1e-18
+    n = 6 + int(met[5:].argmax())
     zj = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n - 1, -1j * nu)]))  # (-i nu)^j
-    return _frozen(n, np.array([nu**i for i in range(n)]), zj)
+    return _frozen(n, binom[:, :n] * zj)
 
 
 @lru_cache(maxsize=256)  # float keys: bounded, one entry of K sums per oscillatory cutoff
@@ -847,30 +888,35 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k)
     for k = 1..K.
 
-    Binomial expansion in nu/n reduces each sum to periodic Bernoulli
-    values at combined order k+1+j; converges geometrically at rate nu.
-    Each k sums its j-series, sum_j C(k+j-1, j) (-i nu)^j phi_{k+1+j}(v),
-    as one row of a (K x j) array (its columns and powers of nu from
-    _shift_table), from one row of those values (_phi_bernoulli), up to its
-    first j > 4 with C(k+j-1, j) nu^j 2.6 < 1e-18 max(1, |partial sum|); a
-    row that does not meet it by j = 4000 (nu above about 0.965) is refused.
-    Bit for bit the loop over j that added one term at a time: the
-    binomials, the powers (-i nu)^j and the partial sums are running
-    products and sums, left to right, and nu^j is Python's power.
+    The terms n = +-1 in closed form, e^{2 pi i (nu +- 1) v} w_+-^k/(+-2 pi
+    i), w_+- = 1/(2 pi i (nu +- 1)), e^{+-2 pi i v} from {v}; the rest by the
+    binomial expansion of (n + nu)^{-k} in nu/n, |nu/n| <= nu/2, which
+    reduces it to -e^{2 pi i nu v} (2 pi)^{-(k+1)} sum_j C(k+j-1, j) (-i
+    nu)^j phi'_{k+1+j}(v), phi' the periodic Bernoulli values without n =
+    +-1 (_phi_shifted): it converges at rate nu/2 for every nu in (0, 1).
+    Each k sums its j-series as one row of a (K x n) array, its columns and
+    coefficients from _shift_table, from one row of those values, left to
+    right from 0; the closed forms and the sum of the three parts are
+    Python's complex arithmetic, one k at a time.  What the n columns leave
+    out is below 1e-18 of each row's n = -1 term (_shift_table); the
+    rounding is not booked (no oscillatory far tail books its own), and
+    nu above _NU_MAX, where the rounding of the phase outgrows the bound, is
+    refused.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
-    n, pw, zj = _shift_table(K, nu)
-    j = np.arange(1, n)
-    binom = np.cumprod(np.concatenate([np.ones((K, 1)), (np.arange(1, K + 1)[:, None] + j - 1) / j], axis=1), axis=1)
-    phi = np.lib.stride_tricks.sliding_window_view(_phi_bernoulli(range(2, K + n + 1), np.array([v]))[:, 0], n)
-    terms = np.concatenate([np.zeros((K, 1), dtype=complex), binom * zj * phi], axis=1)
-    acc = np.add.accumulate(terms, axis=1)[:, 1:]
-    hit = (binom * pw * 2.6 < 1e-18 * np.maximum(1.0, np.abs(acc))) & (np.arange(n) > 4)
-    if not hit.any(axis=1).all():
-        raise ValueError(f"the shifted Fourier sums at nu = {nu:.6g} do not converge within {_SHIFT_STEPS} terms")
-    phase = cmath.exp(2j * math.pi * nu * v)
-    return tuple(-phase * TWO_PI ** (-(k + 1)) * a for k, a in zip(range(1, K + 1), acc[np.arange(K), hit.argmax(axis=1)].tolist()))
+    if nu > _NU_MAX:
+        raise ValueError(f"the shifted Fourier sums at nu = {nu:.6g} are refused above nu = {_NU_MAX}, where the rounding of their phase is not booked")
+    n, coef = _shift_table(K, nu)
+    phi = np.lib.stride_tricks.sliding_window_view(_phi_shifted(K + n + 1, v), n)[:K]
+    rest = np.add.accumulate(np.concatenate([np.zeros((K, 1)), coef * phi], axis=1), axis=1)[:, -1].tolist()
+    f, c0 = v - math.floor(v), 1.0 / (2j * math.pi)
+    phase, e1 = cmath.exp(2j * math.pi * nu * v), complex(math.cos(TWO_PI * f), math.sin(TWO_PI * f))
+    plus, minus, wp, wm, out = c0 * e1, c0 * e1.conjugate(), c0 / (1.0 + nu), c0 / (nu - 1.0), []
+    for k, a in zip(range(1, K + 1), rest):
+        plus, minus = plus * wp, minus * wm
+        out.append(phase * (plus - minus - TWO_PI ** (-(k + 1)) * a))
+    return tuple(out)
 
 
 def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:

@@ -9,11 +9,14 @@ cutoffs chosen from explicit tail estimates for the direct series.  The
 one exception is convolution_coefficient, the right-hand side of the
 progression identity, which combines the library's classical constants.
 The Hurwitz, progression, L and rational-lambda Lerch derivatives come
-from mpmath's Hurwitz zeta derivatives, with the characters' exact phases.
+from mpmath's Hurwitz zeta derivatives, with the characters' exact phases;
+the shifted Fourier sums of the weighted far tail from mpmath's Hurwitz
+zeta values at a rational point, and the plain far tail from its
+derivatives' own recursion and exact Bernoulli polynomials.
 
 periodic_bernoulli and psi_piecewise_integral are not oracles: they
-expose the scalar periodic-Bernoulli series (phi_bernoulli, the scalar
-loop that the library's array kernel replaced, kept as a reference) and
+expose the scalar periodic-Bernoulli series (phi_bernoulli, Horner on
+B_m/m! or the Fourier series, one order at one point) and
 the library's interval integral over a finite interval, which only the
 tests call.  finite_power_sum is the one-array finite sum that the
 progression-sum kernel replaced, kept as a reference, its terms formed as
@@ -32,7 +35,7 @@ import numpy as np
 from zetalab.characters import factorize
 from zetalab.coefficients import stieltjes_gamma_all
 from zetalab import sawtooth
-from zetalab.sawtooth import TWO_PI, _bernoulli_poly_coeffs, _check_alpha, _check_work, power_log_tail_abs, psi
+from zetalab.sawtooth import TWO_PI, _check_alpha, _check_work, power_log_tail_abs, psi
 
 GL64_NODES, GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -452,12 +455,17 @@ def psi_march_oracle(lo: float, hi: float, alpha: float, b: complex, m: int, dps
         return total
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_poly_coeffs(m: int) -> tuple[float, ...]:
+    """Coefficients of B_m(x)/m!, highest degree first, from mpmath's exact
+    Bernoulli numbers."""
+    return tuple(float(math.comb(m, k) * Fraction(*map(int, mp.bernfrac(k))) / math.factorial(m)) for k in range(m + 1))
+
+
 def phi_bernoulli(m: int, v: float) -> float:
     """(2 pi)^m B_m({v})/m! = -sum_{|n|>=1} e^{2 pi i n v}/(i n)^m, one order
     at one point: Horner on B_m/m! for m <= 12, else the Fourier series to the
-    first n with n^{-m} < 1e-20 or n > 64 (the scalar loop of the library's
-    sawtooth._phi_bernoulli, which must equal it bit for bit where np.cos is
-    math.cos)."""
+    first n with n^{-m} < 1e-20 or n > 64."""
     if m <= 12:
         f = v - math.floor(v)
         acc = 0.0
@@ -473,6 +481,54 @@ def phi_bernoulli(m: int, v: float) -> float:
         if n ** (-m) < 1e-20 or n > 64:
             break
     return acc
+
+
+def shift_sum_oracle(K: int, v: Fraction, nu: float, dps: int = 40) -> list:
+    """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v}/((2 pi i n)(2 pi i
+    (n+nu))^k), k = 1..K, as mpmath numbers, for a rational v = p/q that is
+    not an integer: by partial fractions, 1/(n (n+nu)^k) = nu^{-k}/n -
+    sum_{l<=k} nu^{-(k-l+1)}/(n+nu)^l, and with z = e^{2 pi i v}, z^q = 1,
+    sum_{n>=1} z^n/n = -log(1 - z) and sum_{n>=1} z^n/(n+nu)^l = q^{-l}
+    sum_{a=1..q} z^a zeta(l, (a+nu)/q) (for l = 1, -digamma in place of
+    zeta: sum_a z^a = 0 cancels the divergent part); nu -> -nu for n < 0."""
+    with mp.workdps(dps):
+        nu, q = mp.mpf(nu), v.denominator
+
+        def side(z, w):  # sum_{n>=1} z^n/n and sum_{n>=1} z^n/(n+w)^l, l = 1..K
+            zs = [z**a for a in range(1, q + 1)]
+            sums = [mp.fsum(za * -mp.digamma((a + w) / q) for a, za in enumerate(zs, 1)) / q]
+            sums += [mp.fsum(za * mp.zeta(l, (a + w) / q) for a, za in enumerate(zs, 1)) / mp.mpf(q) ** l for l in range(2, K + 1)]
+            return -mp.log(1 - z), sums
+
+        vv = mp.mpf(v.numerator) / q
+        (lp, sp), (lm, sm) = side(mp.expjpi(2 * vv), nu), side(mp.expjpi(-2 * vv), -nu)
+        out = []
+        for k in range(1, K + 1):
+            plus = lp / nu**k - mp.fsum(sp[l - 1] / nu ** (k - l + 1) for l in range(1, k + 1))
+            minus = lm / (-nu) ** k - mp.fsum(sm[l - 1] / (-nu) ** (k - l + 1) for l in range(1, k + 1))
+            out.append(mp.expjpi(2 * nu * vv) * (plus + (-1) ** (k + 1) * minus) / (2j * mp.pi) ** (k + 1))
+        return out
+
+
+def far_tail_oracle(b: complex, rmax: int, u0: float, alpha: float, dps: int = 60) -> list:
+    """The plain far tail sum_k (-1)^{k+1} B_{k+2}({u0 - alpha})/(k+2)!
+    g_r^(k)(u0), k = 0..12, g_r = u^b log^r u, r = 0..rmax, as mpmath
+    numbers: the periodic Bernoulli values exact at the exact u0 - alpha,
+    the derivatives from the coefficients' own recursion c[k + 1, i] = (b -
+    k) c[k, i] + (i + 1) c[k, i + 1], c[0] = (0, ..., 0, 1)."""
+    with mp.workdps(dps):
+        bb, x = mp.mpc(b.real, b.imag), mp.mpf(u0)
+        v, ll = x - mp.mpf(alpha), mp.log(x)
+        f = v - mp.floor(v)
+        coeff = [(-1) ** (k + 1) * mp.bernpoly(k + 2, f) / mp.factorial(k + 2) for k in range(13)]
+        out = []
+        for r in range(rmax + 1):
+            c, acc = [mp.mpc(0)] * r + [mp.mpc(1)], 0
+            for k in range(13):
+                acc += coeff[k] * mp.power(x, bb - k) * mp.fsum(c[i] * ll**i for i in range(r + 1))
+                c = [(bb - k) * c[i] + ((i + 1) * c[i + 1] if i < r else 0) for i in range(r + 1)]
+            out.append(acc)
+        return out
 
 
 def periodic_bernoulli(m: int, v: float) -> float:

@@ -278,13 +278,14 @@ def test_non_finite_numbers_are_refused_at_parse_time(capsys, argv):
 
 
 def test_shifted_sums_past_their_cap_exit_one_with_one_line(capsys):
-    # at lambda = 0.999 the weighted tails' shifted Fourier sums converge at rate
-    # 0.999 and reach their cap of 4000 terms unmet; the value they gave was off
-    # by 1.4e-2 against a bound of 4.1e-9
+    # lambda = 0.999 lies past the shifted Fourier sums' cap of nu = 31/32:
+    # there the rounding of their phase, which no bound books, outgrows the
+    # bound (at rate nu the sums had reached their old cap of 4000 terms, and
+    # the value they gave was off by 1.4e-2 against a bound of 4.1e-9)
     assert run(["eval", "--kind", "lerch", "--lambda", "0.999", "--alpha", "0.7", "--s", "0.5,10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the shifted Fourier sums at nu = 0.999 do not converge within 4000 terms\n"
+    assert captured.err == "error: the shifted Fourier sums at nu = 0.999 are refused above nu = 0.96875, where the rounding of their phase is not booked\n"
 
 
 def test_overflow_exits_one_with_one_line(capsys):
@@ -518,8 +519,12 @@ def test_tail_log_power_is_capped(capsys):
 # z ... --r 3`) when the kernel took p^{-s} real at real s and (-log p)^r
 # from |log p|^r, the Lerch entries (`eval --kind lerch`, `coeff --kind
 # lerch`) when it took p^{-s} e^{2 pi i lam k} once per block, plain
-# `tail` when it booked its far tail's rounding, and the `afe` entries when
-# the AFE became its Z core (its dual sum adds to 0)
+# `tail` when it booked its far tail's rounding, the `afe` entries when
+# the AFE became its Z core (its dual sum adds to 0), and the `certify
+# --bound t3`, default-split Lerch (`eval --kind lerch`, `coeff --kind
+# lerch`) and plain `tail` entries when the far tails took the derivatives
+# of every order from one (k, r - i) table, the plain tail's coefficients
+# from one polynomial pass and the shift sums their terms n = +-1 in closed form
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -532,7 +537,7 @@ GOLDEN_DIGESTS = [
         "de8617fc770ae4f8a434940d6ca8f88e9aa13528e39c06377d9b744c5866716c",
     ),
     (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
-    (["certify", "--bound", "t3"], "c08323e582d3c510f1a42a209e2ad1ac7c0cee47957914c05f03d23aa0b0fdb6"),
+    (["certify", "--bound", "t3"], "a56f4bcf539f9be13f92ca1712251447e1a566282e8d18a690be64affd7f611f"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
         "a0089386fa176e04157d7e5ddca0f2f8179685f5a2b1cf5dc3e5505254118581",
@@ -554,7 +559,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "44b2f11c833e161f77f63ae57467fd248a7e156678edb1371503c13e804b11d7",
+        "1dbc895aefc9fa85f9f3e320f3c0a2915a4589cca2dea6839b74a7f02ade3ad5",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -566,7 +571,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "cc202a622d583a21dafc64befab900f16f157966a01bf41aa0453da1184d9837",
+        "46d2e13e277f85fcbc7eb648060f2b7af70f938152a022763ea324dc2430693b",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -595,7 +600,7 @@ GOLDEN_DIGESTS = [
     (["certify", "--bound", "t2-iib"], "71a5a236363f37c268f283fcc8abc0c1b9a334576ff4883711a072d64013b934"),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "59ed562a54abe5fea6086520108719cbca144bd71c62a295e878758c9c717d48",
+        "416d889442f6cf99519cf83a9ab65af519b42b049ff2608b972122766f4c10f7",
     ),
     (
         ["eval", "--kind", "z", "--s", "0.6,200", "--a", "3", "--q", "7", "--r", "3"],
@@ -656,13 +661,14 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # its dual sum; the afe and plain tail entries with the GOLDEN_DIGESTS of the
 # Euler-Maclaurin intervals, the plain tail and Lerch entries with those
 # of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k},
-# and the afe entry with those of the AFE as its Z core
+# the afe entry with those of the AFE as its Z core, and the plain tail and
+# Lerch entries with those of the far-tail layer from one (k, r - i) table
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "f4aec3a18c1966d9a26443aa1378cb3754874a664921e93ff16f74c3d5c3564a",
+        "f20ab38c9a4dc98eca6f41992dcfc88b3a411cf791b30f7f8ccff1c29da8d8de",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -670,7 +676,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "3", "--alpha", "0.4", "--re-a", "-1.5", "--im-a", "40", "--r", "3"],
-        "7d559fcb14d0e9466867b5169dd89025b33943cad2a798a2c9ac384c1aad5f43",
+        "6e16da5bf8142d17820e6a66dc9d12fdf8b2c713d920bc32a9f0c00035de627c",
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],

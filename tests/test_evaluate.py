@@ -353,6 +353,24 @@ def test_lerch_default_split_bound_holds_against_the_rational_lambda_oracle():
     assert broken == set()
 
 
+def test_lerch_near_lambda_one_answers_to_31_32_and_refuses_beyond():
+    # the shifted Fourier sums converge at rate lambda/2, so the cap of 4000
+    # terms that refused lambda above about 0.965 is gone; 31/32 answers within
+    # its bound against the rational-lambda oracle (t <= 30, r <= 1), while
+    # 255/256, whose far-tail phase at the cutoff near 2000 rounds by more than
+    # the bound books (1.4 times it at s = 0.5, alpha = 0.7, r = 1), is refused
+    lam = Fraction(31, 32)
+    for alpha in (0.7, 0.25):
+        for t in (0.0, 10.0, 30.0):
+            s = complex(0.5, t)
+            for r in (0, 1):
+                got = lerch_deriv(LerchArgs(lam=float(lam), alpha=alpha, s=s, order=r))
+                assert _held(got, lerch_oracle(s, lam, alpha, r)), (alpha, t, r)
+    for lam in (255 / 256, 0.999):
+        with pytest.raises(ValueError, match="refused above nu = 0.96875"):
+            lerch_deriv(LerchArgs(lam=lam, alpha=0.7, s=complex(0.5, 0.0), order=1))
+
+
 def test_lerch_conjugation_pair():
     lam, alpha, s, r = 0.3, 0.7, 1.2, 1
     a = lerch_deriv(LerchArgs(lam=1.0 - lam, alpha=alpha, s=s, order=r))

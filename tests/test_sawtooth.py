@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +25,7 @@ from zetalab.sawtooth import (
     pure_osc_tail_powers,
 )
 
-from .oracles import euler_gamma_limit, periodic_bernoulli, phi_bernoulli, psi_piecewise_integral, psi_tail_oracle, quad_psi_osc_tail, quad_psi_tail
+from .oracles import euler_gamma_limit, periodic_bernoulli, psi_piecewise_integral, psi_tail_oracle, quad_psi_osc_tail, quad_psi_tail
 
 
 # ---------------------------------------------------------------------------
@@ -405,42 +406,82 @@ def ref_march_exact(vals, lo, hi, alpha, b, rmax, mags=None) -> None:
                 mags[m] += abs(j_hi[m]) + abs(c) * abs(j_lo[m])
 
 
-def ref_deriv_rows(b: complex, r: int, kmax: int) -> list[list[complex]]:
-    """Coefficient rows of g^(k) for g = u^b log^r u, one scalar recursion per
-    order: row k holds c[i] with g^(k)(u) = u^{b-k} sum_i c[i] log^i u."""
-    rows = [[0.0 + 0.0j] * (r + 1)]
-    rows[0][r] = 1.0 + 0.0j
+def ref_deriv_table(b: complex, rmax: int, kmax: int) -> list[list[complex]]:
+    """Rows k = 0..kmax of d[k, j], j = 0..rmax, one scalar product and sum at
+    a time: d[k + 1, j] = (b - k) d[k, j] + d[k, j - 1] from d[0] = (1, 0,
+    ...), so that g_r^(k)(u) = u^{b-k} sum_j r!/(r - j)! d[k, j] log^{r-j} u
+    for g = u^b log^r u, every r <= rmax."""
+    rows = [[1.0 + 0.0j] + [0.0 + 0.0j] * rmax]
     for k in range(kmax):
-        prev = rows[k]
-        nxt = [0.0 + 0.0j] * (r + 1)
-        for i in range(r + 1):
-            nxt[i] = (b - k) * prev[i]
-            if i + 1 <= r:
-                nxt[i] += (i + 1) * prev[i + 1]
+        prev = rows[-1]
+        nxt = [(b - k) * prev[0]]
+        for j in range(1, rmax + 1):
+            nxt.append((b - k) * prev[j] + prev[j - 1])
         rows.append(nxt)
     return rows
 
 
-def ref_row_eval(row: list[complex], b_minus_k: complex, u: float) -> complex:
-    """One g^(k)(u) from its row: scalar Horner in log u, then one exponential."""
+def ref_row_sum(rows, k: int, r: int, u: float) -> complex:
+    """sum_j d[k, j] r!/(r - j)! log^{r-j} u from the table rows: the terms (0
+    beyond j = r, the powers of log u by a running product) added in turn
+    from j = 0; times u^{b-k} it is g_r^(k)(u)."""
     ll = math.log(u)
-    acc = 0.0 + 0.0j
-    for i in reversed(range(len(row))):
-        acc = acc * ll + row[i]
-    return acc * cmath.exp(b_minus_k * math.log(u))
+    powers = [1.0]
+    for _ in range(len(rows[k]) - 1):
+        powers.append(powers[-1] * ll)
+    terms = [c * (float(math.perm(r, j)) * powers[r - j] if j <= r else 0.0) for j, c in enumerate(rows[k])]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc += t
+    return acc
 
 
-def ref_far_tail(rows_all, b, u0, coeffs) -> np.ndarray:
-    """sawtooth._far_tail from the scalar rows, one ref_row_eval per (k, r)."""
-    c = np.asarray(coeffs, dtype=complex).T[:, :, None]  # (k, row, 1)
-    g = np.array([[ref_row_eval(rows[k], b - k, u0) for rows in rows_all] for k in range(c.shape[0])])[:, None, :]
-    return sum(c * g, np.zeros((c.shape[1], g.shape[2]), dtype=complex))
+def ref_far_tail(rows, b, u0, coeffs) -> np.ndarray:
+    """sawtooth._far_tail from the scalar table: one ref_row_sum per (k, r) and
+    one exponential u0^{b-k} per k, each coefficient times its exponential
+    times the sums, the terms of each row of coefficients added in k order."""
+    c = np.asarray(coeffs).T[:, :, None]  # (k, row, 1)
+    s = np.array([[ref_row_sum(rows, k, r, u0) for r in range(len(rows[0]))] for k in range(c.shape[0])])[:, None, :]
+    e = np.array([cmath.exp((b - k) * math.log(u0)) for k in range(c.shape[0])])[:, None, None]
+    terms = c * e * s
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
 
 
-def ref_far_remainders(rows_all, b, u0, scale) -> list[float]:
-    """sawtooth._far_remainders from the scalar rows, one integral per (r, i)."""
-    K = len(rows_all[0]) - 1
-    return [scale * sum(abs(c) * power_log_tail_abs(b.real - K, i, u0) for i, c in enumerate(rows[K]) if c) for rows in rows_all]
+def ref_far_remainders(rows, b, u0, scale) -> list[float]:
+    """sawtooth._far_remainders from the scalar table: scale sum_i r!/i! |d[K,
+    r - i]| int_u0^inf u^{Re b - K} log^i u du, the terms added from i = 0."""
+    K, size = len(rows) - 1, len(rows[0])
+    out = []
+    for r in range(size):
+        terms = [(float(math.perm(r, r - i)) * abs(rows[K][r - i]) if i <= r else 0.0) * power_log_tail_abs(b.real - K, i, u0) for i in range(size)]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc += t
+        out.append(scale * acc)
+    return out
+
+
+def ref_tail_coefficient(m: int, v: float) -> float:
+    """(-1)^{m-1} B_m({v})/m!, one order at one point, in y = {v} - 1/2 from
+    B_m(1/2 + y)/m! = sum_k C(m, k) B_k(1/2) y^{m-k}/m!, B_k(1/2) = (2^{1-k}
+    - 1) B_k (mpmath's exact Bernoulli numbers), whose terms are all even or
+    all odd in y: the terms in z = y^2, the powers of z by a running product,
+    the 8 terms z^0..z^7 (0 above degree m) added in turn, times y for odd m."""
+    y = v - math.floor(v) - 0.5
+    powers = [1.0]
+    for _ in range(7):
+        powers.append(powers[-1] * (y * y))
+    coeff = [0.0] * 8  # by power of z
+    for k in range(0, m + 1, 2):  # B_k(1/2) = 0 for odd k
+        p, q = mp.bernfrac(k)
+        coeff[(m - k) // 2] = float((-1) ** (m - 1) * math.comb(m, k) * (Fraction(2) ** (1 - k) - 1) * Fraction(int(p), int(q)) / math.factorial(m))
+    acc = coeff[0] * powers[0]
+    for i in range(1, 8):
+        acc += coeff[i] * powers[i]
+    return acc * y if m % 2 else acc
 
 
 def ref_psi_tail_powers(x, alpha, b, rmax):
@@ -458,20 +499,15 @@ def ref_psi_tail_search(x, alpha, b, rmax, march=True):
     vals = [0.0 + 0.0j] * (rmax + 1)
     mags = [0.0] * (rmax + 1)
     cur = x
-    rows_all = [ref_deriv_rows(b, r, kt - 1) for r in range(rmax + 1)]
+    rows = ref_deriv_table(b, rmax, kt - 1)
     while True:
         if march:
             ref_march_exact(vals, cur, u0, alpha, b, rmax, mags)
         cur = u0
         v = u0 - alpha if u0 < 2.0**52 else -alpha  # from 2^52 on u0 is an integer
-        coeffs = [(-1.0) ** (k + 1) * periodic_bernoulli(k + 2, v) for k in range(kt - 1)]
-        tails = []
-        for rows in rows_all:
-            acc = 0.0 + 0.0j
-            for k, c in enumerate(coeffs):
-                acc += c * ref_row_eval(rows[k], b - k, u0)
-            tails.append(acc)
-        rems = ref_far_remainders(rows_all, b, u0, 2.5 / (2.0 * math.pi) ** kt)  # |B_m({v})/m!| <= 2.5/(2 pi)^m
+        coeffs = [ref_tail_coefficient(k + 2, v) for k in range(kt - 1)]
+        tails = ref_far_tail(rows, b, u0, [coeffs])[0].tolist()
+        rems = ref_far_remainders(rows, b, u0, 2.5 / (2.0 * math.pi) ** kt)  # |B_m({v})/m!| <= 2.5/(2 pi)^m
         tol_abs, tol_rel = sawtooth._TOL_ABS, sawtooth._TOL_REL
         ok = all(rem <= max(tol_abs, tol_rel * abs(vals[r] + tails[r])) for r, rem in enumerate(rems))
         if ok or u0 > 5e6:
@@ -817,22 +853,55 @@ def ref_gl_panels(vals, errs, pts, nu, b, rmax, alpha=None) -> None:
             lp = lp * logs
 
 
-def ref_psi_fourier_shift_sum(k: int, v: float, nu: float) -> complex:
-    acc = 0.0 + 0.0j
-    binom = 1.0
-    zj = 1.0 + 0.0j
-    j = 0
-    while True:
-        term = binom * zj * phi_bernoulli(k + 1 + j, v)
-        acc += term
-        if binom * nu**j * 2.6 < 1e-18 * max(1.0, abs(acc)) and j > 4:
-            break
+def ref_shift_columns(K: int, nu: float) -> int:
+    """The column count of the shifted sums, one column j at a time: j + 1 at
+    the first j > 4 where every row's bound C(k + j - 1, j) 2.6 (nu/2)^j
+    2^{-(k+1)} (1 - nu)^k, k = 1..K, is below 1e-18."""
+    binom, half, j = [1.0] * K, 2.6, 0
+    while not (j > 4 and all(c * half * (0.5 ** (k + 1) * (1.0 - nu) ** k) < 1e-18 for k, c in zip(range(1, K + 1), binom))):
         j += 1
-        if j > 4000:
-            break
-        binom *= (k + j - 1) / j
-        zj *= -1j * nu
-    return -cmath.exp(2j * math.pi * nu * v) * sawtooth.TWO_PI ** (-(k + 1)) * acc
+        half *= 0.5 * nu
+        binom = [c * ((k + j - 1) / j) for k, c in zip(range(1, K + 1), binom)]
+    return j + 1
+
+
+def ref_phi_shifted(m: int, v: float) -> float:
+    """-sum_{|n|>=2} e^{2 pi i n v}/(i n)^m at one order and point: up to m =
+    14 (2 pi)^m B_m({v})/m! + 2 cos(2 pi v - pi m/2), else its terms n = 2,
+    3, ... while n^{-m} >= 1e-20 and n <= 64 subtracted from 0 in turn; each
+    cosine at 2 pi n {v}, cos(x - pi m/2) as cos x, sin x, -cos x, -sin x."""
+    f = v - math.floor(v)
+
+    def quarter(n: int) -> float:
+        x = sawtooth.TWO_PI * float(n) * f
+        return [math.cos(x), math.sin(x), -math.cos(x), -math.sin(x)][m % 4]
+
+    if m <= 14:
+        return ref_tail_coefficient(m, f) * ((-1.0) ** (m - 1) * sawtooth.TWO_PI**m) + 2.0 * quarter(1)
+    acc, n = 0.0, 2
+    while n <= 64 and (n == 2 or n ** (-m) >= 1e-20):
+        acc -= 2.0 * quarter(n) / float(n**m)
+        n += 1
+    return acc
+
+
+def ref_psi_fourier_shift_sum(k: int, v: float, nu: float, K: int) -> complex:
+    """Psi_k(v, nu) one term at a time: the j-series of the terms |n| >= 2 to
+    the column count of K rows, added to 0 in turn, and the terms n = +-1 by
+    k products each."""
+    acc, binom, zj = 0j, 1.0, 1.0 + 0.0j
+    for j in range(ref_shift_columns(K, nu)):
+        if j:
+            binom *= (k + j - 1) / j
+            zj *= -1j * nu
+        acc += binom * zj * ref_phi_shifted(k + 1 + j, v)
+    f, c0 = v - math.floor(v), 1.0 / (2j * math.pi)
+    e1 = complex(math.cos(sawtooth.TWO_PI * f), math.sin(sawtooth.TWO_PI * f))
+    plus, minus = c0 * e1, c0 * e1.conjugate()
+    for _ in range(k):
+        plus *= c0 / (1.0 + nu)
+        minus *= c0 / (nu - 1.0)
+    return cmath.exp(2j * math.pi * nu * v) * (plus - minus - sawtooth.TWO_PI ** (-(k + 1)) * acc)
 
 
 def _panel_walk(x: float, panels: int, nu: float, alpha: float | None, rng) -> list[float]:
@@ -864,37 +933,50 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():
+    # up to nu = 31/32, past the old cap of 4000 terms at rate nu (nu above
+    # about 0.965); beyond it the sums are refused (_NU_MAX)
     rng = np.random.default_rng(31)
-    for nu in (0.05, 0.3, 0.5, 0.9, 0.999):
+    K = sawtooth._K_OSC
+    for nu in (0.05, 0.3, 0.5, 0.9, 31 / 32, 0.999):
         for v in [0.0, 0.5, 12.25] + rng.uniform(-3.0, 5000.0, 3).tolist():
-            if nu == 0.999:  # the series converge at rate nu: they reach the cap j = 4000 unmet
-                with pytest.raises(ValueError, match="do not converge within 4000 terms"):
-                    sawtooth._psi_fourier_shift_sums(sawtooth._K_OSC, v, nu)
+            if nu == 0.999:
+                with pytest.raises(ValueError, match="refused above nu = 0.96875"):
+                    sawtooth._psi_fourier_shift_sums(K, v, nu)
                 continue
-            got = sawtooth._psi_fourier_shift_sums(sawtooth._K_OSC, v, nu)
-            want = tuple(ref_psi_fourier_shift_sum(k, v, nu) for k in range(1, sawtooth._K_OSC + 1))
+            got = sawtooth._psi_fourier_shift_sums(K, v, nu)
+            want = tuple(ref_psi_fourier_shift_sum(k, v, nu, K) for k in range(1, K + 1))
             assert repr(got) == repr(want)
 
 
-def ref_shift_columns(K: int, nu: float) -> int:
-    """The column count of the shifted sums from one scan of all 4001 j."""
-    j = np.arange(sawtooth._SHIFT_STEPS + 1)
-    last = np.cumprod(np.concatenate([[1.0], (K + j[1:] - 1) / j[1:]])) * np.power(nu, j) * 2.6 < 1e-18 * (1.0 - 1e-9)
-    return 6 + int(last[5:].argmax()) if last[5:].any() else sawtooth._SHIFT_STEPS + 1
+@pytest.mark.parametrize("nu", [1 / 16, 1 / 2, 15 / 16, 31 / 32])
+def test_shift_sums_hold_against_mpmath(nu):
+    # every Psi_k, k = 1..16, within 1e-13 of its modulus of a 40-digit sum by
+    # Hurwitz zeta values at a rational v (oracles.shift_sum_oracle); v small
+    # enough that the phase e^{2 pi i nu v}, rounded by eps 2 pi nu v, stays below that
+    from .oracles import shift_sum_oracle
+
+    K = sawtooth._K_OSC
+    for v in (Fraction(3, 8), Fraction(31, 4), Fraction(97, 8), Fraction(77, 4)):
+        got = sawtooth._psi_fourier_shift_sums(K, float(v), nu)
+        want = shift_sum_oracle(K, v, nu)
+        for k in range(1, K + 1):
+            assert abs(got[k - 1] - complex(want[k - 1])) <= 1e-13 * abs(want[k - 1]), (v, k)
 
 
 def test_shift_columns_match_the_scan_of_every_column():
-    # the count is sought on growing prefixes of the j; it must be the full scan's
-    for nu in [p / 16 for p in range(1, 16)] + [1e-3, 0.5, 0.9, 0.95, 0.96]:
-        assert sawtooth._shift_table(sawtooth._K_OSC, nu)[0] == ref_shift_columns(sawtooth._K_OSC, nu), nu
-    assert sawtooth._shift_table(sawtooth._K_OSC, 0.999)[0] == sawtooth._SHIFT_STEPS + 1
+    # the count from one array of columns must be the column-by-column scan's,
+    # and at rate nu/2 it stays below 110 up to the float below 1
+    for nu in [p / 16 for p in range(1, 16)] + [1e-3, 0.5, 0.9, 0.95, 0.96, 0.999, 31 / 32, 255 / 256, math.nextafter(1.0, 0.0)]:
+        n = sawtooth._shift_table(sawtooth._K_OSC, nu)[0]
+        assert n == ref_shift_columns(sawtooth._K_OSC, nu) and n < 110, nu
 
 
 @pytest.mark.parametrize("K", [13, 16])
 def test_far_tails_match_the_scalar_rows_bit_for_bit(K):
-    # every order's rows from one table, Horner and the exponential as arrays:
-    # the values, remainders and the table itself (the signs of its zeros too)
-    # are those of the scalar loops, for real b (of either zero sign) and complex b
+    # the table of every order at once, its far tails and remainders as arrays:
+    # the table itself (the signs of its zeros too), the values and remainders
+    # are those of the scalar loops, for real b (of either zero sign) and complex b,
+    # for real coefficients (the plain tail's) and complex ones
     rng = np.random.default_rng(K)
     for case in range(40):
         rmax = [0, 1, 4, 8, 24][case // 2 % 5]
@@ -903,20 +985,63 @@ def test_far_tails_match_the_scalar_rows_bit_for_bit(K):
         else:
             b = complex(rng.uniform(-30.0, -0.05), rng.uniform(-1000.0, 1000.0))
         u0 = float(np.exp(rng.uniform(math.log(8.0), math.log(5e7))))
-        rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
+        rows = ref_deriv_table(b, rmax, K)
         table = sawtooth._deriv_table(b, rmax, K, math.copysign(1.0, b.imag))
-        want = np.array([[rows[k][i] if i <= r else 0j for r, rows in enumerate(rows_all)] for i in range(rmax + 1) for k in range(K + 1)])
-        assert np.array_equal(table[0].reshape(want.shape).view(np.uint64), want.view(np.uint64)), (b, rmax)
+        assert np.array_equal(np.ascontiguousarray(table[0]).view(np.uint64), np.array(rows).view(np.uint64)), (b, rmax)
         coeffs = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
-        for c in (coeffs, coeffs.real + 0j):
+        for c in (coeffs, coeffs.real + 0j, coeffs.real):
             got = sawtooth._far_tail(table, b, u0, c)
-            assert np.array_equal(got.view(np.uint64), ref_far_tail(rows_all, b, u0, c).view(np.uint64)), (b, rmax, u0)
+            assert np.array_equal(got.view(np.uint64), ref_far_tail(rows, b, u0, c).view(np.uint64)), (b, rmax, u0)
         scale = float(rng.uniform(1e-12, 1.0))
-        assert repr(sawtooth._far_remainders(table, b, u0, scale)) == repr(ref_far_remainders(rows_all, b, u0, scale))
+        assert repr(sawtooth._far_remainders(table, b, u0, scale)) == repr(ref_far_remainders(rows, b, u0, scale))
+
+
+@pytest.mark.parametrize("b", [complex(-2.0), complex(-1.5, -30.0), complex(-0.5, 1e4)])
+def test_far_tail_and_its_table_hold_against_exact_derivatives(b):
+    # the table to k = 16 within the 5 k eps M[k, j] that _far_tail_rounding books
+    # for it (M the recursion of the moduli), against the product
+    # (x + b)...(x + b - k + 1) in 60-digit mpmath; the plain far tail at the
+    # first cutoff and twice it within _far_tail_rounding, against sum_k c_k
+    # g_r^(k)(u0) from the exact B_m({u0 - alpha})/m! and the coefficients'
+    # own recursion c[k + 1, i] = (b - k) c[k, i] + (i + 1) c[k, i + 1]
+    from .oracles import far_tail_oracle
+
+    eps, K = sawtooth._EPS, 16
+    table = sawtooth._deriv_table(b, 24, K, math.copysign(1.0, b.imag))[0]
+    with mp.workdps(60):
+        poly, moduli = [mp.mpc(1)], np.eye(1, 25)[0]
+        for k in range(K + 1):
+            exact = [complex(c) for c in poly] + [0j] * (25 - len(poly))
+            assert np.all(np.abs(table[k] - exact) <= 5 * k * eps * moduli), k
+            poly = [(mp.mpc(b) - k) * (poly[j] if j < len(poly) else 0) + (poly[j - 1] if j else 0) for j in range(len(poly) + 1)]
+            moduli = abs(b - k) * moduli + np.concatenate([[0.0], moduli[:-1]])
+    for rmax in (0, 8, 24):
+        first = sawtooth._first_cutoff(b, rmax)
+        for u0, alpha in ((first, 0.3), (2.0 * first, 1.0)):
+            cut = sawtooth._deriv_table(b, rmax, sawtooth._K_TAIL - 1, math.copysign(1.0, b.imag))
+            got = sawtooth._far_tail(cut, b, u0, sawtooth._bernoulli_rows(np.array([u0 - alpha])).T)[0]
+            bound = sawtooth._far_tail_rounding(b, rmax, u0, alpha)
+            want = far_tail_oracle(b, rmax, u0, alpha)
+            for r in range(rmax + 1):
+                assert abs(got[r] - complex(want[r])) <= bound[r], (rmax, u0, r)
+
+
+def test_plain_tail_charges_each_interval_before_it_is_integrated(monkeypatch):
+    # two rows from x = 1 at b = -1.0001 + 50i, r = 24 double their first cutoff
+    # 176 twice: each interval, 1 -> 176 -> 352 -> 704, is charged for the rows
+    # still open just before it is integrated (only the first one was)
+    events, check, interval = [], sawtooth._check_work, sawtooth._psi_interval
+    monkeypatch.setattr(sawtooth, "_check_work", lambda pieces: events.append(pieces) or check(pieces))
+    monkeypatch.setattr(sawtooth, "_psi_interval", lambda sums, lo, hi, alphas, *rest: events.append((lo, hi, alphas.size)) or interval(sums, lo, hi, alphas, *rest))
+    psi_tail_powers_batch(1.0, [0.3, 0.7], complex(-1.0001, 50.0), 24)
+    walks = [(i, e) for i, e in enumerate(events) if isinstance(e, tuple)]
+    assert [round(hi) for _, (_, hi, _) in walks] == [176, 352, 704] and walks[0][1][0] == 1.0
+    for i, (lo, hi, rows) in walks:
+        assert events[i - 1] == rows * (hi - lo)
 
 
 def _per_k_shift_sums(K, v, nu):
-    return tuple(ref_psi_fourier_shift_sum(k, v, nu) for k in range(1, K + 1))
+    return tuple(ref_psi_fourier_shift_sum(k, v, nu, K) for k in range(1, K + 1))
 
 
 @pytest.mark.parametrize(
@@ -950,16 +1075,16 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
-    rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
+    rows = ref_deriv_table(b, rmax, K)
     sk = _osc_remainder_const(nu)
-    while max(ref_far_remainders(rows_all, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
+    while max(ref_far_remainders(rows, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
     vals = [0.0 + 0.0j] * (rmax + 1)
     errs = [0.0] * (rmax + 1)
     sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
-    tails = ref_far_tail(rows_all, b, x0, [coeffs])[0].tolist()
-    rems = ref_far_remainders(rows_all, b, x0, sk)
+    tails = ref_far_tail(rows, b, x0, [coeffs])[0].tolist()
+    rems = ref_far_remainders(rows, b, x0, sk)
     return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
@@ -988,14 +1113,31 @@ def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
         psi_osc_tail_powers(0.5, 0.5, -1.5, 0, 1e300)
 
 
-def test_fourier_bernoulli_rows_match_the_scalar_series():
-    # orders 13 and 14 of the far tail take the Fourier branch, over all entries at
-    # once; np.cos may round unlike math.cos, by an ulp of each of at most 64 terms
+def test_bernoulli_rows_hold_against_mpmath():
+    # the plain far tail's coefficients (-1)^{m-1} B_m({v})/m!, m = 2..14, from
+    # one polynomial pass over all entries at once, within their booked
+    # rounding (_tail_coeff_bounds, v exact here) of 40-digit B_m({v})/m!;
+    # and the series without n = +-1 of the shift sums, m = 2..40, within the
+    # rounding of its pieces: below 15 that of the pass, scaled, and of the
+    # cosine; from 15 on, each term 2 cos(2 pi n {v} - pi m/2)/n^m by eps (2 pi n + 4)
+    eps, two_pi = sawtooth._EPS, sawtooth.TWO_PI
     rng = np.random.default_rng(13)
-    v = np.concatenate([rng.uniform(-3.0, 5000.0, 300), [0.0, -0.25, 0.5, 2.0**40 + 0.75]])
-    for m in (13, 14, 20):
-        want = np.array([phi_bernoulli(m, float(x)) for x in v])
-        assert np.all(np.abs(sawtooth._phi_bernoulli(range(m, m + 1), v)[0] - want) <= 8.0 * sawtooth._EPS)
+    v = np.concatenate([rng.uniform(-3.0, 5000.0, 60), [0.0, -0.25, 0.5, 0.25 - 2.0**-60, 2.0**40 + 0.75]])
+    rows, (_, coeff) = sawtooth._bernoulli_rows(v), sawtooth._tail_coeff_bounds()
+    with mp.workdps(40):
+        for j, x in enumerate(v.tolist()):
+            f = mp.mpf(x) - mp.floor(x)
+            for m in range(2, 15):
+                want = (-1) ** (m - 1) * mp.bernpoly(m, f) / mp.factorial(m)
+                assert abs(rows[m - 2, j] - want) <= coeff[m - 2] * eps, (m, x)
+            got = sawtooth._phi_shifted(41, x)
+            for m in range(2, 41):
+                want = (2 * mp.pi) ** m * mp.bernpoly(m, f) / mp.factorial(m) + 2 * mp.cos(2 * mp.pi * f - mp.pi * m / 2)
+                if m < 15:
+                    bound = (coeff[m - 2] * two_pi**m + 2.0 * (two_pi + 4.0)) * eps
+                else:
+                    bound = sum(2.0 * (two_pi * n + 4.0) * n ** -float(m) for n in range(2, 65)) * eps + 2e-20
+                assert abs(got[m - 2] - want) <= bound, (m, x)
 
 
 @pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])
@@ -1044,9 +1186,9 @@ def ref_osc_search(nu, b, rmax, x, weighted, final):
     else:
         x0, scale, cap = max(x, reach / (math.pi * abs(nu)), 8.0), (2.0 * math.pi * abs(nu)) ** -K, 4000.0 * max(0.45 / abs(nu), 0.5)
     cap, rel = (math.inf, sawtooth._TOL_REL) if final else (cap, 0.0)
-    rows_all = [ref_deriv_rows(b, r, K) for r in range(rmax + 1)]
+    rows = ref_deriv_table(b, rmax, K)
     while True:
-        rems = ref_far_remainders(rows_all, b, x0, scale)
+        rems = ref_far_remainders(rows, b, x0, scale)
         met = all(rem <= max(sawtooth._TOL_ABS, rel * x0**b.real * math.log(x0) ** m) for m, rem in enumerate(rems))
         capped = not (2.0 * x0 - x < cap and x0 < 5e7)
         if met or capped:

@@ -26,13 +26,17 @@ targets: the best of N calls of each, timed with time.perf_counter.
     lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
                               s = 0.5+300i, r = 2, split x = 3
 
-and the far-tail expansion layer alone:
+and the far-tail expansion layer alone, each call with the caches that a
+new request fills (the derivative tables, the shift sums) cleared first:
 
+    deriv table r=20          sawtooth._deriv_table(-1.5-30i, 20, 16, -1): the
+                              derivative table of every order r <= 20
     _tail_cutoff s=0.5+30i    sawtooth._tail_cutoff at one class, alpha = 0.3,
-                              b = -s-1, s = 0.5+30i, r = 2: the plain tail's
-                              cutoff search and its far tails
-    shift sums nu=1/16        sawtooth._psi_fourier_shift_sums(16, 123.3, nu),
-    shift sums nu=15/16       its result cache cleared before each call
+    _tail_cutoff r=20         b = -s-1, s = 0.5+30i, r = 2 and r = 20: the
+                              plain tail's cutoff search and its far tails
+    shift sums nu=1/16        sawtooth._psi_fourier_shift_sums(16, 123.3, nu)
+    shift sums nu=12/16
+    shift sums nu=15/16
     lerch_deriv 15/16 t=30    lerch_deriv at the default split, lambda = 15/16,
                               alpha = 0.7, s = 0.5+30i, r = 1
 
@@ -73,11 +77,17 @@ def main(argv: list[str]) -> int:
     from zetalab.characters import character, enumerate_characters
     from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
-    from zetalab.sawtooth import _psi_fourier_shift_sums, _tail_cutoff
+    from zetalab.sawtooth import _deriv_table, _psi_fourier_shift_sums, _tail_cutoff
 
-    def shift_sums(nu: float):
-        _psi_fourier_shift_sums.cache_clear()
-        return _psi_fourier_shift_sums(16, 123.3, nu)
+    def fresh(fn):
+        """fn with the caches a new request fills cleared before each call."""
+
+        def call():
+            _deriv_table.cache_clear()
+            _psi_fourier_shift_sums.cache_clear()
+            return fn()
+
+        return call
 
     chi, chi3, chi4, chi971 = character(1009, 1), character(3, 1), character(4, 1), character(971, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
@@ -97,10 +107,13 @@ def main(argv: list[str]) -> int:
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
         ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
-        ("_tail_cutoff s=0.5+30i", lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2)),
-        ("shift sums nu=1/16", lambda: shift_sums(1.0 / 16.0)),
-        ("shift sums nu=15/16", lambda: shift_sums(15.0 / 16.0)),
-        ("lerch_deriv 15/16 t=30", lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 30.0), order=1))),
+        ("deriv table r=20", fresh(lambda: _deriv_table(complex(-1.5, -30.0), 20, 16, -1.0))),
+        ("_tail_cutoff s=0.5+30i", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2))),
+        ("_tail_cutoff r=20", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 20))),
+        ("shift sums nu=1/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 1.0 / 16.0))),
+        ("shift sums nu=12/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 12.0 / 16.0))),
+        ("shift sums nu=15/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 15.0 / 16.0))),
+        ("lerch_deriv 15/16 t=30", fresh(lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 30.0), order=1)))),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
