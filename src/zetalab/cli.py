@@ -4,20 +4,22 @@ Subcommands: eval, coeff, certify, afe, characters, tail.  Output is
 human-readable by default; --json emits a versioned document (schema
 "1") with every float rendered at 17 significant digits and complex
 numbers as [re, im] pairs, so identical requests produce byte-identical
-output.  --csv is available for the tabular subcommands.
+output.  --csv is available for the tabular subcommands.  A value may
+begin with '-' (--im-a -1e3); -h/--help prints a usage line and exits 0.
 
-Exit codes: 0 success, 1 validation error (non-finite numbers are refused
-while parsing, runaway work before any is done), binary64 overflow or an
-unwritable --output file, 2 failed bound assertion.
+Exit codes: 0 success, 1 validation error (a parse error, such as an
+unknown option or a non-finite number, is one stderr line; runaway work is
+refused before any is done), binary64 overflow or an unwritable --output
+file, 2 failed bound assertion.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import math
+import os
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
@@ -98,9 +100,12 @@ def render_json(payload: dict) -> str:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise ValueError(f"not a finite number: {text!r}")
     return value
 
 
@@ -110,7 +115,7 @@ def _parse_complex(text: str) -> complex:
         return complex(_finite_float(parts[0]), 0.0)
     if len(parts) == 2:
         return complex(_finite_float(parts[0]), _finite_float(parts[1]))
-    raise argparse.ArgumentTypeError("complex values are written re or re,im")
+    raise ValueError("complex values are written re or re,im")
 
 
 # ---------------------------------------------------------------------------
@@ -300,73 +305,116 @@ def _cmd_afe(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)  # parse_args does not change the parser: one per process
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="zetalab",
-        description="Evaluate Hurwitz/Lerch zeta and Dirichlet L-functions, extract "
-        "expansion coefficients, and certify their explicit bounds.",
-    )
-    p.add_argument("--output", type=str, default=None, help="write the report to this file instead of stdout")
-    sub = p.add_subparsers(dest="command", required=True)
+# subcommand → option → (converter, choices, default, required): a converter of None
+# marks a flag and [int] zero or more ints; the attribute an option sets is its name
+# unless _DESTS spells it out
+_FLAG = (None, None, False, False)
+_OPTIONS = {
+    "characters": {"--q": (int, None, None, True), "--json": _FLAG},
+    "tail": {
+        "--x": (_finite_float, None, None, True), "--alpha": (_finite_float, None, None, True),
+        "--re-a": (_finite_float, None, None, True), "--im-a": (_finite_float, None, 0.0, False),
+        "--r": (int, None, 0, False), "--lambda": (_finite_float, None, 0.0, False), "--json": _FLAG,
+    },
+    "eval": {
+        "--kind": (str, ("hurwitz", "z", "l", "lerch"), None, True), "--s": (_parse_complex, None, None, True),
+        "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 1, False), "--a": (int, None, 1, False),
+        "--label": (int, None, 1, False), "--lambda": (_finite_float, None, 0.5, False), "--r": (int, None, 0, False),
+        "--x": (_finite_float, None, None, False), "--json": _FLAG,
+    },
+    "coeff": {
+        "--kind": (str, ("gamma", "beta", "gamma-aq", "gamma-chi", "lerch", "l-zero"), None, True),
+        "--r-max": (int, None, None, True), "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 4, False),
+        "--a": (int, None, 1, False), "--label": (int, None, 1, False), "--lambda": (_finite_float, None, 0.5, False),
+        "--json": _FLAG, "--csv": _FLAG,
+    },
+    "certify": {
+        "--bound": (str, ("t2-ib", "t2-iib", "t2-iiib", "t3", "ishikawa", "polya"), None, True),
+        "--r-max": (int, None, None, False), "--q": ([int], None, None, False), "--json": _FLAG, "--csv": _FLAG,
+    },
+    "afe": {
+        "--kind": (str, ("hurwitz", "l"), None, True), "--s": (_parse_complex, None, None, True),
+        "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 4, False), "--label": (int, None, 1, False),
+        "--r": (int, None, 0, False), "--x": (_finite_float, None, None, True), "--json": _FLAG,
+    },
+}
+_OUTPUT = {"--output": (str, None, None, False)}  # the one option before the subcommand
+_DESTS = {"--lambda": "lam", "--r-max": "r_max", "--re-a": "re_a", "--im-a": "im_a"}
+_HELP = ("-h", "--help")
 
-    pc = sub.add_parser("characters", help="tabulate the characters mod q")
-    pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--json", action="store_true")
 
-    pt = sub.add_parser("tail", help="sawtooth/oscillatory tail integral (debugging)")
-    pt.add_argument("--x", type=_finite_float, required=True)
-    pt.add_argument("--alpha", type=_finite_float, required=True)
-    pt.add_argument("--re-a", dest="re_a", type=_finite_float, required=True)
-    pt.add_argument("--im-a", dest="im_a", type=_finite_float, default=0.0)
-    pt.add_argument("--r", type=int, default=0)
-    pt.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
-    pt.add_argument("--json", action="store_true")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: zetalab [-h] [--output OUTPUT] {{{','.join(_OPTIONS)}}} ..."
+    words = [f"usage: zetalab {command} [-h]"]
+    for opt, (conv, choices, _, required) in _OPTIONS[command].items():
+        meta = "{" + ",".join(choices) + "}" if choices else _DESTS.get(opt, opt[2:]).upper()
+        word = opt if conv is None else f"{opt} [{meta} ...]" if type(conv) is list else f"{opt} {meta}"
+        words.append(word if required else f"[{word}]")
+    return " ".join(words)
 
-    pe = sub.add_parser("eval", help="evaluate a zeta-family derivative")
-    pe.add_argument("--kind", choices=("hurwitz", "z", "l", "lerch"), required=True)
-    pe.add_argument("--s", type=_parse_complex, required=True, metavar="RE,IM")
-    pe.add_argument("--alpha", type=_finite_float, default=1.0)
-    pe.add_argument("--q", type=int, default=1)
-    pe.add_argument("--a", type=int, default=1)
-    pe.add_argument("--label", type=int, default=1)
-    pe.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5)
-    pe.add_argument("--r", type=int, default=0)
-    pe.add_argument("--x", type=_finite_float, default=None)
-    pe.add_argument("--json", action="store_true")
 
-    pco = sub.add_parser("coeff", help="expansion coefficient tables")
-    pco.add_argument(
-        "--kind", choices=("gamma", "beta", "gamma-aq", "gamma-chi", "lerch", "l-zero"), required=True
-    )
-    pco.add_argument("--r-max", dest="r_max", type=int, required=True)
-    pco.add_argument("--alpha", type=_finite_float, default=1.0)
-    pco.add_argument("--q", type=int, default=4)
-    pco.add_argument("--a", type=int, default=1)
-    pco.add_argument("--label", type=int, default=1)
-    pco.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5)
-    pco.add_argument("--json", action="store_true")
-    pco.add_argument("--csv", action="store_true")
+def _convert(opt: str, conv, choices, text: str):
+    try:
+        value = conv(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {opt}: {f'invalid int value: {text!r}' if conv is int else exc}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"argument {opt}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
 
-    pce = sub.add_parser("certify", help="run a bound certification sweep")
-    pce.add_argument(
-        "--bound", choices=("t2-ib", "t2-iib", "t2-iiib", "t3", "ishikawa", "polya"), required=True
-    )
-    pce.add_argument("--r-max", dest="r_max", type=int, default=None)
-    pce.add_argument("--q", type=int, nargs="*", default=None)
-    pce.add_argument("--json", action="store_true")
-    pce.add_argument("--csv", action="store_true")
 
-    pa = sub.add_parser("afe", help="hybrid strip evaluation")
-    pa.add_argument("--kind", choices=("hurwitz", "l"), required=True)
-    pa.add_argument("--s", type=_parse_complex, required=True, metavar="RE,IM")
-    pa.add_argument("--alpha", type=_finite_float, default=1.0)
-    pa.add_argument("--q", type=int, default=4)
-    pa.add_argument("--label", type=int, default=1)
-    pa.add_argument("--r", type=int, default=0)
-    pa.add_argument("--x", type=_finite_float, required=True)
-    pa.add_argument("--json", action="store_true")
-    return p
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The request argv names (--opt v or --opt=v, any unique prefix of an --opt, the last of a
+    repeat), or the usage -h/--help asks for; a refusal is a ValueError worded as argparse
+    words it. A token after an option is its value even when it begins with '-'; certify --q
+    reads the tokens up to one that begins with '-' and no digit."""
+    values, extras, options, command, i = {"output": None}, [], _OUTPUT, None, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token[:1] != "-" or token == "-":  # a positional: the subcommand, then extras
+            if command is None:
+                command = _convert("command", str, _OPTIONS, token)
+                options = _OPTIONS[command]
+                values.update({_DESTS.get(opt, opt[2:]): spec[2] for opt, spec in options.items()}, command=command)
+            else:
+                extras.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options and name not in _HELP:
+            hits = [opt for opt in ("--help", *options) if opt.startswith(name)] if token[:2] == "--" else []
+            if len(hits) > 1:
+                raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}")
+            if not hits:
+                extras.append(token)
+                continue
+            name = hits[0]
+        conv, choices, _, _ = options.get(name, _FLAG)
+        if conv is None and eq:
+            raise ValueError(f"argument {'-h/--help' if name in _HELP else name}: ignored explicit argument {value!r}")
+        if name in _HELP:
+            return _usage(command)
+        if conv is None:
+            value = True
+        elif type(conv) is list:
+            end = next((j for j in range(i, len(argv)) if argv[j][:1] == "-" and not argv[j][1:2].isdigit()), len(argv))
+            texts, i = ([value], i) if eq else (argv[i:end], end)
+            value = [_convert(name, conv[0], None, text) for text in texts]
+        elif eq or i < len(argv):
+            value, i = (value, i) if eq else (argv[i], i + 1)
+            value = _convert(name, conv, choices, value)
+        else:
+            raise ValueError(f"argument {name}: expected one argument")
+        values[_DESTS.get(name, name[2:])] = value
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    # a required option has no default, and no value it is given is None
+    missing = [opt for opt, spec in options.items() if spec[3] and values[_DESTS.get(opt, opt[2:])] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 _HANDLERS = {
@@ -381,12 +429,11 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> int:
     """Execute a request; returns the exit status and prints the report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = _parse(argv)
+        if isinstance(args, str):  # the usage, for -h/--help
+            print(args)
+            return 0
         status, text = _HANDLERS[args.command](args)
     except (ValueError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -404,4 +451,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early (zetalab ... | head): drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,6 +17,8 @@ import pytest
 from zetalab import cli
 from zetalab.characters import enumerate_characters
 from zetalab.cli import render_json, run
+
+from . import argparse_reference
 
 
 def run_capture(capsys, argv):
@@ -163,7 +169,7 @@ def test_validation_error_exit_one(capsys):
     assert status == 1
     status = run(["eval", "--kind", "hurwitz", "--s", "0.5,0", "--alpha", "7"])  # bad alpha
     assert status == 1
-    status = run(["eval", "--kind", "nonsense"])  # argparse rejection
+    status = run(["eval", "--kind", "nonsense"])  # a parse refusal
     assert status == 1
 
 
@@ -417,9 +423,10 @@ def test_tail_from_two_to_the_52_keeps_its_shift(capsys):
     assert abs(complex(*got) - want) <= 1e-12 * abs(want)
 
 
-def test_one_parser_serves_every_call(tmp_path, capsys):
-    # the parser is built once per process; a refused argv, an eval, a
-    # certify to a file and another eval each give what a fresh parser gives
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # the option table is read and never written: a refused argv, an eval, a
+    # certify to a file and another eval in sequence each give what they give
+    # with a fresh copy of the table
     target = tmp_path / "sweep.json"
     sequence = [
         ["eval", "--kind", "hurwitz", "--s", "0.5,3", "--bogus"],
@@ -434,16 +441,220 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         captured = capsys.readouterr()
         return status, captured.out, captured.err, target.read_text() if target.exists() else None
 
-    cli._build_parser.cache_clear()
+    pristine = copy.deepcopy(cli._OPTIONS)
     shared = [outcome(argv) for argv in sequence]
-    assert cli._build_parser.cache_info().misses == 1
+    assert cli._OPTIONS == pristine
     fresh = []
     for argv in sequence:
-        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_OPTIONS", copy.deepcopy(pristine))
         fresh.append(outcome(argv))
     assert shared == fresh
     assert [o[0] for o in shared] == [1, 0, 0, 0]
     assert "unrecognized arguments: --bogus" in shared[0][2] and shared[2][3].startswith("{")
+
+
+# the option table against the argparse parser it replaced (tests/argparse_reference.py)
+
+REFERENCE = argparse_reference._build_parser()
+SAMPLES = {
+    None: None,  # a choice: every choice is a sample
+    int: ["3", "-2"],
+    argparse_reference._finite_float: ["0.5", "-1.5", "-1e3"],
+    argparse_reference._parse_complex: ["0.5,3", "2", "-0.5,3"],
+}
+BAD = {
+    None: ["nonsense"],
+    int: ["1.5", "x", ""],
+    argparse_reference._finite_float: ["abc", "inf", "-inf", "nan", ""],
+    argparse_reference._parse_complex: ["1,2,3", "inf,0", "0,nan", "1,x"],
+}
+
+
+def reference_outcome(argv):
+    """(namespace, None) as the argparse parser read argv, or (None, its message)."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            return vars(REFERENCE.parse_args(argv)), None
+    except SystemExit:
+        return None, err.getvalue().splitlines()[-1].split(" error: ", 1)[1]
+
+
+def table_outcome(argv):
+    try:
+        return vars(cli._parse(argv)), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def equivalence_grid():
+    """Argvs for each subcommand and each of its options."""
+    for command, parser in REFERENCE._subparsers._group_actions[0].choices.items():
+        actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        base = [command]
+        for a in actions:
+            if a.required:
+                base += [a.option_strings[0], (SAMPLES[a.type] or a.choices)[0]]
+        yield from (
+            base,
+            base + ["--bogus"],
+            base + ["--bogus", "3"],
+            base + ["stray"],
+            base + ["-x", "3"],
+            ["--output", "f"] + base,
+            ["--output=f"] + base,
+            ["--out", "f"] + base,
+            ["--output", "f", "--output", "g"] + base,
+            base + ["--output", "f"],
+            ["--output"],
+            [],
+            ["nonsense"] + base[1:],
+        )
+        for a in actions:
+            opt = a.option_strings[0]
+            if a.required:  # the option missing
+                at = base.index(opt)
+                yield base[:at] + base[at + 2 :]
+            if a.nargs == 0:  # a flag
+                values = [None]
+                yield base + [f"{opt}=1"]
+                yield base + [opt, "1"]
+            elif a.nargs == "*":  # certify --q
+                values = ["7"]
+                for ints in ([], ["3"], ["3", "4", "5"]):
+                    yield base + [opt, *ints]
+                    yield base + [opt, *ints, "--json"]
+                for argv in ([f"{opt}=3"], [f"{opt}=3", "4"], [opt, "-3", "4"], [opt, "3", "x"], [opt, "-1e3"]):
+                    yield base + argv
+            else:
+                values = SAMPLES[a.type] or list(a.choices)
+                for bad in BAD[a.type]:
+                    yield base + [opt, bad]
+                yield base + [opt]  # no value
+                for value in values:
+                    yield base + [f"{opt}={value}"]
+                    yield base + [opt, value]
+            for value in values:
+                given = [opt] if value is None else [opt, value]
+                yield base + given + [opt] + ([] if value is None else [values[-1]])  # a repeat
+                for k in range(3, len(opt)):  # every prefix, unique or not
+                    yield base + [opt[:k], *given[1:]]
+
+
+def joined(argv):
+    """argv with each value that begins with '-' and is no negative number
+    (argparse took it for an option) joined to its option as --opt=value."""
+    out = []
+    for token in argv:
+        dashed = token[:1] == "-" and token[:2] != "--" and not REFERENCE._negative_number_matcher.match(token)
+        if dashed and out and out[-1][:2] == "--" and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+GRID = list(equivalence_grid())
+
+
+@pytest.mark.parametrize("argv", GRID, ids=[" ".join(argv) or "(none)" for argv in GRID])
+def test_the_option_table_parses_each_argv_as_argparse_did(argv):
+    # the two deliberate differences: a value that begins with '-' and is no
+    # negative number reads as argparse read its --opt=value spelling, where
+    # argparse refused it ("expected one argument"), and a refusal is one line
+    want, want_error = reference_outcome(joined(argv))
+    if joined(argv) != argv:
+        spaced, spaced_error = reference_outcome(argv)
+        assert spaced is None
+        if spaced_error.startswith("ambiguous option"):  # read before any value
+            want_error = spaced_error
+    got, got_error = table_outcome(argv)
+    assert got == want
+    if want is None:
+        # argparse named the converter's private function for text that is no
+        # number; the table says which number it expected
+        want_error = re.sub(r"invalid _\w+ value: '.*'$", "invalid float value", want_error)
+        assert re.sub(r"invalid float value: '.*'$", "invalid float value", got_error) == want_error
+
+
+def test_the_equivalence_grid_holds_every_kind_of_case():
+    accepted = sum(reference_outcome(argv)[0] is not None for argv in GRID)
+    assert len(GRID) > 600 and 200 < accepted < len(GRID) - 200
+    assert sum(joined(argv) != argv for argv in GRID) >= 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["eval", "--kind", "nonsense", "--s", "2,0"],
+        ["eval", "--kind", "hurwitz"],
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--r", "1.5"],
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--bogus"],
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--json=1"],
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--l", "1"],
+        ["tail", "--x", "2", "--alpha", "0.3", "--re-a"],
+        ["nonsense"],
+    ],
+)
+def test_each_parse_refusal_is_one_line(capsys, argv):
+    # argparse printed a usage block of three or four lines before its error
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_names_every_option_and_exits_zero(capsys):
+    for command, parser in REFERENCE._subparsers._group_actions[0].choices.items():
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: zetalab {command} ")
+        words = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+        assert words == {"-h"} | {s for a in parser._actions if a.dest != "help" for s in a.option_strings}
+    for argv in (["-h"], ["--output", "f", "--help"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: zetalab ") and all(command in out for command in cli._OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5"], "--im-a", "-1e3"),
+        (["eval", "--kind", "hurwitz"], "--s", "-0.5,3"),
+        (["eval", "--kind", "lerch", "--s", "0.5,3"], "--x", "-1e-3"),
+    ],
+)
+def test_a_value_that_begins_with_a_dash_reads_as_its_equals_spelling(capsys, argv, option, value):
+    # argparse refused the spaced spelling ("expected one argument")
+    spaced = run(argv + [option, value]), capsys.readouterr()
+    joined = run(argv + [f"{option}={value}"]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and "expected one argument" not in spaced[1].err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "hurwitz", "--s", "2,0", "--json"],  # written when stdout is flushed at exit
+        ["characters", "--q", "307", "--json"],  # larger than the buffer: written inside run
+    ],
+)
+def test_a_reader_that_left_early_ends_the_request_with_exit_one(argv):
+    # zetalab ... | head -c 10 ended in a BrokenPipeError traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 TAIL_REFUSALS = [

@@ -40,6 +40,15 @@ new request fills (the derivative tables, the shift sums) cleared first:
     lerch_deriv 15/16 t=30    lerch_deriv at the default split, lambda = 15/16,
                               alpha = 0.7, s = 0.5+30i, r = 1
 
+and whole CLI requests, zetalab.cli.run in process with its report captured
+(so the parse and the JSON rendering count; only the public run is read, so
+the rows time any checkout):
+
+    cli eval hurwitz s=2      eval --kind hurwitz --s 2,0 --json
+    cli eval lerch t=52.8     eval --kind lerch --s 2.470582,52.843021 --r 1
+                              --lambda 0.5 --alpha 0.964238 --json (an
+                              eval-default pool request)
+
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
 
@@ -50,6 +59,8 @@ to time that one (so that two commits are timed in the same window):
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -74,6 +85,7 @@ def main(argv: list[str]) -> int:
 
     from zetalab.afe import afe_hurwitz, afe_l
     from zetalab.bounds import certify_T2_Ib, certify_T3
+    from zetalab.cli import run
     from zetalab.characters import character, enumerate_characters
     from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
@@ -86,6 +98,15 @@ def main(argv: list[str]) -> int:
             _deriv_table.cache_clear()
             _psi_fourier_shift_sums.cache_clear()
             return fn()
+
+        return call
+
+    def request(*argv):
+        """cli.run on argv, its report captured."""
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return run(list(argv))
 
         return call
 
@@ -114,6 +135,11 @@ def main(argv: list[str]) -> int:
         ("shift sums nu=12/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 12.0 / 16.0))),
         ("shift sums nu=15/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 15.0 / 16.0))),
         ("lerch_deriv 15/16 t=30", fresh(lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 30.0), order=1)))),
+        ("cli eval hurwitz s=2", request("eval", "--kind", "hurwitz", "--s", "2,0", "--json")),
+        (
+            "cli eval lerch t=52.8",
+            request("eval", "--kind", "lerch", "--s", "2.470582,52.843021", "--r", "1", "--lambda", "0.5", "--alpha", "0.964238", "--json"),
+        ),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
