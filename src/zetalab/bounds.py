@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import enumerate_characters
+from .characters import _log_table, _unit_group, enumerate_characters
 from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_all
 from .evaluate import _l_values
 from .sawtooth import _check_alpha, _check_order, _check_work
@@ -247,15 +247,15 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
 def certify_polya_vinogradov(q_min: int = 3, q_max: int = 50) -> BoundReport:
     """max_{x <= q} |sum_{a <= x} chi(a)| <= sqrt(q) log q for non-principal chi.
 
-    One cumsum along the rows of the (chi x a) array per modulus: column n
-    holds sum_{a <= n} chi(a), as chi(0) = 0, and x = q needs no column, as
-    its full-period sum is 0."""
+    One cumsum along the rows of the (chi x a) value table per modulus (the
+    roots indexed by the log table): column n holds sum_{a <= n} chi(a), as
+    chi(0) = 0, and x = q needs no column, as its full-period sum is 0."""
     cases = []
     for q in range(q_min, q_max + 1):
         chars = [chi for chi in enumerate_characters(q) if not chi.is_principal]
         if not chars:
             continue
-        sums = np.cumsum(np.array([chi.values for chi in chars]), axis=1)
+        sums = np.cumsum(_unit_group(q).roots[_log_table(q, [chi.gen_exponents for chi in chars])], axis=1)
         bound = math.sqrt(q) * math.log(q)
         for chi, worst in zip(chars, np.abs(sums).max(axis=1).tolist()):
             cases.append(BoundCase({"q": q, "label": chi.label}, worst, bound))

@@ -1,17 +1,19 @@
 """Dirichlet character arithmetic for small moduli.
 
-A character mod q is stored as a full value table of length q (entry n
-is chi(n)), built from a generator decomposition of the unit group
-(Z/qZ)*: CRT over prime-power factors, with (Z/2^k)* for k >= 3 split
-as <-1> x <5>.  Values are kept both as complex doubles and as exact
-exponents k with chi(n) = e^{2 pi i k / E}, E the unit-group exponent,
-so that conductor and parity tests are exact integer arithmetic.
+A character mod q is its exponent vector over a generator decomposition
+of the unit group (Z/qZ)*: CRT over prime-power factors, with (Z/2^k)*
+for k >= 3 split as <-1> x <5>.  Its values are the exact exponents k
+with chi(n) = e^{2 pi i k / E}, E the unit-group exponent, so that
+conductor and parity tests are exact integer arithmetic, and the
+complex doubles indexed by them.
 
 One walk of the group per modulus fills a discrete-log table (the
 exponent vector over the generators of every unit n, kept in a bounded
-cache), so a character costs one vectorized product over that table,
-O(q).  The conductor is read off the generator exponents, one
-prime-power component at a time.
+cache).  The value table of any set of characters is one integer matrix
+product over that table (_log_table), O(q) per character; a character
+builds its own row, and its complex values, on first use.  The
+conductor is read off the generator exponents, one prime-power
+component at a time, and the parity off the exponent vector of q - 1.
 
 Labels index the dual group lexicographically over generator exponents
 (mixed radix over the generator orders); the principal character is
@@ -24,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -141,22 +143,28 @@ def _unit_group(q: int) -> _UnitGroup:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A fully tabulated Dirichlet character mod q.
+    """A Dirichlet character mod q, given by its generator exponents.
 
     values[n] is chi(n) for residues n = 0..q-1; value_logs[n] holds the
     exact exponent k with chi(n) = e^{2 pi i k / group_exponent}, or -1
-    where chi vanishes (gcd(n, q) > 1).
+    where chi vanishes (gcd(n, q) > 1).  Both are built on first use.
     """
 
     modulus: int
-    values: tuple[complex, ...]
-    value_logs: tuple[int, ...]
     group_exponent: int
     gen_exponents: tuple[int, ...]
     is_principal: bool
     conductor: int
     parity: int
     label: int
+
+    @cached_property
+    def value_logs(self) -> tuple[int, ...]:
+        return tuple(_log_table(self.modulus, [self.gen_exponents])[0].tolist())
+
+    @cached_property
+    def values(self) -> tuple[complex, ...]:
+        return tuple(map(_unit_group(self.modulus).roots.tolist().__getitem__, self.value_logs))
 
     def __call__(self, n: int) -> complex:
         return self.values[n % self.modulus]
@@ -184,23 +192,28 @@ def _conductor(q: int, kexp: tuple[int, ...]) -> int:
     )
 
 
+def _log_table(q: int, kexps) -> np.ndarray:
+    """value_logs of the characters with the generator exponents kexps, one
+    row each: (kexps E/d) @ logs.T mod E at the units, -1 off them."""
+    group = _unit_group(q)
+    weights = np.array(kexps, dtype=np.int64) * np.array([group.exponent // d for d in group.orders], dtype=np.int64)
+    return np.where(group.units, (weights @ group.logs.T) % group.exponent, -1)
+
+
 def _build_character(q: int, kexp: tuple[int, ...]) -> DirichletCharacter:
     group = _unit_group(q)
-    weights = np.array([k * (group.exponent // d) for k, d in zip(kexp, group.orders)], dtype=np.int64)
-    logs = np.where(group.units, (group.logs @ weights) % group.exponent, -1)
-    logs_t = tuple(logs.tolist())
     label = 0
     for k, d in zip(kexp, group.orders):
         label = label * d + k
+    # chi(-1) = e^{2 pi i k / E} with k = sum of k_i (E/d_i) l_i over the exponent vector l of q - 1
+    minus_one = sum(k * (group.exponent // d) * l for k, d, l in zip(kexp, group.orders, group.logs[(q - 1) % q].tolist()))
     return DirichletCharacter(
         modulus=q,
-        values=tuple(group.roots[logs].tolist()),
-        value_logs=logs_t,
         group_exponent=group.exponent,
         gen_exponents=kexp,
         is_principal=not any(kexp),
         conductor=_conductor(q, kexp),
-        parity=1 if logs_t[(q - 1) % q] == 0 else -1,
+        parity=1 if minus_one % group.exponent == 0 else -1,
         label=label,
     )
 
@@ -216,9 +229,10 @@ def character(q: int, label: int) -> DirichletCharacter:
     return _build_character(q, tuple(reversed(kexp)))
 
 
-# work units of one table entry, a Python complex and an int: built in 0.15 us
-# and about 75 bytes, 200 bytes with its JSON rendering (measured at q = 2003),
-# so the budget takes tables of up to 8e6 entries, q near 2800 and 1.6 GB
+# work units of one entry of a whole modulus's table: the listing renders it in
+# about 0.2 us as 45 bytes of text (a 590 MB peak for the q = 2003 JSON document
+# and its copies), and the bulk readers hold it as an int64 log and a complex
+# double; so the budget takes tables of up to 8e6 entries, q near 2800
 _TABLE_ENTRY_COST = 0.25
 
 

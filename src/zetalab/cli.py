@@ -21,9 +21,11 @@ import os
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from .afe import afe_hurwitz, afe_l
-from .characters import _unit_group, character, enumerate_characters
+from .characters import _log_table, _unit_group, character, enumerate_characters
 from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
 from .sawtooth import EvalResult, _check_order, psi_osc_tail_powers, psi_tail_powers
@@ -125,11 +127,13 @@ def _parse_complex(text: str) -> complex:
 
 def _cmd_characters(args) -> tuple[int, str]:
     chars = enumerate_characters(args.q)
-    # chi.values[n] is roots[chi.value_logs[n]], the trailing 0 read by the
-    # non-units: each of the E + 1 distinct values is formatted once
+    # row i of the log table is chars[i].value_logs, whose entries index the
+    # E + 1 distinct values of roots (the trailing 0 read by the non-units):
+    # each is formatted once
+    table = _log_table(args.q, [chi.gen_exponents for chi in chars])
     roots = _unit_group(args.q).roots.tolist()
     if args.json:
-        cells = [_render(z) for z in roots]
+        cells = np.array([_render(z) for z in roots], dtype=object)
         rows = [
             {
                 "label": chi.label,
@@ -137,17 +141,17 @@ def _cmd_characters(args) -> tuple[int, str]:
                 "parity": chi.parity,
                 "primitive": chi.is_primitive,
                 "principal": chi.is_principal,
-                "values": _Rendered("[" + ", ".join(map(cells.__getitem__, chi.value_logs)) + "]"),
+                "values": _Rendered("[" + ", ".join(cells[logs].tolist()) + "]"),
             }
-            for chi in chars
+            for chi, logs in zip(chars, table)
         ]
         return 0, render_json({"command": "characters", "q": args.q, "characters": rows})
-    cells = [f"({z.real:+.3f},{z.imag:+.3f})" for z in roots]
+    cells = np.array([f"({z.real:+.3f},{z.imag:+.3f})" for z in roots], dtype=object)
     lines = [f"characters mod {args.q}: {len(chars)}"]
-    for chi in chars:
+    for chi, logs in zip(chars, table):
         lines.append(
             f"label {chi.label:>3}  conductor {chi.conductor:>3}  parity {chi.parity:+d}  "
-            f"primitive {str(chi.is_primitive):<5}  {' '.join(map(cells.__getitem__, chi.value_logs))}"
+            f"primitive {str(chi.is_primitive):<5}  {' '.join(cells[logs].tolist())}"
         )
     return 0, "\n".join(lines)
 

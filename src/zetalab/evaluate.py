@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _log_table, _unit_group
 from .sawtooth import (
     _EPS,
     _SUM_BLOCK,
@@ -210,6 +210,8 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, n
         u, tails, terrs = _tail_cutoff(alphas, b, r)
         _check_work(len(units) * (_CLASS_COST + u * _TERM_COST))
         return q * u, tails, terrs
+    if not X > 0.0:
+        raise ValueError("split parameter must be positive")
     _check_work(len(units) * (_CLASS_COST + X / q * _TERM_COST))
     tails = psi_tail_powers_batch(X / q, alphas, b, r)
     return X, np.array([t for t, _ in tails]).T, np.array([e for _, e in tails]).T
@@ -288,8 +290,10 @@ def _units(q: int) -> list[int]:
 
 
 def _characters_at(chars, units) -> np.ndarray:
-    """chi(a) for every chi of chars (rows) and a of units (columns)."""
-    return np.array([chi.values for chi in chars], dtype=complex)[:, np.array(units) % chars[0].modulus]
+    """chi(a) for every chi of chars (rows) and a of units (columns): the roots
+    indexed by the log table at the units."""
+    q = chars[0].modulus
+    return _unit_group(q).roots[_log_table(q, [chi.gen_exponents for chi in chars])[:, np.array(units) % q]]
 
 
 def _weigh(w: np.ndarray, pieces) -> np.ndarray:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -64,6 +65,7 @@ def _reference_conductor(q, value_logs):
 
 
 def _reference_character(q, orders, walk, kexp):
+    # the reference character, and the values and value_logs it must build on demand
     exponent = 1
     for d in orders:
         exponent = exponent * d // math.gcd(exponent, d)
@@ -79,10 +81,8 @@ def _reference_character(q, orders, walk, kexp):
     label = 0
     for k, d in zip(kexp, orders):
         label = label * d + k
-    return DirichletCharacter(
+    ref = DirichletCharacter(
         modulus=q,
-        values=tuple(roots[k] if k >= 0 else 0.0 + 0.0j for k in logs),
-        value_logs=tuple(logs),
         group_exponent=exponent,
         gen_exponents=tuple(kexp),
         is_principal=all(k == 0 for k in kexp),
@@ -90,6 +90,7 @@ def _reference_character(q, orders, walk, kexp):
         parity=1 if logs[(q - 1) % q] == 0 else -1,
         label=label,
     )
+    return ref, tuple(roots[k] if k >= 0 else 0.0 + 0.0j for k in logs), tuple(logs)
 
 
 def _reference_characters(q):
@@ -116,10 +117,42 @@ def test_table_construction_matches_group_walk_reference(q):
     chars = enumerate_characters(q)
     ref = _reference_characters(q)
     assert len(chars) == len(ref) == euler_phi(q)
-    for c, r in zip(chars, ref):
-        assert c == r  # dataclass equality: every field, complex values exactly
+    for c, (r, ref_values, ref_logs) in zip(chars, ref):
+        assert c == r  # dataclass equality: every field
+        assert c.values == ref_values  # complex values exactly
+        assert c.value_logs == ref_logs
         assert conductor(c) == r.conductor
         assert character(q, c.label) == c
+
+
+@pytest.mark.parametrize("q", _EQUIVALENCE_MODULI)
+def test_log_table_rows_are_the_characters_tables_bit_for_bit(q):
+    chars = enumerate_characters(q)
+    for chi in chars:
+        assert "values" not in vars(chi) and "value_logs" not in vars(chi)  # built on first use only
+    table = characters_mod._log_table(q, [chi.gen_exponents for chi in chars])
+    values = characters_mod._unit_group(q).roots[table]
+    assert table.shape == (len(chars), q)
+    for i, chi in enumerate(chars):
+        assert tuple(table[i].tolist()) == chi.value_logs
+        assert values[i].tobytes() == np.array(chi.values).tobytes()
+    chi = character(q, len(chars) - 1)
+    assert "values" not in vars(chi)
+    chi(3)
+    assert "values" in vars(chi) and "value_logs" in vars(chi)
+
+
+def test_enumeration_mod_2003_builds_no_value_table():
+    # phi(q) q = 4e6 table entries: no character may hold its table after enumeration
+    characters_mod._unit_group(2003)
+    tracemalloc.start()
+    try:
+        chars = enumerate_characters(2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chars) == 2002
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("q, label", [(7, 6), (7, -1), (0, 0), (-3, 0), (12, 4)])

@@ -264,6 +264,22 @@ def test_bad_character_label_is_refused_with_one_line(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "--kind", "z", "--q", "3", "--a", "1", "--s", "2", "--x", "0"],
+        ["eval", "--kind", "l", "--q", "5", "--label", "1", "--s", "1,0", "--x", "0"],
+        ["eval", "--kind", "l", "--q", "5", "--label", "1", "--s", "1,0", "--x=-2"],
+    ],
+)
+def test_a_split_that_is_not_positive_is_refused_with_one_line(capsys, argv):
+    # the Z and L routes refuse it as Hurwitz and Lerch do, before log(X) fails
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: split parameter must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eval", "--kind", "hurwitz", "--s", "inf,0"],
         ["eval", "--kind", "l", "--s", "inf,0", "--q", "5", "--label", "1"],
         ["eval", "--kind", "hurwitz", "--s", "2,inf"],

@@ -7,6 +7,7 @@ targets: the best of N calls of each, timed with time.perf_counter.
     L2(1,chi) all chi 1009    L^{(2)}(1, chi) for every non-principal chi mod
                               1009 in one batch (characters built beforehand)
     certify_T3 101 103 107    certify_T3(q_set=(101, 103, 107))
+    enumerate_characters 2003 enumerate_characters(2003), its unit group cached
     coeff l-zero q=971 r_max=3
                               coefficient_table("l_deriv_at_zero", 3) at
                               q = 971, label 1: the finite sums at real s = 0
@@ -48,6 +49,8 @@ the rows time any checkout):
     cli eval lerch t=52.8     eval --kind lerch --s 2.470582,52.843021 --r 1
                               --lambda 0.5 --alpha 0.964238 --json (an
                               eval-default pool request)
+    cli characters q=307      characters --q 307 --json (a sweep pool request)
+    cli certify polya         certify --bound polya --json (a sweep pool request)
 
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
@@ -117,6 +120,7 @@ def main(argv: list[str]) -> int:
         ("l_deriv q=1009 r=3", lambda: l_deriv(complex(0.5, 1000.0), chi, 3)),
         ("L2(1,chi) all chi 1009", lambda: l_deriv_at_1_exact_all(2, chars)),
         ("certify_T3 101 103 107", lambda: certify_T3(q_set=(101, 103, 107))),
+        ("enumerate_characters 2003", lambda: enumerate_characters(2003)),
         ("coeff l-zero q=971 r_max=3", lambda: coefficient_table("l_deriv_at_zero", 3, chi=chi971)),
         ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
         ("certify_T2_Ib", certify_T2_Ib),
@@ -140,6 +144,8 @@ def main(argv: list[str]) -> int:
             "cli eval lerch t=52.8",
             request("eval", "--kind", "lerch", "--s", "2.470582,52.843021", "--r", "1", "--lambda", "0.5", "--alpha", "0.964238", "--json"),
         ),
+        ("cli characters q=307", request("characters", "--q", "307", "--json")),
+        ("cli certify polya", request("certify", "--bound", "polya", "--json")),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
