@@ -11,9 +11,12 @@ One walk of the group per modulus fills a discrete-log table (the
 exponent vector over the generators of every unit n, kept in a bounded
 cache).  The value table of any set of characters is one integer matrix
 product over that table (_log_table), O(q) per character; a character
-builds its own row, and its complex values, on first use.  The
-conductor is read off the generator exponents, one prime-power
-component at a time, and the parity off the exponent vector of q - 1.
+builds its own row, and its complex values, on first use.  The other
+fields of any set of characters come from one array pass over their
+generator exponents (_fields): the label in the radix of the generator
+orders, the conductor as one gcd/lcm pass over the prime-power
+components, and the parity as one product with the exponent vector of
+q - 1.  A single character is its one-row case.
 
 Labels index the dual group lexicographically over generator exponents
 (mixed radix over the generator orders); the principal character is
@@ -27,7 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -101,13 +103,15 @@ class _UnitGroup(NamedTuple):
     """(Z/qZ)* as a product of cyclic groups, with its discrete-log table."""
 
     orders: tuple[int, ...]
-    # per generator (c, p^e): a character of order o there has conductor
-    # c * gcd(o, p^e) on that component (c = p odd; 2 for <-1>, 4 for <5>)
-    components: tuple[tuple[int, int], ...]
     exponent: int
     logs: np.ndarray  # (q, len(orders)): exponent vector of each unit n
     units: np.ndarray  # units[n] is gcd(n, q) == 1
     roots: np.ndarray  # e^{2 pi i k / exponent} for k < exponent, then 0
+    # per generator (columns) of order d: E/d, the weight of its exponent in a
+    # value's log; c and p^e of its component, where a character of order o
+    # has conductor c gcd(o, p^e) (c = p odd; 2 for <-1>, 4 for <5>); and its
+    # place value in the label
+    gens: np.ndarray  # (4, len(orders)) int64 rows E/d, c, p^e, place value
 
 
 @lru_cache(maxsize=64)
@@ -137,8 +141,8 @@ def _unit_group(q: int) -> _UnitGroup:
     units[elems] = True
     exponent = math.lcm(*orders)
     roots = [cmath.exp(2j * math.pi * k / exponent) for k in range(exponent)]
-    components = tuple((c, pk) for _, _, c, pk in parts)
-    return _UnitGroup(orders, components, exponent, logs, units, np.array(roots + [0j]))
+    gens = [(exponent // d, c, pk, math.prod(orders[i + 1 :])) for i, (_, d, c, pk) in enumerate(parts)]
+    return _UnitGroup(orders, exponent, logs, units, np.array(roots + [0j]), np.array(gens, dtype=np.int64).reshape(-1, 4).T)
 
 
 @dataclass(frozen=True)
@@ -185,37 +189,39 @@ class DirichletCharacter:
         )
 
 
-def _conductor(q: int, kexp: tuple[int, ...]) -> int:
-    group = _unit_group(q)
-    return math.lcm(
-        *(c * math.gcd(d // math.gcd(k, d), pk) for k, d, (c, pk) in zip(kexp, group.orders, group.components) if k)
-    )
-
-
 def _log_table(q: int, kexps) -> np.ndarray:
     """value_logs of the characters with the generator exponents kexps, one
     row each: (kexps E/d) @ logs.T mod E at the units, -1 off them."""
     group = _unit_group(q)
-    weights = np.array(kexps, dtype=np.int64) * np.array([group.exponent // d for d in group.orders], dtype=np.int64)
+    weights = np.array(kexps, dtype=np.int64) * group.gens[0]
     return np.where(group.units, (weights @ group.logs.T) % group.exponent, -1)
 
 
-def _build_character(q: int, kexp: tuple[int, ...]) -> DirichletCharacter:
+def _fields(q: int, kexps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label, conductor and parity of each character mod q with the generator
+    exponents kexps (one row each): a generator of order d and
+    component (c, p^e) whose exponent k has order o = d / gcd(k, d) adds
+    c gcd(o, p^e) to the lcm of the conductor (1 at k = 0), and
+    chi(-1) = e^{2 pi i m / E} with m = sum of k_i (E/d_i) l_i over the
+    exponent vector l of q - 1."""
     group = _unit_group(q)
-    label = 0
-    for k, d in zip(kexp, group.orders):
-        label = label * d + k
-    # chi(-1) = e^{2 pi i k / E} with k = sum of k_i (E/d_i) l_i over the exponent vector l of q - 1
-    minus_one = sum(k * (group.exponent // d) * l for k, d, l in zip(kexp, group.orders, group.logs[(q - 1) % q].tolist()))
-    return DirichletCharacter(
-        modulus=q,
-        group_exponent=group.exponent,
-        gen_exponents=kexp,
-        is_principal=not any(kexp),
-        conductor=_conductor(q, kexp),
-        parity=1 if minus_one % group.exponent == 0 else -1,
-        label=label,
-    )
+    d, (weight, c, pk, place) = np.array(group.orders, dtype=np.int64), group.gens
+    kexps = np.asarray(kexps, dtype=np.int64)
+    parts = np.where(kexps > 0, c * np.gcd(d // np.gcd(kexps, d), pk), 1)
+    minus_one = kexps @ (weight * group.logs[(q - 1) % q]) % group.exponent
+    return kexps @ place, np.lcm.reduce(parts, axis=1, initial=1), np.where(minus_one, -1, 1)
+
+
+def _characters(q: int, kexps) -> list[DirichletCharacter]:
+    """The characters mod q with the generator exponents kexps, one per row;
+    the principal character is the one of conductor 1."""
+    exponent = _unit_group(q).exponent
+    rows = zip(map(tuple, np.asarray(kexps).tolist()), *map(np.ndarray.tolist, _fields(q, kexps)))
+    return [DirichletCharacter(q, exponent, kexp, f == 1, f, parity, label) for kexp, label, f, parity in rows]
+
+
+def _build_character(q: int, kexp: tuple[int, ...]) -> DirichletCharacter:
+    return _characters(q, [kexp])[0]
 
 
 def character(q: int, label: int) -> DirichletCharacter:
@@ -229,24 +235,32 @@ def character(q: int, label: int) -> DirichletCharacter:
     return _build_character(q, tuple(reversed(kexp)))
 
 
-# work units of one entry of a whole modulus's table: the listing renders it in
-# about 0.2 us as 45 bytes of text (a 590 MB peak for the q = 2003 JSON document
-# and its copies), and the bulk readers hold it as an int64 log and a complex
-# double; so the budget takes tables of up to 8e6 entries, q near 2800
+# work units of one entry of a whole modulus's table: the listing streams it in
+# blocks of characters, formatted in about 0.2 us as 45 bytes of text, and the
+# bulk readers (Polya-Vinogradov, the L weighting) hold it whole as an int64 log
+# and a complex double, 24 bytes; so the budget takes tables of up to 8e6
+# entries, q near 2800, about 200 MB held at once
 _TABLE_ENTRY_COST = 0.25
+
+
+def _exponents(q: int) -> np.ndarray:
+    """The generator exponents of every character mod q, one row each in
+    label order; runaway tables are refused before anything is built."""
+    if q < 1:
+        raise ValueError("modulus must be a positive integer")
+    _check_work(euler_phi(q) * q * _TABLE_ENTRY_COST)
+    orders = _unit_group(q).orders
+    return np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in a fixed, reproducible order."""
-    if q < 1:
-        raise ValueError("modulus must be a positive integer")
-    _check_work(euler_phi(q) * q * _TABLE_ENTRY_COST)
-    return [_build_character(q, kexp) for kexp in product(*(range(d) for d in _unit_group(q).orders))]
+    return _characters(q, _exponents(q))
 
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi is induced by a character mod f."""
-    return _conductor(chi.modulus, chi.gen_exponents)
+    return chi.conductor
 
 
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:

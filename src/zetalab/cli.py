@@ -15,17 +15,19 @@ file, 2 failed bound assertion.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import characters
 from .afe import afe_hurwitz, afe_l
-from .characters import _log_table, _unit_group, character, enumerate_characters
+from .characters import character
 from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
 from .sawtooth import EvalResult, _check_order, psi_osc_tail_powers, psi_tail_powers
@@ -39,66 +41,53 @@ __all__ = ["main", "run", "render_json"]
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    return text if text[-1] <= "9" else f'"{text}"'  # only nan and inf end in a letter
 
 
-class _Rendered(str):
-    """A JSON fragment rendered ahead of time, written as it stands."""
+def _fmt_complex(z: complex) -> str:
+    text = f"[{z.real:.17g}, {z.imag:.17g}]"
+    return text if "n" not in text else f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]"  # nan, inf
 
 
-# one renderer per scalar type, in the order of the isinstance ladder that serves subclasses
-_RENDER = {
-    type(None): lambda _: "null",
-    bool: lambda b: "true" if b else "false",
-    int: str,
-    float: _fmt_float,
-    complex: lambda z: (
-        f"[{z.real:.17g}, {z.imag:.17g}]" if cmath.isfinite(z) else f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]"
-    ),
-    str: lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"',
-    _Rendered: str,
-}
+def _fmt_str(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _render(obj) -> str:
+    """The JSON text of obj: the renderer of its type, or of the first type of
+    _RENDER that it is an instance of (a subclass such as a str enum)."""
     render = _RENDER.get(type(obj))
-    if render is None:  # a subclass such as np.float64: the first isinstance match
+    if render is None:
         render = next((f for t, f in _RENDER.items() if isinstance(obj, t)), None)
         if render is None:
             raise TypeError(f"cannot serialize {type(obj)!r}")
     return render(obj)
 
 
-def _emit(obj, out: list[str]) -> None:
-    """Append the JSON text of obj to out in pieces: a document is joined, so copied, once."""
-    render = _RENDER.get(type(obj))
-    if render is not None:
-        out.append(render(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{', ' if i else ''}{_render(str(k))}: ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    else:  # a scalar subclass
-        out.append(_render(obj))
+def _items(values) -> str:
+    return ", ".join([(_RENDER.get(type(v)) or _render)(v) for v in values])
+
+
+# one renderer per type, in the order of the isinstance ladder that serves subclasses: a
+# dict, list or tuple joins its items' texts once, each scalar's from one lookup by its type
+_RENDER = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: str,
+    float: _fmt_float,
+    complex: _fmt_complex,
+    str: _fmt_str,
+    dict: lambda d: "{" + ", ".join([f"{_fmt_str(str(k))}: {(_RENDER.get(type(v)) or _render)(v)}" for k, v in d.items()]) + "}",
+    list: lambda v: f"[{_items(v)}]",
+    tuple: lambda v: f"[{_items(v)}]",
+    np.float64: _fmt_float,
+    np.complex128: _fmt_complex,
+}
 
 
 def render_json(payload: dict) -> str:
-    out: list[str] = []
-    _emit({"schema": "1", **payload}, out)
-    return "".join(out)
+    return _RENDER[dict]({"schema": "1", **payload})
 
 
 def _finite_float(text: str) -> float:
@@ -125,35 +114,35 @@ def _parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_characters(args) -> tuple[int, str]:
-    chars = enumerate_characters(args.q)
-    # row i of the log table is chars[i].value_logs, whose entries index the
-    # E + 1 distinct values of roots (the trailing 0 read by the non-units):
-    # each is formatted once
-    table = _log_table(args.q, [chi.gen_exponents for chi in chars])
-    roots = _unit_group(args.q).roots.tolist()
+_LISTING_BLOCK = 256  # characters whose value table the listing holds at once
+
+
+def _cmd_characters(args) -> tuple[int, Iterable[str]]:
+    q = args.q
+    kexps = characters._exponents(q)  # the refusals, before the first byte
+    labels, conductors, parities = map(np.ndarray.tolist, characters._fields(q, kexps))
+    # the entries of a row of the log table index the E + 1 distinct values of
+    # roots (the trailing 0 read by the non-units): each is formatted once
+    roots = characters._unit_group(q).roots.tolist()
+    cells = np.array([_fmt_complex(z) if args.json else f"({z.real:+.3f},{z.imag:+.3f})" for z in roots], dtype=object)
+    blocks = (cells[characters._log_table(q, kexps[i : i + _LISTING_BLOCK])].tolist() for i in range(0, len(kexps), _LISTING_BLOCK))
+    rows = zip(labels, conductors, parities, chain.from_iterable(blocks))  # a label is its row's index
     if args.json:
-        cells = np.array([_render(z) for z in roots], dtype=object)
-        rows = [
-            {
-                "label": chi.label,
-                "conductor": chi.conductor,
-                "parity": chi.parity,
-                "primitive": chi.is_primitive,
-                "principal": chi.is_principal,
-                "values": _Rendered("[" + ", ".join(cells[logs].tolist()) + "]"),
-            }
-            for chi, logs in zip(chars, table)
-        ]
-        return 0, render_json({"command": "characters", "q": args.q, "characters": rows})
-    cells = np.array([f"({z.real:+.3f},{z.imag:+.3f})" for z in roots], dtype=object)
-    lines = [f"characters mod {args.q}: {len(chars)}"]
-    for chi, logs in zip(chars, table):
-        lines.append(
-            f"label {chi.label:>3}  conductor {chi.conductor:>3}  parity {chi.parity:+d}  "
-            f"primitive {str(chi.is_primitive):<5}  {' '.join(cells[logs].tolist())}"
+        # the writer's own text of the document and of a row, with a null in each slot a row fills
+        head, sep, tail = render_json({"command": "characters", "q": q, "characters": [None, None]}).split("null")
+        keys = ("label", "conductor", "parity", "primitive", "principal")
+        row = _RENDER[dict]({**dict.fromkeys(keys), "values": [None]})
+        row = row.replace("{", "{{").replace("}", "}}").replace("null", "{}")
+        chunks = (
+            (sep if label else "") + row.format(label, f, parity, _RENDER[bool](f == q), _RENDER[bool](f == 1), sep.join(values))
+            for label, f, parity, values in rows
         )
-    return 0, "\n".join(lines)
+        return 0, chain([head], chunks, [tail])
+    chunks = (
+        f"\nlabel {label:>3}  conductor {f:>3}  parity {parity:+d}  primitive {str(f == q):<5}  {' '.join(values)}"
+        for label, f, parity, values in rows
+    )
+    return 0, chain([f"characters mod {q}: {len(kexps)}"], chunks)
 
 
 def _value_report(args, fields: dict, res: EvalResult) -> tuple[int, str]:
@@ -258,38 +247,33 @@ def _cmd_certify(args) -> tuple[int, str]:
     report = _certify_report(args)
     asserted = report.bound_id not in ("Ishikawa_compare",)
     status = 0 if (report.all_pass or not asserted) else 2
-    rows, info = (
-        [{"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin} for c in cases]
-        for cases in (report.cases, report.informational)
-    )
+    cases = report.cases
     if args.json:
+        rows, info = (
+            [{"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin} for c in group]
+            for group in (cases, report.informational)
+        )
         payload = {
             "command": "certify",
             "bound_id": report.bound_id,
             "all_pass": report.all_pass,
-            "worst_margin": report.worst_margin if report.cases else None,
+            "worst_margin": report.worst_margin if cases else None,
             "cases": rows,
             "informational": info,
         }
         return status, render_json(payload)
     if args.csv:
         lines = ["measured,bound,margin,parameters"]
-        for row in rows:
-            lines.append(
-                f"{row['measured']:.17g},{row['bound']:.17g},{row['margin']:.17g},\"{row['parameters']}\""
-            )
+        lines += [f"{c.measured:.17g},{c.bound:.17g},{c.margin:.17g},\"{c.parameters}\"" for c in cases]
         return status, "\n".join(lines)
     lines = [
-        f"bound {report.bound_id}: {len(rows)} cases, all_pass={report.all_pass}, "
-        f"worst_margin={report.worst_margin if rows else 'n/a'}"
+        f"bound {report.bound_id}: {len(cases)} cases, all_pass={report.all_pass}, "
+        f"worst_margin={report.worst_margin if cases else 'n/a'}"
     ]
-    for row in rows[:40]:
-        lines.append(
-            f"  {row['parameters']}  measured={row['measured']:.6e}  bound={row['bound']:.6e}  "
-            f"margin={row['margin']:.6e}"
-        )
-    if len(rows) > 40:
-        lines.append(f"  ... {len(rows) - 40} further cases")
+    for c in cases[:40]:
+        lines.append(f"  {c.parameters}  measured={c.measured:.6e}  bound={c.bound:.6e}  margin={c.margin:.6e}")
+    if len(cases) > 40:
+        lines.append(f"  ... {len(cases) - 40} further cases")
     return status, "\n".join(lines)
 
 
@@ -438,19 +422,20 @@ def run(argv: list[str]) -> int:
         if isinstance(args, str):  # the usage, for -h/--help
             print(args)
             return 0
-        status, text = _HANDLERS[args.command](args)
+        status, doc = _HANDLERS[args.command](args)
     except (ValueError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    chunks = (doc, "\n") if isinstance(doc, str) else chain(doc, ["\n"])  # each written as it comes
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
     return status
 
 

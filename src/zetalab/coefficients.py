@@ -273,6 +273,12 @@ def _laurent(v: complex, r: int) -> complex:
     return (-1.0) ** r * v / math.factorial(r)
 
 
+def _l_all(rmax: int, chi: DirichletCharacter, s: complex) -> list[EvalResult]:
+    """d^r/ds^r L(s, chi) for r = 0..rmax from one pass of the L core."""
+    _check_order(rmax)
+    return [e for (e,) in _l_values(s, [chi], range(rmax + 1))]
+
+
 # the routes look their functions up at call time, so a wrapped one is seen
 COEFFICIENT_KINDS = {
     "stieltjes_gamma": CoefficientKind(
@@ -288,14 +294,14 @@ COEFFICIENT_KINDS = {
         "proposition",
     ),
     "gamma_chi": CoefficientKind(
-        ("chi",), lambda n, chi: _per_factorial([e for (e,) in _l_values(1.0 + 0.0j, [chi], range(n + 1))]), 1.0
+        ("chi",), lambda n, chi: _per_factorial(_l_all(n, chi, 1.0 + 0.0j)), 1.0
     ),
     "lerch_at_one": CoefficientKind(
         ("lam", "alpha"), lambda n, lam, alpha: _lerch_at_one(n, lam, alpha), 1.0
     ),
     "l_deriv_at_zero": CoefficientKind(
         ("chi",),
-        lambda n, chi: [e for (e,) in _l_values(0.0j, [chi], range(n + 1))],
+        lambda n, chi: _l_all(n, chi, 0.0j),
         0.0,
         lambda v, r: v / math.factorial(r),
     ),

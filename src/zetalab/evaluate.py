@@ -223,6 +223,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a split far from the default can leave binary64: EvalResult refuses it
 def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, np.ndarray, np.ndarray]:
     """The split X and the Z-representation without its pole term (1/q) d^r
     (X^{1-s}/(s-1)) of every class a of units (columns; at q = 1 any shifts

@@ -631,6 +631,7 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
             return cutoff[0], vals, errs
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an x near 0 can leave binary64: EvalResult refuses it
 def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float], float]]:
     """The rows of psi_tail_powers_batch, each with the cutoff u0 of its far tail."""
     b = complex(b)
@@ -703,6 +704,7 @@ def _walk_length(lo, hi, nu, c: float):
     return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / _LOG_STEP
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in _psi_tails
 def _walk(ends, nu: float, c: float) -> np.ndarray:
     """Panel break points over the intervals between the increasing ends, each
     [lo, hi] cut at the level sets F(u) = F(lo) + k < F(hi) (_walk_length), their

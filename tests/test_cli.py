@@ -10,15 +10,19 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import cli
 from zetalab.characters import enumerate_characters
 from zetalab.cli import render_json, run
 
-from . import argparse_reference
+from . import argparse_reference, render_reference
 
 
 def run_capture(capsys, argv):
@@ -68,7 +72,10 @@ def test_characters_table(capsys):
     assert re3 == pytest.approx(-1.0, abs=1e-15) and im3 == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 8, 24, 105, 307, 331])
+LISTING_MODULI = [1, 2, 4, 8, 9, 12, 24, 105, 307, 331, 720]
+
+
+@pytest.mark.parametrize("q", LISTING_MODULI)
 def test_characters_json_joins_each_rendered_root_byte_for_byte(capsys, q):
     # prime, 2^k (two generators at 8 and 24) and multi-factor moduli: the
     # table joined from the E + 1 distinct rendered roots equals the plain
@@ -87,6 +94,58 @@ def test_characters_json_joins_each_rendered_root_byte_for_byte(capsys, q):
     status, out = run_capture(capsys, ["characters", "--q", str(q), "--json"])
     assert status == 0
     assert out == render_json({"command": "characters", "q": q, "characters": rows}) + "\n"
+    assert out == render_reference.characters_listing(q, enumerate_characters(q), json=True) + "\n"
+
+
+@pytest.mark.parametrize("q", LISTING_MODULI)
+def test_characters_text_listing_is_the_line_per_character_form(capsys, q):
+    status, out = run_capture(capsys, ["characters", "--q", str(q)])
+    assert status == 0
+    assert out == render_reference.characters_listing(q, enumerate_characters(q), json=False) + "\n"
+
+
+# sha256 of each listing at q = 2003 and 1009, as the listing held whole in memory printed them
+LISTING_DIGESTS = {
+    ("characters", "--q", "2003", "--json"): "b3b0765aa419b57bb60d49557fb3fe043feeecc5baca37c6a1ad22c57f032359",
+    ("characters", "--q", "2003"): "bad0dadedf6c791050fc6e36a941d215a14a0b90c97640e37fe5fa87f3eee161",
+    ("characters", "--q", "1009", "--json"): "7216a2c78226746a134e80cf80b72ea166e5f786724ec1b97c9f9629a70da050",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("argv", list(LISTING_DIGESTS), ids=" ".join)
+def test_large_listings_stream_in_bounded_memory_byte_for_byte(argv):
+    # the q = 2003 JSON listing is 179 MB; held whole, with its copies, it peaked near 580 MB.
+    # The child reports VmHWM, the peak RSS of its own image: ru_maxrss keeps the
+    # high-water mark of the process it was forked from across exec
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import sys\n"
+        "from zetalab.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", child, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    digest = hashlib.sha256()
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert digest.hexdigest() == LISTING_DIGESTS[argv]
+    assert int(err) < 150 * 1024  # in KiB
+
+
+def test_a_listing_to_an_unwritable_output_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert run(["--output", str(target), "characters", "--q", "12", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize(
@@ -104,7 +163,10 @@ def test_character_tables_beyond_memory_are_refused_before_any_is_built(capsys, 
     def no_build(*args, **kwargs):
         raise AssertionError("a character was built")
 
-    monkeypatch.setattr(characters, "_build_character", no_build)
+    # every character, listed or built, takes its fields from this one kernel, and the
+    # listing reads its values from the log table
+    monkeypatch.setattr(characters, "_fields", no_build)
+    monkeypatch.setattr(characters, "_log_table", no_build)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -114,7 +176,7 @@ def test_character_tables_beyond_memory_are_refused_before_any_is_built(capsys, 
 def test_character_tables_at_q_2003_are_inside_the_budget(monkeypatch):
     import zetalab.characters as characters
 
-    monkeypatch.setattr(characters, "_build_character", lambda q, kexp: kexp)
+    monkeypatch.setattr(characters, "_fields", lambda q, kexps: (np.zeros(len(kexps), dtype=np.int64),) * 3)
     assert len(enumerate_characters(2003)) == 2002
 
 
@@ -202,6 +264,65 @@ def test_render_json_serves_subclasses_and_non_finite_numbers_by_the_ladder():
     assert doc == ('{"schema": "1", "f": 0.10000000000000001, "c": [1, -0], "w": ["inf", "nan"], "i": 3, "t": [1, [null]]}')
     with pytest.raises(TypeError):
         render_json({"x": np.int64(3)})
+
+
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, math.nan, -math.nan, math.inf, -math.inf])
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_STRINGS = st.text(st.sampled_from('ab"\\ \u00e9\n'), max_size=6) | st.text(max_size=6)
+_SCALARS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), _COMPLEX, _COMPLEX.map(np.complex128), st.booleans(), st.none(), st.integers(), _STRINGS
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(_STRINGS | st.integers(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(_STRINGS, _DOCUMENTS, max_size=6))
+def test_the_flat_writer_renders_every_document_as_the_recursive_one_did(payload):
+    assert render_json(payload) == render_reference.render_json(payload)
+
+
+@pytest.mark.parametrize("bound", ["t2-ib", "t2-iib", "t2-iiib", "t3", "ishikawa", "polya"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_every_certify_report_renders_as_the_recursive_writer_rendered_it(capsys, bound, fmt):
+    argv = ["certify", "--bound", bound, *({"json": ["--json"], "csv": ["--csv"]}.get(fmt, []))]
+    status, text = render_reference.certify_report(cli._certify_report(cli._parse(argv)), fmt)
+    assert run_capture(capsys, argv) == (status, text + "\n")
+
+
+@pytest.mark.parametrize("kind", ["gamma-chi", "l-zero"])
+def test_an_l_table_below_order_zero_is_refused_with_one_line(capsys, kind):
+    # the L routes reached the core with no order, and ended in an IndexError traceback
+    assert run(["coeff", "--kind", kind, "--r-max", "-1", "--q", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must lie in 0..24\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "z", "--s", "3e5", "--x", "0.5"],
+        ["eval", "--kind", "hurwitz", "--s", "0.5", "--x", "5e-324"],
+        ["eval", "--kind", "hurwitz", "--s", "1e-3", "--r", "7", "--x", "1e-300"],
+        ["eval", "--kind", "lerch", "--s", "0.5", "--x", "5e-324"],
+        ["tail", "--x", "5e-324", "--alpha", "1", "--re-a", "-2"],
+        ["tail", "--x", "5e-324", "--alpha", "1", "--re-a", "-2", "--lambda", "0.5"],
+    ],
+)
+def test_a_split_far_from_the_default_is_refused_without_a_warning(capsys, argv):
+    # numpy printed RuntimeWarnings from the tail and the core before the refusal;
+    # pytest keeps warnings away from capsys, so they are recorded here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_threads_flag_is_refused(capsys):

@@ -51,6 +51,9 @@ the rows time any checkout):
                               eval-default pool request)
     cli characters q=307      characters --q 307 --json (a sweep pool request)
     cli certify polya         certify --bound polya --json (a sweep pool request)
+    cli certify t3            certify --bound t3 --json: 504 cases through the
+                              JSON writer
+    cli characters q=2003     characters --q 2003 --json: the 179 MB listing
 
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
@@ -146,6 +149,8 @@ def main(argv: list[str]) -> int:
         ),
         ("cli characters q=307", request("characters", "--q", "307", "--json")),
         ("cli certify polya", request("certify", "--bound", "polya", "--json")),
+        ("cli certify t3", request("certify", "--bound", "t3", "--json")),
+        ("cli characters q=2003", request("characters", "--q", "2003", "--json")),
     ]
     for name, fn in rows:
         print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
