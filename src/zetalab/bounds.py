@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import _log_table, _unit_group, enumerate_characters
+from .characters import _values_at, enumerate_characters
 from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_all
 from .evaluate import _l_values
 from .sawtooth import _check_alpha, _check_order, _check_work
@@ -85,15 +85,11 @@ def _log_factorial(r: int) -> float:
 
 def _t2_ib_bound(r: int) -> float:
     # e (r/2e)^r / r!, in log space for large r
-    if r == 0:
-        return math.e
     return math.exp(1.0 + r * (math.log(r) - 1.0 - math.log(2.0)) - _log_factorial(r))
 
 
 def _t2_iib_bound(r: int) -> float:
     # (e/3)(r/e)^r / r! + 1
-    if r == 0:
-        return math.e / 3.0 + 1.0
     return math.exp(math.log(math.e / 3.0) + r * (math.log(r) - 1.0) - _log_factorial(r)) + 1.0
 
 
@@ -195,7 +191,7 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
     s = 0, are checked before any work.
     """
     _check_order(r_max)
-    _check_work(max(q_set, default=1) * math.exp(r_max - 1))
+    _check_work(truncated=max(q_set, default=1) * math.exp(r_max - 1))
     cases = []
     for q in q_set:
         prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
@@ -247,15 +243,15 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
 def certify_polya_vinogradov(q_min: int = 3, q_max: int = 50) -> BoundReport:
     """max_{x <= q} |sum_{a <= x} chi(a)| <= sqrt(q) log q for non-principal chi.
 
-    One cumsum along the rows of the (chi x a) value table per modulus (the
-    roots indexed by the log table): column n holds sum_{a <= n} chi(a), as
+    One cumsum along the rows of the (chi x a) value table per modulus
+    (characters._values_at): column n holds sum_{a <= n} chi(a), as
     chi(0) = 0, and x = q needs no column, as its full-period sum is 0."""
     cases = []
     for q in range(q_min, q_max + 1):
         chars = [chi for chi in enumerate_characters(q) if not chi.is_principal]
         if not chars:
             continue
-        sums = np.cumsum(_unit_group(q).roots[_log_table(q, [chi.gen_exponents for chi in chars])], axis=1)
+        sums = np.cumsum(_values_at(chars), axis=1)
         bound = math.sqrt(q) * math.log(q)
         for chi, worst in zip(chars, np.abs(sums).max(axis=1).tolist()):
             cases.append(BoundCase({"q": q, "label": chi.label}, worst, bound))

@@ -10,13 +10,16 @@ complex doubles indexed by them.
 One walk of the group per modulus fills a discrete-log table (the
 exponent vector over the generators of every unit n, kept in a bounded
 cache).  The value table of any set of characters is one integer matrix
-product over that table (_log_table), O(q) per character; a character
-builds its own row, and its complex values, on first use.  The other
-fields of any set of characters come from one array pass over their
-generator exponents (_fields): the label in the radix of the generator
-orders, the conductor as one gcd/lcm pass over the prime-power
-components, and the parity as one product with the exponent vector of
-q - 1.  A single character is its one-row case.
+product over that table (_log_table), O(q) per character, and chi(n) at
+any residues is the E-th roots indexed by it (_values_at): the one reader
+of character values, which the L weighting, the truncated sums, the
+Polya-Vinogradov sweep, Gauss sums and a character's own values share.
+A character builds its values on first use.  The other fields of any set
+of characters come from one array pass over their generator exponents
+(_fields): the label in the radix of the generator orders, the conductor
+as one gcd/lcm pass over the prime-power components, and the parity as
+one product with the exponent vector of q - 1.  A single character is
+its one-row case.
 
 Labels index the dual group lexicographically over generator exponents
 (mixed radix over the generator orders); the principal character is
@@ -107,11 +110,10 @@ class _UnitGroup(NamedTuple):
     logs: np.ndarray  # (q, len(orders)): exponent vector of each unit n
     units: np.ndarray  # units[n] is gcd(n, q) == 1
     roots: np.ndarray  # e^{2 pi i k / exponent} for k < exponent, then 0
-    # per generator (columns) of order d: E/d, the weight of its exponent in a
-    # value's log; c and p^e of its component, where a character of order o
-    # has conductor c gcd(o, p^e) (c = p odd; 2 for <-1>, 4 for <5>); and its
-    # place value in the label
-    gens: np.ndarray  # (4, len(orders)) int64 rows E/d, c, p^e, place value
+    # per generator (columns): c and p^e of its component, where a character of
+    # order o has conductor c gcd(o, p^e) (c = p odd; 2 for <-1>, 4 for <5>);
+    # and its place value in the label
+    gens: np.ndarray  # (3, len(orders)) int64 rows c, p^e, place value
 
 
 @lru_cache(maxsize=64)
@@ -141,8 +143,8 @@ def _unit_group(q: int) -> _UnitGroup:
     units[elems] = True
     exponent = math.lcm(*orders)
     roots = [cmath.exp(2j * math.pi * k / exponent) for k in range(exponent)]
-    gens = [(exponent // d, c, pk, math.prod(orders[i + 1 :])) for i, (_, d, c, pk) in enumerate(parts)]
-    return _UnitGroup(orders, exponent, logs, units, np.array(roots + [0j]), np.array(gens, dtype=np.int64).reshape(-1, 4).T)
+    gens = [(c, pk, math.prod(orders[i + 1 :])) for i, (_, _, c, pk) in enumerate(parts)]
+    return _UnitGroup(orders, exponent, logs, units, np.array(roots + [0j]), np.array(gens, dtype=np.int64).reshape(-1, 3).T)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class DirichletCharacter:
 
     @cached_property
     def values(self) -> tuple[complex, ...]:
-        return tuple(map(_unit_group(self.modulus).roots.tolist().__getitem__, self.value_logs))
+        return tuple(_values_at([self])[0].tolist())
 
     def __call__(self, n: int) -> complex:
         return self.values[n % self.modulus]
@@ -193,8 +195,20 @@ def _log_table(q: int, kexps) -> np.ndarray:
     """value_logs of the characters with the generator exponents kexps, one
     row each: (kexps E/d) @ logs.T mod E at the units, -1 off them."""
     group = _unit_group(q)
-    weights = np.array(kexps, dtype=np.int64) * group.gens[0]
+    weights = np.array(kexps, dtype=np.int64) * (group.exponent // np.array(group.orders, dtype=np.int64))
     return np.where(group.units, (weights @ group.logs.T) % group.exponent, -1)
+
+
+def _values_at(chars, residues=None) -> np.ndarray:
+    """chi(n) for every chi of chars, of one modulus q (rows), at the residues n
+    (columns; n = 0..q-1 for None): the roots indexed by the log table."""
+    table = _log_table(chars[0].modulus, [chi.gen_exponents for chi in chars])
+    return _unit_group(chars[0].modulus).roots[table if residues is None else table[:, residues]]
+
+
+def _units(q: int) -> list[int]:
+    """The units 1 <= a < q of Z/qZ (q >= 2) in increasing order: the classes of a character sum."""
+    return np.flatnonzero(_unit_group(q).units).tolist()
 
 
 def _fields(q: int, kexps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,10 +219,10 @@ def _fields(q: int, kexps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chi(-1) = e^{2 pi i m / E} with m = sum of k_i (E/d_i) l_i over the
     exponent vector l of q - 1."""
     group = _unit_group(q)
-    d, (weight, c, pk, place) = np.array(group.orders, dtype=np.int64), group.gens
+    d, (c, pk, place) = np.array(group.orders, dtype=np.int64), group.gens
     kexps = np.asarray(kexps, dtype=np.int64)
     parts = np.where(kexps > 0, c * np.gcd(d // np.gcd(kexps, d), pk), 1)
-    minus_one = kexps @ (weight * group.logs[(q - 1) % q]) % group.exponent
+    minus_one = kexps @ (group.exponent // d * group.logs[(q - 1) % q]) % group.exponent
     return kexps @ place, np.lcm.reduce(parts, axis=1, initial=1), np.where(minus_one, -1, 1)
 
 
@@ -235,20 +249,12 @@ def character(q: int, label: int) -> DirichletCharacter:
     return _build_character(q, tuple(reversed(kexp)))
 
 
-# work units of one entry of a whole modulus's table: the listing streams it in
-# blocks of characters, formatted in about 0.2 us as 45 bytes of text, and the
-# bulk readers (Polya-Vinogradov, the L weighting) hold it whole as an int64 log
-# and a complex double, 24 bytes; so the budget takes tables of up to 8e6
-# entries, q near 2800, about 200 MB held at once
-_TABLE_ENTRY_COST = 0.25
-
-
 def _exponents(q: int) -> np.ndarray:
     """The generator exponents of every character mod q, one row each in
     label order; runaway tables are refused before anything is built."""
     if q < 1:
         raise ValueError("modulus must be a positive integer")
-    _check_work(euler_phi(q) * q * _TABLE_ENTRY_COST)
+    _check_work(entries=euler_phi(q) * q)
     orders = _unit_group(q).orders
     return np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
 
@@ -266,11 +272,9 @@ def conductor(chi: DirichletCharacter) -> int:
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     """sum_{a=1}^{q} chi(a) e^{2 pi i n a / q}, computed as the finite sum."""
     q = chi.modulus
-    a = np.arange(q)
-    vals = np.asarray(chi.values, dtype=complex)
-    phases = np.exp(2j * np.pi * ((n % q) * a % q) / q)
+    phases = np.exp(2j * np.pi * ((n % q) * np.arange(q) % q) / q)
     # a = q term equals the a = 0 table entry (chi(0) e^0)
-    return complex(np.dot(vals, phases))
+    return complex(np.dot(_values_at([chi])[0], phases))
 
 
 def partial_character_sum(chi: DirichletCharacter, x: float) -> complex:
@@ -281,7 +285,7 @@ def partial_character_sum(chi: DirichletCharacter, x: float) -> complex:
     if m < 1:
         return 0.0 + 0.0j
     q = chi.modulus
-    vals = np.asarray(chi.values, dtype=complex)
+    vals = _values_at([chi])[0]
     full, rem = divmod(m, q)
     total = full * np.sum(vals)
     if rem:

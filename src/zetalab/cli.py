@@ -55,22 +55,18 @@ def _fmt_str(s: str) -> str:
 
 
 def _render(obj) -> str:
-    """The JSON text of obj: the renderer of its type, or of the first type of
-    _RENDER that it is an instance of (a subclass such as a str enum)."""
-    render = _RENDER.get(type(obj))
-    if render is None:
-        render = next((f for t, f in _RENDER.items() if isinstance(obj, t)), None)
-        if render is None:
-            raise TypeError(f"cannot serialize {type(obj)!r}")
-    return render(obj)
+    """The JSON text of obj by the renderer of its exact type in _RENDER."""
+    if type(obj) not in _RENDER:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _RENDER[type(obj)](obj)
 
 
 def _items(values) -> str:
     return ", ".join([(_RENDER.get(type(v)) or _render)(v) for v in values])
 
 
-# one renderer per type, in the order of the isinstance ladder that serves subclasses: a
-# dict, list or tuple joins its items' texts once, each scalar's from one lookup by its type
+# one renderer per type: a dict, list or tuple joins its items' texts once, each
+# scalar's from one lookup by its type
 _RENDER = {
     type(None): lambda _: "null",
     bool: lambda b: "true" if b else "false",

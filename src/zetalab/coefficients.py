@@ -42,9 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .characters import DirichletCharacter
-from .evaluate import _EPS, LerchArgs, _characters_at, _common_modulus, _cores, _l_values, _lerch_values
-from .evaluate import _units, _weigh, _z_values
+from .characters import DirichletCharacter, _units, _values_at
+from .evaluate import _EPS, LerchArgs, _common_modulus, _cores, _l_values, _lerch_values, _weigh, _z_values
 from .sawtooth import EvalResult, _check_alpha, _check_order, _check_work, _progression_sum
 
 __all__ = [
@@ -179,14 +178,14 @@ def _truncated_all(r: int, chars, point: int) -> list[EvalResult]:
     q = _common_modulus(chars)
     _check_order(r)
     count = math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12)
-    _check_work(count)
+    _check_work(truncated=count)
     a = np.array(_units(q))
     sums, lq = _progression_sum(a, q, (count - a) // q, complex(point), [r])[0][0], math.log(q)
     if point:
         bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r
     else:
         bound = 10.0 * math.sqrt(q) * lq * (lq + r) ** r
-    return [EvalResult(v, bound) for v in _weigh(_characters_at(chars, a), sums).tolist()]
+    return [EvalResult(v, bound) for v in _weigh(_values_at(chars, a), sums).tolist()]
 
 
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:

@@ -11,10 +11,12 @@ for every split, which the test suite exploits as its master property.
 One core serves Hurwitz, Z and L: zeta(s, alpha) = Z(s, alpha, 1), and
 L(s, chi) = sum_a chi(a) Z(s, a, q) over the units a of Z/qZ.  One
 kernel weighs chi-free class pieces by chi(a) for a batch of characters
-at once; the pole terms cancel in that sum.  The core (Z without its
-pole term) is analytic for Re(s) > -1, so the coefficient routes read it
-at s = 1 and s = 0 too, for every order from one split and one tail
-batch at the largest order.
+at once; the pole terms cancel in that sum.  The units and chi(a) come
+from characters (_units, _values_at), and the classes and finite-sum
+terms are charged to the work budget by kind (sawtooth._check_work)
+before they run.  The core (Z without its pole term) is analytic for
+Re(s) > -1, so the coefficient routes read it at s = 1 and s = 0 too,
+for every order from one split and one tail batch at the largest order.
 
 Their default split puts X/q at the final cutoff of the plain sawtooth
 tails (Euler-Maclaurin at the cutoff, as in Johansson, arXiv:1309.2877):
@@ -48,11 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter, _log_table, _unit_group
+from .characters import DirichletCharacter, _units, _values_at
 from .sawtooth import (
     _EPS,
     _SUM_BLOCK,
-    _WORK_BUDGET,
     EvalResult,
     _check_alpha,
     _check_order,
@@ -61,6 +62,7 @@ from .sawtooth import (
     _osc_cutoff,
     _progression_sum,
     _tail_cutoff,
+    _work,
     psi_osc_tail_powers,
     psi_tail_powers_batch,
     pure_osc_tail_powers,
@@ -155,15 +157,6 @@ def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     return val, err
 
 
-# work budget charges, in the plain tail's units (one per unit of u and row):
-# a progression-sum term takes 40-80 ns at one order, and a residue class (its
-# far tails and its core, less its sum) 3-17 us.  At 12 a class of u = X/q
-# terms is charged 12 + u/8 <= max(u, 30 - u): no more than its terms at 1
-# each, or than its tail's interval from u to the first cutoff (30 or more)
-_TERM_COST = 1.0 / 8.0
-_CLASS_COST = 12.0
-
-
 def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tuple[complex, float]:
     """(-1)^r (r T_{r-1} - s T_r) with its error: the tail term of
     d^r/ds^r (s u^{-s}) over T_m = int (weight) u^{-s-1} log^m u du."""
@@ -206,13 +199,13 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, n
     final one, then at the final one."""
     alphas, b = [a / q for a in units], -s - 1.0
     if X is None:
-        _check_work(len(units) * (_CLASS_COST + _first_cutoff(b, r) * _TERM_COST))
+        _check_work(classes=len(units), terms=len(units) * _first_cutoff(b, r))
         u, tails, terrs = _tail_cutoff(alphas, b, r)
-        _check_work(len(units) * (_CLASS_COST + u * _TERM_COST))
+        _check_work(classes=len(units), terms=len(units) * u)
         return q * u, tails, terrs
     if not X > 0.0:
         raise ValueError("split parameter must be positive")
-    _check_work(len(units) * (_CLASS_COST + X / q * _TERM_COST))
+    _check_work(classes=len(units), terms=len(units) * X / q)
     tails = psi_tail_powers_batch(X / q, alphas, b, r)
     return X, np.array([t for t, _ in tails]).T, np.array([e for _, e in tails]).T
 
@@ -285,18 +278,6 @@ def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalR
     return _z_values(s, q, r, X, cores[0], errs[0])[0]
 
 
-def _units(q: int) -> list[int]:
-    """The units a = 1..q of Z/qZ in increasing order: the residue classes of a character sum."""
-    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-
-
-def _characters_at(chars, units) -> np.ndarray:
-    """chi(a) for every chi of chars (rows) and a of units (columns): the roots
-    indexed by the log table at the units."""
-    q = chars[0].modulus
-    return _unit_group(q).roots[_log_table(q, [chi.gen_exponents for chi in chars])[:, np.array(units) % q]]
-
-
 def _weigh(w: np.ndarray, pieces) -> np.ndarray:
     """sum_a w_a piece_a for every row of the weights w, of shape (characters,
     units): the products, added along each row left to right, so that a row
@@ -328,7 +309,7 @@ def _weigh_cores(chars, units, vals: np.ndarray, errs: np.ndarray) -> list[list[
     so eps (21 + units) sum_a |core_a - c|."""
     vals = vals - vals.mean(axis=1, keepdims=True)
     errs = np.add.accumulate(errs, axis=1)[:, -1] + _EPS * (21 + len(units)) * np.abs(vals).sum(axis=1)  # left to right
-    w = _characters_at(chars, units)
+    w = _values_at(chars, units)
     return [[EvalResult(v, err) for v in _weigh(w, cores).tolist()] for cores, err in zip(vals, errs.tolist())]
 
 
@@ -358,17 +339,18 @@ def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tup
     sawtooth-weighted tails at -s and -s-1 that it passes, None for a tail
     it walks: x = max(default_split, the final cutoff of each tail worth
     passing), so a passed tail walks no panel.  A tail is worth passing if,
-    per unit of u, the n finite-sum terms cost less than a fixed price for
-    its panels: 2 for the two sawtooth-weighted tails, lam/0.45 for the pure
-    one (fixed, so the split does not move with the walk).  Where the sum to that
-    x would exceed the work budget, no tail is passed: the split is
-    default_split, and the tails charge their own walks."""
-    x = default_split(s, alpha)
-    term = n * _TERM_COST
-    cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if term < lam / 0.45 else None]
-    cuts += [_osc_cutoff(lam, b, rmax, x, True, True) if term < 2.0 else None for b in (-s, -s - 1.0)]
+    per unit of u, the n finite-sum terms cost less work than a fixed count
+    of its panels: 2 for the two sawtooth-weighted tails, lam/0.45 for the
+    pure one (fixed, so the split does not move with the walk).  Where the
+    sum to that x would exceed the work budget (_check_work), no tail is
+    passed: the split is default_split, and the tails charge their own walks."""
+    x, term = default_split(s, alpha), _work(terms=n)
+    cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if term < _work(panels=lam / 0.45) else None]
+    cuts += [_osc_cutoff(lam, b, rmax, x, True, True) if term < _work(panels=2.0) else None for b in (-s, -s - 1.0)]
     passed = max([x] + [cut[1] for cut in cuts if cut])
-    if not term * (_split_floor(passed - alpha) + 1) <= _WORK_BUDGET:
+    try:
+        _check_work(terms=n * (_split_floor(passed - alpha) + 1))
+    except ValueError:
         return x, [None] * 3
     return passed, cuts
 
@@ -391,10 +373,10 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     rmax = max(orders)
     x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax, len(orders)) if split is None else (split, [None] * 3)
     # the sums are charged to the work budget before any runs, at the Z
-    # route's cost of a term (the phase e^{2 pi i lam k} makes a term about
+    # route's price of a term (the phase e^{2 pi i lam k} makes a term about
     # 1.5 times a Z term, 100-290 ns at r <= 4); the tails charge their walks
     kmax = _split_floor(x - alpha)
-    _check_work(len(orders) * (kmax + 1) * _TERM_COST)
+    _check_work(terms=len(orders) * (kmax + 1))
     pure, perr = pure_osc_tail_powers(lam, -s, rmax, x, pcut)
     w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x, w1cut)
     w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x, w2cut)

@@ -21,12 +21,13 @@ of an L-function), one row each: its kink sums are one pass of the
 finite-sum kernel that evaluate shares (_progression_sum), the rest one
 triangular recursion of antiderivatives (_antiderivatives), and each row,
 value and booked rounding, is bit for bit its one-row result.  A tail
-whose interval or panel walk would exceed about 2e6 units of work, or
-reach 2^52, is refused; a plain tail from x >= 2^52 integrates nothing,
-and since its cutoff is then an integer, its far tail is expanded at
-{-alpha}.  Each row stops at its own cutoff; the final one (_tail_cutoff),
-where every row stops at once, returns the tails from there: no interval
-is integrated and so no rounding is booked.
+whose interval or panel walk would exceed the work budget, or reach 2^52,
+is refused: every module charges its pieces by kind, each priced once in
+one table (_PRICES, _check_work).  A plain tail from x >= 2^52 integrates
+nothing, and since its cutoff is then an integer, its far tail is expanded
+at {-alpha}.  Each row stops at its own cutoff; the final one
+(_tail_cutoff), where every row stops at once, returns the tails from
+there: no interval is integrated and so no rounding is booked.
 
 Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
 integration by parts against the exponential beyond an adaptive cutoff.
@@ -464,18 +465,28 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
 _TOL_ABS = 1e-15
 _TOL_REL = 1e-12
 _K_TAIL = _TAIL_ORDERS[-1]  # periodic-Bernoulli expansion depth for the plain tail
-# units of work of one request: a unit of u of a plain tail's interval (per
-# row), a panel of an oscillatory walk; the Hurwitz, Z, L and Lerch splits
-# weigh their terms (and residue classes) in those units
+# units of work of one check (about 10 s) and the price of each kind of piece:
+# a unit of u of a plain tail's interval (per row), a walk's panel (about 1.4
+# us), a listed kink or a truncated-sum term, 1; a core's or the Lerch core's
+# finite-sum term (40-290 ns), 1/8; a residue class (its far tails and core,
+# 3-17 us), 12, so that a class of u terms costs no more than its terms at 1 or
+# its tail's interval to the first cutoff (30 or more); a character-table entry
+# (24 bytes held, or 0.2 us formatted), 1/4, so tables of up to 8e6 entries pass
 _WORK_BUDGET = 2e6
+_PRICES = {"interval": 1.0, "panels": 1.0, "kinks": 1.0, "truncated": 1.0, "terms": 1.0 / 8.0, "classes": 12.0, "entries": 0.25}
 
 
-def _check_work(pieces: float) -> None:
-    """Refuse, before any work, a finite sum or a walk beyond the budget (about 10 s)."""
-    if not pieces <= _WORK_BUDGET:
-        raise ValueError(
-            f"the request would take about {pieces:.3g} units of work, beyond the work budget of {_WORK_BUDGET:.0e}"
-        )
+def _work(**pieces: float) -> float:
+    """The units of work of pieces, counted by kind (_PRICES), each at its price."""
+    return sum([_PRICES[kind] * count for kind, count in pieces.items()])
+
+
+def _check_work(**pieces: float) -> None:
+    """Refuse, before any work, pieces by kind (_work) beyond the budget of one
+    check: the budget holds per check, not per request."""
+    work = _work(**pieces)
+    if not work <= _WORK_BUDGET:
+        raise ValueError(f"the request would take about {work:.3g} units of work, beyond the work budget of {_WORK_BUDGET:.0e}")
 
 
 def _kinks(lo: float, hi: float, alpha: float) -> tuple[float, int]:
@@ -642,7 +653,7 @@ def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[compl
     out: list = [None] * alphas.size
     rows, cur = np.arange(alphas.size), x
     for cutoff in _tail_cutoffs(x, b, rmax):
-        _check_work(alphas.size * (cutoff[0] - cur))  # each interval, for the rows still open, before it is integrated
+        _check_work(interval=alphas.size * (cutoff[0] - cur))  # each interval, for the rows still open, before it is integrated
         _psi_interval(sums, cur, cutoff[0], alphas, b, rmax)
         cur = cutoff[0]
         vals, errs, done = _tail_values(sums, cutoff, b, alphas)
@@ -701,6 +712,8 @@ def _walk_length(lo, hi, nu, c: float):
     elementwise: the turn of the phase 2 pi nu u + c log u over [lo, hi] in
     budgets _THETA (|phi'| <= 2 pi |nu| + |c|/u) plus its steps u -> 1.6 u."""
     w = np.log1p((hi - lo) / lo)
+    if not c and np.isinf(w).any():  # |c| w would be 0 inf: (hi - lo)/lo overflows from the lo of an ulp or so
+        raise ValueError(f"the panel walk from u = {lo[0]:.6g} is not finite in binary64")
     return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / _LOG_STEP
 
 
@@ -715,7 +728,7 @@ def _walk(ends, nu: float, c: float) -> np.ndarray:
     ends = np.asarray(ends, dtype=float)
     lo, hi = ends[:-1], ends[1:]
     n = np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c)), 1.0), 0.0)
-    _check_work(n.sum())
+    _check_work(panels=n.sum())
     n = n.astype(np.int64)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
     base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / _LOG_STEP
@@ -945,7 +958,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
     if x0 > x:
         first, count = _kinks(x, x0, alpha)
-        _check_work(count)  # before the kinks are listed; _walk charges its panels
+        _check_work(kinks=count)  # before the kinks are listed; _walk charges its panels
         ends = np.concatenate(([x], first + np.arange(count - 1) + alpha, [x0]))
         _gl_panels(vals, errs, _walk(ends, nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]

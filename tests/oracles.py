@@ -546,7 +546,7 @@ def psi_piecewise_integral(
     its work budget first."""
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    _check_work(hi - lo)
+    _check_work(interval=hi - lo)
     sums = [np.zeros((log_power + 1, 1), dtype=complex), np.zeros((log_power + 1, 1))]
     sawtooth._psi_interval(sums, lo, hi, np.array([alpha], dtype=float), complex(exponent), log_power)
     return complex(sums[0][log_power, 0])

@@ -325,6 +325,21 @@ def test_a_split_far_from_the_default_is_refused_without_a_warning(capsys, argv)
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--kind", "lerch", "--s", "0.5", "--x", "5e-324"], ["tail", "--x", "5e-324", "--alpha", "1", "--re-a", "-2", "--lambda", "0.5"]],
+)
+def test_a_walk_from_a_split_of_an_ulp_at_real_s_is_refused_in_words(capsys, argv):
+    # its length was 0 inf, and the refusal read "about nan units of work"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the panel walk from u = 4.94066e-324 is not finite in binary64\n"
+
+
 def test_threads_flag_is_refused(capsys):
     # the certify thread pool is gone (it only added cost under the GIL):
     # the flag is refused like any unknown option, and the sweep runs serially
@@ -373,6 +388,11 @@ def test_certify_r_max_below_one_is_refused(capsys, bound, r_max):
         (["eval", "--kind", "l", "--s", "1,0", "--q", "7", "--label", "6"], "no character mod 7 has label 6"),
         (["eval", "--kind", "l", "--s", "1,0", "--q", "7", "--label", "-1"], "no character mod 7 has label -1"),
         (["coeff", "--kind", "gamma-chi", "--q", "0", "--r-max", "2"], "no character mod 0 has label 1"),
+        # and the domain refusals of the Z and L routes and of two sweeps
+        (["eval", "--kind", "z", "--s", "0,5", "--q", "5", "--a", "2"], "evaluation requires Re(s) > 0"),
+        (["eval", "--kind", "l", "--s", "-0.5,3", "--q", "5", "--label", "1"], "evaluation requires Re(s) > 0"),
+        (["certify", "--bound", "t2-ib", "--r-max", "21"], "grid is capped at r <= 20"),
+        (["certify", "--bound", "ishikawa", "--q", "2"], "q = 2 has no primitive characters"),
     ],
 )
 def test_bad_character_label_is_refused_with_one_line(capsys, argv, message):
@@ -1010,7 +1030,10 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # Euler-Maclaurin intervals, the plain tail and Lerch entries with those
 # of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k},
 # the afe entry with those of the AFE as its Z core, and the plain tail and
-# Lerch entries with those of the far-tail layer from one (k, r - i) table
+# Lerch entries with those of the far-tail layer from one (k, r - i) table;
+# the coeff entries, one per kind, and their --csv twins in CSV_DIGESTS were
+# recorded before the character values and the work prices each moved behind
+# one module
 TEXT_DIGESTS = [
     (["characters", "--q", "12"], "dc08bfcebcb4444eff019f761656c31fb0607726b4adac5bbb1654fce6a27069"),
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
@@ -1030,10 +1053,25 @@ TEXT_DIGESTS = [
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
         "b6cde06032c370e491a6d889628c79e79a1ffda0bd0ced3ac732f9bfc6120e28",
     ),
+    (["coeff", "--kind", "gamma", "--alpha", "0.3", "--r-max", "3"], "4761621e14dfba3227a1ab46e6e7640896f39c00a8a5c4ef113fbbefefcae1fd"),
+    (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3"], "e49c5254d63d71e8d20ff45bb72677ae81402e11161caa4e241024998ef7b903"),
+    (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3"], "52a6e49b36da888cf5f458658f8992f9382468e5d78edd6a4d2b38ea3b2499bc"),
+    (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3"], "96806e097a2020456c3f6d5ca4e4267c470d1a44481cbf339070c545fc4e3570"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3"], "3781de1b52a01c6cdba5eed44e8c7fb6651922e0c49fb2d00673f3f916896016"),
+    (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3"], "a0b7b6f3e13a1b18fef338b17b87cd93a46bad6f57cdddd88c34cbb59460e34c"),
+]
+
+CSV_DIGESTS = [
+    (["coeff", "--kind", "gamma", "--alpha", "0.3", "--r-max", "3", "--csv"], "7013c340f002b89216a09f43828bee27ced2543441b19dd56762df6cc37fad00"),
+    (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3", "--csv"], "7072353a83431ea340d27e76e0b935ee8bcf3cac5ea69c296eb5347e6c0915cd"),
+    (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3", "--csv"], "d4ce71704694cac3b2bd77839d9688eafe059f686ef38d6a9107d46b266fc003"),
+    (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3", "--csv"], "c1692813fa5208d13a8271f28db57f7cbe31d47854b53a178b894d3a0be89749"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3", "--csv"], "99acadddb48ba52159eea2935a68151e1d09928e5a5c6ee91263b01bd6738767"),
+    (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3", "--csv"], "23a809a1dfd23d845ddceecb72eb86838e5e6afed186891b3e1ab62d0dac65bc"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", TEXT_DIGESTS, ids=[" ".join(a) for a, _ in TEXT_DIGESTS])
+@pytest.mark.parametrize("argv, digest", TEXT_DIGESTS + CSV_DIGESTS, ids=[" ".join(a) for a, _ in TEXT_DIGESTS + CSV_DIGESTS])
 def test_text_output_matches_golden_digest(capsys, argv, digest):
     status, out = run_capture(capsys, argv)
     assert status == 0

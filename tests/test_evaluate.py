@@ -409,14 +409,14 @@ def test_a_lerch_sum_is_charged_per_term_like_a_z_class(monkeypatch):
     # are charged 1001 / 8 march segments, before any tail is walked
     charges = []
 
-    def record(pieces):
+    def record(**pieces):
         charges.append(pieces)
         raise ValueError("charged")
 
     monkeypatch.setattr(evaluate, "_check_work", record)
     with pytest.raises(ValueError, match="charged"):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.5, s=2.0, order=1, split=1000.5))
-    assert charges == [1001 * evaluate._TERM_COST]
+    assert charges == [{"terms": 1001}]
 
 
 # ---------------------------------------------------------------------------

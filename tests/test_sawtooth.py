@@ -1031,13 +1031,13 @@ def test_plain_tail_charges_each_interval_before_it_is_integrated(monkeypatch):
     # 176 twice: each interval, 1 -> 176 -> 352 -> 704, is charged for the rows
     # still open just before it is integrated (only the first one was)
     events, check, interval = [], sawtooth._check_work, sawtooth._psi_interval
-    monkeypatch.setattr(sawtooth, "_check_work", lambda pieces: events.append(pieces) or check(pieces))
+    monkeypatch.setattr(sawtooth, "_check_work", lambda **pieces: events.append(pieces) or check(**pieces))
     monkeypatch.setattr(sawtooth, "_psi_interval", lambda sums, lo, hi, alphas, *rest: events.append((lo, hi, alphas.size)) or interval(sums, lo, hi, alphas, *rest))
     psi_tail_powers_batch(1.0, [0.3, 0.7], complex(-1.0001, 50.0), 24)
     walks = [(i, e) for i, e in enumerate(events) if isinstance(e, tuple)]
     assert [round(hi) for _, (_, hi, _) in walks] == [176, 352, 704] and walks[0][1][0] == 1.0
     for i, (lo, hi, rows) in walks:
-        assert events[i - 1] == rows * (hi - lo)
+        assert events[i - 1] == {"interval": rows * (hi - lo)}
 
 
 def _per_k_shift_sums(K, v, nu):

@@ -6,6 +6,9 @@ targets: the best of N calls of each, timed with time.perf_counter.
                               beyond the square
     L2(1,chi) all chi 1009    L^{(2)}(1, chi) for every non-principal chi mod
                               1009 in one batch (characters built beforehand)
+    gauss_sum all chi 1009    gauss_sum(chi, 1) for every chi mod 1009, the
+                              characters built beforehand and their cached
+                              values cleared before each call
     certify_T3 101 103 107    certify_T3(q_set=(101, 103, 107))
     enumerate_characters 2003 enumerate_characters(2003), its unit group cached
     coeff l-zero q=971 r_max=3
@@ -92,7 +95,7 @@ def main(argv: list[str]) -> int:
     from zetalab.afe import afe_hurwitz, afe_l
     from zetalab.bounds import certify_T2_Ib, certify_T3
     from zetalab.cli import run
-    from zetalab.characters import character, enumerate_characters
+    from zetalab.characters import character, enumerate_characters, gauss_sum
     from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
     from zetalab.sawtooth import _deriv_table, _psi_fourier_shift_sums, _tail_cutoff
@@ -118,10 +121,19 @@ def main(argv: list[str]) -> int:
 
     chi, chi3, chi4, chi971 = character(1009, 1), character(3, 1), character(4, 1), character(971, 1)
     chars = [c for c in enumerate_characters(1009) if not c.is_principal]
+    chars1009 = enumerate_characters(1009)
+
+    def gauss_sums():
+        for c in chars1009:
+            vars(c).pop("values", None)
+            vars(c).pop("value_logs", None)
+        return [gauss_sum(c, 1) for c in chars1009]
+
     rows = [
         ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
         ("l_deriv q=1009 r=3", lambda: l_deriv(complex(0.5, 1000.0), chi, 3)),
         ("L2(1,chi) all chi 1009", lambda: l_deriv_at_1_exact_all(2, chars)),
+        ("gauss_sum all chi 1009", gauss_sums),
         ("certify_T3 101 103 107", lambda: certify_T3(q_set=(101, 103, 107))),
         ("enumerate_characters 2003", lambda: enumerate_characters(2003)),
         ("coeff l-zero q=971 r_max=3", lambda: coefficient_table("l_deriv_at_zero", 3, chi=chi971)),
