@@ -60,12 +60,11 @@ from .sawtooth import (
     _check_work,
     _first_cutoff,
     _osc_cutoff,
+    _osc_tails,
     _progression_sum,
     _tail_cutoff,
     _work,
-    psi_osc_tail_powers,
     psi_tail_powers_batch,
-    pure_osc_tail_powers,
 )
 
 __all__ = [
@@ -343,7 +342,7 @@ def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tup
     of its panels: 2 for the two sawtooth-weighted tails, lam/0.45 for the
     pure one (fixed, so the split does not move with the walk).  Where the
     sum to that x would exceed the work budget (_check_work), no tail is
-    passed: the split is default_split, and the tails charge their own walks."""
+    passed: the split is default_split, charged with the tails' walks (_osc_tails)."""
     x, term = default_split(s, alpha), _work(terms=n)
     cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if term < _work(panels=lam / 0.45) else None]
     cuts += [_osc_cutoff(lam, b, rmax, x, True, True) if term < _work(panels=2.0) else None for b in (-s, -s - 1.0)]
@@ -372,14 +371,11 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     orders = list(orders)
     rmax = max(orders)
     x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax, len(orders)) if split is None else (split, [None] * 3)
-    # the sums are charged to the work budget before any runs, at the Z
-    # route's price of a term (the phase e^{2 pi i lam k} makes a term about
-    # 1.5 times a Z term, 100-290 ns at r <= 4); the tails charge their walks
+    # the sums are charged to the work budget with the tails' kinks and panels
+    # before any runs, at the Z route's price of a term (the phase e^{2 pi i
+    # lam k} makes a term about 1.5 times a Z term, 100-290 ns at r <= 4)
     kmax = _split_floor(x - alpha)
-    _check_work(terms=len(orders) * (kmax + 1))
-    pure, perr = pure_osc_tail_powers(lam, -s, rmax, x, pcut)
-    w1, w1err = psi_osc_tail_powers(lam, alpha, -s, rmax, x, w1cut)
-    w2, w2err = psi_osc_tail_powers(lam, alpha, -s - 1.0, rmax, x, w2cut)
+    (pure, perr), (w1, w1err), (w2, w2err) = _osc_tails(lam, alpha, rmax, x, [(-s, False, pcut), (-s, True, w1cut), (-s - 1.0, True, w2cut)], terms=len(orders) * (kmax + 1))
     sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
     wx, psi, fx = cmath.exp(2j * math.pi * lam * v), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel

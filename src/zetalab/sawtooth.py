@@ -29,22 +29,23 @@ at {-alpha}.  Each row stops at its own cutoff; the final one
 (_tail_cutoff), where every row stops at once, returns the tails from
 there: no interval is integrated and so no rounding is booked.
 
-Oscillatory tails combine 32-node Gauss-Legendre panels with repeated
-integration by parts against the exponential beyond an adaptive cutoff.
-Panels are sized by the whole phase 2 pi nu u + Im b log u: each turns it
-by at most a budget _THETA and spans at most a factor 1.6, their break
-points the level sets of one closed-form count found in one array pass
-(_walk).  The sawtooth-weighted variant expands psi(u-alpha) e^{2 pi i
-nu(u-alpha)} in combined frequencies n + nu and sums the boundary terms of
-all parts in closed form, from one row of periodic Bernoulli values shared
-by all K parts.  One panel kernel serves every walk, as (block x 32)
-arrays of at most 512 panels; it is bit for bit the one-panel-at-a-time
-loop (np.vecdot per panel, which is np.dot's BLAS dot, and panel sums
-added left to right).
-A sawtooth-weighted tail whose cutoff reaches 2^52 is refused: from there
-alpha and the phase 2 pi nu u are lost to rounding.  A tail given its final
-cutoff (_osc_cutoff, on the closed-form remainder alone) from a split at or
-past it walks no panel: it is its far tail.
+Oscillatory tails combine 16-node Gauss-Legendre panels, each booking its
+own Bernstein-ellipse quadrature error, with repeated integration by parts
+against the exponential beyond an adaptive cutoff.  Panels are sized by the
+whole phase 2 pi nu u + Im b log u: each turns it by at most a budget _THETA
+and spans at most a factor 1.6, their break points the level sets of one
+closed-form count found in one array pass (_walk).  The sawtooth-weighted
+variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies
+n + nu and sums the boundary terms of all parts in closed form, from one row
+of periodic Bernoulli values shared by all K parts.  One panel kernel serves
+every walk as (block x 16) arrays of at most 512 panels, every exponent of
+one Im b in one pass (the Lerch core's weighted tails, _osc_tails), bit for
+bit the one-panel-at-a-time loop of each (np.vecdot per panel, which is
+np.dot's BLAS dot, and panel sums added in turn); every walk is charged
+before any runs.  A sawtooth-weighted tail whose cutoff reaches 2^52 is
+refused: from there alpha and the phase 2 pi nu u are lost to rounding.  A
+tail given its final cutoff (_osc_cutoff, on the closed-form remainder
+alone) from a split at or past it walks no panel: it is its far tail.
 
 Every search doubles its first cutoff in one driver (_cutoffs) until the
 caller's tolerance is met or a cap stops it (a plain cutoff at 5e6, an
@@ -693,17 +694,16 @@ def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list
 # oscillatory tails
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_SPAN = 1.0 + _GL_NODES  # nodes a + h (1 + x) from a panel's left end a: neighbouring panels share each end
-_PANEL_BLOCK = 512  # panels per (block x 32) array: memory stays flat in the walk's length
-# the phase budget of a panel: f = e^{i phi}, phi' <= omega, on a panel of
-# half-width h grows to e^{omega h (rho - 1/rho)/2} on the Bernstein ellipse E_rho,
-# and 32-node Gauss-Legendre errs by at most (64/15) max|f on E_rho| rho^{-64}/
-# (rho^2 - 1) (Trefethen, ATAP ch. 19): at omega h = _THETA/2 = 12 and rho = 5,
-# clear of u = 0 by the geometric limits, 4.3 e^{28.8} 5^{-64}/24 < 1e-30 max|f|
-_THETA = 24.0
-
-
+_PANEL_BLOCK = 512  # panels per (block x 16) array: memory stays flat in the walk's length, with two exponents
+# the phase budget of a panel: 16 nodes err on a panel of half-width h by at most
+# h (64/15) M rho^{-32}/(rho^2 - 1), M = max|f| on its Bernstein ellipse E_rho
+# (Trefethen, ATAP ch. 19, Thm 19.3), booked per panel at rho = 5 (_gl_panels).
+# There f = e^{i phi}, phi' <= omega, grows by e^{omega B}, B = 2.4 h: at omega h
+# = _THETA/2 = 6 the term is 4.3 e^{14.4} 5^{-32}/24, about 1.4e-17, times h M
+_THETA, _RHO = 12.0, 5.0
+_GL_QUAD = 64.0 / 15.0 * _RHO**-32 / (_RHO**2 - 1.0)
 _LOG_STEP = math.log1p(0.6)  # a panel spans at most a factor 1.6
 
 
@@ -718,88 +718,106 @@ def _walk_length(lo, hi, nu, c: float):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in _psi_tails
+def _panel_counts(ends, nu: float, c: float) -> np.ndarray:
+    """The panels of each interval between the increasing ends, as floats: one
+    per level set F(u) = F(lo) + k < F(hi), k >= 0 (_walk_length), if lo < hi."""
+    lo, hi = np.asarray(ends[:-1], dtype=float), np.asarray(ends[1:], dtype=float)
+    return np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c)), 1.0), 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in _psi_tails
 def _walk(ends, nu: float, c: float) -> np.ndarray:
     """Panel break points over the intervals between the increasing ends, each
-    [lo, hi] cut at the level sets F(u) = F(lo) + k < F(hi) (_walk_length), their
-    count charged to the work budget first, all found at once by Newton's method
-    in w = log(u/lo): F(lo e^w) - F(lo) = a expm1(w) + C w is convex, so from
-    min(k/C, log1p(k/a)), above the root, it descends to it.  A walk whose break
-    points round together is refused."""
+    cut at its level sets (_panel_counts, which the caller charges), all found
+    at once by Newton's method in w = log(u/lo): F(lo e^w) - F(lo) = a
+    expm1(w) + C w is convex, so from min(k/C, log1p(k/a)), above the root, it
+    descends to it.  Each point stops on its own step: an interval's points
+    are those of it walked alone.  A walk whose points round together is refused."""
     ends = np.asarray(ends, dtype=float)
-    lo, hi = ends[:-1], ends[1:]
-    n = np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c)), 1.0), 0.0)
-    _check_work(panels=n.sum())
-    n = n.astype(np.int64)
+    n = _panel_counts(ends, nu, c).astype(np.int64)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
-    base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / _LOG_STEP
+    base, C = np.repeat(ends[:-1], n), abs(c) / _THETA + 1.0 / _LOG_STEP
     a = TWO_PI * abs(nu) / _THETA * base
     w, ak = np.minimum(k / C, np.log1p(k / a)) if nu else k / C, a + k
-    tol = 8.0 * _EPS * (1.0 + w.max(initial=0.0))
+    tol, todo = 8.0 * _EPS * (1.0 + w), np.flatnonzero(k)
     for _ in range(60):
-        e = a * np.exp(w)
-        step = (e + C * w - ak) / (e + C)
-        w -= step
-        if np.abs(step).max(initial=0.0) <= tol:
+        e = a[todo] * np.exp(w[todo])
+        step = (e + C * w[todo] - ak[todo]) / (e + C)
+        w[todo] -= step
+        if not (todo := todo[np.abs(step) > tol[todo]]).size:
             break
-    pts = np.append(np.where(k > 0, np.minimum(base + base * np.expm1(w), np.repeat(hi, n)), base), ends[-1])
+    pts = np.append(np.where(k > 0, np.minimum(base + base * np.expm1(w), np.repeat(ends[1:], n)), base), ends[-1])
     if not (pts[1:] > pts[:-1]).all():
         raise ValueError(f"panel break points no longer change u = {pts[:-1][pts[1:] <= pts[:-1]][0]:.6g}")
     return pts
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
-def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
-    """Accumulate 32-node Gauss-Legendre panels [pts[i], pts[i+1]] of
-    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, into vals; with alpha given, of
-    psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose panels must
-    not straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the
-    half-width); the integrand e^{Re b L} (cos theta + i sin theta) L^m, L =
-    log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos theta +
-    i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2)
-    (numpy's tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
+def _gl_panels(sums, pts, nu: float, bs, rmax: int, alpha: float | None = None, counts=None) -> None:
+    """Accumulate 16-node Gauss-Legendre panels [pts[i], pts[i+1]] of e^{2 pi i
+    nu u} u^b log^m u, m = 0..rmax, for each exponent b of bs (one Im b, Re b
+    < 0) over its count of the first panels (all by default) into its sums
+    (values, bounds); with alpha, of psi(u - alpha) e^{2 pi i nu (u - alpha)}
+    u^b log^m u, whose panels must not straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the half-width); the integrand
+    e^{Re b L} (cos theta + i sin theta) L^m, L = log u, theta = 2 pi nu u +
+    Im b L (less 2 pi nu alpha), takes cos theta + i sin theta = ((1 - t^2) +
+    2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's tangent takes 3 ns on
+    AVX-512, its cosine and sine 33 ns each).  The exponents share the nodes,
+    L, the tangent, psi and the parts of the bounds that Re b does not enter.
 
-    errs collects per power the quadrature and the rounding,
-    sum |w f| (1e-15 + eps kappa), kappa = 6 (2 pi |nu| u) + 3 (|Re b| +
-    |Im b|) (|L| + 1) + 2 m + 67 per node, plus 3 m eps |w f_{m-1}| and, with
-    alpha, eps (4 u + 2) |w f/psi|, and eps |partial sum| per panel.  For the
-    computed node, within 3 eps u of the Gauss node, that covers its offset
-    (theta by 3 eps (2 pi |nu| u + |Im b|), e^{Re b L} by 3 eps |Re b|, L^m by
-    3 m eps |L|^{m-1}, psi by 3 eps u); theta/2, 3 eps (2 pi |nu| (u + alpha) +
-    |Im b| |L|), 2 pi alpha < 7; e^{Re b L}, eps (2 |Re b| |L| + 1); psi, 2 eps
-    (u - k is exact) and eps u per unit of u for the sliver at a rounded kink;
-    L^m, (2 m - 1) eps; the tangent (2 eps) and the phase formed from it
-    (8 eps); the products with psi and L^m, 2 eps; the weights, the 32-term
-    dot and half times it, 35 eps.
-
-    Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
-    each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
-    in another order), and the panels are added left to right.
+    Per power and panel, the quadrature (_THETA) on c + h E_rho, c the centre,
+    semi-axes A, B = h (rho +- 1/rho)/2: there c - A <= |z| <= c + A and |arg
+    z| <= beta = B/sqrt((c - A)(c + A)), the slope of its tangent from 0 (c - A
+    >= 0.52 a for a span of 1.6; an ellipse reaching 0 books inf), so M = e^{2
+    pi |nu| B} (c - A)^{Re b} e^{|Im b| beta} (max|log(c -+ A)| + beta)^m,
+    with alpha times |psi(c - alpha)| + A.  The rounding, sum |w f| eps kappa,
+    kappa = 6 (2 pi |nu| u) + 3 (|Re b| + |Im b|) (|L| + 1) + 2 m + 51 per
+    node, plus 3 m eps |w f_{m-1}|, with alpha eps (4 u + 2) |w f/psi|, and eps
+    |partial sum|: the computed node, within 3 eps u of the Gauss node (theta
+    by 3 eps (2 pi |nu| u + |Im b|), e^{Re b L} by 3 eps |Re b|, L^m by 3 m eps
+    |L|^{m-1}, psi by 3 eps u); theta/2, 3 eps (2 pi |nu| (u + alpha) + |Im b|
+    |L|), 2 pi alpha < 7; e^{Re b L}, eps (2 |Re b| |L| + 1); psi, 2 eps (u - k
+    is exact) and eps u per unit of u for the sliver at a rounded kink; L^m, (2
+    m - 1) eps; the tangent (2 eps) and the phase from it (8 eps); the products
+    with psi and L^m, 2 eps; the weights, the 16-term dot and half times it, 19
+    eps.  Bit for bit the one-panel-at-a-time loop of each exponent alone: the
+    integrand is elementwise, each panel's dot is np.vecdot (np.dot's BLAS
+    dot; a matrix product sums in another order), the panels added in turn.
     """
     pts, pi_nu = np.asarray(pts, dtype=float), math.pi * nu
-    for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
-        ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
+    counts = [pts.size - 1] * len(bs) if counts is None else counts
+    for p0 in range(0, max(counts, default=0), _PANEL_BLOCK):
+        ends, c = pts[p0 : min(p0 + _PANEL_BLOCK, max(counts)) + 1], bs[0].imag
         half = 0.5 * (ends[1:] - ends[:-1])
-        u = ends[:-1, None] + half[:, None] * _GL_SPAN
+        mid, u = ends[:-1] + half, ends[:-1, None] + half[:, None] * _GL_SPAN
         logs = np.log(u)
-        amp = np.exp(b.real * logs)
-        # psi(u - alpha) is linear inside each panel
-        wt = amp if alpha is None else amp * (u - np.floor(ends[:-1] + half - alpha)[:, None] - alpha - 0.5)
-        mag = amp if alpha is None else np.abs(wt)  # amp >= 0
-        book = mag * (1e-15 + _EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
-        book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
-        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
+        t = np.tan(pi_nu * u + (0.5 * c) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
         tt = t * t
-        g = wt / (1.0 + tt)
-        base = np.empty(u.shape, dtype=complex)
-        base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
-        lp = 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
-        for m in range(rmax + 1):
-            acc = np.add.accumulate(np.concatenate(([vals[m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
-            vals[m] = complex(acc[-1])
-            prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
-            dot = half * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book)
-            errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], dot + _EPS * np.abs(acc[1:]))))[-1])
-            lp = lp * logs if m else logs
+        cos, sin = (1.0 - tt) / (1.0 + tt), (2.0 * t) / (1.0 + tt)
+        A, B = (0.5 * (_RHO + 1.0 / _RHO)) * half, (0.5 * (_RHO - 1.0 / _RHO)) * half
+        near, far = np.fmax(mid - A, 0.0), mid + A
+        beta = B / np.sqrt(near) / np.sqrt(far)  # near * far can underflow
+        lmax = np.fmax(np.abs(np.log(near)), np.abs(np.log(far))) + beta
+        quad = (_GL_QUAD * half) * np.exp(TWO_PI * abs(nu) * B + abs(c) * beta)
+        lp1, psi = np.abs(logs) + 1.0, None
+        rnd = _EPS * (12.0 * abs(pi_nu) * u + 3.0 * abs(c) * lp1 + 51.0)
+        if alpha is not None:  # psi(u - alpha) is linear inside each panel
+            k = np.floor(mid - alpha)
+            psi, quad = u - k[:, None] - alpha - 0.5, quad * (np.abs(mid - k - alpha - 0.5) + A)
+            rnd, lp1 = np.abs(psi) * rnd + _EPS * (4.0 * u + 2.0), np.abs(psi) * lp1
+        for (vals, errs), b, r in ((sm, b, n - p0) for sm, b, n in zip(sums, bs, counts) if n > p0):  # its first r panels here
+            amp, h, L, lm = np.exp(b.real * logs[:r]), half[:r], logs[:r], lmax[:r]
+            wt, base = amp if psi is None else amp * psi[:r], np.empty(L.shape, dtype=complex)
+            base.real, base.imag = wt * cos[:r], wt * sin[:r]
+            mag, book, q = amp if psi is None else np.abs(wt), amp * (rnd[:r] + (3.0 * _EPS * abs(b.real)) * lp1[:r]), quad[:r] * near[:r] ** b.real
+            lp, lq = 1.0, 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
+            for m in range(rmax + 1):
+                prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
+                acc = np.add.accumulate(np.concatenate(([vals[m]], h * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
+                vals[m] = complex(acc[-1])
+                dot = h * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book)
+                errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], dot + q * lq + _EPS * np.abs(acc[1:]))))[-1])
+                lp, lq = (lp * L, lq * lm) if m else (L, lm)
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
@@ -825,36 +843,6 @@ def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, fina
     for x0, table, rems, capped in _cutoffs(x0, b, rmax, _K_OSC, scale, min(0.5 * (x + walk), 5e7)):
         if capped or all(rem <= max(_TOL_ABS, rel * x0**b.real * math.log(x0) ** m) for m, rem in enumerate(rems)):
             return table, x0, rems
-
-
-def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
-    """int_x^inf e^{2 pi i nu u} u^b log^m u du for m = 0..rmax.
-
-    Requires nu != 0 and Re(b) < 0.  Gauss-Legendre panels to an adaptive
-    cutoff, each turning the phase 2 pi nu u + Im b log u by at most _THETA
-    and spanning at most a factor 1.6 (_walk), then K integrations by parts
-    against the exponential with the remainder bounded by (2 pi |nu|)^{-K}
-    int |g^{(K)}|.  The bounds add the panels' quadrature and rounding
-    (_gl_panels).  A final cutoff (_osc_cutoff) at or below x walks no panel:
-    the far tail is expanded at x, under the remainders at that cutoff (they
-    fall as it rises).
-    """
-    b = complex(b)
-    if nu == 0.0:
-        raise ValueError("oscillation frequency must be nonzero")
-    if b.real >= 0.0:
-        raise ValueError("pure oscillatory tail requires Re(exponent) < 0")
-    table, x0, rems = cutoff or _osc_cutoff(nu, b, rmax, x, False)  # the deep by-parts expansion keeps x0 (hence panel rounding) small
-    x0 = max(x0, x)
-    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
-    if x0 > x:
-        _gl_panels(vals, errs, _walk([x, x0], nu, b.imag), nu, b, rmax)
-    row = [1.0 / (2j * math.pi * nu)]  # (i/(2 pi nu))^k/i of the by-parts terms
-    for _ in range(_K_OSC - 1):
-        row.append(row[-1] * -row[0])
-    phase = cmath.exp(2j * math.pi * nu * x0)
-    tails = _far_tail(table, b, x0, [row])[0].tolist()
-    return [vals[r] - phase * tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
 
 
 @lru_cache(maxsize=128)  # float keys: bounded, one entry per oscillation nu
@@ -934,33 +922,67 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float, cutoff=None) -> tuple[list[complex], list[float]]:
-    """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m = 0..rmax.
+def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pieces) -> list[tuple[list[complex], list[float]]]:
+    """Values and bounds, m = 0..rmax, of the tail from x of each (b,
+    weighted, cutoff) of tails, all of one Im b: of e^{2 pi i nu u} u^b log^m
+    u, or if weighted of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u.
+    Panels to the cutoff (_osc_cutoff for None; a final one at or below x
+    walks none), then the far tail by parts against the exponential, for a
+    weighted tail per combined frequency n + nu, summed by shifted
+    periodic-Bernoulli series.  The far tails come first, the panels added to
+    them, after one _check_work of the caller's pieces, the kinks of psi(u -
+    alpha) (listed once for all tails, after a check of the pieces and kinks)
+    and every panel.  The weighted tails take the longest one's panels, each
+    to its last kink, in one pass of _gl_panels, then each its own last
+    interval: each tail is bit for bit its walk alone."""
+    if any(b.real >= 0.0 for b, _, _ in tails):
+        raise ValueError("oscillatory tail requires Re(exponent) < 0")
+    c = tails[0][0].imag
+    cuts = [cut or _osc_cutoff(nu, b, rmax, x, weighted) for b, weighted, cut in tails]
+    x0s = [max(cut[1], x) for cut in cuts]
+    top = max([x0 for x0, (_, weighted, _) in zip(x0s, tails) if weighted], default=-math.inf)
+    if not top < 2.0**52:
+        raise ValueError(f"the tail from u = {top:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
+    far = []
+    for (b, weighted, _), (table, _, _), x0 in zip(tails, cuts, x0s):
+        if weighted:
+            far.append(_far_tail(table, b, x0, [[(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]])[0].tolist())
+        else:  # the by-parts terms (i/(2 pi nu))^k/i, the phase e^{2 pi i nu x0} and the sign taken
+            phase, r0 = cmath.exp(2j * math.pi * nu * x0), 1.0 / (2j * math.pi * nu)
+            row = list(itertools.accumulate([-r0] * (_K_OSC - 1), operator.mul, initial=r0))
+            far.append([-(phase * t) for t in _far_tail(table, b, x0, [row])[0].tolist()])
+    first, count = _kinks(x, top, alpha) if top > x else (0.0, 1)
+    _check_work(**pieces, kinks=count - 1)  # the pieces alone where no tail walks
+    sums = [(f, list(cut[2])) for f, cut in zip(far, cuts)]  # each far tail and its remainders
+    if max(x0s) > x:  # the longest weighted walk, whole
+        ends = np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [top] if top > x else []))
+        js = [_kinks(x, x0, alpha)[1] - 1 if weighted and x0 > x else 0 for x0, (_, weighted, _) in zip(x0s, tails)]
+        own, n = [not weighted or x0 < top for x0, (_, weighted, _) in zip(x0s, tails)], _panel_counts(ends, nu, c)
+        _check_work(**pieces, kinks=count - 1, panels=n.sum() + sum(_panel_counts([ends[j], x0], nu, c)[0] for j, x0, o in zip(js, x0s, own) if o))
+        pts, offs = _walk(ends, nu, c), np.concatenate(([0], np.cumsum(n))).astype(np.int64)
+        ws = [i for i, (_, weighted, _) in enumerate(tails) if weighted]
+        _gl_panels([sums[i] for i in ws], pts, nu, [tails[i][0] for i in ws], rmax, alpha, [offs[js[i]] if own[i] else pts.size - 1 for i in ws])
+        for i in range(len(tails)):
+            if own[i] and x0s[i] > x:  # then its last interval
+                _gl_panels([sums[i]], _walk([ends[js[i]], x0s[i]], nu, c), nu, [tails[i][0]], rmax, alpha if tails[i][1] else None)
+    return sums
 
-    Requires nu in (0, 1) and Re(b) < 0.  Panels to an adaptive cutoff, broken
-    at the kinks of psi(u - alpha) and cut further where the phase turns by
-    more than _THETA or a panel spans more than a factor 1.6 (_walk); beyond the cutoff the sawtooth is
-    expanded in combined frequencies n + nu and each frequency integrated by
-    parts K times, the boundary terms summed in closed form via shifted
-    periodic-Bernoulli series.  The bounds add the panels' quadrature and
-    rounding (_gl_panels).  A final cutoff (_osc_cutoff) at or below x walks
-    no panel, as in pure_osc_tail_powers.
-    """
-    b = complex(b)
+
+def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
+    """int_x^inf e^{2 pi i nu u} u^b log^m u du for m = 0..rmax, nu != 0 and
+    Re(b) < 0: panels, each turning the phase 2 pi nu u + Im b log u by at
+    most _THETA and spanning at most a factor 1.6 (_walk), to an adaptive
+    cutoff, then a far tail by parts (_osc_tails)."""
+    if nu == 0.0:
+        raise ValueError("oscillation frequency must be nonzero")
+    return _osc_tails(nu, None, rmax, x, [(complex(b), False, None)])[0]
+
+
+def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float) -> tuple[list[complex], list[float]]:
+    """int_x^inf psi(u-alpha) e^{2 pi i nu (u-alpha)} u^b log^m u du, m =
+    0..rmax, nu in (0, 1) and Re(b) < 0: panels, broken at the kinks of psi(u
+    - alpha) and cut as in pure_osc_tail_powers, to an adaptive cutoff, then
+    the sawtooth's combined frequencies n + nu by parts (_osc_tails)."""
     if not 0.0 < nu < 1.0:
         raise ValueError("sawtooth-weighted oscillatory tail needs oscillation in (0, 1)")
-    if b.real >= 0.0:
-        raise ValueError("oscillatory tail requires Re(exponent) < 0")
-    table, x0, rems = cutoff or _osc_cutoff(nu, b, rmax, x, True)
-    x0 = max(x0, x)
-    if not x0 < 2.0**52:
-        raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
-    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
-    if x0 > x:
-        first, count = _kinks(x, x0, alpha)
-        _check_work(kinks=count)  # before the kinks are listed; _walk charges its panels
-        ends = np.concatenate(([x], first + np.arange(count - 1) + alpha, [x0]))
-        _gl_panels(vals, errs, _walk(ends, nu, b.imag), nu, b, rmax, alpha)
-    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]
-    tails = _far_tail(table, b, x0, [coeffs])[0].tolist()
-    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
+    return _osc_tails(nu, alpha, rmax, x, [(complex(b), True, None)])[0]

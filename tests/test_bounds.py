@@ -80,17 +80,16 @@ def test_t2_iiib_small_grid():
 
 
 def _count_lerch_tails(monkeypatch) -> list[str]:
-    """Patch the Lerch core's three oscillatory tails to log each walk by kind."""
+    """Patch the Lerch core's oscillatory tails to log each tail by kind."""
     import zetalab.evaluate as evaluate
 
-    walks = []
-    for name in ("pure_osc_tail_powers", "psi_osc_tail_powers"):
+    walks, real = [], evaluate._osc_tails
 
-        def counting(*args, real=getattr(evaluate, name), name=name):
-            walks.append(name)
-            return real(*args)
+    def counting(nu, alpha, rmax, x, tails, **pieces):
+        walks.extend("psi_osc_tail_powers" if weighted else "pure_osc_tail_powers" for _, weighted, _ in tails)
+        return real(nu, alpha, rmax, x, tails, **pieces)
 
-        monkeypatch.setattr(evaluate, name, counting)
+    monkeypatch.setattr(evaluate, "_osc_tails", counting)
     return walks
 
 
@@ -115,8 +114,7 @@ def test_t2_iiib_refuses_the_order_cap_before_any_tail(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a tail was walked")
 
-    monkeypatch.setattr(evaluate, "psi_osc_tail_powers", no_walk)
-    monkeypatch.setattr(evaluate, "pure_osc_tail_powers", no_walk)
+    monkeypatch.setattr(evaluate, "_osc_tails", no_walk)
     with pytest.raises(ValueError, match=r"order must lie in 0\.\.24"):
         certify_T2_IIIb(r_max=30)
     assert cli.run(["certify", "--bound", "t2-iiib", "--r-max", "30"]) == 1

@@ -503,6 +503,22 @@ def test_runaway_work_and_overflow_are_refused_quickly(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["eval", "--kind", "lerch", "--s", "0.5,1e7"], ["eval", "--kind", "lerch", "--s", "1.0000000000000002,1e7", "--r", "12"]])
+def test_a_lerch_walk_beyond_the_budget_is_refused_before_any_panel(capsys, argv):
+    # the pure tail's walk passed its own check and ran for 1.0 s and 4.4 s
+    # before the first weighted walk was refused; the finite sum, the kinks
+    # and every panel are now charged in one check before any panel is walked
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        assert run(argv) == 1
+        elapsed = time.perf_counter() - start
+    assert [str(w.message) for w in caught] == [] and elapsed < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 5.0
 
 
@@ -949,9 +965,11 @@ GOLDEN_DIGESTS = [
         ["afe", "--kind", "l", "--s", "0.3,40", "--q", "5", "--label", "2", "--r", "1", "--x", "5.5"],
         "c03f895f12edf26bb79509ee5b7637ae1940278df6697691d5994274dc1cec2a",
     ),
+    # re-recorded, with the explicit Lerch split below and the text twin, when
+    # the panels became 16-node ones under a per-panel Bernstein bound
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "8107f9b06437ab8ae4e30787b8b3356889644c2687308c82a480df3845ffc09b",
+        "b72ded23c33c03c9b40fb85337d9a557c380e8b7530b55b389057a0b0902f91c",
     ),
     # recorded before the plain-tail march ran as one numpy kernel over rows x
     # segments: a march longer than one block, a batched complex exponent, the
@@ -987,7 +1005,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
-        "682c5542e769d3a376ac88da9acaf0520568f7e0699ec74ee934fcbcbd582714",
+        "6e193933c562c3331373b5f2d3bcad879765c8f190aeed592729942270323d21",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
@@ -1030,7 +1048,8 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # Euler-Maclaurin intervals, the plain tail and Lerch entries with those
 # of the far tail's rounding and of the kernel's p^{-s} e^{2 pi i lam k},
 # the afe entry with those of the AFE as its Z core, and the plain tail and
-# Lerch entries with those of the far-tail layer from one (k, r - i) table;
+# Lerch entries with those of the far-tail layer from one (k, r - i) table,
+# the `tail --lambda` entry with those of the 16-node panels;
 # the coeff entries, one per kind, and their --csv twins in CSV_DIGESTS were
 # recorded before the character values and the work prices each moved behind
 # one module
@@ -1051,7 +1070,7 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "b6cde06032c370e491a6d889628c79e79a1ffda0bd0ced3ac732f9bfc6120e28",
+        "aca47919406e9d1619edb27ea44ec5097d0764afdc41f0f20cb5c28324d0fb43",
     ),
     (["coeff", "--kind", "gamma", "--alpha", "0.3", "--r-max", "3"], "4761621e14dfba3227a1ab46e6e7640896f39c00a8a5c4ef113fbbefefcae1fd"),
     (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3"], "e49c5254d63d71e8d20ff45bb72677ae81402e11161caa4e241024998ef7b903"),

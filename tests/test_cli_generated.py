@@ -7,7 +7,8 @@ stderr, nothing on stdout and no warning; an answer (0) writes nothing on
 stderr and, with --json, a document whose error_bound is finite; and an
 answered `eval --kind hurwitz|z|l` at |Im s| <= 100 and r <= 2 lies within
 its error_bound of the mpmath value (tests/oracles.py).  The moduli and
-orders stay small, so that the oracles and the module run in a few seconds.
+orders stay small, so that the oracles and the module run in a few seconds;
+tools/fuzz_cli.py runs the same contract (contract_defects) over 10 000.
 """
 
 import contextlib
@@ -18,7 +19,6 @@ import signal
 import warnings
 
 import mpmath as mp
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +30,9 @@ from .oracles import l_at_one_oracle, l_oracle, z_oracle
 # 0, the subnormal ulp and its negative, a tiny normal, 1 and its neighbours,
 # the shift sums' cap 31/32, beyond the order cap, -1, a long split, overflow
 FLOATS = ["0", "5e-324", "-5e-324", "1e-300", "0.5", "1", "0.9999999999999999", "1.0000000000000002", "0.96875", "2", "25", "-1", "1e7", "1e300"]
-# Im(s): small t, and the overflow that is refused at once (a Lerch request at
-# t = 1e7 takes seconds to refuse, and the runaway tests of test_cli hold t = 1e7)
-IMAGINARY = ["0", "5e-324", "-5e-324", "1e-300", "1", "-1", "25", "100", "1e300"]
+# Im(s): small t, a t = 1e7 that every route refuses before its work, and the
+# overflow that is refused at once
+IMAGINARY = ["0", "5e-324", "-5e-324", "1e-300", "1", "-1", "25", "100", "1e7", "1e300"]
 INTS = ["-1", "0", "1", "2", "3", "5", "12", "24", "25"]
 MODULI = ["-1", "0", "1", "2", "3", "4", "5", "12"]  # the moduli of certify --q
 
@@ -83,34 +83,53 @@ def _oracle(argv):
     return l_at_one_oracle(chi, r) if s == 1 else l_oracle(s, chi, r)
 
 
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
-@given(requests())
-def test_every_generated_request_keeps_the_cli_contract(argv):
+class _TooSlow(BaseException):
+    """The alarm of a request that still runs: no handler of cli.run catches it."""
+
+
+def contract_defects(argv, seconds: float = 15.0) -> list[str]:
+    """How the request breaks the CLI contract, run through cli.run in process
+    under an alarm of the given seconds with warnings recorded: [] if it keeps
+    it.  tools/fuzz_cli.py runs the same checks over many more requests."""
+
     def too_slow(signum, frame):
-        pytest.fail(f"{' '.join(argv)} still ran after 15 s")
+        raise _TooSlow
 
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 15.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             status = cli.run(argv)
+    except _TooSlow:
+        return [f"still ran after {seconds:g} s"]
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     out, err = out.getvalue(), err.getvalue()
-    assert status in (0, 1, 2)
-    assert [str(w.message) for w in caught] == []
+    defects = [] if status in (0, 1, 2) else [f"exit status {status}"]
+    defects += [f"warning {str(w.message)!r}" for w in caught]
     if status == 1:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        return
-    assert err == ""
+        return defects + ([] if out == "" and err.startswith("error: ") and err.count("\n") == 1 else [f"refusal wrote {out!r} and {err!r}"])
+    defects += [f"stderr {err!r}"] if err else []
     if status == 0 and "--json" in argv:
-        doc = json.loads(out)
+        try:
+            doc = json.loads(out)
+        except ValueError:
+            return defects + [f"not JSON: {out[:80]!r}"]
         if "error_bound" in doc:
-            assert math.isfinite(doc["error_bound"])
+            if not math.isfinite(doc["error_bound"]):
+                return defects + [f"error_bound {doc['error_bound']}"]
             want = _oracle(argv)
             if want is not None:
                 value = complex(*doc["value"])
-                assert abs(mp.mpc(value.real, value.imag) - want) <= doc["error_bound"], argv
+                if not abs(mp.mpc(value.real, value.imag) - want) <= doc["error_bound"]:
+                    defects.append(f"|value - oracle| = {mp.nstr(abs(mp.mpc(value.real, value.imag) - want), 3)} beyond error_bound {doc['error_bound']:.3g}")
+    return defects
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(requests())
+def test_every_generated_request_keeps_the_cli_contract(argv):
+    assert contract_defects(argv) == [], argv

@@ -406,17 +406,18 @@ def test_lerch_validation():
 
 def test_a_lerch_sum_is_charged_per_term_like_a_z_class(monkeypatch):
     # one finite-sum kernel, one cost of a term: the 1001 terms n + 0.5 <= 1000.5
-    # are charged 1001 / 8 march segments, before any tail is walked
+    # are charged 1001 / 8 march segments, with the tails' kinks and panels
+    # (none from this split) in one check, before any tail is walked
     charges = []
 
     def record(**pieces):
         charges.append(pieces)
         raise ValueError("charged")
 
-    monkeypatch.setattr(evaluate, "_check_work", record)
+    monkeypatch.setattr(sawtooth, "_check_work", record)
     with pytest.raises(ValueError, match="charged"):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.5, s=2.0, order=1, split=1000.5))
-    assert charges == [{"terms": 1001}]
+    assert charges == [{"terms": 1001, "kinks": 0}]
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +531,28 @@ def test_explicit_lerch_split_bound_holds_against_the_oracle(lam, t):
             assert _held(res, ref), (lam, t, x, r, res, complex(ref))
 
 
+@pytest.mark.parametrize("t", [10.0, 300.0, 1000.0])
+def test_explicit_lerch_split_holds_against_its_hurwitz_sum_at_rational_lambda(t):
+    # oracle-free: phi^(r)(p/q, alpha, s) = sum_{j<q} e^{2 pi i p j/q} sum_l C(r, l)
+    # (-log q)^{r-l} q^{-s} zeta^(l)(s, (j + alpha)/q), each zeta^(l) and its bound
+    # from hurwitz_deriv at its default split; alpha = 3/4 and q = 16 keep the
+    # shifts (j + alpha)/q exact, and the sum is taken in 30 digits, so that the
+    # reference errs by no more than its terms' bounds
+    q, alpha, s = 16, 0.75, complex(0.5, t)
+    zetas = [[hurwitz_deriv(HurwitzArgs(s=s, alpha=(j + alpha) / q, order=l)) for l in range(4)] for j in range(q)]
+    with mp.workdps(30):
+        factor = [mp.mpf(q) ** -mp.mpc(s.real, s.imag) * (-mp.log(q)) ** i for i in range(4)]  # q^{-s} (-log q)^i
+        for p in (1, 5, 8, 15):
+            phases = [mp.expjpi(mp.mpf(2 * p * j) / q) for j in range(q)]
+            for r in range(4):
+                terms = [(phases[j] * math.comb(r, l) * factor[r - l], zetas[j][l]) for j in range(q) for l in range(r + 1)]
+                ref = mp.fsum(c * mp.mpc(z.value.real, z.value.imag) for c, z in terms)
+                bound = math.fsum(float(abs(c)) * z.error_bound for c, z in terms) * (1.0 + 1e-12)
+                for x in (1.0, 3.0, 30.0):
+                    got = lerch_deriv(LerchArgs(lam=p / q, alpha=alpha, s=s, order=r, split=x))
+                    assert abs(mp.mpc(got.value.real, got.value.imag) - ref) <= got.error_bound + bound, (p, x, r, got, bound)
+
+
 def test_explicit_split_next_to_s_0_holds_against_the_default_split():
     # s = 1e-9: the tails' antiderivative exponent c = -s is next to 0, where
     # they take the Taylor series of the log form in b; the default split,
@@ -561,7 +584,7 @@ def test_default_lerch_split_walks_no_panel(monkeypatch):
     # closed-form far tail from the split, so no panel of nonzero width is walked
     widths = []
     panels = sawtooth._gl_panels
-    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, mags, pts, *rest: widths.append(pts[-1] - pts[0]) or panels(vals, mags, pts, *rest))
+    monkeypatch.setattr(sawtooth, "_gl_panels", lambda sums, pts, *rest: widths.append(pts[-1] - pts[0]) or panels(sums, pts, *rest))
     for lam in (1 / 16, 5 / 16, 1 / 2, 15 / 16):
         for s, r in ((0.5 + 1000j, 1), (0.5 + 10j, 8), (2.0 + 0j, 0)):
             lerch_deriv(LerchArgs(lam=lam, alpha=0.3, s=s, order=r))

@@ -240,8 +240,8 @@ def test_pure_tail_with_shared_panel_ends_is_within_its_bound():
 
 def test_a_panel_that_turns_by_the_whole_budget_is_within_its_bound():
     # one panel over which 2 pi nu u - 300 log u turns by exactly THETA (it spans
-    # less than the factor 1.6): the 32-node rule is held to its booked
-    # quadrature and rounding against mpmath.quad (a budget of 120 breaks it)
+    # less than the factor 1.6): the 16-node rule is held to its booked
+    # quadrature and rounding against mpmath.quad
     nu, b, lo = 0.5, complex(-1.5, -300.0), 20.0
     turn = lambda u: (2.0 * math.pi * nu * (u - lo) + 300.0 * math.log(u / lo)) / sawtooth._THETA
     a, hi = lo, 2.0 * lo
@@ -249,11 +249,87 @@ def test_a_panel_that_turns_by_the_whole_budget_is_within_its_bound():
         a, hi = (mid, hi) if turn(mid) < 1.0 else (a, mid)
     assert hi < 1.6 * lo
     vals, errs = [0j] * 4, [0.0] * 4
-    sawtooth._gl_panels(vals, errs, [lo, hi], nu, b, 3)
+    sawtooth._gl_panels([(vals, errs)], [lo, hi], nu, [b], 3)
     with mp.workdps(40):
         for m in range(4):
             want = mp.quad(lambda u: mp.expjpi(2 * mp.mpf(nu) * u) * u ** mp.mpc(b.real, b.imag) * mp.log(u) ** m, [lo, hi])
             assert abs(mp.mpc(vals[m]) - want) <= errs[m], m
+
+
+def _limit_panel(nu, c, lo, alpha=None):
+    """The panel from lo at the walk's limits: its right end, bisected to the
+    float, turns 2 pi nu u + c log u by _THETA or spans the factor 1.6,
+    whichever comes first; with alpha, cut at the next kink of psi(u - alpha)."""
+    turn = lambda u: (2.0 * math.pi * abs(nu) * (u - lo) + abs(c) * math.log(u / lo)) / sawtooth._THETA
+    a, hi = lo, 1.6 * lo
+    if turn(hi) > 1.0:
+        while (mid := 0.5 * (a + hi)) not in (a, hi):
+            a, hi = (mid, hi) if turn(mid) < 1.0 else (a, mid)
+    return hi if alpha is None else min(hi, math.floor(lo - alpha) + 1.0 + alpha)
+
+
+def _panel_integrand(nu, b, alpha, m, k):
+    """The panel's integrand in mpmath; with alpha, psi(u - alpha) as its line u - k - alpha - 1/2."""
+    bb, nn = mp.mpc(b.real, b.imag), mp.mpf(nu)
+    if alpha is None:
+        return lambda u: mp.expjpi(2 * nn * u) * u**bb * mp.log(u) ** m
+    return lambda u: (u - k - alpha - 0.5) * mp.expjpi(2 * nn * (u - alpha)) * u**bb * mp.log(u) ** m
+
+
+# (nu, b, lo, alpha): panels that turn by the whole budget, that span the factor
+# 1.6, from a = 1 to 1e4 and Im b to +-1200, pure and sawtooth-weighted
+LIMIT_PANELS = [
+    (0.5, complex(-1.5, -300.0), 20.0, None),
+    (0.01, complex(-0.5, 2.0), 1.0, None),
+    (0.3, complex(-1.5, 1200.0), 1e4, None),
+    (0.3, complex(-0.5, -1200.0), 1.0, None),
+    (0.05, complex(-2.5, 0.0), 300.0, None),
+    (0.3, complex(-0.5, 1200.0), 1.7, 0.7),
+    (0.01, complex(-1.5, 1.0), 1.7, 0.7),
+    (0.9, complex(-1.5, -1200.0), 1e4 + 0.25, 0.25),
+    (0.5, complex(-1.0, 40.0), 3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("nu, b, lo, alpha", LIMIT_PANELS)
+def test_a_panel_at_the_walks_limits_is_within_its_bound(nu, b, lo, alpha):
+    # value and booked bound, r <= 8, against a 40-digit mpmath.quad
+    hi, rmax = _limit_panel(nu, b.imag, lo, alpha), 8
+    vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
+    sawtooth._gl_panels([(vals, errs)], [lo, hi], nu, [b], rmax, alpha)
+    k = None if alpha is None else math.floor(0.5 * (lo + hi) - alpha)
+    with mp.workdps(40):
+        for m in range(rmax + 1):
+            want = mp.quad(_panel_integrand(nu, b, alpha, m, k), [lo, hi])
+            assert abs(mp.mpc(vals[m].real, vals[m].imag) - want) <= errs[m], m
+
+
+@pytest.mark.parametrize("nu, b, lo, alpha", LIMIT_PANELS)
+def test_the_booked_quadrature_covers_sixteen_against_sixty_four_nodes(monkeypatch, nu, b, lo, alpha):
+    # with eps at 0 a panel books its Bernstein term alone: at least the
+    # distance of the 16-node rule from the 64-node one, both in 40 digits
+    hi, rmax = _limit_panel(nu, b.imag, lo, alpha), 8
+    monkeypatch.setattr(sawtooth, "_EPS", 0.0)
+    vals, quad = [0j] * (rmax + 1), [0.0] * (rmax + 1)
+    sawtooth._gl_panels([(vals, quad)], [lo, hi], nu, [b], rmax, alpha)
+    k = None if alpha is None else math.floor(0.5 * (lo + hi) - alpha)
+    with mp.workdps(40):
+        half = (mp.mpf(hi) - lo) / 2
+        rules = [mp.gauss_quadrature(n, "legendre") for n in (16, 64)]
+        for m in range(rmax + 1):
+            f = _panel_integrand(nu, b, alpha, m, k)
+            g16, g64 = (half * mp.fsum(w * f(lo + half * (1 + x)) for x, w in zip(*rule)) for rule in rules)
+            assert 0.0 < abs(g16 - g64) <= quad[m], m
+
+
+def test_a_panel_near_zero_books_a_finite_bound():
+    # on the panel [1e-300, 1.6e-300] the product (c - A)(c + A) of the ellipse's
+    # ends underflowed to 0, so that its argument bound read inf and, at a real b,
+    # the bound 0 inf = nan: `tail --x 1e-300 ... --lambda 5e-324` was refused
+    for b in (complex(-1.0, 0.0), complex(-0.5, 3.0)):
+        vals, errs = [0j] * 2, [0.0] * 2
+        sawtooth._gl_panels([(vals, errs)], [1e-300, 1.6e-300], 0.5, [b], 1)
+        assert all(math.isfinite(e) for e in errs), b
 
 
 def test_weighted_oscillatory_against_quadrature():
@@ -821,36 +897,51 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
 # the batched Gauss-Legendre panels against the one-panel-at-a-time loop
 # ---------------------------------------------------------------------------
 #
-# ref_gl_panels and ref_psi_fourier_shift_sum are the panel integrator and
-# the shifted Fourier sums as they ran before the panels were evaluated as
-# (block x 32) arrays and the K sums shared one row of Bernoulli values;
-# the kernel must give the same bits.
+# ref_gl_panels and ref_psi_fourier_shift_sum are the panel integrator, one
+# panel and one exponent at a time, and the shifted Fourier sums as they ran
+# before the K sums shared one row of Bernoulli values; the kernels, whose
+# panels run as (block x 16) arrays for every exponent at once, must give the
+# same bits.
 
 
-def ref_gl_panels(vals, errs, pts, nu, b, rmax, alpha=None) -> None:
-    eps, pi_nu = sawtooth._EPS, math.pi * nu
+def ref_gl_panels(sums, pts, nu, bs, rmax, alpha=None, counts=None) -> None:
+    eps, pi_nu, rho = sawtooth._EPS, math.pi * nu, sawtooth._RHO
     shift = 0.0 if alpha is None else pi_nu * alpha
-    for u1, u2 in zip(pts, pts[1:]):
-        half = 0.5 * (u2 - u1)
-        u = u1 + half * (1.0 + sawtooth._GL_NODES)
-        logs = np.log(u)
-        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)
-        amp = np.exp(b.real * logs)
-        mag = amp if alpha is None else amp * (u - math.floor(u1 + half - alpha) - alpha - 0.5)
-        g = mag / (1.0 + t * t)
-        base = g * (1.0 - t * t) + 1j * (g * (2.0 * t))
-        mag = np.abs(mag)
-        book = mag * (1e-15 + eps * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 67.0))
-        if alpha is not None:
-            book = book + eps * (4.0 * u + 2.0) * amp
-        lp, alp = np.ones_like(u), None
-        for m in range(rmax + 1):
-            vals[m] += complex(half * np.dot(sawtooth._GL_WEIGHTS, base * lp))
-            prev, alp = alp, np.abs(lp)
-            if errs is not None:
+    for (vals, errs), b, count in zip(sums, bs, counts or [len(pts) - 1] * len(bs)):
+        for u1, u2 in zip(pts[:count], pts[1 : count + 1]):
+            half = np.array([0.5 * (u2 - u1)])  # the panel's own quantities as 1-element arrays: numpy's loops, as the kernel's
+            mid = u1 + half
+            u = u1 + half * (1.0 + sawtooth._GL_NODES)
+            logs = np.log(u)
+            t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)
+            tt = t * t
+            cos, sin = (1.0 - tt) / (1.0 + tt), (2.0 * t) / (1.0 + tt)
+            A, B = (0.5 * (rho + 1.0 / rho)) * half, (0.5 * (rho - 1.0 / rho)) * half
+            near, far = np.fmax(mid - A, 0.0), mid + A
+            beta = B / np.sqrt(near) / np.sqrt(far)
+            lmax = np.fmax(np.abs(np.log(near)), np.abs(np.log(far))) + beta
+            quad = (sawtooth._GL_QUAD * half) * np.exp(2.0 * math.pi * abs(nu) * B + abs(b.imag) * beta)
+            lp1 = np.abs(logs) + 1.0
+            rnd = eps * (12.0 * abs(pi_nu) * u + 3.0 * abs(b.imag) * lp1 + 51.0)
+            amp = np.exp(b.real * logs)
+            mag = wt = amp
+            if alpha is not None:
+                k = math.floor(mid[0] - alpha)
+                psi = u - k - alpha - 0.5
+                quad = quad * (np.abs(mid - k - alpha - 0.5) + A)
+                rnd, lp1 = np.abs(psi) * rnd + eps * (4.0 * u + 2.0), np.abs(psi) * lp1
+                wt = amp * psi
+                mag = np.abs(wt)
+            base = wt * cos + 1j * (wt * sin)
+            book = amp * (rnd + (3.0 * eps * abs(b.real)) * lp1)
+            q = quad * np.power(near, b.real)
+            lp, lq, alp = np.ones_like(u), 1.0, None
+            for m in range(rmax + 1):
+                vals[m] += complex(half[0] * np.dot(sawtooth._GL_WEIGHTS, base * lp))
+                prev, alp = alp, np.abs(lp)
                 e = book * alp + eps * m * mag * (2.0 * alp + 3.0 * prev) if m else book
-                errs[m] += float(half * np.dot(sawtooth._GL_WEIGHTS, e) + eps * np.abs(vals[m]))
-            lp = lp * logs
+                errs[m] += float(half[0] * np.dot(sawtooth._GL_WEIGHTS, e) + (q * lq)[0] + eps * np.abs(vals[m]))
+                lp, lq = lp * logs, lq * lmax
 
 
 def ref_shift_columns(K: int, nu: float) -> int:
@@ -924,12 +1015,19 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
         assert len(pts) == panels + 1
         start = [complex(rng.normal(), rng.normal()) for _ in range(rmax + 1)]
         got, want = list(start), list(start)
-        got_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)]
-        want_m = list(got_m)
-        sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
-        ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
+        start_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)]
+        got_m, want_m = list(start_m), list(start_m)
+        sawtooth._gl_panels([(got, got_m)], pts, nu, [b], rmax, alpha)
+        ref_gl_panels([(want, want_m)], pts, nu, [b], rmax, alpha)
         assert repr(got) == repr(want)
         assert repr(got_m) == repr(want_m)
+        # two exponents of one Im b in one pass, one over a prefix of the panels:
+        # each is its pass alone
+        shared, prefix = [(list(start), list(start_m)), (list(start), list(start_m))], (panels + 1) // 2
+        sawtooth._gl_panels(shared, pts, nu, [b - 1.0, b], rmax, alpha, [prefix, panels])
+        alone = (list(start), list(start_m))
+        sawtooth._gl_panels([alone], pts[: prefix + 1], nu, [b - 1.0], rmax, alpha)
+        assert repr(shared) == repr([alone, (got, got_m)])
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():
@@ -1071,7 +1169,8 @@ def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, ro
 
 def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     """psi_osc_tail_powers as it ran with its own cutoff loop and its break
-    points from ref_psi_breaks, each interval between them cut by its phase."""
+    points from ref_psi_breaks, each interval between them cut by its phase;
+    the panels are added to the far tail and its remainders."""
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
@@ -1079,13 +1178,10 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     sk = _osc_remainder_const(nu)
     while max(ref_far_remainders(rows, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
-    vals = [0.0 + 0.0j] * (rmax + 1)
-    errs = [0.0] * (rmax + 1)
-    sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, b, rmax, alpha)
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
-    tails = ref_far_tail(rows, b, x0, [coeffs])[0].tolist()
-    rems = ref_far_remainders(rows, b, x0, sk)
-    return [vals[r] + tails[r] for r in range(rmax + 1)], [rems[r] + errs[r] for r in range(rmax + 1)]
+    vals, errs = ref_far_tail(rows, b, x0, [coeffs])[0].tolist(), ref_far_remainders(rows, b, x0, sk)
+    sawtooth._gl_panels([(vals, errs)], sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, [b], rmax, alpha)
+    return vals, errs
 
 
 @pytest.mark.parametrize(
@@ -1104,6 +1200,23 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
 )
 def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
     assert repr(psi_osc_tail_powers(nu, alpha, b, rmax, x)) == repr(ref_psi_osc_tail_powers(nu, alpha, b, rmax, x))
+
+
+@pytest.mark.parametrize(
+    "nu, alpha, s, rmax, x",
+    [
+        (0.3, 0.7, complex(0.5, 300.0), 2, 3.0),  # weighted cutoffs 1178.7 and 589.3
+        (0.875, 0.727297, complex(1.825026, 716.331486), 4, 31.605887),  # 3780.675 and 3780.692
+        (0.5, 0.25, complex(0.5, 1000.0), 1, 1.0),
+        (0.125, 0.5, complex(1.2, 2.0), 3, 4500.25),  # no panel
+    ],
+)
+def test_the_lerch_tails_of_one_pass_are_each_its_walk_alone(nu, alpha, s, rmax, x):
+    # the weighted tails at b = -s and -s - 1 share the kinks and one pass of
+    # panels to the shorter walk's last kink; each is bit for bit its walk alone
+    shared = sawtooth._osc_tails(nu, alpha, rmax, x, [(-s, False, None), (-s, True, None), (-s - 1.0, True, None)])
+    alone = [pure_osc_tail_powers(nu, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s - 1.0, rmax, x)]
+    assert repr(shared) == repr(alone)
 
 
 def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():

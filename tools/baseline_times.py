@@ -29,6 +29,10 @@ targets: the best of N calls of each, timed with time.perf_counter.
                               balanced split X = sqrt(q t/2 pi)
     lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
                               s = 0.5+300i, r = 2, split x = 3
+    tail lambda=15/16 t=300 r=4
+                              psi_osc_tail_powers at nu = 15/16, alpha = 0.7,
+                              b = -1.5+300i, r = 4, x = 3: a sawtooth-weighted
+                              panel walk to its cutoff near 1700
 
 and the far-tail expansion layer alone, each call with the caches that a
 new request fills (the derivative tables, the shift sums) cleared first:
@@ -57,6 +61,10 @@ the rows time any checkout):
     cli certify t3            certify --bound t3 --json: 504 cases through the
                               JSON writer
     cli characters q=2003     characters --q 2003 --json: the 179 MB listing
+    cli eval lerch x=31.6 t=716 r=4
+                              eval --kind lerch --s 1.825026,716.331486 --r 4
+                              --lambda 0.875 --alpha 0.727297 --x 31.605887
+                              --json (the slowest eval-fixed-split pool request)
 
 Run it from the root of a checkout, or give the root of another checkout
 to time that one (so that two commits are timed in the same window):
@@ -98,7 +106,7 @@ def main(argv: list[str]) -> int:
     from zetalab.characters import character, enumerate_characters, gauss_sum
     from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
     from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
-    from zetalab.sawtooth import _deriv_table, _psi_fourier_shift_sums, _tail_cutoff
+    from zetalab.sawtooth import _deriv_table, _psi_fourier_shift_sums, _tail_cutoff, psi_osc_tail_powers
 
     def fresh(fn):
         """fn with the caches a new request fills cleared before each call."""
@@ -147,6 +155,7 @@ def main(argv: list[str]) -> int:
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
         ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
+        ("tail lambda=15/16 t=300 r=4", lambda: psi_osc_tail_powers(15.0 / 16.0, 0.7, complex(-1.5, 300.0), 4, 3.0)),
         ("deriv table r=20", fresh(lambda: _deriv_table(complex(-1.5, -30.0), 20, 16, -1.0))),
         ("_tail_cutoff s=0.5+30i", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2))),
         ("_tail_cutoff r=20", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 20))),
@@ -163,9 +172,13 @@ def main(argv: list[str]) -> int:
         ("cli certify polya", request("certify", "--bound", "polya", "--json")),
         ("cli certify t3", request("certify", "--bound", "t3", "--json")),
         ("cli characters q=2003", request("characters", "--q", "2003", "--json")),
+        (
+            "cli eval lerch x=31.6 t=716 r=4",
+            request("eval", "--kind", "lerch", "--s", "1.825026,716.331486", "--r", "4", "--lambda", "0.875", "--alpha", "0.727297", "--x", "31.605887", "--json"),
+        ),
     ]
     for name, fn in rows:
-        print(f"{name:26s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
+        print(f"{name:32s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
     return 0
 
 
