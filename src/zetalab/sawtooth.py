@@ -32,19 +32,19 @@ there: no interval is integrated and so no rounding is booked.
 Oscillatory tails combine 16-node Gauss-Legendre panels, each booking its
 own Bernstein-ellipse quadrature error, with repeated integration by parts
 against the exponential beyond an adaptive cutoff.  Panels are sized by the
-whole phase 2 pi nu u + Im b log u: each turns it by at most a budget _THETA
-and spans at most a factor 1.6, their break points the level sets of one
-closed-form count found in one array pass (_walk).  The sawtooth-weighted
-variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in combined frequencies
-n + nu and sums the boundary terms of all parts in closed form, from one row
-of periodic Bernoulli values shared by all K parts.  One panel kernel serves
-every walk as (block x 16) arrays of at most 512 panels, every exponent of
-one Im b in one pass (the Lerch core's weighted tails, _osc_tails), bit for
-bit the one-panel-at-a-time loop of each (np.vecdot per panel, which is
-np.dot's BLAS dot, and panel sums added in turn); every walk is charged
-before any runs.  A sawtooth-weighted tail whose cutoff reaches 2^52 is
-refused: from there alpha and the phase 2 pi nu u are lost to rounding.  A
-tail given its final cutoff (_osc_cutoff, on the closed-form remainder
+whole phase 2 pi nu u + Im b log u: each turns it by at most a budget
+_THETA and spans at most a factor 1.6, their break points the level sets of
+one closed-form count found in one array pass (_walk).  The
+sawtooth-weighted variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in
+combined frequencies n + nu and sums the boundary terms of all parts in
+closed form, from one row of periodic Bernoulli values shared by all K
+parts.  One panel kernel serves every walk as (block x 16) arrays of at
+most 512 panels; it is bit for bit the one-panel-at-a-time loop (np.vecdot
+per panel, which is np.dot's BLAS dot, and panel sums added left to right).
+The tails of one request (_osc_tails) are charged, every walk's panels,
+before any is walked.  A sawtooth-weighted tail whose cutoff reaches 2^52
+is refused: from there alpha and the phase 2 pi nu u are lost to rounding.
+A tail given its final cutoff (_osc_cutoff, on the closed-form remainder
 alone) from a split at or past it walks no panel: it is its far tail.
 
 Every search doubles its first cutoff in one driver (_cutoffs) until the
@@ -696,14 +696,15 @@ def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_SPAN = 1.0 + _GL_NODES  # nodes a + h (1 + x) from a panel's left end a: neighbouring panels share each end
-_PANEL_BLOCK = 512  # panels per (block x 16) array: memory stays flat in the walk's length, with two exponents
-# the phase budget of a panel: 16 nodes err on a panel of half-width h by at most
-# h (64/15) M rho^{-32}/(rho^2 - 1), M = max|f| on its Bernstein ellipse E_rho
-# (Trefethen, ATAP ch. 19, Thm 19.3), booked per panel at rho = 5 (_gl_panels).
-# There f = e^{i phi}, phi' <= omega, grows by e^{omega B}, B = 2.4 h: at omega h
-# = _THETA/2 = 6 the term is 4.3 e^{14.4} 5^{-32}/24, about 1.4e-17, times h M
+_PANEL_BLOCK = 512  # panels per (block x 16) array: memory stays flat in the walk's length
+# the phase budget of a panel: the (n + 1)-node Gauss rule errs on a panel of
+# half-width h by at most h (64/15) M rho^{-2n}/(rho^2 - 1), M = max|f| on its
+# Bernstein ellipse E_rho (Trefethen, ATAP ch. 19, Thm 19.3), booked per panel at
+# rho = 5 (_gl_panels).  There f = e^{i phi}, phi' <= omega, grows by e^{omega B},
+# B = 2.4 h: at omega h = _THETA/2 = 6 and 16 nodes the term is 4.3 e^{14.4}
+# 5^{-30}/24, about 3.4e-16, times h M
 _THETA, _RHO = 12.0, 5.0
-_GL_QUAD = 64.0 / 15.0 * _RHO**-32 / (_RHO**2 - 1.0)
+_GL_QUAD = 64.0 / 15.0 * _RHO ** -(2 * (_GL_NODES.size - 1)) / (_RHO**2 - 1.0)
 _LOG_STEP = math.log1p(0.6)  # a panel spans at most a factor 1.6
 
 
@@ -731,93 +732,92 @@ def _walk(ends, nu: float, c: float) -> np.ndarray:
     cut at its level sets (_panel_counts, which the caller charges), all found
     at once by Newton's method in w = log(u/lo): F(lo e^w) - F(lo) = a
     expm1(w) + C w is convex, so from min(k/C, log1p(k/a)), above the root, it
-    descends to it.  Each point stops on its own step: an interval's points
-    are those of it walked alone.  A walk whose points round together is refused."""
+    descends to it.  A walk whose break points round together is refused."""
     ends = np.asarray(ends, dtype=float)
+    lo, hi = ends[:-1], ends[1:]
     n = _panel_counts(ends, nu, c).astype(np.int64)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
-    base, C = np.repeat(ends[:-1], n), abs(c) / _THETA + 1.0 / _LOG_STEP
+    base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / _LOG_STEP
     a = TWO_PI * abs(nu) / _THETA * base
     w, ak = np.minimum(k / C, np.log1p(k / a)) if nu else k / C, a + k
-    tol, todo = 8.0 * _EPS * (1.0 + w), np.flatnonzero(k)
+    tol = 8.0 * _EPS * (1.0 + w.max(initial=0.0))
     for _ in range(60):
-        e = a[todo] * np.exp(w[todo])
-        step = (e + C * w[todo] - ak[todo]) / (e + C)
-        w[todo] -= step
-        if not (todo := todo[np.abs(step) > tol[todo]]).size:
+        e = a * np.exp(w)
+        step = (e + C * w - ak) / (e + C)
+        w -= step
+        if np.abs(step).max(initial=0.0) <= tol:
             break
-    pts = np.append(np.where(k > 0, np.minimum(base + base * np.expm1(w), np.repeat(ends[1:], n)), base), ends[-1])
+    pts = np.append(np.where(k > 0, np.minimum(base + base * np.expm1(w), np.repeat(hi, n)), base), ends[-1])
     if not (pts[1:] > pts[:-1]).all():
         raise ValueError(f"panel break points no longer change u = {pts[:-1][pts[1:] <= pts[:-1]][0]:.6g}")
     return pts
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an integrand beyond binary64 makes the sums non-finite: EvalResult refuses them
-def _gl_panels(sums, pts, nu: float, bs, rmax: int, alpha: float | None = None, counts=None) -> None:
-    """Accumulate 16-node Gauss-Legendre panels [pts[i], pts[i+1]] of e^{2 pi i
-    nu u} u^b log^m u, m = 0..rmax, for each exponent b of bs (one Im b, Re b
-    < 0) over its count of the first panels (all by default) into its sums
-    (values, bounds); with alpha, of psi(u - alpha) e^{2 pi i nu (u - alpha)}
-    u^b log^m u, whose panels must not straddle a kink.  The nodes are a + h (1 + x) (a the left end, h the half-width); the integrand
-    e^{Re b L} (cos theta + i sin theta) L^m, L = log u, theta = 2 pi nu u +
-    Im b L (less 2 pi nu alpha), takes cos theta + i sin theta = ((1 - t^2) +
-    2 i t)/(1 + t^2) from t = tan(theta/2) (numpy's tangent takes 3 ns on
-    AVX-512, its cosine and sine 33 ns each).  The exponents share the nodes,
-    L, the tangent, psi and the parts of the bounds that Re b does not enter.
+def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: complex, rmax: int, alpha: float | None = None) -> None:
+    """Accumulate 16-node Gauss-Legendre panels [pts[i], pts[i+1]] of
+    e^{2 pi i nu u} u^b log^m u, m = 0..rmax, Re b < 0, into vals; with alpha
+    given, of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose
+    panels must not straddle a kink.  The nodes are a + h (1 + x) (a the left
+    end, h the half-width); the integrand e^{Re b L} (cos theta + i sin theta)
+    L^m, L = log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos
+    theta + i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2)
+    (numpy's tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
 
-    Per power and panel, the quadrature (_THETA) on c + h E_rho, c the centre,
-    semi-axes A, B = h (rho +- 1/rho)/2: there c - A <= |z| <= c + A and |arg
-    z| <= beta = B/sqrt((c - A)(c + A)), the slope of its tangent from 0 (c - A
-    >= 0.52 a for a span of 1.6; an ellipse reaching 0 books inf), so M = e^{2
-    pi |nu| B} (c - A)^{Re b} e^{|Im b| beta} (max|log(c -+ A)| + beta)^m,
-    with alpha times |psi(c - alpha)| + A.  The rounding, sum |w f| eps kappa,
-    kappa = 6 (2 pi |nu| u) + 3 (|Re b| + |Im b|) (|L| + 1) + 2 m + 51 per
-    node, plus 3 m eps |w f_{m-1}|, with alpha eps (4 u + 2) |w f/psi|, and eps
-    |partial sum|: the computed node, within 3 eps u of the Gauss node (theta
-    by 3 eps (2 pi |nu| u + |Im b|), e^{Re b L} by 3 eps |Re b|, L^m by 3 m eps
+    errs collects per power and panel the quadrature (_THETA) on c + h E_rho,
+    c the centre, semi-axes A, B = h (rho +- 1/rho)/2: there c - A <= |z| <= c
+    + A and |arg z| <= beta = B/sqrt((c - A)(c + A)), the slope of its tangent
+    from 0 (c - A >= 0.52 a for a span of 1.6; an ellipse reaching 0 books
+    inf), so M = e^{2 pi |nu| B} (c - A)^{Re b} e^{|Im b| beta} (max|log(c -+
+    A)| + beta)^m, with alpha times |psi(c - alpha)| + A.  And the rounding,
+    sum |w f| eps kappa, kappa = 6 (2 pi |nu| u) + 3 (|Re b| + |Im b|) (|L| +
+    1) + 2 m + 51 per node, plus 3 m eps |w f_{m-1}|, with alpha eps (4 u + 2)
+    |w f/psi|, and eps |partial sum| per panel.  For the computed node,
+    within 3 eps u of the Gauss node, that covers its offset (theta by 3 eps
+    (2 pi |nu| u + |Im b|), e^{Re b L} by 3 eps |Re b|, L^m by 3 m eps
     |L|^{m-1}, psi by 3 eps u); theta/2, 3 eps (2 pi |nu| (u + alpha) + |Im b|
     |L|), 2 pi alpha < 7; e^{Re b L}, eps (2 |Re b| |L| + 1); psi, 2 eps (u - k
     is exact) and eps u per unit of u for the sliver at a rounded kink; L^m, (2
-    m - 1) eps; the tangent (2 eps) and the phase from it (8 eps); the products
-    with psi and L^m, 2 eps; the weights, the 16-term dot and half times it, 19
-    eps.  Bit for bit the one-panel-at-a-time loop of each exponent alone: the
-    integrand is elementwise, each panel's dot is np.vecdot (np.dot's BLAS
-    dot; a matrix product sums in another order), the panels added in turn.
+    m - 1) eps; the tangent (2 eps) and the phase formed from it (8 eps); the
+    products with psi and L^m, 2 eps; the weights, the 16-term dot and half
+    times it, 19 eps.
+
+    Bit for bit the one-panel-at-a-time loop: the integrand is elementwise,
+    each panel's dot is np.vecdot (np.dot's BLAS dot; a matrix product sums
+    in another order), and the panels are added left to right.
     """
     pts, pi_nu = np.asarray(pts, dtype=float), math.pi * nu
-    counts = [pts.size - 1] * len(bs) if counts is None else counts
-    for p0 in range(0, max(counts, default=0), _PANEL_BLOCK):
-        ends, c = pts[p0 : min(p0 + _PANEL_BLOCK, max(counts)) + 1], bs[0].imag
+    for p0 in range(0, pts.size - 1, _PANEL_BLOCK):
+        ends = pts[p0 : p0 + _PANEL_BLOCK + 1]
         half = 0.5 * (ends[1:] - ends[:-1])
         mid, u = ends[:-1] + half, ends[:-1, None] + half[:, None] * _GL_SPAN
         logs = np.log(u)
-        t = np.tan(pi_nu * u + (0.5 * c) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
-        tt = t * t
-        cos, sin = (1.0 - tt) / (1.0 + tt), (2.0 * t) / (1.0 + tt)
+        amp = np.exp(b.real * logs)
         A, B = (0.5 * (_RHO + 1.0 / _RHO)) * half, (0.5 * (_RHO - 1.0 / _RHO)) * half
         near, far = np.fmax(mid - A, 0.0), mid + A
         beta = B / np.sqrt(near) / np.sqrt(far)  # near * far can underflow
         lmax = np.fmax(np.abs(np.log(near)), np.abs(np.log(far))) + beta
-        quad = (_GL_QUAD * half) * np.exp(TWO_PI * abs(nu) * B + abs(c) * beta)
-        lp1, psi = np.abs(logs) + 1.0, None
-        rnd = _EPS * (12.0 * abs(pi_nu) * u + 3.0 * abs(c) * lp1 + 51.0)
+        quad = (_GL_QUAD * half) * np.exp(TWO_PI * abs(nu) * B + abs(b.imag) * beta) * near**b.real
+        wt = amp
         if alpha is not None:  # psi(u - alpha) is linear inside each panel
             k = np.floor(mid - alpha)
-            psi, quad = u - k[:, None] - alpha - 0.5, quad * (np.abs(mid - k - alpha - 0.5) + A)
-            rnd, lp1 = np.abs(psi) * rnd + _EPS * (4.0 * u + 2.0), np.abs(psi) * lp1
-        for (vals, errs), b, r in ((sm, b, n - p0) for sm, b, n in zip(sums, bs, counts) if n > p0):  # its first r panels here
-            amp, h, L, lm = np.exp(b.real * logs[:r]), half[:r], logs[:r], lmax[:r]
-            wt, base = amp if psi is None else amp * psi[:r], np.empty(L.shape, dtype=complex)
-            base.real, base.imag = wt * cos[:r], wt * sin[:r]
-            mag, book, q = amp if psi is None else np.abs(wt), amp * (rnd[:r] + (3.0 * _EPS * abs(b.real)) * lp1[:r]), quad[:r] * near[:r] ** b.real
-            lp, lq = 1.0, 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
-            for m in range(rmax + 1):
-                prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
-                acc = np.add.accumulate(np.concatenate(([vals[m]], h * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
-                vals[m] = complex(acc[-1])
-                dot = h * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book)
-                errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], dot + q * lq + _EPS * np.abs(acc[1:]))))[-1])
-                lp, lq = (lp * L, lq * lm) if m else (L, lm)
+            wt, quad = amp * (u - k[:, None] - alpha - 0.5), quad * (np.abs(mid - k - alpha - 0.5) + A)
+        mag = amp if alpha is None else np.abs(wt)  # amp >= 0
+        book = mag * (_EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 51.0))
+        book = book if alpha is None else book + _EPS * (4.0 * u + 2.0) * amp
+        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - (0.0 if alpha is None else pi_nu * alpha))  # tan(theta/2)
+        tt = t * t
+        g = wt / (1.0 + tt)
+        base = np.empty(u.shape, dtype=complex)
+        base.real, base.imag = g * (1.0 - tt), g * (2.0 * t)
+        lp, lq = 1.0, 1.0  # L^0 as a scalar: base * 1 and 1 * L are exact, so the powers are those from an array of ones
+        for m in range(rmax + 1):
+            acc = np.add.accumulate(np.concatenate(([vals[m]], half * np.vecdot(_GL_WEIGHTS, base * lp if m else base))))
+            vals[m] = complex(acc[-1])
+            prev, alp = (alp, np.abs(lp)) if m else (1.0, 1.0)
+            dot = half * np.vecdot(_GL_WEIGHTS, book * alp + _EPS * m * mag * (2.0 * alp + 3.0 * prev) if m else book)
+            errs[m] = float(np.add.accumulate(np.concatenate(([errs[m]], dot + quad * lq + _EPS * np.abs(acc[1:]))))[-1])
+            lp, lq = (lp * logs, lq * lmax) if m else (logs, lmax)
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
@@ -924,47 +924,42 @@ def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
 
 def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pieces) -> list[tuple[list[complex], list[float]]]:
     """Values and bounds, m = 0..rmax, of the tail from x of each (b,
-    weighted, cutoff) of tails, all of one Im b: of e^{2 pi i nu u} u^b log^m
-    u, or if weighted of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u.
-    Panels to the cutoff (_osc_cutoff for None; a final one at or below x
-    walks none), then the far tail by parts against the exponential, for a
-    weighted tail per combined frequency n + nu, summed by shifted
-    periodic-Bernoulli series.  The far tails come first, the panels added to
-    them, after one _check_work of the caller's pieces, the kinks of psi(u -
-    alpha) (listed once for all tails, after a check of the pieces and kinks)
-    and every panel.  The weighted tails take the longest one's panels, each
-    to its last kink, in one pass of _gl_panels, then each its own last
-    interval: each tail is bit for bit its walk alone."""
-    if any(b.real >= 0.0 for b, _, _ in tails):
-        raise ValueError("oscillatory tail requires Re(exponent) < 0")
-    c = tails[0][0].imag
-    cuts = [cut or _osc_cutoff(nu, b, rmax, x, weighted) for b, weighted, cut in tails]
-    x0s = [max(cut[1], x) for cut in cuts]
-    top = max([x0 for x0, (_, weighted, _) in zip(x0s, tails) if weighted], default=-math.inf)
-    if not top < 2.0**52:
-        raise ValueError(f"the tail from u = {top:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
-    far = []
-    for (b, weighted, _), (table, _, _), x0 in zip(tails, cuts, x0s):
+    weighted, cutoff) of tails: of e^{2 pi i nu u} u^b log^m u, or if
+    weighted of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u.  Panels
+    to the cutoff (_osc_cutoff for None; a final one at or below x walks
+    none), then the far tail by parts against the exponential, for a weighted
+    tail per combined frequency n + nu, summed by shifted periodic-Bernoulli
+    series.  The cutoffs come first (a weighted one that reaches 2^52 is
+    refused); the caller's pieces and the kinks of psi(u - alpha) are charged
+    before the kinks are listed, and with them every panel of every walk
+    (_panel_counts) before any far tail is formed or any panel walked.  Each
+    tail's panels are added to its far tail and remainders."""
+    walks, kinks, top = [], 0, x  # each tail's exponent, kind, cutoff, derivative table, remainders and kinks
+    for b, weighted, cut in tails:
+        if b.real >= 0.0:
+            raise ValueError("oscillatory tail requires Re(exponent) < 0")
+        table, x0, rems = cut or _osc_cutoff(nu, b, rmax, x, weighted)
+        x0, top = max(x0, x), max(top, x0)
+        if weighted and not x0 < 2.0**52:
+            raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
+        first, count = _kinks(x, x0, alpha) if weighted and x0 > x else (0.0, 1)
+        walks.append((b, weighted, x0, table, rems, first, count))
+        kinks += count - 1
+    _check_work(**pieces, kinks=kinks)
+    if top > x:
+        ends = [np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [x0])) for _, _, x0, _, _, first, count in walks]
+        _check_work(**pieces, kinks=kinks, panels=sum(_panel_counts(e, nu, b.imag).sum() for e, (b, *_) in zip(ends, walks)))
+    sums = []
+    for i, (b, weighted, x0, table, rems, _, _) in enumerate(walks):
         if weighted:
-            far.append(_far_tail(table, b, x0, [[(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]])[0].tolist())
+            vals = _far_tail(table, b, x0, [[(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]])[0].tolist()
         else:  # the by-parts terms (i/(2 pi nu))^k/i, the phase e^{2 pi i nu x0} and the sign taken
             phase, r0 = cmath.exp(2j * math.pi * nu * x0), 1.0 / (2j * math.pi * nu)
             row = list(itertools.accumulate([-r0] * (_K_OSC - 1), operator.mul, initial=r0))
-            far.append([-(phase * t) for t in _far_tail(table, b, x0, [row])[0].tolist()])
-    first, count = _kinks(x, top, alpha) if top > x else (0.0, 1)
-    _check_work(**pieces, kinks=count - 1)  # the pieces alone where no tail walks
-    sums = [(f, list(cut[2])) for f, cut in zip(far, cuts)]  # each far tail and its remainders
-    if max(x0s) > x:  # the longest weighted walk, whole
-        ends = np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [top] if top > x else []))
-        js = [_kinks(x, x0, alpha)[1] - 1 if weighted and x0 > x else 0 for x0, (_, weighted, _) in zip(x0s, tails)]
-        own, n = [not weighted or x0 < top for x0, (_, weighted, _) in zip(x0s, tails)], _panel_counts(ends, nu, c)
-        _check_work(**pieces, kinks=count - 1, panels=n.sum() + sum(_panel_counts([ends[j], x0], nu, c)[0] for j, x0, o in zip(js, x0s, own) if o))
-        pts, offs = _walk(ends, nu, c), np.concatenate(([0], np.cumsum(n))).astype(np.int64)
-        ws = [i for i, (_, weighted, _) in enumerate(tails) if weighted]
-        _gl_panels([sums[i] for i in ws], pts, nu, [tails[i][0] for i in ws], rmax, alpha, [offs[js[i]] if own[i] else pts.size - 1 for i in ws])
-        for i in range(len(tails)):
-            if own[i] and x0s[i] > x:  # then its last interval
-                _gl_panels([sums[i]], _walk([ends[js[i]], x0s[i]], nu, c), nu, [tails[i][0]], rmax, alpha if tails[i][1] else None)
+            vals = [-(phase * t) for t in _far_tail(table, b, x0, [row])[0].tolist()]
+        sums.append((vals, list(rems)))
+        if x0 > x:
+            _gl_panels(*sums[-1], _walk(ends[i], nu, b.imag), nu, b, rmax, alpha if weighted else None)
     return sums
 
 

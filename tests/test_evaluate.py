@@ -584,7 +584,7 @@ def test_default_lerch_split_walks_no_panel(monkeypatch):
     # closed-form far tail from the split, so no panel of nonzero width is walked
     widths = []
     panels = sawtooth._gl_panels
-    monkeypatch.setattr(sawtooth, "_gl_panels", lambda sums, pts, *rest: widths.append(pts[-1] - pts[0]) or panels(sums, pts, *rest))
+    monkeypatch.setattr(sawtooth, "_gl_panels", lambda vals, mags, pts, *rest: widths.append(pts[-1] - pts[0]) or panels(vals, mags, pts, *rest))
     for lam in (1 / 16, 5 / 16, 1 / 2, 15 / 16):
         for s, r in ((0.5 + 1000j, 1), (0.5 + 10j, 8), (2.0 + 0j, 0)):
             lerch_deriv(LerchArgs(lam=lam, alpha=0.3, s=s, order=r))

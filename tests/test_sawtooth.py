@@ -249,7 +249,7 @@ def test_a_panel_that_turns_by_the_whole_budget_is_within_its_bound():
         a, hi = (mid, hi) if turn(mid) < 1.0 else (a, mid)
     assert hi < 1.6 * lo
     vals, errs = [0j] * 4, [0.0] * 4
-    sawtooth._gl_panels([(vals, errs)], [lo, hi], nu, [b], 3)
+    sawtooth._gl_panels(vals, errs, [lo, hi], nu, b, 3)
     with mp.workdps(40):
         for m in range(4):
             want = mp.quad(lambda u: mp.expjpi(2 * mp.mpf(nu) * u) * u ** mp.mpc(b.real, b.imag) * mp.log(u) ** m, [lo, hi])
@@ -296,7 +296,7 @@ def test_a_panel_at_the_walks_limits_is_within_its_bound(nu, b, lo, alpha):
     # value and booked bound, r <= 8, against a 40-digit mpmath.quad
     hi, rmax = _limit_panel(nu, b.imag, lo, alpha), 8
     vals, errs = [0j] * (rmax + 1), [0.0] * (rmax + 1)
-    sawtooth._gl_panels([(vals, errs)], [lo, hi], nu, [b], rmax, alpha)
+    sawtooth._gl_panels(vals, errs, [lo, hi], nu, b, rmax, alpha)
     k = None if alpha is None else math.floor(0.5 * (lo + hi) - alpha)
     with mp.workdps(40):
         for m in range(rmax + 1):
@@ -311,7 +311,7 @@ def test_the_booked_quadrature_covers_sixteen_against_sixty_four_nodes(monkeypat
     hi, rmax = _limit_panel(nu, b.imag, lo, alpha), 8
     monkeypatch.setattr(sawtooth, "_EPS", 0.0)
     vals, quad = [0j] * (rmax + 1), [0.0] * (rmax + 1)
-    sawtooth._gl_panels([(vals, quad)], [lo, hi], nu, [b], rmax, alpha)
+    sawtooth._gl_panels(vals, quad, [lo, hi], nu, b, rmax, alpha)
     k = None if alpha is None else math.floor(0.5 * (lo + hi) - alpha)
     with mp.workdps(40):
         half = (mp.mpf(hi) - lo) / 2
@@ -322,13 +322,20 @@ def test_the_booked_quadrature_covers_sixteen_against_sixty_four_nodes(monkeypat
             assert 0.0 < abs(g16 - g64) <= quad[m], m
 
 
+def test_the_booked_quadrature_is_the_theorems_term_for_sixteen_nodes():
+    # ATAP Thm 19.3: the (n + 1)-point Gauss rule errs by at most (64/15) M
+    # rho^{-2n}/(rho^2 - 1) on [-1, 1]; 16 nodes are n = 15, so rho^{-30}
+    assert sawtooth._GL_NODES.size == 16 and sawtooth._RHO == 5.0
+    assert sawtooth._GL_QUAD == pytest.approx(64.0 / 15.0 * 5.0**-30 / 24.0, rel=1e-15)
+
+
 def test_a_panel_near_zero_books_a_finite_bound():
     # on the panel [1e-300, 1.6e-300] the product (c - A)(c + A) of the ellipse's
     # ends underflowed to 0, so that its argument bound read inf and, at a real b,
     # the bound 0 inf = nan: `tail --x 1e-300 ... --lambda 5e-324` was refused
     for b in (complex(-1.0, 0.0), complex(-0.5, 3.0)):
         vals, errs = [0j] * 2, [0.0] * 2
-        sawtooth._gl_panels([(vals, errs)], [1e-300, 1.6e-300], 0.5, [b], 1)
+        sawtooth._gl_panels(vals, errs, [1e-300, 1.6e-300], 0.5, b, 1)
         assert all(math.isfinite(e) for e in errs), b
 
 
@@ -898,50 +905,43 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
 # ---------------------------------------------------------------------------
 #
 # ref_gl_panels and ref_psi_fourier_shift_sum are the panel integrator, one
-# panel and one exponent at a time, and the shifted Fourier sums as they ran
-# before the K sums shared one row of Bernoulli values; the kernels, whose
-# panels run as (block x 16) arrays for every exponent at once, must give the
-# same bits.
+# panel at a time, and the shifted Fourier sums as they ran before the K sums
+# shared one row of Bernoulli values; the kernels, whose panels run as
+# (block x 16) arrays, must give the same bits.
 
 
-def ref_gl_panels(sums, pts, nu, bs, rmax, alpha=None, counts=None) -> None:
+def ref_gl_panels(vals, errs, pts, nu, b, rmax, alpha=None) -> None:
     eps, pi_nu, rho = sawtooth._EPS, math.pi * nu, sawtooth._RHO
     shift = 0.0 if alpha is None else pi_nu * alpha
-    for (vals, errs), b, count in zip(sums, bs, counts or [len(pts) - 1] * len(bs)):
-        for u1, u2 in zip(pts[:count], pts[1 : count + 1]):
-            half = np.array([0.5 * (u2 - u1)])  # the panel's own quantities as 1-element arrays: numpy's loops, as the kernel's
-            mid = u1 + half
-            u = u1 + half * (1.0 + sawtooth._GL_NODES)
-            logs = np.log(u)
-            t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)
-            tt = t * t
-            cos, sin = (1.0 - tt) / (1.0 + tt), (2.0 * t) / (1.0 + tt)
-            A, B = (0.5 * (rho + 1.0 / rho)) * half, (0.5 * (rho - 1.0 / rho)) * half
-            near, far = np.fmax(mid - A, 0.0), mid + A
-            beta = B / np.sqrt(near) / np.sqrt(far)
-            lmax = np.fmax(np.abs(np.log(near)), np.abs(np.log(far))) + beta
-            quad = (sawtooth._GL_QUAD * half) * np.exp(2.0 * math.pi * abs(nu) * B + abs(b.imag) * beta)
-            lp1 = np.abs(logs) + 1.0
-            rnd = eps * (12.0 * abs(pi_nu) * u + 3.0 * abs(b.imag) * lp1 + 51.0)
-            amp = np.exp(b.real * logs)
-            mag = wt = amp
-            if alpha is not None:
-                k = math.floor(mid[0] - alpha)
-                psi = u - k - alpha - 0.5
-                quad = quad * (np.abs(mid - k - alpha - 0.5) + A)
-                rnd, lp1 = np.abs(psi) * rnd + eps * (4.0 * u + 2.0), np.abs(psi) * lp1
-                wt = amp * psi
-                mag = np.abs(wt)
-            base = wt * cos + 1j * (wt * sin)
-            book = amp * (rnd + (3.0 * eps * abs(b.real)) * lp1)
-            q = quad * np.power(near, b.real)
-            lp, lq, alp = np.ones_like(u), 1.0, None
-            for m in range(rmax + 1):
-                vals[m] += complex(half[0] * np.dot(sawtooth._GL_WEIGHTS, base * lp))
-                prev, alp = alp, np.abs(lp)
-                e = book * alp + eps * m * mag * (2.0 * alp + 3.0 * prev) if m else book
-                errs[m] += float(half[0] * np.dot(sawtooth._GL_WEIGHTS, e) + (q * lq)[0] + eps * np.abs(vals[m]))
-                lp, lq = lp * logs, lq * lmax
+    for u1, u2 in zip(pts, pts[1:]):
+        half = np.array([0.5 * (u2 - u1)])  # the panel's own quantities as 1-element arrays: numpy's loops, as the kernel's
+        mid = u1 + half
+        u = u1 + half * (1.0 + sawtooth._GL_NODES)
+        logs = np.log(u)
+        amp = np.exp(b.real * logs)
+        A, B = (0.5 * (rho + 1.0 / rho)) * half, (0.5 * (rho - 1.0 / rho)) * half
+        near, far = np.fmax(mid - A, 0.0), mid + A
+        beta = B / np.sqrt(near) / np.sqrt(far)
+        lmax = np.fmax(np.abs(np.log(near)), np.abs(np.log(far))) + beta
+        quad = (sawtooth._GL_QUAD * half) * np.exp(2.0 * math.pi * abs(nu) * B + abs(b.imag) * beta) * np.power(near, b.real)
+        wt = amp
+        if alpha is not None:
+            k = np.floor(mid - alpha)
+            wt, quad = amp * (u - k - alpha - 0.5), quad * (np.abs(mid - k - alpha - 0.5) + A)
+        mag = np.abs(wt)
+        book = mag * (eps * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 51.0))
+        if alpha is not None:
+            book = book + eps * (4.0 * u + 2.0) * amp
+        t = np.tan(pi_nu * u + (0.5 * b.imag) * logs - shift)
+        g = wt / (1.0 + t * t)
+        base = g * (1.0 - t * t) + 1j * (g * (2.0 * t))
+        lp, lq, alp = np.ones_like(u), 1.0, None
+        for m in range(rmax + 1):
+            vals[m] += complex(half[0] * np.dot(sawtooth._GL_WEIGHTS, base * lp))
+            prev, alp = alp, np.abs(lp)
+            e = book * alp + eps * m * mag * (2.0 * alp + 3.0 * prev) if m else book
+            errs[m] += float(half[0] * np.dot(sawtooth._GL_WEIGHTS, e) + (quad * lq)[0] + eps * np.abs(vals[m]))
+            lp, lq = lp * logs, lq * lmax
 
 
 def ref_shift_columns(K: int, nu: float) -> int:
@@ -1017,17 +1017,10 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
         got, want = list(start), list(start)
         start_m = [float(v) for v in rng.uniform(0.0, 1.0, rmax + 1)]
         got_m, want_m = list(start_m), list(start_m)
-        sawtooth._gl_panels([(got, got_m)], pts, nu, [b], rmax, alpha)
-        ref_gl_panels([(want, want_m)], pts, nu, [b], rmax, alpha)
+        sawtooth._gl_panels(got, got_m, pts, nu, b, rmax, alpha)
+        ref_gl_panels(want, want_m, pts, nu, b, rmax, alpha)
         assert repr(got) == repr(want)
         assert repr(got_m) == repr(want_m)
-        # two exponents of one Im b in one pass, one over a prefix of the panels:
-        # each is its pass alone
-        shared, prefix = [(list(start), list(start_m)), (list(start), list(start_m))], (panels + 1) // 2
-        sawtooth._gl_panels(shared, pts, nu, [b - 1.0, b], rmax, alpha, [prefix, panels])
-        alone = (list(start), list(start_m))
-        sawtooth._gl_panels([alone], pts[: prefix + 1], nu, [b - 1.0], rmax, alpha)
-        assert repr(shared) == repr([alone, (got, got_m)])
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():
@@ -1180,7 +1173,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         x0 *= 2.0
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     vals, errs = ref_far_tail(rows, b, x0, [coeffs])[0].tolist(), ref_far_remainders(rows, b, x0, sk)
-    sawtooth._gl_panels([(vals, errs)], sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, [b], rmax, alpha)
+    sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, b, rmax, alpha)
     return vals, errs
 
 
@@ -1211,9 +1204,9 @@ def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
         (0.125, 0.5, complex(1.2, 2.0), 3, 4500.25),  # no panel
     ],
 )
-def test_the_lerch_tails_of_one_pass_are_each_its_walk_alone(nu, alpha, s, rmax, x):
-    # the weighted tails at b = -s and -s - 1 share the kinks and one pass of
-    # panels to the shorter walk's last kink; each is bit for bit its walk alone
+def test_the_lerch_tails_of_one_call_are_each_its_walk_alone(nu, alpha, s, rmax, x):
+    # the Lerch core's three tails, charged together before any is walked: each
+    # is bit for bit its route alone
     shared = sawtooth._osc_tails(nu, alpha, rmax, x, [(-s, False, None), (-s, True, None), (-s - 1.0, True, None)])
     alone = [pure_osc_tail_powers(nu, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s - 1.0, rmax, x)]
     assert repr(shared) == repr(alone)
