@@ -242,11 +242,7 @@ def character(q: int, label: int) -> DirichletCharacter:
     """The character mod q with the given label, built alone."""
     if q < 1 or not 0 <= label < euler_phi(q):
         raise ValueError(f"no character mod {q} has label {label}")
-    kexp = []
-    for d in reversed(_unit_group(q).orders):
-        label, k = divmod(label, d)
-        kexp.append(k)
-    return _build_character(q, tuple(reversed(kexp)))
+    return _build_character(q, tuple(map(int, np.unravel_index(label, _unit_group(q).orders))))
 
 
 def _exponents(q: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .afe import afe_hurwitz, afe_l
 from .characters import character
 from .coefficients import COEFFICIENT_KINDS, coefficient_table
 from .evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv, z_deriv
-from .sawtooth import EvalResult, _check_order, psi_osc_tail_powers, psi_tail_powers
+from .sawtooth import EvalResult, _check_tail, psi_osc_tail_powers, psi_tail_powers
 
 __all__ = ["main", "run", "render_json"]
 
@@ -55,10 +55,8 @@ def _fmt_str(s: str) -> str:
 
 
 def _render(obj) -> str:
-    """The JSON text of obj by the renderer of its exact type in _RENDER."""
-    if type(obj) not in _RENDER:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-    return _RENDER[type(obj)](obj)
+    """Refuses obj: the writer calls it where _RENDER has no renderer for obj's exact type."""
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _items(values) -> str:
@@ -150,11 +148,7 @@ def _value_report(args, fields: dict, res: EvalResult) -> tuple[int, str]:
 
 def _cmd_tail(args) -> tuple[int, str]:
     b = complex(args.re_a, args.im_a)
-    if not args.x > 0.0:
-        raise ValueError("lower limit must be positive")
-    if not 0.0 < args.alpha <= 1.0:
-        raise ValueError("shift must lie in (0, 1]")
-    _check_order(args.r)
+    _check_tail(args.x, [args.alpha], args.r)
     if not 0.0 <= args.lam < 1.0:
         raise ValueError("oscillation must lie in [0, 1)")
     if args.lam:
@@ -167,34 +161,37 @@ def _cmd_tail(args) -> tuple[int, str]:
     return _value_report(args, fields, EvalResult(vals[args.r], errs[args.r]))
 
 
-def _cmd_eval(args) -> tuple[int, str]:
-    s = args.s
-    if args.kind == "hurwitz":
-        res = hurwitz_deriv(HurwitzArgs(s=s, alpha=args.alpha, order=args.r, split=args.x))
-        params = {"alpha": args.alpha}
-    elif args.kind == "z":
-        res = z_deriv(s, args.a, args.q, args.r, X=args.x)
-        params = {"a": args.a, "q": args.q}
-    elif args.kind == "l":
-        chi = character(args.q, args.label)
-        res = l_deriv(s, chi, args.r, X=args.x)
-        params = {"q": args.q, "label": args.label}
-    else:
-        res = lerch_deriv(LerchArgs(lam=args.lam, alpha=args.alpha, s=s, order=args.r, split=args.x))
-        params = {"lambda": args.lam, "alpha": args.alpha}
-    return _value_report(args, {"kind": args.kind, "s": s, "r": args.r, "x": args.x, **params}, res)
+# (command, --kind) → the library call of an eval or afe request and the options its report
+# names after --kind, --s, --r and --x; a command's --kind choices are its keys here, in order
+_VALUES = {
+    ("eval", "hurwitz"): (lambda a: hurwitz_deriv(HurwitzArgs(s=a.s, alpha=a.alpha, order=a.r, split=a.x)), ("--alpha",)),
+    ("eval", "z"): (lambda a: z_deriv(a.s, a.a, a.q, a.r, X=a.x), ("--a", "--q")),
+    ("eval", "l"): (lambda a: l_deriv(a.s, character(a.q, a.label), a.r, X=a.x), ("--q", "--label")),
+    ("eval", "lerch"): (lambda a: lerch_deriv(LerchArgs(lam=a.lam, alpha=a.alpha, s=a.s, order=a.r, split=a.x)), ("--lambda", "--alpha")),
+    ("afe", "hurwitz"): (lambda a: afe_hurwitz(a.s, a.alpha, a.r, a.x), ("--alpha",)),
+    ("afe", "l"): (lambda a: afe_l(a.s, character(a.q, a.label), a.r, a.x), ("--q", "--label")),
+}
+
+
+def _cmd_value(args) -> tuple[int, str]:
+    call, options = _VALUES[args.command, args.kind]
+    fields = {opt[2:]: getattr(args, _DESTS.get(opt, opt[2:])) for opt in ("--kind", "--s", "--r", "--x", *options)}
+    return _value_report(args, fields, call(args))
+
+
+# coeff --kind → its coefficients.COEFFICIENT_KINDS name
+_COEFF_KINDS = {
+    "gamma": "stieltjes_gamma",
+    "beta": "beta_at_zero",
+    "gamma-aq": "gamma_aq",
+    "gamma-chi": "gamma_chi",
+    "lerch": "lerch_at_one",
+    "l-zero": "l_deriv_at_zero",
+}
 
 
 def _cmd_coeff(args) -> tuple[int, str]:
-    kind_map = {
-        "gamma": "stieltjes_gamma",
-        "beta": "beta_at_zero",
-        "gamma-aq": "gamma_aq",
-        "gamma-chi": "gamma_chi",
-        "lerch": "lerch_at_one",
-        "l-zero": "l_deriv_at_zero",
-    }
-    kind = kind_map[args.kind]
+    kind = _COEFF_KINDS[args.kind]
     kwargs = {
         name: character(args.q, args.label) if name == "chi" else getattr(args, name)
         for name in COEFFICIENT_KINDS[kind].params
@@ -220,29 +217,27 @@ def _cmd_coeff(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
+# certify --bound → its sweep of the --q list (None if absent) and --r-max keywords
+_CERTIFY = {
+    "t2-ib": lambda q, orders: bounds_mod.certify_T2_Ib(**orders),
+    "t2-iib": lambda q, orders: bounds_mod.certify_T2_IIb(**orders),
+    "t2-iiib": lambda q, orders: bounds_mod.certify_T2_IIIb(**orders),
+    "t3": lambda q, orders: bounds_mod.certify_T3(q_set=tuple(q) if q else bounds_mod.DEFAULT_Q_SET, **orders),
+    "ishikawa": lambda q, orders: bounds_mod.ishikawa_compare(q[0] if q else 5),
+    "polya": lambda q, orders: bounds_mod.certify_polya_vinogradov(),
+}
+
+
 def _certify_report(args):
     # an absent --r-max leaves each sweep at its own default
     if args.r_max is not None and args.r_max < 1:
         raise ValueError("--r-max must be at least 1")
-    orders = {} if args.r_max is None else {"r_max": args.r_max}
-    if args.bound == "t2-ib":
-        return bounds_mod.certify_T2_Ib(**orders)
-    if args.bound == "t2-iib":
-        return bounds_mod.certify_T2_IIb(**orders)
-    if args.bound == "t2-iiib":
-        return bounds_mod.certify_T2_IIIb(**orders)
-    if args.bound == "t3":
-        q_set = tuple(args.q) if args.q else bounds_mod.DEFAULT_Q_SET
-        return bounds_mod.certify_T3(q_set=q_set, **orders)
-    if args.bound == "ishikawa":
-        return bounds_mod.ishikawa_compare(args.q[0] if args.q else 5)
-    return bounds_mod.certify_polya_vinogradov()
+    return _CERTIFY[args.bound](args.q, {} if args.r_max is None else {"r_max": args.r_max})
 
 
 def _cmd_certify(args) -> tuple[int, str]:
     report = _certify_report(args)
-    asserted = report.bound_id not in ("Ishikawa_compare",)
-    status = 0 if (report.all_pass or not asserted) else 2
+    status = 0 if report.all_pass else 2
     cases = report.cases
     if args.json:
         rows, info = (
@@ -273,17 +268,6 @@ def _cmd_certify(args) -> tuple[int, str]:
     return status, "\n".join(lines)
 
 
-def _cmd_afe(args) -> tuple[int, str]:
-    if args.kind == "hurwitz":
-        res = afe_hurwitz(args.s, args.alpha, args.r, args.x)
-        params = {"alpha": args.alpha}
-    else:
-        chi = character(args.q, args.label)
-        res = afe_l(args.s, chi, args.r, args.x)
-        params = {"q": args.q, "label": args.label}
-    return _value_report(args, {"kind": args.kind, "s": args.s, "r": args.r, "x": args.x, **params}, res)
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -301,23 +285,23 @@ _OPTIONS = {
         "--r": (int, None, 0, False), "--lambda": (_finite_float, None, 0.0, False), "--json": _FLAG,
     },
     "eval": {
-        "--kind": (str, ("hurwitz", "z", "l", "lerch"), None, True), "--s": (_parse_complex, None, None, True),
+        "--kind": (str, tuple(kind for command, kind in _VALUES if command == "eval"), None, True), "--s": (_parse_complex, None, None, True),
         "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 1, False), "--a": (int, None, 1, False),
         "--label": (int, None, 1, False), "--lambda": (_finite_float, None, 0.5, False), "--r": (int, None, 0, False),
         "--x": (_finite_float, None, None, False), "--json": _FLAG,
     },
     "coeff": {
-        "--kind": (str, ("gamma", "beta", "gamma-aq", "gamma-chi", "lerch", "l-zero"), None, True),
+        "--kind": (str, tuple(_COEFF_KINDS), None, True),
         "--r-max": (int, None, None, True), "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 4, False),
         "--a": (int, None, 1, False), "--label": (int, None, 1, False), "--lambda": (_finite_float, None, 0.5, False),
         "--json": _FLAG, "--csv": _FLAG,
     },
     "certify": {
-        "--bound": (str, ("t2-ib", "t2-iib", "t2-iiib", "t3", "ishikawa", "polya"), None, True),
+        "--bound": (str, tuple(_CERTIFY), None, True),
         "--r-max": (int, None, None, False), "--q": ([int], None, None, False), "--json": _FLAG, "--csv": _FLAG,
     },
     "afe": {
-        "--kind": (str, ("hurwitz", "l"), None, True), "--s": (_parse_complex, None, None, True),
+        "--kind": (str, tuple(kind for command, kind in _VALUES if command == "afe"), None, True), "--s": (_parse_complex, None, None, True),
         "--alpha": (_finite_float, None, 1.0, False), "--q": (int, None, 4, False), "--label": (int, None, 1, False),
         "--r": (int, None, 0, False), "--x": (_finite_float, None, None, True), "--json": _FLAG,
     },
@@ -404,10 +388,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
 _HANDLERS = {
     "characters": _cmd_characters,
     "tail": _cmd_tail,
-    "eval": _cmd_eval,
+    "eval": _cmd_value,
     "coeff": _cmd_coeff,
     "certify": _cmd_certify,
-    "afe": _cmd_afe,
+    "afe": _cmd_value,
 }
 
 

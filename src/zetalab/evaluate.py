@@ -77,6 +77,16 @@ __all__ = [
     "default_split",
 ]
 
+def _check_point(s: complex, pole: bool = True) -> complex:
+    """s as a complex, refused unless Re(s) > 0 and, where the route has the pole, s != 1."""
+    s = complex(s)
+    if s.real <= 0.0:
+        raise ValueError("evaluation requires Re(s) > 0")
+    if pole and s == 1:
+        raise ValueError("s = 1 is the pole; use the coefficient operations instead")
+    return s
+
+
 @dataclass(frozen=True)
 class HurwitzArgs:
     """Arguments for a Hurwitz zeta derivative in the half-plane Re(s) > 0."""
@@ -87,11 +97,7 @@ class HurwitzArgs:
     split: float | None = None
 
     def __post_init__(self):
-        s = complex(self.s)
-        if s.real <= 0.0:
-            raise ValueError("evaluation requires Re(s) > 0")
-        if s == 1:
-            raise ValueError("s = 1 is the pole; use the coefficient operations instead")
+        _check_point(self.s)
         _check_alpha(self.alpha)
         _check_order(self.order)
         if self.split is not None and not self.split > 0.0:
@@ -112,8 +118,7 @@ class LerchArgs:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must lie strictly inside (0, 1); integer lambda is the Hurwitz case")
         _check_alpha(self.alpha)
-        if complex(self.s).real <= 0.0:
-            raise ValueError("evaluation requires Re(s) > 0")
+        _check_point(self.s, pole=False)
         _check_order(self.order)
         if self.split is not None and not self.split > 0.0:
             raise ValueError("split parameter must be positive")
@@ -265,11 +270,7 @@ def hurwitz_deriv(args: HurwitzArgs) -> EvalResult:
 
 def z_deriv(s: complex, a: int, q: int, r: int, X: float | None = None) -> EvalResult:
     """d^r/ds^r Z(s, a, q) with Z(s, a, q) = q^{-s} zeta(s, a/q)."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("evaluation requires Re(s) > 0")
-    if s == 1:
-        raise ValueError("s = 1 is the pole; use the coefficient operations instead")
+    s = _check_point(s)
     if q < 1 or not 1 <= a <= q:
         raise ValueError("need 1 <= a <= q")
     _check_order(r)
@@ -326,10 +327,7 @@ def _l_values(s: complex, chars, orders, X: float | None = None) -> list[list[Ev
 
 def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None) -> EvalResult:
     """d^r/ds^r L(s, chi) for non-principal chi; s = 1 is allowed (entire)."""
-    s = complex(s)
-    if s.real <= 0.0:
-        raise ValueError("evaluation requires Re(s) > 0")
-    return _l_values(s, [chi], [r], X)[0][0]
+    return _l_values(_check_point(s, pole=False), [chi], [r], X)[0][0]
 
 
 def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tuple[float, list]:

@@ -112,6 +112,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1]")
 
 
+def _check_tail(x: float, alphas, rmax: int) -> None:
+    if not x > 0.0:
+        raise ValueError("lower limit must be positive")
+    if not all(0.0 < alpha <= 1.0 for alpha in alphas):
+        raise ValueError("shift must lie in (0, 1]")
+    _check_order(rmax)
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
@@ -646,6 +654,7 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an x near 0 can leave binary64: EvalResult refuses it
 def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float], float]]:
     """The rows of psi_tail_powers_batch, each with the cutoff u0 of its far tail."""
+    _check_tail(x, alphas, rmax)
     b = complex(b)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
@@ -968,6 +977,7 @@ def pure_osc_tail_powers(nu: float, b: complex, rmax: int, x: float) -> tuple[li
     Re(b) < 0: panels, each turning the phase 2 pi nu u + Im b log u by at
     most _THETA and spanning at most a factor 1.6 (_walk), to an adaptive
     cutoff, then a far tail by parts (_osc_tails)."""
+    _check_tail(x, [], rmax)
     if nu == 0.0:
         raise ValueError("oscillation frequency must be nonzero")
     return _osc_tails(nu, None, rmax, x, [(complex(b), False, None)])[0]
@@ -978,6 +988,7 @@ def psi_osc_tail_powers(nu: float, alpha: float, b: complex, rmax: int, x: float
     0..rmax, nu in (0, 1) and Re(b) < 0: panels, broken at the kinks of psi(u
     - alpha) and cut as in pure_osc_tail_powers, to an adaptive cutoff, then
     the sawtooth's combined frequencies n + nu by parts (_osc_tails)."""
+    _check_tail(x, [alpha], rmax)
     if not 0.0 < nu < 1.0:
         raise ValueError("sawtooth-weighted oscillatory tail needs oscillation in (0, 1)")
     return _osc_tails(nu, alpha, rmax, x, [(complex(b), True, None)])[0]

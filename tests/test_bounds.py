@@ -52,6 +52,8 @@ def test_bound_comparison_directions():
     # r = 1: this certification's bound (1/2) beats 4/pi; from r = 2 on the
     # Berndt baseline is the smaller one
     assert 0.5 < berndt_bound(1)
+    with pytest.raises(ValueError, match="r >= 1"):
+        berndt_bound(0)
     for r in range(2, 21):
         asserted = math.exp(1.0 + r * (math.log(r) - 1.0 - math.log(2.0)) - math.lgamma(r + 1.0))
         assert berndt_bound(r) < asserted

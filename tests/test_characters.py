@@ -159,6 +159,9 @@ def test_enumeration_mod_2003_builds_no_value_table():
 def test_character_refuses_labels_outside_the_dual_group(q, label):
     with pytest.raises(ValueError, match=f"no character mod {q} has label {label}"):
         character(q, label)
+    if q < 1:  # the factorization a modulus is read through refuses it too
+        with pytest.raises(ValueError, match="positive integer"):
+            factorize(q)
 
 
 def test_label_lookup_builds_one_character_and_one_table_per_modulus(monkeypatch):
@@ -195,6 +198,7 @@ def test_q4_enumeration():
     assert len(principal) == 1 and len(other) == 1
     chi = other[0]
     assert abs(chi(1) - 1) < TOL and abs(chi(3) + 1) < TOL and abs(chi(2)) == 0
+    assert repr(chi) == "DirichletCharacter(q=4, label=1, conductor=4, parity=-1)"
 
 
 def test_q5_exactly_one_real_nonprincipal():
@@ -307,6 +311,7 @@ def test_gauss_sum_factorization_small_moduli():
 def test_partial_sum_examples(chi4):
     assert abs(partial_character_sum(chi4, 3.0)) < TOL  # 1 + 0 - 1
     assert abs(partial_character_sum(chi4, 1.0) - 1.0) < TOL
+    assert partial_character_sum(chi4, 0.5) == 0  # the empty sum
 
 
 def test_partial_sum_principal_raises(principal4):

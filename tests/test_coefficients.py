@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -271,6 +272,8 @@ def test_l1_truncated_requires_primitive():
     chars12 = [c for c in enumerate_characters(12) if not c.is_principal and not c.is_primitive]
     with pytest.raises(ValueError):
         l_deriv_at_1_truncated(1, chars12[0])
+    with pytest.raises(ValueError, match="r >= 1"):
+        l_deriv_at_1_truncated(0, next(c for c in enumerate_characters(5) if c.is_primitive))
 
 
 def test_l0_value_half(chi4):
@@ -555,6 +558,10 @@ def test_reconstruct_radius_guard():
     table = coefficient_table("stieltjes_gamma", 8, alpha=1.0)
     with pytest.raises(ValueError):
         reconstruct_series(table, 2.0)
+    with pytest.raises(ValueError, match="cannot reconstruct kind 'nope'"):
+        reconstruct_series(dataclasses.replace(table, kind="nope"), 1.0)
+    with pytest.raises(ValueError, match="unknown coefficient kind 'nope'"):
+        coefficient_table("nope", 3)
 
 
 def test_gamma0_split_parameterized_forms():

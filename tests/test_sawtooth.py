@@ -193,6 +193,33 @@ def test_tail_requires_decaying_exponent():
     # the tail subcommand asks for Re(exponent) <= -1 without oscillation (test_cli)
     with pytest.raises(ValueError, match="Re\\(exponent\\) < 0"):
         psi_tail_powers(1.0, 1.0, complex(0.0, 3.0), 0)
+    with pytest.raises(ValueError, match="exponent < -1"):
+        power_log_tail_abs(-1.0, 0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: psi_tail_powers(1.0, 0.5, -2, 30), r"order must lie in 0\.\.24"),
+        (lambda: psi_osc_tail_powers(0.5, 0.5, -2, 30, 1.0), r"order must lie in 0\.\.24"),
+        (lambda: psi_tail_powers(1.0, 0.5, -2, -1), r"order must lie in 0\.\.24"),
+        (lambda: psi_tail_powers_batch(1.0, [0.5], -2, -1), r"order must lie in 0\.\.24"),
+        (lambda: pure_osc_tail_powers(0.5, -2, -1, 1.0), r"order must lie in 0\.\.24"),
+        (lambda: psi_tail_powers(0.0, 0.5, -2, 0), "lower limit must be positive"),
+        (lambda: pure_osc_tail_powers(0.5, -2, 0, -1.0), "lower limit must be positive"),
+        (lambda: psi_osc_tail_powers(0.5, 3.0, -2, 0, 1.0), r"shift must lie in \(0, 1\]"),
+        (lambda: psi_tail_powers_batch(1.0, [0.5, 0.0], -2, 0), r"shift must lie in \(0, 1\]"),
+        (lambda: pure_osc_tail_powers(0.0, -2, 0, 1.0), "oscillation frequency must be nonzero"),
+        (lambda: psi_osc_tail_powers(1.0, 0.5, -2, 0, 1.0), r"oscillation in \(0, 1\)"),
+    ],
+)
+def test_tail_entry_points_refuse_their_arguments_before_any_work(monkeypatch, call, message):
+    # one ValueError from the tail's own checks, before any work is charged
+    charged = []
+    monkeypatch.setattr(sawtooth, "_check_work", lambda **pieces: charged.append(pieces))
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert charged == []
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1060,8 @@ def test_shift_sums_match_the_per_k_sums_bit_for_bit():
             if nu == 0.999:
                 with pytest.raises(ValueError, match="refused above nu = 0.96875"):
                     sawtooth._psi_fourier_shift_sums(K, v, nu)
+                with pytest.raises(ValueError, match=r"need nu in \(0, 1\)"):
+                    sawtooth._psi_fourier_shift_sums(K, v, 1.0)
                 continue
             got = sawtooth._psi_fourier_shift_sums(K, v, nu)
             want = tuple(ref_psi_fourier_shift_sum(k, v, nu, K) for k in range(1, K + 1))
