@@ -96,7 +96,7 @@ def _t2_iib_bound(r: int) -> float:
 def _t2_iib_bound_printed(r: int) -> float:
     # (e/3)(r/e)^r / r! + 1/r!  (as printed; reported informationally)
     lf = _log_factorial(r)
-    main = math.exp(math.log(math.e / 3.0) + (r * (math.log(r) - 1.0) if r else 0.0) - lf)
+    main = math.exp(math.log(math.e / 3.0) + r * (math.log(r) - 1.0) - lf)
     return main + math.exp(-lf)
 
 

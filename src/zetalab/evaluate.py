@@ -210,8 +210,8 @@ def _split(s: complex, r: int, q: int, units, X: float | None) -> tuple[float, n
     if not X > 0.0:
         raise ValueError("split parameter must be positive")
     _check_work(classes=len(units), terms=len(units) * X / q)
-    tails = psi_tail_powers_batch(X / q, alphas, b, r)
-    return X, np.array([t for t, _ in tails]).T, np.array([e for _, e in tails]).T
+    tails, terrs, _ = psi_tail_powers_batch(X / q, alphas, b, r)
+    return X, tails, terrs
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:

@@ -507,8 +507,6 @@ def _kinks(lo: float, hi: float, alpha: float) -> tuple[float, int]:
     while first + alpha <= lo + 1e-12:
         first += 1.0
     last = float(math.floor(hi - alpha))
-    while (last + 1.0) + alpha < hi - 1e-12:
-        last += 1.0
     while last + alpha >= hi - 1e-12:
         last -= 1.0
     return first, int(max(last - first + 1.0, 0.0)) + 1
@@ -652,38 +650,31 @@ def _tail_cutoff(alphas, b: complex, rmax: int) -> tuple[float, np.ndarray, np.n
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an x near 0 can leave binary64: EvalResult refuses it
-def _psi_tails(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float], float]]:
-    """The rows of psi_tail_powers_batch, each with the cutoff u0 of its far tail."""
+def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, less the
+    rounding of the far tails (the evaluate routes book it in their assembly),
+    as (rmax + 1, rows) values and bounds and each row's far-tail cutoff u0,
+    from one interval integral of all rows per cutoff; each row is bit for
+    bit its one-row result.  Each row stops, its column written, at the first
+    cutoff (_tail_cutoffs) where it meets the tolerance or the cap stops the
+    search; the far-tail derivatives and remainders serve every row."""
     _check_tail(x, alphas, rmax)
-    b = complex(b)
+    b, alphas = complex(b), np.array(alphas, dtype=float)
     if b.real >= 0.0:
         raise ValueError("tail requires Re(exponent) < 0 for convergence")
-    alphas = np.array(alphas, dtype=float)
     sums = [np.zeros((rmax + 1, alphas.size), dtype=complex), np.zeros((rmax + 1, alphas.size))]
-    out: list = [None] * alphas.size
+    values, bounds, cutoffs = np.empty_like(sums[0]), np.empty_like(sums[1]), np.empty(alphas.size)
     rows, cur = np.arange(alphas.size), x
     for cutoff in _tail_cutoffs(x, b, rmax):
         _check_work(interval=alphas.size * (cutoff[0] - cur))  # each interval, for the rows still open, before it is integrated
         _psi_interval(sums, cur, cutoff[0], alphas, b, rmax)
         cur = cutoff[0]
         vals, errs, done = _tail_values(sums, cutoff, b, alphas)
-        for i, row, bounds in zip(rows[done].tolist(), vals[:, done].T.tolist(), errs[:, done].T.tolist()):
-            out[i] = (row, bounds, cur)
+        values[:, rows[done]], bounds[:, rows[done]], cutoffs[rows[done]] = vals[:, done], errs[:, done], cur
         if done.all():
-            return out
+            return values, bounds, cutoffs
         rows, alphas = rows[~done], alphas[~done]
         sums = [a[:, ~done] for a in sums]
-
-
-def psi_tail_powers_batch(x: float, alphas, b: complex, rmax: int) -> list[tuple[list[complex], list[float]]]:
-    """psi_tail_powers(x, alpha, b, rmax) for every alpha of alphas, in order,
-    less the rounding of the far tails (the evaluate routes book it in their
-    assembly), from one interval integral of all rows per cutoff; each row is
-    bit for bit its one-row result.  Each row stops at the first cutoff
-    (_tail_cutoffs) where it meets the tolerance or the cap stops the
-    search; the far-tail derivatives and remainders serve every row.
-    """
-    return [(vals, errs) for vals, errs, _ in _psi_tails(x, alphas, b, rmax)]
 
 
 def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list[complex], list[float]]:
@@ -695,8 +686,8 @@ def psi_tail_powers(x: float, alpha: float, b: complex, rmax: int) -> tuple[list
     int_U^inf |g^{(K-1)}|.  The bounds add the rounding of that expansion
     (_far_tail_rounding) to psi_tail_powers_batch's.
     """
-    ((vals, errs, u0),) = _psi_tails(x, [alpha], b, rmax)
-    return vals, [e + f for e, f in zip(errs, _far_tail_rounding(complex(b), rmax, u0, alpha).tolist())]
+    vals, errs, (u0,) = psi_tail_powers_batch(x, [alpha], b, rmax)
+    return vals[:, 0].tolist(), (errs[:, 0] + _far_tail_rounding(complex(b), rmax, u0, alpha)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +718,7 @@ def _walk_length(lo, hi, nu, c: float):
     return (TWO_PI * abs(nu) * (hi - lo) + abs(c) * w) / _THETA + w / _LOG_STEP
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in _psi_tails
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in psi_tail_powers_batch
 def _panel_counts(ends, nu: float, c: float) -> np.ndarray:
     """The panels of each interval between the increasing ends, as floats: one
     per level set F(u) = F(lo) + k < F(hi), k >= 0 (_walk_length), if lo < hi."""
@@ -735,16 +726,16 @@ def _panel_counts(ends, nu: float, c: float) -> np.ndarray:
     return np.where(hi > lo, np.maximum(np.ceil(_walk_length(lo, hi, nu, c)), 1.0), 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in _psi_tails
-def _walk(ends, nu: float, c: float) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in psi_tail_powers_batch
+def _walk(ends, nu: float, c: float, counts: np.ndarray) -> np.ndarray:
     """Panel break points over the intervals between the increasing ends, each
-    cut at its level sets (_panel_counts, which the caller charges), all found
-    at once by Newton's method in w = log(u/lo): F(lo e^w) - F(lo) = a
-    expm1(w) + C w is convex, so from min(k/C, log1p(k/a)), above the root, it
-    descends to it.  A walk whose break points round together is refused."""
+    cut at its counts of level sets (_panel_counts, charged by the caller),
+    all found at once by Newton's method in w = log(u/lo): F(lo e^w) - F(lo)
+    = a expm1(w) + C w is convex, so from min(k/C, log1p(k/a)), above the
+    root, it descends to it.  A walk whose break points round together is refused."""
     ends = np.asarray(ends, dtype=float)
     lo, hi = ends[:-1], ends[1:]
-    n = _panel_counts(ends, nu, c).astype(np.int64)
+    n = counts.astype(np.int64)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # 0..n-1 along each interval
     base, C = np.repeat(lo, n), abs(c) / _THETA + 1.0 / _LOG_STEP
     a = TWO_PI * abs(nu) / _THETA * base
@@ -940,9 +931,9 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
     tail per combined frequency n + nu, summed by shifted periodic-Bernoulli
     series.  The cutoffs come first (a weighted one that reaches 2^52 is
     refused); the caller's pieces and the kinks of psi(u - alpha) are charged
-    before the kinks are listed, and with them every panel of every walk
-    (_panel_counts) before any far tail is formed or any panel walked.  Each
-    tail's panels are added to its far tail and remainders."""
+    before the kinks are listed, and with them every panel of every walk, the
+    counts it walks (_panel_counts), before any far tail is formed or any
+    panel walked.  Each tail's panels are added to its far tail and remainders."""
     walks, kinks, top = [], 0, x  # each tail's exponent, kind, cutoff, derivative table, remainders and kinks
     for b, weighted, cut in tails:
         if b.real >= 0.0:
@@ -957,7 +948,8 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
     _check_work(**pieces, kinks=kinks)
     if top > x:
         ends = [np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [x0])) for _, _, x0, _, _, first, count in walks]
-        _check_work(**pieces, kinks=kinks, panels=sum(_panel_counts(e, nu, b.imag).sum() for e, (b, *_) in zip(ends, walks)))
+        counts = [_panel_counts(e, nu, b.imag) for e, (b, *_) in zip(ends, walks)]
+        _check_work(**pieces, kinks=kinks, panels=sum(n.sum() for n in counts))
     sums = []
     for i, (b, weighted, x0, table, rems, _, _) in enumerate(walks):
         if weighted:
@@ -968,7 +960,7 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
             vals = [-(phase * t) for t in _far_tail(table, b, x0, [row])[0].tolist()]
         sums.append((vals, list(rems)))
         if x0 > x:
-            _gl_panels(*sums[-1], _walk(ends[i], nu, b.imag), nu, b, rmax, alpha if weighted else None)
+            _gl_panels(*sums[-1], _walk(ends[i], nu, b.imag, counts[i]), nu, b, rmax, alpha if weighted else None)
     return sums
 
 

@@ -142,6 +142,17 @@ def test_log_table_rows_are_the_characters_tables_bit_for_bit(q):
     assert "values" in vars(chi) and "value_logs" not in vars(chi)  # the values read the shared table
 
 
+def test_primitive_root_mod_p_squared_is_lifted_where_it_is_not_one():
+    # 5 is the least primitive root mod 40487, and 5^40486 = 1 mod 40487^2, so
+    # mod 40487^2 the generator is its lift 5 + 40487, of order phi = 40486 p
+    p, q = 40487, 40487**2
+    assert pow(5, p - 1, q) == 1
+    g = characters_mod._primitive_root_mod_pk(p, 2)
+    assert g == 40492
+    assert [f for f, _ in factorize(p - 1)] == [2, 31, 653]
+    assert all(pow(g, (p - 1) * p // f, q) != 1 for f in (2, 31, 653, p))
+
+
 def test_enumeration_mod_2003_builds_no_value_table():
     # phi(q) q = 4e6 table entries: no character may hold its table after enumeration
     characters_mod._unit_group(2003)

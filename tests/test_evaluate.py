@@ -137,7 +137,8 @@ def ref_hurwitz_core(s, alpha, r, x):
     + boundary + tail, without the pole term; with the pieces that the
     rounding term of the new contract is made of."""
     nmax = _split_floor(x - alpha)
-    ((tails, terrs),) = psi_tail_powers_batch(x, [alpha], -s - 1.0, r)
+    tails, terrs, _ = psi_tail_powers_batch(x, [alpha], -s - 1.0, r)
+    tails, terrs = tails[:, 0].tolist(), terrs[:, 0].tolist()
     tail, err = ref_tail_combination(tails, s, r), _s_tail(tails, terrs, s, r)[1]
     pts = alpha + np.arange(0, nmax + 1, dtype=float) if nmax >= 0 else np.empty(0)
     val = finite_power_sum(pts, s, r)

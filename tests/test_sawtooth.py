@@ -715,9 +715,11 @@ def test_batched_tail_matches_the_scalar_march_bit_for_bit(monkeypatch, x, b, rm
     for name, value in kw.items():
         monkeypatch.setattr(sawtooth, name, value)
     alphas = [a / q for a in range(1, q + 1)]
-    got = psi_tail_powers_batch(x, alphas, b, rmax)
+    vals, errs, _ = psi_tail_powers_batch(x, alphas, b, rmax)
+    got = list(zip(vals.T.tolist(), errs.T.tolist()))
     _assert_within_bounds(got, [ref_psi_tail_powers(x, alpha, b, rmax) for alpha in alphas])
-    ((vals, errs, u0),) = sawtooth._psi_tails(x, alphas[-1:], b, rmax)
+    vals, errs, (u0,) = psi_tail_powers_batch(x, alphas[-1:], b, rmax)
+    vals, errs = vals[:, 0].tolist(), errs[:, 0].tolist()
     assert repr((vals, errs)) == repr(got[-1])
     far = sawtooth._far_tail_rounding(complex(b), rmax, u0, alphas[-1]).tolist()
     assert repr(psi_tail_powers(x, alphas[-1], b, rmax)) == repr((vals, [e + f for e, f in zip(errs, far)]))
@@ -728,6 +730,11 @@ def test_batch_rows_have_unequal_segment_counts():
     count = [sawtooth._kinks(0.5, 36.0, a / 7)[1] for a in range(1, 8)]
     assert len(set(count)) > 1
     assert count == [len(ref_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
+    # a lower end where the floor of the rounded lo - alpha + 1e-12 lands one
+    # short: the first kink steps from 2 to 3, as the float enumeration has it
+    lo, hi, alpha = 2.2999999999989997, 5.0, 0.3
+    kinks = [m for m in range(7) if lo + 1e-12 < m + alpha < hi - 1e-12]
+    assert sawtooth._kinks(lo, hi, alpha) == (float(kinks[0]), len(kinks) + 1) == (3.0, 3)
 
 
 def test_random_marches_match_the_scalar_march():
@@ -835,7 +842,7 @@ def test_panel_break_points_match_the_one_panel_loop():
     # nu = 0, an empty walk, and the kinks of a sawtooth-weighted walk
     cases += [([0.04, 30.0], 0.0, -200.0), ([3.0, 3.0], 0.7, 10.0), (ref_psi_breaks(0.3, 40.0, 0.7), 0.3, -300.0)]
     for ends, nu, c in cases:
-        got = sawtooth._walk(ends, nu, c)
+        got = sawtooth._walk(ends, nu, c, sawtooth._panel_counts(ends, nu, c))
         want = np.array([p for lo, hi in zip(ends, ends[1:]) if hi > lo for p in ref_walk_breaks(lo, hi, nu, c)] + [ends[-1]])
         assert got.size == want.size and got[0] == want[0] and got[-1] == want[-1]
         assert np.all(np.abs(got - want) <= 1e-13 * want), (ends[:2], nu, c)
@@ -846,8 +853,9 @@ def test_panel_break_points_match_the_one_panel_loop():
 def test_panel_walk_that_stops_moving_is_refused():
     # beyond 2^56 panels of about 7.6 round onto the float spacing of 16: the
     # points would coincide and the panels between them turn by 50 radians
+    ends = [1e17, 1e17 + 1e6]
     with pytest.raises(ValueError, match="no longer change"):
-        sawtooth._walk([1e17, 1e17 + 1e6], 0.5, 0.0)
+        sawtooth._walk(ends, 0.5, 0.0, sawtooth._panel_counts(ends, 0.5, 0.0))
 
 
 def test_walks_reaching_two_to_the_52_are_refused():
@@ -1202,7 +1210,8 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         x0 *= 2.0
     coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
     vals, errs = ref_far_tail(rows, b, x0, [coeffs])[0].tolist(), ref_far_remainders(rows, b, x0, sk)
-    sawtooth._gl_panels(vals, errs, sawtooth._walk(ref_psi_breaks(x, x0, alpha), nu, b.imag), nu, b, rmax, alpha)
+    ends = ref_psi_breaks(x, x0, alpha)
+    sawtooth._gl_panels(vals, errs, sawtooth._walk(ends, nu, b.imag, sawtooth._panel_counts(ends, nu, b.imag)), nu, b, rmax, alpha)
     return vals, errs
 
 
@@ -1284,7 +1293,8 @@ def test_batch_from_its_final_cutoff_marches_nothing(monkeypatch, b, rmax, q):
     u, vals, errs = sawtooth._tail_cutoff(alphas, b, rmax)
     first = sawtooth._first_cutoff(complex(b), rmax)
     assert u / first == 2.0 ** round(math.log2(u / first))  # one of the batch's own cutoffs
-    got = psi_tail_powers_batch(u, alphas, b, rmax)
+    got_vals, got_errs, _ = psi_tail_powers_batch(u, alphas, b, rmax)
+    got = list(zip(got_vals.T.tolist(), got_errs.T.tolist()))
     assert walked and all(lo == hi for lo, hi in walked)
     want = [ref_psi_tail_powers(u, alpha, b, rmax) for alpha in alphas]
     _assert_within_bounds(got, want)
@@ -1401,17 +1411,17 @@ def test_final_plain_search_stops_where_its_own_loop_did(driven, b, rmax, alpha,
 def test_explicit_split_rows_stop_where_their_own_loops_did(driven):
     b, rmax, alphas = complex(-1.5, -200.0), 4, [1 / 3, 2 / 3, 1.0]
     x = 0.9 * sawtooth._first_cutoff(b, rmax)
-    rows = sawtooth._psi_tails(x, alphas, b, rmax)
+    *_, cutoffs = psi_tail_powers_batch(x, alphas, b, rmax)
     at = {u: (rems, capped) for u, _, rems, capped in driven}
-    assert sorted({u0 for *_, u0 in rows}) == sorted(at)  # the rows stop at two cutoffs
+    assert sorted(set(cutoffs.tolist())) == sorted(at)  # the rows stop at two cutoffs
     assert len(at) == 2
-    for alpha, (_, _, u0) in zip(alphas, rows):
+    for alpha, u0 in zip(alphas, cutoffs.tolist(), strict=True):
         _, _, want_u, rems, met, capped = ref_psi_tail_search(x, alpha, b, rmax)
         assert (u0, *at[u0], met) == (want_u, rems, capped, True)
 
 
 def test_explicit_split_past_the_plain_cap_stops_at_once(driven):
     b, rmax = complex(-1.5, -10.0), 1
-    ((vals, errs, u0),) = sawtooth._psi_tails(6e6, [0.3], b, rmax)
+    _, _, (u0,) = psi_tail_powers_batch(6e6, [0.3], b, rmax)
     _, _, want_u, rems, _, capped = ref_psi_tail_search(6e6, 0.3, b, rmax)
     assert (u0, len(driven), driven[0][2], driven[0][3]) == (want_u, 1, rems, capped) and capped

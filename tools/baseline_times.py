@@ -4,6 +4,8 @@ targets: the best of N calls of each, timed with time.perf_counter.
     l_deriv q=1009            l_deriv at q = 1009, label 1, s = 0.5+1000i, r = 1
     l_deriv q=1009 r=3        the same at r = 3: the finite sum's (-log p)^r
                               beyond the square
+    l_deriv q=1009 X=4036     l_deriv at q = 1009, label 1, s = 0.5+100i, r = 1,
+                              split X = 4q: one plain-tail batch of 1008 rows
     L2(1,chi) all chi 1009    L^{(2)}(1, chi) for every non-principal chi mod
                               1009 in one batch (characters built beforehand)
     gauss_sum all chi 1009    gauss_sum(chi, 1) for every chi mod 1009, the
@@ -140,6 +142,7 @@ def main(argv: list[str]) -> int:
     rows = [
         ("l_deriv q=1009", lambda: l_deriv(complex(0.5, 1000.0), chi, 1)),
         ("l_deriv q=1009 r=3", lambda: l_deriv(complex(0.5, 1000.0), chi, 3)),
+        ("l_deriv q=1009 X=4036", lambda: l_deriv(complex(0.5, 100.0), chi, 1, 4036.0)),
         ("L2(1,chi) all chi 1009", lambda: l_deriv_at_1_exact_all(2, chars)),
         ("gauss_sum all chi 1009", gauss_sums),
         ("certify_T3 101 103 107", lambda: certify_T3(q_set=(101, 103, 107))),
