@@ -3,11 +3,11 @@ bounds, plus the published comparison baselines.
 
 Each certifier sweeps a deterministic parameter grid, records the
 measured quantity, the bound, and the margin bound - measured, and
-asserts nothing itself: callers inspect all_pass.  The t2 sweeps measure
-each deviation plus the computed value's error_bound (normalized alike),
-so a margin >= 0 holds for the true deviation too.  Bound formulas switch
-to log-space evaluation for r >= 15 so that r! against (r/2e)^r cannot
-degenerate into 0 * inf.
+asserts nothing itself: callers inspect all_pass.  The t2 and t3 sweeps
+measure each deviation (or size) plus the computed value's error_bound,
+normalized alike, so a margin >= 0 holds for the true deviation too.
+Bound formulas switch to log-space evaluation for r >= 15 so that r!
+against (r/2e)^r cannot degenerate into 0 * inf.
 
 Bound families:
 
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .characters import _values_at, enumerate_characters
-from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_all
+from .characters import _exponents, _fields, _log_table, _unit_group, enumerate_characters
+from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_orders
 from .evaluate import _l_values
 from .sawtooth import _check_alpha, _check_order, _check_work
 
@@ -70,11 +71,11 @@ class BoundReport:
     cases: tuple[BoundCase, ...]
     informational: tuple[BoundCase, ...] = ()
 
-    @property
+    @cached_property
     def all_pass(self) -> bool:
         return all(c.margin >= 0.0 for c in self.cases)
 
-    @property
+    @cached_property
     def worst_margin(self) -> float:
         return min((c.margin for c in self.cases), default=math.inf)
 
@@ -186,7 +187,8 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
       s=0: |trunc(X = q e^{r-1}) - exact| <= 10 q^{1/2} log q (log q + r)^r
       size: |L^{(r)}(1, chi)| <= 10 (log q + r/2)^{r+1}
 
-    Case parameters carry the observed implied constant measured/shape.
+    Each case measures its deviation or size plus the exact value's error_bound
+    (the Z core's default split) and carries the implied constant measured/shape.
     The order cap and the largest truncated sum, q e^{r_max - 1} terms at
     s = 0, are checked before any work.
     """
@@ -198,19 +200,19 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
         if not prim:
             raise ValueError(f"q = {q} has no primitive characters")
         lq = math.log(q)
-        # one pass per point serves every character and order, and one
-        # finite-sum kernel pass per point and order every truncated sum
+        # one pass per point serves every character and order, and one character
+        # table per point and one kernel pass per point and order every truncated sum
         rs = range(1, r_max + 1)
-        exact = [_l_values(s, prim, rs, X=4.0 * q) for s in (1.0 + 0.0j, 0.0j)]
-        trunc = [[_truncated_all(r, prim, point) for r in rs] for point in (1, 0)]
+        exact = [_l_values(s, prim, rs) for s in (1.0 + 0.0j, 0.0j)]
+        trunc = [_truncated_orders(rs, prim, point) for point in (1, 0)]
         for i, chi in enumerate(prim):
             for r in rs:
                 shapes = (q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r, math.sqrt(q) * lq * (lq + r) ** r)
                 for point, ex, tr, shape in zip((1, 0), exact, trunc, shapes):
-                    meas = abs(tr[r - 1][i].value - ex[r - 1][i].value)
+                    meas = abs(tr[r - 1][i].value - ex[r - 1][i].value) + ex[r - 1][i].error_bound
                     params = {"q": q, "label": chi.label, "r": r, "point": point, "observed": meas / shape}
                     cases.append(BoundCase(params, meas, _GUARD * shape))
-                size = abs(exact[0][r - 1][i].value)
+                size = abs(exact[0][r - 1][i].value) + exact[0][r - 1][i].error_bound
                 cases.append(BoundCase({"q": q, "label": chi.label, "r": r, "point": "size"}, size, _GUARD * (lq + r / 2.0) ** (r + 1)))
     return BoundReport("T3", tuple(cases))
 
@@ -227,7 +229,7 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
     info = []
     lq = math.log(q)
     orders = [r for r in r_range if r <= 12]  # the orders the exact route runs, in one pass
-    exact = dict(zip(orders, (row[0] for row in _l_values(1.0 + 0.0j, [chi], orders, X=2.0 * q)))) if orders else {}
+    exact = dict(zip(orders, (row[0] for row in _l_values(1.0 + 0.0j, [chi], orders)))) if orders else {}
     for r in r_range:
         lr = math.log(r)
         llr = math.log(lr)
@@ -243,16 +245,18 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
 def certify_polya_vinogradov(q_min: int = 3, q_max: int = 50) -> BoundReport:
     """max_{x <= q} |sum_{a <= x} chi(a)| <= sqrt(q) log q for non-principal chi.
 
-    One cumsum along the rows of the (chi x a) value table per modulus
-    (characters._values_at): column n holds sum_{a <= n} chi(a), as
-    chi(0) = 0, and x = q needs no column, as its full-period sum is 0."""
+    One cumsum along the rows of the (chi x a) value table per modulus, the
+    roots at the log table (characters._log_table) of each character not of
+    conductor 1 (characters._fields; q < 3 has none): column n holds sum_{a <=
+    n} chi(a), as chi(0) = 0, and x = q needs no column, as its full-period
+    sum is 0."""
     cases = []
     for q in range(q_min, q_max + 1):
-        chars = [chi for chi in enumerate_characters(q) if not chi.is_principal]
-        if not chars:
-            continue
-        sums = np.cumsum(_values_at(chars), axis=1)
+        kexps = _exponents(q)
+        labels, conductors, _ = _fields(q, kexps)
+        rest = conductors != 1
+        sums = np.cumsum(_unit_group(q).roots[_log_table(q, kexps[rest])], axis=1)
         bound = math.sqrt(q) * math.log(q)
-        for chi, worst in zip(chars, np.abs(sums).max(axis=1).tolist()):
-            cases.append(BoundCase({"q": q, "label": chi.label}, worst, bound))
+        for label, worst in zip(labels[rest].tolist(), np.abs(sums).max(axis=1).tolist()):
+            cases.append(BoundCase({"q": q, "label": label}, worst, bound))
     return BoundReport("PolyaVinogradov", tuple(cases))

@@ -84,6 +84,13 @@ def render_json(payload: dict) -> str:
     return _RENDER[dict]({"schema": "1", **payload})
 
 
+def _template(text: str) -> str:
+    """The writer's text of a dict as a %-template: each value "" of it or of a dict
+    in it becomes a slot %s, the rest %-escaped.  A rendered key's own quotes are
+    escaped, so ': ""' marks those values and nothing else, whatever the keys hold."""
+    return text.replace("%", "%%").replace(': ""', ": %s")
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -122,13 +129,11 @@ def _cmd_characters(args) -> tuple[int, Iterable[str]]:
     blocks = (cells[characters._log_table(q, kexps[i : i + _LISTING_BLOCK])].tolist() for i in range(0, len(kexps), _LISTING_BLOCK))
     rows = zip(labels, conductors, parities, chain.from_iterable(blocks))  # a label is its row's index
     if args.json:
-        # the writer's own text of the document and of a row, with a null in each slot a row fills
+        # the writer's own text of the document, with a null in each slot of its list, and of a row
         head, sep, tail = render_json({"command": "characters", "q": q, "characters": [None, None]}).split("null")
-        keys = ("label", "conductor", "parity", "primitive", "principal")
-        row = _RENDER[dict]({**dict.fromkeys(keys), "values": [None]})
-        row = row.replace("{", "{{").replace("}", "}}").replace("null", "{}")
+        row = _template(_RENDER[dict](dict.fromkeys(("label", "conductor", "parity", "primitive", "principal", "values"), "")))
         chunks = (
-            (sep if label else "") + row.format(label, f, parity, _RENDER[bool](f == q), _RENDER[bool](f == 1), sep.join(values))
+            (sep if label else "") + row % (label, f, parity, _RENDER[bool](f == q), _RENDER[bool](f == 1), f"[{sep.join(values)}]")
             for label, f, parity, values in rows
         )
         return 0, chain([head], chunks, [tail])
@@ -197,14 +202,9 @@ def _cmd_coeff(args) -> tuple[int, str]:
         for name in COEFFICIENT_KINDS[kind].params
     }
     table = coefficient_table(kind, args.r_max, **kwargs)
-    rows = [
-        {"r": e.order, "value": e.value, "error": e.error, "route": e.route}
-        for e in table.entries
-    ]
+    rows = [{"r": e.order, "value": e.value, "error": e.error, "route": e.route} for e in table.entries]
     if args.json:
-        return 0, render_json(
-            {"command": "coeff", "kind": args.kind, "parameters": table.parameters, "entries": rows}
-        )
+        return 0, render_json({"command": "coeff", "kind": args.kind, "parameters": table.parameters, "entries": rows})
     if args.csv:
         lines = ["r,value_re,value_im,error,route"]
         for row in rows:
@@ -235,24 +235,29 @@ def _certify_report(args):
     return _CERTIFY[args.bound](args.q, {} if args.r_max is None else {"r_max": args.r_max})
 
 
+def _case_rows(cases) -> str:
+    """The JSON list of certify cases: each row filled from the template of its
+    parameter keys and value types, built once per such shape."""
+    shapes, rows = {}, []
+    for c in cases:
+        p, values = c.parameters, (*c.parameters.values(), c.measured, c.bound, c.margin)
+        shape = (*map(str, p), *map(type, values))  # a key renders as its str
+        if shape not in shapes:
+            row = {"parameters": dict.fromkeys(p, ""), "measured": "", "bound": "", "margin": ""}
+            shapes[shape] = _template(_RENDER[dict](row)), [_RENDER.get(type(v)) or _render for v in values]
+        template, renders = shapes[shape]
+        rows.append(template % tuple([render(v) for render, v in zip(renders, values)]))
+    return f"[{', '.join(rows)}]"
+
+
 def _cmd_certify(args) -> tuple[int, str]:
     report = _certify_report(args)
     status = 0 if report.all_pass else 2
     cases = report.cases
     if args.json:
-        rows, info = (
-            [{"parameters": c.parameters, "measured": c.measured, "bound": c.bound, "margin": c.margin} for c in group]
-            for group in (cases, report.informational)
-        )
-        payload = {
-            "command": "certify",
-            "bound_id": report.bound_id,
-            "all_pass": report.all_pass,
-            "worst_margin": report.worst_margin if cases else None,
-            "cases": rows,
-            "informational": info,
-        }
-        return status, render_json(payload)
+        payload = {"command": "certify", "bound_id": "", "all_pass": report.all_pass, "worst_margin": report.worst_margin if cases else None, "cases": "", "informational": ""}
+        texts = _RENDER[str](report.bound_id), _case_rows(cases), _case_rows(report.informational)
+        return status, _template(render_json(payload)) % texts
     if args.csv:
         lines = ["measured,bound,margin,parameters"]
         lines += [f"{c.measured:.17g},{c.bound:.17g},{c.margin:.17g},\"{c.parameters}\"" for c in cases]

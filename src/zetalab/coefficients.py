@@ -164,28 +164,32 @@ def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) 
     return l_deriv_at_1_exact_all(r, [chi], X)[0]
 
 
-def _truncated_all(r: int, chars, point: int) -> list[EvalResult]:
+def _truncated_orders(orders, chars, point: int) -> list[list[EvalResult]]:
     """(-1)^r sum_{n <= X} chi(n) log^r n / n^s at s = point (1 or 0), X = q
-    e^{r/2} at s = 1 and q e^{r-1} at s = 0, for every chi of a batch of
-    primitive characters mod q >= 3 (stated for r >= 1): sum_a chi(a) S_a
-    over the units a, the S_a from one finite-sum kernel pass up to X; the
-    bound is the truncation bound of l_deriv_at_1_truncated (s = 1) or
-    l_deriv_at_0_truncated (s = 0)."""
-    if r < 1:
+    e^{r/2} at s = 1 and q e^{r-1} at s = 0, for each r >= 1 of orders (outer)
+    and chi of a batch of primitive characters mod q >= 3: sum_a chi(a) S_a over
+    the units a, from one (chi x a) table and, per order, one finite-sum kernel
+    pass up to X; the bound is that of l_deriv_at_1_truncated or _at_0_truncated."""
+    if any(r < 1 for r in orders):
         raise ValueError("the truncated form is stated for r >= 1")
     if not all(chi.is_primitive and chi.modulus >= 3 for chi in chars):
         raise ValueError("truncation bound requires a primitive character mod q >= 3")
     q = _common_modulus(chars)
-    _check_order(r)
-    count = math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12)
-    _check_work(truncated=count)
+    _check_order(max(orders))
+    counts = [math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12) for r in orders]
+    _check_work(truncated=max(counts))
     a = np.array(_units(q))
-    sums, lq = _progression_sum(a, q, (count - a) // q, complex(point), [r])[0][0], math.log(q)
-    if point:
-        bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r
-    else:
-        bound = 10.0 * math.sqrt(q) * lq * (lq + r) ** r
-    return [EvalResult(v, bound) for v in _weigh(_values_at(chars, a), sums).tolist()]
+    w, lq, out = _values_at(chars, a), math.log(q), []
+    for r, count in zip(orders, counts):
+        sums = _progression_sum(a, q, (count - a) // q, complex(point), [r])[0][0]
+        bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r if point else 10.0 * math.sqrt(q) * lq * (lq + r) ** r
+        out.append([EvalResult(v, bound) for v in _weigh(w, sums).tolist()])
+    return out
+
+
+def _truncated_all(r: int, chars, point: int) -> list[EvalResult]:
+    """The truncated sums of _truncated_orders at the one order r."""
+    return _truncated_orders([r], chars, point)[0]
 
 
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:

@@ -13,14 +13,17 @@ from zetalab.bounds import (
     certify_T3,
     ishikawa_compare,
 )
-from zetalab.characters import character, enumerate_characters, euler_phi, partial_character_sum
+from zetalab.characters import _units, character, enumerate_characters, euler_phi, partial_character_sum
 from zetalab.coefficients import (
     _beta_all,
     _gamma_all,
     _lerch_at_one,
     _truncated_all,
+    _truncated_orders,
     beta_coefficient_all,
+    l_deriv_at_0_all,
     l_deriv_at_0_truncated,
+    l_deriv_at_1_exact_all,
     l_deriv_at_1_truncated,
     stieltjes_gamma_all,
 )
@@ -140,23 +143,54 @@ def test_t3_small_sweep():
 
 def test_t3_computes_each_tail_integral_once(monkeypatch):
     # the tails depend on (q, a, point) but not on chi or r: one row per unit a
-    # mod q and point, at the largest order, reaches the batched kernel, 28 units
-    # x 2 points (448 when run per order, 2304 per character and order)
+    # mod q and point, at the largest order, reaches the default split's tail
+    # call, 28 units x 2 points (448 when run per order, 2304 per character and order)
     import zetalab.evaluate as evaluate
 
     rows = []
-    real = evaluate.psi_tail_powers_batch
+    real = evaluate._tail_cutoff
 
-    def counting(x, alphas, b, rmax, **kwargs):
-        rows.extend((x, alpha, b, rmax) for alpha in alphas)
-        return real(x, alphas, b, rmax, **kwargs)
+    def counting(alphas, b, rmax):
+        rows.extend((alpha, b, rmax) for alpha in alphas)
+        return real(alphas, b, rmax)
 
-    monkeypatch.setattr(evaluate, "psi_tail_powers_batch", counting)
+    monkeypatch.setattr(evaluate, "_tail_cutoff", counting)
     rep = certify_T3()
     assert len(rows) == 56
     assert len(set(rows)) == 56
-    assert {row[3] for row in rows} == {8}
+    assert {row[2] for row in rows} == {8}
     assert rep.all_pass
+
+
+def test_t3_measures_each_deviation_plus_the_exact_bound_at_the_default_split():
+    # the exact side is one pass of every order at the Z core's default split:
+    # at that split each order's own public call gives its values and bounds
+    # bit for bit, and at its own default split a value within the two bounds
+    r_max = 4
+    rep = certify_T3(q_set=(3, 5, 8), r_max=r_max)
+    cases = iter(rep.cases)
+    for q in (3, 5, 8):
+        prim = [c for c in enumerate_characters(q) if c.is_primitive and not c.is_principal]
+        exact = {}
+        for point, s, fn in ((1, 1.0 + 0.0j, l_deriv_at_1_exact_all), (0, 0.0j, l_deriv_at_0_all)):
+            X = _cores(s, q, _units(q), range(1, r_max + 1), None)[0]
+            for r in range(1, r_max + 1):
+                exact[point, r] = fn(r, prim, X)
+                for at_split, alone in zip(exact[point, r], fn(r, prim)):
+                    assert abs(at_split.value - alone.value) <= at_split.error_bound + alone.error_bound
+        lq = math.log(q)
+        for i, chi in enumerate(prim):
+            for r in range(1, r_max + 1):
+                shapes = (q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r, math.sqrt(q) * lq * (lq + r) ** r)
+                for point, fn, shape in zip((1, 0), (l_deriv_at_1_truncated, l_deriv_at_0_truncated), shapes):
+                    case, ex = next(cases), exact[point, r][i]
+                    assert (case.parameters["q"], case.parameters["label"], case.parameters["r"], case.parameters["point"]) == (q, chi.label, r, point)
+                    assert case.measured == abs(fn(r, chi).value - ex.value) + ex.error_bound
+                    assert case.parameters["observed"] == case.measured / shape
+                case, ex = next(cases), exact[1, r][i]
+                assert case.parameters == {"q": q, "label": chi.label, "r": r, "point": "size"}
+                assert case.measured == abs(ex.value) + ex.error_bound
+    assert next(cases, None) is None and rep.all_pass
 
 
 def test_t3_refuses_runaway_truncated_sums_before_any_work(monkeypatch):
@@ -267,6 +301,7 @@ def test_t3_truncated_sums_weigh_one_kernel_pass_per_order():
             for point, fn in ((1, l_deriv_at_1_truncated), (0, l_deriv_at_0_truncated)):
                 batch = _truncated_all(r, prim, point)
                 assert batch == [fn(r, chi) for chi in prim]
+                assert _truncated_orders([1, r, 6], prim, point)[1] == batch
                 n = np.arange(1, math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12) + 1)
                 for chi, res in zip(prim, batch):
                     terms = np.asarray(chi.values)[n % q] * np.log(n) ** r / n**point

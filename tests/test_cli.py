@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import cli
+from zetalab.bounds import BoundCase, BoundReport
 from zetalab.characters import enumerate_characters
 from zetalab.cli import render_json, run
 
@@ -283,6 +285,39 @@ _DOCUMENTS = st.recursive(
 @given(st.dictionaries(_STRINGS, _DOCUMENTS, max_size=6))
 def test_the_flat_writer_renders_every_document_as_the_recursive_one_did(payload):
     assert render_json(payload) == render_reference.render_json(payload)
+
+
+_KEYS = st.sampled_from(["q", "label", 'a"b', "c\\d", "%s", "%", "{}", "{0}", ': ""', "null", ""]) | _STRINGS
+_PARAMETERS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.booleans(), st.none(), st.integers(), _STRINGS, st.sampled_from(["%s", "{}", '"', "\\", ': ""'])
+)
+_MEASURES = _FLOATS | _FLOATS.map(np.float64) | st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def _bound_reports(draw):
+    """BoundReports whose cases share a few parameter key lists, each case with
+    its own value types."""
+    shapes = draw(st.lists(st.lists(_KEYS, unique=True, max_size=4), min_size=1, max_size=3))
+
+    def case():
+        params = {key: draw(_PARAMETERS) for key in draw(st.sampled_from(shapes))}
+        return BoundCase(params, draw(_MEASURES), draw(_MEASURES))
+
+    cases, info = (tuple(case() for _ in range(draw(st.integers(0, 6)))) for _ in range(2))
+    return BoundReport(draw(_KEYS), cases, info)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_bound_reports())
+def test_certify_rows_of_mixed_parameter_shapes_render_as_the_recursive_writer_rendered_them(report):
+    # each row is filled from its shape's template: keys holding quotes, backslashes,
+    # %, braces or the slot text itself, and a report with no cases (worst_margin null)
+    out = io.StringIO()
+    with mock.patch.dict(cli._CERTIFY, {"t3": lambda q, orders: report}), contextlib.redirect_stdout(out):
+        status = run(["certify", "--bound", "t3", "--json"])
+    want_status, want = render_reference.certify_report(report, "json")
+    assert (status, out.getvalue()) == (want_status, want + "\n")
 
 
 @pytest.mark.parametrize("bound", ["t2-ib", "t2-iib", "t2-iiib", "t3", "ishikawa", "polya"])
@@ -908,7 +943,9 @@ def test_tail_log_power_is_capped(capsys):
 # --bound t3`, default-split Lerch (`eval --kind lerch`, `coeff --kind
 # lerch`) and plain `tail` entries when the far tails took the derivatives
 # of every order from one (k, r - i) table, the plain tail's coefficients
-# from one polynomial pass and the shift sums their terms n = +-1 in closed form
+# from one polynomial pass and the shift sums their terms n = +-1 in closed form;
+# and the `certify --bound t3` entry when its exact side moved to the Z core's
+# default split and each case took in the exact value's error_bound
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -921,7 +958,7 @@ GOLDEN_DIGESTS = [
         "de8617fc770ae4f8a434940d6ca8f88e9aa13528e39c06377d9b744c5866716c",
     ),
     (["certify", "--bound", "polya"], "1f7516ed03ef4cfe2e207807f2adb9dbc4d57149e02e7f02356b6e0dd4e6b53d"),
-    (["certify", "--bound", "t3"], "a56f4bcf539f9be13f92ca1712251447e1a566282e8d18a690be64affd7f611f"),
+    (["certify", "--bound", "t3"], "8a8a2a1774e8b53512e2383ac553c20262fd180203dc5a1c24a9959dcea0059a"),
     (
         ["coeff", "--kind", "l-zero", "--q", "311", "--label", "268", "--r-max", "3"],
         "a0089386fa176e04157d7e5ddca0f2f8179685f5a2b1cf5dc3e5505254118581",
