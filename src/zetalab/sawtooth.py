@@ -57,9 +57,9 @@ loop over its terms, in O(rmax K) work: the derivatives of u^b log^r u for
 every order r come from one table d[k, j], j = r - i, of (rmax + 1) K
 complex products per (b, rmax, K) that a request's cutoff searches and far
 tails share (_deriv_table); a far tail evaluates every k and r at once
-from it (_far_tail) and its remainders take one tail integral per log
-power (_far_remainders).  The plain far tail's coefficients B_m({v})/m!, m
-= 2..14, are one polynomial pass in {v} - 1/2 (_bernoulli_rows).  The
+from it (_far_tail), its remainders every log power's tail integral by one
+recurrence (power_log_tails).  The plain far tail's coefficients B_m({v})/m!,
+m = 2..14, are one polynomial pass in {v} - 1/2 (_bernoulli_rows).  The
 shifted Fourier sums of the sawtooth-weighted far tail take their terms n
 = +-1 in closed form and expand the rest at rate nu/2, in at most 110
 terms; they refuse nu above 31/32, where the rounding of their phase,
@@ -94,7 +94,7 @@ __all__ = [
     "psi_tail_powers_batch",
     "pure_osc_tail_powers",
     "psi_osc_tail_powers",
-    "power_log_tail_abs",
+    "power_log_tails",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -270,17 +270,21 @@ def _power_log_lower(c: complex, mmax: int, u) -> tuple[np.ndarray, np.ndarray]:
     return _antiderivatives(d, src, _EPS * (3.0 * abs(d) * np.abs(logs) + 2.0 * j + 4.0) * np.abs(src))
 
 
-def power_log_tail_abs(c: float, j: int, u: float) -> float:
-    """int_u^inf w^c log^j w dw for real c < -1, u > 1 (exact closed form)."""
-    if c >= -1.0:
-        raise ValueError("absolute tail integral needs exponent < -1")
-    lam = -(c + 1.0)
-    ll = math.log(u)
-    acc = 0.0
-    fact = math.factorial(j)
-    for i in range(j + 1):
-        acc += (fact / math.factorial(i)) * ll**i / lam ** (j - i + 1)
-    return math.exp(-lam * ll) * acc
+def power_log_tails(c: float, jmax: int, u: float) -> list[float]:
+    """Upper bounds on I_j = int_u^inf w^c log^j w dw, j <= jmax, c < -1, u >= 1:
+    I_j = (u^{-lam} L^j + j I_{j-1})/lam by parts, lam = -(c + 1), L = log u,
+    sums positive terms, so it errs by eps (3 lam L + 1) (e^{-lam L}) + 2 j (L^j)
+    or 4 a level (j I_{j-1}, the sum, lam, the quotient), eps (3 lam L + 4 j + 3)
+    in all; rounded up by that and 3 eps (second order, the rounding up)."""
+    if not (c < -1.0 and u >= 1.0):
+        raise ValueError("absolute tail integral needs exponent < -1 and u >= 1")
+    lam, ll = -(c + 1.0), math.log(u)
+    lead, acc, out = math.exp(-lam * ll), 0.0, []
+    for j in range(jmax + 1):
+        acc = (lead + j * acc) / lam
+        out.append(acc * (1.0 + _EPS * (3.0 * lam * ll + 4.0 * j + 6.0)))
+        lead *= ll
+    return out
 
 
 @lru_cache(maxsize=8)  # one entry per number of orders
@@ -347,12 +351,11 @@ def _far_tail(table, b: complex, u0: float, coeffs) -> np.ndarray:
     return np.add.accumulate(c * e * s[:, None], axis=0)[-1]  # the terms added in k order
 
 
+@np.errstate(invalid="ignore")  # a table past binary64 times integrals that underflow to 0: a NaN remainder, which EvalResult refuses
 def _far_remainders(table, b: complex, u0: float, scale: float) -> list[float]:
-    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of the table,
-    bounded termwise by sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du, each
-    integral taken once for every r, the terms added from i = 0."""
-    K = table[0].shape[0] - 1
-    ints = np.array([power_log_tail_abs(b.real - K, i, u0) for i in range(table[1].shape[0])])
+    """scale * int_u0^inf |g_r^{(K)}| for every r, K the last row of the table, at
+    most sum_i |c_i| int_u0^inf u^{Re b - K} log^i u du (power_log_tails), in i order."""
+    ints = np.array(power_log_tails(b.real - (table[0].shape[0] - 1), table[1].shape[0] - 1, u0))
     return (scale * np.add.accumulate(table[1] * ints, axis=1)[:, -1]).tolist()
 
 
@@ -398,21 +401,22 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
     exponential); (-log p)^r, r eps for the rounded log p and one for the
     power; and the products; r eps |term| / |log p| more where |log p| < 1
     (at most the first three points), for the rounded point inside (-log
-    p)^r; with lam, the Lerch phase e^{2 pi i lam k}: where lam 2^10 is an
-    integer and k < 2^42, lam k is exact and so is its reduction lam k -
-    [lam k] < 1, and eps (3 (2 pi) + 5) |term| more (pi and the product in
-    the argument, the exponential, the product), else eps (3 (2 pi lam k) +
-    5) |term| from the unreduced argument; then the pairwise sums within
-    blocks and the sum of the blocks, 1.5 eps (depth) sum |term|.  A term
-    that leaves binary64 makes the sum and its bound non-finite, without a
-    warning: EvalResult refuses them."""
+    p)^r; then the pairwise sums within blocks and the sum of the blocks,
+    1.5 eps (depth) sum |term|.  The Lerch phase e^{2 pi i lam k} is 2 pi f, f
+    = (k lam_hi mod 1) + k lam_lo, lam_hi = [lam 2^26]/2^26 (Dekker's exact
+    split): k lam_hi and its reduction are exact for k < 2^27, and the work
+    budget caps a Lerch row at 1.6e7 < 2^24 terms, so k lam_lo < 1/4.  It books
+    eps (6 pi + 5 + 8 pi kmax lam_lo) |term| < eps (8 pi + 5) |term|: 3 (2 pi)
+    |f| <= 6 pi (1 + k lam_lo) for pi, the product and the sum f, 2 pi k lam_lo
+    for k lam_lo, 5 for the exponential and the product.  A term that leaves
+    binary64 makes the sum and its bound non-finite: EvalResult refuses them."""
     a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
     first = None if first is None else np.asarray(first, dtype=float)
     val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
     cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
-    abs_s, add = abs(s), np.add.reduce
     exponent = -s.real if not s.imag else -s  # p^{-s} real at real s
-    reduced = bool(lam) and (lam * 1024.0).is_integer() and kmax.max(initial=-1) < 2**42  # lam k exact, so its reduction mod 1
+    lam_hi = math.floor(lam * 2.0**26) / 2.0**26  # lam = lam_hi + lam_lo, each exact
+    abs_s, add, lam_lo = abs(s), np.add.reduce, lam - lam_hi
 
     def factor(logs, k):
         """p^{-s} e^{2 pi i lam k}, the factor of every order's terms, formed
@@ -420,10 +424,8 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
         ps = np.exp(exponent * logs)
         if not lam:
             return ps
-        arg = lam * k
-        if reduced:
-            arg -= np.floor(arg)
-        arg = 2j * np.pi * arg
+        arg = lam_hi * k  # exact, and so its reduction mod 1
+        arg = 2j * np.pi * (arg - np.floor(arg) + lam_lo * k)
         return np.multiply(ps, np.exp(arg, out=arg), out=ps if s.imag else None)  # ps is real at real s
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,7 +435,7 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
             step = max(1, _ROW_BLOCK // width)
             for j in range(lo, hi, step):
                 rows = slice(j, min(j + step, hi))
-                sums = [[None] * 5 for _ in orders]  # value, sum |term|, sum |term log p|, sum k |term|, head
+                sums = [[None] * 4 for _ in orders]  # value, sum |term|, sum |term log p|, head
                 for k0 in range(0, kk + 1, _SUM_BLOCK):
                     k = np.arange(k0, min(k0 + _SUM_BLOCK, kk + 1), dtype=float)
                     logs = np.log(a[rows, None] + q * (k if first is None else first[rows, None] + k))
@@ -454,15 +456,13 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
                             terms = terms * (np.square(logs) if r == 2 else -logs)
                         mag = np.abs(terms)
                         parts = [add(terms, axis=1), add(mag, axis=1), add(mag * np.abs(logs), axis=1)]
-                        parts += [add(mag * k, axis=1)] if lam and not reduced else []
-                        sm[: len(parts)] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
+                        sm[:3] = [x + y for x, y in zip(sm, parts)] if k0 else parts  # the blocks of a row left to right
                         if r and not k0:
-                            sm[4] = r * add(mag[:, :3] / al3, axis=1)
-                for i, (r, (v, mags, lmags, kmags, head)) in enumerate(zip(orders, sums)):
+                            sm[3] = r * add(mag[:, :3] / al3, axis=1)
+                for i, (r, (v, mags, lmags, head)) in enumerate(zip(orders, sums)):
                     bound = 3.0 * abs_s * lmags + (abs_s + 3 * r + 8 + 1.5 * depth) * mags
                     bound = bound + head if r else bound
-                    if lam:
-                        bound = bound + ((6.0 * math.pi + 5.0) * mags if reduced else 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags)
+                    bound = bound + (6.0 * math.pi + 5.0 + 8.0 * math.pi * kk * lam_lo) * mags if lam else bound
                     val[i, rows], err[i, rows] = v, _EPS * bound
     return val, err
 
@@ -931,10 +931,10 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
     tail per combined frequency n + nu, summed by shifted periodic-Bernoulli
     series.  The cutoffs come first (a weighted one that reaches 2^52 is
     refused); the caller's pieces and the kinks of psi(u - alpha) are charged
-    before the kinks are listed, and with them every panel of every walk, the
-    counts it walks (_panel_counts), before any far tail is formed or any
-    panel walked.  Each tail's panels are added to its far tail and remainders."""
-    walks, kinks, top = [], 0, x  # each tail's exponent, kind, cutoff, derivative table, remainders and kinks
+    before the kinks are listed with a floor on each walk's panels, then with
+    every panel of every walk, the counts it walks (_panel_counts), before any
+    far tail is formed or any panel walked.  Each tail's panels are added to its far tail and remainders."""
+    walks, kinks, least, top = [], 0, 0.0, x  # each tail's exponent, kind, cutoff, derivative table, remainders and kinks
     for b, weighted, cut in tails:
         if b.real >= 0.0:
             raise ValueError("oscillatory tail requires Re(exponent) < 0")
@@ -944,8 +944,8 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
             raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
         first, count = _kinks(x, x0, alpha) if weighted and x0 > x else (0.0, 1)
         walks.append((b, weighted, x0, table, rems, first, count))
-        kinks += count - 1
-    _check_work(**pieces, kinks=kinks)
+        kinks, least = kinks + count - 1, least + (max(count, _panel_counts([x, x0], nu, b.imag)[0]) if x0 > x else 0.0)  # a panel per interval, one per level set
+    _check_work(**pieces, kinks=kinks, panels=least)
     if top > x:
         ends = [np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [x0])) for _, _, x0, _, _, first, count in walks]
         counts = [_panel_counts(e, nu, b.imag) for e, (b, *_) in zip(ends, walks)]

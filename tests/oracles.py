@@ -20,7 +20,10 @@ B_m/m! or the Fourier series, one order at one point) and
 the library's interval integral over a finite interval, which only the
 tests call.  finite_power_sum is the one-array finite sum that the
 progression-sum kernel replaced, kept as a reference, its terms formed as
-the kernel forms them (kernel_terms).
+the kernel forms them (kernel_terms); power_log_tail_abs is the closed form
+of the absolute tail integral, one log power at a time, that the
+recurrence of sawtooth.power_log_tails replaced, kept as its reference and
+as the oracles' own tail estimate.
 """
 
 from __future__ import annotations
@@ -35,9 +38,24 @@ import numpy as np
 from zetalab.characters import factorize
 from zetalab.coefficients import stieltjes_gamma_all
 from zetalab import sawtooth
-from zetalab.sawtooth import TWO_PI, _check_alpha, _check_work, power_log_tail_abs, psi
+from zetalab.sawtooth import TWO_PI, _check_alpha, _check_work, psi
 
 GL64_NODES, GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def power_log_tail_abs(c: float, j: int, u: float) -> float:
+    """int_u^inf w^c log^j w dw for real c < -1, u > 1, from its closed form
+    u^{-lam} sum_{i <= j} j!/i! log^i u / lam^{j-i+1}, lam = -(c + 1), one
+    term at a time: the reference for sawtooth.power_log_tails."""
+    if c >= -1.0:
+        raise ValueError("absolute tail integral needs exponent < -1")
+    lam = -(c + 1.0)
+    ll = math.log(u)
+    acc = 0.0
+    fact = math.factorial(j)
+    for i in range(j + 1):
+        acc += (fact / math.factorial(i)) * ll**i / lam ** (j - i + 1)
+    return math.exp(-lam * ll) * acc
 
 
 def alternating_sum(term, n: int = 40):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -418,7 +419,7 @@ def test_a_lerch_sum_is_charged_per_term_like_a_z_class(monkeypatch):
     monkeypatch.setattr(sawtooth, "_check_work", record)
     with pytest.raises(ValueError, match="charged"):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.5, s=2.0, order=1, split=1000.5))
-    assert charges == [{"terms": 1001, "kinks": 0}]
+    assert charges == [{"terms": 1001, "kinks": 0, "panels": 0.0}]
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +609,15 @@ def test_lerch_tails_not_worth_passing_are_walked():
 def ref_progression_sum(a, q, kmax, s, r, lam, block, first=0):
     """One row and one order of the finite-sum kernel as documented (reference):
     blocks of `block` terms, each summed as one array, added left to right,
-    with the rounding term; the points a + q (first + k).  Where lam 2^10 is
-    an integer, lam k is exact and its phase is taken at lam k mod 1."""
-    val, mags, lmags, kmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0, 0
-    reduced = (lam * 1024.0).is_integer()
+    with the rounding term; the points a + q (first + k).  The phase is taken
+    at f = (k lam_hi mod 1) + k lam_lo, lam_hi = [lam 2^26]/2^26."""
+    val, mags, lmags, head, blocks = 0.0 + 0.0j, 0.0, 0.0, 0.0, 0
+    lam_hi = math.floor(lam * 2.0**26) / 2.0**26
+    lam_lo = lam - lam_hi
     for k0 in range(0, kmax + 1, block):
         k = np.arange(k0, min(k0 + block, kmax + 1), dtype=float)
         logs = np.log(a + q * (first + k))
-        phase = np.exp(2j * np.pi * (lam * k % 1.0 if reduced else lam * k)) if lam else None
+        phase = np.exp(2j * np.pi * (lam_hi * k % 1.0 + lam_lo * k)) if lam else None
         terms = kernel_terms(logs, s, r, phase)
         part = complex(terms.sum())
         val = val + part if blocks else part
@@ -623,12 +625,11 @@ def ref_progression_sum(a, q, kmax, s, r, lam, block, first=0):
         mag, al = np.abs(terms), np.abs(logs)
         mags += float(mag.sum())
         lmags += float((mag * al).sum())
-        kmags += float((mag * k).sum())
         if r and not k0:
             near = (al[:3] > 0.0) & (al[:3] < 1.0)
             head = r * float((mag[:3][near] / al[:3][near]).sum())
     depth = math.log2(min(kmax + 1, block) + 1) + 20 + blocks
-    phase = ((6.0 * math.pi + 5.0) * mags if reduced else 6.0 * math.pi * abs(lam) * kmags + 5.0 * mags) if lam else 0.0
+    phase = (6.0 * math.pi + 5.0 + 8.0 * math.pi * kmax * lam_lo) * mags if lam else 0.0
     return val, EPS * (3.0 * abs(s) * lmags + (abs(s) + 3 * r + 8 + 1.5 * depth) * mags + head + phase)
 
 
@@ -657,6 +658,53 @@ def test_progression_sum_rows_are_their_one_row_sums_bit_for_bit(monkeypatch, bl
         for j in range(a.size):
             want = ref_progression_sum(float(a[j]), 1, int(kmax[j]), 0.5 + 300j, r, 0.0, block, first[j])
             assert repr((complex(vals[i, j]), float(errs[i, j]))) == repr(want), (r, j)
+
+
+def longdouble_lerch_sum(alpha, kmax, s, r, lam):
+    """sum_{k <= kmax} e^{2 pi i lam k} (alpha + k)^{-s} (-log(alpha + k))^r
+    and sum |term| in long double (a 64-bit significand on x86-64), each
+    phase at lam k mod 1 reduced exactly with Fraction: lam = num/den, den a
+    power of 2, and (k num mod den)/den is exact in 64 bits."""
+    num, den = Fraction(lam).as_integer_ratio()
+    f = [(k * num) % den for k in range(kmax + 1)]
+    hi, lo = (np.array(part, dtype=np.uint64).astype(np.longdouble) for part in ([x >> 32 for x in f], [x & 0xFFFFFFFF for x in f]))
+    ld = np.longdouble
+    logs = np.log(ld(alpha) + np.arange(kmax + 1, dtype=ld))
+    theta = 2 * ld("3.14159265358979323846264338327950288") * ((hi * 2**32 + lo) / ld(den)) - ld(s.imag) * logs
+    mag = np.exp(-ld(s.real) * logs) * (-logs) ** r
+    total = complex(float((mag * np.cos(theta)).sum()), float((mag * np.sin(theta)).sum()))
+    return total, float(np.abs(mag).sum())
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 1.0 / 3.0, 0.9, 0.123456789])
+def test_the_lerch_phase_holds_its_bound_at_any_lambda_and_does_not_grow_with_k(lam):
+    # one phase path for every lam: k lam_hi reduced mod 1 exactly, plus k
+    # lam_lo; against the long double sum with the exact reduction, and the
+    # phase's share of the bound, (bound - bound at lam = 0)/(eps sum |term|),
+    # stays below 8 pi + 5 up to 10^5 terms (it grew like 6 pi lam k before)
+    alpha = 0.7
+    for s in (0.5 + 300j, 1.5 + 0j):
+        for kmax in (10**3, 10**4, 10**5):
+            vals, errs = _progression_sum([alpha], 1, [kmax], s, [0, 2], lam)
+            _, plain = _progression_sum([alpha], 1, [kmax], s, [0, 2])
+            for i, r in enumerate([0, 2]):
+                want, mags = longdouble_lerch_sum(alpha, kmax, s, r, lam)
+                assert abs(complex(vals[i, 0]) - want) <= errs[i, 0], (s, kmax, r)
+                share = (errs[i, 0] - plain[i, 0]) / (EPS * mags)
+                assert 6.0 * math.pi + 5.0 - 1e-6 <= share <= 8.0 * math.pi + 5.0, (s, kmax, r, share)
+
+
+def test_the_lerch_phase_at_lambda_p_over_16_is_bit_for_bit_as_before():
+    # every lam = p/16 has lam_lo = 0: its phase 2 pi (lam k mod 1) and bound
+    # are those of the former path for lam 2^10 an integer, value and bound
+    # bit for bit (the digest of that path's results on this grid)
+    digest = hashlib.sha256()
+    a, kmax = np.array([0.3, 0.7, 1.0, 0.05]), np.array([0, 40, 5000, 70000])
+    for p in range(1, 16):
+        for s in (0.5 + 300j, 2.0 + 0j, 0.7 - 20j):
+            vals, errs = _progression_sum(a, 1, kmax, s, [0, 1, 4], p / 16.0)
+            digest.update(repr((vals.tolist(), errs.tolist())).encode())
+    assert digest.hexdigest() == "e6ccbab863c5dec5996aa46756f65e100d8be568d7e7608f9c722a6ceb6992f8"
 
 
 @pytest.mark.parametrize("r", [3, 4, 8, 24])

@@ -16,7 +16,7 @@ from zetalab.sawtooth import (
     EvalResult,
     _osc_remainder_const,
     _psi_fourier_shift_sums,
-    power_log_tail_abs,
+    power_log_tails,
     psi,
     psi2,
     psi_osc_tail_powers,
@@ -189,12 +189,33 @@ def test_tail_from_its_first_cutoff_and_beyond_holds_against_the_hurwitz_identit
             assert err <= errs[m], (x, m, float(err), errs[m])
 
 
+@pytest.mark.parametrize("c", [-1.5, -14.5, -40.0])
+def test_power_log_tails_bound_the_integrals_within_their_booked_rounding(c):
+    # the recurrence's values are rounded up past their rounding: never below
+    # the exact integral Gamma(j + 1, lam log u)/lam^{j+1} (mpmath, 40 digits),
+    # above it by at most twice the booked eps (3 lam log u + 4 j + 6), and
+    # as close to the closed form summed one term at a time (oracles)
+    from .oracles import power_log_tail_abs
+
+    lam, eps = -(c + 1.0), sawtooth._EPS
+    for u in (1.5, 8.0, 64.0, 1e6):
+        got = power_log_tails(c, 24, u)
+        assert len(got) == 25
+        with mp.workdps(40):
+            ll = mp.log(mp.mpf(u))
+            for j, value in enumerate(got):
+                exact = mp.gammainc(j + 1, lam * ll) / mp.mpf(lam) ** (j + 1)
+                booked = eps * (3.0 * lam * math.log(u) + 4.0 * j + 6.0)
+                assert exact <= value <= exact * (1 + 2 * booked), (u, j)
+                assert abs(value - power_log_tail_abs(c, j, u)) <= 2 * booked * value, (u, j)
+
+
 def test_tail_requires_decaying_exponent():
     # the tail subcommand asks for Re(exponent) <= -1 without oscillation (test_cli)
     with pytest.raises(ValueError, match="Re\\(exponent\\) < 0"):
         psi_tail_powers(1.0, 1.0, complex(0.0, 3.0), 0)
     with pytest.raises(ValueError, match="exponent < -1"):
-        power_log_tail_abs(-1.0, 0, 2.0)
+        power_log_tails(-1.0, 0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -564,9 +585,10 @@ def ref_far_remainders(rows, b, u0, scale) -> list[float]:
     """sawtooth._far_remainders from the scalar table: scale sum_i r!/i! |d[K,
     r - i]| int_u0^inf u^{Re b - K} log^i u du, the terms added from i = 0."""
     K, size = len(rows) - 1, len(rows[0])
+    ints = power_log_tails(b.real - K, size - 1, u0)
     out = []
     for r in range(size):
-        terms = [(float(math.perm(r, r - i)) * abs(rows[K][r - i]) if i <= r else 0.0) * power_log_tail_abs(b.real - K, i, u0) for i in range(size)]
+        terms = [(float(math.perm(r, r - i)) * abs(rows[K][r - i]) if i <= r else 0.0) * ints[i] for i in range(size)]
         acc = terms[0]
         for t in terms[1:]:
             acc += t

@@ -31,6 +31,8 @@ targets: the best of N calls of each, timed with time.perf_counter.
                               balanced split X = sqrt(q t/2 pi)
     lerch_deriv x=3           lerch_deriv at lambda = 0.3, alpha = 0.7,
                               s = 0.5+300i, r = 2, split x = 3
+    lerch_deriv 0.3 x=5000    the same at split x = 5000: a finite sum of 5000
+                              terms at a lambda with more than 26 fractional bits
     tail lambda=15/16 t=300 r=4
                               psi_osc_tail_powers at nu = 15/16, alpha = 0.7,
                               b = -1.5+300i, r = 4, x = 3: a sawtooth-weighted
@@ -158,6 +160,7 @@ def main(argv: list[str]) -> int:
         ("afe_l q=3 t=450", lambda: afe_l(complex(0.135785, 449.699845), chi3, 0, 14.653186)),
         ("afe_l q=4 t=100 r=2", lambda: afe_l(complex(0.5, 100.0), chi4, 2, math.sqrt(400.0 / (2.0 * math.pi)))),
         ("lerch_deriv x=3", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=3.0))),
+        ("lerch_deriv 0.3 x=5000", lambda: lerch_deriv(LerchArgs(lam=0.3, alpha=0.7, s=complex(0.5, 300.0), order=2, split=5000.0))),
         ("tail lambda=15/16 t=300 r=4", lambda: psi_osc_tail_powers(15.0 / 16.0, 0.7, complex(-1.5, 300.0), 4, 3.0)),
         ("deriv table r=20", fresh(lambda: _deriv_table(complex(-1.5, -30.0), 20, 16, -1.0))),
         ("_tail_cutoff s=0.5+30i", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2))),
