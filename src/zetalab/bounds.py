@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import _exponents, _fields, _log_table, _unit_group, enumerate_characters
-from .coefficients import _beta_all, _gamma_all, _lerch_at_one, _truncated_orders
+from .coefficients import _GUARD, _beta_all, _gamma_all, _lerch_at_one, _truncated_orders, _truncation_shape
 from .evaluate import _l_values
 from .sawtooth import _check_alpha, _check_order, _check_work
 
@@ -51,7 +51,6 @@ __all__ = [
 
 DEFAULT_ALPHA_GRID = tuple(k / 10.0 for k in range(1, 11)) + (1.0 / 3.0, 1.0 / 7.0)
 DEFAULT_Q_SET = (3, 4, 5, 7, 8, 11)
-_GUARD = 10.0  # the guard constant of the T2-IIIb and T3 bounds
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,19 @@ def berndt_bound(r: int) -> float:
     return c * math.exp(-r * math.log(math.pi)) / r
 
 
+def _size_shape(q: int, r: int) -> float:
+    # the size bound of |L^{(r)}(1, chi)| mod q over its guard, (log q + r/2)^{r+1}
+    return (math.log(q) + r / 2.0) ** (r + 1)
+
+
+def _primitive(q: int) -> list:
+    """The primitive non-principal characters mod q, refused if there are none."""
+    prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
+    if not prim:
+        raise ValueError(f"q = {q} has no primitive characters")
+    return prim
+
+
 def _grid(route, r_max: int, alpha_grid, *q) -> list:
     """Orders 0..r_max of a coefficient route at every alpha of the grid from
     one pass of the Z core, the order cap and every alpha checked first."""
@@ -156,11 +168,7 @@ def certify_T2_IIb(r_max: int = 20, alpha_grid=DEFAULT_ALPHA_GRID) -> BoundRepor
     return BoundReport("T2_IIb", tuple(cases), tuple(info))
 
 
-def certify_T2_IIIb(
-    r_max: int = 10,
-    lam_grid=(0.1, 0.5, 0.9),
-    alpha_grid=(0.25, 1.0),
-) -> BoundReport:
+def certify_T2_IIIb(r_max: int = 10, lam_grid=(0.1, 0.5, 0.9), alpha_grid=(0.25, 1.0)) -> BoundReport:
     """Lerch Taylor-coefficient deviation with the guard-constant bound; one
     table of every order per (lambda, alpha), the order cap checked before
     any work."""
@@ -196,10 +204,7 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
     _check_work(truncated=max(q_set, default=1) * math.exp(r_max - 1))
     cases = []
     for q in q_set:
-        prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
-        if not prim:
-            raise ValueError(f"q = {q} has no primitive characters")
-        lq = math.log(q)
+        prim = _primitive(q)
         # one pass per point serves every character and order, and one character
         # table per point and one kernel pass per point and order every truncated sum
         rs = range(1, r_max + 1)
@@ -207,13 +212,13 @@ def certify_T3(q_set=DEFAULT_Q_SET, r_max: int = 8) -> BoundReport:
         trunc = [_truncated_orders(rs, prim, point) for point in (1, 0)]
         for i, chi in enumerate(prim):
             for r in rs:
-                shapes = (q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r, math.sqrt(q) * lq * (lq + r) ** r)
-                for point, ex, tr, shape in zip((1, 0), exact, trunc, shapes):
+                for point, ex, tr in zip((1, 0), exact, trunc):
+                    shape = _truncation_shape(q, r, point)
                     meas = abs(tr[r - 1][i].value - ex[r - 1][i].value) + ex[r - 1][i].error_bound
                     params = {"q": q, "label": chi.label, "r": r, "point": point, "observed": meas / shape}
                     cases.append(BoundCase(params, meas, _GUARD * shape))
                 size = abs(exact[0][r - 1][i].value) + exact[0][r - 1][i].error_bound
-                cases.append(BoundCase({"q": q, "label": chi.label, "r": r, "point": "size"}, size, _GUARD * (lq + r / 2.0) ** (r + 1)))
+                cases.append(BoundCase({"q": q, "label": chi.label, "r": r, "point": "size"}, size, _GUARD * _size_shape(q, r)))
     return BoundReport("T3", tuple(cases))
 
 
@@ -222,10 +227,7 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
     large-r estimate q^{r/log r - 1/2} exp(r log log r - r log log r/log r)
     and the (log q + r/2)^{r+1} shape with guard 10.  Nothing is asserted:
     the large-r estimate has an unspecified threshold."""
-    prim = [chi for chi in enumerate_characters(q) if chi.is_primitive and not chi.is_principal]
-    if not prim:
-        raise ValueError(f"q = {q} has no primitive characters")
-    chi = prim[0]
+    chi = _primitive(q)[0]
     info = []
     lq = math.log(q)
     orders = [r for r in r_range if r <= 12]  # the orders the exact route runs, in one pass
@@ -234,11 +236,9 @@ def ishikawa_compare(q: int, r_range=range(5, 21)) -> BoundReport:
         lr = math.log(r)
         llr = math.log(lr)
         ish = math.exp((r / lr - 0.5) * lq + r * llr - r * llr / lr)
-        here = 10.0 * (lq + r / 2.0) ** (r + 1)
+        here = _GUARD * _size_shape(q, r)
         measured = abs(exact[r].value) if r in exact else float("nan")
-        info.append(
-            BoundCase({"q": q, "r": r, "ishikawa": ish, "shape_bound": here}, measured, ish)
-        )
+        info.append(BoundCase({"q": q, "r": r, "ishikawa": ish, "shape_bound": here}, measured, ish))
     return BoundReport("Ishikawa_compare", (), tuple(info))
 
 

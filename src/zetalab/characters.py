@@ -274,16 +274,10 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
 
 
 def partial_character_sum(chi: DirichletCharacter, x: float) -> complex:
-    """sum_{1 <= a <= x} chi(a) for a non-principal character."""
+    """sum_{1 <= a <= x} chi(a) for a non-principal character: the cumsum of
+    its values (chi(0) = 0) at floor(x) mod q, as certify_polya_vinogradov
+    reads it, since a full period sums to 0."""
     if chi.is_principal:
         raise ValueError("partial character sums are only tracked for non-principal characters")
-    m = int(math.floor(x))
-    if m < 1:
-        return 0.0 + 0.0j
-    q = chi.modulus
-    vals = _values_at([chi])[0]
-    full, rem = divmod(m, q)
-    total = full * np.sum(vals)
-    if rem:
-        total += np.sum(vals[np.arange(1, rem + 1) % q])
-    return complex(total)
+    m = math.floor(x)
+    return complex(np.cumsum(_values_at([chi])[0])[m % chi.modulus]) if m >= 1 else 0.0 + 0.0j

@@ -164,6 +164,15 @@ def l_deriv_at_1_exact(r: int, chi: DirichletCharacter, X: float | None = None) 
     return l_deriv_at_1_exact_all(r, [chi], X)[0]
 
 
+_GUARD = 10.0  # the guard constant of the T2-IIIb and T3 bounds
+
+
+def _truncation_shape(q: int, r: int, point: int, guard: float = 1.0) -> float:
+    """guard (first in the product) times the shape of the short sum's truncation bound at s = point (1 or 0)."""
+    lq = math.log(q)
+    return guard * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r if point else guard * math.sqrt(q) * lq * (lq + r) ** r
+
+
 def _truncated_orders(orders, chars, point: int) -> list[list[EvalResult]]:
     """(-1)^r sum_{n <= X} chi(n) log^r n / n^s at s = point (1 or 0), X = q
     e^{r/2} at s = 1 and q e^{r-1} at s = 0, for each r >= 1 of orders (outer)
@@ -179,11 +188,10 @@ def _truncated_orders(orders, chars, point: int) -> list[list[EvalResult]]:
     counts = [math.floor(q * math.exp(r / 2.0 if point else r - 1.0) + 1e-12) for r in orders]
     _check_work(truncated=max(counts))
     a = np.array(_units(q))
-    w, lq, out = _values_at(chars, a), math.log(q), []
+    w, out = _values_at(chars, a), []
     for r, count in zip(orders, counts):
         sums = _progression_sum(a, q, (count - a) // q, complex(point), [r])[0][0]
-        bound = 10.0 * q**-0.5 * math.exp(-r / 2.0) * lq * (lq + r / 2.0) ** r if point else 10.0 * math.sqrt(q) * lq * (lq + r) ** r
-        out.append([EvalResult(v, bound) for v in _weigh(w, sums).tolist()])
+        out.append([EvalResult(v, _truncation_shape(q, r, point, _GUARD)) for v in _weigh(w, sums).tolist()])
     return out
 
 
@@ -193,12 +201,9 @@ def _truncated_all(r: int, chars, point: int) -> list[EvalResult]:
 
 
 def l_deriv_at_1_truncated(r: int, chi: DirichletCharacter) -> EvalResult:
-    """Truncated main term (-1)^r sum_{n <= q e^{r/2}} chi(n) log^r n / n.
-
-    For a primitive character mod q >= 3 and r >= 1 the discarded part is
-    O(q^{-1/2} e^{-r/2} log q (log q + r/2)^r); the reported bound carries
-    the empirical guard constant 10.
-    """
+    """Truncated main term (-1)^r sum_{n <= q e^{r/2}} chi(n) log^r n / n; for a
+    primitive character mod q >= 3 and r >= 1 the discarded part is O(q^{-1/2}
+    e^{-r/2} log q (log q + r/2)^r), and the bound carries the guard 10."""
     return _truncated_all(r, [chi], 1)[0]
 
 

@@ -330,23 +330,23 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
     return _l_values(_check_point(s, pole=False), [chi], [r], X)[0][0]
 
 
-def _lerch_split(s: complex, lam: float, alpha: float, rmax: int, n: int) -> tuple[float, list]:
-    """The default split x of the Lerch core for n orders up to rmax, and the
-    final cutoffs (_osc_cutoff) of the pure tail at -s and the
-    sawtooth-weighted tails at -s and -s-1 that it passes, None for a tail
-    it walks: x = max(default_split, the final cutoff of each tail worth
-    passing), so a passed tail walks no panel.  A tail is worth passing if,
-    per unit of u, the n finite-sum terms cost less work than a fixed count
-    of its panels: 2 for the two sawtooth-weighted tails, lam/0.45 for the
-    pure one (fixed, so the split does not move with the walk).  Where the
-    sum to that x would exceed the work budget (_check_work), no tail is
-    passed: the split is default_split, charged with the tails' walks (_osc_tails)."""
-    x, term = default_split(s, alpha), _work(terms=n)
-    cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if term < _work(panels=lam / 0.45) else None]
-    cuts += [_osc_cutoff(lam, b, rmax, x, True, True) if term < _work(panels=2.0) else None for b in (-s, -s - 1.0)]
+def _lerch_split(s: complex, lam: float, alpha: float, rmax: int) -> tuple[float, list]:
+    """The default split x of the Lerch core for orders up to rmax, and the final
+    cutoffs (_osc_cutoff) of the pure tail at -s and the sawtooth-weighted tails at
+    -s and -s-1 that it passes, None for a tail it walks: x = max(default_split, the
+    final cutoff of each tail worth passing), so a passed tail walks no panel.  A
+    tail is worth passing if, per unit of u, a finite-sum term (priced per point at
+    any number of orders) costs less than a fixed count of its panels: 2 for the
+    sawtooth-weighted tails, always passed; lam/0.45 for the pure one, passed for
+    lam > 0.056 (fixed, so the split does not move with the walk).  Where the sum to
+    that x would exceed the work budget (_check_work), no tail is passed: the split
+    is default_split, charged with the tails' walks (_osc_tails)."""
+    x = default_split(s, alpha)
+    cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if _work(terms=1) < _work(panels=lam / 0.45) else None]
+    cuts += [_osc_cutoff(lam, b, rmax, x, True, True) for b in (-s, -s - 1.0)]
     passed = max([x] + [cut[1] for cut in cuts if cut])
     try:
-        _check_work(terms=n * (_split_floor(passed - alpha) + 1))
+        _check_work(terms=_split_floor(passed - alpha) + 1)
     except ValueError:
         return x, [None] * 3
     return passed, cuts
@@ -368,12 +368,12 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     of 2 pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
     orders = list(orders)
     rmax = max(orders)
-    x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax, len(orders)) if split is None else (split, [None] * 3)
-    # the sums are charged to the work budget with the tails' kinks and panels
-    # before any runs, at the Z route's price of a term (the phase e^{2 pi i
-    # lam k} makes a term about 1.5 times a Z term, 100-290 ns at r <= 4)
+    x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax) if split is None else (split, [None] * 3)
+    # the sum is charged to the work budget with the tails' kinks and panels
+    # before any runs, per point whatever the number of orders, as the Z route
+    # prices a term (the phase e^{2 pi i lam k} makes it 1.5 times a Z term)
     kmax = _split_floor(x - alpha)
-    (pure, perr), (w1, w1err), (w2, w2err) = _osc_tails(lam, alpha, rmax, x, [(-s, False, pcut), (-s, True, w1cut), (-s - 1.0, True, w2cut)], terms=len(orders) * (kmax + 1))
+    (pure, perr), (w1, w1err), (w2, w2err) = _osc_tails(lam, alpha, rmax, x, [(-s, False, pcut), (-s, True, w1cut), (-s - 1.0, True, w2cut)], terms=kmax + 1)
     sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
     wx, psi, fx = cmath.exp(2j * math.pi * lam * v), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel

@@ -474,13 +474,14 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
 _TOL_ABS = 1e-15
 _TOL_REL = 1e-12
 _K_TAIL = _TAIL_ORDERS[-1]  # periodic-Bernoulli expansion depth for the plain tail
-# units of work of one check (about 10 s) and the price of each kind of piece:
-# a unit of u of a plain tail's interval (per row), a walk's panel (about 1.4
-# us), a listed kink or a truncated-sum term, 1; a core's or the Lerch core's
-# finite-sum term (40-290 ns), 1/8; a residue class (its far tails and core,
-# 3-17 us), 12, so that a class of u terms costs no more than its terms at 1 or
-# its tail's interval to the first cutoff (30 or more); a character-table entry
-# (24 bytes held, or 0.2 us formatted), 1/4, so tables of up to 8e6 entries pass
+# units of work of one check (about 10 s) and the price of each kind of piece: a
+# unit of u of a plain tail's interval (per row), a walk's panel (about 1.4 us), a
+# listed kink or a truncated-sum term, 1; a point of the Z or the Lerch core's
+# finite sum (40-290 ns), 1/8 at any number of orders; a residue class (its far
+# tails and core, 3-17 us), 12, so that a class of u terms costs no more than its
+# terms at 1 or its tail's interval to the first cutoff (30 or more); a
+# character-table entry (24 bytes held, or 0.2 us formatted), 1/4, so tables of up
+# to 8e6 entries pass
 _WORK_BUDGET = 2e6
 _PRICES = {"interval": 1.0, "panels": 1.0, "kinks": 1.0, "truncated": 1.0, "terms": 1.0 / 8.0, "classes": 12.0, "entries": 0.25}
 

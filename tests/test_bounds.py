@@ -112,6 +112,19 @@ def test_t2_iiib_takes_one_tail_pass_per_table(monkeypatch):
     assert len(walks) == 3
 
 
+def test_t2_iiib_walks_no_panel(monkeypatch):
+    # a finite-sum term is priced per point whatever the number of orders, so
+    # every table of the default grid passes its three oscillatory tails: each
+    # is its closed-form far tail from the split, as at one order
+    from zetalab import sawtooth
+
+    def no_panel(*args):
+        raise AssertionError("a panel was walked")
+
+    monkeypatch.setattr(sawtooth, "_gl_panels", no_panel)
+    assert certify_T2_IIIb().all_pass
+
+
 def test_t2_iiib_refuses_the_order_cap_before_any_tail(monkeypatch):
     import zetalab.evaluate as evaluate
     from zetalab import cli

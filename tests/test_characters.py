@@ -325,6 +325,25 @@ def test_partial_sum_examples(chi4):
     assert partial_character_sum(chi4, 0.5) == 0  # the empty sum
 
 
+@pytest.mark.parametrize("q", [7, 101, 1009])
+def test_partial_sum_at_large_x_is_its_period_cumsum(q):
+    # a full period sums to 0, but in binary64 to 3e-16..4e-14; adding it
+    # 1e18/q times put the sums mod 7, labels 1 and 2, off by 49 and 114
+    from zetalab.characters import _exponents, _fields, _log_table, _unit_group
+
+    kexps = _exponents(q)
+    rest = _fields(q, kexps)[1] != 1
+    sums = np.cumsum(_unit_group(q).roots[_log_table(q, kexps[rest])], axis=1)  # as certify_polya_vinogradov
+    bound = math.sqrt(q) * math.log(q)
+    for label in (1, 2, 3):  # row label - 1: q is prime
+        chi = character(q, label)
+        for x in (10**12 + 3, 10**15 + 3, 10**18):
+            got = partial_character_sum(chi, float(x))
+            assert got == partial_character_sum(chi, x % q) == partial_character_sum(chi, x + q)
+            assert got == complex(sums[label - 1, x % q])
+            assert abs(got) <= bound, (q, label, x, got)
+
+
 def test_partial_sum_principal_raises(principal4):
     with pytest.raises(ValueError):
         partial_character_sum(principal4, 2.0)

@@ -9,13 +9,19 @@ answered `eval --kind hurwitz|z|l` at |Im s| <= 100 and r <= 2 lies within
 its error_bound of the mpmath value (tests/oracles.py).  The moduli and
 orders stay small, so that the oracles and the module run in a few seconds;
 tools/fuzz_cli.py runs the same contract (contract_defects) over 10 000.
+Generated requests also run in a child process under a limit on its address
+space (RLIMIT_AS), where none may end in a MemoryError.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import resource
 import signal
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -133,3 +139,61 @@ def contract_defects(argv, seconds: float = 15.0) -> list[str]:
 @given(requests())
 def test_every_generated_request_keeps_the_cli_contract(argv):
     assert contract_defects(argv) == [], argv
+
+
+# the child runs each request of its JSON argument through cli.run, its stdout
+# counted (the q = 2003 listing, 179 MB, streams and is not held) and its stderr
+# kept, and prints [status, stdout size, stderr] a line each, then its VmPeak
+# (the peak of its address space, in KiB)
+_MEMORY_CHILD = """
+import contextlib, io, json, sys
+from zetalab.cli import run
+
+class Count(io.TextIOBase):
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+for argv in json.loads(sys.argv[1]):
+    out, err = Count(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    print(json.dumps([status, out.size, err.getvalue()]))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmPeak:")))
+"""
+
+
+def _run_child(argvs, limit: int | None = None):
+    """The child's [status, stdout size, stderr] of each request and its peak
+    address space in bytes, with RLIMIT_AS set to limit bytes in the child only
+    (none for None); it must end without a traceback."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    set_limit = (lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))) if limit else None
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_CHILD, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120, preexec_fn=set_limit)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    *lines, peak = proc.stdout.splitlines()
+    return [json.loads(line) for line in lines], int(peak) * 1024
+
+
+@settings(max_examples=1, derandomize=True, database=None, deadline=None)
+@given(st.lists(requests(), min_size=100, max_size=100))
+def test_generated_requests_keep_the_contract_under_a_memory_limit(argvs):
+    # the limit is the address space of a child that lists the characters mod 3
+    # (about 143 MiB on a 2-core host: the interpreter, numpy and its BLAS
+    # threads) plus 64 MiB; the q = 2003 listing adds about 10 MiB there, and
+    # q = 10007 is refused by the work budget before any table is built
+    _, base = _run_child([["characters", "--q", "3"]])
+    argvs = [["characters", "--q", "2003", "--json"], ["characters", "--q", "10007"], *argvs]
+    reports, _ = _run_child(argvs, base + (64 << 20))
+    assert reports[0][0] == 0 and reports[0][1] > 10**8 and reports[0][2] == ""
+    assert reports[1][0] == 1
+    for argv, (status, size, err) in zip(argvs, reports):
+        assert status in (0, 1, 2), argv
+        if status == 1:
+            assert size == 0 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)

@@ -6,11 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetalab import sawtooth
 from zetalab.characters import character, enumerate_characters
 from zetalab.coefficients import (
     _beta_all,
     _gamma_all,
     _gamma_aq_all,
+    _lerch_at_one,
     beta_coefficient,
     beta_coefficient_all,
     coefficient_table,
@@ -489,6 +491,31 @@ def test_lerch_taylor_matches_evaluator():
         want = ev.value / math.factorial(r)
         tol = coef.error_bound + ev.error_bound / math.factorial(r) + 1e-11
         assert abs(coef.value - want) <= tol
+
+
+def test_lerch_tables_walk_no_panel_at_any_order_count(monkeypatch):
+    # the default split prices a finite-sum term per point, so a table of many
+    # orders passes the tails a one-order request passes: at lambda = p/16 all three
+    def no_panel(*args):
+        raise AssertionError("a panel was walked")
+
+    monkeypatch.setattr(sawtooth, "_gl_panels", no_panel)
+    for rmax in (8, 24):
+        for p in range(1, 16):
+            for alpha in (0.25, 0.7, 1.0):
+                assert len(_lerch_at_one(rmax, p / 16, alpha)) == rmax + 1
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+def test_lerch_table_holds_against_the_oracle(lam):
+    # the r_max = 24 table at its default split books 1e-25 to 1e-24 at r = 24,
+    # every tail its closed-form far tail; 20 digits of the rational-lambda
+    # Hurwitz sum are within 1e-7 of phi^(24), far below 24! times such a bound (0.06)
+    table = _lerch_at_one(24, float(lam), 0.7)
+    for r in (0, 8, 16, 24):
+        with mp.workdps(20):
+            ref = lerch_oracle(1.0, lam, 0.7, r, dps=20) / math.factorial(r)
+        assert _held(table[r], ref), (lam, r, table[r], complex(ref))
 
 
 def test_lerch_taylor_rejects_integer_lambda():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zetalab import evaluate, sawtooth
-from zetalab.characters import character, enumerate_characters
+from zetalab.characters import character, enumerate_characters, gauss_sum
 from zetalab.coefficients import lerch_taylor_at_1
 from zetalab.evaluate import (
     HurwitzArgs,
@@ -17,6 +17,8 @@ from zetalab.evaluate import (
     _pole_term,
     _s_tail,
     _cores,
+    _l_values,
+    _lerch_values,
     _split_floor,
     hurwitz_deriv,
     l_deriv,
@@ -409,7 +411,8 @@ def test_lerch_validation():
 def test_a_lerch_sum_is_charged_per_term_like_a_z_class(monkeypatch):
     # one finite-sum kernel, one cost of a term: the 1001 terms n + 0.5 <= 1000.5
     # are charged 1001 / 8 march segments, with the tails' kinks and panels
-    # (none from this split) in one check, before any tail is walked
+    # (none from this split) in one check, before any tail is walked; a point
+    # is charged once at any number of orders, as the Z core charges it
     charges = []
 
     def record(**pieces):
@@ -419,7 +422,9 @@ def test_a_lerch_sum_is_charged_per_term_like_a_z_class(monkeypatch):
     monkeypatch.setattr(sawtooth, "_check_work", record)
     with pytest.raises(ValueError, match="charged"):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.5, s=2.0, order=1, split=1000.5))
-    assert charges == [{"terms": 1001, "kinks": 0, "panels": 0.0}]
+    with pytest.raises(ValueError, match="charged"):
+        _lerch_values(2.0 + 0j, 0.3, 0.5, range(25), 1000.5)
+    assert charges == [{"terms": 1001, "kinks": 0, "panels": 0.0}] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +607,7 @@ def test_lerch_tails_not_worth_passing_are_walked():
     # unit of u, so the split does not pass it and these still answer
     for lam in (1e-6, 1e-4):
         lerch_deriv(LerchArgs(lam=lam, alpha=0.7, s=0.5 + 1000j, order=1))
-    # 21 orders cost more per unit than any tail's panels: no tail is passed
+    # and so does a table of 21 orders there, its pure tail walked
     lerch_taylor_at_1(20, 1e-4, 0.7)
 
 
@@ -825,3 +830,37 @@ def test_hurwitz_formula_joins_the_plain_and_oscillatory_routes(t, alpha):
             rhs -= factor * mp.mpc(phi.value)
             bound += abs(factor) * phi.error_bound
         assert abs(rhs) <= bound, (abs(rhs), bound)
+
+
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5])
+@pytest.mark.parametrize("q", [5, 7])
+def test_l_functional_equation_joins_each_character_and_its_conjugate(q, t):
+    # Lambda(s, chi) = eps(chi) Lambda(1 - s, conj chi) for primitive chi, Lambda(s, chi) =
+    # G(s) L(s, chi), G(s) = (q/pi)^{(s+k)/2} Gamma((s+k)/2), k = 0 (even) or 1 (odd), and
+    # eps(chi) = tau(chi)/(i^k sqrt(q)), tau from gauss_sum; by Leibniz at r <= 2, each side
+    # over G(s), with d^r/ds^r Lambda(1 - s) = (-1)^r Lambda^(r)(1 - s).  Only G is mpmath's:
+    # G^(m)/G = 1, g', g'' + g'^2 with g = log G.  The factor's rounding is that of tau,
+    # at most 8 q eps in all (q terms of modulus 1)
+    s = complex(0.5, t)
+    prim = [chi for chi in enumerate_characters(q) if not chi.is_principal]  # q prime: all primitive
+    labels = [chi.label for chi in prim]
+    here, there = _l_values(s, prim, range(3)), _l_values(1.0 - s, prim, range(3))
+    with mp.workdps(30):
+        lqp = mp.log(mp.mpf(q) / mp.pi)
+        for i, chi in enumerate(prim):
+            k, j = 0 if chi.parity == 1 else 1, labels.index(chi.conjugate().label)
+
+            def logs(z):  # g, g' and g'' at z
+                w = (mp.mpc(z.real, z.imag) + k) / 2
+                return w * lqp + mp.loggamma(w), (lqp + mp.digamma(w)) / 2, mp.psi(1, w) / 4
+
+            (g0, g1, g2), (h0, h1, h2) = logs(s), logs(1.0 - s)
+            at_s, at_1ms = [1, g1, g2 + g1**2], [mp.exp(h0 - g0) * c for c in (1, h1, h2 + h1**2)]
+            eps = mp.mpc(gauss_sum(chi, 1)) / (mp.j**k * mp.sqrt(q))
+            for r in range(3):
+                terms = [(math.comb(r, l), at_s[r - l], here[l][i], at_1ms[r - l], there[l][j]) for l in range(r + 1)]
+                lhs = mp.fsum(c * a * mp.mpc(x.value) for c, a, x, _, _ in terms)
+                rhs = (-1) ** r * eps * mp.fsum(c * b * mp.mpc(y.value) for c, _, _, b, y in terms)
+                bound = math.fsum(c * (float(abs(a)) * x.error_bound + float(abs(b)) * y.error_bound) for c, a, x, b, y in terms)
+                bound += float(abs(rhs)) * 8 * q * EPS
+                assert abs(lhs - rhs) <= bound, (chi, r, float(abs(lhs - rhs)), bound)

@@ -18,6 +18,10 @@ targets: the best of N calls of each, timed with time.perf_counter.
                               q = 971, label 1: the finite sums at real s = 0
     stieltjes_gamma_all 20    stieltjes_gamma_all(20, 0.3)
     certify_T2_Ib             certify_T2_Ib() at its default grid
+    coeff lerch r_max=24      coefficient_table("lerch_at_one", 24, lam=0.3,
+                              alpha=0.7): the Lerch core at s = 1, 25 orders
+    certify_T2_IIIb           certify_T2_IIIb() at its default grid: six
+                              Lerch tables to r = 10
     hurwitz_deriv t=1e4       hurwitz_deriv at alpha = 0.3, s = 0.5+10^4 i, r = 1
     hurwitz_deriv t=1e5       the same at s = 0.5+10^5 i and s = 0.5+10^6 i:
     hurwitz_deriv t=1e6       the cutoff searches and far tails at large |b|
@@ -105,7 +109,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
 
     from zetalab.afe import afe_hurwitz, afe_l
-    from zetalab.bounds import certify_T2_Ib, certify_T3
+    from zetalab.bounds import certify_T2_Ib, certify_T2_IIIb, certify_T3
     from zetalab.cli import run
     from zetalab.characters import character, enumerate_characters, gauss_sum
     from zetalab.coefficients import coefficient_table, l_deriv_at_1_exact_all, stieltjes_gamma_all
@@ -152,6 +156,8 @@ def main(argv: list[str]) -> int:
         ("coeff l-zero q=971 r_max=3", lambda: coefficient_table("l_deriv_at_zero", 3, chi=chi971)),
         ("stieltjes_gamma_all 20", lambda: stieltjes_gamma_all(20, 0.3)),
         ("certify_T2_Ib", certify_T2_Ib),
+        ("coeff lerch r_max=24", lambda: coefficient_table("lerch_at_one", 24, lam=0.3, alpha=0.7)),
+        ("certify_T2_IIIb", certify_T2_IIIb),
         ("hurwitz_deriv t=1e4", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e4), alpha=0.3, order=1))),
         ("hurwitz_deriv t=1e5", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e5), alpha=0.3, order=1))),
         ("hurwitz_deriv t=1e6", lambda: hurwitz_deriv(HurwitzArgs(s=complex(0.5, 1e6), alpha=0.3, order=1))),
