@@ -15,6 +15,7 @@ file, 2 failed bound assertion.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -401,26 +402,23 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Execute a request; returns the exit status and prints the report."""
+    """Execute a request; returns the exit status and prints the report, or
+    one error line and 1 for a refusal, an unwritable output file or a
+    MemoryError (numpy's _ArrayMemoryError), also while a listing streams."""
     try:
         args = _parse(argv)
         if isinstance(args, str):  # the usage, for -h/--help
             print(args)
             return 0
         status, doc = _HANDLERS[args.command](args)
-    except (ValueError, AssertionError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        chunks = (doc, "\n") if isinstance(doc, str) else chain(doc, ["\n"])  # each written as it comes
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
+    except (ValueError, AssertionError, OverflowError, MemoryError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader left early: main's to handle
+            raise
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    chunks = (doc, "\n") if isinstance(doc, str) else chain(doc, ["\n"])  # each written as it comes
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.writelines(chunks)
     return status
 
 

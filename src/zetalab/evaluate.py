@@ -54,13 +54,16 @@ from .characters import DirichletCharacter, _units, _values_at
 from .sawtooth import (
     _EPS,
     _SUM_BLOCK,
+    _WORK_BUDGET,
     EvalResult,
     _check_alpha,
     _check_order,
     _check_work,
     _first_cutoff,
+    _mid_kink,
     _osc_cutoff,
     _osc_tails,
+    _phase,
     _progression_sum,
     _tail_cutoff,
     _work,
@@ -233,9 +236,12 @@ def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, n
     Re(s) > -1, s = 1 and s = 0 included (the core carries no pole).
 
     The bound adds to the tails' the rounding of the finite sum, of the
-    boundary term, of the tail combination (the phase of q^{-s} and of the
-    far tail, eps 3 |s| (|log q| + |log X|), and the coefficients) and of
-    the addition."""
+    boundary term, of the tail combination (the phase of q^{-s} and X^{-s},
+    eps 3 |s| (|log q| + |log X|), and the coefficients) and of the addition.
+    That leaves out the far tail's own (_far_tail_rounding), 2.9 to 290 times
+    that phase share through the combination, yet below 0.2% of the bound on
+    300 random default-split Hurwitz requests (sigma in (0, 3], t in [0.5,
+    1000], r <= 4), where the finite sum's rounding dominates."""
     orders = list(orders)
     X, tails, terrs = _split(s, orders[-1], q, units, X)
     a = np.array(units, dtype=float)
@@ -333,23 +339,20 @@ def l_deriv(s: complex, chi: DirichletCharacter, r: int, X: float | None = None)
 def _lerch_split(s: complex, lam: float, alpha: float, rmax: int) -> tuple[float, list]:
     """The default split x of the Lerch core for orders up to rmax, and the final
     cutoffs (_osc_cutoff) of the pure tail at -s and the sawtooth-weighted tails at
-    -s and -s-1 that it passes, None for a tail it walks: x = max(default_split, the
-    final cutoff of each tail worth passing), so a passed tail walks no panel.  A
-    tail is worth passing if, per unit of u, a finite-sum term (priced per point at
-    any number of orders) costs less than a fixed count of its panels: 2 for the
-    sawtooth-weighted tails, always passed; lam/0.45 for the pure one, passed for
-    lam > 0.056 (fixed, so the split does not move with the walk).  Where the sum to
-    that x would exceed the work budget (_check_work), no tail is passed: the split
-    is default_split, charged with the tails' walks (_osc_tails)."""
+    -s and -s-1 that it passes, None for a tail it walks: x is the first middle N +
+    alpha + 1/2 of a kink interval (_mid_kink, where psi(x - alpha) = 0) at or above
+    default_split and the final cutoff of each tail worth passing, so a passed tail
+    walks no panel.  A tail is worth passing if, per unit of u, a finite-sum term
+    (priced per point at any number of orders) costs less than a fixed count of its
+    panels: 2 for the sawtooth-weighted tails, always passed; lam/0.45 for the pure
+    one, passed for lam > 0.056 (fixed, so the split does not move with the walk).
+    Where the sum to that x would exceed the work budget (_work), no tail is
+    passed: x is the middle from default_split, charged with the tails' walks."""
     x = default_split(s, alpha)
     cuts = [_osc_cutoff(lam, -s, rmax, x, False, True) if _work(terms=1) < _work(panels=lam / 0.45) else None]
     cuts += [_osc_cutoff(lam, b, rmax, x, True, True) for b in (-s, -s - 1.0)]
-    passed = max([x] + [cut[1] for cut in cuts if cut])
-    try:
-        _check_work(terms=_split_floor(passed - alpha) + 1)
-    except ValueError:
-        return x, [None] * 3
-    return passed, cuts
+    n, passed = _mid_kink(max([x] + [cut[1] for cut in cuts if cut]), alpha)
+    return (passed, cuts) if _work(terms=n + 1) <= _WORK_BUDGET else (_mid_kink(x, alpha)[1], [None] * 3)
 
 
 def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | None) -> list[EvalResult]:
@@ -362,10 +365,13 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     times u^{-s} (V_m) and u^{-s-1} (W_m): one pass each, at the largest order.
 
     The bound adds to the tails' (the rounding of their far tails not booked)
-    that of the finite sum (with its phase); of the boundary term, and of its phase
-    w(x), eps (4 (2 pi lam (x - alpha)) + 5), with 2 pi lam in the jump at a
-    lattice point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5);
-    of 2 pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
+    that of the finite sum (with its phase); of the boundary term, and of its
+    phase w(x) = e^{2 pi i lam kmax} e^{2 pi i lam d}, d = (x - kmax) - alpha
+    (x - kmax exact, |d| < 1 + eps), eps (8 pi + 5) for each (_phase, kmax <
+    2^24 by the work budget; 4 (2 pi lam |d|) + 5 for the argument, the
+    exponential and the product), with 2 pi lam in the jump at a lattice
+    point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5); of 2
+    pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
     orders = list(orders)
     rmax = max(orders)
     x, (pcut, w1cut, w2cut) = _lerch_split(s, lam, alpha, rmax) if split is None else (split, [None] * 3)
@@ -376,14 +382,14 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     (pure, perr), (w1, w1err), (w2, w2err) = _osc_tails(lam, alpha, rmax, x, [(-s, False, pcut), (-s, True, w1cut), (-s - 1.0, True, w2cut)], terms=kmax + 1)
     sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
-    wx, psi, fx = cmath.exp(2j * math.pi * lam * v), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel
+    wx, psi, fx = complex(_phase(lam, kmax)) * cmath.exp(2j * math.pi * lam * (x - kmax - alpha)), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel
     phase = cmath.exp(-2j * math.pi * lam * alpha)
     serrs += _boundary_rounding(s, 1, orders, x, v, kmax, psi, abs(fx))
     out = []
     for r, val, err in zip(orders, sums[:, 0].tolist(), serrs[:, 0].tolist()):
         sign = (-1.0) ** r
         ax = abs(fx) * abs(lx) ** r
-        err += ax * (_EPS * (4.0 * two_pi_lam * abs(v) + 5.0) * abs(psi) + 1.01 * max(kmax - v, 0.0) * two_pi_lam)
+        err += ax * (_EPS * (16.0 * math.pi + 10.0) * abs(psi) + 1.01 * max(kmax - v, 0.0) * two_pi_lam)
         tail2, err2 = _s_tail(w2, w2err, s, r)
         err += perr[r] + two_pi_lam * w1err[r] + err2
         err += _EPS * ((3.0 * two_pi_lam * alpha + 5.0) * abs(pure[r]) + 3.0 * two_pi_lam * abs(w1[r]))

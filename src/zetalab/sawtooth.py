@@ -37,8 +37,9 @@ _THETA and spans at most a factor 1.6, their break points the level sets of
 one closed-form count found in one array pass (_walk).  The
 sawtooth-weighted variant expands psi(u-alpha) e^{2 pi i nu(u-alpha)} in
 combined frequencies n + nu and sums the boundary terms of all parts in
-closed form, from one row of periodic Bernoulli values shared by all K
-parts.  One panel kernel serves every walk as (block x 16) arrays of at
+closed form from the middle N + alpha + 1/2 of a kink interval, as e^{2 pi
+i nu N} times one table per nu; every Lerch phase is one exact reduction
+(_phase).  One panel kernel serves every walk as (block x 16) arrays of at
 most 512 panels; it is bit for bit the one-panel-at-a-time loop (np.vecdot
 per panel, which is np.dot's BLAS dot, and panel sums added left to right).
 The tails of one request (_osc_tails) are charged, every walk's panels,
@@ -60,10 +61,9 @@ tails share (_deriv_table); a far tail evaluates every k and r at once
 from it (_far_tail), its remainders every log power's tail integral by one
 recurrence (power_log_tails).  The plain far tail's coefficients B_m({v})/m!,
 m = 2..14, are one polynomial pass in {v} - 1/2 (_bernoulli_rows).  The
-shifted Fourier sums of the sawtooth-weighted far tail take their terms n
-= +-1 in closed form and expand the rest at rate nu/2, in at most 110
-terms; they refuse nu above 31/32, where the rounding of their phase,
-which no bound books, outgrows the tail's bound (_psi_fourier_shift_sums).
+shifted Fourier sums of the sawtooth-weighted far tail, at v = 1/2 alone,
+take their terms n = +-1 in closed form and expand the rest at rate nu/2,
+in at most 110 terms, for every nu in (0, 1) (_psi_fourier_shift_sums).
 
 Error bounds here cover truncation and quadrature, and the rounding of the
 plain tail's intervals and of the oscillatory panels; of the far-tail
@@ -178,7 +178,6 @@ def _centred(m: int) -> list[Fraction]:
 # the polynomials in z = y^2 of (-1)^{m-1} B_m(1/2 + y)/m! (even m) and of it
 # over y (odd m), z^0 first (zeros above degree m), as (power of z, order, 1)
 _MONOMIALS = _frozen(np.ascontiguousarray(np.array([[float((-1) ** (m - 1) * a) for a in _centred(m)[m % 2 :: 2]] + [0.0] * (7 - m // 2) for m in _TAIL_ORDERS]).T[:, :, None]))[0]
-_PHI_SCALE = np.array([(-1.0) ** (m - 1) * TWO_PI**m for m in _TAIL_ORDERS])  # back to (2 pi)^m B_m/m!
 
 
 def _bernoulli_rows(v: np.ndarray) -> np.ndarray:
@@ -197,37 +196,21 @@ def _bernoulli_rows(v: np.ndarray) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=16)  # one entry per range of orders: the shift sums' columns of one nu
-def _fourier_table(stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the orders m = 15..stop-1 of _phi_shifted: m mod 4 and the powers
-    n^m of its terms n = 2..64, inf past an order's last term (n > 2 with
-    n^{-m} < 1e-20), where the term is a 0 that leaves the sum as it is."""
-    ms = range(15, max(stop, 15))
-    den = np.array([[float(n**m) if n == 2 or n ** (-m) >= 1e-20 else math.inf for n in range(2, 65)] for m in ms]).reshape(len(ms), 63)
-    return _frozen(np.array([m % 4 for m in ms], dtype=int), den)
-
-
-def _phi_shifted(stop: int, v: float) -> np.ndarray:
-    """-sum_{|n|>=2} e^{2 pi i n v}/(i n)^m = (2 pi)^m B_m({v})/m! + 2 cos(2 pi v
-    - pi m/2), the periodic Bernoulli function without its terms n = +-1, for
-    m = 2..stop-1; |.| <= 2 (zeta(m) - 1) <= 2.6 2^{-m} from m = 4.  Up to m =
-    14 from _bernoulli_rows, scaled, plus the two terms; beyond, its Fourier
-    terms n = 2, 3, ... while n^{-m} >= 1e-20 and n <= 64, each order's
-    subtracted from 0 in turn along one grid (_fourier_table).  The cosines
-    take 2 pi n {v} and cos(x - pi m/2) = cos x, sin x, -cos x, -sin x by m
-    mod 4."""
-    f = v - math.floor(v)
-    arg = TWO_PI * np.arange(1.0, 65.0) * f
-    cos, sin = np.cos(arg), np.sin(arg)
-    quarter = np.array([cos, sin, -cos, -sin])  # cos(2 pi n v - pi m/2) by m mod 4
-    low = min(stop, 15) - 2
-    out = np.empty(stop - 2)
-    out[:low] = _bernoulli_rows(np.array([f]))[:low, 0] * _PHI_SCALE[:low] + 2.0 * quarter[np.arange(2, low + 2) % 4, 0]
-    if stop > 15:
-        mods, den = _fourier_table(stop)
-        terms = 2.0 * quarter[mods, 1:] / den
-        out[low:] = np.subtract.accumulate(np.concatenate([np.zeros((mods.size, 1)), terms], axis=1), axis=1)[:, -1]
-    return out
+@lru_cache(maxsize=256)  # one entry per order: the shift sums of every nu read orders below K + 111
+def _phi_shifted(m: int) -> float:
+    """-sum_{|n|>=2} (-1)^n/(i n)^m = (2 pi)^m B_m(1/2)/m! - 2 cos(pi m/2), the
+    periodic Bernoulli function at 1/2 (where e^{2 pi i n/2} = (-1)^n)
+    without its terms n = +-1, at the order m >= 2: 0 at odd m, and |.| <= 2
+    (zeta(m) - 1) <= 2.6 2^{-m} from m = 4.  Up to m = 14 from B_m(1/2)/m!
+    (the z^0 row of _MONOMIALS, -B_m(1/2)/m! at even m), scaled, plus the two
+    terms; beyond, its terms 2 (-1)^{n+1} cos(pi m/2)/n^m, n = 2, 3, ...
+    while n^{-m} >= 1e-20 and n <= 64, added to 0 in turn."""
+    c = (2.0, 0.0, -2.0, 0.0)[m % 4]  # 2 cos(pi m/2)
+    if not c:
+        return 0.0
+    if m < 15:
+        return -float(_MONOMIALS[0, m - 2, 0]) * TWO_PI**m - c
+    return sum(c * (-1.0) ** (n + 1) / float(n**m) for n in itertools.takewhile(lambda n: n == 2 or n ** (-m) >= 1e-20, range(2, 65)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +353,24 @@ def _cutoffs(u0: float, b: complex, rmax: int, K: int, scale: float, cap: float)
         u0 *= 2.0
 
 
+def _dekker(lam: float) -> tuple[float, float]:
+    """lam = hi + lo, hi = [lam 2^26]/2^26 (Dekker's split), both exact."""
+    hi = math.floor(lam * 2.0**26) / 2.0**26
+    return hi, lam - hi
+
+
+def _phase(lam: float, k):
+    """e^{2 pi i lam k} at integers k (a number or an array) as e^{2 pi i f}, f
+    = (k hi mod 1) + k lo (_dekker), the one reduction of every Lerch phase:
+    for |lam| < 1 and k < 2^27 all but k lo is exact, and at k lo < 1/4 it
+    books eps (6 pi + 5 + 8 pi k lo) < eps (8 pi + 5), 3 (2 pi) |f| <= 6 pi
+    (1 + k lo) for pi, the product and the sum f, 2 pi k lo for k lo, 5 for
+    the exponential and a product with it."""
+    hi, lo = _dekker(lam)
+    arg = hi * k  # exact, and so its reduction mod 1
+    return np.exp(2j * np.pi * (arg - np.floor(arg) + lo * k))
+
+
 _SUM_BLOCK = 1 << 15  # terms per block of one row of a progression sum: memory stays flat in its length
 _ROW_BLOCK = 1 << 13  # terms per block of rows of a progression sum: the block's arrays stay in cache
 
@@ -402,21 +403,16 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
     power; and the products; r eps |term| / |log p| more where |log p| < 1
     (at most the first three points), for the rounded point inside (-log
     p)^r; then the pairwise sums within blocks and the sum of the blocks,
-    1.5 eps (depth) sum |term|.  The Lerch phase e^{2 pi i lam k} is 2 pi f, f
-    = (k lam_hi mod 1) + k lam_lo, lam_hi = [lam 2^26]/2^26 (Dekker's exact
-    split): k lam_hi and its reduction are exact for k < 2^27, and the work
-    budget caps a Lerch row at 1.6e7 < 2^24 terms, so k lam_lo < 1/4.  It books
-    eps (6 pi + 5 + 8 pi kmax lam_lo) |term| < eps (8 pi + 5) |term|: 3 (2 pi)
-    |f| <= 6 pi (1 + k lam_lo) for pi, the product and the sum f, 2 pi k lam_lo
-    for k lam_lo, 5 for the exponential and the product.  A term that leaves
-    binary64 makes the sum and its bound non-finite: EvalResult refuses them."""
+    1.5 eps (depth) sum |term|.  The Lerch phase e^{2 pi i lam k} is _phase's,
+    at k lam_lo < 1/4: the work budget caps a Lerch row at 1.6e7 < 2^24 terms.
+    A term that leaves binary64 makes the sum and its bound non-finite:
+    EvalResult refuses them."""
     a, kmax, orders = np.asarray(a, dtype=float), np.asarray(kmax), list(orders)
     first = None if first is None else np.asarray(first, dtype=float)
     val, err = np.zeros((len(orders), a.size), dtype=complex), np.zeros((len(orders), a.size))
     cuts = [0, *(np.flatnonzero(np.diff(kmax)) + 1).tolist(), a.size] if a.size > 1 else [0, a.size]
     exponent = -s.real if not s.imag else -s  # p^{-s} real at real s
-    lam_hi = math.floor(lam * 2.0**26) / 2.0**26  # lam = lam_hi + lam_lo, each exact
-    abs_s, add, lam_lo = abs(s), np.add.reduce, lam - lam_hi
+    abs_s, add, lam_lo = abs(s), np.add.reduce, _dekker(lam)[1]
 
     def factor(logs, k):
         """p^{-s} e^{2 pi i lam k}, the factor of every order's terms, formed
@@ -424,9 +420,7 @@ def _progression_sum(a, q: int, kmax, s: complex, orders, lam: float = 0.0, firs
         ps = np.exp(exponent * logs)
         if not lam:
             return ps
-        arg = lam_hi * k  # exact, and so its reduction mod 1
-        arg = 2j * np.pi * (arg - np.floor(arg) + lam_lo * k)
-        return np.multiply(ps, np.exp(arg, out=arg), out=ps if s.imag else None)  # ps is real at real s
+        return np.multiply(ps, _phase(lam, k), out=ps if s.imag else None)  # ps is real at real s
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, kk in ((lo, hi, int(kmax[lo])) for lo, hi in zip(cuts, cuts[1:]) if kmax[lo] >= 0):
@@ -861,15 +855,8 @@ def _osc_remainder_const(nu: float) -> float:
     return acc
 
 
-# the shift sums refuse nu above this: their phase e^{2 pi i nu v} at the tail's
-# cutoff v ~ 1/(1 - nu) rounds by about eps 2 pi nu v, which no bound books; at
-# lambda = 255/256 (s = 0.5, r = 1) the Lerch route erred by 1.4 times its bound
-_NU_MAX = 31.0 / 32.0
-
-
-@lru_cache(maxsize=16)  # float keys: bounded, one entry of K rows of n per oscillation nu
 def _shift_table(K: int, nu: float) -> tuple[int, np.ndarray]:
-    """The columns j < n of _psi_fourier_shift_sums(K, ., nu) and their
+    """The columns j < n of _psi_fourier_shift_sums(K, nu) and their
     coefficients C(k + j - 1, j) (-i nu)^j as (k, j), k = 1..K: n to the
     first j > 4 where every row's term is below 1e-18 of the row's n = -1
     term, C(k + j - 1, j) nu^j 2.6 2^{-(k+1+j)} < 1e-18 (1 - nu)^{-k} in the
@@ -884,43 +871,45 @@ def _shift_table(K: int, nu: float) -> tuple[int, np.ndarray]:
     met = (binom * half * np.array([[0.5 ** (k + 1) * (1.0 - nu) ** k] for k in range(1, K + 1)])).max(axis=0) < 1e-18
     n = 6 + int(met[5:].argmax())
     zj = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n - 1, -1j * nu)]))  # (-i nu)^j
-    return _frozen(n, binom[:, :n] * zj)
+    return n, binom[:, :n] * zj
 
 
-@lru_cache(maxsize=256)  # float keys: bounded, one entry of K sums per oscillatory cutoff
-def _psi_fourier_shift_sums(K: int, v: float, nu: float) -> tuple[complex, ...]:
-    """Psi_k(v, nu) = sum_{|n|>=1} e^{2 pi i (n+nu) v} / ((2 pi i n)(2 pi i (n+nu))^k)
-    for k = 1..K.
+@lru_cache(maxsize=128)  # float keys: bounded, one entry of K sums per oscillation nu
+def _psi_fourier_shift_sums(K: int, nu: float) -> tuple[complex, ...]:
+    """Psi_k(1/2, nu) = sum_{|n|>=1} e^{pi i (n+nu)} / ((2 pi i n)(2 pi i
+    (n+nu))^k) for k = 1..K, e^{-2 pi i nu N} Psi_k(N + 1/2, nu) at every N.
 
-    The terms n = +-1 in closed form, e^{2 pi i (nu +- 1) v} w_+-^k/(+-2 pi
-    i), w_+- = 1/(2 pi i (nu +- 1)), e^{+-2 pi i v} from {v}; the rest by the
-    binomial expansion of (n + nu)^{-k} in nu/n, |nu/n| <= nu/2, which
-    reduces it to -e^{2 pi i nu v} (2 pi)^{-(k+1)} sum_j C(k+j-1, j) (-i
-    nu)^j phi'_{k+1+j}(v), phi' the periodic Bernoulli values without n =
-    +-1 (_phi_shifted): it converges at rate nu/2 for every nu in (0, 1).
-    Each k sums its j-series as one row of a (K x n) array, its columns and
-    coefficients from _shift_table, from one row of those values, left to
-    right from 0; the closed forms and the sum of the three parts are
-    Python's complex arithmetic, one k at a time.  What the n columns leave
-    out is below 1e-18 of each row's n = -1 term (_shift_table); the
-    rounding is not booked (no oscillatory far tail books its own), and
-    nu above _NU_MAX, where the rounding of the phase outgrows the bound, is
-    refused.
-    """
+    The terms n = +-1 in closed form, -e^{pi i nu} w_+-^k/(+-2 pi i), w_+- =
+    1/(2 pi i (nu +- 1)); the rest by the binomial expansion of (n + nu)^{-k}
+    in nu/n, |nu/n| <= nu/2, which reduces it to -e^{pi i nu} (2
+    pi)^{-(k+1)} sum_j C(k+j-1, j) (-i nu)^j phi'_{k+1+j} (_phi_shifted): it
+    converges at rate nu/2 for every nu in (0, 1).  Each k sums its j-series
+    as one row of a (K x n) array (_shift_table), left to right from 0; the
+    closed forms and the sum of the three parts are Python's complex
+    arithmetic, one k at a time.  What the n columns leave out is below
+    1e-18 of each row's n = -1 term; the rounding is not booked (no
+    oscillatory far tail books its own)."""
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
-    if nu > _NU_MAX:
-        raise ValueError(f"the shifted Fourier sums at nu = {nu:.6g} are refused above nu = {_NU_MAX}, where the rounding of their phase is not booked")
     n, coef = _shift_table(K, nu)
-    phi = np.lib.stride_tricks.sliding_window_view(_phi_shifted(K + n + 1, v), n)[:K]
+    phi = np.lib.stride_tricks.sliding_window_view(np.array([_phi_shifted(m) for m in range(2, K + n + 1)]), n)[:K]
     rest = np.add.accumulate(np.concatenate([np.zeros((K, 1)), coef * phi], axis=1), axis=1)[:, -1].tolist()
-    f, c0 = v - math.floor(v), 1.0 / (2j * math.pi)
-    phase, e1 = cmath.exp(2j * math.pi * nu * v), complex(math.cos(TWO_PI * f), math.sin(TWO_PI * f))
-    plus, minus, wp, wm, out = c0 * e1, c0 * e1.conjugate(), c0 / (1.0 + nu), c0 / (nu - 1.0), []
+    c0 = 1.0 / (2j * math.pi)
+    phase, plus, minus, wp, wm, out = cmath.exp(1j * math.pi * nu), -c0, -c0, c0 / (1.0 + nu), c0 / (nu - 1.0), []
     for k, a in zip(range(1, K + 1), rest):
         plus, minus = plus * wp, minus * wm
         out.append(phase * (plus - minus - TWO_PI ** (-(k + 1)) * a))
     return tuple(out)
+
+
+def _mid_kink(u: float, alpha: float) -> tuple[int, float]:
+    """N and the middle N + alpha + 1/2 of a kink interval of psi(u - alpha),
+    the first at or above u as a float: a u that is such a middle gives its
+    own N (a split at it walks nothing), whatever the rounding of u - alpha."""
+    n = math.ceil(u - alpha - 0.5)
+    n -= n - 1 + alpha + 0.5 >= u
+    n += n + alpha + 0.5 < u
+    return n, n + alpha + 0.5
 
 
 def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pieces) -> list[tuple[list[complex], list[float]]]:
@@ -930,36 +919,41 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
     to the cutoff (_osc_cutoff for None; a final one at or below x walks
     none), then the far tail by parts against the exponential, for a weighted
     tail per combined frequency n + nu, summed by shifted periodic-Bernoulli
-    series.  The cutoffs come first (a weighted one that reaches 2^52 is
-    refused); the caller's pieces and the kinks of psi(u - alpha) are charged
-    before the kinks are listed with a floor on each walk's panels, then with
-    every panel of every walk, the counts it walks (_panel_counts), before any
-    far tail is formed or any panel walked.  Each tail's panels are added to its far tail and remainders."""
-    walks, kinks, least, top = [], 0, 0.0, x  # each tail's exponent, kind, cutoff, derivative table, remainders and kinks
+    series from the middle N + alpha + 1/2 of its cutoff's kink interval
+    (_mid_kink; the cutoff's remainders fall with u) as e^{2 pi i nu N}
+    (_phase) times one table per nu; a pure one's phase at x0 is that of [x0]
+    times e^{2 pi i nu {x0}}.  The cutoffs come first (a weighted one that reaches 2^52 is refused); the
+    caller's pieces and the kinks of psi(u - alpha) are charged before the
+    kinks are listed with a floor on each walk's panels, then with every
+    panel of every walk, the counts it walks (_panel_counts), before any far
+    tail is formed or any panel walked.  Each tail's panels are added to its
+    far tail and remainders."""
+    walks, kinks, least, top = [], 0, 0.0, x  # each tail's exponent, kind, cutoff, its integer, derivative table, remainders and kinks
     for b, weighted, cut in tails:
         if b.real >= 0.0:
             raise ValueError("oscillatory tail requires Re(exponent) < 0")
         table, x0, rems = cut or _osc_cutoff(nu, b, rmax, x, weighted)
-        x0, top = max(x0, x), max(top, x0)
+        n, x0 = _mid_kink(max(x0, x), alpha) if weighted else (math.floor(max(x0, x)), max(x0, x))
+        top = max(top, x0)
         if weighted and not x0 < 2.0**52:
             raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
         first, count = _kinks(x, x0, alpha) if weighted and x0 > x else (0.0, 1)
-        walks.append((b, weighted, x0, table, rems, first, count))
+        walks.append((b, weighted, x0, n, table, rems, first, count))
         kinks, least = kinks + count - 1, least + (max(count, _panel_counts([x, x0], nu, b.imag)[0]) if x0 > x else 0.0)  # a panel per interval, one per level set
     _check_work(**pieces, kinks=kinks, panels=least)
     if top > x:
-        ends = [np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [x0])) for _, _, x0, _, _, first, count in walks]
+        ends = [np.concatenate(([x], first + np.arange(count - 1) + alpha if count > 1 else [], [x0])) for _, _, x0, _, _, _, first, count in walks]
         counts = [_panel_counts(e, nu, b.imag) for e, (b, *_) in zip(ends, walks)]
-        _check_work(**pieces, kinks=kinks, panels=sum(n.sum() for n in counts))
+        _check_work(**pieces, kinks=kinks, panels=sum(c.sum() for c in counts))
     sums = []
-    for i, (b, weighted, x0, table, rems, _, _) in enumerate(walks):
+    for i, (b, weighted, x0, n, table, rems, _, _) in enumerate(walks):
+        phase = complex(_phase(nu, n))
         if weighted:
-            vals = _far_tail(table, b, x0, [[(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, x0 - alpha, nu))]])[0].tolist()
+            row = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(_K_OSC, nu))]
         else:  # the by-parts terms (i/(2 pi nu))^k/i, the phase e^{2 pi i nu x0} and the sign taken
-            phase, r0 = cmath.exp(2j * math.pi * nu * x0), 1.0 / (2j * math.pi * nu)
+            phase, r0 = -phase * cmath.exp(2j * math.pi * nu * (x0 - n)), 1.0 / (2j * math.pi * nu)
             row = list(itertools.accumulate([-r0] * (_K_OSC - 1), operator.mul, initial=r0))
-            vals = [-(phase * t) for t in _far_tail(table, b, x0, [row])[0].tolist()]
-        sums.append((vals, list(rems)))
+        sums.append(([phase * t for t in _far_tail(table, b, x0, [row])[0].tolist()], list(rems)))
         if x0 > x:
             _gl_panels(*sums[-1], _walk(ends[i], nu, b.imag, counts[i]), nu, b, rmax, alpha if weighted else None)
     return sums

@@ -475,15 +475,21 @@ def test_non_finite_numbers_are_refused_at_parse_time(capsys, argv):
     assert "Traceback" not in captured.err and "not a finite number" in captured.err
 
 
-def test_shifted_sums_past_their_cap_exit_one_with_one_line(capsys):
-    # lambda = 0.999 lies past the shifted Fourier sums' cap of nu = 31/32:
-    # there the rounding of their phase, which no bound books, outgrows the
-    # bound (at rate nu the sums had reached their old cap of 4000 terms, and
-    # the value they gave was off by 1.4e-2 against a bound of 4.1e-9)
-    assert run(["eval", "--kind", "lerch", "--lambda", "0.999", "--alpha", "0.7", "--s", "0.5,10"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: the shifted Fourier sums at nu = 0.999 are refused above nu = 0.96875, where the rounding of their phase is not booked\n"
+def test_lambda_near_one_is_refused_by_the_work_budget_alone(capsys):
+    # the shifted Fourier sums hold at every nu < 1 (rate nu/2) and their
+    # phase is reduced exactly, so their cap of nu = 31/32 is gone: lambda =
+    # 0.999 answers (at rate nu the sums had reached their old cap of 4000
+    # terms, and the value they gave was off by 1.4e-2 against a bound of
+    # 4.1e-9), and closer to 1 the weighted tails' cutoff near 1/(1 - lambda)
+    # is refused by the work budget, then at 2^52, each with one line
+    argv = ["eval", "--kind", "lerch", "--alpha", "0.7", "--s", "0.5,10", "--json", "--lambda"]
+    assert run([*argv, "0.999"]) == 0
+    assert json.loads(capsys.readouterr().out)["error_bound"] < 1e-10
+    for lam, reason in (("0.999999", "beyond the work budget"), ("0.9999999999999999", "reaches 2^52")):
+        assert run([*argv, lam]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err and captured.err.count("\n") == 1, captured.err
 
 
 def test_overflow_exits_one_with_one_line(capsys):
@@ -953,7 +959,9 @@ def test_tail_log_power_is_capped(capsys):
 # default split and each case took in the exact value's error_bound; and the
 # lambda = 0.3 Lerch entries when the finite sum took its phase at every
 # lambda from the split lam_hi + lam_lo and the far tails' remainders came
-# from one recurrence, rounded up
+# from one recurrence, rounded up; the Lerch entries (`eval --kind lerch`,
+# `coeff --kind lerch`) and `tail --lambda` when every Lerch phase took that
+# one reduction and the weighted far tails started mid-kink
 GOLDEN_DIGESTS = [
     (["characters", "--q", "12"], "2e79c3688e64fe5b121c5bff7f0a832e8b64525734dd95a138390c1eef6942bd"),
     (["characters", "--q", "105"], "39a15d579e86692fa8595c00493199f70c13db28bf36a1b9dd4e78de1734bc60"),
@@ -988,7 +996,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "83fb09e84e4655726bc5d72594d9c6799574efb2b433084f0499762983bf786a",
+        "7bdf8a40cc561dc1b322c86b31572e47790c5ab1434918fbf7acac4b2c22f467",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -1000,7 +1008,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "0547e39fa3adc15de3a79eb642b03f2bce4d5c666c10a68855306d8d6f927b16",
+        "01868e4d22a8e5cb50630d0fed2623d4a96b2df0c816508f3d80a3c53cbd02f6",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -1014,7 +1022,7 @@ GOLDEN_DIGESTS = [
     # the panels became 16-node ones under a per-panel Bernstein bound
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "c34af1f5af8c40301a8e4a0fe2a163bcb377a43b751f5b6aaafb42758af0e7aa",
+        "549e9ca0712c7a7b90b6ba72f4f3735d6d00acf1b286051e45bc834a71c9780c",
     ),
     # recorded before the plain-tail march ran as one numpy kernel over rows x
     # segments: a march longer than one block, a batched complex exponent, the
@@ -1046,11 +1054,11 @@ GOLDEN_DIGESTS = [
     # and an L-function AFE with two dual-sum terms
     (
         ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
-        "655872541fb32f8dd2aa5098978500d8a2cd9874e3adf31c029dd9765e681224",
+        "1994ce1ae0d6afa5ef4686dea378a888f324bbedd2430859f4daa826b21f9b30",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
-        "1e3dd00e3c99e379715214693c80260e364c73c3751013cf0d904870dac21b1c",
+        "03afadc2dd4c55b0bdb97a5f268d414b29d2b2dd22d7255a4940b0412ca43600",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
@@ -1096,7 +1104,8 @@ def test_json_output_matches_golden_digest(capsys, argv, digest):
 # Lerch entries with those of the far-tail layer from one (k, r - i) table,
 # the `tail --lambda` entry with those of the 16-node panels, and the
 # lambda = 0.3 Lerch entries with those of the one Lerch phase path and the
-# remainders' recurrence; the coeff entries, one per kind, and their --csv
+# remainders' recurrence, and again, with `tail --lambda`, with those of
+# the one reduction of every Lerch phase; the coeff entries, one per kind, and their --csv
 # twins in CSV_DIGESTS were recorded before the character values and the
 # work prices each moved behind one module, the coeff --kind lerch pair
 # re-recorded with the Lerch entries
@@ -1105,7 +1114,7 @@ TEXT_DIGESTS = [
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "17623c5c2990e2fe381dd1242d21e23b3c3eb2bfa5b983686dcf5b772cd9b936",
+        "6ddaec5e9dd77d5e15f9f6016ffdf3033780eb9f95bc8379843d6f97c1d7a563",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -1117,13 +1126,13 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "06ce600f7ced21b1f93fca2ae43351bc198cdfb577f5298f1cff591ca1133fc1",
+        "9161a574ffdd6a69c79cc8d107c518fb33711668702bdb07f0bfbab174483c8c",
     ),
     (["coeff", "--kind", "gamma", "--alpha", "0.3", "--r-max", "3"], "4761621e14dfba3227a1ab46e6e7640896f39c00a8a5c4ef113fbbefefcae1fd"),
     (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3"], "e49c5254d63d71e8d20ff45bb72677ae81402e11161caa4e241024998ef7b903"),
     (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3"], "52a6e49b36da888cf5f458658f8992f9382468e5d78edd6a4d2b38ea3b2499bc"),
     (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3"], "96806e097a2020456c3f6d5ca4e4267c470d1a44481cbf339070c545fc4e3570"),
-    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3"], "e789d28d447e767a366995939dedb686f3637fe2ba5150dbfe9888cf6f36096e"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3"], "294893e3695d5fac61599ea425fe88378dd710ddcf69e8524493b10595d7d171"),
     (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3"], "a0b7b6f3e13a1b18fef338b17b87cd93a46bad6f57cdddd88c34cbb59460e34c"),
 ]
 
@@ -1132,7 +1141,7 @@ CSV_DIGESTS = [
     (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3", "--csv"], "7072353a83431ea340d27e76e0b935ee8bcf3cac5ea69c296eb5347e6c0915cd"),
     (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3", "--csv"], "d4ce71704694cac3b2bd77839d9688eafe059f686ef38d6a9107d46b266fc003"),
     (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3", "--csv"], "c1692813fa5208d13a8271f28db57f7cbe31d47854b53a178b894d3a0be89749"),
-    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3", "--csv"], "64f051bc5fb3753b34b953630bb88b8ae790627196f63a56ed3f4e6ad9520281"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3", "--csv"], "0f891213a4a7dba0420f02a170da7604ca8798fdde0d4419d664c310fcd28b79"),
     (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3", "--csv"], "23a809a1dfd23d845ddceecb72eb86838e5e6afed186891b3e1ab62d0dac65bc"),
 ]
 

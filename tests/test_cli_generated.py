@@ -34,7 +34,7 @@ from zetalab.characters import character
 from .oracles import l_at_one_oracle, l_oracle, z_oracle
 
 # 0, the subnormal ulp and its negative, a tiny normal, 1 and its neighbours,
-# the shift sums' cap 31/32, beyond the order cap, -1, a long split, overflow
+# the shift sums' former cap 31/32, beyond the order cap, -1, a long split, overflow
 FLOATS = ["0", "5e-324", "-5e-324", "1e-300", "0.5", "1", "0.9999999999999999", "1.0000000000000002", "0.96875", "2", "25", "-1", "1e7", "1e300"]
 # Im(s): small t, a t = 1e7 that every route refuses before its work, and the
 # overflow that is refused at once
@@ -177,6 +177,16 @@ def _run_child(argvs, limit: int | None = None):
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
     *lines, peak = proc.stdout.splitlines()
     return [json.loads(line) for line in lines], int(peak) * 1024
+
+
+def test_out_of_memory_is_a_one_line_refusal():
+    # 4 MiB above the address space of listing the characters mod 3, the q =
+    # 2003 listing runs out in characters._log_table (numpy's
+    # _ArrayMemoryError, a MemoryError) while its document is written: one
+    # error line and exit 1 where it used to end in a traceback
+    _, base = _run_child([["characters", "--q", "3"]])
+    ((status, size, err),), _ = _run_child([["characters", "--q", "2003", "--json"]], base + (4 << 20))
+    assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @settings(max_examples=1, derandomize=True, database=None, deadline=None)

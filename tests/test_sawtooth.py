@@ -412,12 +412,17 @@ def test_eval_result_validates_bound():
 
 
 def test_psi_fourier_shift_cache_stays_bounded():
-    # every alpha adds a fresh float key: 300 calls ask for more entries than the bound;
-    # an entry holds the K = 16 sums of one cutoff, so 256 entries hold 4096 sums
+    # one entry of K = 16 sums per oscillation nu: 300 shifts alpha at one
+    # lambda (each was a fresh cutoff, and so a fresh key) add one entry, and
+    # every lambda a fresh float key, 200 of them more than the bound
+    _psi_fourier_shift_sums.cache_clear()
     for i in range(300):
         lerch_deriv(LerchArgs(lam=0.3, alpha=0.1 + i / 400, s=complex(1.5, 0.0), order=1))
+    assert _psi_fourier_shift_sums.cache_info().currsize == 1
+    for i in range(200):
+        lerch_deriv(LerchArgs(lam=0.05 + (i + 1) / 250, alpha=0.7, s=complex(1.5, 0.0), order=1))
     info = _psi_fourier_shift_sums.cache_info()
-    assert info.maxsize == 256
+    assert info.maxsize == 128
     assert info.misses > info.maxsize and info.currsize <= info.maxsize
 
 
@@ -1013,43 +1018,39 @@ def ref_shift_columns(K: int, nu: float) -> int:
     return j + 1
 
 
-def ref_phi_shifted(m: int, v: float) -> float:
-    """-sum_{|n|>=2} e^{2 pi i n v}/(i n)^m at one order and point: up to m =
-    14 (2 pi)^m B_m({v})/m! + 2 cos(2 pi v - pi m/2), else its terms n = 2,
-    3, ... while n^{-m} >= 1e-20 and n <= 64 subtracted from 0 in turn; each
-    cosine at 2 pi n {v}, cos(x - pi m/2) as cos x, sin x, -cos x, -sin x."""
-    f = v - math.floor(v)
-
-    def quarter(n: int) -> float:
-        x = sawtooth.TWO_PI * float(n) * f
-        return [math.cos(x), math.sin(x), -math.cos(x), -math.sin(x)][m % 4]
-
+def ref_phi_shifted(m: int) -> float:
+    """-sum_{|n|>=2} (-1)^n/(i n)^m at one order, 0 at odd m: up to m = 14,
+    (2 pi)^m B_m(1/2)/m! - 2 cos(pi m/2), else its terms 2 (-1)^{n+1} cos(pi
+    m/2)/n^m, n = 2, 3, ... while n^{-m} >= 1e-20 and n <= 64, added to 0 in
+    turn; cos(pi m/2) exact, 1 or -1 by m mod 4."""
+    if m % 2:
+        return 0.0
+    c = 2.0 * (1.0 if m % 4 == 0 else -1.0)
     if m <= 14:
-        return ref_tail_coefficient(m, f) * ((-1.0) ** (m - 1) * sawtooth.TWO_PI**m) + 2.0 * quarter(1)
+        return ref_tail_coefficient(m, 0.5) * ((-1.0) ** (m - 1) * sawtooth.TWO_PI**m) - c
     acc, n = 0.0, 2
     while n <= 64 and (n == 2 or n ** (-m) >= 1e-20):
-        acc -= 2.0 * quarter(n) / float(n**m)
+        acc += c * (-1.0) ** (n + 1) / float(n**m)
         n += 1
     return acc
 
 
-def ref_psi_fourier_shift_sum(k: int, v: float, nu: float, K: int) -> complex:
-    """Psi_k(v, nu) one term at a time: the j-series of the terms |n| >= 2 to
-    the column count of K rows, added to 0 in turn, and the terms n = +-1 by
-    k products each."""
+def ref_psi_fourier_shift_sum(k: int, nu: float, K: int) -> complex:
+    """Psi_k(1/2, nu) one term at a time: the j-series of the terms |n| >= 2
+    to the column count of K rows, added to 0 in turn, and the terms n = +-1
+    by k products each."""
     acc, binom, zj = 0j, 1.0, 1.0 + 0.0j
     for j in range(ref_shift_columns(K, nu)):
         if j:
             binom *= (k + j - 1) / j
             zj *= -1j * nu
-        acc += binom * zj * ref_phi_shifted(k + 1 + j, v)
-    f, c0 = v - math.floor(v), 1.0 / (2j * math.pi)
-    e1 = complex(math.cos(sawtooth.TWO_PI * f), math.sin(sawtooth.TWO_PI * f))
-    plus, minus = c0 * e1, c0 * e1.conjugate()
+        acc += binom * zj * ref_phi_shifted(k + 1 + j)
+    c0 = 1.0 / (2j * math.pi)
+    plus, minus = -c0, -c0  # e^{+-2 pi i/2} = -1
     for _ in range(k):
         plus *= c0 / (1.0 + nu)
         minus *= c0 / (nu - 1.0)
-    return cmath.exp(2j * math.pi * nu * v) * (plus - minus - sawtooth.TWO_PI ** (-(k + 1)) * acc)
+    return cmath.exp(1j * math.pi * nu) * (plus - minus - sawtooth.TWO_PI ** (-(k + 1)) * acc)
 
 
 def _panel_walk(x: float, panels: int, nu: float, alpha: float | None, rng) -> list[float]:
@@ -1081,36 +1082,49 @@ def test_panels_match_the_one_panel_loop_bit_for_bit(panels, weighted):
 
 
 def test_shift_sums_match_the_per_k_sums_bit_for_bit():
-    # up to nu = 31/32, past the old cap of 4000 terms at rate nu (nu above
-    # about 0.965); beyond it the sums are refused (_NU_MAX)
-    rng = np.random.default_rng(31)
+    # at rate nu/2 up to the float below 1 (the old cap of 4000 terms at rate
+    # nu refused nu above about 0.965, and nu above 31/32 was refused until
+    # the sums were taken at v = 1/2 alone)
     K = sawtooth._K_OSC
-    for nu in (0.05, 0.3, 0.5, 0.9, 31 / 32, 0.999):
-        for v in [0.0, 0.5, 12.25] + rng.uniform(-3.0, 5000.0, 3).tolist():
-            if nu == 0.999:
-                with pytest.raises(ValueError, match="refused above nu = 0.96875"):
-                    sawtooth._psi_fourier_shift_sums(K, v, nu)
-                with pytest.raises(ValueError, match=r"need nu in \(0, 1\)"):
-                    sawtooth._psi_fourier_shift_sums(K, v, 1.0)
-                continue
-            got = sawtooth._psi_fourier_shift_sums(K, v, nu)
-            want = tuple(ref_psi_fourier_shift_sum(k, v, nu, K) for k in range(1, K + 1))
-            assert repr(got) == repr(want)
+    for nu in (0.05, 0.3, 0.5, 0.9, 31 / 32, 255 / 256, 0.999, math.nextafter(1.0, 0.0)):
+        got = sawtooth._psi_fourier_shift_sums(K, nu)
+        want = tuple(ref_psi_fourier_shift_sum(k, nu, K) for k in range(1, K + 1))
+        assert repr(got) == repr(want)
+    for nu in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"need nu in \(0, 1\)"):
+            sawtooth._psi_fourier_shift_sums(K, nu)
 
 
-@pytest.mark.parametrize("nu", [1 / 16, 1 / 2, 15 / 16, 31 / 32])
+@pytest.mark.parametrize("nu", [1 / 16, 1 / 2, 15 / 16, 255 / 256])
 def test_shift_sums_hold_against_mpmath(nu):
-    # every Psi_k, k = 1..16, within 1e-13 of its modulus of a 40-digit sum by
-    # Hurwitz zeta values at a rational v (oracles.shift_sum_oracle); v small
-    # enough that the phase e^{2 pi i nu v}, rounded by eps 2 pi nu v, stays below that
+    # Psi_k(N + 1/2, nu) = e^{2 pi i nu N} Psi_k(1/2, nu), k = 1..16, within
+    # 1e-13 of its modulus of a 40-digit sum by Hurwitz zeta values at v = N +
+    # 1/2 (oracles.shift_sum_oracle), the phase from _phase's exact
+    # reduction: e^{2 pi i nu v} taken at the rounded v erred by about 7e-11
+    # at N = 10^5
     from .oracles import shift_sum_oracle
 
     K = sawtooth._K_OSC
-    for v in (Fraction(3, 8), Fraction(31, 4), Fraction(97, 8), Fraction(77, 4)):
-        got = sawtooth._psi_fourier_shift_sums(K, float(v), nu)
-        want = shift_sum_oracle(K, v, nu)
+    for n in (0, 12, 10**3, 10**5):
+        phase = complex(sawtooth._phase(nu, n))
+        got = [phase * p for p in sawtooth._psi_fourier_shift_sums(K, nu)]
+        want = shift_sum_oracle(K, Fraction(2 * n + 1, 2), nu)
         for k in range(1, K + 1):
-            assert abs(got[k - 1] - complex(want[k - 1])) <= 1e-13 * abs(want[k - 1]), (v, k)
+            assert abs(got[k - 1] - complex(want[k - 1])) <= 1e-13 * abs(want[k - 1]), (n, k)
+
+
+def test_phase_is_the_kernels_phase_bit_for_bit():
+    # the one reduction of every Lerch phase, at k up to the 1.6e7 terms of
+    # the work budget: as an array and one k at a time, bit for bit the
+    # phase of the finite-sum kernel's reference (ref_progression_sum)
+    rng = np.random.default_rng(40)
+    k = np.concatenate([np.arange(0.0, 40.0), rng.integers(0, 16_000_001, 200).astype(float), [2.0**24 - 1.0, 1.6e7]])
+    for lam in [p / 16 for p in range(1, 16)] + [0.3, 1e-6, 255 / 256, math.nextafter(1.0, 0.0)] + rng.uniform(0.0, 1.0, 5).tolist():
+        lam_hi = math.floor(lam * 2.0**26) / 2.0**26
+        want = np.exp(2j * np.pi * (lam_hi * k % 1.0 + (lam - lam_hi) * k))
+        got = sawtooth._phase(lam, k)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), lam
+        assert [complex(sawtooth._phase(lam, int(j))) for j in k[::10]] == got[::10].tolist(), lam
 
 
 def test_shift_columns_match_the_scan_of_every_column():
@@ -1190,8 +1204,8 @@ def test_plain_tail_charges_each_interval_before_it_is_integrated(monkeypatch):
         assert events[i - 1] == {"interval": rows * (hi - lo)}
 
 
-def _per_k_shift_sums(K, v, nu):
-    return tuple(ref_psi_fourier_shift_sum(k, v, nu, K) for k in range(1, K + 1))
+def _per_k_shift_sums(K, nu):
+    return tuple(ref_psi_fourier_shift_sum(k, nu, K) for k in range(1, K + 1))
 
 
 @pytest.mark.parametrize(
@@ -1222,7 +1236,9 @@ def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, ro
 def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     """psi_osc_tail_powers as it ran with its own cutoff loop and its break
     points from ref_psi_breaks, each interval between them cut by its phase;
-    the panels are added to the far tail and its remainders."""
+    the cutoff's remainders, and the far tail from the first middle n + alpha
+    + 1/2 of a kink interval at or above it (its phase e^{2 pi i nu n}), to
+    which the panels are added."""
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
@@ -1230,9 +1246,12 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     sk = _osc_remainder_const(nu)
     while max(ref_far_remainders(rows, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
-    coeffs = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, x0 - alpha, nu))]
-    vals, errs = ref_far_tail(rows, b, x0, [coeffs])[0].tolist(), ref_far_remainders(rows, b, x0, sk)
-    ends = ref_psi_breaks(x, x0, alpha)
+    n = math.floor(x0 - alpha) - 1
+    while n + alpha + 0.5 < x0:
+        n += 1
+    coeffs, phase = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, nu))], complex(sawtooth._phase(nu, n))
+    vals, errs = [phase * t for t in ref_far_tail(rows, b, n + alpha + 0.5, [coeffs])[0].tolist()], ref_far_remainders(rows, b, x0, sk)
+    ends = ref_psi_breaks(x, n + alpha + 0.5, alpha)
     sawtooth._gl_panels(vals, errs, sawtooth._walk(ends, nu, b.imag, sawtooth._panel_counts(ends, nu, b.imag)), nu, b, rmax, alpha)
     return vals, errs
 
@@ -1245,9 +1264,10 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 - 5e-14),  # within 1e-13 of a kink, below
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 + 5e-14),  # and above
         (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # just beyond the 1e-12 margin
-        (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: the cutoff x0 = 12 sits on a kink
+        (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: the cutoff 12 sits on a kink, the far tail at 12.5
         (0.9, 1e-9, complex(-0.5, 40.0), 4, 0.5),
-        (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # x0 = x: no panel
+        (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # past the cutoff: the walk to the middle 4501 alone
+        (0.125, 0.5, complex(-1.2, 2.0), 3, 4501.0),  # x0 = x, a middle: no panel
         (0.7, 0.3, complex(-1.5, 2000.0), 0, 160.0),  # a walk longer than one panel block
     ],
 )
@@ -1258,10 +1278,11 @@ def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
 @pytest.mark.parametrize(
     "nu, alpha, s, rmax, x",
     [
-        (0.3, 0.7, complex(0.5, 300.0), 2, 3.0),  # weighted cutoffs 1178.7 and 589.3
-        (0.875, 0.727297, complex(1.825026, 716.331486), 4, 31.605887),  # 3780.675 and 3780.692
+        (0.3, 0.7, complex(0.5, 300.0), 2, 3.0),  # weighted cutoffs 1178.7 and 589.3, far tails at 1179.2 and 590.2
+        (0.875, 0.727297, complex(1.825026, 716.331486), 4, 31.605887),  # 3780.675 and 3780.692, both at 3781.227297
         (0.5, 0.25, complex(0.5, 1000.0), 1, 1.0),
-        (0.125, 0.5, complex(1.2, 2.0), 3, 4500.25),  # no panel
+        (0.125, 0.5, complex(1.2, 2.0), 3, 4500.25),  # the weighted tails walk to the middle 4501 alone
+        (0.125, 0.5, complex(1.2, 2.0), 3, 4501.0),  # no panel
     ],
 )
 def test_the_lerch_tails_of_one_call_are_each_its_walk_alone(nu, alpha, s, rmax, x):
@@ -1283,9 +1304,10 @@ def test_bernoulli_rows_hold_against_mpmath():
     # the plain far tail's coefficients (-1)^{m-1} B_m({v})/m!, m = 2..14, from
     # one polynomial pass over all entries at once, within their booked
     # rounding (_tail_coeff_bounds, v exact here) of 40-digit B_m({v})/m!;
-    # and the series without n = +-1 of the shift sums, m = 2..40, within the
-    # rounding of its pieces: below 15 that of the pass, scaled, and of the
-    # cosine; from 15 on, each term 2 cos(2 pi n {v} - pi m/2)/n^m by eps (2 pi n + 4)
+    # and the series without n = +-1 of the shift sums at v = 1/2, m = 2..40,
+    # within the rounding of its pieces: below 15 that of the pass, scaled,
+    # and of the cosine; from 15 on, each term 2 cos(2 pi n/2 - pi m/2)/n^m by
+    # eps (2 pi n + 4)
     eps, two_pi = sawtooth._EPS, sawtooth.TWO_PI
     rng = np.random.default_rng(13)
     v = np.concatenate([rng.uniform(-3.0, 5000.0, 60), [0.0, -0.25, 0.5, 0.25 - 2.0**-60, 2.0**40 + 0.75]])
@@ -1296,14 +1318,15 @@ def test_bernoulli_rows_hold_against_mpmath():
             for m in range(2, 15):
                 want = (-1) ** (m - 1) * mp.bernpoly(m, f) / mp.factorial(m)
                 assert abs(rows[m - 2, j] - want) <= coeff[m - 2] * eps, (m, x)
-            got = sawtooth._phi_shifted(41, x)
-            for m in range(2, 41):
-                want = (2 * mp.pi) ** m * mp.bernpoly(m, f) / mp.factorial(m) + 2 * mp.cos(2 * mp.pi * f - mp.pi * m / 2)
-                if m < 15:
-                    bound = (coeff[m - 2] * two_pi**m + 2.0 * (two_pi + 4.0)) * eps
-                else:
-                    bound = sum(2.0 * (two_pi * n + 4.0) * n ** -float(m) for n in range(2, 65)) * eps + 2e-20
-                assert abs(got[m - 2] - want) <= bound, (m, x)
+        f = mp.mpf(1) / 2
+        for m in range(2, 41):
+            got = sawtooth._phi_shifted(m)
+            want = (2 * mp.pi) ** m * mp.bernpoly(m, f) / mp.factorial(m) + 2 * mp.cos(2 * mp.pi * f - mp.pi * m / 2)
+            if m < 15:
+                bound = (coeff[m - 2] * two_pi**m + 2.0 * (two_pi + 4.0)) * eps
+            else:
+                bound = sum(2.0 * (two_pi * n + 4.0) * n ** -float(m) for n in range(2, 65)) * eps + 2e-20
+            assert abs(got - want) <= bound, m
 
 
 @pytest.mark.parametrize("b, rmax, q", [(complex(-1.5, -1000.0), 1, 1), (complex(-1.5, -10.0), 24, 1), (-2.0, 1, 12), (complex(-1.05, 300.0), 8, 7)])

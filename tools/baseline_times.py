@@ -50,11 +50,16 @@ new request fills (the derivative tables, the shift sums) cleared first:
     _tail_cutoff s=0.5+30i    sawtooth._tail_cutoff at one class, alpha = 0.3,
     _tail_cutoff r=20         b = -s-1, s = 0.5+30i, r = 2 and r = 20: the
                               plain tail's cutoff search and its far tails
-    shift sums nu=1/16        sawtooth._psi_fourier_shift_sums(16, 123.3, nu)
-    shift sums nu=12/16
-    shift sums nu=15/16
+    shift sums nu=1/16        sawtooth._psi_fourier_shift_sums(16, nu): the one
+    shift sums nu=12/16       table of a nu that every sawtooth-weighted far
+    shift sums nu=15/16       tail of that nu reads
     lerch_deriv 15/16 t=30    lerch_deriv at the default split, lambda = 15/16,
                               alpha = 0.7, s = 0.5+30i, r = 1
+    lerch_deriv 15/16 t=1000 r=2
+                              the same at s = 0.5+1000i, r = 2
+    lerch_deriv 255/256 r=1   the same at lambda = 255/256, s = 0.5, r = 1,
+                              which checkouts before the shift sums held for
+                              every nu refuse
 
 and whole CLI requests, zetalab.cli.run in process with its report captured
 (so the parse and the JSON rendering count; only the public run is read, so
@@ -75,7 +80,9 @@ the rows time any checkout):
                               --json (the slowest eval-fixed-split pool request)
 
 Run it from the root of a checkout, or give the root of another checkout
-to time that one (so that two commits are timed in the same window):
+to time that one (so that two commits are timed in the same window); a row
+that the checkout refuses, or whose private call it does not have, prints
+its error in place of a time:
 
     python3 tools/baseline_times.py                    # this checkout, best of 5
     python3 tools/baseline_times.py ../other --repeat 10
@@ -171,10 +178,12 @@ def main(argv: list[str]) -> int:
         ("deriv table r=20", fresh(lambda: _deriv_table(complex(-1.5, -30.0), 20, 16, -1.0))),
         ("_tail_cutoff s=0.5+30i", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 2))),
         ("_tail_cutoff r=20", fresh(lambda: _tail_cutoff([0.3], complex(-1.5, -30.0), 20))),
-        ("shift sums nu=1/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 1.0 / 16.0))),
-        ("shift sums nu=12/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 12.0 / 16.0))),
-        ("shift sums nu=15/16", fresh(lambda: _psi_fourier_shift_sums(16, 123.3, 15.0 / 16.0))),
+        ("shift sums nu=1/16", fresh(lambda: _psi_fourier_shift_sums(16, 1.0 / 16.0))),
+        ("shift sums nu=12/16", fresh(lambda: _psi_fourier_shift_sums(16, 12.0 / 16.0))),
+        ("shift sums nu=15/16", fresh(lambda: _psi_fourier_shift_sums(16, 15.0 / 16.0))),
         ("lerch_deriv 15/16 t=30", fresh(lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 30.0), order=1)))),
+        ("lerch_deriv 15/16 t=1000 r=2", fresh(lambda: lerch_deriv(LerchArgs(lam=15.0 / 16.0, alpha=0.7, s=complex(0.5, 1000.0), order=2)))),
+        ("lerch_deriv 255/256 r=1", fresh(lambda: lerch_deriv(LerchArgs(lam=255.0 / 256.0, alpha=0.7, s=complex(0.5, 0.0), order=1)))),
         ("cli eval hurwitz s=2", request("eval", "--kind", "hurwitz", "--s", "2,0", "--json")),
         (
             "cli eval lerch t=52.8",
@@ -190,7 +199,10 @@ def main(argv: list[str]) -> int:
         ),
     ]
     for name, fn in rows:
-        print(f"{name:32s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
+        try:
+            print(f"{name:32s} {_best(fn, args.repeat) * 1e3:9.2f} ms", flush=True)
+        except (TypeError, ValueError) as exc:
+            print(f"{name:32s} {'-':>9}    {type(exc).__name__}: {exc}", flush=True)
     return 0
 
 
