@@ -121,14 +121,14 @@ _LISTING_BLOCK = 256  # characters whose value table the listing holds at once
 
 def _cmd_characters(args) -> tuple[int, Iterable[str]]:
     q = args.q
-    kexps = characters._exponents(q)  # the refusals, before the first byte
+    kexps = characters._exponents(q)  # the refusals before the first byte, as is the first block below (next), which may run out of memory
     labels, conductors, parities = map(np.ndarray.tolist, characters._fields(q, kexps))
     # the entries of a row of the log table index the E + 1 distinct values of
     # roots (the trailing 0 read by the non-units): each is formatted once
     roots = characters._unit_group(q).roots.tolist()
     cells = np.array([_fmt_complex(z) if args.json else f"({z.real:+.3f},{z.imag:+.3f})" for z in roots], dtype=object)
     blocks = (cells[characters._log_table(q, kexps[i : i + _LISTING_BLOCK])].tolist() for i in range(0, len(kexps), _LISTING_BLOCK))
-    rows = zip(labels, conductors, parities, chain.from_iterable(blocks))  # a label is its row's index
+    rows = zip(labels, conductors, parities, chain.from_iterable(chain([next(blocks)], blocks)))  # a label is its row's index
     if args.json:
         # the writer's own text of the document, with a null in each slot of its list, and of a row
         head, sep, tail = render_json({"command": "characters", "q": q, "characters": [None, None]}).split("null")

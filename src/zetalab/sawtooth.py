@@ -196,7 +196,6 @@ def _bernoulli_rows(v: np.ndarray) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=256)  # one entry per order: the shift sums of every nu read orders below K + 111
 def _phi_shifted(m: int) -> float:
     """-sum_{|n|>=2} (-1)^n/(i n)^m = (2 pi)^m B_m(1/2)/m! - 2 cos(pi m/2), the
     periodic Bernoulli function at 1/2 (where e^{2 pi i n/2} = (-1)^n)
@@ -816,6 +815,7 @@ def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: comple
 
 
 _K_OSC = 16  # deep by-parts keeps the quadrature cutoff (and its rounding) small
+_PHI_HALF = _frozen(np.array([_phi_shifted(m) for m in range(2, _K_OSC + 161)]))[0]  # every order m the shift sums read (_shift_table's n <= 160)
 
 
 def _osc_cutoff(nu: float, b: complex, rmax: int, x: float, weighted: bool, final: bool = False):
@@ -882,7 +882,7 @@ def _psi_fourier_shift_sums(K: int, nu: float) -> tuple[complex, ...]:
     The terms n = +-1 in closed form, -e^{pi i nu} w_+-^k/(+-2 pi i), w_+- =
     1/(2 pi i (nu +- 1)); the rest by the binomial expansion of (n + nu)^{-k}
     in nu/n, |nu/n| <= nu/2, which reduces it to -e^{pi i nu} (2
-    pi)^{-(k+1)} sum_j C(k+j-1, j) (-i nu)^j phi'_{k+1+j} (_phi_shifted): it
+    pi)^{-(k+1)} sum_j C(k+j-1, j) (-i nu)^j phi'_{k+1+j} (_PHI_HALF): it
     converges at rate nu/2 for every nu in (0, 1).  Each k sums its j-series
     as one row of a (K x n) array (_shift_table), left to right from 0; the
     closed forms and the sum of the three parts are Python's complex
@@ -892,7 +892,7 @@ def _psi_fourier_shift_sums(K: int, nu: float) -> tuple[complex, ...]:
     if not 0.0 < nu < 1.0:
         raise ValueError("shifted Fourier sums need nu in (0, 1)")
     n, coef = _shift_table(K, nu)
-    phi = np.lib.stride_tricks.sliding_window_view(np.array([_phi_shifted(m) for m in range(2, K + n + 1)]), n)[:K]
+    phi = np.lib.stride_tricks.sliding_window_view(_PHI_HALF[: K + n - 1], n)[:K]
     rest = np.add.accumulate(np.concatenate([np.zeros((K, 1)), coef * phi], axis=1), axis=1)[:, -1].tolist()
     c0 = 1.0 / (2j * math.pi)
     phase, plus, minus, wp, wm, out = cmath.exp(1j * math.pi * nu), -c0, -c0, c0 / (1.0 + nu), c0 / (nu - 1.0), []
@@ -913,32 +913,33 @@ def _mid_kink(u: float, alpha: float) -> tuple[int, float]:
 
 
 def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pieces) -> list[tuple[list[complex], list[float]]]:
-    """Values and bounds, m = 0..rmax, of the tail from x of each (b,
-    weighted, cutoff) of tails: of e^{2 pi i nu u} u^b log^m u, or if
-    weighted of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u.  Panels
-    to the cutoff (_osc_cutoff for None; a final one at or below x walks
-    none), then the far tail by parts against the exponential, for a weighted
-    tail per combined frequency n + nu, summed by shifted periodic-Bernoulli
-    series from the middle N + alpha + 1/2 of its cutoff's kink interval
-    (_mid_kink; the cutoff's remainders fall with u) as e^{2 pi i nu N}
-    (_phase) times one table per nu; a pure one's phase at x0 is that of [x0]
-    times e^{2 pi i nu {x0}}.  The cutoffs come first (a weighted one that reaches 2^52 is refused); the
-    caller's pieces and the kinks of psi(u - alpha) are charged before the
-    kinks are listed with a floor on each walk's panels, then with every
-    panel of every walk, the counts it walks (_panel_counts), before any far
-    tail is formed or any panel walked.  Each tail's panels are added to its
-    far tail and remainders."""
+    """Values and bounds, m = 0..rmax, of the tail from x of each (b, weighted,
+    cutoff) of tails: of e^{2 pi i nu u} u^b log^m u, or if weighted of psi(u
+    - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u.  Panels to the cutoff
+    (_osc_cutoff for None; a final one at or below x walks none), then the far
+    tail by parts against the exponential, for a weighted tail per combined
+    frequency n + nu, summed by shifted periodic-Bernoulli series from a
+    middle N + alpha + 1/2 of a kink interval, the first at or above x and the
+    cutoff less 1 (_mid_kink: the one below the cutoff where x allows, a
+    shorter walk), as e^{2 pi i nu N} (_phase) times one table per nu, its
+    remainders taken there; a pure one's phase at x0 is that of [x0] times
+    e^{2 pi i nu {x0}}.  The cutoffs come first (a weighted one that reaches
+    2^52 is refused); the caller's pieces and the kinks of psi(u - alpha) are
+    charged before the kinks are listed with a floor on each walk's panels,
+    then with every panel of every walk, the counts it walks (_panel_counts),
+    before any far tail is formed or any panel walked.  Each tail's panels are
+    added to its far tail and remainders."""
     walks, kinks, least, top = [], 0, 0.0, x  # each tail's exponent, kind, cutoff, its integer, derivative table, remainders and kinks
     for b, weighted, cut in tails:
         if b.real >= 0.0:
             raise ValueError("oscillatory tail requires Re(exponent) < 0")
         table, x0, rems = cut or _osc_cutoff(nu, b, rmax, x, weighted)
-        n, x0 = _mid_kink(max(x0, x), alpha) if weighted else (math.floor(max(x0, x)), max(x0, x))
+        n, x0 = _mid_kink(max(x0 - 1.0, x), alpha) if weighted else (math.floor(max(x0, x)), max(x0, x))
         top = max(top, x0)
         if weighted and not x0 < 2.0**52:
             raise ValueError(f"the tail from u = {x0:.6g} reaches 2^52, where the shift alpha and the phase 2 pi nu u are lost to rounding")
         first, count = _kinks(x, x0, alpha) if weighted and x0 > x else (0.0, 1)
-        walks.append((b, weighted, x0, n, table, rems, first, count))
+        walks.append((b, weighted, x0, n, table, _far_remainders(table, b, x0, _osc_remainder_const(nu)) if weighted else rems, first, count))
         kinks, least = kinks + count - 1, least + (max(count, _panel_counts([x, x0], nu, b.imag)[0]) if x0 > x else 0.0)  # a panel per interval, one per level set
     _check_work(**pieces, kinks=kinks, panels=least)
     if top > x:

@@ -388,13 +388,16 @@ def _hurwitz_deriv_oracle(s: complex, j: int, d: int, alpha: float, k: int, dps:
         return mp.zeta(mp.mpc(s.real, s.imag), beta, k)
 
 
-def lerch_oracle(s: complex, lam: Fraction, alpha: float, r: int, dps: int = 30):
+def lerch_oracle(s: complex, lam: Fraction, alpha: float, r: int, dps: int = 30, d: int | None = None):
     """phi^{(r)}(lam, alpha, s) for rational lam = p/d in (0, 1) as an mpmath
     number: sum_j e^{2 pi i p j/d} d^{-s} zeta(s, (j + alpha)/d), differentiated
     by Leibniz.  At s = 1 the poles cancel (sum_j e^{2 pi i p j/d} = 0), so the
     regular parts stand in.  mpmath.lerchphi is not used: at 30 digits it is
-    off by 2e-6 at t = 100."""
-    p, d = lam.numerator, lam.denominator
+    off by 2e-6 at t = 100.  d may be any multiple of lam's denominator (by
+    default that denominator): every lam of one d shares its Hurwitz values."""
+    d = d or lam.denominator
+    p = lam.numerator * d // lam.denominator
+    assert p == lam * d, (lam, d)
     with mp.workdps(dps):
         sm, ld = mp.mpc(s.real, s.imag), mp.log(d)
         return d**-sm * mp.fsum(

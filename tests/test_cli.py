@@ -996,7 +996,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "4"],
-        "7bdf8a40cc561dc1b322c86b31572e47790c5ab1434918fbf7acac4b2c22f467",
+        "8c09662af2e9c091cac3dd49e988e87c249a69eb97360b180649037f56aecc19",
     ),
     (
         ["eval", "--kind", "hurwitz", "--s", "0.5,10", "--alpha", "0.3", "--r", "2"],
@@ -1008,7 +1008,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "01868e4d22a8e5cb50630d0fed2623d4a96b2df0c816508f3d80a3c53cbd02f6",
+        "8d0946b875d49a407dc749bb5ce12d4eb66c4794c55a1368c0130f325c5d4479",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -1022,7 +1022,7 @@ GOLDEN_DIGESTS = [
     # the panels became 16-node ones under a per-panel Bernstein bound
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "549e9ca0712c7a7b90b6ba72f4f3735d6d00acf1b286051e45bc834a71c9780c",
+        "6fc788ecc21e1e2edc4fe48f1edaaa828bf904dc9cf98ad10801f8e789999fe5",
     ),
     # recorded before the plain-tail march ran as one numpy kernel over rows x
     # segments: a march longer than one block, a batched complex exponent, the
@@ -1054,11 +1054,11 @@ GOLDEN_DIGESTS = [
     # and an L-function AFE with two dual-sum terms
     (
         ["eval", "--kind", "lerch", "--s", "0.5,1000", "--lambda", "0.3", "--alpha", "0.7", "--r", "1"],
-        "1994ce1ae0d6afa5ef4686dea378a888f324bbedd2430859f4daa826b21f9b30",
+        "a8a8b8277daa6af6df5e7354ce1b9da796f4fc6e31d3f3fd7e748fc8e7be14b0",
     ),
     (
         ["eval", "--kind", "lerch", "--s", "0.5,300", "--lambda", "0.3", "--alpha", "0.7", "--r", "2", "--x", "3"],
-        "03afadc2dd4c55b0bdb97a5f268d414b29d2b2dd22d7255a4940b0412ca43600",
+        "6685b060fac79c8ad759bf56bdca47438037911cf9fed8bb4d324107316b87f0",
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
@@ -1114,7 +1114,7 @@ TEXT_DIGESTS = [
     (["characters", "--q", "105"], "af8b7204655e431b63072f5705c4aa32cab3dce14d2f607b1d656b968f63bc44"),
     (
         ["eval", "--kind", "lerch", "--s", "0.6,3", "--lambda", "0.3", "--alpha", "0.7", "--r", "2"],
-        "6ddaec5e9dd77d5e15f9f6016ffdf3033780eb9f95bc8379843d6f97c1d7a563",
+        "a5e0f644a8ff2e0dd0a7d025e35f2f829ab72b514bf59b04faabb35e56d4f652",
     ),
     (
         ["afe", "--kind", "hurwitz", "--s", "0.5,30", "--alpha", "1", "--r", "2", "--x", "2.19"],
@@ -1126,13 +1126,13 @@ TEXT_DIGESTS = [
     ),
     (
         ["tail", "--x", "2", "--alpha", "0.3", "--re-a", "-1.5", "--im-a", "20", "--r", "2", "--lambda", "0.3"],
-        "9161a574ffdd6a69c79cc8d107c518fb33711668702bdb07f0bfbab174483c8c",
+        "1933a50588bd5cdd5855053b803d8e0a5063bbc725baceff62f9441e6348ca67",
     ),
     (["coeff", "--kind", "gamma", "--alpha", "0.3", "--r-max", "3"], "4761621e14dfba3227a1ab46e6e7640896f39c00a8a5c4ef113fbbefefcae1fd"),
     (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3"], "e49c5254d63d71e8d20ff45bb72677ae81402e11161caa4e241024998ef7b903"),
     (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3"], "52a6e49b36da888cf5f458658f8992f9382468e5d78edd6a4d2b38ea3b2499bc"),
     (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3"], "96806e097a2020456c3f6d5ca4e4267c470d1a44481cbf339070c545fc4e3570"),
-    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3"], "294893e3695d5fac61599ea425fe88378dd710ddcf69e8524493b10595d7d171"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3"], "913aa60dd41128915b5dd17477ff9344e363762adc83c5a56d45502e2ff6b13a"),
     (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3"], "a0b7b6f3e13a1b18fef338b17b87cd93a46bad6f57cdddd88c34cbb59460e34c"),
 ]
 
@@ -1141,7 +1141,7 @@ CSV_DIGESTS = [
     (["coeff", "--kind", "beta", "--alpha", "0.7", "--r-max", "3", "--csv"], "7072353a83431ea340d27e76e0b935ee8bcf3cac5ea69c296eb5347e6c0915cd"),
     (["coeff", "--kind", "gamma-aq", "--a", "2", "--q", "5", "--r-max", "3", "--csv"], "d4ce71704694cac3b2bd77839d9688eafe059f686ef38d6a9107d46b266fc003"),
     (["coeff", "--kind", "gamma-chi", "--q", "7", "--label", "2", "--r-max", "3", "--csv"], "c1692813fa5208d13a8271f28db57f7cbe31d47854b53a178b894d3a0be89749"),
-    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3", "--csv"], "0f891213a4a7dba0420f02a170da7604ca8798fdde0d4419d664c310fcd28b79"),
+    (["coeff", "--kind", "lerch", "--lambda", "0.3", "--alpha", "0.7", "--r-max", "3", "--csv"], "5eb7687ea62020958f19630aee21af8b41cf11c7f266b48a6ddd54826aab55ac"),
     (["coeff", "--kind", "l-zero", "--q", "5", "--label", "1", "--r-max", "3", "--csv"], "23a809a1dfd23d845ddceecb72eb86838e5e6afed186891b3e1ab62d0dac65bc"),
 ]
 

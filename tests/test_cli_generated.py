@@ -182,11 +182,12 @@ def _run_child(argvs, limit: int | None = None):
 def test_out_of_memory_is_a_one_line_refusal():
     # 4 MiB above the address space of listing the characters mod 3, the q =
     # 2003 listing runs out in characters._log_table (numpy's
-    # _ArrayMemoryError, a MemoryError) while its document is written: one
-    # error line and exit 1 where it used to end in a traceback
+    # _ArrayMemoryError, a MemoryError) on its first block, which is built
+    # before the document's first byte: one error line, exit 1 and nothing on
+    # stdout, where it used to end in a traceback
     _, base = _run_child([["characters", "--q", "3"]])
     ((status, size, err),), _ = _run_child([["characters", "--q", "2003", "--json"]], base + (4 << 20))
-    assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert status == 1 and size == 0 and err.startswith("error: ") and err.count("\n") == 1, (size, err)
 
 
 @settings(max_examples=1, derandomize=True, database=None, deadline=None)

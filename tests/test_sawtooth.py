@@ -1236,9 +1236,9 @@ def test_oscillatory_routes_match_the_one_panel_loop_bit_for_bit(monkeypatch, ro
 def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     """psi_osc_tail_powers as it ran with its own cutoff loop and its break
     points from ref_psi_breaks, each interval between them cut by its phase;
-    the cutoff's remainders, and the far tail from the first middle n + alpha
-    + 1/2 of a kink interval at or above it (its phase e^{2 pi i nu n}), to
-    which the panels are added."""
+    the far tail and its remainders from the first middle n + alpha + 1/2 of
+    a kink interval at or above x and the cutoff less 1 (its phase e^{2 pi i
+    nu n}), to which the panels are added."""
     b = complex(b)
     K = sawtooth._K_OSC
     x0 = max(x, (abs(b) + rmax + K + 6.0) / (math.pi * (1.0 - nu)), 12.0)
@@ -1246,11 +1246,12 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
     sk = _osc_remainder_const(nu)
     while max(ref_far_remainders(rows, b, x0, sk)) > 1e-15 and 2.0 * x0 - x < 4000.0 and x0 < 5e7:
         x0 *= 2.0
-    n = math.floor(x0 - alpha) - 1
-    while n + alpha + 0.5 < x0:
+    u = max(x0 - 1.0, x)  # the middle below the cutoff where x allows
+    n = math.floor(u - alpha) - 1
+    while n + alpha + 0.5 < u:
         n += 1
     coeffs, phase = [(-1.0) ** k * p for k, p in enumerate(_psi_fourier_shift_sums(K, nu))], complex(sawtooth._phase(nu, n))
-    vals, errs = [phase * t for t in ref_far_tail(rows, b, n + alpha + 0.5, [coeffs])[0].tolist()], ref_far_remainders(rows, b, x0, sk)
+    vals, errs = [phase * t for t in ref_far_tail(rows, b, n + alpha + 0.5, [coeffs])[0].tolist()], ref_far_remainders(rows, b, n + alpha + 0.5, sk)
     ends = ref_psi_breaks(x, n + alpha + 0.5, alpha)
     sawtooth._gl_panels(vals, errs, sawtooth._walk(ends, nu, b.imag, sawtooth._panel_counts(ends, nu, b.imag)), nu, b, rmax, alpha)
     return vals, errs
@@ -1264,7 +1265,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 - 5e-14),  # within 1e-13 of a kink, below
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 + 5e-14),  # and above
         (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # just beyond the 1e-12 margin
-        (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: the cutoff 12 sits on a kink, the far tail at 12.5
+        (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: kinks at the integers, the far tail at 14.5, the middle below the cutoff 15.28
         (0.9, 1e-9, complex(-0.5, 40.0), 4, 0.5),
         (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # past the cutoff: the walk to the middle 4501 alone
         (0.125, 0.5, complex(-1.2, 2.0), 3, 4501.0),  # x0 = x, a middle: no panel
@@ -1278,8 +1279,8 @@ def test_weighted_walk_breaks_at_the_kinks_of_the_march(nu, alpha, b, rmax, x):
 @pytest.mark.parametrize(
     "nu, alpha, s, rmax, x",
     [
-        (0.3, 0.7, complex(0.5, 300.0), 2, 3.0),  # weighted cutoffs 1178.7 and 589.3, far tails at 1179.2 and 590.2
-        (0.875, 0.727297, complex(1.825026, 716.331486), 4, 31.605887),  # 3780.675 and 3780.692, both at 3781.227297
+        (0.3, 0.7, complex(0.5, 300.0), 2, 3.0),  # weighted cutoffs 1178.7 and 589.3, far tails at the middles below them, 1178.2 and 589.2
+        (0.875, 0.727297, complex(1.825026, 716.331486), 4, 31.605887),  # 3780.675 and 3780.692, both at 3780.227297
         (0.5, 0.25, complex(0.5, 1000.0), 1, 1.0),
         (0.125, 0.5, complex(1.2, 2.0), 3, 4500.25),  # the weighted tails walk to the middle 4501 alone
         (0.125, 0.5, complex(1.2, 2.0), 3, 4501.0),  # no panel
