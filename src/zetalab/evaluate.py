@@ -60,6 +60,7 @@ from .sawtooth import (
     _check_order,
     _check_work,
     _first_cutoff,
+    _lattice_floor,
     _mid_kink,
     _osc_cutoff,
     _osc_tails,
@@ -134,14 +135,6 @@ def default_split(s: complex, alpha: float) -> float:
     return max(1.0, abs(complex(s).imag) / (2.0 * math.pi)) + alpha
 
 
-def _split_floor(v):
-    """Endpoint count at the split, of a float or elementwise of an array:
-    ties, and lattice points within four ulps above v (the rounding of v),
-    included (np.spacing is negative below 0)."""
-    k = np.floor(v + 4.0 * np.abs(np.spacing(v)))
-    return k.astype(int) if np.ndim(k) else int(k)
-
-
 def _pole_term(s: complex, x: float, r: int) -> tuple[complex, float]:
     """d^r/ds^r (x^{1-s}/(s-1)) by the Leibniz closed form, with its rounding:
     the phase of x^{1-s} (eps |1-s| log x) and each of the r + 1 terms.
@@ -172,18 +165,15 @@ def _s_tail(tails: list[complex], terrs: list[float], s: complex, r: int) -> tup
     return (-1.0) ** r * (r * tails[r - 1] - s * tails[r]), r * terrs[r - 1] + abs(s) * terrs[r]
 
 
-def _boundary_rounding(s: complex, q: int, orders, X: float, v, kmax, psi, ax: float) -> np.ndarray:
+def _boundary_rounding(s: complex, orders, X: float, v, psi, ax: float) -> np.ndarray:
     """Rounding of the boundary term psi(v) X^{-s} (-log X)^r, |X^{-s}| = ax,
-    for each order r (rows) and split v = (X - a)/q (columns): psi at a v
-    that carries the rounding of v, of X/q and of a/q, 4 eps (|v| + 2); the
-    phase and the products, eps (3 |s| |log X| + 2 r + 8) |psi|; and where v
-    sits within the four ulps below the lattice point kmax that the sum
-    counts, that point's term against the boundary's, q (kmax - v) |d/dX
-    X^{-s} (-log X)^r|."""
+    for each order r (rows) and split v = (X - a)/q (columns): psi at the
+    exact count (_lattice_floor) from a v that carries the rounding of v, of
+    X/q and of a/q, 4 eps (|v| + 2), and never jumps; the phase and the
+    products, eps (3 |s| |log X| + 2 r + 8) |psi|."""
     lx = abs(math.log(X))
-    scale = np.array([(ax * lx**r * _EPS, 3.0 * abs(s) * lx + 2 * r + 8, abs(s) * lx**r + (r * lx ** (r - 1) if r else 0.0)) for r in orders])
-    err = scale[:, :1] * (4.0 * (abs(v) + 2.0) + abs(psi) * scale[:, 1:2])
-    return err + (kmax > v) * (1.01 * q * (kmax - v) * ax / X) * scale[:, 2:]  # + 0 where kmax <= v
+    scale = np.array([(ax * lx**r * _EPS, 3.0 * abs(s) * lx + 2 * r + 8) for r in orders])
+    return scale[:, :1] * (4.0 * (abs(v) + 2.0) + abs(psi) * scale[:, 1:])
 
 
 def _z_values(s: complex, q: int, r: int, X: float, cores, errs) -> list[EvalResult]:
@@ -239,20 +229,19 @@ def _cores(s: complex, q: int, units, orders, X: float | None) -> tuple[float, n
     boundary term, of the tail combination (the phase of q^{-s} and X^{-s},
     eps 3 |s| (|log q| + |log X|), and the coefficients) and of the addition.
     That leaves out the far tail's own (_far_tail_rounding), 2.9 to 290 times
-    that phase share through the combination, yet below 0.2% of the bound on
-    300 random default-split Hurwitz requests (sigma in (0, 3], t in [0.5,
-    1000], r <= 4), where the finite sum's rounding dominates."""
+    that phase share through the combination: on the benchmark pools up to
+    0.50% of the bound (median 0.22%) on certify t2-iib and 0.41% on the
+    default-split Hurwitz requests, where the finite sum's rounding dominates."""
     orders = list(orders)
     X, tails, terrs = _split(s, orders[-1], q, units, X)
     a = np.array(units, dtype=float)
-    v = (X - a) / q
-    kmax = _split_floor(v)
+    v, kmax = (X - a) / q, _lattice_floor(X, a, q)
     vals, errs = _progression_sum(a, q, kmax, s, orders)
     lX, lq = math.log(X), math.log(q)
     fx, qs = cmath.exp(-s * lX), cmath.exp(-s * lq)
     psi = v - kmax - 0.5
     vals += psi * fx * np.array([[(-lX) ** r] for r in orders])
-    errs += _boundary_rounding(s, q, orders, X, v, kmax, psi, abs(fx))
+    errs += _boundary_rounding(s, orders, X, v, psi, abs(fx))
     # the combination: each (order, class) adds its terms m = 0..r in turn to 0
     # (+ 0.0 gives a zero sum the sign a start at 0 gives it; the terms 0 for
     # m > r leave each sum as it is), in blocks of at most _SUM_BLOCK products
@@ -367,10 +356,10 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     The bound adds to the tails' (the rounding of their far tails not booked)
     that of the finite sum (with its phase); of the boundary term, and of its
     phase w(x) = e^{2 pi i lam kmax} e^{2 pi i lam d}, d = (x - kmax) - alpha
-    (x - kmax exact, |d| < 1 + eps), eps (8 pi + 5) for each (_phase, kmax <
+    (x - kmax exact, 0 <= d < 1), eps (8 pi + 5) for each (_phase, kmax <
     2^24 by the work budget; 4 (2 pi lam |d|) + 5 for the argument, the
-    exponential and the product), with 2 pi lam in the jump at a lattice
-    point; of e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5); of 2
+    exponential and the product), kmax the exact count (_lattice_floor); of
+    e^{-2 pi i lam alpha} P_r, eps (3 (2 pi lam alpha) + 5); of 2
     pi i lam V_r, 3 eps; of r W_{r-1} - s W_r; and of each addition."""
     orders = list(orders)
     rmax = max(orders)
@@ -378,18 +367,18 @@ def _lerch_values(s: complex, lam: float, alpha: float, orders, split: float | N
     # the sum is charged to the work budget with the tails' kinks and panels
     # before any runs, per point whatever the number of orders, as the Z route
     # prices a term (the phase e^{2 pi i lam k} makes it 1.5 times a Z term)
-    kmax = _split_floor(x - alpha)
+    kmax = int(_lattice_floor(x, alpha))
     (pure, perr), (w1, w1err), (w2, w2err) = _osc_tails(lam, alpha, rmax, x, [(-s, False, pcut), (-s, True, w1cut), (-s - 1.0, True, w2cut)], terms=kmax + 1)
     sums, serrs = _progression_sum([alpha], 1, [kmax], s, orders, lam)
     lx, v, two_pi_lam = math.log(x), x - alpha, 2.0 * math.pi * lam
-    wx, psi, fx = complex(_phase(lam, kmax)) * cmath.exp(2j * math.pi * lam * (x - kmax - alpha)), v - kmax - 0.5, cmath.exp(-s * lx)  # psi at the sum's count: the jumps cancel
+    wx, psi, fx = complex(_phase(lam, kmax)) * cmath.exp(2j * math.pi * lam * (x - kmax - alpha)), v - kmax - 0.5, cmath.exp(-s * lx)
     phase = cmath.exp(-2j * math.pi * lam * alpha)
-    serrs += _boundary_rounding(s, 1, orders, x, v, kmax, psi, abs(fx))
+    serrs += _boundary_rounding(s, orders, x, v, psi, abs(fx))
     out = []
     for r, val, err in zip(orders, sums[:, 0].tolist(), serrs[:, 0].tolist()):
         sign = (-1.0) ** r
         ax = abs(fx) * abs(lx) ** r
-        err += ax * (_EPS * (16.0 * math.pi + 10.0) * abs(psi) + 1.01 * max(kmax - v, 0.0) * two_pi_lam)
+        err += ax * (_EPS * (16.0 * math.pi + 10.0) * abs(psi))
         tail2, err2 = _s_tail(w2, w2err, s, r)
         err += perr[r] + two_pi_lam * w1err[r] + err2
         err += _EPS * ((3.0 * two_pi_lam * alpha + 5.0) * abs(pure[r]) + 3.0 * two_pi_lam * abs(w1[r]))

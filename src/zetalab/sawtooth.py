@@ -123,10 +123,10 @@ def _check_tail(x: float, alphas, rmax: int) -> None:
 @dataclass(frozen=True)
 class EvalResult:
     """A value and its error bound: truncation and quadrature, and the
-    binary64 rounding its route books (all of it for the Hurwitz, Z and L
-    routes and their coefficient readings and for a plain tail; the panels'
-    for an oscillatory tail; all but the oscillatory far tails' for the
-    Lerch routes)."""
+    binary64 rounding its route books (a plain tail's all; the Hurwitz, Z and
+    L routes' and their coefficient readings' all but the plain far tails',
+    up to 0.5% of the bound on the pools; an oscillatory tail's panels'; the
+    Lerch routes' all but the oscillatory far tails')."""
 
     value: complex
     error_bound: float
@@ -364,7 +364,8 @@ def _phase(lam: float, k):
     for |lam| < 1 and k < 2^27 all but k lo is exact, and at k lo < 1/4 it
     books eps (6 pi + 5 + 8 pi k lo) < eps (8 pi + 5), 3 (2 pi) |f| <= 6 pi
     (1 + k lo) for pi, the product and the sum f, 2 pi k lo for k lo, 5 for
-    the exponential and a product with it."""
+    the exponential and a product with it.  From k = 2^27 on k hi rounds too:
+    the phase errs by up to 8 pi eps |lam| k more, which the far tails book."""
     hi, lo = _dekker(lam)
     arg = hi * k  # exact, and so its reduction mod 1
     return np.exp(2j * np.pi * (arg - np.floor(arg) + lo * k))
@@ -492,17 +493,20 @@ def _check_work(**pieces: float) -> None:
         raise ValueError(f"the request would take about {work:.3g} units of work, beyond the work budget of {_WORK_BUDGET:.0e}")
 
 
+def _lattice_floor(x, a, q: int = 1):
+    """The last k with a + q k <= x, exactly, elementwise: for integers a at
+    q > 1, [([x] - a)/q] by integer floor division; at q = 1, a in (0, 1],
+    [x] - 1 + ({x} >= a), {x} = x - [x] exact.  The one lattice count."""
+    return np.floor_divide(np.floor(x) - a, q) if q > 1 else np.floor(x) - 1.0 + (x - np.floor(x) >= a)
+
+
 def _kinks(lo: float, hi: float, alpha: float) -> tuple[float, int]:
-    """The first kink index m1 and the segment count: the kinks m + alpha of
-    psi(u - alpha) with lo + 1e-12 < m + alpha < hi - 1e-12 cut (lo, hi) into
-    count segments on which psi is linear (hi < 2^52, where a unit step
-    changes the float)."""
-    first = math.floor(lo - alpha + 1e-12) + 1.0
-    while first + alpha <= lo + 1e-12:
-        first += 1.0
-    last = float(math.floor(hi - alpha))
-    while last + alpha >= hi - 1e-12:
-        last -= 1.0
+    """The first kink index m1 and the segment count: the kinks m + alpha in
+    (lo, hi), counted exactly, cut it into count segments where psi(u -
+    alpha) is linear; a kink whose float is an end is that end, so a segment
+    can be a few ulps wide (hi < 2^52, where a unit step changes the float)."""
+    first, last = float(_lattice_floor(lo, alpha)) + 1.0, float(_lattice_floor(hi, alpha))
+    first, last = first + (first + alpha == lo), last - (last + alpha == hi)
     return first, int(max(last - first + 1.0, 0.0)) + 1
 
 
@@ -516,14 +520,15 @@ def _psi_interval(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rm
             - psi(lo - alpha) g(lo) + psi(hi - alpha) g(hi),
 
     the sum the recursion run on the kernel's sums of p^c log^j p over the
-    kinks (_progression_sum at s = -c).  Count and psi come from one rounded
-    v = u - alpha at each end, so their jumps cancel: psi errs by eps |v|,
-    and a kink that v's rounding puts across the end costs |g(p) - g(u)|.  Next to a
-    zero c or c + 1 (|d| max(2, |log u|) <= 1, d = b - b0, b0 = -1 or -2)
-    the integrand is u^b0 log^m u e^{d log u}, its exponential cut after the
-    first K terms, where e^z z^K/K! < 2^-64 (z = |d| max|log u|), each at b0
-    in the log form; the rest adds (1/2) e^z z^K/K! max|log u|^m int u^b0.
-    Rounding: the kernel's bound, the recursions', and 6 eps sum |piece|."""
+    kinks (_progression_sum at s = -c).  The count at each end is exact
+    (_lattice_floor), so psi from the rounded v = u - alpha errs by eps |v|
+    and never jumps; an lo where |u^b log^rmax u| is not finite in binary64
+    is refused.  Next to a zero c or c + 1 (|d| max(2, |log u|) <= 1, d = b
+    - b0, b0 = -1 or -2) the integrand is u^b0 log^m u e^{d log u}, its
+    exponential cut after the first K terms, where e^z z^K/K! < 2^-64 (z =
+    |d| max|log u|), each at b0 in the log form; the rest adds (1/2) e^z
+    z^K/K! max|log u|^m int u^b0.  Rounding: the kernel's bound, the
+    recursions', and 6 eps sum |piece|."""
     if not lo < hi:
         return
     if not hi < 2.0**52:  # from there the float spacing is 1: the kinks m + alpha round onto integers, two can coincide
@@ -542,18 +547,19 @@ def _psi_interval(sums, lo: float, hi: float, alphas: np.ndarray, b: complex, rm
             errs = (np.abs(w) * (terrs + _EPS * (5 * K + 4) * np.abs(terms))).sum(axis=0) + rem * span ** np.arange(rmax + 1.0)[:, None]
             break
     else:
+        if not np.isfinite(np.float64(lo) ** b.real * abs(math.log(lo)) ** rmax):
+            raise ValueError(f"the integrand at u = {lo:.6g} is not finite in binary64")
         c, ends = b + 1.0, np.array([lo, hi])
         v = ends[:, None] - alphas
-        n, orders = np.floor(v), range(rmax + 1 + (c == 0))
-        psi, near = v - n - 0.5, np.minimum(v - n, n + 1.0 - v) <= 2.0 * _EPS * np.abs(v)  # near: a kink within rounding of the end
+        n, orders = _lattice_floor(ends[:, None], alphas), range(rmax + 1 + (c == 0))
+        psi = v - n - 0.5
         sums_p, errs_p = _progression_sum(alphas, 1, (n[1] - n[0] - 1.0).astype(np.int64), -c, orders, first=n[0] + 1.0)
         sg, sgerr = _antiderivatives(c, np.array([[(-1.0) ** j] for j in orders]) * sums_p, errs_p)
         g, gerr = _power_log_lower(b, rmax, ends)
         G, Gerr = _antiderivatives(c, *_power_log_lower(c, rmax + (c == 0), ends))
-        f = ends**b.real * np.abs(np.log(ends)) ** np.arange(rmax + 1.0)[:, None]  # |u^b log^m u| at the ends
         pieces = (sg, G[:, 1:] - G[:, :1], psi[0] * g[:, :1], psi[1] * g[:, 1:])
         vals = pieces[0] - pieces[1] - pieces[2] + pieces[3]
-        at_ends = [np.abs(psi[e]) * gerr[:, e, None] + _EPS * np.abs(v[e]) * (np.abs(g[:, e, None]) + 2.0 * f[:, e, None] * near[e]) for e in (0, 1)]
+        at_ends = [np.abs(psi[e]) * gerr[:, e, None] + _EPS * np.abs(v[e]) * np.abs(g[:, e, None]) for e in (0, 1)]
         errs = sgerr + Gerr.sum(axis=1)[:, None] + at_ends[0] + at_ends[1]
         errs = errs + 6.0 * _EPS * (np.abs(sg) + np.abs(G).sum(axis=1)[:, None] + np.abs(pieces[2]) + np.abs(pieces[3]))
     sums[0] += vals
@@ -752,8 +758,10 @@ def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: comple
     """Accumulate 16-node Gauss-Legendre panels [pts[i], pts[i+1]] of
     e^{2 pi i nu u} u^b log^m u, m = 0..rmax, Re b < 0, into vals; with alpha
     given, of psi(u - alpha) e^{2 pi i nu (u - alpha)} u^b log^m u, whose
-    panels must not straddle a kink.  The nodes are a + h (1 + x) (a the left
-    end, h the half-width); the integrand e^{Re b L} (cos theta + i sin theta)
+    panels must not straddle a kink: psi is u - k - alpha - 1/2 on a panel,
+    k the exact count at its left end a, one more where a is the float of
+    kink k + 1 (_kinks): a sliver keeps its branch.  The nodes are a + h (1 +
+    x) (h the half-width); the integrand e^{Re b L} (cos theta + i sin theta)
     L^m, L = log u, theta = 2 pi nu u + Im b L (less 2 pi nu alpha), takes cos
     theta + i sin theta = ((1 - t^2) + 2 i t)/(1 + t^2) from t = tan(theta/2)
     (numpy's tangent takes 3 ns on AVX-512, its cosine and sine 33 ns each).
@@ -794,7 +802,8 @@ def _gl_panels(vals: list[complex], errs: list[float], pts, nu: float, b: comple
         quad = (_GL_QUAD * half) * np.exp(TWO_PI * abs(nu) * B + abs(b.imag) * beta) * near**b.real
         wt = amp
         if alpha is not None:  # psi(u - alpha) is linear inside each panel
-            k = np.floor(mid - alpha)
+            k = _lattice_floor(ends[:-1], alpha)
+            k += k + 1.0 + alpha == ends[:-1]
             wt, quad = amp * (u - k[:, None] - alpha - 0.5), quad * (np.abs(mid - k - alpha - 0.5) + A)
         mag = amp if alpha is None else np.abs(wt)  # amp >= 0
         book = mag * (_EPS * (12.0 * abs(pi_nu) * u + 3.0 * (abs(b.real) + abs(b.imag)) * (np.abs(logs) + 1.0) + 51.0))
@@ -923,12 +932,13 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
     cutoff less 1 (_mid_kink: the one below the cutoff where x allows, a
     shorter walk), as e^{2 pi i nu N} (_phase) times one table per nu, its
     remainders taken there; a pure one's phase at x0 is that of [x0] times
-    e^{2 pi i nu {x0}}.  The cutoffs come first (a weighted one that reaches
-    2^52 is refused); the caller's pieces and the kinks of psi(u - alpha) are
-    charged before the kinks are listed with a floor on each walk's panels,
-    then with every panel of every walk, the counts it walks (_panel_counts),
-    before any far tail is formed or any panel walked.  Each tail's panels are
-    added to its far tail and remainders."""
+    e^{2 pi i nu {x0}}; from N = 2^27 on it books 8 pi eps |nu| N of its
+    modulus for that phase (_phase).  The cutoffs come first (a weighted one
+    that reaches 2^52 is refused); the caller's pieces and the kinks of psi(u
+    - alpha) are charged before the kinks are listed with a floor on each
+    walk's panels, then with every panel of every walk, the counts it walks
+    (_panel_counts), before any far tail is formed or any panel walked.  Each
+    tail's panels are added to its far tail and remainders."""
     walks, kinks, least, top = [], 0, 0.0, x  # each tail's exponent, kind, cutoff, its integer, derivative table, remainders and kinks
     for b, weighted, cut in tails:
         if b.real >= 0.0:
@@ -954,7 +964,8 @@ def _osc_tails(nu: float, alpha: float | None, rmax: int, x: float, tails, **pie
         else:  # the by-parts terms (i/(2 pi nu))^k/i, the phase e^{2 pi i nu x0} and the sign taken
             phase, r0 = -phase * cmath.exp(2j * math.pi * nu * (x0 - n)), 1.0 / (2j * math.pi * nu)
             row = list(itertools.accumulate([-r0] * (_K_OSC - 1), operator.mul, initial=r0))
-        sums.append(([phase * t for t in _far_tail(table, b, x0, [row])[0].tolist()], list(rems)))
+        far = [phase * t for t in _far_tail(table, b, x0, [row])[0].tolist()]
+        sums.append((far, [rem + 8.0 * math.pi * abs(nu) * n * _EPS * abs(t) if n >= 2**27 else rem for rem, t in zip(rems, far)]))
         if x0 > x:
             _gl_panels(*sums[-1], _walk(ends[i], nu, b.imag, counts[i]), nu, b, rmax, alpha if weighted else None)
     return sums

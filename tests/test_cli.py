@@ -1062,7 +1062,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["afe", "--kind", "l", "--s", "0.5,60", "--q", "3", "--label", "1", "--r", "1", "--x", "10"],
-        "060517dbce7dfdc0524254ca99bcd2fee1e90c1f464a3523299bf2602e9a5196",
+        "67ca174ff2b6e8dac38b1295ce7b91f7fc90b2cfd0366fb9e19f9eea80863ad5",
     ),
     # recorded before every residue class and order of a request came from one
     # (orders x rows x terms) finite-sum kernel: tables at q = 977 that span

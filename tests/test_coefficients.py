@@ -28,8 +28,8 @@ from zetalab.coefficients import (
     stieltjes_gamma,
     stieltjes_gamma_all,
 )
-from zetalab.evaluate import HurwitzArgs, LerchArgs, _split_floor, hurwitz_deriv, l_deriv, lerch_deriv
-from zetalab.sawtooth import EvalResult, psi_tail_powers
+from zetalab.evaluate import HurwitzArgs, LerchArgs, hurwitz_deriv, l_deriv, lerch_deriv
+from zetalab.sawtooth import EvalResult, _lattice_floor, psi_tail_powers
 
 from .oracles import (
     convolution_coefficient,
@@ -329,7 +329,7 @@ def _l_at_1_per_character(r, chi, X):
         ca = chi(a)
         if ca == 0:
             continue
-        kmax = _split_floor((X - a) / q)
+        kmax = int(_lattice_floor(X, a, q))
         if kmax >= 0:
             n = a + q * np.arange(0, kmax + 1, dtype=float)
             logs = np.log(n)
@@ -360,7 +360,7 @@ def _l_at_0_per_character(r, chi, X):
         ca = chi(a)
         if ca == 0:
             continue
-        kmax = _split_floor((X - a) / q)
+        kmax = int(_lattice_floor(X, a, q))
         if kmax >= 0:
             n = a + q * np.arange(0, kmax + 1, dtype=float)
             main += ca * complex(np.sum(np.log(n) ** r if r else np.ones_like(n)))

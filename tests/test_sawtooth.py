@@ -449,15 +449,15 @@ def test_osc_remainder_cache_stays_bounded():
 
 
 def ref_psi_breaks(lo: float, hi: float, alpha: float) -> list[float]:
-    """Breakpoints lo < m + alpha < hi where psi(u - alpha) has kinks, one at a time."""
+    """Breakpoints where psi(u - alpha) has kinks, one at a time: the floats
+    m + alpha with lo < m + alpha < hi (a kink whose float is an end is that
+    end; rounding is monotone, so these are the kinks of (lo, hi))."""
     pts = [lo]
-    m = math.floor(lo - alpha + 1e-12) + 1
-    v = m + alpha
-    while v < hi - 1e-12:
-        if v > lo + 1e-12:
-            pts.append(v)
+    m = math.floor(lo - alpha) - 1  # the rounded lo - alpha is off by at most one
+    while m + alpha < hi:
+        if m + alpha > lo:
+            pts.append(m + alpha)
         m += 1
-        v = m + alpha
     pts.append(hi)
     return pts
 
@@ -757,11 +757,19 @@ def test_batch_rows_have_unequal_segment_counts():
     count = [sawtooth._kinks(0.5, 36.0, a / 7)[1] for a in range(1, 8)]
     assert len(set(count)) > 1
     assert count == [len(ref_psi_breaks(0.5, 36.0, a / 7)) - 1 for a in range(1, 8)]
-    # a lower end where the floor of the rounded lo - alpha + 1e-12 lands one
-    # short: the first kink steps from 2 to 3, as the float enumeration has it
+    # the kink 2.3 lies 1e-12 above lo: it is a break point, as every kink of
+    # (lo, hi) is, however close to an end
     lo, hi, alpha = 2.2999999999989997, 5.0, 0.3
-    kinks = [m for m in range(7) if lo + 1e-12 < m + alpha < hi - 1e-12]
-    assert sawtooth._kinks(lo, hi, alpha) == (float(kinks[0]), len(kinks) + 1) == (3.0, 3)
+    kinks = [m for m in range(7) if lo < m + alpha < hi]
+    assert sawtooth._kinks(lo, hi, alpha) == (float(kinks[0]), len(kinks) + 1) == (2.0, 4)
+    # a kink whose float is an end is that end, one a few ulps inside is a kink
+    for m, alpha in ((2, 0.3), (3, 0.7), (5, 1.0)):
+        kink = m + alpha
+        assert sawtooth._kinks(kink, kink + 2.5, alpha) == (m + 1.0, 3)
+        assert sawtooth._kinks(kink - 2.5, kink, alpha) == (m - 2.0, 3)
+        below, above = math.nextafter(kink, 0.0), math.nextafter(kink, 9.0)
+        assert sawtooth._kinks(below, kink + 0.5, alpha) == (float(m), 2)
+        assert sawtooth._kinks(kink - 0.5, above, alpha) == (float(m), 2)
 
 
 def test_random_marches_match_the_scalar_march():
@@ -1264,7 +1272,7 @@ def ref_psi_osc_tail_powers(nu, alpha, b, rmax, x):
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7),  # x on a kink
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 - 5e-14),  # within 1e-13 of a kink, below
         (0.3, 0.7, complex(-1.5, 20.0), 2, 3.7 + 5e-14),  # and above
-        (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # just beyond the 1e-12 margin
+        (0.5, 0.25, complex(-1.0, -300.0), 1, 7.25 + 2e-12),  # 2e-12 above a kink
         (0.5, 1.0, -2.0, 0, 2.0),  # alpha = 1: kinks at the integers, the far tail at 14.5, the middle below the cutoff 15.28
         (0.9, 1e-9, complex(-0.5, 40.0), 4, 0.5),
         (0.125, 0.5, complex(-1.2, 2.0), 3, 4500.25),  # past the cutoff: the walk to the middle 4501 alone
@@ -1292,6 +1300,27 @@ def test_the_lerch_tails_of_one_call_are_each_its_walk_alone(nu, alpha, s, rmax,
     shared = sawtooth._osc_tails(nu, alpha, rmax, x, [(-s, False, None), (-s, True, None), (-s - 1.0, True, None)])
     alone = [pure_osc_tail_powers(nu, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s, rmax, x), psi_osc_tail_powers(nu, alpha, -s - 1.0, rmax, x)]
     assert repr(shared) == repr(alone)
+
+
+@pytest.mark.parametrize("x", [1e10, 1e12, 123456789012.25])
+def test_far_tails_from_beyond_2_27_book_their_phase(monkeypatch, x):
+    # from N = 2^27 on N hi rounds, and the far tail's phase e^{2 pi i nu N}
+    # errs by up to 8 pi eps nu N: each tail is held to its bound against the
+    # same tail with every phase taken exactly in mpmath
+    nu, alpha, b, rmax = 0.3, 0.7, complex(-1.5, 2.0), 2
+    got = [pure_osc_tail_powers(nu, b, rmax, x), psi_osc_tail_powers(nu, alpha, b, rmax, x)]
+    vals, errs = got[0]  # a pure tail from its cutoff walks no panel: its bound is its far tail's
+    assert all(e >= 8.0 * math.pi * sawtooth._EPS * nu * math.floor(x) * abs(v) for v, e in zip(vals, errs))
+
+    def exact(lam, k):
+        with mp.workdps(40):
+            return complex(mp.expjpi(2 * mp.mpf(lam) * int(k)))
+
+    monkeypatch.setattr(sawtooth, "_phase", exact)
+    want = [pure_osc_tail_powers(nu, b, rmax, x), psi_osc_tail_powers(nu, alpha, b, rmax, x)]
+    for (vals, errs), (ref, _) in zip(got, want):
+        for m in range(rmax + 1):
+            assert abs(vals[m] - ref[m]) <= errs[m], (x, m)
 
 
 def test_kink_search_ends_where_a_unit_step_leaves_the_float_unchanged():
